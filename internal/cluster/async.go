@@ -3,12 +3,10 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"cellgan/internal/core"
 	"cellgan/internal/mpi"
-	"cellgan/internal/profile"
 )
 
 // This file is the asynchronous cluster exchange: the distributed form of
@@ -60,125 +58,37 @@ var asyncClusterHooks struct {
 	onApply func(cell, src, iter int)
 }
 
-// executeAsync is the execution thread of an async-mode slave: a single
+// runAsync is the execution thread of an async-mode slave: a single
 // goroutine multiplexing every owned cell through absorb → gate →
 // iterate → push passes, growing and shrinking its owned set as owner
 // updates and release orders arrive from the control loop.
-func (s *slave) executeAsync(task runTask) {
-	defer close(s.done)
-	defer s.setState(StateFinished)
-
-	prof := profile.New()
-	finishErr := func(err error) {
-		cellRank := task.CellRank
-		if cellRank < 0 {
-			cellRank = 0
-		}
-		s.updMu.Lock()
-		s.reports = []SlaveReport{{
-			CellRank: cellRank, Node: task.Node,
-			MixtureFitness: inf(), Error: err.Error(),
-		}}
-		s.updMu.Unlock()
-	}
-
-	g, err := core.BuildGridFor(task.Cfg)
+func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
+	owned, err := newOwnedCells(task)
 	if err != nil {
-		finishErr(err)
-		return
+		return nil, err
 	}
 	myRank := s.world.Rank()
 	nCells := task.Cfg.NumCells()
-	target := task.Cfg.Iterations
-	staleness := task.Cfg.EffectiveAsyncStaleness()
-
-	owned := make(map[int]*core.Cell)
-	trackers := make(map[int]*core.StalenessTracker)
-	nbSets := make(map[int][]int) // per owned cell: neighbourhood minus self
-	failed := make(map[int]bool)  // owned cells whose training errored
-	errNote := make(map[int]string)
-	fitness := make(map[int]float64)
 	failedGlobal := make(map[int]bool) // any cell marked failed by the master
 	owners := make([]int, nCells)
 	for c := range owners {
 		owners[c] = c + 1 // the initial one-cell-per-slave assignment
 	}
+	errQuit := fmt.Errorf("cluster: slave %d control loop exited mid-run", myRank)
 
-	adopt := func(rank int, full []byte, adFailed bool, adErr string, adFit float64) error {
-		if _, ok := owned[rank]; ok {
-			return nil
-		}
-		c, err := core.NewCell(task.Cfg, rank, g, prof)
-		if err != nil {
-			return err
-		}
-		if len(full) > 0 {
-			f, err := core.UnmarshalFullState(full)
-			if err != nil {
-				return err
-			}
-			if err := c.RestoreFull(f); err != nil {
-				return err
-			}
-		}
-		owned[rank] = c
-		trackers[rank] = core.NewStalenessTracker(staleness)
-		var nbs []int
-		for _, n := range g.Neighborhood(rank) {
-			if n != rank {
-				nbs = append(nbs, n)
-			}
-		}
-		nbSets[rank] = nbs
-		failed[rank] = adFailed
-		if adErr != "" {
-			errNote[rank] = adErr
-		}
-		fitness[rank] = adFit
-		return nil
-	}
-	drop := func(rank int) {
-		delete(owned, rank)
-		delete(trackers, rank)
-		delete(nbSets, rank)
-		delete(failed, rank)
-		delete(errNote, rank)
-		delete(fitness, rank)
-	}
-
-	if !task.Joiner {
-		// task.Full is empty on a fresh start and carries the cell's
-		// resume state after a whole-job restart.
-		if err := adopt(task.CellRank, task.Full, false, "", inf()); err != nil {
-			finishErr(err)
-			return
-		}
-	}
-
-	// applyState refreshes the neighbour view of every owned cell whose
-	// neighbourhood contains the snapshot's rank, guarded per
-	// (cell, source) by the cross-drain staleness tracker.
+	// applyState offers a snapshot to the neighbour view of every other
+	// owned cell; each view applies it only if the source is a neighbour
+	// and the snapshot is no older than what it already holds.
 	applyState := func(st *core.CellState) error {
-		for _, r := range sortedRanks(owned) {
+		for _, r := range owned.ranks() {
 			if st.Rank == r {
 				continue
 			}
-			tr := trackers[r]
-			member := false
-			for _, n := range nbSets[r] {
-				if n == st.Rank {
-					member = true
-					break
-				}
-			}
-			if !member || !tr.ShouldApply(st.Rank, st.Iteration) {
-				continue
-			}
-			if err := owned[r].UpdateNeighbor(st); err != nil {
+			applied, err := owned.cells[r].view.Apply(st)
+			if err != nil {
 				return err
 			}
-			tr.MarkApplied(st.Rank, st.Iteration)
-			if h := asyncClusterHooks.onApply; h != nil {
+			if h := asyncClusterHooks.onApply; applied && h != nil {
 				h(r, st.Rank, st.Iteration)
 			}
 		}
@@ -189,13 +99,13 @@ func (s *slave) executeAsync(task runTask) {
 	// influence set. Best-effort: a lost push is healed by the idle
 	// re-push, and co-owned neighbours are refreshed locally instead.
 	push := func(r int) error {
-		st, err := owned[r].State()
+		st, err := owned.cells[r].cell.State()
 		if err != nil {
 			return err
 		}
 		payload := st.Marshal()
 		sent := make(map[int]bool)
-		for _, d := range g.Influence(r) {
+		for _, d := range owned.grid.Influence(r) {
 			o := owners[d]
 			if o == 0 || o == myRank || sent[o] {
 				continue
@@ -209,37 +119,10 @@ func (s *slave) executeAsync(task runTask) {
 		return applyState(st) // co-owned neighbours see it immediately
 	}
 
-	// upload sends the master a fresh inventory of every owned cell and
-	// caches it for tagStateResend.
-	pass := 0
-	upload := func() error {
-		upd := stateUpdate{Slave: myRank, Round: pass}
-		for _, r := range sortedRanks(owned) {
-			c := owned[r]
-			f, err := c.FullState()
-			if err != nil {
-				return err
-			}
-			upd.Cells = append(upd.Cells, cellBlob{
-				CellRank: r, Iteration: c.Iteration(), Full: f.Marshal(),
-				Failed: failed[r], Error: errNote[r], Fitness: fitness[r],
-			})
-		}
-		payload, err := upd.marshal()
-		if err != nil {
-			return err
-		}
-		s.updMu.Lock()
-		s.latestUpdate = payload
-		s.updMu.Unlock()
-		s.world.Send(0, tagStateUpdate, payload) //nolint:errcheck
-		return nil
-	}
-
 	version := -1
 	doneFlag, abortFlag := false, false
 	lastUpload := time.Time{}
-	for {
+	for pass := 0; ; pass++ {
 		// (1) Control messages from the master, via the control loop.
 		for ctl := true; ctl; {
 			select {
@@ -253,16 +136,15 @@ func (s *slave) executeAsync(task runTask) {
 					failedGlobal[c] = true
 				}
 				for _, ad := range u.Adopt {
-					if err := adopt(ad.CellRank, ad.Full, ad.Failed, ad.Error, ad.Fitness); err != nil {
-						finishErr(err)
-						return
+					if err := owned.adopt(ad); err != nil {
+						return nil, err
 					}
 				}
 				// The catch-all for a release lost mid-flight: ownership
 				// says the cell is elsewhere, so stop training it.
-				for _, r := range sortedRanks(owned) {
+				for _, r := range owned.ranks() {
 					if owners[r] != myRank {
-						drop(r)
+						delete(owned.cells, r)
 					}
 				}
 				for i := range u.States {
@@ -271,8 +153,7 @@ func (s *slave) executeAsync(task runTask) {
 						continue // a seed is advisory, never fatal
 					}
 					if err := applyState(st); err != nil {
-						finishErr(err)
-						return
+						return nil, err
 					}
 				}
 				if u.Done {
@@ -282,35 +163,22 @@ func (s *slave) executeAsync(task runTask) {
 			case r := <-s.releaseCh:
 				// Return the released cells' state and stop training
 				// them; the ack echoes the order's version in Round.
-				ack := stateUpdate{Slave: myRank, Round: r.Version}
+				ack, err := owned.packState(myRank, r.Version, r.Cells)
+				if err != nil {
+					return nil, err
+				}
 				for _, cr := range r.Cells {
-					c, ok := owned[cr]
-					if !ok {
-						continue
-					}
-					f, err := c.FullState()
-					if err != nil {
-						finishErr(err)
-						return
-					}
-					ack.Cells = append(ack.Cells, cellBlob{
-						CellRank: cr, Iteration: c.Iteration(), Full: f.Marshal(),
-						Failed: failed[cr], Error: errNote[cr], Fitness: fitness[cr],
-					})
-					drop(cr)
+					delete(owned.cells, cr)
 				}
 				payload, err := ack.marshal()
 				if err != nil {
-					finishErr(err)
-					return
+					return nil, err
 				}
-				if err := retrySend(s.world, 0, tagReleaseAck, payload, 4, 10*time.Millisecond, nil); err != nil {
-					finishErr(err)
-					return
+				if err := retrySend(s.world, 0, tagReleaseAck, payload, nil); err != nil {
+					return nil, err
 				}
 			case <-s.quit:
-				finishErr(fmt.Errorf("cluster: slave %d control loop exited mid-run", myRank))
-				return
+				return nil, errQuit
 			default:
 				ctl = false
 			}
@@ -320,8 +188,7 @@ func (s *slave) executeAsync(task runTask) {
 		for {
 			m, ok, err := s.world.TryRecv(mpi.AnySource, tagAsyncState)
 			if err != nil {
-				finishErr(err)
-				return
+				return nil, err
 			}
 			if !ok {
 				break
@@ -331,49 +198,32 @@ func (s *slave) executeAsync(task runTask) {
 				continue // corrupt push; peers re-push
 			}
 			if err := applyState(st); err != nil {
-				finishErr(err)
-				return
+				return nil, err
 			}
 		}
 
 		if doneFlag {
-			s.finalizeResilient(task, owned, failed, errNote, fitness, abortFlag, prof)
-			return
+			return owned.reports(abortFlag), nil
 		}
 
 		// (3) One training pass: iterate every owned cell that is
-		// unfinished, unfailed and within the staleness window. Gated
-		// cells are skipped, never blocked on — other owned cells and
-		// the absorb loop keep running.
+		// unfinished, unfailed and within the staleness window (failed
+		// neighbours never publish again and do not hold the gate).
+		// Gated cells are skipped, never blocked on — other owned cells
+		// and the absorb loop keep running.
 		progressed := false
-		for _, r := range sortedRanks(owned) {
-			c := owned[r]
-			if failed[r] || s.abort.Load() || c.Iteration() >= target {
+		for _, r := range owned.ranks() {
+			if !owned.trainable(r) || s.abort.Load() || owned.cells[r].view.Gated(failedGlobal) {
 				continue
 			}
-			gate := nbSets[r][:0:0]
-			for _, n := range nbSets[r] {
-				if !failedGlobal[n] {
-					gate = append(gate, n)
-				}
-			}
-			if len(trackers[r].Stale(c.Iteration()+1, gate)) > 0 {
+			if !owned.iterate(r) {
 				continue
 			}
-			stats, err := c.Iterate()
-			if err != nil {
-				failed[r] = true
-				errNote[r] = err.Error()
-				continue
-			}
-			fitness[r] = stats.MixtureFitness
 			progressed = true
 			if err := push(r); err != nil {
-				finishErr(err)
-				return
+				return nil, err
 			}
 		}
-		pass++
 
 		// (4) Inventory upload: after progress, and periodically while
 		// idle so the master still converges under dropped uploads. The
@@ -381,229 +231,49 @@ func (s *slave) executeAsync(task runTask) {
 		// that ends a partition-starved gate.
 		if progressed || time.Since(lastUpload) >= asyncUploadEvery {
 			if !progressed {
-				for _, r := range sortedRanks(owned) {
+				for _, r := range owned.ranks() {
 					if err := push(r); err != nil {
-						finishErr(err)
-						return
+						return nil, err
 					}
 				}
 			}
-			if err := upload(); err != nil {
-				finishErr(err)
-				return
+			payload, err := s.cacheUpdate(owned, pass+1, owned.ranks())
+			if err != nil {
+				return nil, err
 			}
+			s.world.Send(0, tagStateUpdate, payload) //nolint:errcheck
 			lastUpload = time.Now()
 		}
 		if !progressed {
 			select {
 			case <-s.quit:
-				finishErr(fmt.Errorf("cluster: slave %d control loop exited mid-run", myRank))
-				return
+				return nil, errQuit
 			case <-time.After(asyncIdleSleep):
 			}
 		}
 	}
 }
 
-// runMasterAsync is the master role of the asynchronous mode: merge
-// inventory uploads, serve joins, detect completion, collect reports.
-func runMasterAsync(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
-	res := &JobResult{}
-	started := time.Now()
-	var logMu sync.Mutex
-	logf := func(format string, args ...interface{}) {
-		line := fmt.Sprintf(format, args...)
-		logMu.Lock()
-		res.Log = append(res.Log, line)
-		logMu.Unlock()
-		if opts.Logf != nil {
-			opts.Logf("%s", line)
-		}
-	}
-	nSlaves := comm.Size() - 1 // workers plus connected reserves
-	nCells := opts.Cfg.NumCells()
+// runAsync is the async middle: merge inventory uploads, serve joins and
+// watch for completion, then tell everyone training is over.
+func (m *master) runAsync() (resend func(s int), err error) {
+	comm, opts, track, nCells := m.comm, m.opts, m.track, m.nCells
 	target := opts.Cfg.Iterations
-
-	// (i) Node names from every connected rank, reserves included.
-	names := make([]string, nSlaves+1)
-	names[0] = "master"
-	got := 0
-	nameDeadline := time.Now().Add(opts.HeartbeatTimeout)
-	for got < nSlaves {
-		left := time.Until(nameDeadline)
-		if left <= 0 {
-			break
-		}
-		m, err := comm.RecvTimeout(mpi.AnySource, tagNodeName, left)
-		if err != nil {
-			break
-		}
-		if names[m.Src] == "" {
-			names[m.Src] = string(m.Data)
-			got++
-		}
-	}
-	logf("master: gathered %d/%d node names (%d reserve slots)", got, nSlaves, nSlaves-nCells)
-
-	// (ii)+(iii) Placement over the full world, reserves included.
-	placements, err := Allocate(opts.Inventory, comm.Size(), opts.Cfg.MemoryPerTaskMB)
-	if err != nil {
-		return nil, err
-	}
-	res.Placements = placements
-	logf("master: placed %d tasks on %d nodes (%d MB total)",
-		comm.Size(), len(Summary(placements)), opts.Cfg.MemoryMB())
-
-	// (iv) Dispatch async run tasks to the initial workers only; the
-	// reserves idle until they ask to join.
-	for s := 1; s <= nCells; s++ {
-		task := runTask{
-			Cfg: opts.Cfg, CellRank: s - 1,
-			Node: placements[s].Node, Core: placements[s].Core,
-			Async: true,
-		}
-		if opts.Resume != nil {
-			task.Full = opts.Resume[s-1].Marshal()
-		}
-		payload, err := task.marshal()
-		if err != nil {
-			return nil, err
-		}
-		if err := retrySend(comm, s, tagRunTask, payload, 4, 10*time.Millisecond, opts.Metrics.SendRetries); err != nil {
-			logf("master: sending run task to slave %d failed: %v", s, err)
-		}
-	}
-	logf("master: sent async run task to %d slaves", nCells)
-
-	// Membership, shared with the heartbeat thread.
-	var actMu sync.Mutex
-	active := make(map[int]bool, nSlaves)
-	for s := 1; s <= nCells; s++ {
-		active[s] = true
-	}
-	isActive := func(s int) bool {
-		actMu.Lock()
-		defer actMu.Unlock()
-		return active[s]
-	}
-	activeRanks := func() []int {
-		actMu.Lock()
-		defer actMu.Unlock()
-		var out []int
-		for s, ok := range active {
-			if ok {
-				out = append(out, s)
-			}
-		}
-		sort.Ints(out)
-		return out
-	}
-	opts.Metrics.LiveSlaves.Set(float64(nCells))
-
-	track := make([]*cellTrack, nCells)
-	for c := 0; c < nCells; c++ {
-		track[c] = &cellTrack{owner: c + 1, fitness: inf()}
-	}
 	if opts.Resume != nil {
-		seedTrackFromResume(track, opts.Resume)
-		logf("master: resumed %d cells (iterations %v)", nCells, func() []int {
-			its := make([]int, nCells)
-			for c, t := range track {
-				its[c] = t.iter
-			}
-			return its
-		}())
+		m.logf("master: resumed %d cells (iterations %v)", nCells, m.trackIters())
 	}
-	ck := newMasterCkpt(opts, false, logf)
-	merge := func(cells []cellBlob) bool {
-		advanced := false
-		for _, cb := range cells {
-			if cb.CellRank < 0 || cb.CellRank >= nCells {
-				continue
-			}
-			t := track[cb.CellRank]
-			if cb.Iteration < t.iter {
-				continue
-			}
-			if cb.Iteration > t.iter {
-				advanced = true
-			}
-			t.iter = cb.Iteration
-			t.full = cb.Full
-			// Decoding the full state costs tens of milliseconds per cell,
-			// so the center snapshot for owner updates is derived lazily in
-			// buildOU; here only the blob and the bookkeeping move.
-			t.state = nil
-			t.failed = cb.Failed
-			t.errNote = cb.Error
-			t.fitness = cb.Fitness
-		}
-		return advanced
-	}
-
-	// Advisory heartbeat over the active set (Fig 2 transitions only).
-	states := make([]SlaveState, nSlaves+1)
-	var transMu sync.Mutex
-	hbStop := make(chan struct{})
-	var hbWG sync.WaitGroup
-	hbWG.Add(1)
-	go func() {
-		defer hbWG.Done()
-		for {
-			for _, s := range activeRanks() {
-				select {
-				case <-hbStop:
-					return
-				default:
-				}
-				if err := comm.Send(s, tagStatus, nil); err != nil {
-					continue
-				}
-				m, err := comm.RecvTimeout(s, tagStatus, opts.HeartbeatTimeout)
-				if err != nil || len(m.Data) == 0 {
-					logf("heartbeat: slave %d unresponsive", s)
-					continue
-				}
-				opts.Metrics.Heartbeats.Inc()
-				st := SlaveState(m.Data[0])
-				if st != states[s] {
-					transMu.Lock()
-					res.Transitions = append(res.Transitions, Transition{Slave: s, From: states[s], To: st, At: time.Now()})
-					transMu.Unlock()
-					logf("heartbeat: slave %d %s -> %s", s, states[s], st)
-					states[s] = st
-				}
-			}
-			select {
-			case <-hbStop:
-				return
-			case <-time.After(opts.HeartbeatInterval):
-			}
-		}
-	}()
-	stopHeartbeat := func() {
-		close(hbStop)
-		hbWG.Wait()
-	}
+	ck := newMasterCkpt(opts, false, m.logf)
 
 	version := 0
-	buildOU := func(adopt []cellBlob, withStates, done, abort bool) ownerUpdate {
-		u := ownerUpdate{Version: version, Owners: make([]int, nCells), Done: done, Abort: abort, Adopt: adopt}
-		for c := 0; c < nCells; c++ {
-			u.Owners[c] = track[c].owner
-			if track[c].failed {
+	buildOU := func(done, abort bool) ownerUpdate {
+		u := ownerUpdate{Version: version, Owners: make([]int, nCells), Done: done, Abort: abort}
+		for c, t := range track {
+			u.Owners[c] = t.owner
+			if t.failed {
 				u.Failed = append(u.Failed, c)
 			}
-			if withStates {
-				t := track[c]
-				if t.state == nil && len(t.full) > 0 {
-					if f, ferr := core.UnmarshalFullState(t.full); ferr == nil {
-						t.state = f.Cell.Marshal()
-					}
-				}
-				if t.state != nil {
-					u.States = append(u.States, wireState{Rank: c, Iter: t.iter, Data: t.state})
-				}
+			if st := t.exchangeState(); st != nil {
+				u.States = append(u.States, wireState{Rank: c, Iter: t.iter, Data: st})
 			}
 		}
 		return u
@@ -613,8 +283,8 @@ func runMasterAsync(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 		if err != nil {
 			return
 		}
-		if err := retrySend(comm, dst, tagOwnerUpdate, payload, 4, 10*time.Millisecond, opts.Metrics.SendRetries); err != nil {
-			logf("master: owner update to slave %d failed: %v", dst, err)
+		if err := retrySend(comm, dst, tagOwnerUpdate, payload, opts.Metrics.SendRetries); err != nil {
+			m.logf("master: owner update to slave %d failed: %v", dst, err)
 		}
 	}
 
@@ -622,25 +292,13 @@ func runMasterAsync(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 	// rebalance choice, release/ack recall of the moving cells' freshest
 	// state, grant to the joiner, broadcast to peers.
 	join := func(src int) {
-		if src <= 0 || src > nSlaves || isActive(src) {
+		if src <= 0 || src > m.nSlaves || m.isLive(src) {
 			return // duplicate request or nonsense rank
 		}
-		actMu.Lock()
-		active[src] = true
-		nActive := 0
-		for _, ok := range active {
-			if ok {
-				nActive++
-			}
-		}
-		actMu.Unlock()
+		m.setLive(src, true)
 		opts.Metrics.Joins.Inc()
-		opts.Metrics.LiveSlaves.Set(float64(nActive))
-		iters := make([]int, nCells)
-		for c, t := range track {
-			iters[c] = t.iter
-		}
-		logf("master: slave %d (%s) joining, rebalancing %d cells over %d slaves (iterations %v)", src, names[src], nCells, nActive, iters)
+		m.logf("master: slave %d (%s) joining, rebalancing %d cells over %d slaves (iterations %v)",
+			src, m.names[src], nCells, len(m.liveRanks()), m.trackIters())
 
 		// Pick the cells to move: repeatedly take the highest-rank
 		// unfinished cell from the most loaded owner (ties: lowest owner
@@ -649,16 +307,16 @@ func runMasterAsync(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 		// to the fair share.
 		load := make(map[int]int)
 		for _, t := range track {
-			if !t.failed && t.iter < target {
+			if t.unfinished(target) {
 				load[t.owner]++
 			}
 		}
 		var moved []int
 		for {
-			// activeRanks is sorted, so with a strict > the first owner
+			// liveRanks is sorted, so with a strict > the first owner
 			// carrying the maximum load wins — lowest rank breaks ties.
 			heavy, max := 0, len(moved)
-			for _, o := range activeRanks() {
+			for _, o := range m.liveRanks() {
 				if o != src && load[o] > max {
 					heavy, max = o, load[o]
 				}
@@ -668,8 +326,7 @@ func runMasterAsync(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 			}
 			pick := -1
 			for c := nCells - 1; c >= 0; c-- {
-				t := track[c]
-				if t.owner == heavy && !t.failed && t.iter < target {
+				if t := track[c]; t.owner == heavy && t.unfinished(target) {
 					pick = c
 					break
 				}
@@ -682,7 +339,7 @@ func runMasterAsync(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 		}
 		sort.Ints(moved)
 		if len(moved) == 0 {
-			logf("master: no movable cells for joiner %d, granting empty membership", src)
+			m.logf("master: no movable cells for joiner %d, granting empty membership", src)
 		}
 
 		// Recall the moving cells' freshest state from their owners.
@@ -702,8 +359,8 @@ func runMasterAsync(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 			if merr != nil {
 				continue
 			}
-			if err := retrySend(comm, o, tagRelease, payload, 4, 10*time.Millisecond, opts.Metrics.SendRetries); err != nil {
-				logf("master: release order to slave %d failed: %v", o, err)
+			if err := retrySend(comm, o, tagRelease, payload, opts.Metrics.SendRetries); err != nil {
+				m.logf("master: release order to slave %d failed: %v", o, err)
 				continue
 			}
 			// The ack echoes the order's version; acks from older joins
@@ -712,19 +369,19 @@ func runMasterAsync(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 			for {
 				left := time.Until(deadline)
 				if left <= 0 {
-					logf("master: slave %d never acked release of cells %v; granting from last gathered state", o, recall[o])
+					m.logf("master: slave %d never acked release of cells %v; granting from last gathered state", o, recall[o])
 					break
 				}
-				m, err := comm.RecvTimeout(o, tagReleaseAck, left)
+				msg, err := comm.RecvTimeout(o, tagReleaseAck, left)
 				if err != nil {
 					continue
 				}
-				ack, perr := parseStateUpdate(m.Data)
+				ack, perr := parseStateUpdate(msg.Data)
 				if perr != nil {
-					logf("master: bad release ack from slave %d: %v", o, perr)
+					m.logf("master: bad release ack from slave %d: %v", o, perr)
 					break
 				}
-				merge(ack.Cells)
+				m.merge(ack.Cells)
 				if ack.Round == version {
 					break
 				}
@@ -738,24 +395,13 @@ func runMasterAsync(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 		for _, c := range moved {
 			track[c].owner = src
 			opts.Metrics.Rebalances.Inc()
-			adopt = append(adopt, cellBlob{
-				CellRank: c, Iteration: track[c].iter, Full: track[c].full,
-				Failed: track[c].failed, Error: track[c].errNote, Fitness: track[c].fitness,
-			})
-			logf("master: rebalanced cell %d to joiner %d (from iteration %d)", c, src, track[c].iter)
+			adopt = append(adopt, m.adoptOrder(c))
+			m.logf("master: rebalanced cell %d to joiner %d (from iteration %d)", c, src, track[c].iter)
 		}
-		task := runTask{
-			Cfg: opts.Cfg, CellRank: -1,
-			Node: placements[src].Node, Core: placements[src].Core,
-			Async: true, Joiner: true,
-		}
-		if payload, merr := task.marshal(); merr == nil {
-			if err := retrySend(comm, src, tagRunTask, payload, 4, 10*time.Millisecond, opts.Metrics.SendRetries); err != nil {
-				logf("master: run task to joiner %d failed: %v", src, err)
-			}
-		}
-		for _, dst := range activeRanks() {
-			u := buildOU(nil, true, false, false)
+		pl := m.res.Placements[src]
+		m.sendTask(src, runTask{Cfg: opts.Cfg, CellRank: -1, Node: pl.Node, Core: pl.Core, Async: true, Joiner: true}) //nolint:errcheck // tolerant: failures are logged
+		for _, dst := range m.liveRanks() {
+			u := buildOU(false, false)
 			if dst == src {
 				u.Adopt = adopt
 			}
@@ -765,25 +411,20 @@ func runMasterAsync(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 
 	// The poll loop: drain uploads and joins, watch for completion,
 	// nudge on stalls.
-	jobDeadline := time.Time{}
-	if opts.Cfg.TimeLimit > 0 {
-		jobDeadline = started.Add(opts.Cfg.TimeLimit)
-	}
-	abortNow := false
+	abort := false
 	lastProgress := time.Now()
 	for {
 		// Joins are drained first: a pending join must be served while its
 		// cells are still mid-flight, not after a heavy merge backlog.
 		for {
-			m, ok, err := comm.TryRecv(mpi.AnySource, tagJoin)
+			msg, ok, err := comm.TryRecv(mpi.AnySource, tagJoin)
 			if err != nil {
-				stopHeartbeat()
 				return nil, err
 			}
 			if !ok {
 				break
 			}
-			join(m.Src)
+			join(msg.Src)
 			lastProgress = time.Now()
 		}
 		// Uploads are cumulative inventories, so within one drain only the
@@ -793,9 +434,8 @@ func runMasterAsync(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 		drained := false
 		latest := make(map[int][]byte)
 		for n := 0; n < asyncMasterDrainMax; n++ {
-			m, ok, err := comm.TryRecv(mpi.AnySource, tagStateUpdate)
+			msg, ok, err := comm.TryRecv(mpi.AnySource, tagStateUpdate)
 			if err != nil {
-				stopHeartbeat()
 				return nil, err
 			}
 			if !ok {
@@ -803,7 +443,7 @@ func runMasterAsync(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 			}
 			drained = true
 			opts.Metrics.StateUpdates.Inc()
-			latest[m.Src] = m.Data
+			latest[msg.Src] = msg.Data
 		}
 		var uploaders []int
 		for src := range latest {
@@ -813,10 +453,10 @@ func runMasterAsync(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 		for _, src := range uploaders {
 			upd, perr := parseStateUpdate(latest[src])
 			if perr != nil {
-				logf("master: bad state update from slave %d: %v", src, perr)
+				m.logf("master: bad state update from slave %d: %v", src, perr)
 				continue
 			}
-			if merge(upd.Cells) {
+			if m.merge(upd.Cells) {
 				lastProgress = time.Now()
 			}
 		}
@@ -825,23 +465,11 @@ func runMasterAsync(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 		// iterations monotonic across successive snapshots.
 		ck.observe(track)
 
-		abortNow = interrupted(opts.Interrupt) ||
-			(!jobDeadline.IsZero() && time.Now().After(jobDeadline))
-		done := true
-		for _, t := range track {
-			if !t.failed && t.iter < target {
-				done = false
-				break
-			}
-		}
-		if done || abortNow {
-			if abortNow {
-				res.Aborted = true
-				why := "time limit exceeded"
-				if interrupted(opts.Interrupt) {
-					why = "interrupted"
-				}
-				logf("master: %s, finishing with abort", why)
+		var done bool
+		if done, abort = m.finished(); done {
+			if abort {
+				m.res.Aborted = true
+				m.logf("master: %s, finishing with abort", m.abortReason())
 			}
 			break
 		}
@@ -850,11 +478,11 @@ func runMasterAsync(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 		// update with seed states — either heals a gate starved by lost
 		// pushes or a master view starved by lost uploads.
 		if time.Since(lastProgress) >= opts.RoundTimeout {
-			logf("master: no progress for %s, nudging %d slaves", opts.RoundTimeout, len(activeRanks()))
+			m.logf("master: no progress for %s, nudging %d slaves", opts.RoundTimeout, len(m.liveRanks()))
 			version++
-			for _, s := range activeRanks() {
+			for _, s := range m.liveRanks() {
 				comm.Send(s, tagStateResend, nil) //nolint:errcheck
-				sendOU(s, buildOU(nil, true, false, false))
+				sendOU(s, buildOU(false, false))
 			}
 			lastProgress = time.Now()
 		}
@@ -862,98 +490,14 @@ func runMasterAsync(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 			time.Sleep(asyncMasterPoll)
 		}
 	}
-	logf("master: training done, collecting results")
+	m.logf("master: training done, collecting results")
 
-	// Tell everyone training is over, then collect with retries (an
-	// empty reply means "still finalising").
+	// Tell everyone training is over; collection re-sends the signal to a
+	// slave that answers "still finalising" (it may have been lost).
 	version++
-	doneOU := buildOU(nil, true, true, abortNow)
-	for _, s := range activeRanks() {
+	doneOU := buildOU(true, abort)
+	for _, s := range m.liveRanks() {
 		sendOU(s, doneOU)
 	}
-	prof := profile.New()
-	res.Reports = make([]SlaveReport, nCells)
-	gotCell := make([]bool, nCells)
-	for _, s := range activeRanks() {
-		backoff := 20 * time.Millisecond
-		collected := false
-		for attempt := 0; attempt < 3*opts.MaxStrikes && !collected; attempt++ {
-			if err := comm.Send(s, tagCollect, nil); err != nil {
-				break
-			}
-			m, err := comm.RecvTimeout(s, tagResult, opts.RoundTimeout)
-			if err != nil || len(m.Data) == 0 {
-				sendOU(s, doneOU) // the done signal may have been lost
-				time.Sleep(backoff)
-				if backoff < 500*time.Millisecond {
-					backoff *= 2
-				}
-				continue
-			}
-			reps, perr := parseSlaveReports(m.Data)
-			if perr != nil {
-				logf("master: bad report from slave %d: %v", s, perr)
-				break
-			}
-			for _, rep := range reps {
-				if rep.CellRank < 0 || rep.CellRank >= nCells || gotCell[rep.CellRank] {
-					continue
-				}
-				res.Reports[rep.CellRank] = rep
-				gotCell[rep.CellRank] = true
-				if snap, derr := profile.DecodeSnapshot(rep.Profile); derr == nil {
-					prof.Merge(snap)
-				}
-				if rep.Aborted {
-					res.Aborted = true
-				}
-			}
-			collected = true
-		}
-		if !collected {
-			logf("master: slave %d never delivered its reports", s)
-		}
-	}
-
-	// Synthesize reports for cells whose owner never reported from the
-	// master's merged view, exactly like resilient recovery.
-	for c := 0; c < nCells; c++ {
-		if gotCell[c] {
-			continue
-		}
-		t := track[c]
-		rep := SlaveReport{
-			CellRank: c, Node: "recovered", Iterations: t.iter,
-			MixtureFitness: t.fitness, State: t.state, Full: t.full,
-			Error: fmt.Sprintf("report synthesized from master state (owner slave %d lost); %s", t.owner, t.errNote),
-		}
-		if t.failed || t.iter == 0 {
-			rep.MixtureFitness = inf()
-		}
-		if f, ferr := core.UnmarshalFullState(t.full); ferr == nil {
-			rep.MixtureRanks = append([]int(nil), f.MixtureRanks...)
-			rep.MixtureWeights = append([]float64(nil), f.MixtureWeights...)
-		}
-		res.Reports[c] = rep
-		logf("master: synthesized report for cell %d at iteration %d", c, t.iter)
-	}
-
-	// Shut every connected rank down, reserves that never joined too.
-	for s := 1; s <= nSlaves; s++ {
-		comm.Send(s, tagShutdown, nil) //nolint:errcheck
-	}
-	stopHeartbeat()
-
-	best := 0
-	for i, r := range res.Reports {
-		if r.MixtureFitness < res.Reports[best].MixtureFitness {
-			best = i
-		}
-	}
-	res.BestCell = res.Reports[best].CellRank
-	res.Profile = prof.Snapshot()
-	res.Elapsed = time.Since(started)
-	logf("master: best cell %d (mixture fitness %.4f), elapsed %s",
-		res.BestCell, res.Reports[best].MixtureFitness, res.Elapsed.Round(time.Millisecond))
-	return res, nil
+	return func(s int) { sendOU(s, doneOU) }, nil
 }

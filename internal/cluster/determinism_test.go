@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cellgan/internal/checkpoint"
+	"cellgan/internal/config"
 	"cellgan/internal/core"
 )
 
@@ -63,5 +64,45 @@ func TestGoldenCheckpointDeterminism(t *testing.T) {
 	third := checkpointFromReports(t, chaosRes)
 	if !bytes.Equal(first, third) {
 		t.Fatal("dup/delay chaos run diverged from the fault-free checkpoint")
+	}
+}
+
+// TestCrossModeGoldenCheckpoint pins the equalities the determinism suites
+// leave open: the in-process sequential and parallel runners and the plain
+// and resilient cluster jobs all run the same lockstep algorithm, so for
+// one seed they must end on byte-identical checkpoints.
+func TestCrossModeGoldenCheckpoint(t *testing.T) {
+	cfg := chaosConfig(2, 2)
+	fromCore := func(run func(config.Config, core.RunOptions) (*core.Result, error)) []byte {
+		res, err := run(cfg, core.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := checkpoint.Write(&buf, &checkpoint.Checkpoint{Cfg: cfg, States: res.Full}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	fromJob := func(opts MasterOptions) []byte {
+		res, err := RunJob(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireAllTrained(t, cfg, res)
+		return checkpointFromReports(t, res)
+	}
+	golden := fromCore(core.RunSequential)
+	for _, mode := range []struct {
+		name string
+		got  []byte
+	}{
+		{"core.RunParallel", fromCore(core.RunParallel)},
+		{"plain RunJob", fromJob(MasterOptions{Cfg: cfg})},
+		{"resilient RunJob", fromJob(chaosOptions(cfg, 3))},
+	} {
+		if !bytes.Equal(golden, mode.got) {
+			t.Errorf("%s checkpoint differs from core.RunSequential (%d vs %d bytes)", mode.name, len(mode.got), len(golden))
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -85,3 +86,62 @@ func TestMasterDetectsDeadSlave(t *testing.T) {
 type errAssert string
 
 func (e errAssert) Error() string { return string(e) }
+
+// TestPlainMasterSurvivesHostileSlave drives the plain master against
+// hand-rolled slaves that answer the control protocol with garbage: an
+// empty status payload, and reports naming cells outside the grid. The
+// master must fail the job with an error (and say why in its log), not
+// index its tables with the wire's values.
+func TestPlainMasterSurvivesHostileSlave(t *testing.T) {
+	cases := []struct {
+		name     string
+		status   []byte
+		cellRank int
+		wantErr  string
+		wantLog  string
+	}{
+		{name: "empty status", status: nil, wantErr: "unresponsive"},
+		{name: "cell rank beyond grid", status: []byte{byte(StateFinished)}, cellRank: 99,
+			wantErr: "no report for cell", wantLog: "ignoring report for cell 99"},
+		{name: "negative cell rank", status: []byte{byte(StateFinished)}, cellRank: -7,
+			wantErr: "no report for cell", wantLog: "bad report"},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := jobConfig()
+			n := cfg.NumTasks()
+			w := mpi.MustWorld(n)
+			defer w.Close()
+			for rank := 1; rank < n; rank++ {
+				go func(comm *mpi.Comm) {
+					comm.Send(0, tagNodeName, []byte("hostile")) //nolint:errcheck
+					for {
+						m, err := comm.Recv(0, mpi.AnyTag)
+						if err != nil || m.Tag == tagShutdown {
+							return
+						}
+						switch m.Tag {
+						case tagStatus:
+							comm.Send(0, tagStatus, tc.status) //nolint:errcheck
+						case tagCollect:
+							payload, _ := SlaveReport{CellRank: tc.cellRank}.marshal()
+							comm.Send(0, tagResult, payload) //nolint:errcheck
+						}
+					}
+				}(w.MustComm(rank))
+			}
+			var log []string
+			_, err := RunMaster(w.MustComm(0), MasterOptions{
+				Cfg: cfg, HeartbeatInterval: time.Millisecond,
+				Logf: func(format string, args ...interface{}) { log = append(log, fmt.Sprintf(format, args...)) },
+			})
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("master returned %v, want an error containing %q", err, tc.wantErr)
+			}
+			if !strings.Contains(strings.Join(log, "\n"), tc.wantLog) {
+				t.Fatalf("log missing %q:\n%s", tc.wantLog, strings.Join(log, "\n"))
+			}
+		})
+	}
+}

@@ -28,7 +28,7 @@ func seedOwnerUpdateBytes(f *testing.F) []byte {
 
 // FuzzParseOwnerUpdate asserts the membership decoder never panics and
 // never hands the slave loop a structurally invalid update: every accepted
-// message satisfies the invariants executeAsync relies on without
+// message satisfies the invariants the slave's runAsync relies on without
 // re-checking (bounded owner map, in-range cell lists, duplicate-free
 // adoption orders) and re-encodes cleanly.
 func FuzzParseOwnerUpdate(f *testing.F) {
@@ -115,5 +115,122 @@ func FuzzParseReleaseOrder(f *testing.F) {
 		if _, err := r.marshal(); err != nil {
 			t.Fatalf("accepted order does not re-encode: %v", err)
 		}
+	})
+}
+
+// requireCellBounds is the post-condition of every parser below: an
+// accepted message never carries more than maxProtocolCells cells or a
+// rank outside [0, maxProtocolCells).
+func requireCellBounds(t *testing.T, what string, ranks ...int) {
+	t.Helper()
+	if len(ranks) > maxProtocolCells {
+		t.Fatalf("accepted %s lists %d cells", what, len(ranks))
+	}
+	for _, c := range ranks {
+		if c < 0 || c >= maxProtocolCells {
+			t.Fatalf("accepted %s names cell %d", what, c)
+		}
+	}
+}
+
+func blobRanks(t *testing.T, what string, blobs []cellBlob) []int {
+	t.Helper()
+	ranks := make([]int, len(blobs))
+	for i, b := range blobs {
+		if b.Iteration < 0 {
+			t.Fatalf("accepted %s has cell %d at iteration %d", what, b.CellRank, b.Iteration)
+		}
+		ranks[i] = b.CellRank
+	}
+	return ranks
+}
+
+// addSeeds registers a valid payload, its truncation, and the usual
+// degenerate JSON documents.
+func addSeeds(f *testing.F, valid []byte, err error, extra ...string) {
+	f.Helper()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	for _, s := range append(extra, ``, `{}`, `[]`, `null`) {
+		f.Add([]byte(s))
+	}
+}
+
+func FuzzParseRunTask(f *testing.F) {
+	valid, err := runTask{Cfg: jobConfig(), CellRank: 2, Node: "n1", Full: []byte{1}}.marshal()
+	addSeeds(f, valid, err, `{"cell_rank":-1}`, `{"cell_rank":-1,"joiner":true}`)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := parseRunTask(data)
+		if err != nil {
+			return
+		}
+		if r.Cfg.Validate() != nil {
+			t.Fatal("accepted run task with an invalid config")
+		}
+		if r.CellRank == -1 && r.Joiner {
+			return
+		}
+		if r.CellRank < 0 || r.CellRank >= r.Cfg.NumCells() {
+			t.Fatalf("accepted run task for cell %d of %d", r.CellRank, r.Cfg.NumCells())
+		}
+	})
+}
+
+func FuzzParseSlaveReport(f *testing.F) {
+	valid, err := SlaveReport{CellRank: 3, Node: "n1", Iterations: 2, State: []byte{7}}.marshal()
+	addSeeds(f, valid, err, `{"cell_rank":-4}`, `{"cell_rank":99999}`)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if r, err := parseSlaveReport(data); err == nil {
+			requireCellBounds(t, "slave report", r.CellRank)
+		}
+	})
+}
+
+func FuzzParseSlaveReports(f *testing.F) {
+	valid, err := marshalReports([]SlaveReport{{CellRank: 0}, {CellRank: 3, Error: "x"}})
+	addSeeds(f, valid, err, `[{"cell_rank":-1}]`, `[{"cell_rank":4096}]`)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rs, err := parseSlaveReports(data)
+		if err != nil {
+			return
+		}
+		ranks := make([]int, len(rs))
+		for i, r := range rs {
+			ranks[i] = r.CellRank
+		}
+		requireCellBounds(t, "slave reports", ranks...)
+	})
+}
+
+func FuzzParseStateUpdate(f *testing.F) {
+	valid, err := stateUpdate{Slave: 2, Round: 5, Cells: []cellBlob{{CellRank: 1, Iteration: 5, Full: []byte{1, 2}}}}.marshal()
+	addSeeds(f, valid, err, `{"cells":[{"cell_rank":-1}]}`, `{"cells":[{"cell_rank":0,"iteration":-2}]}`)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if u, err := parseStateUpdate(data); err == nil {
+			requireCellBounds(t, "state update", blobRanks(t, "state update", u.Cells)...)
+		}
+	})
+}
+
+func FuzzParseNeighborSet(f *testing.F) {
+	valid, err := neighborSet{
+		Round: 1, States: []wireState{{Rank: 0, Iter: 1, Data: []byte{9}}},
+		Adopt: []cellBlob{{CellRank: 3, Iteration: 1}},
+	}.marshal()
+	addSeeds(f, valid, err, `{"states":[{"rank":-1}]}`, `{"adopt":[{"cell_rank":5000}]}`)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, err := parseNeighborSet(data)
+		if err != nil {
+			return
+		}
+		requireCellBounds(t, "neighbor set adoption", blobRanks(t, "neighbor set adoption", n.Adopt)...)
+		ranks := make([]int, len(n.States))
+		for i, ws := range n.States {
+			ranks[i] = ws.Rank
+		}
+		requireCellBounds(t, "neighbor set", ranks...)
 	})
 }

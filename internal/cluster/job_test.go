@@ -69,44 +69,65 @@ func TestRunJobEndToEnd(t *testing.T) {
 	}
 }
 
-func TestJobRecordsStateTransitions(t *testing.T) {
+// jobModes runs a test once per exchange mode: the stages around the
+// mode-specific middle are one skeleton, so what they promise must hold
+// for all three.
+func jobModes(t *testing.T, test func(t *testing.T, cfg config.Config, res *JobResult)) {
 	cfg := jobConfig()
-	res, err := RunJob(MasterOptions{Cfg: cfg, HeartbeatInterval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every slave must be observed reaching finished; the
-	// inactive→processing hop can be missed if the first heartbeat lands
-	// after training started, but finished is always seen because the
-	// heartbeat loop only exits on it.
-	finished := map[int]bool{}
-	for _, tr := range res.Transitions {
-		if tr.From == tr.To {
-			t.Fatalf("degenerate transition %+v", tr)
-		}
-		if tr.To == StateFinished {
-			finished[tr.Slave] = true
-		}
-	}
-	for s := 1; s <= cfg.NumCells(); s++ {
-		if !finished[s] {
-			t.Fatalf("slave %d never observed finished; transitions: %+v", s, res.Transitions)
-		}
+	for _, mode := range []struct {
+		name string
+		opts MasterOptions
+	}{
+		{"plain", MasterOptions{}},
+		{"resilient", MasterOptions{Resilient: true}},
+		{"async", MasterOptions{Async: true}},
+	} {
+		mode := mode
+		t.Run(mode.name, func(t *testing.T) {
+			mode.opts.Cfg = cfg
+			mode.opts.HeartbeatInterval = time.Millisecond
+			res, err := RunJob(mode.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			test(t, cfg, res)
+		})
 	}
 }
 
-func TestJobEventLogTellsFig3Story(t *testing.T) {
-	cfg := jobConfig()
-	res, err := RunJob(MasterOptions{Cfg: cfg, HeartbeatInterval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := strings.Join(res.Log, "\n")
-	for _, want := range []string{"gathered", "placed", "run task", "collecting results", "best cell"} {
-		if !strings.Contains(log, want) {
-			t.Fatalf("event log missing %q:\n%s", want, log)
+func TestJobRecordsStateTransitions(t *testing.T) {
+	jobModes(t, func(t *testing.T, cfg config.Config, res *JobResult) {
+		// Every slave must be observed reaching finished; the
+		// inactive→processing hop can be missed if the first heartbeat
+		// lands after training started, but finished is always seen: the
+		// plain heartbeat loop only exits on it, and in the other modes a
+		// delivered report proves it.
+		finished := map[int]bool{}
+		for _, tr := range res.Transitions {
+			if tr.From == tr.To {
+				t.Fatalf("degenerate transition %+v", tr)
+			}
+			if tr.To == StateFinished {
+				finished[tr.Slave] = true
+			}
 		}
-	}
+		for s := 1; s <= cfg.NumCells(); s++ {
+			if !finished[s] {
+				t.Fatalf("slave %d never observed finished; transitions: %+v", s, res.Transitions)
+			}
+		}
+	})
+}
+
+func TestJobEventLogTellsFig3Story(t *testing.T) {
+	jobModes(t, func(t *testing.T, cfg config.Config, res *JobResult) {
+		log := strings.Join(res.Log, "\n")
+		for _, want := range []string{"gathered", "placed", "run task", "collecting results", "best cell"} {
+			if !strings.Contains(log, want) {
+				t.Fatalf("event log missing %q:\n%s", want, log)
+			}
+		}
+	})
 }
 
 func TestJobTimeLimitAborts(t *testing.T) {

@@ -64,6 +64,32 @@ const (
 // a hostile or corrupted payload cannot balloon the master's state.
 const maxProtocolCells = 4096
 
+// checkCells is the bound every decoded cell list passes through: at most
+// maxProtocolCells entries, each a rank some supported grid could have.
+// rank extracts entry i's cell rank.
+func checkCells(what string, n int, rank func(i int) int) error {
+	if n > maxProtocolCells {
+		return fmt.Errorf("cluster: %s lists %d cells (max %d)", what, n, maxProtocolCells)
+	}
+	for i := 0; i < n; i++ {
+		if c := rank(i); c < 0 || c >= maxProtocolCells {
+			return fmt.Errorf("cluster: %s names cell %d, out of range [0,%d)", what, c, maxProtocolCells)
+		}
+	}
+	return nil
+}
+
+// checkBlobs is checkCells for a cell-blob list, plus non-negative
+// iteration counts.
+func checkBlobs(what string, blobs []cellBlob) error {
+	for _, b := range blobs {
+		if b.Iteration < 0 {
+			return fmt.Errorf("cluster: %s has cell %d at negative iteration %d", what, b.CellRank, b.Iteration)
+		}
+	}
+	return checkCells(what, len(blobs), func(i int) int { return blobs[i].CellRank })
+}
+
 // SlaveState is the state machine of Fig 2.
 type SlaveState byte
 
@@ -128,6 +154,10 @@ func parseRunTask(data []byte) (runTask, error) {
 	if err := r.Cfg.Validate(); err != nil {
 		return r, err
 	}
+	// A joiner has no cell yet (-1); every other task names one of the grid.
+	if joiner := r.CellRank == -1 && r.Joiner; !joiner && (r.CellRank < 0 || r.CellRank >= r.Cfg.NumCells()) {
+		return r, fmt.Errorf("cluster: run task for cell %d of a %d-cell grid", r.CellRank, r.Cfg.NumCells())
+	}
 	return r, nil
 }
 
@@ -166,7 +196,7 @@ func parseSlaveReport(data []byte) (SlaveReport, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return r, fmt.Errorf("cluster: parsing slave report: %w", err)
 	}
-	return r, nil
+	return r, checkCells("slave report", 1, func(int) int { return r.CellRank })
 }
 
 // marshalReports encodes the multi-cell report list a resilient slave
@@ -182,6 +212,9 @@ func parseSlaveReports(data []byte) ([]SlaveReport, error) {
 	var rs []SlaveReport
 	if err := json.Unmarshal(data, &rs); err != nil {
 		return nil, fmt.Errorf("cluster: parsing slave reports: %w", err)
+	}
+	if err := checkCells("slave reports", len(rs), func(i int) int { return rs[i].CellRank }); err != nil {
+		return nil, err
 	}
 	return rs, nil
 }
@@ -220,7 +253,7 @@ func parseStateUpdate(data []byte) (stateUpdate, error) {
 	if err := json.Unmarshal(data, &u); err != nil {
 		return u, fmt.Errorf("cluster: parsing state update: %w", err)
 	}
-	return u, nil
+	return u, checkBlobs("state update", u.Cells)
 }
 
 // wireState is one cell's exchanged centers (a marshalled core.CellState)
@@ -254,7 +287,10 @@ func parseNeighborSet(data []byte) (neighborSet, error) {
 	if err := json.Unmarshal(data, &n); err != nil {
 		return n, fmt.Errorf("cluster: parsing neighbor set: %w", err)
 	}
-	return n, nil
+	if err := checkCells("neighbor set", len(n.States), func(i int) int { return n.States[i].Rank }); err != nil {
+		return n, err
+	}
+	return n, checkBlobs("neighbor set adoption", n.Adopt)
 }
 
 // ownerUpdate is the master's asynchronous-mode control message: the

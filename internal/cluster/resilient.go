@@ -3,12 +3,10 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"cellgan/internal/core"
 	"cellgan/internal/mpi"
-	"cellgan/internal/profile"
 	"cellgan/internal/telemetry"
 )
 
@@ -28,14 +26,17 @@ import (
 // only struck once a peer has delivered the round, so machine-wide load
 // (which slows every slave alike) cannot evict a healthy slave. The
 // heartbeat thread still runs, but in resilient mode it only records
-// Fig 2 state transitions and logs unresponsive slaves.
+// Fig 2 state transitions and logs unresponsive slaves. Everything around
+// the round loop — name gathering, dispatch, that monitor, collection —
+// is the skeleton in master.go.
 
 // retrySend sends with capped retries and exponential backoff, giving up
 // immediately on permanent transport errors. Each re-sent attempt is
 // counted in retries (nil-safe).
-func retrySend(c *mpi.Comm, dst, tag int, data []byte, attempts int, backoff time.Duration, retries *telemetry.Counter) error {
+func retrySend(c *mpi.Comm, dst, tag int, data []byte, retries *telemetry.Counter) error {
 	var err error
-	for i := 0; i < attempts; i++ {
+	backoff := 10 * time.Millisecond
+	for i := 0; i < 4; i++ {
 		if i > 0 {
 			retries.Inc()
 		}
@@ -56,179 +57,112 @@ type cellTrack struct {
 	owner   int    // slave rank currently training the cell
 	iter    int    // highest iteration seen
 	full    []byte // marshalled core.FullState at iter
-	state   []byte // marshalled core.CellState extracted from full
+	state   []byte // marshalled core.CellState extracted from full, on demand
 	failed  bool
 	errNote string
 	fitness float64
 }
 
-func runMasterResilient(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
-	res := &JobResult{}
-	started := time.Now()
-	var logMu sync.Mutex
-	logf := func(format string, args ...interface{}) {
-		line := fmt.Sprintf(format, args...)
-		logMu.Lock()
-		res.Log = append(res.Log, line)
-		logMu.Unlock()
-		if opts.Logf != nil {
-			opts.Logf("%s", line)
+// exchangeState returns the cell's marshalled center snapshot, the part of
+// full its neighbours need. Decoding a full state costs tens of
+// milliseconds per cell, so merges only move the blob and the snapshot is
+// derived on first use.
+func (t *cellTrack) exchangeState() []byte {
+	if t.state == nil && len(t.full) > 0 {
+		if f, err := core.UnmarshalFullState(t.full); err == nil {
+			t.state = f.Cell.Marshal()
 		}
 	}
-	nSlaves := comm.Size() - 1
-	nCells := opts.Cfg.NumCells()
+	return t.state
+}
 
-	// (i) Gather node names, tolerating slaves that died before start-up.
-	names := make([]string, nSlaves+1)
-	names[0] = "master"
-	got := 0
-	nameDeadline := time.Now().Add(opts.HeartbeatTimeout)
-	for got < nSlaves {
-		left := time.Until(nameDeadline)
-		if left <= 0 {
+// unfinished reports whether the cell still owes iterations.
+func (t *cellTrack) unfinished(target int) bool { return !t.failed && t.iter < target }
+
+// initTrack starts the inventory with the one-cell-per-slave assignment,
+// seeded from the resume states when the job is resuming.
+func (m *master) initTrack() {
+	m.track = make([]*cellTrack, m.nCells)
+	for c := range m.track {
+		m.track[c] = &cellTrack{owner: c + 1, fitness: inf()}
+	}
+	if m.opts.Resume != nil {
+		seedTrackFromResume(m.track, m.opts.Resume)
+	}
+}
+
+// trackIters lists every cell's gathered iteration, for the event log.
+func (m *master) trackIters() []int {
+	its := make([]int, len(m.track))
+	for c, t := range m.track {
+		its[c] = t.iter
+	}
+	return its
+}
+
+// merge folds uploaded cell states into the inventory and reports whether
+// any cell advanced. Monotonic: training is deterministic, so for a given
+// iteration count the state content is unique and duplicate or late
+// uploads are harmless.
+func (m *master) merge(cells []cellBlob) bool {
+	advanced := false
+	for _, cb := range cells {
+		if cb.CellRank < 0 || cb.CellRank >= m.nCells {
+			continue
+		}
+		t := m.track[cb.CellRank]
+		if cb.Iteration < t.iter {
+			continue
+		}
+		advanced = advanced || cb.Iteration > t.iter
+		t.iter, t.full, t.state = cb.Iteration, cb.Full, nil
+		t.failed, t.errNote, t.fitness = cb.Failed, cb.Error, cb.Fitness
+	}
+	return advanced
+}
+
+// adoptOrder packs cell c's gathered state for its next owner.
+func (m *master) adoptOrder(c int) cellBlob {
+	t := m.track[c]
+	return cellBlob{
+		CellRank: c, Iteration: t.iter, Full: t.full,
+		Failed: t.failed, Error: t.errNote, Fitness: t.fitness,
+	}
+}
+
+// finished decides, after a merge, whether training is over: every cell
+// done, or the job cut short by its time limit or an interrupt (logged,
+// and recorded in the result).
+func (m *master) finished() (done, abort bool) {
+	abort = interrupted(m.opts.Interrupt) ||
+		(m.opts.Cfg.TimeLimit > 0 && time.Since(m.started) > m.opts.Cfg.TimeLimit)
+	done = true
+	for _, t := range m.track {
+		if t.unfinished(m.opts.Cfg.Iterations) {
+			done = false
 			break
 		}
-		m, err := comm.RecvTimeout(mpi.AnySource, tagNodeName, left)
-		if err != nil {
-			break
-		}
-		if names[m.Src] == "" {
-			names[m.Src] = string(m.Data)
-			got++
-		}
 	}
-	for s := 1; s <= nSlaves; s++ {
-		if names[s] == "" {
-			names[s] = "unknown"
-		}
-	}
-	logf("master: gathered %d/%d slave node names", got, nSlaves)
+	return done || abort, abort
+}
 
-	// (ii)+(iii) Placement.
-	placements, err := Allocate(opts.Inventory, comm.Size(), opts.Cfg.MemoryPerTaskMB)
-	if err != nil {
-		return nil, err
-	}
-	res.Placements = placements
-	logf("master: placed %d tasks on %d nodes (%d MB total)",
-		comm.Size(), len(Summary(placements)), opts.Cfg.MemoryMB())
-
-	// (iv) Dispatch resilient run tasks with send retry.
-	for s := 1; s <= nSlaves; s++ {
-		task := runTask{
-			Cfg: opts.Cfg, CellRank: s - 1,
-			Node: placements[s].Node, Core: placements[s].Core,
-			Resilient: true,
-		}
-		if opts.Resume != nil {
-			task.Full = opts.Resume[s-1].Marshal()
-		}
-		payload, err := task.marshal()
-		if err != nil {
-			return nil, err
-		}
-		if err := retrySend(comm, s, tagRunTask, payload, 4, 10*time.Millisecond, opts.Metrics.SendRetries); err != nil {
-			// A slave that never starts will be struck out of the first
-			// round and its cell re-dispatched; the job survives.
-			logf("master: sending run task to slave %d failed: %v", s, err)
-		}
-	}
-	logf("master: sent resilient run task to %d slaves", nSlaves)
-
-	// Liveness set, shared with the heartbeat thread.
-	var liveMu sync.Mutex
-	live := make(map[int]bool, nSlaves)
-	for s := 1; s <= nSlaves; s++ {
-		live[s] = true
-	}
-	opts.Metrics.LiveSlaves.Set(float64(nSlaves))
-	isLive := func(s int) bool {
-		liveMu.Lock()
-		defer liveMu.Unlock()
-		return live[s]
-	}
-	liveCount := func() int {
-		liveMu.Lock()
-		defer liveMu.Unlock()
-		n := 0
-		for _, ok := range live {
-			if ok {
-				n++
-			}
-		}
-		return n
-	}
-
-	track := make([]*cellTrack, nCells)
-	for c := 0; c < nCells; c++ {
-		track[c] = &cellTrack{owner: c + 1, fitness: inf()}
-	}
+// runRounds is the resilient middle: synchronous exchange rounds through
+// the master, striking and evicting slaves that stop taking part.
+func (m *master) runRounds() (resend func(s int), err error) {
+	comm, opts, track := m.comm, m.opts, m.track
 	if opts.Resume != nil {
-		seedTrackFromResume(track, opts.Resume)
-		logf("master: resumed %d cells from iteration %d", nCells, track[0].iter)
+		m.logf("master: resumed %d cells from iteration %d", m.nCells, track[0].iter)
 	}
-	ck := newMasterCkpt(opts, true, logf)
-
-	// Heartbeat thread: advisory in resilient mode — it records state
-	// transitions and logs unresponsive slaves, but never fails the job
-	// (eviction is the round loop's deterministic decision).
-	states := make([]SlaveState, nSlaves+1)
-	var transMu sync.Mutex
-	hbStop := make(chan struct{})
-	var hbWG sync.WaitGroup
-	hbWG.Add(1)
-	go func() {
-		defer hbWG.Done()
-		for {
-			for s := 1; s <= nSlaves; s++ {
-				select {
-				case <-hbStop:
-					return
-				default:
-				}
-				if !isLive(s) {
-					continue
-				}
-				if err := comm.Send(s, tagStatus, nil); err != nil {
-					continue
-				}
-				m, err := comm.RecvTimeout(s, tagStatus, opts.HeartbeatTimeout)
-				if err != nil || len(m.Data) == 0 {
-					logf("heartbeat: slave %d unresponsive", s)
-					continue
-				}
-				opts.Metrics.Heartbeats.Inc()
-				st := SlaveState(m.Data[0])
-				if st != states[s] {
-					transMu.Lock()
-					res.Transitions = append(res.Transitions, Transition{Slave: s, From: states[s], To: st, At: time.Now()})
-					transMu.Unlock()
-					logf("heartbeat: slave %d %s -> %s", s, states[s], st)
-					states[s] = st
-				}
-			}
-			select {
-			case <-hbStop:
-				return
-			case <-time.After(opts.HeartbeatInterval):
-			}
-		}
-	}()
-	stopHeartbeat := func() {
-		close(hbStop)
-		hbWG.Wait()
-	}
+	ck := newMasterCkpt(opts, true, m.logf)
 
 	// evict removes a slave and re-dispatches its cells to the live
 	// survivor owning the fewest cells (lowest rank breaks ties) — a
 	// deterministic choice.
 	adoptQueue := make(map[int][]cellBlob)
 	evict := func(s int, why string) {
-		liveMu.Lock()
-		live[s] = false
-		liveMu.Unlock()
+		m.setLive(s, false)
 		opts.Metrics.Evictions.Inc()
-		logf("master: evicting slave %d (%s)", s, why)
+		m.logf("master: evicting slave %d (%s)", s, why)
 		comm.Send(s, tagShutdown, nil) //nolint:errcheck // best-effort zombie release
 		owned := func(sl int) int {
 			n := 0
@@ -244,10 +178,7 @@ func runMasterResilient(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) 
 				continue
 			}
 			survivor := 0
-			for cand := 1; cand <= nSlaves; cand++ {
-				if !isLive(cand) {
-					continue
-				}
+			for _, cand := range m.liveRanks() {
 				if survivor == 0 || owned(cand) < owned(survivor) {
 					survivor = cand
 				}
@@ -257,46 +188,38 @@ func runMasterResilient(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) 
 			}
 			t.owner = survivor
 			opts.Metrics.Redispatches.Inc()
-			adoptQueue[survivor] = append(adoptQueue[survivor], cellBlob{
-				CellRank: c, Iteration: t.iter, Full: t.full,
-				Failed: t.failed, Error: t.errNote, Fitness: t.fitness,
-			})
-			logf("master: reassigned cell %d from slave %d to slave %d (re-dispatching from iteration %d)",
+			adoptQueue[survivor] = append(adoptQueue[survivor], m.adoptOrder(c))
+			m.logf("master: reassigned cell %d from slave %d to slave %d (re-dispatching from iteration %d)",
 				c, s, survivor, t.iter)
 		}
-		opts.Metrics.LiveSlaves.Set(float64(liveCount()))
 	}
 
-	// The synchronous round loop.
-	target := opts.Cfg.Iterations
-	jobDeadline := time.Time{}
-	if opts.Cfg.TimeLimit > 0 {
-		jobDeadline = started.Add(opts.Cfg.TimeLimit)
-	}
 	lastNS := make(map[int][]byte)
+	resend = func(s int) {
+		// Lost collect or slave still finalising: re-send the Done round.
+		if p := lastNS[s]; p != nil {
+			comm.Send(s, tagNeighborSet, p) //nolint:errcheck
+		}
+	}
 	strikes := make(map[int]int)
-	round := 0
-	for {
+	for round := 0; ; round++ {
 		// Collect this round's update from every live slave. A timeout
 		// strikes all laggards; MaxStrikes consecutive misses evict.
 		reported := make(map[int]bool)
 		barren := 0 // consecutive timeouts with no report at all this round
 		for {
-			pending := 0
-			for s := 1; s <= nSlaves; s++ {
-				if isLive(s) && !reported[s] {
-					pending++
+			var pending []int
+			for _, s := range m.liveRanks() {
+				if !reported[s] {
+					pending = append(pending, s)
 				}
 			}
-			if pending == 0 {
+			if len(pending) == 0 {
 				break
 			}
-			m, err := comm.RecvTimeout(mpi.AnySource, tagStateUpdate, opts.RoundTimeout)
+			msg, err := comm.RecvTimeout(mpi.AnySource, tagStateUpdate, opts.RoundTimeout)
 			if err != nil {
-				for s := 1; s <= nSlaves; s++ {
-					if !isLive(s) || reported[s] {
-						continue
-					}
+				for _, s := range pending {
 					// Strike only when a peer has already made this round:
 					// a laggard is a slave that falls behind the others, not
 					// one slowed by machine-wide load. When nobody reported,
@@ -314,52 +237,30 @@ func runMasterResilient(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) 
 					// Nudge: the update or the previous neighbor set may
 					// have been lost — re-request and re-send.
 					comm.Send(s, tagStateResend, nil) //nolint:errcheck
-					if p := lastNS[s]; p != nil {
-						comm.Send(s, tagNeighborSet, p) //nolint:errcheck
-					}
+					resend(s)
 				}
 				if len(reported) == 0 {
 					barren++
 				}
 				continue
 			}
-			if !isLive(m.Src) {
+			if !m.isLive(msg.Src) {
 				continue // late message from an evicted slave
 			}
-			upd, err := parseStateUpdate(m.Data)
+			upd, err := parseStateUpdate(msg.Data)
 			if err != nil {
-				logf("master: bad state update from slave %d: %v", m.Src, err)
+				m.logf("master: bad state update from slave %d: %v", msg.Src, err)
 				continue
 			}
 			opts.Metrics.StateUpdates.Inc()
-			// Merge monotonically: training is deterministic, so for a
-			// given iteration count the state content is unique and
-			// duplicate or late uploads are harmless.
-			for _, cb := range upd.Cells {
-				if cb.CellRank < 0 || cb.CellRank >= nCells {
-					continue
-				}
-				t := track[cb.CellRank]
-				if cb.Iteration < t.iter {
-					continue
-				}
-				t.iter = cb.Iteration
-				t.full = cb.Full
-				if f, ferr := core.UnmarshalFullState(cb.Full); ferr == nil {
-					t.state = f.Cell.Marshal()
-				}
-				t.failed = cb.Failed
-				t.errNote = cb.Error
-				t.fitness = cb.Fitness
-			}
+			m.merge(upd.Cells)
 			if upd.Round == round {
-				reported[m.Src] = true
-				strikes[m.Src] = 0
+				reported[msg.Src] = true
+				strikes[msg.Src] = 0
 			}
 		}
-		if liveCount() == 0 {
-			stopHeartbeat()
-			return nil, fmt.Errorf("cluster: all %d slaves lost, job cannot complete", nSlaves)
+		if len(m.liveRanks()) == 0 {
+			return nil, fmt.Errorf("cluster: all %d slaves lost, job cannot complete", m.nSlaves)
 		}
 
 		// Round complete: decide whether training is over and publish the
@@ -368,148 +269,33 @@ func runMasterResilient(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) 
 		// where a periodic checkpoint is taken.
 		opts.Metrics.Rounds.Inc()
 		ck.observe(track)
-		abortNow := interrupted(opts.Interrupt) ||
-			(!jobDeadline.IsZero() && time.Now().After(jobDeadline))
-		done := true
-		for _, t := range track {
-			if !t.failed && t.iter < target {
-				done = false
-				break
+		done, abort := m.finished()
+		ns := neighborSet{Round: round, Done: done, Abort: abort}
+		for c, t := range track {
+			if st := t.exchangeState(); st != nil {
+				ns.States = append(ns.States, wireState{Rank: c, Iter: t.iter, Data: st})
 			}
 		}
-		done = done || abortNow
-		ns := neighborSet{Round: round, Done: done, Abort: abortNow}
-		for c := 0; c < nCells; c++ {
-			if track[c].state == nil {
-				continue
-			}
-			ns.States = append(ns.States, wireState{Rank: c, Iter: track[c].iter, Data: track[c].state})
-		}
-		for s := 1; s <= nSlaves; s++ {
-			if !isLive(s) {
-				continue
-			}
+		for _, s := range m.liveRanks() {
 			nsS := ns
 			nsS.Adopt = adoptQueue[s]
 			adoptQueue[s] = nil // future resends carry it via lastNS
-			payload, merr := nsS.marshal()
-			if merr != nil {
-				stopHeartbeat()
-				return nil, merr
+			payload, err := nsS.marshal()
+			if err != nil {
+				return nil, err
 			}
 			lastNS[s] = payload
-			if err := retrySend(comm, s, tagNeighborSet, payload, 4, 10*time.Millisecond, opts.Metrics.SendRetries); err != nil {
-				logf("master: neighbor set to slave %d failed: %v", s, err)
+			if err := retrySend(comm, s, tagNeighborSet, payload, opts.Metrics.SendRetries); err != nil {
+				m.logf("master: neighbor set to slave %d failed: %v", s, err)
 			}
 		}
 		if done {
-			if abortNow {
-				res.Aborted = true
-				why := "time limit exceeded"
-				if interrupted(opts.Interrupt) {
-					why = "interrupted"
-				}
-				logf("master: %s, finishing round %d with abort", why, round)
+			if abort {
+				m.res.Aborted = true
+				m.logf("master: %s, finishing round %d with abort", m.abortReason(), round)
 			}
-			logf("master: training done after round %d, collecting results", round)
-			break
-		}
-		round++
-	}
-
-	// Collect reports from the survivors, retrying while they finalise
-	// (an empty reply means "not finished yet").
-	prof := profile.New()
-	res.Reports = make([]SlaveReport, nCells)
-	gotCell := make([]bool, nCells)
-	for s := 1; s <= nSlaves; s++ {
-		if !isLive(s) {
-			continue
-		}
-		backoff := 20 * time.Millisecond
-		collected := false
-		for attempt := 0; attempt < 3*opts.MaxStrikes && !collected; attempt++ {
-			if err := comm.Send(s, tagCollect, nil); err != nil {
-				break
-			}
-			m, err := comm.RecvTimeout(s, tagResult, opts.RoundTimeout)
-			if err != nil || len(m.Data) == 0 {
-				// Lost collect or slave still finalising: re-send the
-				// Done round and back off.
-				if p := lastNS[s]; p != nil {
-					comm.Send(s, tagNeighborSet, p) //nolint:errcheck
-				}
-				time.Sleep(backoff)
-				if backoff < 500*time.Millisecond {
-					backoff *= 2
-				}
-				continue
-			}
-			reps, perr := parseSlaveReports(m.Data)
-			if perr != nil {
-				logf("master: bad report from slave %d: %v", s, perr)
-				break
-			}
-			for _, rep := range reps {
-				if rep.CellRank < 0 || rep.CellRank >= nCells || gotCell[rep.CellRank] {
-					continue
-				}
-				res.Reports[rep.CellRank] = rep
-				gotCell[rep.CellRank] = true
-				if snap, derr := profile.DecodeSnapshot(rep.Profile); derr == nil {
-					prof.Merge(snap)
-				}
-				if rep.Aborted {
-					res.Aborted = true
-				}
-			}
-			collected = true
-		}
-		if !collected {
-			logf("master: slave %d never delivered its reports", s)
+			m.logf("master: training done after round %d, collecting results", round)
+			return resend, nil
 		}
 	}
-
-	// Synthesize reports for cells whose final owner died after training:
-	// the master's merged view still holds their last full state.
-	for c := 0; c < nCells; c++ {
-		if gotCell[c] {
-			continue
-		}
-		t := track[c]
-		rep := SlaveReport{
-			CellRank: c, Node: "recovered", Iterations: t.iter,
-			MixtureFitness: t.fitness, State: t.state, Full: t.full,
-			Error: fmt.Sprintf("report synthesized from master state (owner slave %d lost); %s", t.owner, t.errNote),
-		}
-		if t.failed || t.iter == 0 {
-			rep.MixtureFitness = inf()
-		}
-		if f, ferr := core.UnmarshalFullState(t.full); ferr == nil {
-			rep.MixtureRanks = append([]int(nil), f.MixtureRanks...)
-			rep.MixtureWeights = append([]float64(nil), f.MixtureWeights...)
-		}
-		res.Reports[c] = rep
-		logf("master: synthesized report for cell %d at iteration %d", c, t.iter)
-	}
-
-	for s := 1; s <= nSlaves; s++ {
-		if isLive(s) {
-			comm.Send(s, tagShutdown, nil) //nolint:errcheck
-		}
-	}
-	stopHeartbeat()
-
-	best := 0
-	for i, r := range res.Reports {
-		if r.MixtureFitness < res.Reports[best].MixtureFitness {
-			best = i
-		}
-	}
-	res.BestCell = res.Reports[best].CellRank
-	res.Profile = prof.Snapshot()
-	res.Elapsed = time.Since(started)
-	logf("master: best cell %d (mixture fitness %.4f), elapsed %s",
-		res.BestCell, res.Reports[best].MixtureFitness, res.Elapsed.Round(time.Millisecond))
-	return res, nil
 }

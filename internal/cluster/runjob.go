@@ -12,59 +12,11 @@ import (
 // master and every other rank runs a slave. This is the one-call entry
 // point used by the trainer binary and the benchmarks; the cmd/cluster
 // binary wires the same two role functions over the TCP transport instead.
+// The master's outcome decides the job's: slave errors (a slave left
+// behind by a failed master, or killed on purpose by a chaos plan) are
+// not reported.
 func RunJob(opts MasterOptions) (*JobResult, error) {
-	if err := opts.Cfg.Validate(); err != nil {
-		return nil, err
-	}
-	n := opts.Cfg.NumTasks()
-	if opts.Async {
-		n += opts.JoinSlots // reserves idle until shutdown without a signal
-	}
-	world, err := mpi.NewWorld(n)
-	if err != nil {
-		return nil, err
-	}
-	defer world.Close()
-
-	var res *JobResult
-	errs := make(chan error, n)
-	var wg sync.WaitGroup
-	for rank := 0; rank < n; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			errs <- func() error {
-				comm, err := world.Comm(rank)
-				if err != nil {
-					return err
-				}
-				local, err := SplitLocal(comm)
-				if err != nil {
-					return err
-				}
-				if rank == 0 {
-					r, err := RunMaster(comm, opts)
-					if err != nil {
-						return err
-					}
-					res = r
-					return nil
-				}
-				return RunSlave(comm, local)
-			}()
-		}(rank)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if res == nil {
-		return nil, fmt.Errorf("cluster: job produced no result")
-	}
-	return res, nil
+	return runJob(opts, nil, nil)
 }
 
 // ChaosPlan builds a fault-injection plan scoped to the runtime's chatty
@@ -102,7 +54,7 @@ func AsyncChaosPlan(seed uint64, drop, dup, delay float64) mpi.FaultPlan {
 // plan — injected crashes, or the master closing the world after the job —
 // are expected and not reported as errors; the master's outcome decides.
 func RunJobChaos(opts MasterOptions, plan mpi.FaultPlan) (*JobResult, error) {
-	return runJobFaulty(opts, &plan, nil)
+	return runJob(opts, &plan, nil)
 }
 
 // JoinSpec describes one elastic reserve slave of RunJobWithJoiners.
@@ -121,12 +73,12 @@ type JoinSpec struct {
 func RunJobWithJoiners(opts MasterOptions, plan *mpi.FaultPlan, joins []JoinSpec) (*JobResult, error) {
 	opts.Async = true
 	opts.JoinSlots = len(joins)
-	return runJobFaulty(opts, plan, joins)
+	return runJob(opts, plan, joins)
 }
 
-// runJobFaulty is the shared in-process job runner behind the chaos and
+// runJob is the one in-process job runner behind RunJob and the chaos and
 // elastic entry points.
-func runJobFaulty(opts MasterOptions, plan *mpi.FaultPlan, joins []JoinSpec) (*JobResult, error) {
+func runJob(opts MasterOptions, plan *mpi.FaultPlan, joins []JoinSpec) (*JobResult, error) {
 	if err := opts.Cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -173,8 +125,9 @@ func runJobFaulty(opts MasterOptions, plan *mpi.FaultPlan, joins []JoinSpec) (*J
 				return
 			}
 			var sopts SlaveOptions
-			if rank >= nWorkers {
-				sopts.JoinSignal = joins[rank-nWorkers].Signal
+			if i := rank - nWorkers; i >= 0 && i < len(joins) {
+				// Reserves beyond the join specs idle until shutdown.
+				sopts.JoinSignal = joins[i].Signal
 			}
 			// Slave errors are tolerated: a chaos run kills slaves on
 			// purpose and the world close above ends the stragglers.
@@ -186,7 +139,7 @@ func runJobFaulty(opts MasterOptions, plan *mpi.FaultPlan, joins []JoinSpec) (*J
 		return nil, masterErr
 	}
 	if res == nil {
-		return nil, fmt.Errorf("cluster: chaos job produced no result")
+		return nil, fmt.Errorf("cluster: job produced no result")
 	}
 	return res, nil
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"cellgan/internal/core"
+	"cellgan/internal/grid"
 	"cellgan/internal/mpi"
 	"cellgan/internal/profile"
 )
@@ -24,13 +25,14 @@ type slave struct {
 	abort atomic.Bool
 
 	// done is closed by the execution thread when training completes;
-	// report holds the final result after that.
-	done   chan struct{}
-	report SlaveReport
+	// reports holds the final result after that.
+	done chan struct{}
+	// multi is set when the job's reports travel as a list (resilient and
+	// async modes, where a slave may own several cells).
+	multi bool
 
 	// Resilient-mode plumbing: the control loop stays the sole receiver
 	// and forwards parsed neighbor sets to the execution thread.
-	resilient  bool
 	quit       chan struct{} // closed when the control loop exits
 	neighborCh chan neighborSet
 
@@ -38,12 +40,11 @@ type slave struct {
 	// the control loop to the execution thread; tagAsyncState pushes are
 	// received by the execution thread directly (they come from peers,
 	// not the master, so the two receivers never contend for a message).
-	async     bool
 	ownerCh   chan ownerUpdate
 	releaseCh chan releaseOrder
 
 	// updMu guards latestUpdate (the cached last state upload, re-sent on
-	// tagStateResend) and reports (the multi-cell result list).
+	// tagStateResend) and reports (one per owned cell).
 	updMu        sync.Mutex
 	latestUpdate []byte
 	reports      []SlaveReport
@@ -132,16 +133,8 @@ func RunSlaveOpts(comm *mpi.Comm, local *mpi.Comm, sopts SlaveOptions) error {
 			s.setState(StateProcessing)
 			// Launch the execution thread (Fig 3: "Create execution
 			// thread"); the main thread keeps serving heartbeats.
-			switch {
-			case task.Async:
-				s.async = true
-				go s.executeAsync(task)
-			case task.Resilient:
-				s.resilient = true
-				go s.executeResilient(task)
-			default:
-				go s.execute(task)
-			}
+			s.multi = task.Async || task.Resilient
+			go s.execute(task)
 		case tagStatus:
 			if err := comm.Send(0, tagStatus, []byte{byte(s.currentState())}); err != nil {
 				return err
@@ -197,30 +190,23 @@ func RunSlaveOpts(comm *mpi.Comm, local *mpi.Comm, sopts SlaveOptions) error {
 				}
 			}
 		case tagCollect:
-			if s.resilient || s.async {
-				// Non-blocking: an empty reply means "not finished yet"
-				// and the master retries after re-sending the last round.
-				var payload []byte
-				select {
-				case <-s.done:
-					s.updMu.Lock()
-					rs := s.reports
-					s.updMu.Unlock()
+			// Non-blocking: an empty reply means "not finished yet" and
+			// the master retries after re-sending the last round.
+			var payload []byte
+			select {
+			case <-s.done:
+				s.updMu.Lock()
+				rs := s.reports
+				s.updMu.Unlock()
+				if s.multi {
 					payload, err = marshalReports(rs)
-					if err != nil {
-						return err
-					}
-				default:
+				} else {
+					payload, err = rs[0].marshal()
 				}
-				if err := comm.Send(0, tagResult, payload); err != nil {
+				if err != nil {
 					return err
 				}
-				break
-			}
-			<-s.done // training must be over before reporting
-			payload, err := s.report.marshal()
-			if err != nil {
-				return err
+			default:
 			}
 			if err := comm.Send(0, tagResult, payload); err != nil {
 				return err
@@ -233,140 +219,55 @@ func RunSlaveOpts(comm *mpi.Comm, local *mpi.Comm, sopts SlaveOptions) error {
 	}
 }
 
-// execute is the slave's execution thread: it assembles the grid, trains
-// the assigned cell, exchanging centers with neighbouring slaves on the
-// LOCAL communicator each iteration, and prepares the final report.
+// execute is the slave's execution thread (Fig 3: "Create execution
+// thread"): it trains in the task's exchange mode and leaves one report
+// per owned cell for the control loop to hand to the master.
 func (s *slave) execute(task runTask) {
 	defer close(s.done)
 	defer s.setState(StateFinished)
 
-	prof := profile.New()
-	report := SlaveReport{CellRank: task.CellRank, Node: task.Node}
-	fail := func(err error) {
+	run := s.runLockstep
+	switch {
+	case task.Async:
+		run = s.runAsync
+	case task.Resilient:
+		run = s.runResilient
+	}
+	reports, err := run(task)
+	if err != nil {
 		// Training failures surface through the report; the control
 		// protocol stays alive so the master can collect and shut down.
-		report.Error = err.Error()
-		report.MixtureFitness = inf()
-		s.report = report
+		reports = []SlaveReport{{
+			CellRank: max(task.CellRank, 0), Node: task.Node,
+			MixtureFitness: inf(), Error: err.Error(),
+		}}
 	}
-
-	g, err := core.BuildGridFor(task.Cfg)
-	if err != nil {
-		fail(err)
-		return
-	}
-	cell, err := core.NewCell(task.Cfg, task.CellRank, g, prof)
-	if err != nil {
-		fail(err)
-		return
-	}
-	if err := restoreTaskFull(cell, task); err != nil {
-		fail(err)
-		return
-	}
-
-	// exchange allgathers centers on the LOCAL communicator with an
-	// abort-consensus byte: if any slave has seen the master's abort, all
-	// slaves observe it in the same round and stop together, keeping the
-	// collective call counts aligned.
-	exchange := func() (stop bool, err error) {
-		state, err := cell.State()
-		if err != nil {
-			return false, err
-		}
-		payload := append([]byte{abortByte(s.abort.Load())}, state.Marshal()...)
-		stopTimer := prof.Start(profile.RoutineGather)
-		parts, err := s.local.Allgather(payload)
-		stopTimer()
-		if err != nil {
-			return false, err
-		}
-		states := make(map[int]*core.CellState, len(parts))
-		anyAbort := false
-		for _, p := range parts {
-			if len(p) < 1 {
-				return false, fmt.Errorf("cluster: empty exchange payload")
-			}
-			if p[0] != 0 {
-				anyAbort = true
-			}
-			st, err := core.UnmarshalCellState(p[1:])
-			if err != nil {
-				return false, err
-			}
-			states[st.Rank] = st
-		}
-		if err := cell.SetNeighbors(states); err != nil {
-			return false, err
-		}
-		return anyAbort, nil
-	}
-
-	if stop, err := exchange(); err != nil {
-		fail(err)
-		return
-	} else if stop {
-		report.Aborted = true
-	}
-	var last core.IterStats
-	// The loop is driven by the cell's own iteration counter so a cell
-	// restored from a checkpoint runs exactly the iterations it still
-	// owes; every slave restores to the same iteration (the master
-	// validated that), keeping the allgather call counts aligned.
-	for cell.Iteration() < task.Cfg.Iterations && !report.Aborted {
-		last, err = cell.Iterate()
-		if err != nil {
-			fail(err)
-			return
-		}
-		stop, err := exchange()
-		if err != nil {
-			fail(err)
-			return
-		}
-		if stop {
-			report.Aborted = true
-		}
-	}
-
-	finalState, err := cell.State()
-	if err != nil {
-		fail(err)
-		return
-	}
-	report.Iterations = cell.Iteration()
-	report.MixtureFitness = last.MixtureFitness
-	if cell.Iteration() == 0 {
-		// Aborted before any training: never the best mixture.
-		report.MixtureFitness = inf()
-	}
-	report.MixtureRanks = append([]int(nil), cell.Mixture().Ranks...)
-	report.MixtureWeights = append([]float64(nil), cell.Mixture().Weights...)
-	report.State = finalState.Marshal()
-	if f, err := cell.FullState(); err == nil {
-		report.Full = f.Marshal()
-	}
-	report.Profile = profile.EncodeSnapshot(prof.Snapshot())
-	s.report = report
+	s.updMu.Lock()
+	s.reports = reports
+	s.updMu.Unlock()
 }
 
-// restoreTaskFull restores a dispatched cell from the run task's full
-// state, when the master sent one (the whole-job resume path).
-func restoreTaskFull(cell *core.Cell, task runTask) error {
-	if len(task.Full) == 0 {
-		return nil
-	}
-	f, err := core.UnmarshalFullState(task.Full)
+// runLockstep trains the assigned cell with core.RankLoop on the LOCAL
+// communicator — the loop core.RunParallel runs in-process — voting to
+// halt once the master's abort has arrived: if any slave has seen it, all
+// slaves observe it in the same round and stop together, keeping the
+// collective call counts aligned. Every slave restores to the same
+// iteration (the master validated that), which keeps them aligned too.
+func (s *slave) runLockstep(task runTask) ([]SlaveReport, error) {
+	owned, err := newOwnedCells(task)
 	if err != nil {
-		return fmt.Errorf("cluster: decoding dispatched resume state: %w", err)
+		return nil, err
 	}
-	if err := cell.RestoreFull(f); err != nil {
-		return fmt.Errorf("cluster: restoring dispatched resume state: %w", err)
+	oc := owned.cells[task.CellRank]
+	last, halted, err := core.RankLoop{Comm: s.local, Cell: oc.cell, Stop: s.abort.Load}.Run()
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	oc.fitness = last.MixtureFitness
+	return owned.reports(halted), nil
 }
 
-// executeResilient is the execution thread in failure-tolerant mode: the
+// runResilient is the execution thread in failure-tolerant mode: the
 // per-iteration neighbour exchange is routed through the master in
 // globally-synchronous rounds (upload full state → receive neighbor set →
 // iterate) instead of the LOCAL allgather. The indirection is what makes
@@ -374,69 +275,20 @@ func restoreTaskFull(cell *core.Cell, task runTask) error {
 // so when a slave dies it can re-dispatch the lost cells to survivors via
 // adoption orders — which this thread applies by rebuilding the cell and
 // restoring bit-exact state (core.RestoreFull).
-func (s *slave) executeResilient(task runTask) {
-	defer close(s.done)
-	defer s.setState(StateFinished)
-
-	prof := profile.New()
-	finishErr := func(err error) {
-		s.updMu.Lock()
-		s.reports = []SlaveReport{{
-			CellRank: task.CellRank, Node: task.Node,
-			MixtureFitness: inf(), Error: err.Error(),
-		}}
-		s.updMu.Unlock()
-	}
-
-	g, err := core.BuildGridFor(task.Cfg)
+func (s *slave) runResilient(task runTask) ([]SlaveReport, error) {
+	owned, err := newOwnedCells(task)
 	if err != nil {
-		finishErr(err)
-		return
+		return nil, err
 	}
-	owned := make(map[int]*core.Cell)
-	failed := make(map[int]bool)
-	errNote := make(map[int]string)
-	fitness := make(map[int]float64)
-	cell, err := core.NewCell(task.Cfg, task.CellRank, g, prof)
-	if err != nil {
-		finishErr(err)
-		return
-	}
-	if err := restoreTaskFull(cell, task); err != nil {
-		finishErr(err)
-		return
-	}
-	owned[task.CellRank] = cell
-	fitness[task.CellRank] = inf()
-
-	target := task.Cfg.Iterations
 	round := 0
 	for {
 		// (1) Upload the full state of every owned cell for this round.
-		upd := stateUpdate{Slave: s.world.Rank(), Round: round}
-		for _, r := range sortedRanks(owned) {
-			c := owned[r]
-			f, err := c.FullState()
-			if err != nil {
-				finishErr(err)
-				return
-			}
-			upd.Cells = append(upd.Cells, cellBlob{
-				CellRank: r, Iteration: c.Iteration(), Full: f.Marshal(),
-				Failed: failed[r], Error: errNote[r], Fitness: fitness[r],
-			})
-		}
-		payload, err := upd.marshal()
+		payload, err := s.cacheUpdate(owned, round, owned.ranks())
 		if err != nil {
-			finishErr(err)
-			return
+			return nil, err
 		}
-		s.updMu.Lock()
-		s.latestUpdate = payload
-		s.updMu.Unlock()
 		if err := s.world.Send(0, tagStateUpdate, payload); err != nil {
-			finishErr(err)
-			return
+			return nil, err
 		}
 
 		// (2) Await this round's neighbor set; duplicates and stale
@@ -446,8 +298,7 @@ func (s *slave) executeResilient(task runTask) {
 			select {
 			case ns = <-s.neighborCh:
 			case <-s.quit:
-				finishErr(fmt.Errorf("cluster: slave %d control loop exited mid-round", s.world.Rank()))
-				return
+				return nil, fmt.Errorf("cluster: slave %d control loop exited mid-round", s.world.Rank())
 			}
 			if ns.Round >= round {
 				break
@@ -457,29 +308,9 @@ func (s *slave) executeResilient(task runTask) {
 		// (3) Adopt cells reassigned from a dead slave, restoring their
 		// last gathered state (adoption is idempotent under resends).
 		for _, ad := range ns.Adopt {
-			if _, ok := owned[ad.CellRank]; ok {
-				continue
+			if err := owned.adopt(ad); err != nil {
+				return nil, err
 			}
-			c, err := core.NewCell(task.Cfg, ad.CellRank, g, prof)
-			if err != nil {
-				finishErr(err)
-				return
-			}
-			if len(ad.Full) > 0 {
-				f, err := core.UnmarshalFullState(ad.Full)
-				if err != nil {
-					finishErr(err)
-					return
-				}
-				if err := c.RestoreFull(f); err != nil {
-					finishErr(err)
-					return
-				}
-			}
-			owned[ad.CellRank] = c
-			failed[ad.CellRank] = ad.Failed
-			errNote[ad.CellRank] = ad.Error
-			fitness[ad.CellRank] = ad.Fitness
 		}
 
 		// (4) Neighbour exchange: apply every cell's state, exactly like
@@ -488,54 +319,181 @@ func (s *slave) executeResilient(task runTask) {
 		for _, ws := range ns.States {
 			st, err := core.UnmarshalCellState(ws.Data)
 			if err != nil {
-				finishErr(err)
-				return
+				return nil, err
 			}
 			states[st.Rank] = st
 		}
-		for _, r := range sortedRanks(owned) {
-			if err := owned[r].SetNeighbors(states); err != nil {
-				finishErr(err)
-				return
+		for _, r := range owned.ranks() {
+			if err := owned.cells[r].cell.SetNeighbors(states); err != nil {
+				return nil, err
 			}
 		}
 
 		if ns.Done {
-			s.finalizeResilient(task, owned, failed, errNote, fitness, ns.Abort, prof)
-			return
+			return owned.reports(ns.Abort), nil
 		}
 
 		// (5) Train one iteration on every unfinished cell. Per-cell
 		// failures are reported upward instead of stalling the round.
-		for _, r := range sortedRanks(owned) {
-			c := owned[r]
-			if failed[r] || c.Iteration() >= target {
-				continue
+		for _, r := range owned.ranks() {
+			if owned.trainable(r) {
+				owned.iterate(r)
 			}
-			stats, err := c.Iterate()
-			if err != nil {
-				failed[r] = true
-				errNote[r] = err.Error()
-				continue
-			}
-			fitness[r] = stats.MixtureFitness
 		}
 		round = ns.Round + 1
 	}
 }
 
-// finalizeResilient builds one report per owned cell after the Done round.
-func (s *slave) finalizeResilient(task runTask, owned map[int]*core.Cell, failed map[int]bool, errNote map[int]string, fitness map[int]float64, aborted bool, prof *profile.Profiler) {
-	profBytes := profile.EncodeSnapshot(prof.Snapshot())
-	var reports []SlaveReport
-	for _, r := range sortedRanks(owned) {
-		c := owned[r]
-		rep := SlaveReport{
-			CellRank: r, Node: task.Node, Iterations: c.Iteration(),
-			Aborted: aborted, Profile: profBytes, Error: errNote[r],
-			MixtureFitness: fitness[r],
+// cacheUpdate encodes the state upload of the listed cells and remembers
+// it for tagStateResend.
+func (s *slave) cacheUpdate(owned *ownedCells, round int, ranks []int) ([]byte, error) {
+	upd, err := owned.packState(s.world.Rank(), round, ranks)
+	if err != nil {
+		return nil, err
+	}
+	payload, err := upd.marshal()
+	if err != nil {
+		return nil, err
+	}
+	s.updMu.Lock()
+	s.latestUpdate = payload
+	s.updMu.Unlock()
+	return payload, nil
+}
+
+// ownedCell is one grid cell an execution thread trains, with the
+// bookkeeping that travels with it across adoptions and releases.
+type ownedCell struct {
+	cell *core.Cell
+	// view gates and filters neighbour snapshots (async mode only).
+	view *core.NeighborView
+	// failed marks a cell whose training errored; it is kept, reported
+	// and no longer iterated. errNote is the error's text.
+	failed  bool
+	errNote string
+	// fitness is the cell's last mixture fitness, inf() until the first
+	// iteration completes.
+	fitness float64
+}
+
+// ownedCells is the working set of a slave's execution thread: the cells
+// it currently trains, keyed by grid rank. It starts with the task's own
+// cell and grows and shrinks with adoption orders and releases.
+type ownedCells struct {
+	task  runTask
+	grid  *grid.Grid
+	prof  *profile.Profiler
+	cells map[int]*ownedCell
+}
+
+// newOwnedCells builds the grid and adopts the task's cell (a joiner has
+// none yet). task.Full is empty on a fresh start and carries the cell's
+// resume state after a whole-job restart.
+func newOwnedCells(task runTask) (*ownedCells, error) {
+	g, err := core.BuildGridFor(task.Cfg)
+	if err != nil {
+		return nil, err
+	}
+	o := &ownedCells{task: task, grid: g, prof: profile.New(), cells: make(map[int]*ownedCell)}
+	if task.Joiner {
+		return o, nil
+	}
+	return o, o.adopt(cellBlob{CellRank: task.CellRank, Full: task.Full, Fitness: inf()})
+}
+
+// adopt takes over the blob's cell, restoring its full state when the
+// blob carries one. Adopting a cell already owned is a no-op, so resent
+// adoption orders are harmless.
+func (o *ownedCells) adopt(b cellBlob) error {
+	if _, ok := o.cells[b.CellRank]; ok {
+		return nil
+	}
+	c, err := core.NewCell(o.task.Cfg, b.CellRank, o.grid, o.prof)
+	if err != nil {
+		return err
+	}
+	if len(b.Full) > 0 {
+		f, err := core.UnmarshalFullState(b.Full)
+		if err != nil {
+			return fmt.Errorf("cluster: decoding cell %d state: %w", b.CellRank, err)
 		}
-		if c.Iteration() == 0 || failed[r] {
+		if err := c.RestoreFull(f); err != nil {
+			return fmt.Errorf("cluster: restoring cell %d state: %w", b.CellRank, err)
+		}
+	}
+	oc := &ownedCell{cell: c, failed: b.Failed, errNote: b.Error, fitness: b.Fitness}
+	if o.task.Async {
+		oc.view = core.NewNeighborView(c, o.task.Cfg.EffectiveAsyncStaleness())
+	}
+	o.cells[b.CellRank] = oc
+	return nil
+}
+
+// ranks returns the owned cell ranks in ascending order, keeping
+// per-round work deterministic regardless of map iteration order.
+func (o *ownedCells) ranks() []int {
+	ranks := make([]int, 0, len(o.cells))
+	for r := range o.cells {
+		ranks = append(ranks, r)
+	}
+	sort.Ints(ranks)
+	return ranks
+}
+
+// packState packs the full state of the listed cells (those still
+// owned) into an upload for the master.
+func (o *ownedCells) packState(slave, round int, ranks []int) (stateUpdate, error) {
+	upd := stateUpdate{Slave: slave, Round: round}
+	for _, r := range ranks {
+		oc, ok := o.cells[r]
+		if !ok {
+			continue
+		}
+		f, err := oc.cell.FullState()
+		if err != nil {
+			return upd, err
+		}
+		upd.Cells = append(upd.Cells, cellBlob{
+			CellRank: r, Iteration: oc.cell.Iteration(), Full: f.Marshal(),
+			Failed: oc.failed, Error: oc.errNote, Fitness: oc.fitness,
+		})
+	}
+	return upd, nil
+}
+
+// trainable reports whether cell r still owes iterations.
+func (o *ownedCells) trainable(r int) bool {
+	oc := o.cells[r]
+	return !oc.failed && oc.cell.Iteration() < o.task.Cfg.Iterations
+}
+
+// iterate trains cell r for one iteration and reports whether it
+// succeeded; a failure marks the cell instead of stopping the thread.
+func (o *ownedCells) iterate(r int) bool {
+	oc := o.cells[r]
+	stats, err := oc.cell.Iterate()
+	if err != nil {
+		oc.failed, oc.errNote = true, err.Error()
+		return false
+	}
+	oc.fitness = stats.MixtureFitness
+	return true
+}
+
+// reports builds one final report per owned cell.
+func (o *ownedCells) reports(aborted bool) []SlaveReport {
+	profBytes := profile.EncodeSnapshot(o.prof.Snapshot())
+	var reports []SlaveReport
+	for _, r := range o.ranks() {
+		oc := o.cells[r]
+		c := oc.cell
+		rep := SlaveReport{
+			CellRank: r, Node: o.task.Node, Iterations: c.Iteration(),
+			Aborted: aborted, Profile: profBytes, Error: oc.errNote,
+			MixtureFitness: oc.fitness,
+		}
+		if c.Iteration() == 0 || oc.failed {
+			// Never trained (or broken): never the best mixture.
 			rep.MixtureFitness = inf()
 		}
 		if st, err := c.State(); err == nil {
@@ -548,27 +506,7 @@ func (s *slave) finalizeResilient(task runTask, owned map[int]*core.Cell, failed
 		rep.MixtureWeights = append([]float64(nil), c.Mixture().Weights...)
 		reports = append(reports, rep)
 	}
-	s.updMu.Lock()
-	s.reports = reports
-	s.updMu.Unlock()
-}
-
-// sortedRanks returns the owned cell ranks in ascending order, keeping
-// per-round work deterministic regardless of map iteration order.
-func sortedRanks(owned map[int]*core.Cell) []int {
-	ranks := make([]int, 0, len(owned))
-	for r := range owned {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	return ranks
-}
-
-func abortByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
+	return reports
 }
 
 // inf is a large finite "never the best" fitness sentinel; real +Inf is

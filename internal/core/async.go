@@ -3,11 +3,9 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"cellgan/internal/config"
-	"cellgan/internal/grid"
 	"cellgan/internal/mpi"
 	"cellgan/internal/profile"
 )
@@ -45,81 +43,27 @@ type asyncTestHooks struct {
 // mode remains run-to-run nondeterministic (neighbour staleness depends
 // on scheduling).
 func RunAsync(cfg config.Config, opts RunOptions) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	prof := opts.Prof
-	if prof == nil {
-		prof = profile.New()
-	}
-	started := time.Now()
-	g, err := buildGrid(cfg)
-	if err != nil {
-		return nil, err
-	}
-	n := g.Size()
-	world, err := mpi.NewWorld(n)
-	if err != nil {
-		return nil, err
-	}
-	defer world.Close()
-
-	inst := newRunInstruments(opts.Telemetry, opts.Trace, n)
-	board := newAsyncCkptBoard(opts, n)
-	results := make([]CellResult, n)
-	fulls := make([]*FullState, n)
-	errs := make(chan error, n)
-	var wg sync.WaitGroup
-	for rank := 0; rank < n; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			errs <- asyncCellLoop(cfg, rank, g, world, prof, opts, inst, board, results, fulls)
-		}(rank)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	res := &Result{Cfg: cfg, Cells: results, Full: fulls}
-	finishResult(res, prof, started)
-	return res, nil
-}
-
-// asyncCellLoop is one rank's life in the asynchronous mode.
-func asyncCellLoop(cfg config.Config, rank int, g *grid.Grid, world *mpi.World,
-	prof *profile.Profiler, opts RunOptions, inst *runInstruments,
-	board *asyncCkptBoard, results []CellResult, fulls []*FullState) error {
-	comm, err := world.Comm(rank)
-	if err != nil {
-		return err
-	}
-	if opts.commWrap != nil {
-		comm = opts.commWrap(rank, comm)
-	}
-	hooks := opts.asyncHooks
-	cell, err := NewCellWithData(cfg, rank, g, prof, opts.Data)
-	if err != nil {
-		return err
-	}
 	// Async snapshots may mix iterations, so each cell resumes from its
 	// own recorded position; a cell already at the target just serves
 	// its state to neighbours and runs zero iterations.
-	if err := restoreIfResuming(cell, opts, g.Size()); err != nil {
-		return err
+	r, err := newRun(cfg, opts, false)
+	if err != nil {
+		return nil, err
 	}
-	tracker := NewStalenessTracker(cfg.EffectiveAsyncStaleness())
-	// The staleness gate watches every grid neighbour except the cell
-	// itself (a cell is always current on its own state).
-	var gateOn []int
-	for _, nb := range g.Neighborhood(rank) {
-		if nb != rank {
-			gateOn = append(gateOn, nb)
-		}
+	board := newAsyncCkptBoard(opts, r.grid.Size())
+	return r.overWorld(func(comm *mpi.Comm, cell *Cell) (IterStats, error) {
+		return r.asyncCellLoop(comm, cell, board)
+	})
+}
+
+// asyncCellLoop is one rank's life in the asynchronous mode.
+func (r *runCtx) asyncCellLoop(comm *mpi.Comm, cell *Cell, board *asyncCkptBoard) (last IterStats, err error) {
+	rank, g, prof, inst := cell.Rank, r.grid, r.prof, r.inst
+	if r.opts.commWrap != nil {
+		comm = r.opts.commWrap(rank, comm)
 	}
+	hooks := r.opts.asyncHooks
+	view := NewNeighborView(cell, r.cfg.EffectiveAsyncStaleness())
 
 	// push sends this cell's current center to every cell whose
 	// neighbourhood includes it (grid.Influence); the messages are
@@ -150,7 +94,7 @@ func asyncCellLoop(cfg config.Config, rank int, g *grid.Grid, world *mpi.World,
 	// absorb drains every pending neighbour update and applies, per
 	// source, the newest snapshot of the drain — but only when it is at
 	// least as new as everything already applied from that source. The
-	// cross-drain check is the tracker's: the drain-local map alone cannot
+	// cross-drain check is the view's: the drain-local map alone cannot
 	// stop a delayed or duplicated snapshot that arrives drains after a
 	// newer one was applied from regressing the neighbour view.
 	absorb := func() error {
@@ -177,13 +121,13 @@ func asyncCellLoop(cfg config.Config, rank int, g *grid.Grid, world *mpi.World,
 		}
 		for _, src := range sortedStateRanks(latest) {
 			s := latest[src]
-			if !tracker.ShouldApply(s.Rank, s.Iteration) {
-				continue
-			}
-			if err := cell.UpdateNeighbor(s); err != nil {
+			applied, err := view.Apply(s)
+			if err != nil {
 				return err
 			}
-			tracker.MarkApplied(s.Rank, s.Iteration)
+			if !applied {
+				continue
+			}
 			inst.observeStaleness(cell.Iteration() - s.Iteration)
 			if hooks != nil && hooks.onApply != nil {
 				hooks.onApply(rank, s.Rank, s.Iteration)
@@ -193,74 +137,47 @@ func asyncCellLoop(cfg config.Config, rank int, g *grid.Grid, world *mpi.World,
 	}
 
 	if err := push(); err != nil {
-		return err
+		return last, err
 	}
-	var last IterStats
-	stopped := false
 	// The loop is driven by the cell's own iteration counter (not a
 	// fresh 0-based index) so a cell restored from a checkpoint runs
-	// exactly the iterations it still owes.
-	for !stopped && cell.Iteration() < cfg.Iterations {
-		// No barrier in this mode, so each rank honours the stop signal
-		// independently at its own iteration boundary.
-		if stopRequested(opts) {
-			break
-		}
+	// exactly the iterations it still owes. No barrier in this mode, so
+	// each rank honours the stop signal — the caller's, or a failed
+	// peer's — independently at its own iteration boundary.
+	for cell.Iteration() < r.cfg.Iterations && !r.stopping() {
 		if err := absorb(); err != nil {
-			return err
+			return last, err
 		}
 		// Bounded-staleness gate: wait, still draining the mailbox, while
 		// completing this iteration would leave the cell more than S
 		// versions ahead of a neighbour's last absorbed snapshot. The
 		// least-advanced cell never satisfies the stale predicate, so the
 		// grid as a whole always makes progress.
-		for len(tracker.Stale(cell.Iteration()+1, gateOn)) > 0 {
-			if stopRequested(opts) {
-				stopped = true
-				break
+		for view.Gated(nil) {
+			if r.stopping() {
+				return last, nil
 			}
 			inst.observeStaleWait()
 			time.Sleep(asyncGatePoll)
 			if err := absorb(); err != nil {
-				return err
+				return last, err
 			}
 		}
-		if stopped {
-			break
-		}
-		last, err = cell.Iterate()
-		if err != nil {
-			return err
+		if last, err = cell.Iterate(); err != nil {
+			return last, err
 		}
 		inst.observeIter(rank, last)
-		if opts.Progress != nil {
-			opts.Progress(rank, last)
+		if r.opts.Progress != nil {
+			r.opts.Progress(rank, last)
 		}
 		if err := push(); err != nil {
-			return err
+			return last, err
 		}
 		if err := board.deposit(cell); err != nil {
-			return err
+			return last, err
 		}
 	}
-	state, err := cell.State()
-	if err != nil {
-		return err
-	}
-	full, err := cell.FullState()
-	if err != nil {
-		return err
-	}
-	fulls[rank] = full
-	results[rank] = CellResult{
-		Rank:           rank,
-		State:          state,
-		MixtureRanks:   append([]int(nil), cell.mixture.Ranks...),
-		MixtureWeights: append([]float64(nil), cell.mixture.Weights...),
-		MixtureFitness: last.MixtureFitness,
-		Last:           last,
-	}
-	return nil
+	return last, nil
 }
 
 // sortedStateRanks returns the keys of a drained snapshot map in

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestRunAsyncSmoke(t *testing.T) {
@@ -134,5 +135,25 @@ func TestUpdateNeighborGrowsMixture(t *testing.T) {
 	}
 	if len(c0.Mixture().Ranks) != 2 {
 		t.Fatalf("mixture grew on refresh: %v", c0.Mixture().Ranks)
+	}
+}
+
+// TestAsyncRankErrorReturns: a rank that exits on an error must release
+// its peers from the staleness gate (with S=1 they are gated one
+// iteration later, waiting for a snapshot that will never come) and
+// RunAsync must return that error.
+func TestAsyncRankErrorReturns(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Iterations = 6
+	cfg.AsyncStaleness = 1
+	errSink := errors.New("sink full")
+	err := runWithin(t, time.Minute, func() (*Result, error) {
+		return RunAsync(cfg, RunOptions{
+			CheckpointEvery: 2,
+			CheckpointSink:  func(int, []*FullState) error { return errSink },
+		})
+	})
+	if !errors.Is(err, errSink) {
+		t.Fatalf("RunAsync returned %v, want the sink's error", err)
 	}
 }

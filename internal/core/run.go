@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cellgan/internal/config"
@@ -160,28 +161,11 @@ func (r *Result) MixtureFor(rank int) (*Mixture, error) {
 	return m, nil
 }
 
-// finishResult computes the best rank and attaches profiling.
-func finishResult(res *Result, prof *profile.Profiler, started time.Time) {
-	res.Elapsed = time.Since(started)
-	res.Profile = prof.Snapshot()
-	best := 0
-	for i, c := range res.Cells {
-		if c.MixtureFitness < res.Cells[best].MixtureFitness {
-			best = i
-		}
-	}
-	res.BestRank = best
-}
-
 // BuildGridFor constructs the toroidal grid for a configuration, applying
 // its neighbourhood pattern — used by every runner (including the cluster
 // slaves and the client-server baseline) so the topology is consistent
 // across execution modes.
-func BuildGridFor(cfg config.Config) (*grid.Grid, error) { return buildGrid(cfg) }
-
-// buildGrid constructs the toroidal grid for a configuration, applying
-// its neighbourhood pattern.
-func buildGrid(cfg config.Config) (*grid.Grid, error) {
+func BuildGridFor(cfg config.Config) (*grid.Grid, error) {
 	g, err := grid.New(cfg.GridRows, cfg.GridCols)
 	if err != nil {
 		return nil, err
@@ -223,11 +207,23 @@ func exchangeLocal(cells []*Cell, prof *profile.Profiler) error {
 	return nil
 }
 
-// RunSequential trains the grid in a single process, cells taking turns —
-// the paper's "single core" baseline of Table III. The communication
-// structure (per-iteration neighbourhood exchange) is preserved so the
-// algorithm is identical to the parallel mode.
-func RunSequential(cfg config.Config, opts RunOptions) (*Result, error) {
+// runCtx is the prologue every in-process runner shares: the validated
+// configuration, the profiler, the grid and the run's instruments.
+type runCtx struct {
+	cfg     config.Config
+	opts    RunOptions
+	prof    *profile.Profiler
+	grid    *grid.Grid
+	inst    *runInstruments
+	started time.Time
+	// failed is raised by the first rank whose loop returns an error, so
+	// ranks with no collective to carry the news (async) stop too.
+	failed atomic.Bool
+}
+
+// newRun validates the inputs and builds the grid. lockstep runs reject
+// resume sets whose cells sit at different iterations.
+func newRun(cfg config.Config, opts RunOptions, lockstep bool) (*runCtx, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -235,67 +231,38 @@ func RunSequential(cfg config.Config, opts RunOptions) (*Result, error) {
 	if prof == nil {
 		prof = profile.New()
 	}
-	if opts.Resume != nil {
+	if lockstep && opts.Resume != nil {
 		if err := uniformResumeIteration(opts.Resume); err != nil {
 			return nil, err
 		}
 	}
 	started := time.Now()
-	g, err := buildGrid(cfg)
+	g, err := BuildGridFor(cfg)
 	if err != nil {
 		return nil, err
 	}
-	cells := make([]*Cell, g.Size())
-	for r := range cells {
-		cell, err := NewCellWithData(cfg, r, g, prof, opts.Data)
-		if err != nil {
-			return nil, err
-		}
-		if err := restoreIfResuming(cell, opts, g.Size()); err != nil {
-			return nil, err
-		}
-		cells[r] = cell
-	}
-	coll := newCkptCollector(opts, g.Size())
-	inst := newRunInstruments(opts.Telemetry, opts.Trace, g.Size())
-	exchange := func() error {
-		t0 := time.Now()
-		if err := exchangeLocal(cells, prof); err != nil {
-			return err
-		}
-		inst.observeExchange(time.Since(t0))
-		return nil
-	}
-	// Initial exchange so iteration 1 already sees the neighbourhood (and
-	// a resumed run re-sees it).
-	if err := exchange(); err != nil {
+	return &runCtx{cfg: cfg, opts: opts, prof: prof, grid: g, started: started,
+		inst: newRunInstruments(opts.Telemetry, opts.Trace, g.Size())}, nil
+}
+
+// newCell builds the cell of one rank, restored from opts.Resume when the
+// run is resuming.
+func (r *runCtx) newCell(rank int) (*Cell, error) {
+	cell, err := NewCellWithData(r.cfg, rank, r.grid, r.prof, r.opts.Data)
+	if err != nil {
 		return nil, err
 	}
-	lasts := make([]IterStats, len(cells))
-	for cells[0].Iteration() < cfg.Iterations && !stopRequested(opts) {
-		for _, c := range cells {
-			stats, err := c.Iterate()
-			if err != nil {
-				return nil, err
-			}
-			lasts[c.Rank] = stats
-			inst.observeIter(c.Rank, stats)
-			if opts.Progress != nil {
-				opts.Progress(c.Rank, stats)
-			}
-		}
-		if err := exchange(); err != nil {
-			return nil, err
-		}
-		// Post-exchange boundary: every cell is at the same iteration,
-		// the consistent cut a periodic checkpoint needs.
-		for _, c := range cells {
-			if err := coll.deposit(c); err != nil {
-				return nil, err
-			}
-		}
-	}
-	res := &Result{Cfg: cfg, Cells: make([]CellResult, len(cells)), Full: make([]*FullState, len(cells))}
+	return cell, restoreIfResuming(cell, r.opts, r.grid.Size())
+}
+
+// stopping reports whether ranks should halt at their next boundary: the
+// caller asked, or a peer rank failed.
+func (r *runCtx) stopping() bool { return stopRequested(r.opts) || r.failed.Load() }
+
+// result assembles the run's outcome from its trained cells and the last
+// statistics each one reported.
+func (r *runCtx) result(cells []*Cell, lasts []IterStats) (*Result, error) {
+	res := &Result{Cfg: r.cfg, Cells: make([]CellResult, len(cells)), Full: make([]*FullState, len(cells))}
 	for i, c := range cells {
 		state, err := c.State()
 		if err != nil {
@@ -314,159 +281,236 @@ func RunSequential(cfg config.Config, opts RunOptions) (*Result, error) {
 			Last:           lasts[i],
 		}
 		res.Full[i] = full
+		if res.Cells[i].MixtureFitness < res.Cells[res.BestRank].MixtureFitness {
+			res.BestRank = i
+		}
 	}
-	finishResult(res, prof, started)
+	res.Elapsed = time.Since(r.started)
+	res.Profile = r.prof.Snapshot()
 	return res, nil
 }
 
-// RunParallel trains the grid with one goroutine per cell over an
-// in-process MPI world: each rank iterates independently and the ranks
-// exchange centers with a per-iteration allgather on the communicator —
-// the structure of the paper's slave processes on the LOCAL communicator.
-func RunParallel(cfg config.Config, opts RunOptions) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	prof := opts.Prof
-	if prof == nil {
-		prof = profile.New()
-	}
-	if opts.Resume != nil {
-		if err := uniformResumeIteration(opts.Resume); err != nil {
-			return nil, err
-		}
-	}
-	started := time.Now()
-	g, err := buildGrid(cfg)
-	if err != nil {
-		return nil, err
-	}
-	n := g.Size()
-	world, err := mpi.NewWorld(n)
-	if err != nil {
-		return nil, err
-	}
-	defer world.Close()
-
-	coll := newCkptCollector(opts, n)
-	inst := newRunInstruments(opts.Telemetry, opts.Trace, n)
-	results := make([]CellResult, n)
-	fulls := make([]*FullState, n)
+// eachRank runs f for ranks 0..n-1 on one goroutine each, waits for all of
+// them and returns the error reported first — the root cause, since peers
+// only ever fail in reaction to it.
+func eachRank(n int, f func(rank int) error) error {
 	errs := make(chan error, n)
 	var wg sync.WaitGroup
 	for rank := 0; rank < n; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			errs <- func() error {
-				comm, err := world.Comm(rank)
-				if err != nil {
-					return err
-				}
-				cell, err := NewCellWithData(cfg, rank, g, prof, opts.Data)
-				if err != nil {
-					return err
-				}
-				if err := restoreIfResuming(cell, opts, n); err != nil {
-					return err
-				}
-				// exchange allgathers the cell centers with a one-byte
-				// stop vote prefixed to each payload: every rank sees the
-				// same vote set, so all ranks agree on whether this round
-				// is the last — no rank can block on a barrier a stopped
-				// peer never reaches.
-				exchange := func() (bool, error) {
-					state, err := cell.State()
-					if err != nil {
-						return false, err
-					}
-					vote := byte(0)
-					if stopRequested(opts) {
-						vote = 1
-					}
-					body := state.Marshal()
-					payload := make([]byte, 1+len(body))
-					payload[0] = vote
-					copy(payload[1:], body)
-					stop := prof.Start(profile.RoutineGather)
-					t0 := time.Now()
-					parts, err := comm.Allgather(payload)
-					inst.observeExchange(time.Since(t0))
-					stop()
-					if err != nil {
-						return false, err
-					}
-					halt := false
-					states := make(map[int]*CellState, len(parts))
-					for _, p := range parts {
-						if len(p) == 0 {
-							return false, fmt.Errorf("core: empty exchange payload")
-						}
-						if p[0] != 0 {
-							halt = true
-						}
-						s, err := UnmarshalCellState(p[1:])
-						if err != nil {
-							return false, err
-						}
-						states[s.Rank] = s
-					}
-					return halt, cell.SetNeighbors(states)
-				}
-				halt, err := exchange()
-				if err != nil {
-					return err
-				}
-				var last IterStats
-				for !halt && cell.Iteration() < cfg.Iterations {
-					last, err = cell.Iterate()
-					if err != nil {
-						return err
-					}
-					inst.observeIter(rank, last)
-					if opts.Progress != nil {
-						opts.Progress(rank, last)
-					}
-					halt, err = exchange()
-					if err != nil {
-						return err
-					}
-					// The allgather above is a barrier: every rank is at
-					// this iteration, so the deposits assemble a
-					// consistent snapshot.
-					if err := coll.deposit(cell); err != nil {
-						return err
-					}
-				}
-				state, err := cell.State()
-				if err != nil {
-					return err
-				}
-				full, err := cell.FullState()
-				if err != nil {
-					return err
-				}
-				fulls[rank] = full
-				results[rank] = CellResult{
-					Rank:           rank,
-					State:          state,
-					MixtureRanks:   append([]int(nil), cell.mixture.Ranks...),
-					MixtureWeights: append([]float64(nil), cell.mixture.Weights...),
-					MixtureFitness: last.MixtureFitness,
-					Last:           last,
-				}
-				return nil
-			}()
+			errs <- f(rank)
 		}(rank)
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// overWorld trains the grid with one goroutine per cell over an in-process
+// MPI world; loop is one rank's life and returns the last statistics it
+// produced. Every cell exists before any rank enters loop, so a rank
+// whose set-up fails cannot strand peers already waiting on it.
+func (r *runCtx) overWorld(loop func(comm *mpi.Comm, cell *Cell) (IterStats, error)) (*Result, error) {
+	n := r.grid.Size()
+	world, err := mpi.NewWorld(n)
+	if err != nil {
+		return nil, err
+	}
+	defer world.Close()
+	cells := make([]*Cell, n)
+	if err := eachRank(n, func(rank int) (err error) {
+		cells[rank], err = r.newCell(rank)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	lasts := make([]IterStats, n)
+	if err := eachRank(n, func(rank int) error {
+		comm, err := world.Comm(rank)
+		if err == nil {
+			lasts[rank], err = loop(comm, cells[rank])
+		}
+		if err != nil {
+			r.failed.Store(true)
+		}
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return r.result(cells, lasts)
+}
+
+// RunSequential trains the grid in a single process, cells taking turns —
+// the paper's "single core" baseline of Table III. The communication
+// structure (per-iteration neighbourhood exchange) is preserved so the
+// algorithm is identical to the parallel mode.
+func RunSequential(cfg config.Config, opts RunOptions) (*Result, error) {
+	r, err := newRun(cfg, opts, true)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]*Cell, r.grid.Size())
+	for rank := range cells {
+		if cells[rank], err = r.newCell(rank); err != nil {
 			return nil, err
 		}
 	}
-	res := &Result{Cfg: cfg, Cells: results, Full: fulls}
-	finishResult(res, prof, started)
-	return res, nil
+	coll := newCkptCollector(opts, len(cells))
+	exchange := func() error {
+		t0 := time.Now()
+		if err := exchangeLocal(cells, r.prof); err != nil {
+			return err
+		}
+		r.inst.observeExchange(time.Since(t0))
+		return nil
+	}
+	// Initial exchange so iteration 1 already sees the neighbourhood (and
+	// a resumed run re-sees it).
+	if err := exchange(); err != nil {
+		return nil, err
+	}
+	lasts := make([]IterStats, len(cells))
+	for cells[0].Iteration() < cfg.Iterations && !stopRequested(opts) {
+		for _, c := range cells {
+			stats, err := c.Iterate()
+			if err != nil {
+				return nil, err
+			}
+			lasts[c.Rank] = stats
+			r.inst.observeIter(c.Rank, stats)
+			if opts.Progress != nil {
+				opts.Progress(c.Rank, stats)
+			}
+		}
+		if err := exchange(); err != nil {
+			return nil, err
+		}
+		// Post-exchange boundary: every cell is at the same iteration,
+		// the consistent cut a periodic checkpoint needs.
+		for _, c := range cells {
+			if err := coll.deposit(c); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return r.result(cells, lasts)
+}
+
+// RunParallel trains the grid with one goroutine per cell over an
+// in-process MPI world: each rank iterates independently and the ranks
+// exchange centers with a per-iteration allgather on the communicator —
+// the structure of the paper's slave processes on the LOCAL communicator,
+// which run the same RankLoop.
+func RunParallel(cfg config.Config, opts RunOptions) (*Result, error) {
+	r, err := newRun(cfg, opts, true)
+	if err != nil {
+		return nil, err
+	}
+	coll := newCkptCollector(opts, r.grid.Size())
+	return r.overWorld(func(comm *mpi.Comm, cell *Cell) (IterStats, error) {
+		last, _, err := RankLoop{Comm: comm, Cell: cell, Stop: opts.Stop, Progress: opts.Progress,
+			inst: r.inst, coll: coll}.Run()
+		return last, err
+	})
+}
+
+// RankLoop is one rank's share of the lockstep algorithm: train the cell,
+// exchanging centers with every other rank of Comm after each iteration.
+// RunParallel runs one per goroutine over an in-process world; a cluster
+// slave runs one on the LOCAL communicator.
+type RankLoop struct {
+	Comm *mpi.Comm
+	Cell *Cell
+	// Stop, when non-nil, is polled before every exchange; once any rank
+	// sees it return true, all ranks halt after that exchange.
+	Stop func() bool
+	// Progress, when non-nil, is invoked after every iteration, before the
+	// exchange that follows it.
+	Progress func(rank int, stats IterStats)
+
+	inst *runInstruments
+	coll *ckptCollector
+}
+
+// Run exchanges once (so iteration 1 already sees the neighbourhood, and
+// a resumed cell re-sees it), then iterates and exchanges until the cell
+// reaches its configured iteration count or the ranks agree to halt. It
+// returns the last iteration's statistics and whether the loop was halted.
+//
+// A rank that fails outside the collective does not just leave: peers
+// would block in their next allgather for a payload that never comes. It
+// joins that exchange with the halt vote set and only then returns its
+// error, so every peer stops at the same boundary.
+func (l RankLoop) Run() (last IterStats, halted bool, err error) {
+	target := l.Cell.Cfg.Iterations
+	halted, err = l.exchange(false)
+	for err == nil && !halted && l.Cell.Iteration() < target {
+		if last, err = l.Cell.Iterate(); err != nil {
+			break
+		}
+		l.inst.observeIter(l.Cell.Rank, last)
+		if l.Progress != nil {
+			l.Progress(l.Cell.Rank, last)
+		}
+		if halted, err = l.exchange(false); err == nil {
+			// The allgather above is a barrier: every rank is at this
+			// iteration, so the deposits assemble a consistent snapshot.
+			err = l.coll.deposit(l.Cell)
+		}
+	}
+	if err != nil && !halted && l.Cell.Iteration() < target {
+		l.exchange(true) //nolint:errcheck // err already holds the root cause
+	}
+	return last, halted, err
+}
+
+// exchange allgathers the cell centers with a one-byte halt vote prefixed
+// to each payload: every rank sees the same vote set, so all ranks agree
+// on whether this round is the last — no rank can block on a barrier a
+// stopped peer never reaches. leaving forces this rank's vote. A failed
+// allgather reports halt: the communicator is gone and no collective can
+// follow it.
+func (l RankLoop) exchange(leaving bool) (halt bool, err error) {
+	state, err := l.Cell.State()
+	if err != nil {
+		return false, err
+	}
+	body := state.Marshal()
+	payload := make([]byte, 1+len(body))
+	if leaving || (l.Stop != nil && l.Stop()) {
+		payload[0] = 1
+	}
+	copy(payload[1:], body)
+	stop := l.Cell.prof.Start(profile.RoutineGather)
+	t0 := time.Now()
+	parts, err := l.Comm.Allgather(payload)
+	l.inst.observeExchange(time.Since(t0))
+	stop()
+	if err != nil {
+		return true, err
+	}
+	// Votes first: a rank that then fails to decode still knows whether
+	// its peers go on to another exchange.
+	for _, p := range parts {
+		if len(p) == 0 {
+			return true, fmt.Errorf("core: empty exchange payload")
+		}
+		halt = halt || p[0] != 0
+	}
+	states := make(map[int]*CellState, len(parts))
+	for _, p := range parts {
+		s, err := UnmarshalCellState(p[1:])
+		if err != nil {
+			return halt, err
+		}
+		states[s.Rank] = s
+	}
+	return halt, l.Cell.SetNeighbors(states)
 }

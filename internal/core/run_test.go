@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"cellgan/internal/profile"
 	"cellgan/internal/tensor"
@@ -186,5 +188,42 @@ func TestTrainingImprovesGeneratorFitness(t *testing.T) {
 	}
 	if last > first*1.5+0.5 {
 		t.Fatalf("generator fitness diverged: %v -> %v", first, last)
+	}
+}
+
+// runWithin fails the test when run does not return inside the limit — the
+// hang regressions below must fail fast instead of stalling the package.
+func runWithin(t *testing.T, limit time.Duration, run func() (*Result, error)) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := run()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(limit):
+		t.Fatalf("run still blocked after %s", limit)
+		return nil
+	}
+}
+
+// TestParallelRankErrorReturns: one rank failing mid-run (here the rank
+// that completes a snapshot whose sink errors) must stop its peers at the
+// same exchange boundary and surface its own error, not strand them in
+// the allgather.
+func TestParallelRankErrorReturns(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Iterations = 4
+	errSink := errors.New("sink full")
+	err := runWithin(t, time.Minute, func() (*Result, error) {
+		return RunParallel(cfg, RunOptions{
+			CheckpointEvery: 1,
+			CheckpointSink:  func(int, []*FullState) error { return errSink },
+		})
+	})
+	if !errors.Is(err, errSink) {
+		t.Fatalf("RunParallel returned %v, want the sink's error", err)
 	}
 }

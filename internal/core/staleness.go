@@ -70,3 +70,62 @@ func (t *StalenessTracker) Stale(nextIter int, neighbours []int) []int {
 	sort.Ints(stale)
 	return stale
 }
+
+// NeighborView couples a cell with the staleness bookkeeping of its
+// neighbour snapshots — the one place the asynchronous modes (RunAsync
+// and the cluster's async slaves) decide whether an arriving snapshot is
+// applied and whether the cell may take its next iteration.
+type NeighborView struct {
+	cell    *Cell
+	tracker *StalenessTracker
+	// nbrs is the grid neighbourhood minus the cell itself (a cell is
+	// always current on its own state).
+	nbrs []int
+}
+
+// NewNeighborView returns cell's view with staleness window bound.
+func NewNeighborView(cell *Cell, bound int) *NeighborView {
+	v := &NeighborView{cell: cell, tracker: NewStalenessTracker(bound)}
+	for _, nb := range cell.Neighborhood() {
+		if nb != cell.Rank {
+			v.nbrs = append(v.nbrs, nb)
+		}
+	}
+	return v
+}
+
+// Apply installs s in the cell's neighbour view when it comes from a
+// neighbour and is at least as new as everything already applied from
+// that source — newest wins, so a delayed or duplicated delivery never
+// regresses the view. It reports whether s was applied.
+func (v *NeighborView) Apply(s *CellState) (bool, error) {
+	member := false
+	for _, nb := range v.nbrs {
+		member = member || nb == s.Rank
+	}
+	if !member || !v.tracker.ShouldApply(s.Rank, s.Iteration) {
+		return false, nil
+	}
+	if err := v.cell.UpdateNeighbor(s); err != nil {
+		return false, err
+	}
+	v.tracker.MarkApplied(s.Rank, s.Iteration)
+	return true, nil
+}
+
+// Gated reports whether the cell must wait: completing its next iteration
+// would leave it more than the window ahead of some neighbour's last
+// applied snapshot. Neighbours in exempt (cells that will never publish
+// again) do not hold the gate; a nil map exempts none.
+func (v *NeighborView) Gated(exempt map[int]bool) bool {
+	gate := v.nbrs
+	if len(exempt) > 0 {
+		gate = nil
+		for _, nb := range v.nbrs {
+			if !exempt[nb] {
+				gate = append(gate, nb)
+			}
+		}
+	}
+	return len(v.tracker.Stale(v.cell.Iteration()+1, gate)) > 0
+}
