@@ -260,7 +260,7 @@ func BenchmarkDiscriminatorForwardBackward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d.ZeroGrads()
 		logits := d.Forward(x)
-		_, grad := nn.BCEWithLogitsLoss(logits, y)
+		_, grad := nn.BCEWithLogitsLossInto(new(tensor.Mat), logits, y)
 		d.Backward(grad)
 	}
 }

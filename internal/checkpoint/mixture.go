@@ -73,7 +73,8 @@ func ExportMixture(res *core.Result, rank int) (*MixtureArtifact, error) {
 	return a, nil
 }
 
-// validate reports the first structural error in the artifact.
+// validate reports the first structural or numeric error in the artifact
+// (non-finite generator parameters would sample as NaN pixels).
 func (a *MixtureArtifact) validate() error {
 	if err := a.Cfg.Validate(); err != nil {
 		return err
@@ -88,6 +89,15 @@ func (a *MixtureArtifact) validate() error {
 	for _, w := range a.Weights {
 		if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
 			return fmt.Errorf("checkpoint: mixture weight %g is not a probability", w)
+		}
+	}
+	for i, p := range a.GenParams {
+		ms, err := tensor.DecodeMats(bytes.NewReader(p))
+		if err == nil && !tensor.AllFinite(ms) {
+			err = fmt.Errorf("non-finite parameter")
+		}
+		if err != nil {
+			return fmt.Errorf("checkpoint: generator parameters of rank %d: %w", a.Ranks[i], err)
 		}
 	}
 	return nil

@@ -2,8 +2,12 @@ package checkpoint
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"cellgan/internal/core"
@@ -141,7 +145,7 @@ func TestHashMixtureMatchesBytesAndIsStable(t *testing.T) {
 	b := *a
 	b.GenParams = append([][]byte(nil), a.GenParams...)
 	b.GenParams[0] = append([]byte(nil), a.GenParams[0]...)
-	b.GenParams[0][0] ^= 0x01
+	b.GenParams[0][len(b.GenParams[0])-8] ^= 0x01 // low mantissa byte of the last parameter
 	hm, err := HashMixture(&b)
 	if err != nil {
 		t.Fatal(err)
@@ -215,5 +219,56 @@ func TestExportMixtureValidation(t *testing.T) {
 	}
 	if _, err := ExportMixture(res, len(res.Cells)); err == nil {
 		t.Fatal("out-of-range rank accepted")
+	}
+}
+
+// poisonedMixtureBytes serialises a, then overwrites the last parameter of
+// the last member with bad and re-seals the checksum footer — the bytes a
+// diverged run would have exported before validate scanned parameters.
+func poisonedMixtureBytes(t *testing.T, a *MixtureArtifact, bad float64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteMixture(&buf, a); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	body := data[:len(data)-footerLen]
+	binary.LittleEndian.PutUint64(body[len(body)-8:], math.Float64bits(bad))
+	sum := sha256.Sum256(body)
+	copy(data[len(data)-sha256.Size:], sum[:])
+	return data
+}
+
+// TestMixtureRejectsNonFiniteParameters: an artifact whose generator
+// parameters contain NaN/Inf passes every structural check and would emit
+// NaN pixels; it must be refused on read, write, hash and reconstruction,
+// with the offending rank named.
+func TestMixtureRejectsNonFiniteParameters(t *testing.T) {
+	_, a := trainedArtifact(t)
+	lastRank := a.Ranks[len(a.Ranks)-1]
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := ReadMixture(bytes.NewReader(poisonedMixtureBytes(t, a, bad)))
+		if err == nil {
+			t.Fatalf("ReadMixture accepted a %g generator parameter", bad)
+		}
+		if want := "rank " + strconv.Itoa(lastRank); !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %s", err, want)
+		}
+	}
+
+	// The same artifact built in memory (not via the wire).
+	b := *a
+	b.GenParams = append([][]byte(nil), a.GenParams...)
+	p := append([]byte(nil), a.GenParams[0]...)
+	binary.LittleEndian.PutUint64(p[len(p)-8:], math.Float64bits(math.NaN()))
+	b.GenParams[0] = p
+	if err := WriteMixture(&bytes.Buffer{}, &b); err == nil {
+		t.Fatal("WriteMixture serialised a NaN generator parameter")
+	}
+	if _, err := HashMixture(&b); err == nil {
+		t.Fatal("HashMixture hashed a NaN generator parameter")
+	}
+	if _, err := b.Mixture(); err == nil {
+		t.Fatal("Mixture() reconstructed a NaN generator")
 	}
 }

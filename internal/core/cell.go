@@ -51,10 +51,7 @@ type Cell struct {
 	// from; a single-element set reproduces plain Lipizzaner.
 	lossSet []GANLoss
 
-	// ws owns every reusable buffer of the training loop. A nil ws (the
-	// test hook exercised by the bit-exactness tests) falls back to the
-	// allocating code paths everywhere; both paths produce identical
-	// results.
+	// ws owns every reusable buffer of the training loop.
 	ws *cellWorkspace
 }
 
@@ -63,95 +60,25 @@ type Cell struct {
 // each forward→backward pair completes on its own workspace before that
 // workspace is reused, and fitness evaluations never clobber a training
 // pass in flight. For CNN genomes the nn workspaces additionally carry
-// per-layer conv scratch (im2col patch buffers, shuffle and gradient
-// staging) via nn.LayerScratch, so convolutional cells iterate through
-// the same zero-steady-state-allocation regime as MLP cells.
+// the conv layers' im2col patch buffers and staging matrices, so
+// convolutional cells iterate through the same
+// zero-steady-state-allocation regime as MLP cells.
 type cellWorkspace struct {
-	genWS, discWS         *nn.Workspace // training fwd/bwd (generator, discriminator nets)
-	evalGenWS, evalDiscWS *nn.Workspace // fitness-evaluation forwards
-	zTrain, zEval         *tensor.Mat   // latent batches (mini-batch / eval sized)
-	train, eval           *lossScratch  // loss gradient + target buffers
-	sampleWS              *SampleWorkspace
+	gen, disc         *nn.Workspace // training fwd/bwd (generator, discriminator nets)
+	evalGen, evalDisc *nn.Workspace // fitness-evaluation forwards
+	zTrain, zEval     tensor.Mat    // latent batches (mini-batch / eval sized)
+	train, eval       lossScratch   // loss gradient + target buffers
+	sample            *SampleWorkspace
 }
 
 func newCellWorkspace() *cellWorkspace {
 	return &cellWorkspace{
-		genWS:      nn.NewWorkspace(),
-		discWS:     nn.NewWorkspace(),
-		evalGenWS:  nn.NewWorkspace(),
-		evalDiscWS: nn.NewWorkspace(),
-		zTrain:     new(tensor.Mat),
-		zEval:      new(tensor.Mat),
-		train:      &lossScratch{},
-		eval:       &lossScratch{},
-		sampleWS:   NewSampleWorkspace(),
+		gen:      nn.NewWorkspace(),
+		disc:     nn.NewWorkspace(),
+		evalGen:  nn.NewWorkspace(),
+		evalDisc: nn.NewWorkspace(),
+		sample:   NewSampleWorkspace(),
 	}
-}
-
-// The accessors tolerate a nil receiver so every call site can thread the
-// optional workspace through unconditionally.
-
-func (w *cellWorkspace) gen() *nn.Workspace {
-	if w == nil {
-		return nil
-	}
-	return w.genWS
-}
-
-func (w *cellWorkspace) disc() *nn.Workspace {
-	if w == nil {
-		return nil
-	}
-	return w.discWS
-}
-
-func (w *cellWorkspace) evalGen() *nn.Workspace {
-	if w == nil {
-		return nil
-	}
-	return w.evalGenWS
-}
-
-func (w *cellWorkspace) evalDisc() *nn.Workspace {
-	if w == nil {
-		return nil
-	}
-	return w.evalDiscWS
-}
-
-func (w *cellWorkspace) zTrainBuf() *tensor.Mat {
-	if w == nil {
-		return nil
-	}
-	return w.zTrain
-}
-
-func (w *cellWorkspace) zEvalBuf() *tensor.Mat {
-	if w == nil {
-		return nil
-	}
-	return w.zEval
-}
-
-func (w *cellWorkspace) trainScratch() *lossScratch {
-	if w == nil {
-		return nil
-	}
-	return w.train
-}
-
-func (w *cellWorkspace) evalScratch() *lossScratch {
-	if w == nil {
-		return nil
-	}
-	return w.eval
-}
-
-func (w *cellWorkspace) sample() *SampleWorkspace {
-	if w == nil {
-		return nil
-	}
-	return w.sampleWS
 }
 
 // IterStats summarises one training iteration of a cell.
@@ -421,13 +348,13 @@ func (c *Cell) tournamentSelect(pop map[int]*Genome, eval func(*Genome) float64)
 // eval-generator workspace; the forwards here run on the eval-disc
 // workspace only.
 func (c *Cell) discFitnessOn(d *Genome, real *tensor.Mat, fake *tensor.Mat) float64 {
-	s := c.ws.evalScratch()
-	logitsReal := d.Net.ForwardWS(c.ws.evalDisc(), real)
+	s := &c.ws.eval
+	logitsReal := d.Net.ForwardWS(c.ws.evalDisc, real)
 	ones := s.full(logitsReal.Rows, 1, 1)
-	lossReal, _ := nn.BCEWithLogitsLossInto(s.gradDst(), logitsReal, ones)
-	logitsFake := d.Net.ForwardWS(c.ws.evalDisc(), fake)
+	lossReal, _ := nn.BCEWithLogitsLossInto(&s.grad, logitsReal, ones)
+	logitsFake := d.Net.ForwardWS(c.ws.evalDisc, fake)
 	zeros := s.full(logitsFake.Rows, 1, 0)
-	lossFake, _ := nn.BCEWithLogitsLossInto(s.gradDst(), logitsFake, zeros)
+	lossFake, _ := nn.BCEWithLogitsLossInto(&s.grad, logitsFake, zeros)
 	return (lossReal + lossFake) / 2
 }
 
@@ -435,28 +362,17 @@ func (c *Cell) discFitnessOn(d *Genome, real *tensor.Mat, fake *tensor.Mat) floa
 // discriminator (lower = fitter: fakes fool the discriminator). z must not
 // alias the eval workspaces.
 func (c *Cell) genFitnessOn(g *Genome, d *Genome, z *tensor.Mat) float64 {
-	s := c.ws.evalScratch()
-	fake := g.Net.ForwardWS(c.ws.evalGen(), z)
-	logits := d.Net.ForwardWS(c.ws.evalDisc(), fake)
+	s := &c.ws.eval
+	fake := g.Net.ForwardWS(c.ws.evalGen, z)
+	logits := d.Net.ForwardWS(c.ws.evalDisc, fake)
 	ones := s.full(logits.Rows, 1, 1)
-	loss, _ := nn.BCEWithLogitsLossInto(s.gradDst(), logits, ones)
+	loss, _ := nn.BCEWithLogitsLossInto(&s.grad, logits, ones)
 	return loss
 }
 
-// latent draws an n×latentDim standard-normal batch.
-func (c *Cell) latent(n int) *tensor.Mat {
-	return c.latentInto(nil, n)
-}
-
-// latentInto draws an n×latentDim standard-normal batch into dst (nil dst
-// allocates). The RNG draws are identical either way.
+// latentInto draws an n×latentDim standard-normal batch into dst.
 func (c *Cell) latentInto(dst *tensor.Mat, n int) *tensor.Mat {
-	if dst == nil {
-		dst = tensor.New(n, c.Cfg.InputNeurons)
-	} else {
-		dst.Resize(n, c.Cfg.InputNeurons)
-	}
-	tensor.GaussianFill(dst, 0, 1, c.rng)
+	tensor.GaussianFill(dst.Resize(n, c.Cfg.InputNeurons), 0, 1, c.rng)
 	return dst
 }
 
@@ -476,19 +392,19 @@ func (c *Cell) trainStep(real *tensor.Mat) (float64, float64) {
 	// --- Generator update against a selected discriminator ---
 	// The toughest opponent has the LOWEST discriminator loss; train the
 	// generator against the fittest discriminator in the sub-population.
-	fakeSel := c.gen.Net.ForwardWS(ws.evalGen(), c.latentInto(ws.zEvalBuf(), evalBatchSize))
+	fakeSel := c.gen.Net.ForwardWS(ws.evalGen, c.latentInto(&ws.zEval, evalBatchSize))
 	dOpp := c.tournamentSelect(c.discNbrs, func(g *Genome) float64 {
 		return c.discFitnessOn(g, c.evalReal, fakeSel)
 	})
-	z := c.latentInto(ws.zTrainBuf(), b)
+	z := c.latentInto(&ws.zTrain, b)
 	c.gen.Net.ZeroGrads()
 	dOpp.Net.ZeroGrads()
-	fake := c.gen.Net.ForwardWS(ws.gen(), z)
-	logits := dOpp.Net.ForwardWS(ws.disc(), fake)
-	genLoss, dLogits := generatorLossWS(c.gen.Loss, logits, ws.trainScratch())
-	dFake := dOpp.Net.BackwardWS(ws.disc(), dLogits)
+	fake := c.gen.Net.ForwardWS(ws.gen, z)
+	logits := dOpp.Net.ForwardWS(ws.disc, fake)
+	genLoss, dLogits := generatorLoss(c.gen.Loss, logits, &ws.train)
+	dFake := dOpp.Net.BackwardWS(ws.disc, dLogits)
 	dOpp.Net.ZeroGrads() // opponent is only a critic here
-	c.gen.Net.BackwardWS(ws.gen(), dFake)
+	c.gen.Net.BackwardWS(ws.gen, dFake)
 	if c.Cfg.GradClip > 0 {
 		nn.ClipGrads(c.gen.Net, c.Cfg.GradClip)
 	}
@@ -497,20 +413,20 @@ func (c *Cell) trainStep(real *tensor.Mat) (float64, float64) {
 	// --- Discriminator update against a selected generator ---
 	var discLoss float64
 	if c.step%c.Cfg.SkipNDiscSteps == 0 {
-		zSel2 := c.latentInto(ws.zEvalBuf(), evalBatchSize)
+		zSel2 := c.latentInto(&ws.zEval, evalBatchSize)
 		gOpp := c.tournamentSelect(c.genNbrs, func(g *Genome) float64 {
 			return c.genFitnessOn(g, c.disc, zSel2)
 		})
-		z2 := c.latentInto(ws.zTrainBuf(), b)
-		fake2 := gOpp.Net.ForwardWS(ws.gen(), z2)
+		z2 := c.latentInto(&ws.zTrain, b)
+		fake2 := gOpp.Net.ForwardWS(ws.gen, z2)
 
 		c.disc.Net.ZeroGrads()
-		logitsReal := c.disc.Net.ForwardWS(ws.disc(), real)
-		lossReal, gradReal := discHalfLossWS(c.disc.Loss, logitsReal, 1, ws.trainScratch())
-		c.disc.Net.BackwardWS(ws.disc(), gradReal)
-		logitsFake := c.disc.Net.ForwardWS(ws.disc(), fake2)
-		lossFake, gradFake := discHalfLossWS(c.disc.Loss, logitsFake, 0, ws.trainScratch())
-		c.disc.Net.BackwardWS(ws.disc(), gradFake)
+		logitsReal := c.disc.Net.ForwardWS(ws.disc, real)
+		lossReal, gradReal := discHalfLoss(c.disc.Loss, logitsReal, 1, &ws.train)
+		c.disc.Net.BackwardWS(ws.disc, gradReal)
+		logitsFake := c.disc.Net.ForwardWS(ws.disc, fake2)
+		lossFake, gradFake := discHalfLoss(c.disc.Loss, logitsFake, 0, &ws.train)
+		c.disc.Net.BackwardWS(ws.disc, gradFake)
 		if c.Cfg.GradClip > 0 {
 			nn.ClipGrads(c.disc.Net, c.Cfg.GradClip)
 		}
@@ -532,7 +448,7 @@ func (c *Cell) updateGenomes() (stats IterStats) {
 
 	// Evaluate every generator in the sub-population against the center
 	// discriminator on a common latent batch.
-	z := c.latentInto(c.ws.zEvalBuf(), evalBatchSize)
+	z := c.latentInto(&c.ws.zEval, evalBatchSize)
 	bestGenRank := c.Rank
 	bestGenFit := c.genFitnessOn(c.gen, c.disc, z)
 	for _, r := range sortedRanks(c.genNbrs) {
@@ -557,7 +473,7 @@ func (c *Cell) updateGenomes() (stats IterStats) {
 
 	// Same for discriminators, judged against the (possibly new) center
 	// generator. The latent buffer z is dead by now and safe to reuse.
-	fakeEval := c.gen.Net.ForwardWS(c.ws.evalGen(), c.latentInto(c.ws.zEvalBuf(), evalBatchSize))
+	fakeEval := c.gen.Net.ForwardWS(c.ws.evalGen, c.latentInto(&c.ws.zEval, evalBatchSize))
 	bestDiscRank := c.Rank
 	bestDiscFit := c.discFitnessOn(c.disc, c.evalReal, fakeEval)
 	for _, r := range sortedRanks(c.discNbrs) {
@@ -581,7 +497,7 @@ func (c *Cell) updateGenomes() (stats IterStats) {
 	c.disc.Fitness = bestDiscFit
 
 	// (1+1)-ES on the mixture weights.
-	fit, _ := c.mixture.EvolveWeightsWS(c.ws.sample(), c.disc.Net,
+	fit, _ := c.mixture.EvolveWeightsWS(c.ws.sample, c.disc.Net,
 		c.Cfg.MixtureMutationScale, evalBatchSize, c.Cfg.InputNeurons, c.rng)
 	stats.MixtureFitness = fit
 	stats.GenFitness = c.gen.Fitness

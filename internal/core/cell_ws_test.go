@@ -8,85 +8,87 @@ import (
 	"cellgan/internal/tensor"
 )
 
-// TestCellIterateBitExactWithWorkspace trains two same-seed cells — one on
-// the workspace path, one with the workspace disabled (allocating
-// fallback) — and requires identical per-iteration stats and a
-// byte-identical full-state checkpoint. This is the end-to-end form of the
-// refactor's bit-exactness invariant.
-func TestCellIterateBitExactWithWorkspace(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.LossSet = "bce,minimax,lsgan,wgan" // exercise every loss's WS path
-	cfg.LossMutationProbability = 0.5
+// dirtyWorkspace pushes a larger-than-any and then a single-row batch
+// through every buffer of c's workspace (both training nets on the train
+// and eval workspaces, backward included, the loss scratches, the latent
+// buffers and the sampling workspace) without touching the cell's RNG,
+// parameters or optimizer state, so that the training that follows runs on
+// buffers with stale contents and excess capacity.
+func dirtyWorkspace(c *Cell) {
+	rng := tensor.NewRNG(999)
+	ws := c.ws
+	for _, n := range []int{evalBatchSize + c.Cfg.BatchSize + 3, 1} {
+		for _, p := range []struct {
+			gen, disc *nn.Workspace
+			loss      *lossScratch
+			z         *tensor.Mat
+		}{{ws.gen, ws.disc, &ws.train, &ws.zTrain}, {ws.evalGen, ws.evalDisc, &ws.eval, &ws.zEval}} {
+			tensor.GaussianFill(p.z.Resize(n, c.Cfg.InputNeurons), 0, 1, rng)
+			logits := c.disc.Net.ForwardWS(p.disc, c.gen.Net.ForwardWS(p.gen, p.z))
+			_, grad := generatorLoss(LossLSGAN, logits, p.loss)
+			c.gen.Net.BackwardWS(p.gen, c.disc.Net.BackwardWS(p.disc, grad))
+		}
+		c.mixture.FitnessWS(ws.sample, c.disc.Net, n, c.Cfg.InputNeurons, rng)
+	}
+	c.gen.Net.ZeroGrads()
+	c.disc.Net.ZeroGrads()
+}
 
-	cWS, _ := newTestCell(t, cfg, 0)
-	cAlloc, _ := newTestCell(t, cfg, 0)
-	cAlloc.ws = nil // test hook: every call site falls back to allocating
-
-	for i := 0; i < 4; i++ {
-		sWS, err := cWS.Iterate()
+// iterateTwins trains two same-seed cells — one on a single workspace that
+// dirtyWorkspace has already put larger and smaller batches through, one
+// on a brand-new workspace every iteration — and requires identical
+// per-iteration stats and a byte-identical full-state checkpoint: buffer
+// reuse must leak no state into training.
+func iterateTwins(t *testing.T, cReuse, cFresh *Cell, iterations int) {
+	t.Helper()
+	dirtyWorkspace(cReuse)
+	for i := 0; i < iterations; i++ {
+		sReuse, err := cReuse.Iterate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sAlloc, err := cAlloc.Iterate()
+		cFresh.ws = newCellWorkspace()
+		sFresh, err := cFresh.Iterate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sWS != sAlloc {
-			t.Fatalf("iteration %d stats diverge:\nws:    %+v\nalloc: %+v", i, sWS, sAlloc)
+		if sReuse != sFresh {
+			t.Fatalf("iteration %d stats diverge:\nreused: %+v\nfresh:  %+v", i, sReuse, sFresh)
 		}
 	}
-
-	fWS, err := cWS.FullState()
+	fReuse, err := cReuse.FullState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fAlloc, err := cAlloc.FullState()
+	fFresh, err := cFresh.FullState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(fWS.Marshal(), fAlloc.Marshal()) {
-		t.Fatal("workspace-path checkpoint differs from allocating-path checkpoint")
+	if !bytes.Equal(fReuse.Marshal(), fFresh.Marshal()) {
+		t.Fatal("reused-workspace checkpoint differs from fresh-workspace checkpoint")
 	}
 }
 
-// TestCNNCellIterateBitExactWithWorkspace is the convolutional form of the
-// invariant above: a CNN genome (DCGAN-style conv stacks) trained through
-// the im2col scratch path must match the allocating direct-loop path
-// bit for bit, stats and checkpoint alike.
+// TestCellIterateBitExactWithWorkspace is the end-to-end form of the
+// workspace-reuse invariant for MLP cells, across every GAN loss.
+func TestCellIterateBitExactWithWorkspace(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.LossSet = "bce,minimax,lsgan,wgan" // exercise every loss's scratch use
+	cfg.LossMutationProbability = 0.5
+	cReuse, _ := newTestCell(t, cfg, 0)
+	cFresh, _ := newTestCell(t, cfg, 0)
+	iterateTwins(t, cReuse, cFresh, 4)
+}
+
+// TestCNNCellIterateBitExactWithWorkspace is the convolutional form: the
+// conv layers' im2col patch and staging buffers are reused too.
 func TestCNNCellIterateBitExactWithWorkspace(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.NetworkType = "CNN"
 	cfg.BatchSize = 4
-
-	cWS, _ := newTestCell(t, cfg, 0)
-	cAlloc, _ := newTestCell(t, cfg, 0)
-	cAlloc.ws = nil // test hook: every call site falls back to allocating
-
-	for i := 0; i < 2; i++ {
-		sWS, err := cWS.Iterate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sAlloc, err := cAlloc.Iterate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sWS != sAlloc {
-			t.Fatalf("iteration %d stats diverge:\nws:    %+v\nalloc: %+v", i, sWS, sAlloc)
-		}
-	}
-
-	fWS, err := cWS.FullState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fAlloc, err := cAlloc.FullState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fWS.Marshal(), fAlloc.Marshal()) {
-		t.Fatal("CNN workspace-path checkpoint differs from allocating-path checkpoint")
-	}
+	cReuse, _ := newTestCell(t, cfg, 0)
+	cFresh, _ := newTestCell(t, cfg, 0)
+	iterateTwins(t, cReuse, cFresh, 2)
 }
 
 // mixtureForTest builds a two-component mixture of tiny generators.
@@ -106,8 +108,9 @@ func mixtureForTest(t *testing.T) (*Mixture, *nn.Network) {
 	return m, disc
 }
 
-// TestSampleWithBitIdentical checks SampleWith against Sample from equal
-// RNG states, including reuse of the same workspace across calls.
+// TestSampleWithBitIdentical checks one workspace reused across larger,
+// smaller and empty batches against Sample (a fresh workspace per call)
+// from equal RNG states.
 func TestSampleWithBitIdentical(t *testing.T) {
 	m, _ := mixtureForTest(t)
 	ws := NewSampleWorkspace()
@@ -115,19 +118,23 @@ func TestSampleWithBitIdentical(t *testing.T) {
 		a := m.SampleWith(ws, n, 4, tensor.NewRNG(uint64(70+call)))
 		b := m.Sample(n, 4, tensor.NewRNG(uint64(70+call)))
 		if !a.Equal(b) {
-			t.Fatalf("call %d (n=%d): SampleWith differs from Sample", call, n)
+			t.Fatalf("call %d (n=%d): reused-workspace SampleWith differs from Sample", call, n)
 		}
 	}
 }
 
-// TestEvolveWeightsWSBitIdentical runs the (1+1)-ES through both paths on
-// twin mixtures and demands identical weights and fitness trajectories —
-// including across accepted proposals, where the workspace path recycles
-// the displaced weights slice.
+// TestEvolveWeightsWSBitIdentical runs the (1+1)-ES on twin mixtures — one
+// on a single workspace that has already held a larger and a smaller
+// batch, one on a fresh workspace per step — and demands identical weights
+// and fitness trajectories, including across accepted proposals, where the
+// reused workspace recycles the displaced weights slice.
 func TestEvolveWeightsWSBitIdentical(t *testing.T) {
 	mA, disc := mixtureForTest(t)
 	mB, _ := mixtureForTest(t)
 	ws := NewSampleWorkspace()
+	for _, n := range []int{20, 2} {
+		mA.FitnessWS(ws, disc, n, 4, tensor.NewRNG(80))
+	}
 	rngA := tensor.NewRNG(81)
 	rngB := tensor.NewRNG(81)
 	accepted := 0
@@ -135,7 +142,7 @@ func TestEvolveWeightsWSBitIdentical(t *testing.T) {
 		fitA, okA := mA.EvolveWeightsWS(ws, disc, 0.3, 8, 4, rngA)
 		fitB, okB := mB.EvolveWeights(disc, 0.3, 8, 4, rngB)
 		if fitA != fitB || okA != okB {
-			t.Fatalf("step %d: WS (%v,%v) vs alloc (%v,%v)", i, fitA, okA, fitB, okB)
+			t.Fatalf("step %d: reused (%v,%v) vs fresh (%v,%v)", i, fitA, okA, fitB, okB)
 		}
 		if okA {
 			accepted++

@@ -94,55 +94,30 @@ func ParseLossSet(s string) ([]GANLoss, error) {
 }
 
 // lossScratch owns the gradient and constant-target buffers reused across
-// loss evaluations. A nil *lossScratch is valid everywhere and falls back
-// to fresh allocations, so callers can thread an optional scratch through
-// unconditionally. The gradient returned by a *WS loss function aliases
-// s.grad and is only valid until the next loss call on the same scratch —
-// callers must backpropagate it before reusing s.
+// loss evaluations. The gradient a loss function returns aliases s.grad
+// and is only valid until the next loss call on the same scratch — callers
+// must backpropagate it before reusing s. The zero value is ready to use.
 type lossScratch struct {
-	grad   *tensor.Mat
-	target *tensor.Mat
-}
-
-// gradDst returns the gradient destination buffer (fresh when s is nil).
-func (s *lossScratch) gradDst() *tensor.Mat {
-	if s == nil {
-		return new(tensor.Mat)
-	}
-	if s.grad == nil {
-		s.grad = new(tensor.Mat)
-	}
-	return s.grad
+	grad   tensor.Mat
+	target tensor.Mat
 }
 
 // full returns a rows×cols matrix filled with v, reusing s's target buffer.
 func (s *lossScratch) full(rows, cols int, v float64) *tensor.Mat {
-	if s == nil {
-		return tensor.Full(rows, cols, v)
-	}
-	if s.target == nil {
-		s.target = new(tensor.Mat)
-	}
-	s.target.Resize(rows, cols)
-	s.target.Fill(v)
-	return s.target
+	s.target.Resize(rows, cols).Fill(v)
+	return &s.target
 }
 
 // generatorLoss computes the generator objective and ∂L/∂logits for the
-// discriminator logits of generated samples.
-func generatorLoss(kind GANLoss, logits *tensor.Mat) (float64, *tensor.Mat) {
-	return generatorLossWS(kind, logits, nil)
-}
-
-// generatorLossWS is generatorLoss writing its gradient (and any constant
-// target) into s-owned buffers. Bit-identical to generatorLoss.
-func generatorLossWS(kind GANLoss, logits *tensor.Mat, s *lossScratch) (float64, *tensor.Mat) {
+// discriminator logits of generated samples, writing the gradient (and any
+// constant target) into s-owned buffers.
+func generatorLoss(kind GANLoss, logits *tensor.Mat, s *lossScratch) (float64, *tensor.Mat) {
 	n := float64(len(logits.Data))
 	switch kind {
 	case LossMinimax:
 		// L = mean(log(1 − σ(z))) = mean(−z − log(1+e^(−z)))… computed
 		// stably via log-sigmoid: log(1−σ(z)) = −z + logσ(z).
-		grad := s.gradDst().Resize(logits.Rows, logits.Cols)
+		grad := s.grad.Resize(logits.Rows, logits.Cols)
 		loss := 0.0
 		for i, z := range logits.Data {
 			// log σ(z) = −log(1+e^(−z)) computed stably.
@@ -157,32 +132,27 @@ func generatorLossWS(kind GANLoss, logits *tensor.Mat, s *lossScratch) (float64,
 		return loss / n, grad
 	case LossLSGAN:
 		ones := s.full(logits.Rows, logits.Cols, 1)
-		return nn.MSELossInto(s.gradDst(), logits, ones)
+		return nn.MSELossInto(&s.grad, logits, ones)
 	case LossWGAN:
 		// L = −mean(z): the generator pushes the critic score up.
-		grad := s.gradDst().Resize(logits.Rows, logits.Cols)
+		grad := s.grad.Resize(logits.Rows, logits.Cols)
 		grad.Fill(-1 / n)
 		return -logits.Mean(), grad
 	default: // LossBCE (non-saturating)
 		ones := s.full(logits.Rows, logits.Cols, 1)
-		return nn.BCEWithLogitsLossInto(s.gradDst(), logits, ones)
+		return nn.BCEWithLogitsLossInto(&s.grad, logits, ones)
 	}
 }
 
 // discHalfLoss computes one half of the discriminator objective (real or
-// fake logits against a constant target) and its gradient. It is split in
-// halves because backpropagation must run per forward pass.
-func discHalfLoss(kind GANLoss, logits *tensor.Mat, target float64) (float64, *tensor.Mat) {
-	return discHalfLossWS(kind, logits, target, nil)
-}
-
-// discHalfLossWS is discHalfLoss writing its gradient (and constant
-// target) into s-owned buffers. Bit-identical to discHalfLoss.
-func discHalfLossWS(kind GANLoss, logits *tensor.Mat, target float64, s *lossScratch) (float64, *tensor.Mat) {
+// fake logits against a constant target) and its gradient, written into
+// s-owned buffers. It is split in halves because backpropagation must run
+// per forward pass.
+func discHalfLoss(kind GANLoss, logits *tensor.Mat, target float64, s *lossScratch) (float64, *tensor.Mat) {
 	switch kind {
 	case LossLSGAN:
 		t := s.full(logits.Rows, logits.Cols, target)
-		return nn.MSELossInto(s.gradDst(), logits, t)
+		return nn.MSELossInto(&s.grad, logits, t)
 	case LossWGAN:
 		// Critic loss: −mean(real) + mean(fake); target 1 marks the real
 		// half, 0 the fake half.
@@ -191,13 +161,13 @@ func discHalfLossWS(kind GANLoss, logits *tensor.Mat, target float64, s *lossScr
 		if target >= 0.5 {
 			sign = -1
 		}
-		grad := s.gradDst().Resize(logits.Rows, logits.Cols)
+		grad := s.grad.Resize(logits.Rows, logits.Cols)
 		grad.Fill(sign / n)
 		return sign * logits.Mean(), grad
 	default:
 		// LossBCE and LossMinimax share the discriminator objective.
 		t := s.full(logits.Rows, logits.Cols, target)
-		return nn.BCEWithLogitsLossInto(s.gradDst(), logits, t)
+		return nn.BCEWithLogitsLossInto(&s.grad, logits, t)
 	}
 }
 
@@ -213,14 +183,6 @@ func clipWeights(net *nn.Network, c float64) {
 			}
 		}
 	}
-}
-
-// discriminatorLoss computes the discriminator objective and gradients
-// for real and fake logits; the returned loss is the mean of both halves.
-func discriminatorLoss(kind GANLoss, realLogits, fakeLogits *tensor.Mat) (loss float64, gradReal, gradFake *tensor.Mat) {
-	lr, gr := discHalfLoss(kind, realLogits, 1)
-	lf, gf := discHalfLoss(kind, fakeLogits, 0)
-	return (lr + lf) / 2, gr, gf
 }
 
 // sigmoidStable is the numerically stable logistic function.

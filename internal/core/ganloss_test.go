@@ -63,7 +63,7 @@ func checkGenLossGrad(t *testing.T, kind GANLoss) {
 	rng := tensor.NewRNG(uint64(kind) + 1)
 	logits := tensor.New(4, 1)
 	tensor.GaussianFill(logits, 0, 2, rng)
-	loss, grad := generatorLoss(kind, logits)
+	loss, grad := generatorLoss(kind, logits, new(lossScratch))
 	if math.IsNaN(loss) {
 		t.Fatalf("%v: NaN loss", kind)
 	}
@@ -71,9 +71,9 @@ func checkGenLossGrad(t *testing.T, kind GANLoss) {
 	for i := range logits.Data {
 		orig := logits.Data[i]
 		logits.Data[i] = orig + eps
-		lp, _ := generatorLoss(kind, logits)
+		lp, _ := generatorLoss(kind, logits, new(lossScratch))
 		logits.Data[i] = orig - eps
-		lm, _ := generatorLoss(kind, logits)
+		lm, _ := generatorLoss(kind, logits, new(lossScratch))
 		logits.Data[i] = orig
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(grad.Data[i]-num) > 1e-5*(1+math.Abs(num)) {
@@ -93,14 +93,14 @@ func TestWGANDiscLossGradients(t *testing.T) {
 	logits := tensor.New(3, 1)
 	tensor.GaussianFill(logits, 0, 2, rng)
 	for _, target := range []float64{0, 1} {
-		_, grad := discHalfLoss(LossWGAN, logits, target)
+		_, grad := discHalfLoss(LossWGAN, logits, target, new(lossScratch))
 		eps := 1e-6
 		for i := range logits.Data {
 			orig := logits.Data[i]
 			logits.Data[i] = orig + eps
-			lp, _ := discHalfLoss(LossWGAN, logits, target)
+			lp, _ := discHalfLoss(LossWGAN, logits, target, new(lossScratch))
 			logits.Data[i] = orig - eps
-			lm, _ := discHalfLoss(LossWGAN, logits, target)
+			lm, _ := discHalfLoss(LossWGAN, logits, target, new(lossScratch))
 			logits.Data[i] = orig
 			num := (lp - lm) / (2 * eps)
 			if math.Abs(grad.Data[i]-num) > 1e-6*(1+math.Abs(num)) {
@@ -155,14 +155,14 @@ func TestDiscriminatorLossGradients(t *testing.T) {
 		logits := tensor.New(3, 1)
 		tensor.GaussianFill(logits, 0, 2, rng)
 		for _, target := range []float64{0, 1} {
-			_, grad := discHalfLoss(kind, logits, target)
+			_, grad := discHalfLoss(kind, logits, target, new(lossScratch))
 			eps := 1e-6
 			for i := range logits.Data {
 				orig := logits.Data[i]
 				logits.Data[i] = orig + eps
-				lp, _ := discHalfLoss(kind, logits, target)
+				lp, _ := discHalfLoss(kind, logits, target, new(lossScratch))
 				logits.Data[i] = orig - eps
-				lm, _ := discHalfLoss(kind, logits, target)
+				lm, _ := discHalfLoss(kind, logits, target, new(lossScratch))
 				logits.Data[i] = orig
 				num := (lp - lm) / (2 * eps)
 				if math.Abs(grad.Data[i]-num) > 1e-5*(1+math.Abs(num)) {
@@ -179,8 +179,8 @@ func TestGeneratorLossDirections(t *testing.T) {
 	low := tensor.Full(8, 1, -2)
 	high := tensor.Full(8, 1, 2)
 	for _, kind := range []GANLoss{LossBCE, LossMinimax, LossLSGAN} {
-		lLow, _ := generatorLoss(kind, low)
-		lHigh, _ := generatorLoss(kind, high)
+		lLow, _ := generatorLoss(kind, low, new(lossScratch))
+		lHigh, _ := generatorLoss(kind, high, new(lossScratch))
 		if lHigh >= lLow {
 			t.Fatalf("%v: loss did not decrease as D is fooled (%v -> %v)", kind, lLow, lHigh)
 		}
@@ -194,8 +194,9 @@ func TestDiscriminatorLossCombined(t *testing.T) {
 	tensor.GaussianFill(real, 1, 1, rng)
 	tensor.GaussianFill(fake, -1, 1, rng)
 	for _, kind := range []GANLoss{LossBCE, LossMinimax, LossLSGAN} {
-		loss, gr, gf := discriminatorLoss(kind, real, fake)
-		if math.IsNaN(loss) || gr == nil || gf == nil {
+		lr, gr := discHalfLoss(kind, real, 1, new(lossScratch))
+		lf, gf := discHalfLoss(kind, fake, 0, new(lossScratch))
+		if math.IsNaN(lr+lf) || gr.Rows != 4 || gf.Rows != 4 {
 			t.Fatalf("%v: bad combined loss", kind)
 		}
 	}
@@ -203,7 +204,7 @@ func TestDiscriminatorLossCombined(t *testing.T) {
 
 func TestMinimaxStableAtExtremes(t *testing.T) {
 	logits := tensor.FromSlice(1, 2, []float64{500, -500})
-	loss, grad := generatorLoss(LossMinimax, logits)
+	loss, grad := generatorLoss(LossMinimax, logits, new(lossScratch))
 	if math.IsNaN(loss) || math.IsInf(loss, 0) {
 		t.Fatalf("minimax loss %v at extreme logits", loss)
 	}

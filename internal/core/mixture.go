@@ -73,26 +73,20 @@ func normalizeWeights(w []float64) {
 type SampleWorkspace struct {
 	gen  *nn.Workspace // generator forward buffers
 	disc *nn.Workspace // discriminator forward buffers (fitness)
-	z    *tensor.Mat   // per-component latent batch
-	out  *tensor.Mat   // assembled sample batch
+	z    tensor.Mat    // per-component latent batch
+	out  tensor.Mat    // assembled sample batch
 
-	loss *lossScratch // fitness target + discarded gradient
+	loss lossScratch // fitness target + discarded gradient
 
 	assign, counts, starts, idx, order []int
 	proposal                           []float64
 
-	z32 *tensor.Mat32 // float32 latent staging (Mixture32 path only)
+	z32 tensor.Mat32 // float32 latent staging (Mixture32 path only)
 }
 
 // NewSampleWorkspace returns an empty workspace; buffers grow on first use.
 func NewSampleWorkspace() *SampleWorkspace {
-	return &SampleWorkspace{
-		gen:  nn.NewWorkspace(),
-		disc: nn.NewWorkspace(),
-		z:    new(tensor.Mat),
-		out:  new(tensor.Mat),
-		loss: &lossScratch{},
-	}
+	return &SampleWorkspace{gen: nn.NewWorkspace(), disc: nn.NewWorkspace()}
 }
 
 // intsFor resizes *buf to n elements, reallocating only on capacity
@@ -115,23 +109,17 @@ func floatsFor(buf *[]float64, n int) []float64 {
 }
 
 // Sample draws n latent vectors and routes each through a generator chosen
-// according to the mixture weights, returning the n×Pixels batch.
+// according to the mixture weights, returning the n×Pixels batch in fresh
+// buffers.
 func (m *Mixture) Sample(n, latentDim int, rng *tensor.RNG) *tensor.Mat {
-	return m.SampleWith(nil, n, latentDim, rng)
+	return m.SampleWith(NewSampleWorkspace(), n, latentDim, rng)
 }
 
-// SampleWith is Sample drawing every buffer from ws. A nil ws allocates
-// fresh buffers, reproducing Sample. The returned matrix aliases ws.out
-// and is only valid until the next SampleWith call on the same workspace.
-// The RNG consumption (n Float64 draws, then one GaussianFill per
-// populated component in rank order) is identical to Sample's, so the two
-// paths produce bit-identical batches from equal RNG states.
+// SampleWith is Sample drawing every buffer from ws. The returned matrix
+// aliases ws.out and is only valid until the next SampleWith call on the
+// same workspace. The RNG consumption is n Float64 draws, then one
+// GaussianFill per populated component in rank order.
 func (m *Mixture) SampleWith(ws *SampleWorkspace, n, latentDim int, rng *tensor.RNG) *tensor.Mat {
-	if ws == nil {
-		// Throwaway workspace: nil nn workspaces keep the network forwards
-		// on their allocating paths.
-		ws = &SampleWorkspace{z: new(tensor.Mat), out: new(tensor.Mat)}
-	}
 	out := ws.out.Resize(n, m.outputDim())
 	if n <= 0 {
 		return out
@@ -217,21 +205,15 @@ func (m *Mixture) Clone() *Mixture {
 // Fitness scores the mixture against a discriminator: the non-saturating
 // generator loss of mixture samples (lower is better).
 func (m *Mixture) Fitness(disc *nn.Network, n, latentDim int, rng *tensor.RNG) float64 {
-	return m.FitnessWS(nil, disc, n, latentDim, rng)
+	return m.FitnessWS(NewSampleWorkspace(), disc, n, latentDim, rng)
 }
 
-// FitnessWS is Fitness drawing every buffer from ws (nil ws allocates).
+// FitnessWS is Fitness drawing every buffer from ws.
 func (m *Mixture) FitnessWS(ws *SampleWorkspace, disc *nn.Network, n, latentDim int, rng *tensor.RNG) float64 {
 	fake := m.SampleWith(ws, n, latentDim, rng)
-	var discWS *nn.Workspace
-	var scratch *lossScratch
-	if ws != nil {
-		discWS = ws.disc
-		scratch = ws.loss
-	}
-	logits := disc.ForwardWS(discWS, fake)
-	ones := scratch.full(logits.Rows, logits.Cols, 1)
-	loss, _ := nn.BCEWithLogitsLossInto(scratch.gradDst(), logits, ones)
+	logits := disc.ForwardWS(ws.disc, fake)
+	ones := ws.loss.full(logits.Rows, logits.Cols, 1)
+	loss, _ := nn.BCEWithLogitsLossInto(&ws.loss.grad, logits, ones)
 	return loss
 }
 
@@ -239,24 +221,19 @@ func (m *Mixture) FitnessWS(ws *SampleWorkspace, disc *nn.Network, n, latentDim 
 // accept if the proposal's fitness does not worsen. Returns the accepted
 // fitness and whether the proposal was accepted.
 func (m *Mixture) EvolveWeights(disc *nn.Network, sigma float64, n, latentDim int, rng *tensor.RNG) (float64, bool) {
-	return m.EvolveWeightsWS(nil, disc, sigma, n, latentDim, rng)
+	return m.EvolveWeightsWS(NewSampleWorkspace(), disc, sigma, n, latentDim, rng)
 }
 
-// EvolveWeightsWS is EvolveWeights drawing every buffer from ws (nil ws
-// allocates). On acceptance the previous Weights slice is recycled as the
-// workspace's next proposal buffer, so callers must not retain references
-// to Mixture.Weights across calls when a workspace is in use.
+// EvolveWeightsWS is EvolveWeights drawing every buffer from ws. On
+// acceptance the previous Weights slice is recycled as the workspace's
+// next proposal buffer, so callers must not retain references to
+// Mixture.Weights across calls on a reused workspace.
 func (m *Mixture) EvolveWeightsWS(ws *SampleWorkspace, disc *nn.Network, sigma float64, n, latentDim int, rng *tensor.RNG) (float64, bool) {
 	// Evaluate parent and child on a common RNG-derived sample stream to
 	// reduce selection noise: each evaluation uses its own split.
 	parentFit := m.FitnessWS(ws, disc, n, latentDim, rng.Split())
-	var proposal []float64
-	if ws != nil {
-		proposal = floatsFor(&ws.proposal, len(m.Weights))
-		copy(proposal, m.Weights)
-	} else {
-		proposal = append([]float64(nil), m.Weights...)
-	}
+	proposal := floatsFor(&ws.proposal, len(m.Weights))
+	copy(proposal, m.Weights)
 	for i := range proposal {
 		proposal[i] += rng.NormFloat64() * sigma
 	}
@@ -265,11 +242,9 @@ func (m *Mixture) EvolveWeightsWS(ws *SampleWorkspace, disc *nn.Network, sigma f
 	m.Weights = proposal
 	childFit := m.FitnessWS(ws, disc, n, latentDim, rng.Split())
 	if childFit <= parentFit {
-		if ws != nil {
-			// The displaced parent slice becomes the next proposal buffer;
-			// ws.proposal must never alias the live m.Weights.
-			ws.proposal = old
-		}
+		// The displaced parent slice becomes the next proposal buffer;
+		// ws.proposal must never alias the live m.Weights.
+		ws.proposal = old
 		return childFit, true
 	}
 	m.Weights = old

@@ -47,14 +47,8 @@ func (m *Mixture32) OutputDim() int { return m.outDim }
 // generator forward in float32, widening the rows into the float64
 // output batch so callers (HTTP encoding, metrics) are unchanged. The
 // returned matrix aliases ws.out and is only valid until the next call
-// on the same workspace. A nil ws allocates fresh buffers.
+// on the same workspace.
 func (m *Mixture32) SampleWith(ws *SampleWorkspace, n, latentDim int, rng *tensor.RNG) *tensor.Mat {
-	if ws == nil {
-		ws = &SampleWorkspace{z: new(tensor.Mat), out: new(tensor.Mat)}
-	}
-	if ws.z32 == nil {
-		ws.z32 = new(tensor.Mat32)
-	}
 	out := ws.out.Resize(n, m.outDim)
 	if n <= 0 {
 		return out
@@ -66,7 +60,7 @@ func (m *Mixture32) SampleWith(ws *SampleWorkspace, n, latentDim int, rng *tenso
 		}
 		z := ws.z.Resize(counts[j], latentDim)
 		tensor.GaussianFill(z, 0, 1, rng)
-		imgs := g.Forward(tensor.NarrowInto(ws.z32, z))
+		imgs := g.Forward(tensor.NarrowInto(&ws.z32, z))
 		for k := 0; k < counts[j]; k++ {
 			drow := out.Row(order[starts[j]+k])
 			for c, v := range imgs.Row(k) {

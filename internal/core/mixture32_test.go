@@ -26,7 +26,7 @@ func TestMixture32MatchesFloat64Sampling(t *testing.T) {
 	// by float32 forward precision.
 	const n, latent = 64, 4
 	want := m.Sample(n, latent, tensor.NewRNG(77))
-	got := c.SampleWith(nil, n, latent, tensor.NewRNG(77))
+	got := c.SampleWith(NewSampleWorkspace(), n, latent, tensor.NewRNG(77))
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("shape %d×%d, want %d×%d", got.Rows, got.Cols, want.Rows, want.Cols)
 	}
@@ -87,7 +87,11 @@ func TestMixture32SampleAllocs(t *testing.T) {
 
 func TestCompileMixture32RejectsUnsupportedGenerator(t *testing.T) {
 	rng := tensor.NewRNG(8)
-	bad := nn.NewNetwork(nn.NewLinear(4, 6, rng), nn.NewDropout(0.5, rng))
+	conv, err := nn.NewConv2D(1, 2, 3, 1, 1, 1, 0, rng) // Conv2D has no float32 lowering
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := nn.NewNetwork(nn.NewLinear(4, 6, rng), conv)
 	m, err := NewMixture(map[int]*nn.Network{0: bad})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,9 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -196,6 +199,45 @@ func TestDeployerSkipsTornArtifact(t *testing.T) {
 	sts := reps[0].Registry().Statuses()
 	if len(sts) != 1 || sts[0].Hash != wantHash {
 		t.Fatalf("post-recovery replica hash = %+v, want %s", sts, wantHash)
+	}
+}
+
+// TestDeployerSkipsNonFiniteArtifact: a checksum-valid artifact whose
+// generator parameters contain NaN (a diverged run's export) must stop at
+// the deployer's decode gate — counted as bad, pushed to no replica.
+func TestDeployerSkipsNonFiniteArtifact(t *testing.T) {
+	reps := startReplicas(t, 2)
+	g, ts := newTestGateway(t, reps, Options{})
+	before := reps[0].Registry().Statuses()
+
+	var buf bytes.Buffer
+	if err := checkpoint.WriteMixture(&buf, deployVariant(t)); err != nil {
+		t.Fatalf("WriteMixture: %v", err)
+	}
+	// Overwrite the last generator parameter with NaN and re-seal the
+	// sha256 footer (8-byte magic + digest).
+	data := buf.Bytes()
+	body := data[:len(data)-8-sha256.Size]
+	binary.LittleEndian.PutUint64(body[len(body)-8:], math.Float64bits(math.NaN()))
+	sum := sha256.Sum256(body)
+	copy(data[len(data)-sha256.Size:], sum[:])
+	path := filepath.Join(t.TempDir(), "mixture.bin")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatalf("writing poisoned artifact: %v", err)
+	}
+
+	d := newDeployer(t, g, path)
+	if n, err := d.CheckOnce(context.Background()); n != 0 || err != nil {
+		t.Fatalf("CheckOnce on NaN-parameter artifact = (%d, %v), want (0, nil)", n, err)
+	}
+	if got := metricValue(t, scrapeMetrics(t, ts.URL), "gateway_bad_artifacts_total"); got != 1 {
+		t.Fatalf("gateway_bad_artifacts_total = %g, want 1", got)
+	}
+	for i, rep := range reps {
+		after := rep.Registry().Statuses()
+		if len(after) != len(before) || after[0].Hash != before[0].Hash || after[0].Version != before[0].Version {
+			t.Fatalf("replica %d changed model after a refused artifact: %+v", i, after)
+		}
 	}
 }
 

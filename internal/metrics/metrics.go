@@ -86,7 +86,7 @@ func (c *Classifier) Probs(x *tensor.Mat) *tensor.Mat { return nn.Softmax(c.net.
 func (c *Classifier) Features(x *tensor.Mat) *tensor.Mat {
 	out := x
 	for i := 0; i < c.featureCut && i < len(c.net.Layers); i++ {
-		out = c.net.Layers[i].Forward(out)
+		out = c.net.Layers[i].Forward(nil, out)
 	}
 	return out
 }

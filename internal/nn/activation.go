@@ -6,45 +6,30 @@ import (
 	"cellgan/internal/tensor"
 )
 
-// statelessBase implements the no-parameter parts of Layer for activations.
-type statelessBase struct{}
+// activation implements the parameter-free parts of Layer.
+type activation struct{ keptScratch }
 
-func (statelessBase) Params() []*tensor.Mat { return nil }
-func (statelessBase) Grads() []*tensor.Mat  { return nil }
-func (statelessBase) ZeroGrads()            {}
+func (activation) Params() []*tensor.Mat { return nil }
+func (activation) Grads() []*tensor.Mat  { return nil }
+func (activation) ZeroGrads()            {}
 
 // Tanh is the hyperbolic-tangent activation (the paper's Table I choice).
-type Tanh struct {
-	statelessBase
-	out *tensor.Mat
-}
+type Tanh struct{ activation }
 
 // NewTanh returns a Tanh activation layer.
 func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward applies tanh element-wise.
-func (t *Tanh) Forward(x *tensor.Mat) *tensor.Mat {
-	return t.ForwardInto(new(tensor.Mat), x)
+func (t *Tanh) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
+	s = t.begin(s, x)
+	return tensor.ApplyInto(&s.out, x, math.Tanh)
 }
 
-// ForwardInto applies tanh element-wise into dst.
-func (t *Tanh) ForwardInto(dst, x *tensor.Mat) *tensor.Mat {
-	t.out = tensor.ApplyInto(dst, x, math.Tanh)
-	return t.out
-}
-
-// Backward returns grad ⊙ (1 - tanh²).
-func (t *Tanh) Backward(grad *tensor.Mat) *tensor.Mat {
-	return t.BackwardInto(new(tensor.Mat), grad)
-}
-
-// BackwardInto writes grad ⊙ (1 - tanh²) into dst.
-func (t *Tanh) BackwardInto(dst, grad *tensor.Mat) *tensor.Mat {
-	if t.out == nil {
-		panic("nn: Tanh.Backward before Forward")
-	}
-	dst.Resize(grad.Rows, grad.Cols)
-	for i, y := range t.out.Data {
+// Backward returns grad ⊙ (1 - tanh²), read off the cached output.
+func (t *Tanh) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
+	s = t.resume(s)
+	dst := s.dIn.Resize(grad.Rows, grad.Cols)
+	for i, y := range s.out.Data {
 		dst.Data[i] = grad.Data[i] * (1 - y*y)
 	}
 	return dst
@@ -54,10 +39,7 @@ func (t *Tanh) BackwardInto(dst, grad *tensor.Mat) *tensor.Mat {
 func (t *Tanh) Clone() Layer { return &Tanh{} }
 
 // Sigmoid is the logistic activation.
-type Sigmoid struct {
-	statelessBase
-	out *tensor.Mat
-}
+type Sigmoid struct{ activation }
 
 // NewSigmoid returns a Sigmoid activation layer.
 func NewSigmoid() *Sigmoid { return &Sigmoid{} }
@@ -72,27 +54,15 @@ func sigmoid(x float64) float64 {
 }
 
 // Forward applies the logistic function element-wise.
-func (s *Sigmoid) Forward(x *tensor.Mat) *tensor.Mat {
-	return s.ForwardInto(new(tensor.Mat), x)
+func (g *Sigmoid) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
+	s = g.begin(s, x)
+	return tensor.ApplyInto(&s.out, x, sigmoid)
 }
 
-// ForwardInto applies the logistic function element-wise into dst.
-func (s *Sigmoid) ForwardInto(dst, x *tensor.Mat) *tensor.Mat {
-	s.out = tensor.ApplyInto(dst, x, sigmoid)
-	return s.out
-}
-
-// Backward returns grad ⊙ σ(1-σ).
-func (s *Sigmoid) Backward(grad *tensor.Mat) *tensor.Mat {
-	return s.BackwardInto(new(tensor.Mat), grad)
-}
-
-// BackwardInto writes grad ⊙ σ(1-σ) into dst.
-func (s *Sigmoid) BackwardInto(dst, grad *tensor.Mat) *tensor.Mat {
-	if s.out == nil {
-		panic("nn: Sigmoid.Backward before Forward")
-	}
-	dst.Resize(grad.Rows, grad.Cols)
+// Backward returns grad ⊙ σ(1-σ), read off the cached output.
+func (g *Sigmoid) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
+	s = g.resume(s)
+	dst := s.dIn.Resize(grad.Rows, grad.Cols)
 	for i, y := range s.out.Data {
 		dst.Data[i] = grad.Data[i] * (y * (1 - y))
 	}
@@ -100,27 +70,21 @@ func (s *Sigmoid) BackwardInto(dst, grad *tensor.Mat) *tensor.Mat {
 }
 
 // Clone returns a fresh Sigmoid layer.
-func (s *Sigmoid) Clone() Layer { return &Sigmoid{} }
+func (g *Sigmoid) Clone() Layer { return &Sigmoid{} }
 
 // LeakyReLU is max(x, alpha·x); Lipizzaner's discriminators use alpha=0.2.
 type LeakyReLU struct {
-	statelessBase
+	activation
 	Alpha float64
-	x     *tensor.Mat
 }
 
 // NewLeakyReLU returns a LeakyReLU with the given negative slope.
 func NewLeakyReLU(alpha float64) *LeakyReLU { return &LeakyReLU{Alpha: alpha} }
 
 // Forward applies the leaky rectifier element-wise.
-func (l *LeakyReLU) Forward(x *tensor.Mat) *tensor.Mat {
-	return l.ForwardInto(new(tensor.Mat), x)
-}
-
-// ForwardInto applies the leaky rectifier element-wise into dst.
-func (l *LeakyReLU) ForwardInto(dst, x *tensor.Mat) *tensor.Mat {
-	l.x = x
-	return tensor.ApplyInto(dst, x, func(v float64) float64 {
+func (l *LeakyReLU) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
+	s = l.begin(s, x)
+	return tensor.ApplyInto(&s.out, x, func(v float64) float64 {
 		if v >= 0 {
 			return v
 		}
@@ -130,17 +94,10 @@ func (l *LeakyReLU) ForwardInto(dst, x *tensor.Mat) *tensor.Mat {
 
 // Backward scales grad by 1 where the input was non-negative, alpha
 // elsewhere.
-func (l *LeakyReLU) Backward(grad *tensor.Mat) *tensor.Mat {
-	return l.BackwardInto(new(tensor.Mat), grad)
-}
-
-// BackwardInto writes the masked gradient into dst.
-func (l *LeakyReLU) BackwardInto(dst, grad *tensor.Mat) *tensor.Mat {
-	if l.x == nil {
-		panic("nn: LeakyReLU.Backward before Forward")
-	}
-	dst.Resize(grad.Rows, grad.Cols)
-	for i, v := range l.x.Data {
+func (l *LeakyReLU) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
+	s = l.resume(s)
+	dst := s.dIn.Resize(grad.Rows, grad.Cols)
+	for i, v := range s.in.Data {
 		g := grad.Data[i]
 		if v < 0 {
 			g *= l.Alpha
@@ -154,23 +111,15 @@ func (l *LeakyReLU) BackwardInto(dst, grad *tensor.Mat) *tensor.Mat {
 func (l *LeakyReLU) Clone() Layer { return &LeakyReLU{Alpha: l.Alpha} }
 
 // ReLU is the plain rectifier.
-type ReLU struct {
-	statelessBase
-	x *tensor.Mat
-}
+type ReLU struct{ activation }
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward applies max(0, x) element-wise.
-func (r *ReLU) Forward(x *tensor.Mat) *tensor.Mat {
-	return r.ForwardInto(new(tensor.Mat), x)
-}
-
-// ForwardInto applies max(0, x) element-wise into dst.
-func (r *ReLU) ForwardInto(dst, x *tensor.Mat) *tensor.Mat {
-	r.x = x
-	return tensor.ApplyInto(dst, x, func(v float64) float64 {
+func (r *ReLU) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
+	s = r.begin(s, x)
+	return tensor.ApplyInto(&s.out, x, func(v float64) float64 {
 		if v > 0 {
 			return v
 		}
@@ -178,18 +127,11 @@ func (r *ReLU) ForwardInto(dst, x *tensor.Mat) *tensor.Mat {
 	})
 }
 
-// Backward masks grad where the input was negative.
-func (r *ReLU) Backward(grad *tensor.Mat) *tensor.Mat {
-	return r.BackwardInto(new(tensor.Mat), grad)
-}
-
-// BackwardInto writes the masked gradient into dst.
-func (r *ReLU) BackwardInto(dst, grad *tensor.Mat) *tensor.Mat {
-	if r.x == nil {
-		panic("nn: ReLU.Backward before Forward")
-	}
-	dst.Resize(grad.Rows, grad.Cols)
-	for i, v := range r.x.Data {
+// Backward masks grad where the input was not positive.
+func (r *ReLU) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
+	s = r.resume(s)
+	dst := s.dIn.Resize(grad.Rows, grad.Cols)
+	for i, v := range s.in.Data {
 		if v <= 0 {
 			dst.Data[i] = 0
 		} else {

@@ -32,7 +32,7 @@ func BenchmarkGeneratorForwardBackward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net.ZeroGrads()
 		out := net.Forward(z)
-		_, grad := MSELoss(out, y)
+		_, grad := MSELossInto(new(tensor.Mat), out, y)
 		net.Backward(grad)
 	}
 }
@@ -91,7 +91,7 @@ func BenchmarkAdamStepPaperGenerator(b *testing.B) {
 	y := tensor.New(100, 784)
 	net.ZeroGrads()
 	out := net.Forward(z)
-	_, grad := MSELoss(out, y)
+	_, grad := MSELossInto(new(tensor.Mat), out, y)
 	net.Backward(grad)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -105,7 +105,7 @@ func BenchmarkBCEWithLogits(b *testing.B) {
 	tensor.GaussianFill(z, 0, 2, rng)
 	y := tensor.Full(100, 1, 1)
 	for i := 0; i < b.N; i++ {
-		_, _ = BCEWithLogitsLoss(z, y)
+		_, _ = BCEWithLogitsLossInto(new(tensor.Mat), z, y)
 	}
 }
 

@@ -6,19 +6,13 @@ import (
 	"cellgan/internal/tensor"
 )
 
-// The conv layers run in two regimes:
-//
-//   - The plain Forward/Backward protocol uses direct loops. These are the
-//     fallback and the parity oracle: their floating-point operation
-//     sequence per output element mirrors the im2col kernel path exactly
-//     (same accumulation order, no zero-operand skips so non-finite values
-//     propagate, padded taps contributing exact-zero products, bias added
-//     last), so both regimes produce bit-identical results.
-//   - ForwardScratch/BackwardScratch (the ScratchLayer protocol used by
-//     Network.ForwardWS/BackwardWS) lower the convolution onto the
-//     ParallelFor-backed matmul kernels via tensor.Im2ColInto/Col2ImInto,
-//     with the patch matrices living in workspace-owned LayerScratch
-//     buffers — zero steady-state allocations.
+// The conv layers lower onto the ParallelFor-backed matmul kernels via
+// tensor.Im2ColInto/Col2ImInto, with the patch matrices living in the
+// LayerScratch — zero steady-state allocations on a reused Workspace. The
+// direct nested-loop convolutions these lowerings are bit-identical to
+// (same accumulation order, no zero-operand skips so non-finite values
+// propagate, padded taps contributing exact-zero products, bias added
+// last) live in conv_oracle_test.go as the parity oracle.
 //
 // Patch-row layout shared by both layers: cols has one row per
 // (sample, patch position) and one column per (channel, ky, kx) tap, so
@@ -46,7 +40,7 @@ type Conv2D struct {
 	W, B   *tensor.Mat
 	dW, dB *tensor.Mat
 
-	x *tensor.Mat // cached input
+	keptScratch
 }
 
 // NewConv2D constructs a convolution layer with He-normal weights.
@@ -82,163 +76,31 @@ func (c *Conv2D) OutputWidth() int {
 	return oc * oh * ow
 }
 
-func (c *Conv2D) inIndex(ch, y, x int) int { return (ch*c.InH+y)*c.InW + x }
-
-// Forward applies the convolution to a batch (rows = samples, each of
-// length InC·InH·InW) with a direct loop — the parity oracle for
-// ForwardScratch. Each output element is the full tap-order dot product
-// (padded taps contribute exact zeros, as the im2col rows do) with the
-// bias added last.
-func (c *Conv2D) Forward(x *tensor.Mat) *tensor.Mat {
-	if x.Cols != c.InC*c.InH*c.InW {
-		panic(fmt.Sprintf("nn: Conv2D input width %d, want %d", x.Cols, c.InC*c.InH*c.InW))
-	}
-	c.x = x
-	_, outH, outW := c.OutDims()
-	pos := outH * outW
-	out := tensor.New(x.Rows, c.OutC*pos)
-	tensor.ParallelFor(x.Rows, 1, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			in := x.Row(b)
-			dst := out.Row(b)
-			for oy := 0; oy < outH; oy++ {
-				for ox := 0; ox < outW; ox++ {
-					for oc := 0; oc < c.OutC; oc++ {
-						w := c.W.Row(oc)
-						s := 0.0
-						j := 0
-						for ic := 0; ic < c.InC; ic++ {
-							for ky := 0; ky < c.K; ky++ {
-								iy := oy*c.Stride - c.Pad + ky
-								for kx := 0; kx < c.K; kx++ {
-									ix := ox*c.Stride - c.Pad + kx
-									v := 0.0
-									if iy >= 0 && iy < c.InH && ix >= 0 && ix < c.InW {
-										v = in[c.inIndex(ic, iy, ix)]
-									}
-									s += v * w[j]
-									j++
-								}
-							}
-						}
-						dst[oc*pos+oy*outW+ox] = s + c.B.Data[oc]
-					}
-				}
-			}
-		}
-	})
-	return out
-}
-
-// Backward accumulates parameter gradients and returns ∂L/∂input, in three
-// passes whose accumulation orders mirror the kernels of BackwardScratch
-// (AddColSumsInto, AddMatMulT1Into, MatMulInto+Col2ImInto).
-func (c *Conv2D) Backward(grad *tensor.Mat) *tensor.Mat {
-	if c.x == nil {
-		panic("nn: Conv2D.Backward before Forward")
-	}
-	_, outH, outW := c.OutDims()
-	pos := outH * outW
-	// dB: AddColSumsInto order over the position-major gradient — rows are
-	// (sample, position), columns the output channels.
-	for b := 0; b < grad.Rows; b++ {
-		g := grad.Row(b)
-		for p := 0; p < pos; p++ {
-			for oc := 0; oc < c.OutC; oc++ {
-				c.dB.Data[oc] += g[oc*pos+p]
-			}
-		}
-	}
-	// dW: AddMatMulT1Into order — (sample, position) rows outermost,
-	// padded taps contributing exact-zero products. Zero gradients are NOT
-	// skipped: the kernels propagate 0·NaN = NaN, and the oracle must too.
-	for b := 0; b < grad.Rows; b++ {
-		in := c.x.Row(b)
-		g := grad.Row(b)
-		for oy := 0; oy < outH; oy++ {
-			for ox := 0; ox < outW; ox++ {
-				for oc := 0; oc < c.OutC; oc++ {
-					gv := g[oc*pos+oy*outW+ox]
-					dw := c.dW.Row(oc)
-					j := 0
-					for ic := 0; ic < c.InC; ic++ {
-						for ky := 0; ky < c.K; ky++ {
-							iy := oy*c.Stride - c.Pad + ky
-							for kx := 0; kx < c.K; kx++ {
-								ix := ox*c.Stride - c.Pad + kx
-								v := 0.0
-								if iy >= 0 && iy < c.InH && ix >= 0 && ix < c.InW {
-									v = in[c.inIndex(ic, iy, ix)]
-								}
-								dw[j] += gv * v
-								j++
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	// dIn: per-(position, tap) partial sums over output channels in
-	// MatMulInto order (zero gradients included, matching the kernel's
-	// NaN propagation), scatter-added in Col2ImInto's (position, tap)
-	// order with out-of-bounds taps dropped.
-	dx := tensor.New(c.x.Rows, c.x.Cols)
-	tensor.ParallelFor(c.x.Rows, 1, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			g := grad.Row(b)
-			dIn := dx.Row(b)
-			for oy := 0; oy < outH; oy++ {
-				for ox := 0; ox < outW; ox++ {
-					j := 0
-					for ic := 0; ic < c.InC; ic++ {
-						for ky := 0; ky < c.K; ky++ {
-							iy := oy*c.Stride - c.Pad + ky
-							for kx := 0; kx < c.K; kx++ {
-								ix := ox*c.Stride - c.Pad + kx
-								if iy >= 0 && iy < c.InH && ix >= 0 && ix < c.InW {
-									s := 0.0
-									for oc := 0; oc < c.OutC; oc++ {
-										s += g[oc*pos+oy*outW+ox] * c.W.Row(oc)[j]
-									}
-									dIn[c.inIndex(ic, iy, ix)] += s
-								}
-								j++
-							}
-						}
-					}
-				}
-			}
-		}
-	})
-	return dx
-}
-
-// Scratch buffer slots used by the conv layers.
+// LayerScratch.aux slots used by the conv layers.
 const (
-	convScratchCols = 0 // conv: im2col patches · convT: position-major input
-	convScratchPos  = 1 // conv: position-major out/grad · convT: xT×W / gCols
-	convScratchTmp  = 2 // conv: dOut×W patches · convT: gCols×Wᵀ
+	auxCols = iota // conv: im2col patches · convT: position-major input
+	auxPos         // conv: position-major out/grad · convT: xT×W / gCols
+	auxTmp         // conv: dOut×W patches · convT: gCols×Wᵀ
 )
 
-// ForwardScratch is the im2col lowering of Forward: gather patches, one
-// MatMulT2Into against the filter bank, then a position→channel-major
-// shuffle with the bias added last. The patch matrix stays cached in s for
-// BackwardScratch. Bit-identical to Forward.
-func (c *Conv2D) ForwardScratch(s *LayerScratch, dst, x *tensor.Mat) *tensor.Mat {
+// Forward applies the convolution to a batch (rows = samples, each of
+// length InC·InH·InW): gather patches, one MatMulT2Into against the filter
+// bank, then a position→channel-major shuffle with the bias added last.
+// The patch matrix stays cached in s for Backward.
+func (c *Conv2D) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
 	if x.Cols != c.InC*c.InH*c.InW {
 		panic(fmt.Sprintf("nn: Conv2D input width %d, want %d", x.Cols, c.InC*c.InH*c.InW))
 	}
-	c.x = x
+	s = c.begin(s, x)
 	_, outH, outW := c.OutDims()
 	pos := outH * outW
-	cols := tensor.Im2ColInto(s.Buf(convScratchCols), x, c.InC, c.InH, c.InW, c.K, c.Stride, c.Pad, outH, outW)
-	out2 := tensor.MatMulT2Into(s.Buf(convScratchPos), cols, c.W)
-	dst.Resize(x.Rows, c.OutC*pos)
+	cols := tensor.Im2ColInto(&s.aux[auxCols], x, c.InC, c.InH, c.InW, c.K, c.Stride, c.Pad, outH, outW)
+	out2 := tensor.MatMulT2Into(&s.aux[auxPos], cols, c.W)
+	dst := s.out.Resize(x.Rows, c.OutC*pos)
 	bias := c.B.Data
 	// Position→channel-major shuffle with the bias added last; a serial
-	// reindexing pass (memory-bound, and closure-free keeps the scratch
-	// path allocation-free).
+	// reindexing pass (memory-bound, and closure-free keeps the pass
+	// allocation-free).
 	for b := 0; b < x.Rows; b++ {
 		drow := dst.Row(b)
 		for p := 0; p < pos; p++ {
@@ -251,18 +113,18 @@ func (c *Conv2D) ForwardScratch(s *LayerScratch, dst, x *tensor.Mat) *tensor.Mat
 	return dst
 }
 
-// BackwardScratch is the im2col lowering of Backward: shuffle the gradient
-// position-major, fused dB/dW kernels against the cached patch matrix,
-// then ∂in = col2im(dOut × W). Bit-identical to Backward.
-func (c *Conv2D) BackwardScratch(s *LayerScratch, dst, grad *tensor.Mat) *tensor.Mat {
+// Backward accumulates parameter gradients and returns ∂L/∂input: shuffle
+// the gradient position-major, fused dB/dW kernels against the cached
+// patch matrix, then ∂in = col2im(dOut × W).
+func (c *Conv2D) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
+	s = c.resume(s)
 	_, outH, outW := c.OutDims()
 	pos := outH * outW
-	cols := s.Buf(convScratchCols)
+	cols := &s.aux[auxCols]
 	if cols.Rows != grad.Rows*pos {
-		panic("nn: Conv2D.BackwardScratch without matching ForwardScratch")
+		panic("nn: Conv2D.Backward gradient does not match the Forward batch")
 	}
-	dOut := s.Buf(convScratchPos)
-	dOut.Resize(grad.Rows*pos, c.OutC)
+	dOut := s.aux[auxPos].Resize(grad.Rows*pos, c.OutC)
 	for b := 0; b < grad.Rows; b++ {
 		g := grad.Row(b)
 		for p := 0; p < pos; p++ {
@@ -274,8 +136,8 @@ func (c *Conv2D) BackwardScratch(s *LayerScratch, dst, grad *tensor.Mat) *tensor
 	}
 	tensor.AddColSumsInto(c.dB, dOut)
 	tensor.AddMatMulT1Into(c.dW, dOut, cols)
-	dcols := tensor.MatMulInto(s.Buf(convScratchTmp), dOut, c.W)
-	return tensor.Col2ImInto(dst, dcols, c.InC, c.InH, c.InW, c.K, c.Stride, c.Pad, outH, outW)
+	dcols := tensor.MatMulInto(&s.aux[auxTmp], dOut, c.W)
+	return tensor.Col2ImInto(&s.dIn, dcols, c.InC, c.InH, c.InW, c.K, c.Stride, c.Pad, outH, outW)
 }
 
 // Params returns {W, B}.
@@ -297,7 +159,7 @@ func (c *Conv2D) Clone() Layer {
 	cp.B = c.B.Clone()
 	cp.dW = tensor.New(c.dW.Rows, c.dW.Cols)
 	cp.dB = tensor.New(c.dB.Rows, c.dB.Cols)
-	cp.x = nil
+	cp.kept = nil
 	return &cp
 }
 
@@ -314,7 +176,7 @@ type ConvTranspose2D struct {
 	W, B   *tensor.Mat
 	dW, dB *tensor.Mat
 
-	x *tensor.Mat
+	keptScratch
 }
 
 // NewConvTranspose2D constructs a transposed convolution layer.
@@ -350,9 +212,7 @@ func (t *ConvTranspose2D) OutputWidth() int {
 }
 
 // addChannelSums accumulates per-channel sums of a channel-major activation
-// batch (pos positions per channel) into dB. Shared verbatim by the direct
-// and scratch backward passes of ConvTranspose2D so the bias gradient is
-// bit-identical by construction.
+// batch (pos positions per channel) into dB.
 func addChannelSums(dB []float64, grad *tensor.Mat, channels, pos int) {
 	for b := 0; b < grad.Rows; b++ {
 		g := grad.Row(b)
@@ -367,151 +227,20 @@ func addChannelSums(dB []float64, grad *tensor.Mat, channels, pos int) {
 	}
 }
 
-// Forward scatters each input activation through the kernel into the
-// upsampled, bias-seeded output — the parity oracle for ForwardScratch.
-// Per scatter target the contributions accumulate over input channels
-// (zero activations included, matching the matmul kernel's non-finite
-// propagation), and targets are visited in (input position, tap) order,
-// matching AddCol2ImInto.
-func (t *ConvTranspose2D) Forward(x *tensor.Mat) *tensor.Mat {
+// Forward lowers the transposed convolution onto the matmul kernels:
+// gather the input position-major (xT, cached in s for the backward
+// pass), one MatMulInto against the filter bank, then scatter-add into the
+// bias-seeded output via AddCol2ImInto (the patch grid is the *input* grid
+// here).
+func (t *ConvTranspose2D) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
 	if x.Cols != t.InC*t.InH*t.InW {
 		panic(fmt.Sprintf("nn: ConvTranspose2D input width %d, want %d", x.Cols, t.InC*t.InH*t.InW))
 	}
-	t.x = x
+	s = t.begin(s, x)
 	_, outH, outW := t.OutDims()
 	outPos := outH * outW
 	inPos := t.InH * t.InW
-	out := tensor.New(x.Rows, t.OutC*outPos)
-	tensor.ParallelFor(x.Rows, 1, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			in := x.Row(b)
-			dst := out.Row(b)
-			// Bias first; scatter contributions accumulate on top.
-			for oc := 0; oc < t.OutC; oc++ {
-				base := oc * outPos
-				bias := t.B.Data[oc]
-				for i := 0; i < outPos; i++ {
-					dst[base+i] = bias
-				}
-			}
-			for iy := 0; iy < t.InH; iy++ {
-				for ix := 0; ix < t.InW; ix++ {
-					j := 0
-					for oc := 0; oc < t.OutC; oc++ {
-						for ky := 0; ky < t.K; ky++ {
-							oy := iy*t.Stride - t.Pad + ky
-							for kx := 0; kx < t.K; kx++ {
-								ox := ix*t.Stride - t.Pad + kx
-								if oy >= 0 && oy < outH && ox >= 0 && ox < outW {
-									s := 0.0
-									for ic := 0; ic < t.InC; ic++ {
-										s += in[ic*inPos+iy*t.InW+ix] * t.W.Row(ic)[j]
-									}
-									dst[(oc*outH+oy)*outW+ox] += s
-								}
-								j++
-							}
-						}
-					}
-				}
-			}
-		}
-	})
-	return out
-}
-
-// Backward accumulates gradients and returns ∂L/∂input, mirroring the
-// kernel orders of BackwardScratch (addChannelSums, AddMatMulT1Into over
-// position-major activations, MatMulT2Into full dots in tap order).
-func (t *ConvTranspose2D) Backward(grad *tensor.Mat) *tensor.Mat {
-	if t.x == nil {
-		panic("nn: ConvTranspose2D.Backward before Forward")
-	}
-	_, outH, outW := t.OutDims()
-	outPos := outH * outW
-	inPos := t.InH * t.InW
-	addChannelSums(t.dB.Data, grad, t.OutC, outPos)
-	// dW: AddMatMulT1Into order — (sample, input position) rows outermost,
-	// out-of-bounds taps contributing exact-zero gradient operands. Zero
-	// activations are NOT skipped: 0·NaN must stay NaN, as in the kernels.
-	for b := 0; b < grad.Rows; b++ {
-		in := t.x.Row(b)
-		g := grad.Row(b)
-		for iy := 0; iy < t.InH; iy++ {
-			for ix := 0; ix < t.InW; ix++ {
-				for ic := 0; ic < t.InC; ic++ {
-					v := in[ic*inPos+iy*t.InW+ix]
-					dw := t.dW.Row(ic)
-					j := 0
-					for oc := 0; oc < t.OutC; oc++ {
-						for ky := 0; ky < t.K; ky++ {
-							oy := iy*t.Stride - t.Pad + ky
-							for kx := 0; kx < t.K; kx++ {
-								ox := ix*t.Stride - t.Pad + kx
-								gv := 0.0
-								if oy >= 0 && oy < outH && ox >= 0 && ox < outW {
-									gv = g[(oc*outH+oy)*outW+ox]
-								}
-								dw[j] += v * gv
-								j++
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	// dIn: MatMulT2Into order — one full dot per (input position, input
-	// channel) in tap order, no skips, out-of-bounds taps reading zero.
-	dx := tensor.New(t.x.Rows, t.x.Cols)
-	tensor.ParallelFor(t.x.Rows, 1, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			g := grad.Row(b)
-			dIn := dx.Row(b)
-			for iy := 0; iy < t.InH; iy++ {
-				for ix := 0; ix < t.InW; ix++ {
-					for ic := 0; ic < t.InC; ic++ {
-						w := t.W.Row(ic)
-						s := 0.0
-						j := 0
-						for oc := 0; oc < t.OutC; oc++ {
-							for ky := 0; ky < t.K; ky++ {
-								oy := iy*t.Stride - t.Pad + ky
-								for kx := 0; kx < t.K; kx++ {
-									ox := ix*t.Stride - t.Pad + kx
-									gv := 0.0
-									if oy >= 0 && oy < outH && ox >= 0 && ox < outW {
-										gv = g[(oc*outH+oy)*outW+ox]
-									}
-									s += gv * w[j]
-									j++
-								}
-							}
-						}
-						dIn[ic*inPos+iy*t.InW+ix] = s
-					}
-				}
-			}
-		}
-	})
-	return dx
-}
-
-// ForwardScratch lowers the transposed convolution onto the matmul
-// kernels: gather the input position-major (xT, cached in s for the
-// backward pass), one MatMulInto against the filter bank, then
-// scatter-add into the bias-seeded output via AddCol2ImInto (the patch
-// grid is the *input* grid here). Bit-identical to Forward.
-func (t *ConvTranspose2D) ForwardScratch(s *LayerScratch, dst, x *tensor.Mat) *tensor.Mat {
-	if x.Cols != t.InC*t.InH*t.InW {
-		panic(fmt.Sprintf("nn: ConvTranspose2D input width %d, want %d", x.Cols, t.InC*t.InH*t.InW))
-	}
-	t.x = x
-	_, outH, outW := t.OutDims()
-	outPos := outH * outW
-	inPos := t.InH * t.InW
-	xT := s.Buf(convScratchCols)
-	xT.Resize(x.Rows*inPos, t.InC)
+	xT := s.aux[auxCols].Resize(x.Rows*inPos, t.InC)
 	for b := 0; b < x.Rows; b++ {
 		in := x.Row(b)
 		for p := 0; p < inPos; p++ {
@@ -521,8 +250,8 @@ func (t *ConvTranspose2D) ForwardScratch(s *LayerScratch, dst, x *tensor.Mat) *t
 			}
 		}
 	}
-	m := tensor.MatMulInto(s.Buf(convScratchPos), xT, t.W)
-	dst.Resize(x.Rows, t.OutC*outPos)
+	m := tensor.MatMulInto(&s.aux[auxPos], xT, t.W)
+	dst := s.out.Resize(x.Rows, t.OutC*outPos)
 	bias := t.B.Data
 	for b := 0; b < x.Rows; b++ {
 		drow := dst.Row(b)
@@ -537,23 +266,23 @@ func (t *ConvTranspose2D) ForwardScratch(s *LayerScratch, dst, x *tensor.Mat) *t
 	return tensor.AddCol2ImInto(dst, m, t.OutC, outH, outW, t.K, t.Stride, t.Pad, t.InH, t.InW)
 }
 
-// BackwardScratch gathers the output gradient into patch rows over the
-// input grid (gCols = im2col(grad)), then dB/dW/∂in all ride the fused
-// kernels against the cached position-major input. Bit-identical to
-// Backward.
-func (t *ConvTranspose2D) BackwardScratch(s *LayerScratch, dst, grad *tensor.Mat) *tensor.Mat {
+// Backward gathers the output gradient into patch rows over the input
+// grid (gCols = im2col(grad)), then dB/dW/∂in all ride the fused kernels
+// against the cached position-major input.
+func (t *ConvTranspose2D) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
+	s = t.resume(s)
 	_, outH, outW := t.OutDims()
 	outPos := outH * outW
 	inPos := t.InH * t.InW
-	xT := s.Buf(convScratchCols)
+	xT := &s.aux[auxCols]
 	if xT.Rows != grad.Rows*inPos {
-		panic("nn: ConvTranspose2D.BackwardScratch without matching ForwardScratch")
+		panic("nn: ConvTranspose2D.Backward gradient does not match the Forward batch")
 	}
-	gCols := tensor.Im2ColInto(s.Buf(convScratchPos), grad, t.OutC, outH, outW, t.K, t.Stride, t.Pad, t.InH, t.InW)
+	gCols := tensor.Im2ColInto(&s.aux[auxPos], grad, t.OutC, outH, outW, t.K, t.Stride, t.Pad, t.InH, t.InW)
 	addChannelSums(t.dB.Data, grad, t.OutC, outPos)
 	tensor.AddMatMulT1Into(t.dW, xT, gCols)
-	dxT := tensor.MatMulT2Into(s.Buf(convScratchTmp), gCols, t.W)
-	dst.Resize(grad.Rows, t.InC*inPos)
+	dxT := tensor.MatMulT2Into(&s.aux[auxTmp], gCols, t.W)
+	dst := s.dIn.Resize(grad.Rows, t.InC*inPos)
 	for b := 0; b < grad.Rows; b++ {
 		dIn := dst.Row(b)
 		for p := 0; p < inPos; p++ {
@@ -585,87 +314,6 @@ func (t *ConvTranspose2D) Clone() Layer {
 	cp.B = t.B.Clone()
 	cp.dW = tensor.New(t.dW.Rows, t.dW.Cols)
 	cp.dB = tensor.New(t.dB.Rows, t.dB.Cols)
-	cp.x = nil
+	cp.kept = nil
 	return &cp
-}
-
-// Dropout zeroes activations with probability P during training and
-// rescales survivors by 1/(1−P) (inverted dropout). Outside training
-// (Train == false) it is the identity.
-type Dropout struct {
-	statelessBase
-	P      float64
-	Train  bool
-	rng    *tensor.RNG
-	mask   *tensor.Mat // persistent mask buffer, reused across passes
-	active bool        // whether mask applies to the most recent Forward
-}
-
-// NewDropout returns a Dropout layer in training mode.
-func NewDropout(p float64, rng *tensor.RNG) *Dropout {
-	if p < 0 || p >= 1 {
-		panic(fmt.Sprintf("nn: dropout probability %v outside [0,1)", p))
-	}
-	return &Dropout{P: p, Train: true, rng: rng}
-}
-
-// Forward applies the dropout mask (or passes through in eval mode).
-func (d *Dropout) Forward(x *tensor.Mat) *tensor.Mat {
-	return d.ForwardInto(new(tensor.Mat), x)
-}
-
-// ForwardInto is Forward writing into dst. The mask buffer is owned by the
-// layer and reused across passes, so a steady-state training iteration
-// performs no allocations. In eval mode the input is returned unchanged
-// (dst untouched). One rng draw is consumed per element, identically in
-// both regimes.
-func (d *Dropout) ForwardInto(dst, x *tensor.Mat) *tensor.Mat {
-	if !d.Train || d.P == 0 {
-		d.active = false
-		return x
-	}
-	d.active = true
-	if d.mask == nil {
-		d.mask = new(tensor.Mat)
-	}
-	d.mask.Resize(x.Rows, x.Cols)
-	dst.Resize(x.Rows, x.Cols)
-	scale := 1 / (1 - d.P)
-	for i, v := range x.Data {
-		if d.rng.Float64() >= d.P {
-			d.mask.Data[i] = scale
-			dst.Data[i] = v * scale
-		} else {
-			d.mask.Data[i] = 0
-			dst.Data[i] = 0
-		}
-	}
-	return dst
-}
-
-// Backward masks the incoming gradient identically.
-func (d *Dropout) Backward(grad *tensor.Mat) *tensor.Mat {
-	if !d.active {
-		return grad
-	}
-	return d.BackwardInto(new(tensor.Mat), grad)
-}
-
-// BackwardInto is Backward writing the masked gradient into dst. In eval
-// mode the gradient passes through unchanged (dst untouched).
-func (d *Dropout) BackwardInto(dst, grad *tensor.Mat) *tensor.Mat {
-	if !d.active {
-		return grad
-	}
-	dst.Resize(grad.Rows, grad.Cols)
-	for i, g := range grad.Data {
-		dst.Data[i] = g * d.mask.Data[i]
-	}
-	return dst
-}
-
-// Clone returns a fresh dropout layer sharing probability but not RNG
-// state.
-func (d *Dropout) Clone() Layer {
-	return &Dropout{P: d.P, Train: d.Train, rng: d.rng.Split()}
 }

@@ -34,99 +34,55 @@ func benchConvT(b *testing.B) (*ConvTranspose2D, *tensor.Mat) {
 	return ct, x
 }
 
-func BenchmarkConv2DForwardDirect(b *testing.B) {
-	conv, x := benchConv(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = conv.Forward(x)
-	}
-}
-
 func BenchmarkConv2DForwardIm2Col(b *testing.B) {
 	conv, x := benchConv(b)
-	s, dst := &LayerScratch{}, new(tensor.Mat)
-	conv.ForwardScratch(s, dst, x) // warm buffers
+	s := new(LayerScratch)
+	conv.Forward(s, x) // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = conv.ForwardScratch(s, dst, x)
-	}
-}
-
-func BenchmarkConv2DBackwardDirect(b *testing.B) {
-	conv, x := benchConv(b)
-	out := conv.Forward(x)
-	grad := tensor.New(out.Rows, out.Cols)
-	tensor.GaussianFill(grad, 0, 1, tensor.NewRNG(93))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conv.ZeroGrads()
-		_ = conv.Backward(grad)
+		_ = conv.Forward(s, x)
 	}
 }
 
 func BenchmarkConv2DBackwardIm2Col(b *testing.B) {
 	conv, x := benchConv(b)
-	s, dst, dx := &LayerScratch{}, new(tensor.Mat), new(tensor.Mat)
-	out := conv.ForwardScratch(s, dst, x)
+	s := new(LayerScratch)
+	out := conv.Forward(s, x)
 	grad := tensor.New(out.Rows, out.Cols)
 	tensor.GaussianFill(grad, 0, 1, tensor.NewRNG(93))
-	conv.BackwardScratch(s, dx, grad) // warm buffers
+	conv.Backward(s, grad) // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		conv.ZeroGrads()
-		_ = conv.BackwardScratch(s, dx, grad)
-	}
-}
-
-func BenchmarkConvTranspose2DForwardDirect(b *testing.B) {
-	ct, x := benchConvT(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ct.Forward(x)
+		_ = conv.Backward(s, grad)
 	}
 }
 
 func BenchmarkConvTranspose2DForwardIm2Col(b *testing.B) {
 	ct, x := benchConvT(b)
-	s, dst := &LayerScratch{}, new(tensor.Mat)
-	ct.ForwardScratch(s, dst, x) // warm buffers
+	s := new(LayerScratch)
+	ct.Forward(s, x) // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ct.ForwardScratch(s, dst, x)
-	}
-}
-
-func BenchmarkConvTranspose2DBackwardDirect(b *testing.B) {
-	ct, x := benchConvT(b)
-	out := ct.Forward(x)
-	grad := tensor.New(out.Rows, out.Cols)
-	tensor.GaussianFill(grad, 0, 1, tensor.NewRNG(94))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ct.ZeroGrads()
-		_ = ct.Backward(grad)
+		_ = ct.Forward(s, x)
 	}
 }
 
 func BenchmarkConvTranspose2DBackwardIm2Col(b *testing.B) {
 	ct, x := benchConvT(b)
-	s, dst, dx := &LayerScratch{}, new(tensor.Mat), new(tensor.Mat)
-	out := ct.ForwardScratch(s, dst, x)
+	s := new(LayerScratch)
+	out := ct.Forward(s, x)
 	grad := tensor.New(out.Rows, out.Cols)
 	tensor.GaussianFill(grad, 0, 1, tensor.NewRNG(94))
-	ct.BackwardScratch(s, dx, grad) // warm buffers
+	ct.Backward(s, grad) // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ct.ZeroGrads()
-		_ = ct.BackwardScratch(s, dx, grad)
+		_ = ct.Backward(s, grad)
 	}
 }
 
@@ -159,8 +115,7 @@ func dcganNets(tb testing.TB) (gen, disc *Network) {
 
 // dcganIteration runs one adversarial training iteration (generator
 // forward, discriminator forward/backward through to the latent, Adam
-// steps on both nets) on the given workspaces; nil workspaces use the
-// allocating direct-loop path.
+// steps on both nets) on the given workspaces.
 func dcganIteration(gen, disc *Network, optG, optD Optimizer, gws, dws *Workspace, z, ones *tensor.Mat, grad *tensor.Mat) {
 	gen.ZeroGrads()
 	disc.ZeroGrads()
@@ -171,20 +126,6 @@ func dcganIteration(gen, disc *Network, optG, optD Optimizer, gws, dws *Workspac
 	gen.BackwardWS(gws, dImg)
 	optG.Step(gen)
 	optD.Step(disc)
-}
-
-func BenchmarkDCGANTrainIterationDirect(b *testing.B) {
-	gen, disc := dcganNets(b)
-	optG, optD := NewAdam(2e-4), NewAdam(2e-4)
-	z := tensor.New(32, 64)
-	tensor.GaussianFill(z, 0, 1, tensor.NewRNG(96))
-	ones := tensor.Full(32, 1, 1)
-	grad := new(tensor.Mat)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dcganIteration(gen, disc, optG, optD, nil, nil, z, ones, grad)
-	}
 }
 
 func BenchmarkDCGANTrainIterationWS(b *testing.B) {

@@ -9,9 +9,9 @@ import (
 	"cellgan/internal/tensor"
 )
 
-// checkGradsWS is checkGrads through the workspace (scratch/Into) path, so
-// the im2col backward lowering is validated against numerical
-// differentiation independently of the direct-loop oracle.
+// checkGradsWS is checkGrads on a reused workspace, so the im2col backward
+// lowering is validated against numerical differentiation independently of
+// the direct-loop oracle.
 func checkGradsWS(t *testing.T, net *Network, x *tensor.Mat, loss func(out *tensor.Mat) (float64, *tensor.Mat)) {
 	t.Helper()
 	ws := NewWorkspace()
@@ -38,7 +38,7 @@ func checkGradsWS(t *testing.T, net *Network, x *tensor.Mat, loss func(out *tens
 
 // TestGradCheckConv2DGeometries sweeps awkward geometries — 1×1 kernels
 // (with and without stride), asymmetric inputs, pad larger than stride —
-// through both the direct and the im2col backward paths.
+// through both the direct-loop oracle and the im2col backward pass.
 func TestGradCheckConv2DGeometries(t *testing.T) {
 	cases := []struct{ inC, inH, inW, outC, k, s, p int }{
 		{1, 5, 7, 2, 1, 1, 0}, // 1×1 kernel, asymmetric input
@@ -61,8 +61,8 @@ func TestGradCheckConv2DGeometries(t *testing.T) {
 			x := tensor.New(3, tc.inC*tc.inH*tc.inW)
 			tensor.GaussianFill(x, 0, 1, tensor.NewRNG(62))
 			y := tensor.Full(3, 2, 0.5)
-			loss := func(out *tensor.Mat) (float64, *tensor.Mat) { return MSELoss(out, y) }
-			checkGrads(t, mk(), x, loss)
+			loss := func(out *tensor.Mat) (float64, *tensor.Mat) { return MSELossInto(new(tensor.Mat), out, y) }
+			checkGrads(t, directConv(mk()), x, loss)
 			checkGradsWS(t, mk(), x, loss)
 		})
 	}
@@ -93,16 +93,15 @@ func TestGradCheckConvTranspose2DGeometries(t *testing.T) {
 			x := tensor.New(3, tc.inC*tc.inH*tc.inW)
 			tensor.GaussianFill(x, 0, 1, tensor.NewRNG(64))
 			y := tensor.Full(3, 2, 0.5)
-			loss := func(out *tensor.Mat) (float64, *tensor.Mat) { return MSELoss(out, y) }
-			checkGrads(t, mk(), x, loss)
+			loss := func(out *tensor.Mat) (float64, *tensor.Mat) { return MSELossInto(new(tensor.Mat), out, y) }
+			checkGrads(t, directConv(mk()), x, loss)
 			checkGradsWS(t, mk(), x, loss)
 		})
 	}
 }
 
 // dcganTestPair builds twin (generator, discriminator) conv stacks from
-// fixed seeds — a miniature of core/genome.go's CNN topology, plus a
-// dropout layer so its Into path is covered too.
+// fixed seeds — a miniature of core/genome.go's CNN topology.
 func dcganTestPair(t *testing.T) (gen, disc *Network) {
 	t.Helper()
 	rng := tensor.NewRNG(71)
@@ -119,18 +118,21 @@ func dcganTestPair(t *testing.T) (gen, disc *Network) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disc = NewNetwork(c1, NewLeakyReLU(0.2), NewDropout(0.25, tensor.NewRNG(72)), NewLinear(3*3*3, 1, rng))
+	disc = NewNetwork(c1, NewLeakyReLU(0.2), NewLinear(3*3*3, 1, rng))
 	return gen, disc
 }
 
 // TestConvIterateBitExactWithWorkspace is the conv-stack version of
 // core's TestCellIterateBitExactWithWorkspace: twin GAN pairs train with
-// Adam — one through workspaces, one through the allocating direct loops —
-// and every output, input gradient, parameter gradient and the final
+// Adam — one on the production im2col layers through reused workspaces,
+// one on the direct-loop oracle layers of conv_oracle_test.go — and every
+// output, input gradient, parameter gradient and the final
 // serialized checkpoint must be byte-identical.
 func TestConvIterateBitExactWithWorkspace(t *testing.T) {
 	genA, discA := dcganTestPair(t)
 	genB, discB := dcganTestPair(t)
+	directConv(genB)
+	directConv(discB)
 	optGA, optDA := NewAdam(2e-3), NewAdam(2e-3)
 	optGB, optDB := NewAdam(2e-3), NewAdam(2e-3)
 	genWS, discWS := NewWorkspace(), NewWorkspace()
@@ -145,7 +147,7 @@ func TestConvIterateBitExactWithWorkspace(t *testing.T) {
 		// Discriminator step on real data.
 		disc.ZeroGrads()
 		logits := disc.ForwardWS(dws, real)
-		_, dReal := BCEWithLogitsLoss(logits, tensor.Full(4, 1, 1))
+		_, dReal := BCEWithLogitsLossInto(new(tensor.Mat), logits, tensor.Full(4, 1, 1))
 		disc.BackwardWS(dws, dReal)
 		optD.Step(disc)
 
@@ -154,7 +156,7 @@ func TestConvIterateBitExactWithWorkspace(t *testing.T) {
 		disc.ZeroGrads()
 		fake := gen.ForwardWS(gws, z)
 		fLogits := disc.ForwardWS(dws, fake)
-		_, dFake := BCEWithLogitsLoss(fLogits, tensor.Full(4, 1, 1))
+		_, dFake := BCEWithLogitsLossInto(new(tensor.Mat), fLogits, tensor.Full(4, 1, 1))
 		dImg := disc.BackwardWS(dws, dFake)
 		dz := gen.BackwardWS(gws, dImg)
 		optG.Step(gen)
@@ -165,7 +167,7 @@ func TestConvIterateBitExactWithWorkspace(t *testing.T) {
 		fakeA, logitsA, dzA := step(genA, discA, optGA, optDA, genWS, discWS, rngA)
 		fakeB, logitsB, dzB := step(genB, discB, optGB, optDB, nil, nil, rngB)
 		if !fakeA.Equal(fakeB) {
-			t.Fatalf("iter %d: generator outputs differ between scratch and direct paths", i)
+			t.Fatalf("iter %d: generator outputs differ between the im2col layers and the direct oracle", i)
 		}
 		if !logitsA.Equal(logitsB) {
 			t.Fatalf("iter %d: discriminator logits differ", i)
@@ -198,60 +200,5 @@ func TestConvIterateBitExactWithWorkspace(t *testing.T) {
 		if !bytes.Equal(pa, pb) {
 			t.Fatal("workspace-trained conv checkpoint differs from direct-path checkpoint")
 		}
-	}
-}
-
-// TestDropoutIntoParity pins the Into path of Dropout against the
-// allocating path with identical RNG streams, in both train and eval mode.
-func TestDropoutIntoParity(t *testing.T) {
-	a := NewDropout(0.4, tensor.NewRNG(81))
-	b := NewDropout(0.4, tensor.NewRNG(81))
-	x := tensor.New(5, 7)
-	tensor.GaussianFill(x, 0, 1, tensor.NewRNG(82))
-	g := tensor.New(5, 7)
-	tensor.GaussianFill(g, 0, 1, tensor.NewRNG(83))
-
-	dst, dstG := new(tensor.Mat), new(tensor.Mat)
-	for pass := 0; pass < 3; pass++ {
-		outA := a.ForwardInto(dst, x)
-		outB := b.Forward(x)
-		if !outA.Equal(outB) {
-			t.Fatalf("pass %d: dropout ForwardInto differs", pass)
-		}
-		dxA := a.BackwardInto(dstG, g)
-		dxB := b.Backward(g)
-		if !dxA.Equal(dxB) {
-			t.Fatalf("pass %d: dropout BackwardInto differs", pass)
-		}
-	}
-
-	a.Train, b.Train = false, false
-	if a.ForwardInto(dst, x) != x || b.Forward(x) != x {
-		t.Fatal("eval-mode dropout must return the input unchanged")
-	}
-	if a.BackwardInto(dstG, g) != g {
-		t.Fatal("eval-mode dropout backward must pass the gradient through")
-	}
-}
-
-// TestDropoutIntoAllocs guards the satellite claim: a steady-state
-// train-mode dropout pass through the Into path performs zero allocations.
-func TestDropoutIntoAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts include race-detector instrumentation")
-	}
-	d := NewDropout(0.3, tensor.NewRNG(84))
-	x := tensor.New(8, 16)
-	tensor.GaussianFill(x, 0, 1, tensor.NewRNG(85))
-	g := tensor.New(8, 16)
-	tensor.GaussianFill(g, 0, 1, tensor.NewRNG(86))
-	dst, dstG := new(tensor.Mat), new(tensor.Mat)
-	pass := func() {
-		d.ForwardInto(dst, x)
-		d.BackwardInto(dstG, g)
-	}
-	pass() // warm the mask and destination buffers
-	if allocs := testing.AllocsPerRun(20, pass); allocs > 0 {
-		t.Errorf("dropout Into pass: %.0f allocs per run, want 0", allocs)
 	}
 }

@@ -43,7 +43,7 @@ func TestConv2DKnownValues(t *testing.T) {
 		4, 5, 6,
 		7, 8, 9,
 	})
-	out := c.Forward(x)
+	out := c.Forward(nil, x)
 	want := []float64{1 + 2 + 4 + 5 + 1, 2 + 3 + 5 + 6 + 1, 4 + 5 + 7 + 8 + 1, 5 + 6 + 8 + 9 + 1}
 	for i, w := range want {
 		if math.Abs(out.Data[i]-w) > 1e-12 {
@@ -77,7 +77,7 @@ func TestConvTransposeInvertsStride(t *testing.T) {
 	tl.W.Fill(3)
 	tl.B.Fill(-1)
 	x := tensor.FromSlice(1, 4, []float64{1, 2, 3, 4})
-	out := tl.Forward(x)
+	out := tl.Forward(nil, x)
 	want := []float64{2, 5, 8, 11}
 	for i, w := range want {
 		if math.Abs(out.Data[i]-w) > 1e-12 {
@@ -99,7 +99,7 @@ func TestGradCheckConv2D(t *testing.T) {
 	y := tensor.New(2, 3*oh*ow)
 	tensor.GaussianFill(y, 0, 0.5, rng)
 	checkGrads(t, net, x, func(out *tensor.Mat) (float64, *tensor.Mat) {
-		return MSELoss(out, y)
+		return MSELossInto(new(tensor.Mat), out, y)
 	})
 }
 
@@ -116,7 +116,7 @@ func TestGradCheckConvTranspose2D(t *testing.T) {
 	y := tensor.New(2, 2*oh*ow)
 	tensor.GaussianFill(y, 0, 0.5, rng)
 	checkGrads(t, net, x, func(out *tensor.Mat) (float64, *tensor.Mat) {
-		return MSELoss(out, y)
+		return MSELossInto(new(tensor.Mat), out, y)
 	})
 }
 
@@ -136,15 +136,15 @@ func TestGradCheckConvInputGradient(t *testing.T) {
 
 	net.ZeroGrads()
 	out := net.Forward(x)
-	_, dOut := MSELoss(out, y)
+	_, dOut := MSELossInto(new(tensor.Mat), out, y)
 	dx := net.Backward(dOut)
 	eps := 1e-6
 	for i := range x.Data {
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
-		lp, _ := MSELoss(net.Forward(x), y)
+		lp, _ := MSELossInto(new(tensor.Mat), net.Forward(x), y)
 		x.Data[i] = orig - eps
-		lm, _ := MSELoss(net.Forward(x), y)
+		lm, _ := MSELossInto(new(tensor.Mat), net.Forward(x), y)
 		x.Data[i] = orig
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(dx.Data[i]-num) > 1e-4*(1+math.Abs(num)) {
@@ -183,7 +183,7 @@ func TestConvBackwardBeforeForwardPanics(t *testing.T) {
 					t.Fatalf("%T no panic", l)
 				}
 			}()
-			l.Backward(tensor.New(1, 1))
+			l.Backward(nil, tensor.New(1, 1))
 		}()
 	}
 }
@@ -230,7 +230,7 @@ func TestDCGANStackEndToEnd(t *testing.T) {
 	if logits.Rows != 3 || logits.Cols != 1 {
 		t.Fatalf("disc output %d×%d", logits.Rows, logits.Cols)
 	}
-	loss, grad := BCEWithLogitsLoss(logits, tensor.Full(3, 1, 1))
+	loss, grad := BCEWithLogitsLossInto(new(tensor.Mat), logits, tensor.Full(3, 1, 1))
 	if math.IsNaN(loss) {
 		t.Fatal("NaN loss")
 	}
@@ -245,51 +245,4 @@ func TestDCGANStackEndToEnd(t *testing.T) {
 	if gen.ParamsL2() == before {
 		t.Fatal("DCGAN generator step changed nothing")
 	}
-}
-
-func TestDropoutTrainAndEval(t *testing.T) {
-	rng := tensor.NewRNG(11)
-	d := NewDropout(0.5, rng)
-	x := tensor.Full(10, 100, 1)
-	out := d.Forward(x)
-	zeros, scaled := 0, 0
-	for _, v := range out.Data {
-		switch v {
-		case 0:
-			zeros++
-		case 2:
-			scaled++
-		default:
-			t.Fatalf("unexpected dropout output %v", v)
-		}
-	}
-	if zeros == 0 || scaled == 0 {
-		t.Fatal("dropout all-or-nothing")
-	}
-	frac := float64(zeros) / float64(len(out.Data))
-	if math.Abs(frac-0.5) > 0.1 {
-		t.Fatalf("drop fraction %v", frac)
-	}
-	// Backward masks identically.
-	g := d.Backward(tensor.Full(10, 100, 1))
-	for i := range g.Data {
-		if (out.Data[i] == 0) != (g.Data[i] == 0) {
-			t.Fatal("gradient mask mismatch")
-		}
-	}
-	// Eval mode is identity.
-	d.Train = false
-	out2 := d.Forward(x)
-	if !out2.Equal(x) {
-		t.Fatal("eval-mode dropout not identity")
-	}
-}
-
-func TestDropoutValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("p=1 accepted")
-		}
-	}()
-	NewDropout(1, tensor.NewRNG(1))
 }

@@ -10,7 +10,8 @@ import (
 // Net32 is a float32-compiled, inference-only snapshot of a Network — the
 // compute side of the opt-in serving tier. Compiling narrows the
 // parameters once at model load; forward passes then run entirely on the
-// float32 kernels at half the memory traffic of the float64 path.
+// float32 instantiation of the tensor kernels, at half the memory traffic
+// of the float64 path.
 // Bit-parity with training explicitly does not matter here: outputs agree
 // with the float64 forward only to float32 precision (the property tests
 // bound the error). A Net32 owns its activation buffers and is
@@ -83,7 +84,7 @@ func (c *Net32) OutputWidth() int { return c.outW }
 type linear32 struct{ w, b *tensor.Mat32 }
 
 func (l *linear32) forward(dst, x *tensor.Mat32) *tensor.Mat32 {
-	tensor.MatMulInto32(dst, x, l.w)
+	tensor.MatMulInto(dst, x, l.w)
 	dst.AddRowVec(l.b)
 	return dst
 }
@@ -91,7 +92,7 @@ func (l *linear32) forward(dst, x *tensor.Mat32) *tensor.Mat32 {
 type tanh32 struct{}
 
 func (tanh32) forward(dst, x *tensor.Mat32) *tensor.Mat32 {
-	return tensor.ApplyInto32(dst, x, func(v float32) float32 {
+	return tensor.ApplyInto(dst, x, func(v float32) float32 {
 		return float32(math.Tanh(float64(v)))
 	})
 }
@@ -99,7 +100,7 @@ func (tanh32) forward(dst, x *tensor.Mat32) *tensor.Mat32 {
 type sigmoid32 struct{}
 
 func (sigmoid32) forward(dst, x *tensor.Mat32) *tensor.Mat32 {
-	return tensor.ApplyInto32(dst, x, func(v float32) float32 {
+	return tensor.ApplyInto(dst, x, func(v float32) float32 {
 		return float32(sigmoid(float64(v)))
 	})
 }
@@ -107,7 +108,7 @@ func (sigmoid32) forward(dst, x *tensor.Mat32) *tensor.Mat32 {
 type relu32 struct{}
 
 func (relu32) forward(dst, x *tensor.Mat32) *tensor.Mat32 {
-	return tensor.ApplyInto32(dst, x, func(v float32) float32 {
+	return tensor.ApplyInto(dst, x, func(v float32) float32 {
 		if v > 0 {
 			return v
 		}
@@ -118,7 +119,7 @@ func (relu32) forward(dst, x *tensor.Mat32) *tensor.Mat32 {
 type leaky32 struct{ alpha float32 }
 
 func (l leaky32) forward(dst, x *tensor.Mat32) *tensor.Mat32 {
-	return tensor.ApplyInto32(dst, x, func(v float32) float32 {
+	return tensor.ApplyInto(dst, x, func(v float32) float32 {
 		if v >= 0 {
 			return v
 		}
@@ -126,9 +127,9 @@ func (l leaky32) forward(dst, x *tensor.Mat32) *tensor.Mat32 {
 	})
 }
 
-// convT32 is the float32 lowering of ConvTranspose2D's ForwardScratch:
-// gather the input position-major, one MatMulInto32 against the filter
-// bank, scatter-add into the bias-seeded output via AddCol2ImInto32. The
+// convT32 is the float32 lowering of ConvTranspose2D.Forward: gather the
+// input position-major, one MatMulInto against the filter bank,
+// scatter-add into the bias-seeded output via AddCol2ImInto. The
 // scratch matrices are owned by the layer (a Net32 is single-goroutine).
 type convT32 struct {
 	inC, inH, inW, outC, k, stride, pad int
@@ -155,7 +156,7 @@ func (t *convT32) forward(dst, x *tensor.Mat32) *tensor.Mat32 {
 			}
 		}
 	}
-	m := tensor.MatMulInto32(t.m, t.xT, t.w)
+	m := tensor.MatMulInto(t.m, t.xT, t.w)
 	dst.Resize(x.Rows, t.outC*outPos)
 	bias := t.b.Data
 	for b := 0; b < x.Rows; b++ {
@@ -168,5 +169,5 @@ func (t *convT32) forward(dst, x *tensor.Mat32) *tensor.Mat32 {
 			}
 		}
 	}
-	return tensor.AddCol2ImInto32(dst, m, t.outC, outH, outW, t.k, t.stride, t.pad, t.inH, t.inW)
+	return tensor.AddCol2ImInto(dst, m, t.outC, outH, outW, t.k, t.stride, t.pad, t.inH, t.inW)
 }

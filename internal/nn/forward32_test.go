@@ -75,9 +75,13 @@ func TestNet32MatchesFloat64ConvTranspose(t *testing.T) {
 
 func TestCompileNet32RejectsUnsupportedLayer(t *testing.T) {
 	rng := tensor.NewRNG(33)
-	n := NewNetwork(NewLinear(4, 4, rng), NewDropout(0.5, rng))
+	conv, err := NewConv2D(1, 2, 2, 1, 1, 1, 0, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewNetwork(NewLinear(4, 4, rng), conv)
 	if _, err := CompileNet32(n); err == nil {
-		t.Fatal("CompileNet32 accepted a Dropout layer")
+		t.Fatal("CompileNet32 accepted a Conv2D layer")
 	}
 }
 
@@ -95,9 +99,14 @@ func TestNet32ForwardAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := tensor.Narrow(tensor.New(4, 6))
-	c.Forward(x) // warm buffers
-	if allocs := testing.AllocsPerRun(20, func() { c.Forward(x) }); allocs != 0 {
-		t.Errorf("warm Net32.Forward: %.0f allocs per run, want 0", allocs)
+	// Batch 4 stays on the serial kernels; batch 256 puts the Linear
+	// matmul, the convT matmul and the col2im scatter above the parallel
+	// threshold, i.e. through the float32 slot of the pooled task headers.
+	for _, batch := range []int{4, 256} {
+		x := tensor.Narrow(tensor.New(batch, 6))
+		c.Forward(x) // warm buffers
+		if allocs := testing.AllocsPerRun(20, func() { c.Forward(x) }); allocs != 0 {
+			t.Errorf("warm Net32.Forward, batch %d: %.0f allocs per run, want 0", batch, allocs)
+		}
 	}
 }

@@ -60,7 +60,7 @@ func TestGradCheckLinearMSE(t *testing.T) {
 	y := tensor.New(5, 3)
 	tensor.GaussianFill(y, 0, 1, rng)
 	checkGrads(t, net, x, func(out *tensor.Mat) (float64, *tensor.Mat) {
-		return MSELoss(out, y)
+		return MSELossInto(new(tensor.Mat), out, y)
 	})
 }
 
@@ -74,7 +74,7 @@ func TestGradCheckMLPTanhBCE(t *testing.T) {
 		y.Data[i] = float64(i % 2)
 	}
 	checkGrads(t, net, x, func(out *tensor.Mat) (float64, *tensor.Mat) {
-		return BCELoss(out, y)
+		return BCELossInto(new(tensor.Mat), out, y)
 	})
 }
 
@@ -88,7 +88,7 @@ func TestGradCheckMLPLogitsBCE(t *testing.T) {
 		y.Data[i] = float64((i + 1) % 2)
 	}
 	checkGrads(t, net, x, func(out *tensor.Mat) (float64, *tensor.Mat) {
-		return BCEWithLogitsLoss(out, y)
+		return BCEWithLogitsLossInto(new(tensor.Mat), out, y)
 	})
 }
 
@@ -112,7 +112,7 @@ func TestGradCheckDeepGeneratorTopology(t *testing.T) {
 	y := tensor.New(4, 12)
 	tensor.GaussianFill(y, 0, 0.5, rng)
 	checkGrads(t, net, x, func(out *tensor.Mat) (float64, *tensor.Mat) {
-		return MSELoss(out, y)
+		return MSELossInto(new(tensor.Mat), out, y)
 	})
 }
 
@@ -128,16 +128,16 @@ func TestBackwardInputGradient(t *testing.T) {
 
 	net.ZeroGrads()
 	out := net.Forward(x)
-	_, dOut := BCEWithLogitsLoss(out, y)
+	_, dOut := BCEWithLogitsLossInto(new(tensor.Mat), out, y)
 	dx := net.Backward(dOut)
 
 	eps := 1e-6
 	for i := range x.Data {
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
-		lp, _ := BCEWithLogitsLoss(net.Forward(x), y)
+		lp, _ := BCEWithLogitsLossInto(new(tensor.Mat), net.Forward(x), y)
 		x.Data[i] = orig - eps
-		lm, _ := BCEWithLogitsLoss(net.Forward(x), y)
+		lm, _ := BCEWithLogitsLossInto(new(tensor.Mat), net.Forward(x), y)
 		x.Data[i] = orig
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(dx.Data[i]-num) > 1e-4*(1+math.Abs(num)) {

@@ -1,28 +1,36 @@
 // Package nn implements the feed-forward neural networks used for GAN
-// training: fully-connected layers with hand-derived backpropagation,
-// the activation functions from the paper's Table I, binary cross-entropy
-// and softmax losses, and SGD/Adam optimizers with mutable hyperparameters
-// (the coevolutionary algorithm mutates the Adam learning rate at runtime).
+// training: fully-connected and convolutional layers with hand-derived
+// backpropagation, the activation functions from the paper's Table I,
+// binary cross-entropy and softmax losses, and SGD/Adam optimizers with
+// mutable hyperparameters (the coevolutionary algorithm mutates the Adam
+// learning rate at runtime).
 //
-// The API follows a conventional layer protocol: Forward caches whatever is
-// needed for the backward pass, Backward receives ∂L/∂output and returns
-// ∂L/∂input while accumulating parameter gradients, and optimizers consume
-// (params, grads) pairs.
+// There is one layer protocol. Forward and Backward take the per-layer
+// LayerScratch that owns every buffer of the pass — the layer output, the
+// input gradient, the cached forward input and any auxiliary matrices — so
+// a layer value holds parameters and gradient accumulators only. Training
+// and serving loops hand each network a Workspace (one LayerScratch per
+// layer slot, reused across iterations, zero steady-state allocations);
+// Network.Forward/Backward are the same path with fresh scratch per pass.
+// Optimizers consume (params, grads) pairs.
 package nn
 
 import (
 	"cellgan/internal/tensor"
 )
 
-// Layer is one differentiable stage of a network. Implementations cache
-// forward-pass state, so a Layer must not be shared between concurrently
-// training networks; use Clone for that.
+// Layer is one differentiable stage of a network.
 type Layer interface {
-	// Forward computes the layer output for a batch (rows = samples).
-	Forward(x *tensor.Mat) *tensor.Mat
-	// Backward receives ∂L/∂output for the most recent Forward call,
-	// accumulates parameter gradients, and returns ∂L/∂input.
-	Backward(grad *tensor.Mat) *tensor.Mat
+	// Forward computes the layer output for a batch (rows = samples) into
+	// s and returns it; the result aliases s and is valid until the next
+	// pass through s. A nil s allocates a fresh scratch, which the layer
+	// keeps for the matching Backward — the allocating convenience form,
+	// one pass in flight per layer value.
+	Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat
+	// Backward receives ∂L/∂output for the most recent Forward on s (nil:
+	// on the kept scratch), accumulates parameter gradients, and returns
+	// ∂L/∂input, which aliases s.
+	Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat
 	// Params returns the trainable parameter matrices (possibly empty).
 	Params() []*tensor.Mat
 	// Grads returns the gradient accumulators, aligned with Params.
@@ -30,7 +38,7 @@ type Layer interface {
 	// ZeroGrads clears the gradient accumulators.
 	ZeroGrads()
 	// Clone returns an independent copy of the layer (parameters copied,
-	// caches not shared).
+	// no scratch shared).
 	Clone() Layer
 }
 
@@ -42,39 +50,6 @@ type Sized interface {
 	OutputWidth() int
 }
 
-// IntoLayer is implemented by layers with destination-passing Forward and
-// Backward variants that write into caller-owned buffers instead of
-// allocating. Network.ForwardWS/BackwardWS route through these when a
-// Workspace is supplied; layers without them fall back to the allocating
-// protocol. Both variants are bit-identical to their allocating forms.
-type IntoLayer interface {
-	Layer
-	// ForwardInto is Forward writing the layer output into dst (resized
-	// as needed); it returns dst. dst must not alias x.
-	ForwardInto(dst, x *tensor.Mat) *tensor.Mat
-	// BackwardInto is Backward writing ∂L/∂input into dst (resized as
-	// needed); it returns dst. dst must not alias grad.
-	BackwardInto(dst, grad *tensor.Mat) *tensor.Mat
-}
-
-// ScratchLayer is implemented by layers whose destination-passing passes
-// need auxiliary buffers beyond the output matrix — the im2col lowering of
-// the convolution layers materialises patch matrices that must live
-// somewhere reusable. Network.ForwardWS/BackwardWS route through these
-// with a per-layer LayerScratch owned by the Workspace, so the auxiliary
-// buffers are reused across iterations exactly like activations. Both
-// variants are bit-identical to the allocating Forward/Backward.
-type ScratchLayer interface {
-	Layer
-	// ForwardScratch is Forward writing the layer output into dst, drawing
-	// auxiliary buffers from s; it returns dst. Buffers cached in s must
-	// stay untouched by the caller until the matching BackwardScratch.
-	ForwardScratch(s *LayerScratch, dst, x *tensor.Mat) *tensor.Mat
-	// BackwardScratch is Backward writing ∂L/∂input into dst, reading the
-	// buffers cached by the preceding ForwardScratch on the same s.
-	BackwardScratch(s *LayerScratch, dst, grad *tensor.Mat) *tensor.Mat
-}
-
 // Linear is a fully-connected layer computing y = x·W + b.
 type Linear struct {
 	W *tensor.Mat // in×out
@@ -83,7 +58,7 @@ type Linear struct {
 	dW *tensor.Mat
 	dB *tensor.Mat
 
-	x *tensor.Mat // cached input
+	keptScratch
 }
 
 // NewLinear returns a Linear layer with Xavier-uniform weights and zero
@@ -108,37 +83,23 @@ func (l *Linear) Out() int { return l.W.Cols }
 // OutputWidth implements Sized.
 func (l *Linear) OutputWidth() int { return l.W.Cols }
 
-// Forward computes x·W + b for a batch x (rows = samples).
-func (l *Linear) Forward(x *tensor.Mat) *tensor.Mat {
-	return l.ForwardInto(new(tensor.Mat), x)
+// Forward computes x·W + b for a batch x (rows = samples): one MatMulInto
+// plus the in-place broadcast bias add, no temporaries.
+func (l *Linear) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
+	s = l.begin(s, x)
+	tensor.MatMulInto(&s.out, x, l.W)
+	s.out.AddRowVec(l.B)
+	return &s.out
 }
 
-// ForwardInto computes x·W + b into dst, reusing dst's storage: one fused
-// MatMulInto plus the in-place broadcast bias add, no temporaries.
-func (l *Linear) ForwardInto(dst, x *tensor.Mat) *tensor.Mat {
-	l.x = x
-	tensor.MatMulInto(dst, x, l.W)
-	dst.AddRowVec(l.B)
-	return dst
-}
-
-// Backward accumulates dW += xᵀ·grad and dB += colsums(grad) and returns
-// grad·Wᵀ.
-func (l *Linear) Backward(grad *tensor.Mat) *tensor.Mat {
-	return l.BackwardInto(new(tensor.Mat), grad)
-}
-
-// BackwardInto is Backward with the returned ∂L/∂input written into dst.
-// The parameter-gradient accumulations are fused into the kernels
-// (AddMatMulT1Into/AddColSumsInto), so the whole backward pass of the
-// layer performs zero allocations once dst has capacity.
-func (l *Linear) BackwardInto(dst, grad *tensor.Mat) *tensor.Mat {
-	if l.x == nil {
-		panic("nn: Linear.Backward before Forward")
-	}
-	tensor.AddMatMulT1Into(l.dW, l.x, grad)
+// Backward accumulates dW += xᵀ·grad and dB += colsums(grad) — fused into
+// the kernels (AddMatMulT1Into/AddColSumsInto), so the pass performs zero
+// allocations once s has capacity — and returns grad·Wᵀ.
+func (l *Linear) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
+	s = l.resume(s)
+	tensor.AddMatMulT1Into(l.dW, s.in, grad)
 	tensor.AddColSumsInto(l.dB, grad)
-	return tensor.MatMulT2Into(dst, grad, l.W)
+	return tensor.MatMulT2Into(&s.dIn, grad, l.W)
 }
 
 // Params returns {W, B}.
@@ -153,7 +114,7 @@ func (l *Linear) ZeroGrads() {
 	l.dB.Zero()
 }
 
-// Clone returns a deep copy of the layer (without cached activations).
+// Clone returns a deep copy of the layer.
 func (l *Linear) Clone() Layer {
 	return &Linear{
 		W:  l.W.Clone(),

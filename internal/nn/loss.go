@@ -9,15 +9,11 @@ import (
 // bceEps clamps probabilities away from 0 and 1 so log stays finite.
 const bceEps = 1e-12
 
-// BCELoss computes the mean binary cross-entropy between predicted
-// probabilities p (any shape) and targets y ∈ [0,1] of the same shape, and
-// returns the loss together with ∂L/∂p. This matches the minmax GAN
-// objective of the paper with φ = log.
-func BCELoss(p, y *tensor.Mat) (float64, *tensor.Mat) {
-	return BCELossInto(new(tensor.Mat), p, y)
-}
-
-// BCELossInto is BCELoss with ∂L/∂p written into grad (resized as needed).
+// BCELossInto computes the mean binary cross-entropy between predicted
+// probabilities p (any shape) and targets y ∈ [0,1] of the same shape,
+// writes ∂L/∂p into grad (resized as needed) and returns the loss together
+// with grad. This matches the minmax GAN objective of the paper with
+// φ = log.
 func BCELossInto(grad, p, y *tensor.Mat) (float64, *tensor.Mat) {
 	if p.Rows != y.Rows || p.Cols != y.Cols {
 		panic("nn: BCELoss shape mismatch")
@@ -34,15 +30,10 @@ func BCELossInto(grad, p, y *tensor.Mat) (float64, *tensor.Mat) {
 	return loss / n, grad
 }
 
-// BCEWithLogitsLoss computes mean binary cross-entropy directly from
+// BCEWithLogitsLossInto computes mean binary cross-entropy directly from
 // logits z, which is numerically stable for saturated discriminators:
-// L = mean(max(z,0) - z·y + log(1+exp(-|z|))), ∂L/∂z = (σ(z) - y)/n.
-func BCEWithLogitsLoss(z, y *tensor.Mat) (float64, *tensor.Mat) {
-	return BCEWithLogitsLossInto(new(tensor.Mat), z, y)
-}
-
-// BCEWithLogitsLossInto is BCEWithLogitsLoss with ∂L/∂z written into grad
-// (resized as needed).
+// L = mean(max(z,0) - z·y + log(1+exp(-|z|))), ∂L/∂z = (σ(z) - y)/n,
+// written into grad (resized as needed).
 func BCEWithLogitsLossInto(grad, z, y *tensor.Mat) (float64, *tensor.Mat) {
 	if z.Rows != y.Rows || z.Cols != y.Cols {
 		panic("nn: BCEWithLogitsLoss shape mismatch")
@@ -58,13 +49,8 @@ func BCEWithLogitsLossInto(grad, z, y *tensor.Mat) (float64, *tensor.Mat) {
 	return loss / n, grad
 }
 
-// MSELoss computes the mean squared error and its gradient.
-func MSELoss(p, y *tensor.Mat) (float64, *tensor.Mat) {
-	return MSELossInto(new(tensor.Mat), p, y)
-}
-
-// MSELossInto is MSELoss with the gradient written into grad (resized as
-// needed).
+// MSELossInto computes the mean squared error, writing its gradient into
+// grad (resized as needed).
 func MSELossInto(grad, p, y *tensor.Mat) (float64, *tensor.Mat) {
 	if p.Rows != y.Rows || p.Cols != y.Cols {
 		panic("nn: MSELoss shape mismatch")

@@ -21,22 +21,12 @@ type Network struct {
 // NewNetwork returns a network over the given layers.
 func NewNetwork(layers ...Layer) *Network { return &Network{Layers: layers} }
 
-// Forward propagates a batch through every layer.
-func (n *Network) Forward(x *tensor.Mat) *tensor.Mat {
-	for _, l := range n.Layers {
-		x = l.Forward(x)
-	}
-	return x
-}
+// Forward propagates a batch through every layer on fresh scratch.
+func (n *Network) Forward(x *tensor.Mat) *tensor.Mat { return n.ForwardWS(nil, x) }
 
 // Backward propagates ∂L/∂output back through every layer, accumulating
 // parameter gradients, and returns ∂L/∂input.
-func (n *Network) Backward(grad *tensor.Mat) *tensor.Mat {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].Backward(grad)
-	}
-	return grad
-}
+func (n *Network) Backward(grad *tensor.Mat) *tensor.Mat { return n.BackwardWS(nil, grad) }
 
 // Params returns all trainable parameters, layer by layer. The slice is
 // computed once and cached (layers hand out stable *Mat pointers), so

@@ -16,7 +16,7 @@ func TestLinearForwardKnown(t *testing.T) {
 		dB: tensor.New(1, 2),
 	}
 	x := tensor.FromSlice(1, 2, []float64{1, 1})
-	y := l.Forward(x)
+	y := l.Forward(nil, x)
 	want := tensor.FromSlice(1, 2, []float64{14, 26})
 	if !y.Equal(want) {
 		t.Fatalf("Forward = %v want %v", y, want)
@@ -32,7 +32,7 @@ func TestLinearBackwardBeforeForwardPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewLinear(2, 2, tensor.NewRNG(1)).Backward(tensor.New(1, 2))
+	NewLinear(2, 2, tensor.NewRNG(1)).Backward(nil, tensor.New(1, 2))
 }
 
 func TestActivationShapesAndRanges(t *testing.T) {
@@ -40,10 +40,10 @@ func TestActivationShapesAndRanges(t *testing.T) {
 	x := tensor.New(4, 6)
 	tensor.GaussianFill(x, 0, 3, rng)
 
-	th := NewTanh().Forward(x)
-	sg := NewSigmoid().Forward(x)
-	lr := NewLeakyReLU(0.2).Forward(x)
-	rl := NewReLU().Forward(x)
+	th := NewTanh().Forward(nil, x)
+	sg := NewSigmoid().Forward(nil, x)
+	lr := NewLeakyReLU(0.2).Forward(nil, x)
+	rl := NewReLU().Forward(nil, x)
 	for i := range x.Data {
 		if th.Data[i] < -1 || th.Data[i] > 1 {
 			t.Fatal("tanh out of range")
@@ -65,7 +65,7 @@ func TestActivationShapesAndRanges(t *testing.T) {
 
 func TestSigmoidStability(t *testing.T) {
 	x := tensor.FromSlice(1, 2, []float64{800, -800})
-	y := NewSigmoid().Forward(x)
+	y := NewSigmoid().Forward(nil, x)
 	if y.Data[0] != 1 || y.Data[1] != 0 {
 		t.Fatalf("extreme sigmoid = %v", y.Data)
 	}
@@ -82,7 +82,7 @@ func TestActivationBackwardBeforeForwardPanics(t *testing.T) {
 					t.Fatalf("%T Backward before Forward did not panic", l)
 				}
 			}()
-			l.Backward(tensor.New(1, 1))
+			l.Backward(nil, tensor.New(1, 1))
 		}()
 	}
 }
@@ -189,7 +189,7 @@ func TestMLPTooShortPanics(t *testing.T) {
 func TestBCELossKnownValue(t *testing.T) {
 	p := tensor.FromSlice(1, 2, []float64{0.9, 0.1})
 	y := tensor.FromSlice(1, 2, []float64{1, 0})
-	loss, grad := BCELoss(p, y)
+	loss, grad := BCELossInto(new(tensor.Mat), p, y)
 	want := -math.Log(0.9)
 	if math.Abs(loss-want) > 1e-12 {
 		t.Fatalf("loss = %v want %v", loss, want)
@@ -207,9 +207,9 @@ func TestBCEWithLogitsMatchesSigmoidBCE(t *testing.T) {
 	for i := range y.Data {
 		y.Data[i] = float64(i % 2)
 	}
-	l1, g1 := BCEWithLogitsLoss(z, y)
-	p := z.Map(sigmoid)
-	l2, g2bce := BCELoss(p, y)
+	l1, g1 := BCEWithLogitsLossInto(new(tensor.Mat), z, y)
+	p := tensor.ApplyInto(new(tensor.Mat), z, sigmoid)
+	l2, g2bce := BCELossInto(new(tensor.Mat), p, y)
 	if math.Abs(l1-l2) > 1e-9 {
 		t.Fatalf("losses differ: %v vs %v", l1, l2)
 	}
@@ -226,7 +226,7 @@ func TestBCEWithLogitsMatchesSigmoidBCE(t *testing.T) {
 func TestBCELossExtremeProbsFinite(t *testing.T) {
 	p := tensor.FromSlice(1, 2, []float64{0, 1})
 	y := tensor.FromSlice(1, 2, []float64{1, 0})
-	loss, grad := BCELoss(p, y)
+	loss, grad := BCELossInto(new(tensor.Mat), p, y)
 	if math.IsInf(loss, 0) || math.IsNaN(loss) {
 		t.Fatalf("loss not finite: %v", loss)
 	}
@@ -239,9 +239,9 @@ func TestBCELossExtremeProbsFinite(t *testing.T) {
 
 func TestLossShapeMismatchPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"BCE":    func() { BCELoss(tensor.New(1, 2), tensor.New(2, 1)) },
-		"Logits": func() { BCEWithLogitsLoss(tensor.New(1, 2), tensor.New(2, 1)) },
-		"MSE":    func() { MSELoss(tensor.New(1, 2), tensor.New(2, 1)) },
+		"BCE":    func() { BCELossInto(new(tensor.Mat), tensor.New(1, 2), tensor.New(2, 1)) },
+		"Logits": func() { BCEWithLogitsLossInto(new(tensor.Mat), tensor.New(1, 2), tensor.New(2, 1)) },
+		"MSE":    func() { MSELossInto(new(tensor.Mat), tensor.New(1, 2), tensor.New(2, 1)) },
 		"CE":     func() { SoftmaxCrossEntropy(tensor.New(2, 3), []int{0}) },
 		"CErng":  func() { SoftmaxCrossEntropy(tensor.New(1, 3), []int{5}) },
 	} {
@@ -404,7 +404,7 @@ func TestZeroGradsClearsAll(t *testing.T) {
 	tensor.GaussianFill(x, 0, 1, rng)
 	y := tensor.New(2, 2)
 	out := net.Forward(x)
-	_, g := MSELoss(out, y)
+	_, g := MSELossInto(new(tensor.Mat), out, y)
 	net.Backward(g)
 	nonzero := false
 	for _, gm := range net.Grads() {
@@ -435,7 +435,7 @@ func TestTrainTinyClassifier(t *testing.T) {
 		net.ZeroGrads()
 		out := net.Forward(x)
 		var g *tensor.Mat
-		loss, g = BCEWithLogitsLoss(out, y)
+		loss, g = BCEWithLogitsLossInto(new(tensor.Mat), out, y)
 		net.Backward(g)
 		opt.Step(net)
 	}

@@ -4,104 +4,96 @@ import (
 	"cellgan/internal/tensor"
 )
 
-// Workspace owns the per-layer activation and gradient buffers for one
-// network's forward/backward pass. Reusing a Workspace across iterations
-// eliminates the per-step allocations of the plain Forward/Backward
-// protocol: buffers are lazily created on first use and resized (which
-// only reallocates when a batch-shape change outgrows capacity) on every
-// subsequent pass.
+// LayerScratch owns every buffer one layer needs for a forward→backward
+// pair: the layer output, ∂L/∂input, the cached forward input, and the
+// auxiliary matrices of the conv lowering (im2col patches, position-major
+// staging). The matrices reuse their backing storage across passes via
+// Resize, so a scratch that has seen its largest batch never allocates
+// again. The zero value is ready to use.
+type LayerScratch struct {
+	in  *tensor.Mat // input of the most recent Forward (not owned)
+	out tensor.Mat  // layer output
+	dIn tensor.Mat  // ∂L/∂input
+	aux [3]tensor.Mat
+}
+
+// keptScratch is embedded by every layer to implement the nil-scratch
+// form of the Layer contract.
+type keptScratch struct{ kept *LayerScratch }
+
+// begin resolves the scratch of a Forward pass — s, or a fresh one kept
+// for the matching Backward when s is nil — and records the input on it.
+func (k *keptScratch) begin(s *LayerScratch, x *tensor.Mat) *LayerScratch {
+	if s == nil {
+		s = new(LayerScratch)
+		k.kept = s
+	}
+	s.in = x
+	return s
+}
+
+// resume resolves the scratch of a Backward pass: s, or the scratch kept
+// by the preceding nil-scratch Forward. The kept scratch gets a fresh
+// gradient matrix per call, so results of the allocating form never alias
+// one another.
+func (k *keptScratch) resume(s *LayerScratch) *LayerScratch {
+	if s == nil && k.kept != nil {
+		s = k.kept
+		s.dIn = tensor.Mat{}
+	}
+	if s == nil || s.in == nil {
+		panic("nn: Backward before Forward")
+	}
+	return s
+}
+
+// Workspace is the per-layer scratch list of one network's
+// forward/backward pass. Reusing a Workspace across iterations eliminates
+// the per-step allocations of Network.Forward/Backward: scratches are
+// created on first use and resized (which only reallocates when a
+// batch-shape change outgrows capacity) on every subsequent pass.
 //
 // A Workspace is owned by exactly one goroutine and must not be shared
 // between concurrently running networks. It may be shared across networks
 // sequentially (e.g. one workspace per cell, reused by the generator and
 // discriminator in turn) as long as each forward→backward pair completes
-// before the workspace is handed to the next network: layer caches and the
-// matrices returned by ForwardWS/BackwardWS alias workspace storage.
+// before the workspace is handed to the next network: the matrices
+// returned by ForwardWS/BackwardWS alias workspace storage.
 type Workspace struct {
-	acts    []*tensor.Mat   // acts[i] holds the output of layer i
-	grads   []*tensor.Mat   // grads[i] holds ∂L/∂input of layer i
-	scratch []*LayerScratch // scratch[i] holds layer i's auxiliary buffers
+	layers []*LayerScratch // layers[i] serves layer slot i
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// LayerScratch is a bag of lazily-created auxiliary matrices for one layer
-// slot of a Workspace (the im2col patch matrices of the conv layers live
-// here). Buffers are identified by index; Buf grows the bag on demand and
-// the matrices reuse their backing storage across passes via Resize.
-type LayerScratch struct {
-	bufs []*tensor.Mat
-}
-
-// Buf returns the i-th scratch matrix, creating empty matrices as needed.
-func (s *LayerScratch) Buf(i int) *tensor.Mat {
-	for len(s.bufs) <= i {
-		s.bufs = append(s.bufs, new(tensor.Mat))
-	}
-	return s.bufs[i]
-}
-
-// layerScratch returns the scratch bag for layer slot i, growing the slice
-// on demand.
-func (ws *Workspace) layerScratch(i int) *LayerScratch {
-	for len(ws.scratch) <= i {
-		ws.scratch = append(ws.scratch, &LayerScratch{})
-	}
-	return ws.scratch[i]
-}
-
-// grow extends bufs with empty matrices until it holds at least n slots.
-func grow(bufs []*tensor.Mat, n int) []*tensor.Mat {
-	for len(bufs) < n {
-		bufs = append(bufs, new(tensor.Mat))
-	}
-	return bufs
-}
-
-// ForwardWS propagates a batch through every layer, writing each layer's
-// output into ws-owned buffers. A nil ws falls back to the allocating
-// Forward path, so callers can thread an optional workspace through
-// unconditionally. Layers that do not implement IntoLayer allocate as
-// usual. The returned matrix aliases workspace storage and is only valid
-// until the next pass through ws. Results are bit-identical to Forward.
-func (n *Network) ForwardWS(ws *Workspace, x *tensor.Mat) *tensor.Mat {
+// layer returns the scratch for layer slot i, growing the list on demand.
+// A nil workspace yields nil scratches: fresh buffers per pass.
+func (ws *Workspace) layer(i int) *LayerScratch {
 	if ws == nil {
-		return n.Forward(x)
+		return nil
 	}
-	ws.acts = grow(ws.acts, len(n.Layers))
+	for len(ws.layers) <= i {
+		ws.layers = append(ws.layers, new(LayerScratch))
+	}
+	return ws.layers[i]
+}
+
+// ForwardWS propagates a batch through every layer on ws-owned scratch.
+// The returned matrix aliases workspace storage and is only valid until
+// the next pass through ws. A nil ws runs the same path on fresh scratch.
+func (n *Network) ForwardWS(ws *Workspace, x *tensor.Mat) *tensor.Mat {
 	for i, l := range n.Layers {
-		switch tl := l.(type) {
-		case ScratchLayer:
-			x = tl.ForwardScratch(ws.layerScratch(i), ws.acts[i], x)
-		case IntoLayer:
-			x = tl.ForwardInto(ws.acts[i], x)
-		default:
-			x = l.Forward(x)
-		}
+		x = l.Forward(ws.layer(i), x)
 	}
 	return x
 }
 
-// BackwardWS propagates ∂L/∂output back through every layer, accumulating
-// parameter gradients into the layers and intermediate input-gradients
-// into ws-owned buffers. A nil ws falls back to the allocating Backward
-// path. The returned ∂L/∂input aliases workspace storage. Results are
-// bit-identical to Backward.
+// BackwardWS propagates ∂L/∂output back through every layer on the
+// scratch its ForwardWS ran on, accumulating parameter gradients into the
+// layers. The returned ∂L/∂input aliases workspace storage.
 func (n *Network) BackwardWS(ws *Workspace, grad *tensor.Mat) *tensor.Mat {
-	if ws == nil {
-		return n.Backward(grad)
-	}
-	ws.grads = grow(ws.grads, len(n.Layers))
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		switch tl := n.Layers[i].(type) {
-		case ScratchLayer:
-			grad = tl.BackwardScratch(ws.layerScratch(i), ws.grads[i], grad)
-		case IntoLayer:
-			grad = tl.BackwardInto(ws.grads[i], grad)
-		default:
-			grad = n.Layers[i].Backward(grad)
-		}
+		grad = n.Layers[i].Backward(ws.layer(i), grad)
 	}
 	return grad
 }

@@ -15,10 +15,11 @@ func twinNets(seed uint64) (*Network, *Network) {
 	return a, b
 }
 
-// TestForwardBackwardWSBitIdentical runs the same pass through the
-// workspace and allocating paths on twin networks and demands bitwise
-// agreement of outputs, input gradients and parameter gradients — the
-// invariant the whole refactor rests on.
+// TestForwardBackwardWSBitIdentical proves that reusing scratch leaks no
+// state between passes: twin networks run the same batches, one on fresh
+// scratch per pass, the other on a single workspace whose buffers have
+// already held a larger and a smaller batch, and outputs, input gradients
+// and parameter gradients must agree bit for bit.
 func TestForwardBackwardWSBitIdentical(t *testing.T) {
 	for _, act := range []struct {
 		name string
@@ -33,25 +34,25 @@ func TestForwardBackwardWSBitIdentical(t *testing.T) {
 			a := MLP([]int{6, 9, 4}, act.mk, act.mk, tensor.NewRNG(11))
 			b := MLP([]int{6, 9, 4}, act.mk, act.mk, tensor.NewRNG(11))
 			rng := tensor.NewRNG(12)
-			x := tensor.New(5, 6)
-			tensor.GaussianFill(x, 0, 1, rng)
-			y := tensor.New(5, 4)
-			tensor.GaussianFill(y, 0, 1, rng)
 			ws := NewWorkspace()
 
-			for pass := 0; pass < 3; pass++ { // repeat: steady-state reuse
+			for pass, rows := range []int{9, 2, 5, 5} { // grow, shrink, then steady state
+				x := tensor.New(rows, 6)
+				tensor.GaussianFill(x, 0, 1, rng)
+				y := tensor.New(rows, 4)
+				tensor.GaussianFill(y, 0, 1, rng)
 				a.ZeroGrads()
 				b.ZeroGrads()
 				outA := a.ForwardWS(ws, x)
 				outB := b.Forward(x)
 				if !outA.Equal(outB) {
-					t.Fatalf("pass %d: ForwardWS differs from Forward", pass)
+					t.Fatalf("pass %d: reused-workspace forward differs from fresh scratch", pass)
 				}
-				_, grad := MSELoss(outB, y)
+				_, grad := MSELossInto(new(tensor.Mat), outB, y)
 				dxA := a.BackwardWS(ws, grad)
 				dxB := b.Backward(grad)
 				if !dxA.Equal(dxB) {
-					t.Fatalf("pass %d: BackwardWS input grad differs", pass)
+					t.Fatalf("pass %d: reused-workspace input grad differs", pass)
 				}
 				ga, gb := a.Grads(), b.Grads()
 				for i := range ga {
@@ -64,8 +65,8 @@ func TestForwardBackwardWSBitIdentical(t *testing.T) {
 	}
 }
 
-// TestGradCheckThroughWorkspace validates the Into backward path against
-// numerical differentiation directly, independent of the legacy path.
+// TestGradCheckThroughWorkspace validates the backward pass on a reused
+// workspace against numerical differentiation directly.
 func TestGradCheckThroughWorkspace(t *testing.T) {
 	rng := tensor.NewRNG(21)
 	net := MLP([]int{5, 8, 1}, func() Layer { return NewLeakyReLU(0.2) }, nil, rng)
@@ -76,12 +77,12 @@ func TestGradCheckThroughWorkspace(t *testing.T) {
 
 	net.ZeroGrads()
 	out := net.ForwardWS(ws, x)
-	_, dOut := BCEWithLogitsLoss(out, y)
+	_, dOut := BCEWithLogitsLossInto(new(tensor.Mat), out, y)
 	net.BackwardWS(ws, dOut)
 	analytic := net.Grads()
 
 	numeric := numericalGrad(net, func() float64 {
-		l, _ := BCEWithLogitsLoss(net.ForwardWS(ws, x), y)
+		l, _ := BCEWithLogitsLossInto(new(tensor.Mat), net.ForwardWS(ws, x), y)
 		return l
 	}, 1e-6)
 	for pi := range analytic {
@@ -94,60 +95,9 @@ func TestGradCheckThroughWorkspace(t *testing.T) {
 	}
 }
 
-// opaqueLayer hides a layer's Into/Scratch support behind the plain Layer
-// interface, forcing the workspace dispatch onto its allocating fallback
-// branch. Every built-in layer now has a destination-passing path, so the
-// fallback can only be exercised through a wrapper like this.
-type opaqueLayer struct{ inner Layer }
-
-func (o *opaqueLayer) Forward(x *tensor.Mat) *tensor.Mat  { return o.inner.Forward(x) }
-func (o *opaqueLayer) Backward(g *tensor.Mat) *tensor.Mat { return o.inner.Backward(g) }
-func (o *opaqueLayer) Params() []*tensor.Mat              { return o.inner.Params() }
-func (o *opaqueLayer) Grads() []*tensor.Mat               { return o.inner.Grads() }
-func (o *opaqueLayer) ZeroGrads()                         { o.inner.ZeroGrads() }
-func (o *opaqueLayer) Clone() Layer                       { return &opaqueLayer{inner: o.inner.Clone()} }
-
-// TestWorkspaceFallbackMixedLayers checks that a network mixing layers
-// without Into support (an opaque-wrapped Conv2D), scratch layers (a bare
-// Conv2D) and Into layers still works through the WS entry points, with
-// the fallback branch matching the legacy path bit for bit.
-func TestWorkspaceFallbackMixedLayers(t *testing.T) {
-	mk := func(wrap bool) *Network {
-		rng := tensor.NewRNG(31)
-		conv, err := NewConv2D(1, 6, 6, 2, 3, 1, 0, rng)
-		if err != nil {
-			t.Fatalf("conv: %v", err)
-		}
-		var l Layer = conv
-		if wrap {
-			l = &opaqueLayer{inner: conv}
-		}
-		return NewNetwork(l, NewTanh(), NewLinear(2*4*4, 3, rng))
-	}
-	a, b := mk(true), mk(false)
-	rng := tensor.NewRNG(32)
-	x := tensor.New(4, 36)
-	tensor.GaussianFill(x, 0, 1, rng)
-	y := tensor.New(4, 3)
-	tensor.GaussianFill(y, 0, 1, rng)
-	ws := NewWorkspace()
-
-	outA := a.ForwardWS(ws, x)
-	outB := b.Forward(x)
-	if !outA.Equal(outB) {
-		t.Fatal("mixed-layer ForwardWS differs from Forward")
-	}
-	_, grad := MSELoss(outB, y)
-	dxA := a.BackwardWS(ws, grad)
-	dxB := b.Backward(grad)
-	if !dxA.Equal(dxB) {
-		t.Fatal("mixed-layer BackwardWS differs from Backward")
-	}
-}
-
-// TestTrainingCheckpointBitExact trains twin networks — one on the
-// workspace path, one on the allocating path — with Adam for many steps
-// and requires byte-identical serialized parameters, the golden-checkpoint
+// TestTrainingCheckpointBitExact trains twin networks — one on a reused
+// workspace, one on fresh scratch per pass — with Adam for many steps and
+// requires byte-identical serialized parameters, the golden-checkpoint
 // idiom of the cluster determinism tests.
 func TestTrainingCheckpointBitExact(t *testing.T) {
 	a, b := twinNets(41)
@@ -163,13 +113,13 @@ func TestTrainingCheckpointBitExact(t *testing.T) {
 		tensor.GaussianFill(y, 0, 1, rng)
 		n.ZeroGrads()
 		out := n.ForwardWS(wsp, x)
-		_, grad := MSELoss(out, y)
+		_, grad := MSELossInto(new(tensor.Mat), out, y)
 		n.BackwardWS(wsp, grad)
 		opt.Step(n)
 	}
 	for i := 0; i < 50; i++ {
 		step(a, optA, ws, rngA)
-		step(b, optB, nil, rngB) // nil workspace: allocating path
+		step(b, optB, nil, rngB) // nil workspace: fresh scratch per pass
 	}
 	pa, err := a.EncodeParams()
 	if err != nil {
@@ -180,7 +130,7 @@ func TestTrainingCheckpointBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(pa, pb) {
-		t.Fatal("workspace-trained checkpoint differs from allocating-path checkpoint")
+		t.Fatal("workspace-trained checkpoint differs from fresh-scratch checkpoint")
 	}
 }
 

@@ -3,7 +3,10 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -142,6 +145,50 @@ func TestReloadEndpointValidation(t *testing.T) {
 	// A rejected push must not disturb the serving model.
 	if code, gr := postGenerate(t, ts.URL, GenerateRequest{N: 1}); code != http.StatusOK || gr.Version != 1 {
 		t.Fatalf("model disturbed by bad reload: code %d %+v", code, gr)
+	}
+}
+
+// nanArtifactBytes serialises a, then overwrites the last generator
+// parameter with NaN and re-seals the sha256 footer (8-byte magic +
+// digest): structurally perfect bytes that would serve NaN pixels.
+func nanArtifactBytes(tb testing.TB, a *checkpoint.MixtureArtifact) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := checkpoint.WriteMixture(&buf, a); err != nil {
+		tb.Fatal(err)
+	}
+	data := buf.Bytes()
+	body := data[:len(data)-8-sha256.Size]
+	binary.LittleEndian.PutUint64(body[len(body)-8:], math.Float64bits(math.NaN()))
+	sum := sha256.Sum256(body)
+	copy(data[len(data)-sha256.Size:], sum[:])
+	return data
+}
+
+// TestReloadRejectsNonFiniteParameters: a checksum-valid artifact whose
+// generator parameters contain NaN must fail the reload and leave the old
+// model serving.
+func TestReloadRejectsNonFiniteParameters(t *testing.T) {
+	_, ts := newTestServer(t, EngineConfig{})
+	resp, err := http.Post(ts.URL+"/v1/reload?model=digits", "application/octet-stream",
+		bytes.NewReader(nanArtifactBytes(t, variantArtifact(t))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("NaN-parameter artifact reload status %d, want 400", resp.StatusCode)
+	}
+	code, gr := postGenerate(t, ts.URL, GenerateRequest{N: 2})
+	if code != http.StatusOK || gr.Version != 1 {
+		t.Fatalf("model disturbed by refused reload: code %d %+v", code, gr)
+	}
+	for _, row := range gr.Samples {
+		for _, v := range row {
+			if math.IsNaN(v) {
+				t.Fatal("serving NaN pixels after a refused reload")
+			}
+		}
 	}
 }
 

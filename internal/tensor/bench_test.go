@@ -100,29 +100,29 @@ func BenchmarkMatMulT2Into(b *testing.B) {
 	}
 }
 
-func BenchmarkMatMulInto32(b *testing.B) {
+func BenchmarkMatMulIntoF32(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
 		a := Narrow(benchMat(n, n, 1))
 		c := Narrow(benchMat(n, n, 2))
-		dst := New32(n, n)
+		dst := new(Mat32)
 		b.Run(sizeName(n), func(b *testing.B) {
 			b.SetBytes(int64(4 * n * n * n))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				MatMulInto32(dst, a, c)
+				MatMulInto(dst, a, c)
 			}
 		})
 	}
 }
 
-func BenchmarkMatMulT2Into32(b *testing.B) {
+func BenchmarkMatMulT2IntoF32(b *testing.B) {
 	a := Narrow(benchMat(100, 784, 1))
 	c := Narrow(benchMat(256, 784, 2))
-	dst := New32(100, 256)
+	dst := new(Mat32)
 	b.SetBytes(int64(4 * 100 * 784 * 256))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MatMulT2Into32(dst, a, c)
+		MatMulT2Into(dst, a, c)
 	}
 }
 
@@ -173,7 +173,7 @@ func BenchmarkMatSerialize(b *testing.B) {
 	var buf []byte
 	{
 		var w writerBuf
-		if _, err := m.WriteTo(&w); err != nil {
+		if _, err := WriteMat(&w, m); err != nil {
 			b.Fatal(err)
 		}
 		buf = w.data
@@ -182,7 +182,7 @@ func BenchmarkMatSerialize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var w writerBuf
-		if _, err := m.WriteTo(&w); err != nil {
+		if _, err := WriteMat(&w, m); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // im2col / col2im lower 2-D (de)convolutions onto the ParallelFor-backed
 // matmul kernels. A batch of flattened c×h×w images (one image per row of
@@ -38,8 +35,8 @@ func im2colCheck(op string, imgCols int, g convGeom) {
 	}
 }
 
-// im2colRange gathers samples [lo, hi) of img into patch rows of dst.
-func im2colRange(dst, img *Mat, g convGeom, lo, hi int) {
+// im2colKernel gathers samples [lo, hi) of img into patch rows of dst.
+func im2colKernel[T Float](dst, img *Matrix[T], g convGeom, lo, hi int) {
 	pos := g.posH * g.posW
 	for bi := lo; bi < hi; bi++ {
 		src := img.Row(bi)
@@ -77,9 +74,7 @@ func im2colRange(dst, img *Mat, g convGeom, lo, hi int) {
 
 // col2imKernel scatter-adds patch rows of cols back into samples [lo, hi)
 // of dst, in (position, column) order per sample, dropping out-of-bounds
-// taps. Generic core shared by the float64 path and the float32 serving
-// tier (AddCol2ImInto32); imgCols and fan are the row widths of dst and
-// cols respectively.
+// taps; imgCols and fan are the row widths of dst and cols respectively.
 func col2imKernel[F Float](dst, cols []F, imgCols, fan int, g convGeom, lo, hi int) {
 	pos := g.posH * g.posW
 	for bi := lo; bi < hi; bi++ {
@@ -112,50 +107,19 @@ func col2imKernel[F Float](dst, cols []F, imgCols, fan int, g convGeom, lo, hi i
 	}
 }
 
-// col2imRange is col2imKernel over float64 matrices.
-func col2imRange(dst, cols *Mat, g convGeom, lo, hi int) {
-	col2imKernel(dst.Data, cols.Data, dst.Cols, cols.Cols, g, lo, hi)
-}
-
-// Pooled dispatch headers (see matmul.go): parallel gather/scatter without
-// per-call closure allocations.
-type im2colTask struct {
-	dst, img *Mat
-	g        convGeom
-}
-
-func (t *im2colTask) run(lo, hi int) { im2colRange(t.dst, t.img, t.g, lo, hi) }
-
-type col2imTask struct {
-	dst, cols *Mat
-	g         convGeom
-}
-
-func (t *col2imTask) run(lo, hi int) { col2imRange(t.dst, t.cols, t.g, lo, hi) }
-
-var (
-	im2colTaskPool = sync.Pool{New: func() any { return new(im2colTask) }}
-	col2imTaskPool = sync.Pool{New: func() any { return new(col2imTask) }}
-)
-
 // Im2ColInto expands img (rows = samples, each a flattened c×h×w image)
 // into patch rows: dst has shape (img.Rows·posH·posW) × (c·k·k), where row
 // b·posH·posW + py·posW + px holds the receptive field sampled at
 // y = py·stride − pad + ky, x = px·stride − pad + kx (out-of-bounds taps
 // read as 0). dst is resized, must not alias img, and is returned.
-func Im2ColInto(dst, img *Mat, c, h, w, k, stride, pad, posH, posW int) *Mat {
+func Im2ColInto[T Float](dst, img *Matrix[T], c, h, w, k, stride, pad, posH, posW int) *Matrix[T] {
 	g := convGeom{c, h, w, k, stride, pad, posH, posW}
 	im2colCheck("Im2ColInto", img.Cols, g)
-	b := img.Rows
 	pos := posH * posW
 	fan := c * k * k
-	dst.Resize(b*pos, fan)
+	dst.Resize(img.Rows*pos, fan)
 	mustNotShareData("Im2ColInto", dst, img)
-	t := im2colTaskPool.Get().(*im2colTask)
-	t.dst, t.img, t.g = dst, img, g
-	parallelRun(b, parallelThreshold/(pos*fan+1)+1, t)
-	t.dst, t.img = nil, nil
-	im2colTaskPool.Put(t)
+	dispatch(kernelTask[T]{op: opIm2Col, c: dst, a: img, g: g}, img.Rows, pos*fan)
 	return dst
 }
 
@@ -167,7 +131,7 @@ func Im2ColInto(dst, img *Mat, c, h, w, k, stride, pad, posH, posW int) *Mat {
 // sample the adds happen in (position, column) order, matching a direct
 // scatter loop; samples are independent, so the batch is parallelised.
 // dst must not alias cols. Returns dst.
-func AddCol2ImInto(dst, cols *Mat, c, h, w, k, stride, pad, posH, posW int) *Mat {
+func AddCol2ImInto[T Float](dst, cols *Matrix[T], c, h, w, k, stride, pad, posH, posW int) *Matrix[T] {
 	g := convGeom{c, h, w, k, stride, pad, posH, posW}
 	im2colCheck("AddCol2ImInto", dst.Cols, g)
 	pos := posH * posW
@@ -179,18 +143,14 @@ func AddCol2ImInto(dst, cols *Mat, c, h, w, k, stride, pad, posH, posW int) *Mat
 		panic(fmt.Sprintf("tensor: AddCol2ImInto cols rows %d, want %d samples × %d positions", cols.Rows, dst.Rows, pos))
 	}
 	mustNotShareData("AddCol2ImInto", dst, cols)
-	t := col2imTaskPool.Get().(*col2imTask)
-	t.dst, t.cols, t.g = dst, cols, g
-	parallelRun(dst.Rows, parallelThreshold/(pos*fan+1)+1, t)
-	t.dst, t.cols = nil, nil
-	col2imTaskPool.Put(t)
+	dispatch(kernelTask[T]{op: opCol2Im, c: dst, a: cols, g: g}, dst.Rows, pos*fan)
 	return dst
 }
 
 // Col2ImInto is AddCol2ImInto into a zeroed destination: dst is resized to
 // (cols.Rows/(posH·posW)) × (c·h·w), cleared, and accumulated into. This is
 // the ∂L/∂input reduction of the convolution backward pass. Returns dst.
-func Col2ImInto(dst, cols *Mat, c, h, w, k, stride, pad, posH, posW int) *Mat {
+func Col2ImInto[T Float](dst, cols *Matrix[T], c, h, w, k, stride, pad, posH, posW int) *Matrix[T] {
 	pos := posH * posW
 	if pos <= 0 || cols.Rows%pos != 0 {
 		panic(fmt.Sprintf("tensor: Col2ImInto cols rows %d not divisible by %d positions", cols.Rows, pos))

@@ -2,12 +2,12 @@ package tensor
 
 import "unsafe"
 
-// This file holds the cache-blocked, register-unrolled kernel cores shared
-// by the float64 matmul family (matmul.go) and the opt-in float32 serving
-// tier (matmul32.go). The cores are generic over the element type: Go
-// instantiates one copy per element width, so the float64 path compiles to
-// exactly the code it had when it was hand-written, and the float32 path
-// reuses the same loop structure at half the memory traffic.
+// This file holds the cache-blocked, register-unrolled kernel cores behind
+// the matmul family (matmul.go). The cores are generic over the element
+// type: Go instantiates one copy per element width, so the float64 path
+// compiles to exactly the code it had when it was hand-written, and the
+// float32 serving tier reuses the same loop structure at half the memory
+// traffic.
 //
 // Determinism contract: for every output element the multiply-adds are
 // applied in ascending-k order with a single accumulator, exactly like the
@@ -23,11 +23,6 @@ import "unsafe"
 // swallowed (see the non-finite regression tests). Skipping was also
 // value-identical for finite data only by accident of IEEE signed-zero
 // rules; the tiled kernels drop it everywhere.
-
-// Float constrains the kernel element types: float64 is the training
-// default, float32 the serving tier where bit-parity with training does
-// not matter.
-type Float interface{ float32 | float64 }
 
 // Tile sizes. kernelKC rows of b are kept hot across a sweep of output
 // rows (the k-tile); kernelJC bounds the output columns touched per tile
@@ -69,8 +64,7 @@ func mulAddRow1[F Float](crow, brow []F, av F) {
 
 // matMulKernel computes rows [lo, hi) of c = a × b (a is rows×aCols, b is
 // aCols×bCols). When zero is set the destination rows are cleared first;
-// otherwise they are accumulated into (the fresh-allocation and fused-add
-// paths). Loop order: k-tile → j-tile → output row → 4-wide k → j, so a
+// otherwise they are accumulated into (the fused-add path). Loop order: k-tile → j-tile → output row → 4-wide k → j, so a
 // kernelKC×kernelJC block of b is reused across every output row of the
 // range while each element still accumulates in ascending-k order.
 func matMulKernel[F Float](c, a, b []F, aCols, bCols int, zero bool, lo, hi int) {

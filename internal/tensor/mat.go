@@ -5,24 +5,42 @@ import (
 	"math"
 )
 
-// Mat is a dense, row-major matrix of float64. A Mat with Rows == 1 or
-// Cols == 1 doubles as a vector. The zero value is an empty matrix.
+// Float constrains the matrix element types: float64 is the training
+// default, float32 the serving tier where bit-parity with training does
+// not matter.
+type Float interface{ float32 | float64 }
+
+// Matrix is a dense, row-major matrix. A Matrix with Rows == 1 or
+// Cols == 1 doubles as a vector. The zero value is an empty matrix. Every
+// method and every destination-passing kernel of the package is written
+// once over the element type; Mat and Mat32 are its two instantiations.
 //
 // Allocation behaviour, for hot-path authors: the constructors (New,
-// FromFunc, Eye, Full) and the value-returning operations (Clone, Map, T,
-// MatMul, MatMulT1, MatMulT2, MatVec, ColSums, RowMeans) allocate a fresh
-// result on every call. The in-place operations (Add, Sub, MulElem, Scale,
-// AddScaled, AddRowVec, Apply, Zero, Fill, CopyFrom) and the
-// destination-passing kernels (MatMulInto, MatMulT1Into, MatMulT2Into,
-// AddMatMulT1Into, ColSumsInto, AddColSumsInto, ApplyInto, TInto) do not
-// allocate once the destination has reached its steady-state capacity —
-// Resize only reallocates when the requested shape outgrows the backing
-// array. Steady-state training and serving loops must use the Into forms.
-type Mat struct {
+// Eye, Full) and the value-returning operations (Clone, T, MatMul,
+// MatMulT1, MatMulT2) allocate a fresh result on every call. The in-place
+// operations (Add, Scale, AddScaled, AddRowVec, Zero, Fill, CopyFrom) and
+// the destination-passing kernels (MatMulInto, MatMulT1Into, MatMulT2Into,
+// AddMatMulT1Into, AddColSumsInto, ApplyInto, Im2ColInto, AddCol2ImInto)
+// do not allocate once the destination has reached its steady-state
+// capacity — Resize only reallocates when the requested shape outgrows the
+// backing array. Steady-state training and serving loops must use the
+// Into forms.
+type Matrix[T Float] struct {
 	Rows, Cols int
 	// Data holds the elements in row-major order; len(Data) == Rows*Cols.
-	Data []float64
+	Data []T
 }
+
+// Mat is the float64 matrix all training state lives in. The float64-only
+// helpers (constructors, RNG fills, serialisation, eigendecomposition)
+// take *Mat.
+type Mat = Matrix[float64]
+
+// Mat32 is the float32 matrix of the opt-in serving compute tier: halving
+// the memory traffic nearly halves the matmul wall-clock on inference
+// paths where bit-parity with training explicitly does not matter. It is
+// filled from a Mat with Narrow; there is no float32 training.
+type Mat32 = Matrix[float32]
 
 // New returns a zero-filled rows×cols matrix.
 func New(rows, cols int) *Mat {
@@ -33,23 +51,11 @@ func New(rows, cols int) *Mat {
 }
 
 // FromSlice wraps data (not copied) as a rows×cols matrix.
-func FromSlice(rows, cols int, data []float64) *Mat {
+func FromSlice[T Float](rows, cols int, data []T) *Matrix[T] {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("tensor: FromSlice size mismatch: %d×%d vs %d elements", rows, cols, len(data)))
 	}
-	return &Mat{Rows: rows, Cols: cols, Data: data}
-}
-
-// FromFunc builds a rows×cols matrix whose (i,j) element is f(i, j).
-func FromFunc(rows, cols int, f func(i, j int) float64) *Mat {
-	m := New(rows, cols)
-	for i := 0; i < rows; i++ {
-		base := i * cols
-		for j := 0; j < cols; j++ {
-			m.Data[base+j] = f(i, j)
-		}
-	}
-	return m
+	return &Matrix[T]{Rows: rows, Cols: cols, Data: data}
 }
 
 // Eye returns the n×n identity matrix.
@@ -64,32 +70,30 @@ func Eye(n int) *Mat {
 // Full returns a rows×cols matrix with every element set to v.
 func Full(rows, cols int, v float64) *Mat {
 	m := New(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = v
-	}
+	m.Fill(v)
 	return m
 }
 
 // At returns the element at row i, column j.
-func (m *Mat) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+func (m *Matrix[T]) At(i, j int) T { return m.Data[i*m.Cols+j] }
 
 // Set assigns the element at row i, column j.
-func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+func (m *Matrix[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
 
 // Row returns row i as a slice aliasing the matrix storage.
-func (m *Mat) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+func (m *Matrix[T]) Row(i int) []T { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // Resize reshapes m to rows×cols in place, reusing the backing array when
 // its capacity allows and reallocating otherwise. The element values after
 // a Resize are unspecified (destination-passing kernels overwrite them);
 // callers that need zeroed storage follow with Zero or Fill. It returns m.
-func (m *Mat) Resize(rows, cols int) *Mat {
+func (m *Matrix[T]) Resize(rows, cols int) *Matrix[T] {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: Resize to negative dimensions %d×%d", rows, cols))
 	}
 	n := rows * cols
 	if cap(m.Data) < n {
-		m.Data = make([]float64, n)
+		m.Data = make([]T, n)
 	}
 	m.Data = m.Data[:n]
 	m.Rows, m.Cols = rows, cols
@@ -97,71 +101,55 @@ func (m *Mat) Resize(rows, cols int) *Mat {
 }
 
 // Clone returns a deep copy of m.
-func (m *Mat) Clone() *Mat {
-	c := New(m.Rows, m.Cols)
+func (m *Matrix[T]) Clone() *Matrix[T] {
+	c := &Matrix[T]{Rows: m.Rows, Cols: m.Cols, Data: make([]T, len(m.Data))}
 	copy(c.Data, m.Data)
 	return c
 }
 
 // CopyFrom copies src into m; the shapes must match.
-func (m *Mat) CopyFrom(src *Mat) {
+func (m *Matrix[T]) CopyFrom(src *Matrix[T]) {
 	m.mustSameShape(src, "CopyFrom")
 	copy(m.Data, src.Data)
 }
 
 // Zero sets every element of m to zero.
-func (m *Mat) Zero() {
+func (m *Matrix[T]) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
 }
 
 // Fill sets every element of m to v.
-func (m *Mat) Fill(v float64) {
+func (m *Matrix[T]) Fill(v T) {
 	for i := range m.Data {
 		m.Data[i] = v
 	}
 }
 
-func (m *Mat) mustSameShape(o *Mat, op string) {
+func (m *Matrix[T]) mustSameShape(o *Matrix[T], op string) {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %d×%d vs %d×%d", op, m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 }
 
 // Add sets m = m + o element-wise.
-func (m *Mat) Add(o *Mat) {
+func (m *Matrix[T]) Add(o *Matrix[T]) {
 	m.mustSameShape(o, "Add")
 	for i, v := range o.Data {
 		m.Data[i] += v
 	}
 }
 
-// Sub sets m = m - o element-wise.
-func (m *Mat) Sub(o *Mat) {
-	m.mustSameShape(o, "Sub")
-	for i, v := range o.Data {
-		m.Data[i] -= v
-	}
-}
-
-// MulElem sets m = m ⊙ o (Hadamard product).
-func (m *Mat) MulElem(o *Mat) {
-	m.mustSameShape(o, "MulElem")
-	for i, v := range o.Data {
-		m.Data[i] *= v
-	}
-}
-
 // Scale sets m = a*m.
-func (m *Mat) Scale(a float64) {
+func (m *Matrix[T]) Scale(a T) {
 	for i := range m.Data {
 		m.Data[i] *= a
 	}
 }
 
 // AddScaled sets m = m + a*o (axpy).
-func (m *Mat) AddScaled(a float64, o *Mat) {
+func (m *Matrix[T]) AddScaled(a T, o *Matrix[T]) {
 	m.mustSameShape(o, "AddScaled")
 	for i, v := range o.Data {
 		m.Data[i] += a * v
@@ -169,7 +157,7 @@ func (m *Mat) AddScaled(a float64, o *Mat) {
 }
 
 // AddRowVec adds the 1×Cols row vector v to every row of m (broadcast).
-func (m *Mat) AddRowVec(v *Mat) {
+func (m *Matrix[T]) AddRowVec(v *Matrix[T]) {
 	if v.Rows != 1 || v.Cols != m.Cols {
 		panic(fmt.Sprintf("tensor: AddRowVec wants 1×%d, got %d×%d", m.Cols, v.Rows, v.Cols))
 	}
@@ -181,21 +169,9 @@ func (m *Mat) AddRowVec(v *Mat) {
 	}
 }
 
-// Apply sets every element x of m to f(x).
-func (m *Mat) Apply(f func(float64) float64) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-}
-
-// Map returns a new matrix whose elements are f applied to m's elements.
-func (m *Mat) Map(f func(float64) float64) *Mat {
-	return ApplyInto(&Mat{}, m, f)
-}
-
 // ApplyInto sets dst (resized to src's shape) to f applied element-wise to
-// src. dst == src is allowed and degenerates to Apply. It returns dst.
-func ApplyInto(dst, src *Mat, f func(float64) float64) *Mat {
+// src. dst == src is allowed (in-place). It returns dst.
+func ApplyInto[T Float](dst, src *Matrix[T], f func(T) T) *Matrix[T] {
 	dst.Resize(src.Rows, src.Cols)
 	for i, v := range src.Data {
 		dst.Data[i] = f(v)
@@ -203,30 +179,22 @@ func ApplyInto(dst, src *Mat, f func(float64) float64) *Mat {
 	return dst
 }
 
-// T returns a newly allocated transpose of m. Hot paths should avoid the
-// materialised transpose entirely via the MatMulT1/MatMulT2 kernels, or
-// reuse a buffer with TInto.
-func (m *Mat) T() *Mat {
-	return TInto(&Mat{}, m)
-}
-
-// TInto writes the transpose of m into dst (resized to Cols×Rows). dst
-// must not alias m. It returns dst.
-func TInto(dst, m *Mat) *Mat {
-	dst.Resize(m.Cols, m.Rows)
-	mustNotShareData("TInto", dst, m)
+// T returns a newly allocated transpose of m. Hot paths avoid the
+// materialised transpose entirely via the MatMulT1/MatMulT2 kernels.
+func (m *Matrix[T]) T() *Matrix[T] {
+	t := &Matrix[T]{Rows: m.Cols, Cols: m.Rows, Data: make([]T, len(m.Data))}
 	for i := 0; i < m.Rows; i++ {
 		base := i * m.Cols
 		for j := 0; j < m.Cols; j++ {
-			dst.Data[j*m.Rows+i] = m.Data[base+j]
+			t.Data[j*m.Rows+i] = m.Data[base+j]
 		}
 	}
-	return dst
+	return t
 }
 
 // Sum returns the sum of all elements.
-func (m *Mat) Sum() float64 {
-	s := 0.0
+func (m *Matrix[T]) Sum() T {
+	var s T
 	for _, v := range m.Data {
 		s += v
 	}
@@ -234,15 +202,15 @@ func (m *Mat) Sum() float64 {
 }
 
 // Mean returns the arithmetic mean of all elements (0 for an empty matrix).
-func (m *Mat) Mean() float64 {
+func (m *Matrix[T]) Mean() T {
 	if len(m.Data) == 0 {
 		return 0
 	}
-	return m.Sum() / float64(len(m.Data))
+	return m.Sum() / T(len(m.Data))
 }
 
 // Max returns the maximum element; it panics on an empty matrix.
-func (m *Mat) Max() float64 {
+func (m *Matrix[T]) Max() T {
 	if len(m.Data) == 0 {
 		panic("tensor: Max of empty matrix")
 	}
@@ -256,7 +224,7 @@ func (m *Mat) Max() float64 {
 }
 
 // Min returns the minimum element; it panics on an empty matrix.
-func (m *Mat) Min() float64 {
+func (m *Matrix[T]) Min() T {
 	if len(m.Data) == 0 {
 		panic("tensor: Min of empty matrix")
 	}
@@ -270,26 +238,16 @@ func (m *Mat) Min() float64 {
 }
 
 // Norm2 returns the Frobenius norm of m.
-func (m *Mat) Norm2() float64 {
-	s := 0.0
+func (m *Matrix[T]) Norm2() float64 {
+	var s T
 	for _, v := range m.Data {
 		s += v * v
 	}
-	return math.Sqrt(s)
-}
-
-// Dot returns the inner product of m and o viewed as flat vectors.
-func (m *Mat) Dot(o *Mat) float64 {
-	m.mustSameShape(o, "Dot")
-	s := 0.0
-	for i, v := range m.Data {
-		s += v * o.Data[i]
-	}
-	return s
+	return math.Sqrt(float64(s))
 }
 
 // ArgmaxRow returns the column index of the maximum element of row i.
-func (m *Mat) ArgmaxRow(i int) int {
+func (m *Matrix[T]) ArgmaxRow(i int) int {
 	row := m.Row(i)
 	best := 0
 	for j, x := range row {
@@ -301,7 +259,7 @@ func (m *Mat) ArgmaxRow(i int) int {
 }
 
 // Equal reports whether m and o have the same shape and identical elements.
-func (m *Mat) Equal(o *Mat) bool {
+func (m *Matrix[T]) Equal(o *Matrix[T]) bool {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		return false
 	}
@@ -315,12 +273,12 @@ func (m *Mat) Equal(o *Mat) bool {
 
 // ApproxEqual reports whether m and o have the same shape and all elements
 // within tol of each other.
-func (m *Mat) ApproxEqual(o *Mat, tol float64) bool {
+func (m *Matrix[T]) ApproxEqual(o *Matrix[T], tol float64) bool {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
 		return false
 	}
 	for i, x := range m.Data {
-		if math.Abs(x-o.Data[i]) > tol {
+		if math.Abs(float64(x-o.Data[i])) > tol {
 			return false
 		}
 	}
@@ -328,7 +286,7 @@ func (m *Mat) ApproxEqual(o *Mat, tol float64) bool {
 }
 
 // String renders a compact, human-readable form of small matrices.
-func (m *Mat) String() string {
+func (m *Matrix[T]) String() string {
 	if m.Rows*m.Cols > 64 {
 		return fmt.Sprintf("Mat(%d×%d)", m.Rows, m.Cols)
 	}

@@ -1,90 +1,8 @@
 package tensor
 
-import "fmt"
-
-// Mat32 is a dense, row-major matrix of float32 — the storage type of the
-// opt-in serving compute tier. Training stays entirely on float64 Mat:
-// the float32 tier exists for inference paths where bit-parity with
-// training explicitly does not matter and halving the memory traffic
-// nearly halves the matmul wall-clock. The API mirrors the subset of Mat
-// the forward passes need; there is deliberately no backward-pass support.
-type Mat32 struct {
-	Rows, Cols int
-	// Data holds the elements in row-major order; len(Data) == Rows*Cols.
-	Data []float32
-}
-
-// New32 returns a zero-filled rows×cols float32 matrix.
-func New32(rows, cols int) *Mat32 {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("tensor: negative dimensions %d×%d", rows, cols))
-	}
-	return &Mat32{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
-}
-
-// FromSlice32 wraps data (not copied) as a rows×cols matrix.
-func FromSlice32(rows, cols int, data []float32) *Mat32 {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: FromSlice32 size mismatch: %d×%d vs %d elements", rows, cols, len(data)))
-	}
-	return &Mat32{Rows: rows, Cols: cols, Data: data}
-}
-
-// At returns the element at row i, column j.
-func (m *Mat32) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at row i, column j.
-func (m *Mat32) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
-
-// Row returns row i as a slice aliasing the matrix storage.
-func (m *Mat32) Row(i int) []float32 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// Resize reshapes m to rows×cols in place, reusing the backing array when
-// its capacity allows. Element values after a Resize are unspecified. It
-// returns m.
-func (m *Mat32) Resize(rows, cols int) *Mat32 {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("tensor: Resize to negative dimensions %d×%d", rows, cols))
-	}
-	n := rows * cols
-	if cap(m.Data) < n {
-		m.Data = make([]float32, n)
-	}
-	m.Data = m.Data[:n]
-	m.Rows, m.Cols = rows, cols
-	return m
-}
-
-// Zero sets every element of m to zero.
-func (m *Mat32) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
-// Fill sets every element of m to v.
-func (m *Mat32) Fill(v float32) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
-}
-
-// AddRowVec adds the 1×Cols row vector v to every row of m (broadcast) —
-// the bias add of the float32 Linear forward.
-func (m *Mat32) AddRowVec(v *Mat32) {
-	if v.Rows != 1 || v.Cols != m.Cols {
-		panic(fmt.Sprintf("tensor: AddRowVec wants 1×%d, got %d×%d", m.Cols, v.Rows, v.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, b := range v.Data {
-			row[j] += b
-		}
-	}
-}
-
 // NarrowInto resizes dst to src's shape and fills it with src narrowed to
-// float32 — the model-load conversion of the serving tier. It returns dst.
+// float32 — the model-load and latent-staging conversion of the serving
+// tier. It returns dst.
 func NarrowInto(dst *Mat32, src *Mat) *Mat32 {
 	dst.Resize(src.Rows, src.Cols)
 	for i, v := range src.Data {
@@ -94,33 +12,4 @@ func NarrowInto(dst *Mat32, src *Mat) *Mat32 {
 }
 
 // Narrow returns a freshly allocated float32 copy of src.
-func Narrow(src *Mat) *Mat32 {
-	return NarrowInto(&Mat32{}, src)
-}
-
-// WidenInto resizes dst to m's shape and fills it with m widened to
-// float64 (exact). It returns dst.
-func (m *Mat32) WidenInto(dst *Mat) *Mat {
-	dst.Resize(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		dst.Data[i] = float64(v)
-	}
-	return dst
-}
-
-// Apply32 sets every element x of m to f(x).
-func (m *Mat32) Apply32(f func(float32) float32) {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-}
-
-// ApplyInto32 sets dst (resized to src's shape) to f applied element-wise
-// to src. dst == src is allowed. It returns dst.
-func ApplyInto32(dst, src *Mat32, f func(float32) float32) *Mat32 {
-	dst.Resize(src.Rows, src.Cols)
-	for i, v := range src.Data {
-		dst.Data[i] = f(v)
-	}
-	return dst
-}
+func Narrow(src *Mat) *Mat32 { return NarrowInto(new(Mat32), src) }

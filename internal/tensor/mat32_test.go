@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// The float32 tier shares the generic kernel cores with float64, so the
-// structural edge cases are covered by the float64 bit-exactness sweep;
-// here we bound the float32-vs-float64 error and exercise the float32
-// plumbing (conversions, aliasing checks, the col2im scatter).
+// Mat32 is the float32 instantiation of the one generic Matrix and kernel
+// set, so the structural edge cases are covered by the float64
+// bit-exactness sweep; here we bound the float32-vs-float64 error and
+// exercise the float32 instantiation's plumbing (conversions, aliasing
+// checks, the col2im scatter, the per-element-type task pools).
 
 // f32Tolerance bounds the relative error of a float32 reduction of k
 // terms against the float64 result: each of the ~k rounding steps
@@ -17,9 +18,16 @@ func f32Tolerance(k int) float64 {
 	return float64(k+4) * math.Exp2(-24)
 }
 
-func wideMat(m *Mat32) *Mat { return m.WidenInto(new(Mat)) }
+// wideMat widens m to float64 (exact).
+func wideMat(m *Mat32) *Mat {
+	w := New(m.Rows, m.Cols)
+	for i, v := range m.Data {
+		w.Data[i] = float64(v)
+	}
+	return w
+}
 
-func TestMatMulInto32MatchesFloat64(t *testing.T) {
+func TestFloat32MatMulIntoMatchesFloat64(t *testing.T) {
 	rng := NewRNG(21)
 	shapes := [][3]int{{1, 1, 1}, {3, 5, 2}, {2, 63, 7}, {4, 64, 4}, {5, 65, 3}, {33, 17, 29}, {64, 64, 64}, {130, 64, 96}}
 	for _, sz := range shapes {
@@ -27,7 +35,7 @@ func TestMatMulInto32MatchesFloat64(t *testing.T) {
 		a := randMat(m, k, rng)
 		b := randMat(k, n, rng)
 		a32, b32 := Narrow(a), Narrow(b)
-		got := wideMat(MatMulInto32(New32(0, 0), a32, b32))
+		got := wideMat(MatMulInto(new(Mat32), a32, b32))
 		// Compare against the product of the narrowed operands in float64,
 		// so only the accumulation precision differs.
 		want := naiveMul(wideMat(a32), wideMat(b32))
@@ -35,13 +43,13 @@ func TestMatMulInto32MatchesFloat64(t *testing.T) {
 		for i := range got.Data {
 			ref := want.Data[i]
 			if math.Abs(got.Data[i]-ref) > tol*(1+math.Abs(ref))*float64(k) {
-				t.Fatalf("MatMulInto32 at %v element %d: got %g want %g", sz, i, got.Data[i], ref)
+				t.Fatalf("float32 MatMulInto at %v element %d: got %g want %g", sz, i, got.Data[i], ref)
 			}
 		}
 	}
 }
 
-func TestMatMulT2Into32MatchesFloat64(t *testing.T) {
+func TestFloat32MatMulT2IntoMatchesFloat64(t *testing.T) {
 	rng := NewRNG(22)
 	shapes := [][3]int{{1, 1, 1}, {3, 5, 2}, {2, 63, 7}, {4, 64, 5}, {9, 65, 3}, {31, 33, 29}}
 	for _, sz := range shapes {
@@ -49,41 +57,41 @@ func TestMatMulT2Into32MatchesFloat64(t *testing.T) {
 		a := randMat(m, k, rng)
 		b := randMat(n, k, rng)
 		a32, b32 := Narrow(a), Narrow(b)
-		got := wideMat(MatMulT2Into32(New32(0, 0), a32, b32))
+		got := wideMat(MatMulT2Into(new(Mat32), a32, b32))
 		want := naiveMulT2(wideMat(a32), wideMat(b32))
 		tol := f32Tolerance(k)
 		for i := range got.Data {
 			ref := want.Data[i]
 			if math.Abs(got.Data[i]-ref) > tol*(1+math.Abs(ref))*float64(k) {
-				t.Fatalf("MatMulT2Into32 at %v element %d: got %g want %g", sz, i, got.Data[i], ref)
+				t.Fatalf("float32 MatMulT2Into at %v element %d: got %g want %g", sz, i, got.Data[i], ref)
 			}
 		}
 	}
 }
 
-func TestMatMulInto32PropagatesNonFinite(t *testing.T) {
-	a := FromSlice32(1, 2, []float32{0, 1})
-	b := FromSlice32(2, 1, []float32{float32(math.NaN()), 2})
-	got := MatMulInto32(New32(0, 0), a, b).At(0, 0)
+func TestFloat32MatMulIntoPropagatesNonFinite(t *testing.T) {
+	a := FromSlice(1, 2, []float32{0, 1})
+	b := FromSlice(2, 1, []float32{float32(math.NaN()), 2})
+	got := MatMulInto(new(Mat32), a, b).At(0, 0)
 	if !math.IsNaN(float64(got)) {
 		t.Fatalf("float32 kernel lost the NaN: got %v", got)
 	}
 }
 
-func TestMatMulInto32AliasPanics(t *testing.T) {
+func TestFloat32MatMulIntoAliasPanics(t *testing.T) {
 	backing := make([]float32, 32)
-	a := FromSlice32(4, 4, backing[:16])
-	dst := FromSlice32(4, 4, backing[8:24])
-	b := New32(4, 4)
+	a := FromSlice(4, 4, backing[:16])
+	dst := FromSlice(4, 4, backing[8:24])
+	b := new(Mat32).Resize(4, 4)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("MatMulInto32 with overlapping dst did not panic")
+			t.Fatal("float32 MatMulInto with overlapping dst did not panic")
 		}
 	}()
-	MatMulInto32(dst, a, b)
+	MatMulInto(dst, a, b)
 }
 
-func TestAddCol2ImInto32MatchesFloat64(t *testing.T) {
+func TestFloat32AddCol2ImIntoMatchesFloat64(t *testing.T) {
 	rng := NewRNG(23)
 	// ConvTranspose2D geometry from the repo's CNN generator: 2 samples,
 	// c=3 channels, 4×4 kernel scattering a 7×7 grid into 14×14 images.
@@ -94,7 +102,7 @@ func TestAddCol2ImInto32MatchesFloat64(t *testing.T) {
 
 	dst32 := Narrow(dst)
 	cols32 := Narrow(cols)
-	AddCol2ImInto32(dst32, cols32, c, h, w, k, stride, pad, posH, posW)
+	AddCol2ImInto(dst32, cols32, c, h, w, k, stride, pad, posH, posW)
 
 	ref := wideMat(Narrow(dst)) // start from the narrowed seed
 	AddCol2ImInto(ref, wideMat(cols32), c, h, w, k, stride, pad, posH, posW)
@@ -104,7 +112,7 @@ func TestAddCol2ImInto32MatchesFloat64(t *testing.T) {
 	tol := f32Tolerance(maxTaps) * 4
 	for i := range got.Data {
 		if math.Abs(got.Data[i]-ref.Data[i]) > tol*(1+math.Abs(ref.Data[i])) {
-			t.Fatalf("AddCol2ImInto32 element %d: got %g want %g", i, got.Data[i], ref.Data[i])
+			t.Fatalf("float32 AddCol2ImInto element %d: got %g want %g", i, got.Data[i], ref.Data[i])
 		}
 	}
 }
@@ -124,17 +132,17 @@ func TestNarrowWidenRoundTrip(t *testing.T) {
 }
 
 func TestMat32AddRowVecAndApply(t *testing.T) {
-	m := FromSlice32(2, 3, []float32{1, 2, 3, 4, 5, 6})
-	m.AddRowVec(FromSlice32(1, 3, []float32{10, 20, 30}))
+	m := FromSlice(2, 3, []float32{1, 2, 3, 4, 5, 6})
+	m.AddRowVec(FromSlice(1, 3, []float32{10, 20, 30}))
 	want := []float32{11, 22, 33, 14, 25, 36}
 	for i, v := range m.Data {
 		if v != want[i] {
 			t.Fatalf("AddRowVec: %v", m.Data)
 		}
 	}
-	ApplyInto32(m, m, func(v float32) float32 { return -v })
+	ApplyInto(m, m, func(v float32) float32 { return -v })
 	if m.Data[0] != -11 {
-		t.Fatalf("ApplyInto32 in place: %v", m.Data)
+		t.Fatalf("float32 ApplyInto in place: %v", m.Data)
 	}
 }
 
@@ -143,17 +151,17 @@ func TestFloat32IntoKernelsAllocs(t *testing.T) {
 	a := Narrow(randMat(16, 24, rng))
 	b := Narrow(randMat(24, 16, rng))
 	bt := Narrow(randMat(16, 24, rng))
-	dst := New32(16, 16)
+	dst := new(Mat32).Resize(16, 16)
 	const c, h, w, k2, stride, pad, posH, posW = 1, 6, 6, 2, 2, 0, 3, 3
-	img := New32(2, c*h*w)
+	img := new(Mat32).Resize(2, c*h*w)
 	cols := Narrow(randMat(2*posH*posW, c*k2*k2, rng))
 
 	src := wideMat(a)
 	checks := map[string]func(){
-		"MatMulInto32":    func() { MatMulInto32(dst, a, b) },
-		"MatMulT2Into32":  func() { MatMulT2Into32(dst, a, bt) },
-		"AddCol2ImInto32": func() { AddCol2ImInto32(img, cols, c, h, w, k2, stride, pad, posH, posW) },
-		"NarrowInto":      func() { NarrowInto(a, src) },
+		"MatMulInto":    func() { MatMulInto(dst, a, b) },
+		"MatMulT2Into":  func() { MatMulT2Into(dst, a, bt) },
+		"AddCol2ImInto": func() { AddCol2ImInto(img, cols, c, h, w, k2, stride, pad, posH, posW) },
+		"NarrowInto":    func() { NarrowInto(a, src) },
 	}
 	for name, f := range checks {
 		f() // warm capacity

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // parallelThreshold is the minimum number of multiply-adds below which
@@ -128,7 +129,7 @@ func parallelRun(n, minChunk int, t rangeTask) {
 // overlapping FromSlice views of one array. Destination-passing kernels
 // read their sources while writing dst, so any overlap would silently
 // corrupt the result.
-func mustNotShareData(op string, dst *Mat, srcs ...*Mat) {
+func mustNotShareData[T Float](op string, dst *Matrix[T], srcs ...*Matrix[T]) {
 	for _, s := range srcs {
 		if s == dst || slicesOverlap(dst.Data, s.Data) {
 			panic("tensor: " + op + " destination aliases a source operand")
@@ -136,133 +137,128 @@ func mustNotShareData(op string, dst *Mat, srcs ...*Mat) {
 	}
 }
 
-// matMulRange computes rows [lo, hi) of c = a × b through the tiled ikj
-// kernel (kernels.go). When zero is set each output row is cleared before
-// accumulation (the destination-passing path); otherwise c is assumed to
-// arrive zeroed (freshly allocated).
-func matMulRange(c, a, b *Mat, zero bool, lo, hi int) {
-	matMulKernel(c.Data, a.Data, b.Data, a.Cols, b.Cols, zero, lo, hi)
-}
+// kernelOp names the kernel family a kernelTask runs.
+type kernelOp uint8
 
-// Pooled dispatch tasks: one struct per kernel family so a parallel
-// dispatch reuses a recycled header instead of allocating a closure.
-type matMulTask struct {
-	c, a, b *Mat
-	zero    bool
-}
-
-func (t *matMulTask) run(lo, hi int) { matMulRange(t.c, t.a, t.b, t.zero, lo, hi) }
-
-type matMulT1Task struct {
-	c, a, b *Mat
-	zero    bool
-}
-
-func (t *matMulT1Task) run(lo, hi int) { matMulT1Range(t.c, t.a, t.b, t.zero, lo, hi) }
-
-type matMulT2Task struct {
-	c, a, b *Mat
-}
-
-func (t *matMulT2Task) run(lo, hi int) { matMulT2Range(t.c, t.a, t.b, lo, hi) }
-
-var (
-	matMulTaskPool   = sync.Pool{New: func() any { return new(matMulTask) }}
-	matMulT1TaskPool = sync.Pool{New: func() any { return new(matMulT1Task) }}
-	matMulT2TaskPool = sync.Pool{New: func() any { return new(matMulT2Task) }}
+const (
+	opMatMul kernelOp = iota
+	opMatMulT1
+	opMatMulT2
+	opIm2Col
+	opCol2Im
 )
 
-func matMulDispatch(c, a, b *Mat, zero bool) {
-	work := a.Rows * a.Cols * b.Cols
-	if work < parallelThreshold {
-		matMulRange(c, a, b, zero, 0, a.Rows)
+// kernelTask is the pooled dispatch header of every parallel kernel: the
+// operands of one call plus the family selector, so a parallel dispatch
+// reuses a recycled struct instead of allocating a closure. c is the
+// destination; a and b are the sources (b unused by the gather/scatter
+// pair, g used only by it).
+type kernelTask[T Float] struct {
+	op      kernelOp
+	c, a, b *Matrix[T]
+	zero    bool
+	g       convGeom
+}
+
+func (t *kernelTask[T]) run(lo, hi int) {
+	switch t.op {
+	case opMatMul:
+		matMulKernel(t.c.Data, t.a.Data, t.b.Data, t.a.Cols, t.b.Cols, t.zero, lo, hi)
+	case opMatMulT1:
+		matMulT1Kernel(t.c.Data, t.a.Data, t.b.Data, t.a.Rows, t.a.Cols, t.b.Cols, t.zero, lo, hi)
+	case opMatMulT2:
+		pool := &panelPools[elemIndex[T]()]
+		p, _ := pool.Get().(*[]T)
+		if p == nil {
+			p = new([]T)
+		}
+		if need := 4 * t.a.Cols; cap(*p) < need {
+			*p = make([]T, need)
+		}
+		matMulT2Kernel(t.c.Data, t.a.Data, t.b.Data, t.a.Cols, t.b.Rows, lo, hi, (*p)[:cap(*p)])
+		pool.Put(p)
+	case opIm2Col:
+		im2colKernel(t.c, t.a, t.g, lo, hi)
+	case opCol2Im:
+		col2imKernel(t.c.Data, t.a.Data, t.c.Cols, t.a.Cols, t.g, lo, hi)
+	}
+}
+
+// taskPools recycles kernelTask headers and panelPools the packed
+// b-panels of the a×bᵀ kernel (each concurrently running chunk borrows
+// one, so the steady state holds about one panel per worker). Both are
+// indexed by elemIndex: a sync.Pool cannot be generic, so each element
+// type gets its own slot, picked without allocating.
+var taskPools, panelPools [2]sync.Pool
+
+// elemIndex returns 0 for float64 and 1 for float32.
+func elemIndex[T Float]() int {
+	var z T
+	if unsafe.Sizeof(z) == 4 {
+		return 1
+	}
+	return 0
+}
+
+// dispatch runs t over [0, n), where every index costs perIndex
+// multiply-adds (or element moves): serially below parallelThreshold,
+// otherwise through a pooled copy of t on the worker pool.
+func dispatch[T Float](t kernelTask[T], n, perIndex int) {
+	if n*perIndex < parallelThreshold {
+		t.run(0, n)
 		return
 	}
-	t := matMulTaskPool.Get().(*matMulTask)
-	t.c, t.a, t.b, t.zero = c, a, b, zero
-	minChunk := parallelThreshold / (a.Cols*b.Cols + 1)
-	parallelRun(a.Rows, minChunk+1, t)
-	t.c, t.a, t.b = nil, nil, nil
-	matMulTaskPool.Put(t)
+	pool := &taskPools[elemIndex[T]()]
+	p, _ := pool.Get().(*kernelTask[T])
+	if p == nil {
+		p = new(kernelTask[T])
+	}
+	*p = t
+	parallelRun(n, parallelThreshold/(perIndex+1)+1, p)
+	*p = kernelTask[T]{}
+	pool.Put(p)
 }
 
 // MatMul returns a × b in a freshly allocated matrix. It parallelises
-// across rows of a for large products. Hot paths should prefer MatMulInto.
-func MatMul(a, b *Mat) *Mat {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %d×%d · %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	c := New(a.Rows, b.Cols)
-	matMulDispatch(c, a, b, false)
-	return c
-}
+// across rows of a for large products. Hot paths use MatMulInto.
+func MatMul(a, b *Mat) *Mat { return MatMulInto(new(Mat), a, b) }
 
 // MatMulInto computes dst = a × b, resizing dst as needed and reusing its
-// backing storage when the capacity allows. dst must not alias a or b.
-// The chunk decomposition matches MatMul exactly, so the result is
-// bit-identical to the allocating form. It returns dst.
-func MatMulInto(dst, a, b *Mat) *Mat {
+// backing storage when the capacity allows. dst must not alias a or b. It
+// returns dst.
+func MatMulInto[T Float](dst, a, b *Matrix[T]) *Matrix[T] {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulInto inner dimension mismatch %d×%d · %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst.Resize(a.Rows, b.Cols)
 	mustNotShareData("MatMulInto", dst, a, b)
-	matMulDispatch(dst, a, b, true)
+	dispatch(kernelTask[T]{op: opMatMul, c: dst, a: a, b: b, zero: true}, a.Rows, a.Cols*b.Cols)
 	return dst
-}
-
-// matMulT1Range computes columns [lo, hi) of c = aᵀ × b:
-// c[i][j] = Σ_k a[k][i]·b[k][j], through the tiled kernel (kernels.go).
-// When zero is unset, c's rows [lo, hi) are accumulated into rather than
-// overwritten (the fused dW += xᵀ·grad path).
-func matMulT1Range(c, a, b *Mat, zero bool, lo, hi int) {
-	matMulT1Kernel(c.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols, zero, lo, hi)
-}
-
-func matMulT1Dispatch(c, a, b *Mat, zero bool) {
-	work := a.Rows * a.Cols * b.Cols
-	if work < parallelThreshold {
-		matMulT1Range(c, a, b, zero, 0, a.Cols)
-		return
-	}
-	t := matMulT1TaskPool.Get().(*matMulT1Task)
-	t.c, t.a, t.b, t.zero = c, a, b, zero
-	minChunk := parallelThreshold / (a.Rows*b.Cols + 1)
-	parallelRun(a.Cols, minChunk+1, t)
-	t.c, t.a, t.b = nil, nil, nil
-	matMulT1TaskPool.Put(t)
 }
 
 // MatMulT1 returns aᵀ × b in a freshly allocated matrix without
 // materialising the transpose of a.
-func MatMulT1(a, b *Mat) *Mat {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulT1 dimension mismatch %d×%d ᵀ· %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	c := New(a.Cols, b.Cols)
-	matMulT1Dispatch(c, a, b, false)
-	return c
-}
+func MatMulT1(a, b *Mat) *Mat { return MatMulT1Into(new(Mat), a, b) }
 
-// MatMulT1Into computes dst = aᵀ × b, resizing dst as needed. dst must not
-// alias a or b. Bit-identical to MatMulT1. It returns dst.
-func MatMulT1Into(dst, a, b *Mat) *Mat {
+// MatMulT1Into computes dst = aᵀ × b (c[i][j] = Σ_k a[k][i]·b[k][j]),
+// resizing dst as needed. dst must not alias a or b. It returns dst.
+func MatMulT1Into[T Float](dst, a, b *Matrix[T]) *Matrix[T] {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulT1Into dimension mismatch %d×%d ᵀ· %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst.Resize(a.Cols, b.Cols)
 	mustNotShareData("MatMulT1Into", dst, a, b)
-	matMulT1Dispatch(dst, a, b, true)
+	dispatch(kernelTask[T]{op: opMatMulT1, c: dst, a: a, b: b, zero: true}, a.Cols, a.Rows*b.Cols)
 	return dst
 }
 
 // AddMatMulT1Into computes dst += aᵀ × b without a temporary — the fused
 // gradient accumulation dW += xᵀ·grad of Linear.Backward. dst must already
 // have shape a.Cols×b.Cols and must not alias a or b. When dst arrives
-// zeroed the result is bit-identical to MatMulT1 (every partial sum
+// zeroed the result is bit-identical to MatMulT1Into (every partial sum
 // matches); from a non-zero start the accumulation order differs from
 // compute-then-Add by at most one rounding per element, deterministically.
-func AddMatMulT1Into(dst, a, b *Mat) *Mat {
+func AddMatMulT1Into[T Float](dst, a, b *Matrix[T]) *Matrix[T] {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: AddMatMulT1Into dimension mismatch %d×%d ᵀ· %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -270,135 +266,39 @@ func AddMatMulT1Into(dst, a, b *Mat) *Mat {
 		panic(fmt.Sprintf("tensor: AddMatMulT1Into destination %d×%d, want %d×%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
 	mustNotShareData("AddMatMulT1Into", dst, a, b)
-	matMulT1Dispatch(dst, a, b, false)
+	dispatch(kernelTask[T]{op: opMatMulT1, c: dst, a: a, b: b}, a.Cols, a.Rows*b.Cols)
 	return dst
-}
-
-// panel64Pool recycles the packed b-panels of the float64 a×bᵀ kernel;
-// each concurrently running chunk borrows one, so the steady state holds
-// about one panel per worker and dispatches stay allocation-free.
-var panel64Pool = sync.Pool{New: func() any { return new([]float64) }}
-
-// matMulT2Range computes rows [lo, hi) of c = a × bᵀ through the
-// packed-panel dot-product kernel (kernels.go). Every element is a full
-// dot product written once, so no zeroing pass is needed.
-func matMulT2Range(c, a, b *Mat, lo, hi int) {
-	p := panel64Pool.Get().(*[]float64)
-	if need := 4 * a.Cols; cap(*p) < need {
-		*p = make([]float64, need)
-	}
-	matMulT2Kernel(c.Data, a.Data, b.Data, a.Cols, b.Rows, lo, hi, (*p)[:cap(*p)])
-	panel64Pool.Put(p)
-}
-
-func matMulT2Dispatch(c, a, b *Mat) {
-	work := a.Rows * a.Cols * b.Rows
-	if work < parallelThreshold {
-		matMulT2Range(c, a, b, 0, a.Rows)
-		return
-	}
-	t := matMulT2TaskPool.Get().(*matMulT2Task)
-	t.c, t.a, t.b = c, a, b
-	minChunk := parallelThreshold / (a.Cols*b.Rows + 1)
-	parallelRun(a.Rows, minChunk+1, t)
-	t.c, t.a, t.b = nil, nil, nil
-	matMulT2TaskPool.Put(t)
 }
 
 // MatMulT2 returns a × bᵀ in a freshly allocated matrix without
 // materialising the transpose of b.
-func MatMulT2(a, b *Mat) *Mat {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulT2 dimension mismatch %d×%d · %d×%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	c := New(a.Rows, b.Rows)
-	matMulT2Dispatch(c, a, b)
-	return c
-}
+func MatMulT2(a, b *Mat) *Mat { return MatMulT2Into(new(Mat), a, b) }
 
-// MatMulT2Into computes dst = a × bᵀ, resizing dst as needed. dst must not
-// alias a or b. Bit-identical to MatMulT2. It returns dst.
-func MatMulT2Into(dst, a, b *Mat) *Mat {
+// MatMulT2Into computes dst = a × bᵀ, resizing dst as needed. Every
+// element is a full dot product written once, so no zeroing pass is
+// needed. dst must not alias a or b. It returns dst.
+func MatMulT2Into[T Float](dst, a, b *Matrix[T]) *Matrix[T] {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT2Into dimension mismatch %d×%d · %d×%dᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	dst.Resize(a.Rows, b.Rows)
 	mustNotShareData("MatMulT2Into", dst, a, b)
-	matMulT2Dispatch(dst, a, b)
-	return dst
-}
-
-// MatVec returns a × x where x is treated as a column vector of length
-// a.Cols; the result has shape a.Rows×1. Allocates.
-func MatVec(a *Mat, x *Mat) *Mat {
-	if x.Rows*x.Cols != a.Cols {
-		panic(fmt.Sprintf("tensor: MatVec length mismatch %d×%d · %d", a.Rows, a.Cols, x.Rows*x.Cols))
-	}
-	y := New(a.Rows, 1)
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		s := 0.0
-		for k, av := range row {
-			s += av * x.Data[k]
-		}
-		y.Data[i] = s
-	}
-	return y
-}
-
-// ColSums returns a freshly allocated 1×Cols row vector of per-column sums
-// of m.
-func ColSums(m *Mat) *Mat {
-	return ColSumsInto(&Mat{}, m)
-}
-
-// ColSumsInto computes the per-column sums of m into dst (resized to
-// 1×Cols). dst must not alias m. It returns dst.
-func ColSumsInto(dst, m *Mat) *Mat {
-	dst.Resize(1, m.Cols)
-	mustNotShareData("ColSumsInto", dst, m)
-	for j := range dst.Data {
-		dst.Data[j] = 0
-	}
-	colSumsAccum(dst, m)
+	dispatch(kernelTask[T]{op: opMatMulT2, c: dst, a: a, b: b}, a.Rows, a.Cols*b.Rows)
 	return dst
 }
 
 // AddColSumsInto accumulates the per-column sums of m into dst — the fused
 // dB += colsums(grad) of Linear.Backward. dst must have shape 1×m.Cols and
 // must not alias m.
-func AddColSumsInto(dst, m *Mat) *Mat {
+func AddColSumsInto[T Float](dst, m *Matrix[T]) *Matrix[T] {
 	if dst.Rows != 1 || dst.Cols != m.Cols {
 		panic(fmt.Sprintf("tensor: AddColSumsInto destination %d×%d, want 1×%d", dst.Rows, dst.Cols, m.Cols))
 	}
 	mustNotShareData("AddColSumsInto", dst, m)
-	colSumsAccum(dst, m)
-	return dst
-}
-
-func colSumsAccum(dst, m *Mat) {
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, x := range row {
+		for j, x := range m.Row(i) {
 			dst.Data[j] += x
 		}
 	}
-}
-
-// RowMeans returns a Rows×1 column vector of per-row means of m. Allocates.
-func RowMeans(m *Mat) *Mat {
-	r := New(m.Rows, 1)
-	if m.Cols == 0 {
-		return r
-	}
-	inv := 1.0 / float64(m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		s := 0.0
-		for _, x := range row {
-			s += x
-		}
-		r.Data[i] = s * inv
-	}
-	return r
+	return dst
 }

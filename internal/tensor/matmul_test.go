@@ -120,27 +120,6 @@ func TestMatMulT2LargeParallelPath(t *testing.T) {
 	}
 }
 
-func TestMatVec(t *testing.T) {
-	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	x := FromSlice(3, 1, []float64{1, 0, -1})
-	y := MatVec(a, x)
-	if y.Rows != 2 || y.Cols != 1 || y.Data[0] != -2 || y.Data[1] != -2 {
-		t.Fatalf("MatVec = %v", y)
-	}
-}
-
-func TestColSumsRowMeans(t *testing.T) {
-	m := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	cs := ColSums(m)
-	if !cs.Equal(FromSlice(1, 3, []float64{5, 7, 9})) {
-		t.Fatalf("ColSums = %v", cs)
-	}
-	rm := RowMeans(m)
-	if !rm.ApproxEqual(FromSlice(2, 1, []float64{2, 5}), 1e-12) {
-		t.Fatalf("RowMeans = %v", rm)
-	}
-}
-
 func TestParallelForCoversRangeOnce(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)

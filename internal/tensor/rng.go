@@ -1,6 +1,6 @@
 // Package tensor provides the dense linear-algebra substrate used by the
-// neural-network layers: row-major float64 matrices, (optionally parallel)
-// matrix products, broadcast operations, reductions, weight initialisers and
+// neural-network layers: row-major matrices generic over float64 (training)
+// and float32 (the serving tier), (optionally parallel) matrix products, broadcast operations, reductions, weight initialisers and
 // a deterministic, splittable pseudo-random number generator.
 //
 // The package is self-contained (standard library only) and deliberately

@@ -15,9 +15,10 @@ const matMagic = 0x4d41545a // "MATZ"
 // before they turn into multi-gigabyte allocations.
 const maxDecodeElems = 1 << 28
 
-// WriteTo serialises m to w in a fixed little-endian binary format:
-// magic, rows, cols (uint32 each) followed by Rows*Cols float64 bits.
-func (m *Mat) WriteTo(w io.Writer) (int64, error) {
+// WriteMat serialises m to w in a fixed little-endian binary format:
+// magic, rows, cols (uint32 each) followed by Rows*Cols float64 bits. It
+// returns the number of bytes written.
+func WriteMat(w io.Writer, m *Mat) (int64, error) {
 	hdr := make([]byte, 12)
 	binary.LittleEndian.PutUint32(hdr[0:], matMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.Rows))
@@ -35,7 +36,7 @@ func (m *Mat) WriteTo(w io.Writer) (int64, error) {
 	return total + int64(n), err
 }
 
-// ReadMat decodes a matrix previously written with WriteTo.
+// ReadMat decodes a matrix previously written with WriteMat.
 func ReadMat(r io.Reader) (*Mat, error) {
 	hdr := make([]byte, 12)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -68,7 +69,7 @@ func EncodeMats(w io.Writer, ms []*Mat) error {
 		return err
 	}
 	for _, m := range ms {
-		if _, err := m.WriteTo(w); err != nil {
+		if _, err := WriteMat(w, m); err != nil {
 			return err
 		}
 	}
@@ -94,4 +95,17 @@ func DecodeMats(r io.Reader) ([]*Mat, error) {
 		ms[i] = m
 	}
 	return ms, nil
+}
+
+// AllFinite reports whether no element of any matrix in ms is NaN or ±Inf
+// — the scan decoders of untrusted parameter blobs run before use.
+func AllFinite(ms []*Mat) bool {
+	for _, m := range ms {
+		for _, v := range m.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -15,7 +15,7 @@ func TestMatRoundTrip(t *testing.T) {
 	m.Set(0, 0, math.Inf(1))
 	m.Set(0, 1, -0.0)
 	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
+	if _, err := WriteMat(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadMat(&buf)
@@ -30,7 +30,7 @@ func TestMatRoundTrip(t *testing.T) {
 func TestMatRoundTripNaN(t *testing.T) {
 	m := FromSlice(1, 2, []float64{math.NaN(), 1})
 	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
+	if _, err := WriteMat(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadMat(&buf)
@@ -51,7 +51,7 @@ func TestReadMatBadMagic(t *testing.T) {
 func TestReadMatTruncated(t *testing.T) {
 	m := randMat(4, 4, NewRNG(2))
 	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
+	if _, err := WriteMat(&buf, m); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-5]
@@ -63,7 +63,7 @@ func TestReadMatTruncated(t *testing.T) {
 func TestReadMatImplausibleSize(t *testing.T) {
 	var buf bytes.Buffer
 	huge := &Mat{Rows: 1, Cols: 1, Data: []float64{0}}
-	if _, err := huge.WriteTo(&buf); err != nil {
+	if _, err := WriteMat(&buf, huge); err != nil {
 		t.Fatal(err)
 	}
 	b := buf.Bytes()
@@ -122,7 +122,7 @@ func TestQuickMatRoundTrip(t *testing.T) {
 		r := NewRNG(seed)
 		m := randMat(r.Intn(6), 1+r.Intn(6), r)
 		var buf bytes.Buffer
-		if _, err := m.WriteTo(&buf); err != nil {
+		if _, err := WriteMat(&buf, m); err != nil {
 			return false
 		}
 		got, err := ReadMat(&buf)
@@ -151,10 +151,10 @@ func (w *failWriter) Write(p []byte) (int, error) {
 
 func TestWriteToPropagatesErrors(t *testing.T) {
 	m := randMat(4, 4, NewRNG(5))
-	if _, err := m.WriteTo(&failWriter{n: 3}); err == nil {
+	if _, err := WriteMat(&failWriter{n: 3}, m); err == nil {
 		t.Fatal("header write failure not propagated")
 	}
-	if _, err := m.WriteTo(&failWriter{n: 20}); err == nil {
+	if _, err := WriteMat(&failWriter{n: 20}, m); err == nil {
 		t.Fatal("body write failure not propagated")
 	}
 	if err := EncodeMats(&failWriter{n: 1}, []*Mat{m}); err == nil {
