@@ -55,6 +55,7 @@ fuzz-smoke:
 		$(GO) test -run='^$$' -fuzz="^Fuzz$$t\$$" -fuzztime=10s ./internal/checkpoint/ || exit 1; done
 	@for t in ReadIDXImages ReadIDXLabels; do \
 		$(GO) test -run='^$$' -fuzz="^Fuzz$$t\$$" -fuzztime=10s ./internal/dataset/ || exit 1; done
+	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalCellState$$' -fuzztime=10s ./internal/core/
 	@for t in OwnerUpdate ReleaseOrder RunTask SlaveReport SlaveReports StateUpdate NeighborSet; do \
 		$(GO) test -run='^$$' -fuzz="^FuzzParse$$t\$$" -fuzztime=10s ./internal/cluster/ || exit 1; done
 
@@ -71,9 +72,10 @@ loc:
 recovery-smoke:
 	bash scripts/recovery_smoke.sh
 
-# Measured compute benchmarks archived as machine-readable JSON.
+# Measured compute benchmarks archived as machine-readable JSON; the core
+# package contributes the lockstep exchange round (BenchmarkExchangeRound).
 bench-json:
-	$(GO) test -run=NoTests -bench=. -benchmem ./internal/tensor/ ./internal/nn/ \
+	$(GO) test -run=NoTests -bench=. -benchmem ./internal/tensor/ ./internal/nn/ ./internal/core/ \
 		| $(GO) run ./cmd/benchjson > BENCH_compute.json
 	@echo wrote BENCH_compute.json
 

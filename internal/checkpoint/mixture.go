@@ -92,7 +92,10 @@ func (a *MixtureArtifact) validate() error {
 		}
 	}
 	for i, p := range a.GenParams {
-		ms, err := tensor.DecodeMats(bytes.NewReader(p))
+		ms, rest, err := tensor.DecodeMats(p)
+		if err == nil && len(rest) != 0 {
+			err = fmt.Errorf("%d trailing bytes", len(rest))
+		}
 		if err == nil && !tensor.AllFinite(ms) {
 			err = fmt.Errorf("non-finite parameter")
 		}

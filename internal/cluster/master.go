@@ -539,7 +539,7 @@ func (m *master) collect(resend func(s int)) error {
 
 // SplitLocal derives the LOCAL communicator of §III-D from the WORLD
 // communicator: the sub-communicator of all slaves, used for the
-// per-iteration allgather without involving the master. Every rank of
+// per-iteration neighbour exchange without involving the master. Every rank of
 // comm must call it; the master (rank 0) receives nil.
 func SplitLocal(comm *mpi.Comm) (*mpi.Comm, error) {
 	color := 0

@@ -128,7 +128,7 @@ type runTask struct {
 	// Resilient selects the failure-tolerant exchange mode: the slave
 	// routes per-iteration neighbour exchange through the master
 	// (tagStateUpdate/tagNeighborSet rounds) instead of the LOCAL
-	// allgather, so the master can reassign cells when a slave dies.
+	// exchange, so the master can reassign cells when a slave dies.
 	Resilient bool `json:"resilient,omitempty"`
 	// Async selects the asynchronous cluster exchange: cells push center
 	// snapshots directly to the owners of their influence set
@@ -265,7 +265,7 @@ type wireState struct {
 }
 
 // neighborSet is the master's per-round reply in resilient mode: the
-// exchanged state of every grid cell (replacing the LOCAL allgather),
+// exchanged state of every grid cell (replacing the LOCAL exchange),
 // adoption orders for reassigned cells, and the round-control flags.
 type neighborSet struct {
 	Round int `json:"round"`

@@ -270,7 +270,7 @@ func (s *slave) runLockstep(task runTask) ([]SlaveReport, error) {
 // runResilient is the execution thread in failure-tolerant mode: the
 // per-iteration neighbour exchange is routed through the master in
 // globally-synchronous rounds (upload full state → receive neighbor set →
-// iterate) instead of the LOCAL allgather. The indirection is what makes
+// iterate) instead of the LOCAL neighbour exchange. The indirection is what makes
 // recovery possible: the master always holds every cell's last full state,
 // so when a slave dies it can re-dispatch the lost cells to survivors via
 // adoption orders — which this thread applies by rebuilding the cell and
@@ -314,7 +314,7 @@ func (s *slave) runResilient(task runTask) ([]SlaveReport, error) {
 		}
 
 		// (4) Neighbour exchange: apply every cell's state, exactly like
-		// the allgather path but sourced from the master's merged view.
+		// the LOCAL exchange but sourced from the master's merged view.
 		states := make(map[int]*core.CellState, len(ns.States))
 		for _, ws := range ns.States {
 			st, err := core.UnmarshalCellState(ws.Data)

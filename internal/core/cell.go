@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"cellgan/internal/config"
@@ -35,6 +37,10 @@ type Cell struct {
 	// cell's own centers under its own rank.
 	genNbrs  map[int]*Genome
 	discNbrs map[int]*Genome
+	// kept holds the genome pair of every neighbour rank ever seen, alive
+	// across exchanges: a fresh snapshot is decoded into its networks in
+	// place instead of building new ones each round.
+	kept map[int]genomePair
 
 	mixture *Mixture
 
@@ -54,6 +60,9 @@ type Cell struct {
 	// ws owns every reusable buffer of the training loop.
 	ws *cellWorkspace
 }
+
+// genomePair is one cell's two centers.
+type genomePair struct{ gen, disc *Genome }
 
 // cellWorkspace aggregates the reusable buffers of one cell's training
 // iteration. Distinct nn workspaces keep the aliasing reasoning local:
@@ -183,6 +192,7 @@ func NewCellWithData(cfg config.Config, rank int, g *grid.Grid, prof *profile.Pr
 
 	c.genNbrs = map[int]*Genome{rank: c.gen}
 	c.discNbrs = map[int]*Genome{rank: c.disc}
+	c.kept = map[int]genomePair{}
 	mix, err := NewMixture(map[int]*nn.Network{rank: c.gen.Net})
 	if err != nil {
 		return nil, err
@@ -198,62 +208,69 @@ func (c *Cell) Iteration() int { return c.iteration }
 func (c *Cell) Neighborhood() []int { return c.grid.Neighborhood(c.Rank) }
 
 // State snapshots the cell's centers for neighbourhood exchange.
-func (c *Cell) State() (*CellState, error) {
-	gp, err := c.gen.Net.EncodeParams()
-	if err != nil {
-		return nil, err
+func (c *Cell) State() (*CellState, error) { return UnmarshalCellState(c.AppendState(nil)) }
+
+// AppendState appends the bytes State().Marshal() would produce to dst,
+// encoding the parameters straight into it: a caller that sends its state
+// every round reuses one buffer and copies nothing.
+func (c *Cell) AppendState(dst []byte) []byte {
+	genSize, discSize := c.gen.Net.EncodedParamsSize(), c.disc.Net.EncodedParamsSize()
+	dst = slices.Grow(dst, stateHeaderSize+16+genSize+discSize)
+	dst = (&CellState{
+		Rank: c.Rank, Iteration: c.iteration,
+		GenLR: c.gen.LR, DiscLR: c.disc.LR,
+		GenFitness: c.gen.Fitness, DiscFitness: c.disc.Fitness,
+		GenLoss: c.gen.Loss, DiscLoss: c.disc.Loss,
+	}).appendHeader(dst)
+	dst = c.gen.Net.AppendParams(binary.LittleEndian.AppendUint64(dst, uint64(genSize)))
+	return c.disc.Net.AppendParams(binary.LittleEndian.AppendUint64(dst, uint64(discSize)))
+}
+
+// neighbor decodes s into the genome pair kept for rank r and returns it.
+// The pair is created on first sight as a clone of the cell's own centers
+// — the same architecture with no initialisation pass — and then only ever
+// overwritten, so a steady-state exchange allocates no network.
+func (c *Cell) neighbor(r int, s *CellState) (genomePair, error) {
+	if s.GenLoss >= numGANLosses || s.DiscLoss >= numGANLosses {
+		return genomePair{}, fmt.Errorf("core: unknown loss gene in state of rank %d", s.Rank)
 	}
-	dp, err := c.disc.Net.EncodeParams()
-	if err != nil {
-		return nil, err
+	p, ok := c.kept[r]
+	if !ok {
+		p = genomePair{c.gen.Clone(), c.disc.Clone()}
 	}
-	return &CellState{
-		Rank:        c.Rank,
-		Iteration:   c.iteration,
-		GenLR:       c.gen.LR,
-		DiscLR:      c.disc.LR,
-		GenFitness:  c.gen.Fitness,
-		DiscFitness: c.disc.Fitness,
-		GenLoss:     c.gen.Loss,
-		DiscLoss:    c.disc.Loss,
-		GenParams:   gp,
-		DiscParams:  dp,
-	}, nil
+	if err := p.gen.Net.DecodeParams(s.GenParams); err != nil {
+		return genomePair{}, fmt.Errorf("core: decoding generator of rank %d: %w", s.Rank, err)
+	}
+	if err := p.disc.Net.DecodeParams(s.DiscParams); err != nil {
+		return genomePair{}, fmt.Errorf("core: decoding discriminator of rank %d: %w", s.Rank, err)
+	}
+	p.gen.LR, p.gen.Fitness, p.gen.Loss = s.GenLR, s.GenFitness, s.GenLoss
+	p.disc.LR, p.disc.Fitness, p.disc.Loss = s.DiscLR, s.DiscFitness, s.DiscLoss
+	c.kept[r] = p
+	return p, nil
 }
 
 // SetNeighbors installs the latest center snapshots of the cell's
-// neighbourhood (typically the result of the per-iteration allgather).
-// Snapshots for ranks outside the neighbourhood are ignored; the cell's
-// own rank always refers to its live centers.
+// neighbourhood (typically the result of the per-iteration exchange).
+// Snapshots for ranks outside the neighbourhood are ignored, neighbours
+// without a snapshot leave the sub-population, and the cell's own rank
+// always refers to its live centers.
 func (c *Cell) SetNeighbors(states map[int]*CellState) error {
-	nbSet := make(map[int]bool)
+	clear(c.genNbrs)
+	clear(c.discNbrs)
+	c.genNbrs[c.Rank], c.discNbrs[c.Rank] = c.gen, c.disc
 	for _, r := range c.Neighborhood() {
-		nbSet[r] = true
-	}
-	genNbrs := map[int]*Genome{c.Rank: c.gen}
-	discNbrs := map[int]*Genome{c.Rank: c.disc}
-	for r, s := range states {
-		if r == c.Rank || !nbSet[r] {
+		s, ok := states[r]
+		if r == c.Rank || !ok {
 			continue
 		}
-		gen, disc, err := genomesFromState(c.Cfg, s)
+		p, err := c.neighbor(r, s)
 		if err != nil {
 			return err
 		}
-		genNbrs[r] = gen
-		discNbrs[r] = disc
+		c.genNbrs[r], c.discNbrs[r] = p.gen, p.disc
 	}
-	c.genNbrs = genNbrs
-	c.discNbrs = discNbrs
-	gens := make(map[int]*nn.Network, len(genNbrs))
-	for r, g := range genNbrs {
-		gens[r] = g.Net
-	}
-	if err := c.mixture.UpdateMembers(gens); err != nil {
-		return err
-	}
-	c.applyRestoredWeights()
-	return nil
+	return c.refreshMixture()
 }
 
 // UpdateNeighbor installs (or refreshes) a single neighbour's center
@@ -262,25 +279,20 @@ func (c *Cell) SetNeighbors(states map[int]*CellState) error {
 // absorb whatever updates have arrived rather than barriering on a full
 // exchange. States from ranks outside the neighbourhood are ignored.
 func (c *Cell) UpdateNeighbor(s *CellState) error {
-	if s.Rank == c.Rank {
+	if s.Rank == c.Rank || !slices.Contains(c.Neighborhood(), s.Rank) {
 		return nil
 	}
-	inNb := false
-	for _, r := range c.Neighborhood() {
-		if r == s.Rank {
-			inNb = true
-			break
-		}
-	}
-	if !inNb {
-		return nil
-	}
-	gen, disc, err := genomesFromState(c.Cfg, s)
+	p, err := c.neighbor(s.Rank, s)
 	if err != nil {
 		return err
 	}
-	c.genNbrs[s.Rank] = gen
-	c.discNbrs[s.Rank] = disc
+	c.genNbrs[s.Rank], c.discNbrs[s.Rank] = p.gen, p.disc
+	return c.refreshMixture()
+}
+
+// refreshMixture points the mixture at the current generator
+// sub-population.
+func (c *Cell) refreshMixture() error {
 	gens := make(map[int]*nn.Network, len(c.genNbrs))
 	for r, g := range c.genNbrs {
 		gens[r] = g.Net

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -53,6 +54,7 @@ func TestBitFlippedStateRejectedOrConsistent(t *testing.T) {
 	dp, _ := disc.EncodeParams()
 	s := &CellState{Rank: 1, GenParams: gp, DiscParams: dp}
 	good := s.Marshal()
+	c0, _ := newTestCell(t, cfg, 0)
 
 	// Sample positions across the stream (every 977th byte keeps the test
 	// fast while covering header, lengths and payload).
@@ -65,20 +67,64 @@ func TestBitFlippedStateRejectedOrConsistent(t *testing.T) {
 		}
 		// Decoded fine: the genome reconstruction must still either work
 		// or error; both are acceptable, panics are not.
-		_, _, _ = genomesFromState(cfg, st)
+		_, _ = c0.neighbor(1, st)
 	}
 }
 
-func TestTruncatedStatesAllPrefixesSafe(t *testing.T) {
-	cfg := tinyConfig()
-	rng := tensor.NewRNG(2)
-	gen := BuildGenerator(cfg, rng)
-	gp, _ := gen.EncodeParams()
-	s := &CellState{GenParams: gp, DiscParams: gp}
-	good := s.Marshal()
-	for n := 0; n < len(good); n += 509 {
-		if _, err := UnmarshalCellState(good[:n]); err == nil {
+// TestCellStateRejectsEveryPrefix: a state cut anywhere — inside the
+// header, inside a length word (a short read there once decoded
+// "successfully"), inside a blob — is an error, for a state small enough to
+// try every cut and for sampled cuts of a real one.
+func TestCellStateRejectsEveryPrefix(t *testing.T) {
+	// An empty final blob is the case the short read got wrong: the cut
+	// length word read back as the zero it was about to be.
+	for _, st := range []*CellState{
+		{Rank: 2, Iteration: 5, GenParams: []byte{1, 2, 3}},
+		{Rank: 2, Iteration: 5, GenParams: []byte{1, 2}, DiscParams: []byte{3}},
+	} {
+		small := st.Marshal()
+		if _, err := UnmarshalCellState(small); err != nil {
+			t.Fatal(err)
+		}
+		for n := range small {
+			if _, err := UnmarshalCellState(small[:n]); err == nil {
+				t.Errorf("prefix of %d of %d bytes accepted", n, len(small))
+			}
+		}
+	}
+	gp, _ := BuildGenerator(tinyConfig(), tensor.NewRNG(2)).EncodeParams()
+	real := (&CellState{GenParams: gp, DiscParams: gp}).Marshal()
+	for n := 0; n < len(real); n += 509 {
+		if _, err := UnmarshalCellState(real[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
 	}
+}
+
+// FuzzUnmarshalCellState: whatever the decoder accepts accounts for every
+// input byte — header, two length words, two blobs — so no truncated or
+// padded state passes for a whole one.
+func FuzzUnmarshalCellState(f *testing.F) {
+	gp, _ := BuildGenerator(tinyConfig(), tensor.NewRNG(2)).EncodeParams()
+	for _, st := range []*CellState{
+		{},
+		{Rank: 2, Iteration: 5, GenParams: []byte{1, 2, 3}},
+		{Rank: 1, GenLoss: LossLSGAN, GenParams: gp[:40], DiscParams: gp[:13]},
+	} {
+		good := st.Marshal()
+		f.Add(good)
+		f.Add(good[:len(good)-3])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := UnmarshalCellState(data)
+		if err != nil {
+			return
+		}
+		if want := stateHeaderSize + 16 + len(s.GenParams) + len(s.DiscParams); want != len(data) {
+			t.Fatalf("accepted %d bytes but the decoded state accounts for %d", len(data), want)
+		}
+		if !bytes.Equal(s.Marshal()[stateHeaderSize:], data[stateHeaderSize:]) {
+			t.Fatal("blobs do not re-marshal to the input")
+		}
+	})
 }

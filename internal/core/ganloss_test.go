@@ -270,16 +270,17 @@ func TestLossGeneSurvivesStateRoundTrip(t *testing.T) {
 	if got.GenLoss != LossLSGAN || got.DiscLoss != LossMinimax {
 		t.Fatalf("loss genes %v/%v", got.GenLoss, got.DiscLoss)
 	}
-	g2, d2, err := genomesFromState(cfg, got)
+	c0, _ := newTestCell(t, cfg, 0)
+	p, err := c0.neighbor(1, got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.Loss != LossLSGAN || d2.Loss != LossMinimax {
+	if p.gen.Loss != LossLSGAN || p.disc.Loss != LossMinimax {
 		t.Fatal("genomes lost their loss genes")
 	}
 	bad := *got
 	bad.GenLoss = GANLoss(42)
-	if _, _, err := genomesFromState(cfg, &bad); err == nil {
+	if _, err := c0.neighbor(1, &bad); err == nil {
 		t.Fatal("invalid loss gene accepted")
 	}
 }

@@ -11,13 +11,12 @@
 // against tournament-selected opponents from the neighbourhood
 // sub-population, (iii) selection/replacement of the centers from the
 // sub-population and a (1+1)-ES step on the generator mixture weights, and
-// (iv) an allgather exchange of updated centers with the neighbourhood.
+// (iv) an exchange of updated centers with the neighbourhood.
 // These are exactly the four routines profiled in the paper's Table IV
 // (mutate, train, update genomes, gather).
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -122,7 +121,7 @@ func BuildDiscriminator(cfg config.Config, rng *tensor.RNG) *nn.Network {
 
 // CellState is the serialisable snapshot of a cell's center genomes — the
 // unit of neighbourhood communication. It is what the paper's slaves
-// allgather after every training iteration.
+// gather after every training iteration.
 type CellState struct {
 	// Rank is the grid cell (== MPI slave index) this state belongs to.
 	Rank int
@@ -141,107 +140,63 @@ type CellState struct {
 // stateMagic guards CellState decoding.
 const stateMagic = 0x43454c4c // "CELL"
 
-// Marshal serialises the state to a compact binary form.
-func (s *CellState) Marshal() []byte {
-	var buf bytes.Buffer
-	var u64 [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(u64[:], v)
-		buf.Write(u64[:])
+// stateHeaderSize is the encoded magic, rank, iteration, learning rates,
+// fitnesses and loss genes (one 8-byte word each).
+const stateHeaderSize = 9 * 8
+
+// appendHeader appends everything of the encoding that precedes the two
+// parameter blobs.
+func (s *CellState) appendHeader(dst []byte) []byte {
+	for _, v := range [...]uint64{
+		stateMagic, uint64(int64(s.Rank)), uint64(int64(s.Iteration)),
+		math.Float64bits(s.GenLR), math.Float64bits(s.DiscLR),
+		math.Float64bits(s.GenFitness), math.Float64bits(s.DiscFitness),
+		uint64(s.GenLoss), uint64(s.DiscLoss),
+	} {
+		dst = binary.LittleEndian.AppendUint64(dst, v)
 	}
-	put(stateMagic)
-	put(uint64(int64(s.Rank)))
-	put(uint64(int64(s.Iteration)))
-	put(math.Float64bits(s.GenLR))
-	put(math.Float64bits(s.DiscLR))
-	put(math.Float64bits(s.GenFitness))
-	put(math.Float64bits(s.DiscFitness))
-	put(uint64(s.GenLoss))
-	put(uint64(s.DiscLoss))
-	put(uint64(len(s.GenParams)))
-	buf.Write(s.GenParams)
-	put(uint64(len(s.DiscParams)))
-	buf.Write(s.DiscParams)
-	return buf.Bytes()
+	return dst
 }
 
-// UnmarshalCellState decodes a snapshot produced by Marshal.
+// Marshal serialises the state to a compact binary form: the header, then
+// each parameter blob behind its 8-byte length.
+func (s *CellState) Marshal() []byte {
+	out := make([]byte, 0, stateHeaderSize+16+len(s.GenParams)+len(s.DiscParams))
+	out = s.appendHeader(out)
+	for _, blob := range [][]byte{s.GenParams, s.DiscParams} {
+		out = append(binary.LittleEndian.AppendUint64(out, uint64(len(blob))), blob...)
+	}
+	return out
+}
+
+// UnmarshalCellState decodes a snapshot produced by Marshal. The parameter
+// blobs of the result alias data; the caller must not reuse data while the
+// state is in use.
 func UnmarshalCellState(data []byte) (*CellState, error) {
-	rd := bytes.NewReader(data)
-	var u64 [8]byte
-	get := func() (uint64, error) {
-		if _, err := rd.Read(u64[:]); err != nil {
-			return 0, err
+	if len(data) < stateHeaderSize || binary.LittleEndian.Uint64(data) != stateMagic {
+		return nil, fmt.Errorf("core: bad or truncated cell-state header")
+	}
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(data[8*i:]) }
+	s := &CellState{
+		Rank: int(int64(word(1))), Iteration: int(int64(word(2))),
+		GenLR: math.Float64frombits(word(3)), DiscLR: math.Float64frombits(word(4)),
+		GenFitness: math.Float64frombits(word(5)), DiscFitness: math.Float64frombits(word(6)),
+		GenLoss: GANLoss(word(7)), DiscLoss: GANLoss(word(8)),
+	}
+	rest := data[stateHeaderSize:]
+	for _, blob := range []*[]byte{&s.GenParams, &s.DiscParams} {
+		if len(rest) < 8 {
+			return nil, fmt.Errorf("core: truncated cell-state blob length")
 		}
-		return binary.LittleEndian.Uint64(u64[:]), nil
-	}
-	magic, err := get()
-	if err != nil || magic != stateMagic {
-		return nil, fmt.Errorf("core: bad cell-state header")
-	}
-	s := &CellState{}
-	fields := []func(uint64){
-		func(v uint64) { s.Rank = int(int64(v)) },
-		func(v uint64) { s.Iteration = int(int64(v)) },
-		func(v uint64) { s.GenLR = math.Float64frombits(v) },
-		func(v uint64) { s.DiscLR = math.Float64frombits(v) },
-		func(v uint64) { s.GenFitness = math.Float64frombits(v) },
-		func(v uint64) { s.DiscFitness = math.Float64frombits(v) },
-		func(v uint64) { s.GenLoss = GANLoss(v) },
-		func(v uint64) { s.DiscLoss = GANLoss(v) },
-	}
-	for _, set := range fields {
-		v, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("core: truncated cell state: %w", err)
+		n := binary.LittleEndian.Uint64(rest)
+		rest = rest[8:]
+		if n > uint64(len(rest)) {
+			return nil, fmt.Errorf("core: blob length %d exceeds remaining %d", n, len(rest))
 		}
-		set(v)
+		*blob, rest = rest[:n:n], rest[n:]
 	}
-	readBlob := func() ([]byte, error) {
-		n, err := get()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(rd.Len()) {
-			return nil, fmt.Errorf("core: blob length %d exceeds remaining %d", n, rd.Len())
-		}
-		b := make([]byte, n)
-		if n > 0 {
-			if _, err := rd.Read(b); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
-	}
-	if s.GenParams, err = readBlob(); err != nil {
-		return nil, fmt.Errorf("core: generator params: %w", err)
-	}
-	if s.DiscParams, err = readBlob(); err != nil {
-		return nil, fmt.Errorf("core: discriminator params: %w", err)
-	}
-	if rd.Len() != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes in cell state", rd.Len())
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("core: %d trailing bytes in cell state", len(rest))
 	}
 	return s, nil
-}
-
-// genomesFromState reconstructs the generator and discriminator genomes of
-// a snapshot using cfg to rebuild the architectures.
-func genomesFromState(cfg config.Config, s *CellState) (gen, disc *Genome, err error) {
-	// Seed is irrelevant: parameters are overwritten by the decode.
-	rng := tensor.NewRNG(0)
-	gNet := BuildGenerator(cfg, rng)
-	if err := gNet.DecodeParams(s.GenParams); err != nil {
-		return nil, nil, fmt.Errorf("core: decoding generator of rank %d: %w", s.Rank, err)
-	}
-	dNet := BuildDiscriminator(cfg, rng)
-	if err := dNet.DecodeParams(s.DiscParams); err != nil {
-		return nil, nil, fmt.Errorf("core: decoding discriminator of rank %d: %w", s.Rank, err)
-	}
-	if s.GenLoss >= numGANLosses || s.DiscLoss >= numGANLosses {
-		return nil, nil, fmt.Errorf("core: unknown loss gene in state of rank %d", s.Rank)
-	}
-	gen = &Genome{Net: gNet, LR: s.GenLR, Fitness: s.GenFitness, Loss: s.GenLoss}
-	disc = &Genome{Net: dNet, LR: s.DiscLR, Fitness: s.DiscFitness, Loss: s.DiscLoss}
-	return gen, disc, nil
 }

@@ -84,14 +84,17 @@ func TestCellStateRoundTrip(t *testing.T) {
 		got.GenFitness != 0.5 || got.DiscFitness != -0.25 {
 		t.Fatalf("scalars: %+v", got)
 	}
-	g2, d2, err := genomesFromState(cfg, got)
-	if err != nil {
+	g2, d2 := BuildGenerator(cfg, rng), BuildDiscriminator(cfg, rng)
+	if err := g2.DecodeParams(got.GenParams); err != nil {
 		t.Fatal(err)
 	}
-	if g2.Net.ParamsL2() != gen.ParamsL2() {
+	if err := d2.DecodeParams(got.DiscParams); err != nil {
+		t.Fatal(err)
+	}
+	if g2.ParamsL2() != gen.ParamsL2() {
 		t.Fatal("generator params changed in transit")
 	}
-	if d2.Net.ParamsL2() != disc.ParamsL2() {
+	if d2.ParamsL2() != disc.ParamsL2() {
 		t.Fatal("discriminator params changed in transit")
 	}
 }
@@ -118,13 +121,27 @@ func TestUnmarshalCellStateErrors(t *testing.T) {
 	}
 }
 
-func TestGenomesFromStateWrongArch(t *testing.T) {
+// TestNeighborRejectsWrongArch: a snapshot whose discriminator blob has the
+// wrong shapes is refused, and the neighbour it would have overwritten is
+// still the one installed before.
+func TestNeighborRejectsWrongArch(t *testing.T) {
 	cfg := tinyConfig()
-	rng := tensor.NewRNG(5)
-	gen := BuildGenerator(cfg, rng)
-	gp, _ := gen.EncodeParams()
-	s := &CellState{GenParams: gp, DiscParams: gp} // disc blob is generator-shaped
-	if _, _, err := genomesFromState(cfg, s); err == nil {
+	c0, _ := newTestCell(t, cfg, 0)
+	c1, _ := newTestCell(t, cfg, 1)
+	s1, err := c1.State()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c0.UpdateNeighbor(s1); err != nil {
+		t.Fatal(err)
+	}
+	before := c0.discNbrs[1].Net.ParamsL2()
+	bad := *s1
+	bad.DiscParams = s1.GenParams // generator-shaped
+	if err := c0.UpdateNeighbor(&bad); err == nil {
 		t.Fatal("architecture mismatch accepted")
+	}
+	if got := c0.discNbrs[1].Net.ParamsL2(); got != before {
+		t.Fatalf("rejected snapshot changed the kept discriminator: %v → %v", before, got)
 	}
 }

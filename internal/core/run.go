@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"cellgan/internal/nn"
 	"cellgan/internal/profile"
 	"cellgan/internal/telemetry"
+	"cellgan/internal/tensor"
 )
 
 // RunOptions tunes a training run.
@@ -40,8 +42,8 @@ type RunOptions struct {
 	// returns true the run finishes the current iteration, performs a
 	// final exchange where the mode requires one, and returns normally
 	// with the state reached so far (suitable for checkpointing). In
-	// parallel mode the decision is reached by consensus: a stop vote is
-	// carried on the allgather, so every rank halts at the same boundary.
+	// parallel mode the decision is reached by consensus: every exchange
+	// allgathers a stop vote, so every rank halts at the same boundary.
 	Stop func() bool
 	// CheckpointEvery, with CheckpointSink set, captures a complete
 	// resumable snapshot of the grid at every iteration k that is a
@@ -147,11 +149,12 @@ func (r *Result) MixtureFor(rank int) (*Mixture, error) {
 		if mr < 0 || mr >= len(r.Cells) {
 			return nil, fmt.Errorf("core: mixture member %d out of range", mr)
 		}
-		gen, _, err := genomesFromState(r.Cfg, r.Cells[mr].State)
-		if err != nil {
-			return nil, err
+		// Seed is irrelevant: parameters are overwritten by the decode.
+		gen := BuildGenerator(r.Cfg, tensor.NewRNG(0))
+		if err := gen.DecodeParams(r.Cells[mr].State.GenParams); err != nil {
+			return nil, fmt.Errorf("core: decoding generator of rank %d: %w", mr, err)
 		}
-		gens[mr] = gen.Net
+		gens[mr] = gen
 	}
 	m, err := NewMixture(gens)
 	if err != nil {
@@ -187,7 +190,7 @@ func BuildGridFor(cfg config.Config) (*grid.Grid, error) {
 }
 
 // exchangeLocal distributes every cell's state to the cells whose
-// neighbourhood contains it, mirroring the allgather of the parallel mode
+// neighbourhood contains it, mirroring the exchange of the parallel mode
 // in shared memory.
 func exchangeLocal(cells []*Cell, prof *profile.Profiler) error {
 	defer prof.Start(profile.RoutineGather)()
@@ -405,7 +408,7 @@ func RunSequential(cfg config.Config, opts RunOptions) (*Result, error) {
 
 // RunParallel trains the grid with one goroutine per cell over an
 // in-process MPI world: each rank iterates independently and the ranks
-// exchange centers with a per-iteration allgather on the communicator —
+// exchange centers with their grid neighbourhoods after every iteration —
 // the structure of the paper's slave processes on the LOCAL communicator,
 // which run the same RankLoop.
 func RunParallel(cfg config.Config, opts RunOptions) (*Result, error) {
@@ -422,9 +425,10 @@ func RunParallel(cfg config.Config, opts RunOptions) (*Result, error) {
 }
 
 // RankLoop is one rank's share of the lockstep algorithm: train the cell,
-// exchanging centers with every other rank of Comm after each iteration.
-// RunParallel runs one per goroutine over an in-process world; a cluster
-// slave runs one on the LOCAL communicator.
+// exchanging centers with its grid neighbourhood after each iteration. The
+// cell's grid rank is its rank in Comm. RunParallel runs one per goroutine
+// over an in-process world; a cluster slave runs one on the LOCAL
+// communicator.
 type RankLoop struct {
 	Comm *mpi.Comm
 	Cell *Cell
@@ -437,6 +441,12 @@ type RankLoop struct {
 
 	inst *runInstruments
 	coll *ckptCollector
+
+	// sources are the ranks whose centers this cell trains against, dests
+	// the ranks that train against this cell's; wire is the encode buffer
+	// every round reuses.
+	sources, dests []int
+	wire           []byte
 }
 
 // Run exchanges once (so iteration 1 already sees the neighbourhood, and
@@ -444,12 +454,13 @@ type RankLoop struct {
 // reaches its configured iteration count or the ranks agree to halt. It
 // returns the last iteration's statistics and whether the loop was halted.
 //
-// A rank that fails outside the collective does not just leave: peers
-// would block in their next allgather for a payload that never comes. It
-// joins that exchange with the halt vote set and only then returns its
-// error, so every peer stops at the same boundary.
+// A rank that fails outside the collectives does not just leave: peers
+// would block in their next exchange for a vote and a center that never
+// come. It joins that exchange with the halt vote set and only then
+// returns its error, so every peer stops at the same boundary.
 func (l RankLoop) Run() (last IterStats, halted bool, err error) {
 	target := l.Cell.Cfg.Iterations
+	l.sources, l.dests = l.peers()
 	halted, err = l.exchange(false)
 	for err == nil && !halted && l.Cell.Iteration() < target {
 		if last, err = l.Cell.Iterate(); err != nil {
@@ -460,8 +471,9 @@ func (l RankLoop) Run() (last IterStats, halted bool, err error) {
 			l.Progress(l.Cell.Rank, last)
 		}
 		if halted, err = l.exchange(false); err == nil {
-			// The allgather above is a barrier: every rank is at this
-			// iteration, so the deposits assemble a consistent snapshot.
+			// The vote allgather in there is a barrier: every rank is at
+			// this iteration, so the deposits assemble a consistent
+			// snapshot.
 			err = l.coll.deposit(l.Cell)
 		}
 	}
@@ -471,26 +483,38 @@ func (l RankLoop) Run() (last IterStats, halted bool, err error) {
 	return last, halted, err
 }
 
-// exchange allgathers the cell centers with a one-byte halt vote prefixed
-// to each payload: every rank sees the same vote set, so all ranks agree
-// on whether this round is the last — no rank can block on a barrier a
-// stopped peer never reaches. leaving forces this rank's vote. A failed
-// allgather reports halt: the communicator is gone and no collective can
-// follow it.
-func (l RankLoop) exchange(leaving bool) (halt bool, err error) {
-	state, err := l.Cell.State()
-	if err != nil {
-		return false, err
-	}
-	body := state.Marshal()
-	payload := make([]byte, 1+len(body))
+// peers returns the ranks this cell receives centers from and the ranks it
+// sends its own to: its neighbourhood and its influence set, each without
+// the cell itself.
+func (l *RankLoop) peers() (sources, dests []int) {
+	self := func(r int) bool { return r == l.Cell.Rank }
+	return slices.DeleteFunc(l.Cell.Neighborhood(), self),
+		slices.DeleteFunc(l.Cell.grid.Influence(l.Cell.Rank), self)
+}
+
+// exchange is one round of two collectives, performed unconditionally and
+// in this order on every rank. First an allgather of a one-byte halt vote:
+// every rank sees the same vote set, so all ranks agree on whether this
+// round is the last — no rank can block on a barrier a stopped peer never
+// reaches — and being a barrier it is also the consistent cut periodic
+// checkpoints are taken at. Then the centers travel point to point: this
+// cell's to the ranks it influences, its neighbourhood's to it, so a rank
+// receives |neighbourhood| states per round however large the grid.
+// leaving forces this rank's vote. A failed collective reports halt: the
+// communicator is gone and no collective can follow it.
+func (l *RankLoop) exchange(leaving bool) (halt bool, err error) {
+	l.wire = l.Cell.AppendState(l.wire[:0])
+	vote := []byte{0}
 	if leaving || (l.Stop != nil && l.Stop()) {
-		payload[0] = 1
+		vote[0] = 1
 	}
-	copy(payload[1:], body)
 	stop := l.Cell.prof.Start(profile.RoutineGather)
 	t0 := time.Now()
-	parts, err := l.Comm.Allgather(payload)
+	votes, err := l.Comm.Allgather(vote)
+	var parts [][]byte
+	if err == nil {
+		parts, err = l.Comm.NeighborAllgather(l.sources, l.dests, l.wire)
+	}
 	l.inst.observeExchange(time.Since(t0))
 	stop()
 	if err != nil {
@@ -498,15 +522,18 @@ func (l RankLoop) exchange(leaving bool) (halt bool, err error) {
 	}
 	// Votes first: a rank that then fails to decode still knows whether
 	// its peers go on to another exchange.
-	for _, p := range parts {
-		if len(p) == 0 {
-			return true, fmt.Errorf("core: empty exchange payload")
+	for _, v := range votes {
+		if len(v) != 1 {
+			return true, fmt.Errorf("core: malformed halt vote")
 		}
-		halt = halt || p[0] != 0
+		halt = halt || v[0] != 0
 	}
 	states := make(map[int]*CellState, len(parts))
-	for _, p := range parts {
-		s, err := UnmarshalCellState(p[1:])
+	for i, p := range parts {
+		s, err := UnmarshalCellState(p)
+		if err == nil && s.Rank != l.sources[i] {
+			err = fmt.Errorf("core: rank %d sent the state of cell %d", l.sources[i], s.Rank)
+		}
 		if err != nil {
 			return halt, err
 		}

@@ -110,6 +110,9 @@ func (c *Comm) Gather(root int, data []byte) ([][]byte, error) {
 // every member, ordered by rank. This is the operation the slaves use each
 // iteration to exchange center networks with their neighbourhoods
 // (the paper's profile attributes the "gather" routine to MPI allgather).
+// The returned parts are sub-slices of one buffer private to the caller,
+// each clipped to its own length: appending to one reallocates it instead
+// of running into the next.
 func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 	parts, err := c.Gather(0, data)
 	if err != nil {
@@ -124,6 +127,42 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 		return nil, err
 	}
 	return unpackParts(packed, c.Size())
+}
+
+// NeighborAllgather sends data to every member in dests and returns what
+// each member in sources sent, in sources' order — MPI_Neighbor_allgather
+// over an explicit (possibly asymmetric) topology: bytes received per call
+// are Σ|source payloads| rather than the whole communicator's. It is a
+// collective: every member calls it, in the same order relative to the
+// other collectives, and member a lists b in dests exactly when b lists a
+// in sources. Sends are buffered, so no ordering between members is needed
+// and a member may run a round ahead of a slow neighbour.
+func (c *Comm) NeighborAllgather(sources, dests []int, data []byte) ([][]byte, error) {
+	for _, r := range sources {
+		if err := c.checkRank(r, "source"); err != nil {
+			return nil, err
+		}
+	}
+	for _, r := range dests {
+		if err := c.checkRank(r, "destination"); err != nil {
+			return nil, err
+		}
+	}
+	tag := c.nextCollTag()
+	for _, r := range dests {
+		if err := c.send(r, tag, data); err != nil {
+			return nil, err
+		}
+	}
+	out := make([][]byte, len(sources))
+	for i, r := range sources {
+		m, err := c.recv(c.group[r], tag)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = m.Data
+	}
+	return out, nil
 }
 
 // Scatter distributes parts[i] from root to member i; every member
@@ -280,7 +319,8 @@ func packParts(parts [][]byte) []byte {
 	return out
 }
 
-// unpackParts reverses packParts, validating the expected part count.
+// unpackParts reverses packParts, validating the expected part count. The
+// parts alias b, each clipped to its own length.
 func unpackParts(b []byte, want int) ([][]byte, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("mpi: packed parts too short (%d bytes)", len(b))
@@ -300,7 +340,7 @@ func unpackParts(b []byte, want int) ([][]byte, error) {
 		if len(b) < l {
 			return nil, fmt.Errorf("mpi: truncated part %d: want %d bytes, have %d", i, l, len(b))
 		}
-		out[i] = append([]byte(nil), b[:l]...)
+		out[i] = b[:l:l]
 		b = b[l:]
 	}
 	if len(b) != 0 {

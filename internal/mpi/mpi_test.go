@@ -13,24 +13,7 @@ import (
 // concurrently, and fails the test on any returned error.
 func runRanks(t *testing.T, n int, body func(c *Comm) error) {
 	t.Helper()
-	w := MustWorld(n)
-	defer w.Close()
-	errs := make(chan error, n)
-	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			errs <- body(w.MustComm(rank))
-		}(r)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	eachComm(t, worldComms(t, "inproc", n), body)
 }
 
 func TestWorldValidation(t *testing.T) {
@@ -468,6 +451,12 @@ func TestPackUnpackParts(t *testing.T) {
 	}
 	if len(got) != 3 || string(got[0]) != "a" || len(got[1]) != 0 || string(got[2]) != "ccc" {
 		t.Fatalf("unpack: %v", got)
+	}
+	// The parts alias the packed buffer but are clipped to their own
+	// length: growing one must not run into its successor.
+	_ = append(got[0], 'X')
+	if string(got[2]) != "ccc" || cap(got[0]) != 1 {
+		t.Fatalf("append to part 0 reached part 2 (%q) or cap %d != 1", got[2], cap(got[0]))
 	}
 	if _, err := unpackParts(packParts(parts), 2); err == nil {
 		t.Fatal("wrong count accepted")

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"fmt"
 
 	"cellgan/internal/tensor"
@@ -109,30 +108,25 @@ func (n *Network) CopyParamsFrom(src *Network) error {
 // EncodeParams serialises the network parameters (not the architecture) to
 // a byte slice suitable for message passing between processes.
 func (n *Network) EncodeParams() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := tensor.EncodeMats(&buf, n.Params()); err != nil {
-		return nil, fmt.Errorf("nn: encoding params: %w", err)
-	}
-	return buf.Bytes(), nil
+	return n.AppendParams(nil), nil
 }
+
+// AppendParams appends EncodeParams' encoding to dst, so a caller that
+// sends parameters every round can reuse one buffer.
+func (n *Network) AppendParams(dst []byte) []byte {
+	return tensor.AppendMats(dst, n.Params())
+}
+
+// EncodedParamsSize returns the exact length of EncodeParams' output.
+func (n *Network) EncodedParamsSize() int { return tensor.MatsSize(n.Params()) }
 
 // DecodeParams overwrites the network parameters with values decoded from
 // data (produced by EncodeParams on an architecturally identical network).
+// The blob is validated in full first — count, every shape, total length —
+// so a rejected blob leaves the network as it was.
 func (n *Network) DecodeParams(data []byte) error {
-	ms, err := tensor.DecodeMats(bytes.NewReader(data))
-	if err != nil {
+	if err := tensor.DecodeMatsInto(n.Params(), data); err != nil {
 		return fmt.Errorf("nn: decoding params: %w", err)
-	}
-	ps := n.Params()
-	if len(ms) != len(ps) {
-		return fmt.Errorf("nn: decoded %d parameter matrices, want %d", len(ms), len(ps))
-	}
-	for i, p := range ps {
-		if ms[i].Rows != p.Rows || ms[i].Cols != p.Cols {
-			return fmt.Errorf("nn: decoded parameter %d has shape %d×%d, want %d×%d",
-				i, ms[i].Rows, ms[i].Cols, p.Rows, p.Cols)
-		}
-		p.CopyFrom(ms[i])
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -147,6 +148,35 @@ func TestEncodeDecodeParams(t *testing.T) {
 	}
 	if err := b.DecodeParams([]byte("garbage")); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestDecodeParamsRejectsWithoutWriting: a blob whose first matrices fit
+// and whose later ones do not — a wrong shape further down, a cut body, a
+// byte too many — is refused before anything is stored, so the network a
+// live neighbour is decoded into is never left half-overwritten.
+func TestDecodeParamsRejectsWithoutWriting(t *testing.T) {
+	mlp := func(hidden int, seed uint64) *Network {
+		return MLP([]int{4, hidden, 3}, func() Layer { return NewTanh() }, nil, tensor.NewRNG(seed))
+	}
+	good, _ := mlp(6, 1).EncodeParams()
+	// Same first weight matrix shape (4×6) as the target, then it diverges.
+	laterShape := NewNetwork(NewLinear(4, 6, tensor.NewRNG(2)), NewTanh(), NewLinear(6, 5, tensor.NewRNG(3)))
+	bad, _ := laterShape.EncodeParams()
+	cases := map[string][]byte{
+		"later shape differs": bad,
+		"truncated":           good[:len(good)-1],
+		"trailing byte":       append(append([]byte(nil), good...), 0),
+	}
+	for name, blob := range cases {
+		n := mlp(6, 9)
+		before, _ := n.EncodeParams()
+		if err := n.DecodeParams(blob); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if after, _ := n.EncodeParams(); !bytes.Equal(before, after) {
+			t.Errorf("%s: the rejected blob changed the network", name)
+		}
 	}
 }
 

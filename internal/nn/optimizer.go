@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -78,26 +77,18 @@ func (s *SGD) Reset() { s.velocity = nil }
 // StateBinary serialises the learning rate, momentum and velocity
 // buffers.
 func (s *SGD) StateBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	writeF64(&buf, s.LR)
-	writeF64(&buf, s.Momentum)
-	if err := tensor.EncodeMats(&buf, s.velocity); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	out := make([]byte, 0, 16+tensor.MatsSize(s.velocity))
+	out = appendF64(out, s.LR, s.Momentum)
+	return tensor.AppendMats(out, s.velocity), nil
 }
 
 // RestoreBinary reverses StateBinary.
 func (s *SGD) RestoreBinary(data []byte) error {
-	rd := bytes.NewReader(data)
-	var err error
-	if s.LR, err = readF64(rd); err != nil {
+	data, err := takeF64(data, &s.LR, &s.Momentum)
+	if err != nil {
 		return fmt.Errorf("nn: SGD state: %w", err)
 	}
-	if s.Momentum, err = readF64(rd); err != nil {
-		return fmt.Errorf("nn: SGD state: %w", err)
-	}
-	vel, err := tensor.DecodeMats(rd)
+	vel, _, err := tensor.DecodeMats(data)
 	if err != nil {
 		return fmt.Errorf("nn: SGD velocity: %w", err)
 	}
@@ -172,41 +163,23 @@ func (a *Adam) Reset() {
 // StateBinary serialises the hyperparameters, step counter and both
 // moment-estimate buffers.
 func (a *Adam) StateBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	writeF64(&buf, a.LR)
-	writeF64(&buf, a.Beta1)
-	writeF64(&buf, a.Beta2)
-	writeF64(&buf, a.Epsilon)
-	writeF64(&buf, float64(a.t))
-	if err := tensor.EncodeMats(&buf, a.m); err != nil {
-		return nil, err
-	}
-	if err := tensor.EncodeMats(&buf, a.v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	out := make([]byte, 0, 40+tensor.MatsSize(a.m)+tensor.MatsSize(a.v))
+	out = appendF64(out, a.LR, a.Beta1, a.Beta2, a.Epsilon, float64(a.t))
+	return tensor.AppendMats(tensor.AppendMats(out, a.m), a.v), nil
 }
 
 // RestoreBinary reverses StateBinary.
 func (a *Adam) RestoreBinary(data []byte) error {
-	rd := bytes.NewReader(data)
-	fields := []*float64{&a.LR, &a.Beta1, &a.Beta2, &a.Epsilon}
-	for _, f := range fields {
-		v, err := readF64(rd)
-		if err != nil {
-			return fmt.Errorf("nn: Adam state: %w", err)
-		}
-		*f = v
-	}
-	tf, err := readF64(rd)
+	var tf float64
+	data, err := takeF64(data, &a.LR, &a.Beta1, &a.Beta2, &a.Epsilon, &tf)
 	if err != nil {
-		return fmt.Errorf("nn: Adam step counter: %w", err)
+		return fmt.Errorf("nn: Adam state: %w", err)
 	}
 	a.t = int(tf)
-	if a.m, err = tensor.DecodeMats(rd); err != nil {
+	if a.m, data, err = tensor.DecodeMats(data); err != nil {
 		return fmt.Errorf("nn: Adam first moments: %w", err)
 	}
-	if a.v, err = tensor.DecodeMats(rd); err != nil {
+	if a.v, _, err = tensor.DecodeMats(data); err != nil {
 		return fmt.Errorf("nn: Adam second moments: %w", err)
 	}
 	if len(a.m) == 0 {
@@ -215,18 +188,22 @@ func (a *Adam) RestoreBinary(data []byte) error {
 	return nil
 }
 
-func writeF64(buf *bytes.Buffer, v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	buf.Write(b[:])
+func appendF64(dst []byte, vs ...float64) []byte {
+	for _, v := range vs {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
+	return dst
 }
 
-func readF64(rd *bytes.Reader) (float64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(rd, b[:]); err != nil {
-		return 0, err
+// takeF64 fills the fields from the front of data and returns the rest.
+func takeF64(data []byte, fields ...*float64) ([]byte, error) {
+	if len(data) < 8*len(fields) {
+		return nil, io.ErrUnexpectedEOF
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
+	for i, f := range fields {
+		*f = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	}
+	return data[8*len(fields):], nil
 }
 
 // ClipGrads scales the network's gradients so their global L2 norm does not

@@ -169,29 +169,23 @@ func BenchmarkSymEigen(b *testing.B) {
 }
 
 func BenchmarkMatSerialize(b *testing.B) {
-	m := benchMat(256, 784, 1)
-	var buf []byte
-	{
-		var w writerBuf
-		if _, err := WriteMat(&w, m); err != nil {
-			b.Fatal(err)
-		}
-		buf = w.data
-	}
-	b.SetBytes(int64(len(buf)))
+	ms := []*Mat{benchMat(256, 784, 1)}
+	buf := make([]byte, 0, MatsSize(ms))
+	b.SetBytes(int64(cap(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var w writerBuf
-		if _, err := WriteMat(&w, m); err != nil {
-			b.Fatal(err)
-		}
+		buf = AppendMats(buf[:0], ms)
 	}
 }
 
-// writerBuf is a minimal growing writer without bytes.Buffer bookkeeping.
-type writerBuf struct{ data []byte }
-
-func (w *writerBuf) Write(p []byte) (int, error) {
-	w.data = append(w.data, p...)
-	return len(p), nil
+func BenchmarkMatDeserializeInto(b *testing.B) {
+	ms := []*Mat{benchMat(256, 784, 1)}
+	buf := AppendMats(nil, ms)
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := DecodeMatsInto(ms, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

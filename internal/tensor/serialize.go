@@ -4,97 +4,134 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
+	"slices"
 )
 
 // matMagic guards against decoding arbitrary byte streams as matrices.
 const matMagic = 0x4d41545a // "MATZ"
 
-// maxDecodeElems bounds decoded matrix sizes to catch corrupted headers
-// before they turn into multi-gigabyte allocations.
-const maxDecodeElems = 1 << 28
+// matHeaderSize is the encoded magic, rows and cols (uint32 each).
+const matHeaderSize = 12
 
-// WriteMat serialises m to w in a fixed little-endian binary format:
-// magic, rows, cols (uint32 each) followed by Rows*Cols float64 bits. It
-// returns the number of bytes written.
-func WriteMat(w io.Writer, m *Mat) (int64, error) {
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint32(hdr[0:], matMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(m.Rows))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(m.Cols))
-	n, err := w.Write(hdr)
-	total := int64(n)
+// MatsSize returns the exact length of AppendMats' encoding of ms.
+func MatsSize(ms []*Mat) int {
+	n := 4
+	for _, m := range ms {
+		n += matHeaderSize + 8*len(m.Data)
+	}
+	return n
+}
+
+// AppendMats appends a sequence of matrices to dst in a fixed little-endian
+// binary format — a uint32 count, then per matrix magic, rows, cols (uint32
+// each) and Rows*Cols float64 bits — growing dst at most once.
+func AppendMats(dst []byte, ms []*Mat) []byte {
+	dst = slices.Grow(dst, MatsSize(ms))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ms)))
+	for _, m := range ms {
+		dst = binary.LittleEndian.AppendUint32(dst, matMagic)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Rows))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Cols))
+		at := len(dst)
+		dst = dst[:at+8*len(m.Data)]
+		for i, v := range m.Data {
+			binary.LittleEndian.PutUint64(dst[at+8*i:], math.Float64bits(v))
+		}
+	}
+	return dst
+}
+
+// matCount splits the matrix count off the front of data. Every matrix
+// takes at least a header, which bounds a plausible count by the input.
+func matCount(data []byte) (n int, rest []byte, err error) {
+	if len(data) < 4 {
+		return 0, nil, errors.New("tensor: truncated matrix count")
+	}
+	count, rest := binary.LittleEndian.Uint32(data), data[4:]
+	if uint64(count) > uint64(len(rest)/matHeaderSize) {
+		return 0, nil, fmt.Errorf("tensor: matrix count %d exceeds the %d bytes that follow", count, len(rest))
+	}
+	return int(count), rest, nil
+}
+
+// splitMat parses the matrix at the front of data into its shape, its
+// encoded elements and the bytes after it. A declared size beyond the
+// input is rejected here, before anything is allocated for it.
+func splitMat(data []byte) (rows, cols int, body, rest []byte, err error) {
+	if len(data) < matHeaderSize {
+		return 0, 0, nil, nil, errors.New("tensor: truncated matrix header")
+	}
+	if binary.LittleEndian.Uint32(data) != matMagic {
+		return 0, 0, nil, nil, errors.New("tensor: bad matrix magic")
+	}
+	r, c := binary.LittleEndian.Uint32(data[4:]), binary.LittleEndian.Uint32(data[8:])
+	data = data[matHeaderSize:]
+	if uint64(r)*uint64(c) > uint64(len(data))/8 {
+		return 0, 0, nil, nil, fmt.Errorf("tensor: %d×%d matrix exceeds the %d bytes that follow", r, c, len(data))
+	}
+	n := 8 * int(r) * int(c)
+	return int(r), int(c), data[:n], data[n:], nil
+}
+
+// floatsFrom fills dst from its little-endian encoding.
+func floatsFrom(dst []float64, body []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+	}
+}
+
+// DecodeMats decodes a sequence written by AppendMats from the front of
+// data into fresh matrices and returns the bytes after it.
+func DecodeMats(data []byte) (ms []*Mat, rest []byte, err error) {
+	n, rest, err := matCount(data)
 	if err != nil {
-		return total, err
+		return nil, nil, err
 	}
-	buf := make([]byte, 8*len(m.Data))
-	for i, v := range m.Data {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
+	ms = make([]*Mat, n)
+	for i := range ms {
+		rows, cols, body, after, err := splitMat(rest)
+		if err != nil {
+			return nil, nil, err
+		}
+		ms[i] = New(rows, cols)
+		floatsFrom(ms[i].Data, body)
+		rest = after
 	}
-	n, err = w.Write(buf)
-	return total + int64(n), err
+	return ms, rest, nil
 }
 
-// ReadMat decodes a matrix previously written with WriteMat.
-func ReadMat(r io.Reader) (*Mat, error) {
-	hdr := make([]byte, 12)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("tensor: reading matrix header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != matMagic {
-		return nil, errors.New("tensor: bad matrix magic")
-	}
-	rows := int(binary.LittleEndian.Uint32(hdr[4:]))
-	cols := int(binary.LittleEndian.Uint32(hdr[8:]))
-	if rows < 0 || cols < 0 || (cols != 0 && rows > maxDecodeElems/max(cols, 1)) || rows*cols > maxDecodeElems {
-		return nil, fmt.Errorf("tensor: implausible matrix size %d×%d", rows, cols)
-	}
-	m := New(rows, cols)
-	buf := make([]byte, 8*len(m.Data))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("tensor: reading matrix body: %w", err)
-	}
-	for i := range m.Data {
-		m.Data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return m, nil
-}
-
-// EncodeMats serialises a sequence of matrices to w.
-func EncodeMats(w io.Writer, ms []*Mat) error {
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(ms)))
-	if _, err := w.Write(cnt[:]); err != nil {
+// DecodeMatsInto overwrites dst with the sequence encoded in data, which
+// must hold exactly len(dst) matrices of dst's shapes and nothing else.
+// Everything is validated before the first store: on error dst is
+// untouched.
+func DecodeMatsInto(dst []*Mat, data []byte) error {
+	n, rest, err := matCount(data)
+	if err != nil {
 		return err
 	}
-	for _, m := range ms {
-		if _, err := WriteMat(w, m); err != nil {
+	if n != len(dst) {
+		return fmt.Errorf("tensor: %d encoded matrices, want %d", n, len(dst))
+	}
+	for i, m := range dst {
+		rows, cols, _, after, err := splitMat(rest)
+		if err != nil {
 			return err
 		}
+		if rows != m.Rows || cols != m.Cols {
+			return fmt.Errorf("tensor: encoded matrix %d has shape %d×%d, want %d×%d", i, rows, cols, m.Rows, m.Cols)
+		}
+		rest = after
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("tensor: %d trailing bytes after the matrices", len(rest))
+	}
+	rest = data[4:]
+	for _, m := range dst {
+		floatsFrom(m.Data, rest[matHeaderSize:])
+		rest = rest[matHeaderSize+8*len(m.Data):]
 	}
 	return nil
-}
-
-// DecodeMats reads a sequence of matrices written by EncodeMats.
-func DecodeMats(r io.Reader) ([]*Mat, error) {
-	var cnt [4]byte
-	if _, err := io.ReadFull(r, cnt[:]); err != nil {
-		return nil, fmt.Errorf("tensor: reading matrix count: %w", err)
-	}
-	n := int(binary.LittleEndian.Uint32(cnt[:]))
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("tensor: implausible matrix count %d", n)
-	}
-	ms := make([]*Mat, n)
-	for i := range ms {
-		m, err := ReadMat(r)
-		if err != nil {
-			return nil, err
-		}
-		ms[i] = m
-	}
-	return ms, nil
 }
 
 // AllFinite reports whether no element of any matrix in ms is NaN or ±Inf

@@ -2,165 +2,140 @@ package tensor
 
 import (
 	"bytes"
-	"io"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
 
-func TestMatRoundTrip(t *testing.T) {
-	rng := NewRNG(1)
-	m := randMat(7, 13, rng)
-	m.Set(0, 0, math.Inf(1))
-	m.Set(0, 1, -0.0)
-	var buf bytes.Buffer
-	if _, err := WriteMat(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadMat(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(m) {
-		t.Fatal("round trip mismatch")
-	}
-}
-
-func TestMatRoundTripNaN(t *testing.T) {
-	m := FromSlice(1, 2, []float64{math.NaN(), 1})
-	var buf bytes.Buffer
-	if _, err := WriteMat(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadMat(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(got.Data[0]) || got.Data[1] != 1 {
-		t.Fatalf("NaN round trip: %v", got.Data)
-	}
-}
-
-func TestReadMatBadMagic(t *testing.T) {
-	if _, err := ReadMat(strings.NewReader("not a matrix header")); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
-func TestReadMatTruncated(t *testing.T) {
-	m := randMat(4, 4, NewRNG(2))
-	var buf bytes.Buffer
-	if _, err := WriteMat(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()-5]
-	if _, err := ReadMat(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated stream accepted")
-	}
-}
-
-func TestReadMatImplausibleSize(t *testing.T) {
-	var buf bytes.Buffer
-	huge := &Mat{Rows: 1, Cols: 1, Data: []float64{0}}
-	if _, err := WriteMat(&buf, huge); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	// Overwrite rows/cols with absurd values.
-	for i := 4; i < 12; i++ {
-		b[i] = 0xff
-	}
-	if _, err := ReadMat(bytes.NewReader(b)); err == nil {
-		t.Fatal("implausible size accepted")
-	}
-}
-
-func TestEncodeDecodeMats(t *testing.T) {
+func TestMatsRoundTrip(t *testing.T) {
 	rng := NewRNG(3)
-	ms := []*Mat{randMat(2, 3, rng), randMat(1, 1, rng), New(0, 5)}
-	var buf bytes.Buffer
-	if err := EncodeMats(&buf, ms); err != nil {
-		t.Fatal(err)
+	special := randMat(7, 13, rng)
+	special.Set(0, 0, math.Inf(1))
+	special.Set(0, 1, math.Copysign(0, -1))
+	special.Set(0, 2, math.NaN())
+	ms := []*Mat{randMat(2, 3, rng), special, randMat(1, 1, rng), New(0, 5)}
+	enc := AppendMats([]byte("prefix"), ms)
+	if len(enc) != len("prefix")+MatsSize(ms) {
+		t.Fatalf("encoded %d bytes, MatsSize says %d", len(enc)-len("prefix"), MatsSize(ms))
 	}
-	got, err := DecodeMats(&buf)
+	got, rest, err := DecodeMats(append(enc[len("prefix"):], "tail"...))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if string(rest) != "tail" {
+		t.Fatalf("rest = %q, want the bytes after the sequence", rest)
 	}
 	if len(got) != len(ms) {
 		t.Fatalf("decoded %d matrices, want %d", len(got), len(ms))
 	}
 	for i := range ms {
-		if !got[i].Equal(ms[i]) {
-			t.Fatalf("matrix %d mismatch", i)
+		if got[i].Rows != ms[i].Rows || got[i].Cols != ms[i].Cols {
+			t.Fatalf("matrix %d shape mismatch", i)
+		}
+		for j, v := range ms[i].Data {
+			if math.Float64bits(got[i].Data[j]) != math.Float64bits(v) {
+				t.Fatalf("matrix %d element %d: bits differ", i, j)
+			}
 		}
 	}
 }
 
-func TestDecodeMatsEmptyStream(t *testing.T) {
-	if _, err := DecodeMats(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty stream accepted")
+func TestAppendMatsGrowsOnce(t *testing.T) {
+	ms := []*Mat{randMat(16, 16, NewRNG(1)), randMat(1, 16, NewRNG(2))}
+	buf := make([]byte, 0, MatsSize(ms))
+	out := AppendMats(buf, ms)
+	if &out[0] != &buf[:1][0] {
+		t.Fatal("AppendMats reallocated a buffer that was already large enough")
 	}
 }
 
 func TestDecodeMatsZeroCount(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeMats(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeMats(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("want empty, got %d", len(got))
+	got, rest, err := DecodeMats(AppendMats(nil, nil))
+	if err != nil || len(got) != 0 || len(rest) != 0 {
+		t.Fatalf("got %d matrices, %d rest bytes, err %v", len(got), len(rest), err)
 	}
 }
 
-func TestQuickMatRoundTrip(t *testing.T) {
+// TestDecodeMatsRejects covers every malformed shape of input for both
+// decoders: neither may accept it and DecodeMatsInto must not have stored
+// anything by the time it refuses.
+func TestDecodeMatsRejects(t *testing.T) {
+	shape := func() []*Mat { return []*Mat{New(2, 3), New(1, 3)} }
+	src := []*Mat{randMat(2, 3, NewRNG(4)), randMat(1, 3, NewRNG(5))}
+	good := AppendMats(nil, src)
+	patch := func(at int, v byte) []byte {
+		b := bytes.Clone(good)
+		b[at] = v
+		return b
+	}
+	secondHeader := 4 + matHeaderSize + 8*6
+	cases := map[string][]byte{
+		"empty":             nil,
+		"short count":       good[:3],
+		"count beyond data": patch(0, 200),
+		"bad first magic":   patch(4, 0),
+		"bad second magic":  patch(secondHeader, 0),
+		"huge second shape": append(bytes.Clone(good[:secondHeader+4]), bytes.Repeat([]byte{0xff}, 8)...),
+		"truncated body":    good[:len(good)-5],
+		"truncated header":  good[:secondHeader+7],
+	}
+	for name, data := range cases {
+		if _, _, err := DecodeMats(data); err == nil {
+			t.Errorf("DecodeMats accepted %s", name)
+		}
+	}
+	cases["second shape differs"] = AppendMats(nil, []*Mat{src[0], randMat(3, 1, NewRNG(6))})
+	cases["one matrix short"] = AppendMats(nil, src[:1])
+	cases["trailing byte"] = append(bytes.Clone(good), 0)
+	for name, data := range cases {
+		dst := shape()
+		if err := DecodeMatsInto(dst, data); err == nil {
+			t.Errorf("DecodeMatsInto accepted %s", name)
+		}
+		for i, m := range dst {
+			for _, v := range m.Data {
+				if v != 0 {
+					t.Fatalf("%s: matrix %d was written before the blob was rejected", name, i)
+				}
+			}
+		}
+	}
+	dst := shape()
+	if err := DecodeMatsInto(dst, good); err != nil {
+		t.Fatal(err)
+	}
+	for i := range src {
+		if !dst[i].Equal(src[i]) {
+			t.Fatalf("matrix %d mismatch after DecodeMatsInto", i)
+		}
+	}
+}
+
+func TestQuickMatsRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := NewRNG(seed)
-		m := randMat(r.Intn(6), 1+r.Intn(6), r)
-		var buf bytes.Buffer
-		if _, err := WriteMat(&buf, m); err != nil {
+		ms := make([]*Mat, r.Intn(4))
+		for i := range ms {
+			ms[i] = randMat(r.Intn(6), 1+r.Intn(6), r)
+		}
+		enc := AppendMats(nil, ms)
+		for cut := 0; cut < len(enc); cut++ {
+			if _, _, err := DecodeMats(enc[:cut]); err == nil {
+				return false // every strict prefix is truncated somewhere
+			}
+		}
+		got, rest, err := DecodeMats(enc)
+		if err != nil || len(rest) != 0 || len(got) != len(ms) {
 			return false
 		}
-		got, err := ReadMat(&buf)
-		return err == nil && got.Equal(m)
+		for i := range ms {
+			if !got[i].Equal(ms[i]) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// failWriter fails after n bytes to exercise write error paths.
-type failWriter struct{ n int }
-
-func (w *failWriter) Write(p []byte) (int, error) {
-	if w.n <= 0 {
-		return 0, io.ErrClosedPipe
-	}
-	if len(p) > w.n {
-		n := w.n
-		w.n = 0
-		return n, io.ErrClosedPipe
-	}
-	w.n -= len(p)
-	return len(p), nil
-}
-
-func TestWriteToPropagatesErrors(t *testing.T) {
-	m := randMat(4, 4, NewRNG(5))
-	if _, err := WriteMat(&failWriter{n: 3}, m); err == nil {
-		t.Fatal("header write failure not propagated")
-	}
-	if _, err := WriteMat(&failWriter{n: 20}, m); err == nil {
-		t.Fatal("body write failure not propagated")
-	}
-	if err := EncodeMats(&failWriter{n: 1}, []*Mat{m}); err == nil {
-		t.Fatal("EncodeMats count write failure not propagated")
-	}
-	if err := EncodeMats(&failWriter{n: 6}, []*Mat{m}); err == nil {
-		t.Fatal("EncodeMats body write failure not propagated")
 	}
 }
