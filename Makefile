@@ -1,9 +1,9 @@
 # make check mirrors .github/workflows/ci.yml for local runs.
 GO ?= go
 
-.PHONY: check fmt vet build test bench-module race bench bench-smoke bench-json bench-serve staticcheck recovery-smoke fuzz-smoke loc
+.PHONY: check fmt vet build cross test bench-module race bench bench-smoke bench-json bench-serve staticcheck recovery-smoke fuzz-smoke loc
 
-check: fmt vet build test bench-module race
+check: fmt vet build cross test bench-module race
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -14,6 +14,14 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# internal/tensor has amd64 assembly leaves with generic Go loops behind
+# them; nothing on an amd64 host compiles the non-amd64 declarations or
+# vets the generic path on its own, so cross-build both modules for arm64.
+cross:
+	GOOS=linux GOARCH=arm64 $(GO) build ./...
+	GOOS=linux GOARCH=arm64 $(GO) vet ./internal/tensor/
+	cd bench && GOOS=linux GOARCH=arm64 $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -74,8 +82,11 @@ recovery-smoke:
 
 # Measured compute benchmarks archived as machine-readable JSON; the core
 # package contributes the lockstep exchange round (BenchmarkExchangeRound).
+# The second run adds the single-thread (-cpu 1, so no -N name suffix)
+# kernel rows: the per-core rate of the matmul leaves, GFLOP/s included.
 bench-json:
-	$(GO) test -run=NoTests -bench=. -benchmem ./internal/tensor/ ./internal/nn/ ./internal/core/ \
+	{ $(GO) test -run=NoTests -bench=. -benchmem ./internal/tensor/ ./internal/nn/ ./internal/core/; \
+	  $(GO) test -run=NoTests -bench='^BenchmarkKernelShapes$$' -cpu 1 ./internal/tensor/; } \
 		| $(GO) run ./cmd/benchjson > BENCH_compute.json
 	@echo wrote BENCH_compute.json
 

@@ -5,14 +5,15 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"cellgan/internal/config"
 	"cellgan/internal/core"
 )
 
-// seedCheckpointBytes builds a small valid checkpoint stream for the fuzz
-// corpus (one short sequential run, round-tripped through Write).
-func seedCheckpointBytes(f *testing.F) []byte {
+// seedCheckpoint trains cfg for its one iteration and returns the result
+// as a checkpoint for the fuzz corpus.
+func seedCheckpoint(f *testing.F, cfg config.Config) *Checkpoint {
 	f.Helper()
-	res, err := core.RunSequential(tinyCfg(1), core.RunOptions{})
+	res, err := core.RunSequential(cfg, core.RunOptions{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -20,6 +21,11 @@ func seedCheckpointBytes(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
+	return cp
+}
+
+func checkpointBytes(f *testing.F, cp *Checkpoint) []byte {
+	f.Helper()
 	var buf bytes.Buffer
 	if err := Write(&buf, cp); err != nil {
 		f.Fatal(err)
@@ -29,10 +35,21 @@ func seedCheckpointBytes(f *testing.F) []byte {
 
 // FuzzReadCheckpoint asserts the checkpoint decoder never panics and never
 // trusts hostile headers: every input either parses into a structurally
-// valid checkpoint (which must re-encode) or returns an error.
+// valid checkpoint (which must re-encode) or returns an error. What Read
+// accepts for the corpus configuration must also resume or be refused:
+// the decoder cannot see that optimizer moments fit the networks, so that
+// is checked where they meet.
 func FuzzReadCheckpoint(f *testing.F) {
-	seed := seedCheckpointBytes(f)
+	seedCfg := tinyCfg(1)
+	cp := seedCheckpoint(f, seedCfg)
+	seed := checkpointBytes(f, cp)
 	f.Add(seed)
+	// Well-formed, checksummed, and a bomb: cell 0's generator moments come
+	// from a narrower network, which Adam.Step once indexed out of range.
+	narrow := seedCfg
+	narrow.NeuronsPerHidden /= 2
+	cp.States[0].GenOpt = seedCheckpoint(f, narrow).States[0].GenOpt
+	f.Add(checkpointBytes(f, cp))
 	f.Add(seed[:len(seed)/2])          // truncated mid-state
 	f.Add(seed[:24])                   // truncated inside the config blob
 	f.Add([]byte{})                    // empty
@@ -62,6 +79,11 @@ func FuzzReadCheckpoint(f *testing.F) {
 		var buf bytes.Buffer
 		if err := Write(&buf, cp); err != nil {
 			t.Fatalf("accepted checkpoint does not re-encode: %v", err)
+		}
+		if cp.Cfg == seedCfg {
+			cfg := cp.Cfg
+			cfg.Iterations++
+			_, _ = core.RunSequential(cfg, core.RunOptions{Resume: cp.States})
 		}
 	})
 }

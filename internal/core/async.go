@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -67,26 +68,20 @@ func (r *runCtx) asyncCellLoop(comm *mpi.Comm, cell *Cell, board *asyncCkptBoard
 
 	// push sends this cell's current center to every cell whose
 	// neighbourhood includes it (grid.Influence); the messages are
-	// buffered, so no receiver needs to be ready.
+	// buffered, so no receiver needs to be ready. wire is the encode
+	// buffer every push reuses.
+	dests := slices.DeleteFunc(g.Influence(rank), func(d int) bool { return d == rank })
+	var wire []byte
 	push := func() error {
 		defer prof.Start(profile.RoutineGather)()
 		t0 := time.Now()
 		defer func() { inst.observeExchange(time.Since(t0)) }()
-		state, err := cell.State()
-		if err != nil {
+		wire = cell.AppendState(wire[:0])
+		if err := comm.Multicast(dests, asyncStateTag, wire); err != nil {
 			return err
 		}
-		payload := state.Marshal()
-		for _, dst := range g.Influence(rank) {
-			if dst == rank {
-				continue
-			}
-			if err := comm.Send(dst, asyncStateTag, payload); err != nil {
-				return err
-			}
-		}
 		if hooks != nil && hooks.onPush != nil {
-			hooks.onPush(rank, state.Iteration)
+			hooks.onPush(rank, cell.Iteration())
 		}
 		return nil
 	}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"cellgan/internal/config"
 	"cellgan/internal/tensor"
 )
 
@@ -127,4 +129,42 @@ func FuzzUnmarshalCellState(f *testing.F) {
 			t.Fatal("blobs do not re-marshal to the input")
 		}
 	})
+}
+
+// A full state whose optimizer moments were saved for another architecture
+// used to restore without complaint and panic inside Adam.Step on the next
+// Iterate (index out of range). RestoreFull must refuse it, naming the
+// optimizer and the matrix, whichever of the two optimizers it is in.
+func TestRestoreFullRejectsMismatchedOptimizerState(t *testing.T) {
+	cfg := tinyConfig()
+	trained := func(cfg config.Config) *FullState {
+		c, _ := newTestCell(t, cfg, 0)
+		if _, err := c.Iterate(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := c.FullState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	narrow := cfg
+	narrow.NeuronsPerHidden /= 2
+	other := trained(narrow)
+	for opt, swap := range map[string]func(f *FullState){
+		"generator optimizer":     func(f *FullState) { f.GenOpt = other.GenOpt },
+		"discriminator optimizer": func(f *FullState) { f.DiscOpt = other.DiscOpt },
+	} {
+		f := trained(cfg)
+		swap(f)
+		c, _ := newTestCell(t, cfg, 0)
+		err := c.RestoreFull(f)
+		if err == nil {
+			t.Fatalf("%s state of a %d-wide network restored into a %d-wide one",
+				opt, narrow.NeuronsPerHidden, cfg.NeuronsPerHidden)
+		}
+		if msg := err.Error(); !strings.Contains(msg, opt) || !strings.Contains(msg, "matrix 0 is") {
+			t.Errorf("error names neither the optimizer nor the matrix: %v", err)
+		}
+	}
 }

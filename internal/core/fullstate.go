@@ -235,11 +235,11 @@ func (c *Cell) RestoreFull(f *FullState) error {
 	c.disc.LR = f.Cell.DiscLR
 	c.disc.Fitness = f.Cell.DiscFitness
 	c.disc.Loss = f.Cell.DiscLoss
-	if err := c.genOpt.RestoreBinary(f.GenOpt); err != nil {
-		return err
+	if err := c.genOpt.RestoreBinary(c.gen.Net, f.GenOpt); err != nil {
+		return fmt.Errorf("core: cell %d generator optimizer: %w", c.Rank, err)
 	}
-	if err := c.discOpt.RestoreBinary(f.DiscOpt); err != nil {
-		return err
+	if err := c.discOpt.RestoreBinary(c.disc.Net, f.DiscOpt); err != nil {
+		return fmt.Errorf("core: cell %d discriminator optimizer: %w", c.Rank, err)
 	}
 	if err := c.rng.UnmarshalBinary(f.RNG); err != nil {
 		return err

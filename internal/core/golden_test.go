@@ -5,7 +5,16 @@ import (
 	"encoding/hex"
 	"runtime"
 	"testing"
+	_ "unsafe" // go:linkname
 )
+
+// tensorHaveAVX2 is internal/tensor's unexported leaf selector, reached by
+// linkname because nothing outside that package may set it: this test
+// alone forces it false, to pin the generic Go loops to the same constants
+// as the assembly leaves.
+//
+//go:linkname tensorHaveAVX2 cellgan/internal/tensor.haveAVX2
+var tensorHaveAVX2 bool
 
 // goldenStateHashes pins the exact bytes a tiny sequential run produces:
 // SHA-256 over the concatenated FullState.Marshal() of every cell. The
@@ -26,28 +35,37 @@ func TestGoldenStateHash(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden hashes recorded on amd64; other architectures may fuse multiply-adds")
 	}
-	for name, want := range goldenStateHashes {
-		name, want := name, want
-		t.Run(name, func(t *testing.T) {
-			cfg := tinyConfig()
-			cfg.Iterations = 3
-			cfg.BatchesPerIteration = 2
-			cfg.LossSet = name[4:]
-			if name[:3] == "cnn" {
-				cfg.NetworkType = "CNN"
-				cfg.BatchSize = 4
-			}
-			res, err := RunSequential(cfg, RunOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := sha256.New()
-			for _, f := range res.Full {
-				h.Write(f.Marshal())
-			}
-			if got := hex.EncodeToString(h.Sum(nil)); got != want {
-				t.Errorf("state hash %s, want %s", got, want)
-			}
-		})
+	detected := tensorHaveAVX2
+	defer func() { tensorHaveAVX2 = detected }()
+	for _, tier := range []string{"avx2", "generic"} {
+		tensorHaveAVX2 = tier == "avx2"
+		if tensorHaveAVX2 && !detected {
+			t.Log("NO AVX2 ON THIS HOST: the golden hashes are checked against the generic leaves only")
+			continue
+		}
+		for name, want := range goldenStateHashes {
+			name, want := name, want
+			t.Run(tier+"/"+name, func(t *testing.T) {
+				cfg := tinyConfig()
+				cfg.Iterations = 3
+				cfg.BatchesPerIteration = 2
+				cfg.LossSet = name[4:]
+				if name[:3] == "cnn" {
+					cfg.NetworkType = "CNN"
+					cfg.BatchSize = 4
+				}
+				res, err := RunSequential(cfg, RunOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := sha256.New()
+				for _, f := range res.Full {
+					h.Write(f.Marshal())
+				}
+				if got := hex.EncodeToString(h.Sum(nil)); got != want {
+					t.Errorf("state hash %s, want %s", got, want)
+				}
+			})
+		}
 	}
 }

@@ -136,7 +136,9 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 // collective: every member calls it, in the same order relative to the
 // other collectives, and member a lists b in dests exactly when b lists a
 // in sources. Sends are buffered, so no ordering between members is needed
-// and a member may run a round ahead of a slow neighbour.
+// and a member may run a round ahead of a slow neighbour. The members of
+// dests receive one shared copy of data (see Multicast): a returned part is
+// read-only.
 func (c *Comm) NeighborAllgather(sources, dests []int, data []byte) ([][]byte, error) {
 	for _, r := range sources {
 		if err := c.checkRank(r, "source"); err != nil {
@@ -149,10 +151,8 @@ func (c *Comm) NeighborAllgather(sources, dests []int, data []byte) ([][]byte, e
 		}
 	}
 	tag := c.nextCollTag()
-	for _, r := range dests {
-		if err := c.send(r, tag, data); err != nil {
-			return nil, err
-		}
+	if err := c.multicast(dests, tag, data); err != nil {
+		return nil, err
 	}
 	out := make([][]byte, len(sources))
 	for i, r := range sources {

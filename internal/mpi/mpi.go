@@ -49,7 +49,9 @@ type Message struct {
 	Src int
 	// Tag is the application tag the message was sent with.
 	Tag int
-	// Data is the payload (owned by the receiver).
+	// Data is the payload. It is the receiver's own, except that the
+	// receivers of one Multicast or NeighborAllgather share it and must
+	// not write to it.
 	Data []byte
 }
 
@@ -143,8 +145,40 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 
 // send skips user-tag validation so collectives can use reserved tags.
 func (c *Comm) send(dst, tag int, data []byte) error {
-	buf := append([]byte(nil), data...)
-	return c.ep.sendWorld(c.group[dst], wireMsg{Comm: c.id, Src: c.ep.worldRank(), Tag: tag, Data: buf})
+	return c.multicast([]int{dst}, tag, data)
+}
+
+// Multicast delivers data to every member in dests (comm ranks) with the
+// given tag, as a Send to each in order would, but behind all the messages
+// stands one private copy of data instead of one per destination: the
+// receivers share Message.Data and must treat it as read-only. The payload
+// is not aliased after Multicast returns. It stops at the first destination
+// that fails.
+func (c *Comm) Multicast(dests []int, tag int, data []byte) error {
+	for _, r := range dests {
+		if err := c.checkRank(r, "destination"); err != nil {
+			return err
+		}
+	}
+	if tag < 0 || tag >= maxUserTag {
+		return fmt.Errorf("mpi: tag %d out of range [0,%d)", tag, maxUserTag)
+	}
+	return c.multicast(dests, tag, data)
+}
+
+// multicast skips validation: dests are checked comm ranks, tag may be
+// reserved.
+func (c *Comm) multicast(dests []int, tag int, data []byte) error {
+	if len(dests) == 0 {
+		return nil
+	}
+	m := wireMsg{Comm: c.id, Src: c.ep.worldRank(), Tag: tag, Data: append([]byte(nil), data...)}
+	for _, r := range dests {
+		if err := c.ep.sendWorld(c.group[r], m); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Recv blocks until a message from src (or AnySource) with the given tag

@@ -500,3 +500,65 @@ func TestCollectivesInterleavedWithP2P(t *testing.T) {
 		return nil
 	})
 }
+
+// TestMulticastMatchesSends: Multicast is a Send to every destination in
+// order — the same payload under the same tag on both transports, the same
+// per-message fault decisions under a plan — and the sender's buffer is its
+// own again once it returns.
+func TestMulticastMatchesSends(t *testing.T) {
+	const n, tag = 4, 9
+	dests := []int{2, 1, 3}
+	for _, transport := range []string{"inproc", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			eachComm(t, worldComms(t, transport, n), func(c *Comm) error {
+				if c.Rank() == 0 {
+					buf := []byte("center")
+					if err := c.Multicast(dests, tag, buf); err != nil {
+						return err
+					}
+					copy(buf, "XXXXXX")
+					return nil
+				}
+				m, err := c.Recv(0, tag)
+				if err == nil && string(m.Data) != "center" {
+					err = fmt.Errorf("rank %d received %q", c.Rank(), m.Data)
+				}
+				return err
+			})
+		})
+	}
+	faults := func(send func(c *Comm) error) (dups, delays uint64) {
+		plan := FaultPlan{Seed: 5, DupProb: 0.5, DelayProb: 0.5, Stats: &FaultStats{}}
+		w := MustWorld(n)
+		defer w.Close()
+		c := FaultyComm(w.MustComm(0), plan)
+		for k := 0; k < 8; k++ {
+			if err := send(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return plan.Stats.Dups.Load(), plan.Stats.Delays.Load()
+	}
+	wantDups, wantDelays := faults(func(c *Comm) error {
+		for _, d := range dests {
+			if err := c.Send(d, tag, []byte("center")); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	gotDups, gotDelays := faults(func(c *Comm) error { return c.Multicast(dests, tag, []byte("center")) })
+	if wantDups+wantDelays == 0 || gotDups != wantDups || gotDelays != wantDelays {
+		t.Fatalf("plan injected %d dups / %d delays into Multicast, %d / %d into the Send loop",
+			gotDups, gotDelays, wantDups, wantDelays)
+	}
+
+	w := MustWorld(2)
+	defer w.Close()
+	if err := w.MustComm(0).Multicast([]int{2}, tag, nil); err == nil {
+		t.Fatal("out-of-range destination accepted")
+	}
+	if err := w.MustComm(0).Multicast([]int{1}, maxUserTag, nil); err == nil {
+		t.Fatal("reserved tag accepted")
+	}
+}

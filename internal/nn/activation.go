@@ -84,12 +84,15 @@ func NewLeakyReLU(alpha float64) *LeakyReLU { return &LeakyReLU{Alpha: alpha} }
 // Forward applies the leaky rectifier element-wise.
 func (l *LeakyReLU) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
 	s = l.begin(s, x)
-	return tensor.ApplyInto(&s.out, x, func(v float64) float64 {
+	out, alpha := s.out.Resize(x.Rows, x.Cols), l.Alpha
+	for i, v := range x.Data {
 		if v >= 0 {
-			return v
+			out.Data[i] = v
+		} else {
+			out.Data[i] = alpha * v
 		}
-		return l.Alpha * v
-	})
+	}
+	return out
 }
 
 // Backward scales grad by 1 where the input was non-negative, alpha
@@ -116,15 +119,18 @@ type ReLU struct{ activation }
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward applies max(0, x) element-wise.
+// Forward applies max(0, x) element-wise. A NaN input stays NaN, as in
+// every other layer and as Backward, which lets its gradient through.
 func (r *ReLU) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
 	s = r.begin(s, x)
-	return tensor.ApplyInto(&s.out, x, func(v float64) float64 {
-		if v > 0 {
-			return v
+	out := s.out.Resize(x.Rows, x.Cols)
+	for i, v := range x.Data {
+		if v <= 0 {
+			v = 0
 		}
-		return 0
-	})
+		out.Data[i] = v
+	}
+	return out
 }
 
 // Backward masks grad where the input was not positive.

@@ -109,10 +109,10 @@ type relu32 struct{}
 
 func (relu32) forward(dst, x *tensor.Mat32) *tensor.Mat32 {
 	return tensor.ApplyInto(dst, x, func(v float32) float32 {
-		if v > 0 {
-			return v
+		if v <= 0 { // not !(v > 0): NaN stays NaN, as in ReLU.Forward
+			return 0
 		}
-		return 0
+		return v
 	})
 }
 

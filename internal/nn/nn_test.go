@@ -473,3 +473,34 @@ func TestTrainTinyClassifier(t *testing.T) {
 		t.Fatalf("XOR did not converge: loss %v", loss)
 	}
 }
+
+// ReLU.Forward used to map NaN to 0 (v > 0 ? v : 0) while Backward let the
+// gradient of the same element through: the one layer that laundered a
+// diverged activation back to finite. Both widths must keep the NaN, and
+// the rewritten loops must still agree with the definition on signed
+// zeros and infinities.
+func TestRectifiersPropagateNaN(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	x := tensor.FromSlice(1, 7, []float64{math.NaN(), -2, negZero, 0, 3, math.Inf(1), math.Inf(-1)})
+	relu := []float64{math.NaN(), 0, 0, 0, 3, math.Inf(1), 0}
+	leaky := []float64{math.NaN(), -0.5, negZero, 0, 3, math.Inf(1), math.Inf(-1)}
+	same := func(got, want float64) bool {
+		return math.Float64bits(got) == math.Float64bits(want) || (math.IsNaN(got) && math.IsNaN(want))
+	}
+	for i, v := range NewReLU().Forward(nil, x).Data {
+		if !same(v, relu[i]) {
+			t.Errorf("ReLU(%v) = %v, want %v", x.Data[i], v, relu[i])
+		}
+	}
+	for i, v := range NewLeakyReLU(0.25).Forward(nil, x).Data {
+		if !same(v, leaky[i]) {
+			t.Errorf("LeakyReLU(%v) = %v, want %v", x.Data[i], v, leaky[i])
+		}
+	}
+	out := relu32{}.forward(new(tensor.Mat32), tensor.Narrow(x))
+	for i, v := range out.Data {
+		if !same(float64(v), relu[i]) {
+			t.Errorf("relu32(%v) = %v, want %v", x.Data[i], v, relu[i])
+		}
+	}
+}

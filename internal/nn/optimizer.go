@@ -26,9 +26,31 @@ type Optimizer interface {
 	// StateBinary serialises the optimizer's internal state (moments,
 	// step counters, learning rate) for checkpointing.
 	StateBinary() ([]byte, error)
-	// RestoreBinary reverses StateBinary on an optimizer attached to an
-	// architecturally identical network.
-	RestoreBinary(data []byte) error
+	// RestoreBinary reverses StateBinary for an optimizer that will step
+	// n. State whose buffers do not match n's parameters in count and
+	// shape is refused and leaves the optimizer as it was.
+	RestoreBinary(n *Network, data []byte) error
+}
+
+// decodeMoments decodes one per-parameter buffer list of an optimizer
+// state and holds it to the parameters it will be stepped against: none at
+// all (the optimizer never stepped) or one matrix per parameter, of that
+// parameter's shape — Step indexes the buffers by the parameters' lengths.
+func decodeMoments(data []byte, params []*tensor.Mat) ([]*tensor.Mat, []byte, error) {
+	ms, rest, err := tensor.DecodeMats(data)
+	if err != nil || len(ms) == 0 {
+		return nil, rest, err
+	}
+	if len(ms) != len(params) {
+		return nil, nil, fmt.Errorf("%d matrices for %d parameters", len(ms), len(params))
+	}
+	for i, p := range params {
+		if ms[i].Rows != p.Rows || ms[i].Cols != p.Cols {
+			return nil, nil, fmt.Errorf("matrix %d is %d×%d, its parameter %d×%d",
+				i, ms[i].Rows, ms[i].Cols, p.Rows, p.Cols)
+		}
+	}
+	return ms, rest, nil
 }
 
 // SGD is plain stochastic gradient descent with optional momentum.
@@ -83,19 +105,16 @@ func (s *SGD) StateBinary() ([]byte, error) {
 }
 
 // RestoreBinary reverses StateBinary.
-func (s *SGD) RestoreBinary(data []byte) error {
-	data, err := takeF64(data, &s.LR, &s.Momentum)
+func (s *SGD) RestoreBinary(n *Network, data []byte) error {
+	r := *s
+	data, err := takeF64(data, &r.LR, &r.Momentum)
 	if err != nil {
 		return fmt.Errorf("nn: SGD state: %w", err)
 	}
-	vel, _, err := tensor.DecodeMats(data)
-	if err != nil {
+	if r.velocity, _, err = decodeMoments(data, n.Params()); err != nil {
 		return fmt.Errorf("nn: SGD velocity: %w", err)
 	}
-	if len(vel) == 0 {
-		vel = nil
-	}
-	s.velocity = vel
+	*s = r
 	return nil
 }
 
@@ -134,15 +153,17 @@ func (a *Adam) Step(n *Network) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	b1, nb1, b2, nb2, lr, eps := a.Beta1, 1-a.Beta1, a.Beta2, 1-a.Beta2, a.LR, a.Epsilon
 	for i, p := range params {
-		g := grads[i]
-		m, v := a.m[i], a.v[i]
-		for j, gj := range g.Data {
-			m.Data[j] = a.Beta1*m.Data[j] + (1-a.Beta1)*gj
-			v.Data[j] = a.Beta2*v.Data[j] + (1-a.Beta2)*gj*gj
-			mhat := m.Data[j] / c1
-			vhat := v.Data[j] / c2
-			p.Data[j] -= a.LR * mhat / (math.Sqrt(vhat) + a.Epsilon)
+		g := grads[i].Data
+		m, v, w := a.m[i].Data[:len(g)], a.v[i].Data[:len(g)], p.Data[:len(g)]
+		for j, gj := range g {
+			mj := b1*m[j] + nb1*gj
+			vj := b2*v[j] + nb2*gj*gj
+			m[j], v[j] = mj, vj
+			mhat := mj / c1
+			vhat := vj / c2
+			w[j] -= lr * mhat / (math.Sqrt(vhat) + eps)
 		}
 	}
 }
@@ -169,22 +190,25 @@ func (a *Adam) StateBinary() ([]byte, error) {
 }
 
 // RestoreBinary reverses StateBinary.
-func (a *Adam) RestoreBinary(data []byte) error {
+func (a *Adam) RestoreBinary(n *Network, data []byte) error {
+	r := *a
 	var tf float64
-	data, err := takeF64(data, &a.LR, &a.Beta1, &a.Beta2, &a.Epsilon, &tf)
+	data, err := takeF64(data, &r.LR, &r.Beta1, &r.Beta2, &r.Epsilon, &tf)
 	if err != nil {
 		return fmt.Errorf("nn: Adam state: %w", err)
 	}
-	a.t = int(tf)
-	if a.m, data, err = tensor.DecodeMats(data); err != nil {
+	r.t = int(tf)
+	params := n.Params()
+	if r.m, data, err = decodeMoments(data, params); err != nil {
 		return fmt.Errorf("nn: Adam first moments: %w", err)
 	}
-	if a.v, _, err = tensor.DecodeMats(data); err != nil {
+	if r.v, _, err = decodeMoments(data, params); err != nil {
 		return fmt.Errorf("nn: Adam second moments: %w", err)
 	}
-	if len(a.m) == 0 {
-		a.m, a.v = nil, nil
+	if (r.m == nil) != (r.v == nil) {
+		return fmt.Errorf("nn: Adam state: %d first-moment matrices, %d second-moment", len(r.m), len(r.v))
 	}
+	*a = r
 	return nil
 }
 

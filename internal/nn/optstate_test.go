@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"cellgan/internal/tensor"
@@ -33,7 +34,7 @@ func TestAdamStateResumeBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumedOpt := NewAdam(0.999) // wrong lr, overwritten by restore
-	if err := resumedOpt.RestoreBinary(state); err != nil {
+	if err := resumedOpt.RestoreBinary(half, state); err != nil {
 		t.Fatal(err)
 	}
 	if resumedOpt.LearningRate() != 0.05 {
@@ -58,7 +59,7 @@ func TestSGDStateResumeBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed := NewSGD(0.5, 0.1)
-	if err := resumed.RestoreBinary(state); err != nil {
+	if err := resumed.RestoreBinary(half, state); err != nil {
 		t.Fatal(err)
 	}
 	if resumed.LR != 0.01 || resumed.Momentum != 0.9 {
@@ -73,20 +74,22 @@ func TestSGDStateResumeBitExact(t *testing.T) {
 func TestOptimizerStateBeforeAnyStep(t *testing.T) {
 	// State of a never-stepped optimizer must round-trip too (fresh
 	// checkpoints).
+	net := NewNetwork(NewLinear(1, 1, tensor.NewRNG(1)))
 	for _, opt := range []Optimizer{NewAdam(0.1), NewSGD(0.1, 0.5)} {
 		state, err := opt.StateBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := opt.RestoreBinary(state); err != nil {
+		if err := opt.RestoreBinary(net, state); err != nil {
 			t.Fatalf("%T: %v", opt, err)
 		}
 	}
 }
 
 func TestRestoreBinaryRejectsGarbage(t *testing.T) {
+	net := NewNetwork(NewLinear(1, 1, tensor.NewRNG(1)))
 	for _, opt := range []Optimizer{NewAdam(0.1), NewSGD(0.1, 0)} {
-		if err := opt.RestoreBinary([]byte{1, 2}); err == nil {
+		if err := opt.RestoreBinary(net, []byte{1, 2}); err == nil {
 			t.Fatalf("%T accepted garbage", opt)
 		}
 	}
@@ -105,7 +108,7 @@ func TestAdamRestoredMomentsMatchOriginal(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := NewAdam(0.01)
-	if err := restored.RestoreBinary(state); err != nil {
+	if err := restored.RestoreBinary(net, state); err != nil {
 		t.Fatal(err)
 	}
 	if restored.t != opt.t {
@@ -120,5 +123,46 @@ func TestAdamRestoredMomentsMatchOriginal(t *testing.T) {
 				t.Fatal("second moments differ")
 			}
 		}
+	}
+}
+
+// State saved for one architecture used to restore into an optimizer about
+// to step another: Step re-initialises only on a count mismatch, so a 4→3
+// layer's moments under an 8→6 layer's gradients ran off the end of the
+// buffer. The restore must refuse, name the matrix, and leave the
+// optimizer usable.
+func TestRestoreBinaryRejectsMismatchedShapes(t *testing.T) {
+	small := NewNetwork(NewLinear(4, 3, tensor.NewRNG(1)))
+	big := NewNetwork(NewLinear(8, 6, tensor.NewRNG(1)))
+	deep := NewNetwork(NewLinear(4, 3, tensor.NewRNG(1)), NewLinear(3, 2, tensor.NewRNG(2)))
+	for _, mk := range []func() Optimizer{
+		func() Optimizer { return NewAdam(0.01) },
+		func() Optimizer { return NewSGD(0.01, 0.9) },
+	} {
+		saved := mk()
+		trainSteps(small, saved, 2)
+		state, err := saved.StateBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, net := range map[string]*Network{"shape": big, "count": deep} {
+			opt := mk()
+			err := opt.RestoreBinary(net, state)
+			if err == nil {
+				t.Fatalf("%T accepted state of another architecture (%s mismatch)", opt, name)
+			}
+			if name == "shape" && !strings.Contains(err.Error(), "matrix 0 is 4×3") {
+				t.Errorf("%T: error does not name the matrix: %v", opt, err)
+			}
+			trainSteps(net, opt, 1) // refused state must not have been half-installed
+		}
+	}
+	// Second moments missing although first moments are present.
+	adam := NewAdam(0.01)
+	trainSteps(small, adam, 1)
+	adam.v = nil
+	state, _ := adam.StateBinary()
+	if err := NewAdam(0.01).RestoreBinary(small, state); err == nil {
+		t.Fatal("Adam accepted first moments without second moments")
 	}
 }

@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func benchMat(rows, cols int, seed uint64) *Mat {
 	m := New(rows, cols)
@@ -123,6 +126,46 @@ func BenchmarkMatMulT2IntoF32(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		MatMulT2Into(dst, a, c)
+	}
+}
+
+// BenchmarkKernelShapes times the three kernel families on a layer of m
+// rows, k inputs and n outputs — forward x·W, dW += xᵀ·grad, dx = grad·Wᵀ,
+// 2·m·k·n flops each — at 256³ and at the two shapes the mlp-compute
+// benchmark workload spends its time in, for both element widths. Run with
+// -cpu 1 (make bench-json does) it is the per-core rate of the leaves.
+func BenchmarkKernelShapes(b *testing.B) {
+	b.Run("f64", benchKernelShapes[float64])
+	b.Run("f32", benchKernelShapes[float32])
+}
+
+func benchKernelShapes[F Float](b *testing.B) {
+	for _, s := range [][3]int{{256, 256, 256}, {50, 256, 784}, {8, 128, 784}} {
+		m, k, n := s[0], s[1], s[2]
+		mat := func(rows, cols int, seed uint64) *Matrix[F] {
+			out := new(Matrix[F]).Resize(rows, cols)
+			for i, v := range benchMat(rows, cols, seed).Data {
+				out.Data[i] = F(v)
+			}
+			return out
+		}
+		x, w, grad := mat(m, k, 1), mat(k, n, 2), mat(m, n, 3)
+		y, dw, dx := mat(m, n, 4), mat(k, n, 5), mat(m, k, 6)
+		for _, fam := range []struct {
+			name string
+			run  func()
+		}{
+			{"MatMulInto", func() { MatMulInto(y, x, w) }},
+			{"AddMatMulT1Into", func() { AddMatMulT1Into(dw, x, grad) }},
+			{"MatMulT2Into", func() { MatMulT2Into(dx, grad, w) }},
+		} {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", fam.name, m, k, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					fam.run()
+				}
+				b.ReportMetric(2*float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
 }
 

@@ -10,35 +10,37 @@ import (
 // has already held larger and smaller results. Shapes straddle the
 // parallel-dispatch threshold.
 func TestIntoKernelsBitIdentical(t *testing.T) {
-	rng := NewRNG(42)
-	shapes := []struct{ m, k, n int }{
-		{50, 50, 60}, // 150k multiply-adds: above parallelThreshold
-		{1, 1, 1},
-		{16, 16, 16},
-		{3, 7, 5},
-		{50, 50, 60},
-	}
-	dst := randMat(7, 9, rng) // dirty, reused across every shape and kernel
-	for _, s := range shapes {
-		a := randMat(s.m, s.k, rng)
-		b := randMat(s.k, s.n, rng)
-		at := randMat(s.k, s.m, rng) // for T1: aᵀ×b with a of shape k×m
-		bt := randMat(s.n, s.k, rng) // for T2: a×bᵀ with b of shape n×k
+	eachLeafTier(t, func(t *testing.T) {
+		rng := NewRNG(42)
+		shapes := []struct{ m, k, n int }{
+			{50, 50, 60}, // 150k multiply-adds: above parallelThreshold
+			{1, 1, 1},
+			{16, 16, 16},
+			{3, 7, 5},
+			{50, 50, 60},
+		}
+		dst := randMat(7, 9, rng) // dirty, reused across every shape and kernel
+		for _, s := range shapes {
+			a := randMat(s.m, s.k, rng)
+			b := randMat(s.k, s.n, rng)
+			at := randMat(s.k, s.m, rng) // for T1: aᵀ×b with a of shape k×m
+			bt := randMat(s.n, s.k, rng) // for T2: a×bᵀ with b of shape n×k
 
-		if got, want := MatMulInto(dst, a, b), MatMulInto(new(Mat), a, b); !got.Equal(want) {
-			t.Fatalf("MatMulInto into a reused destination differs at %+v", s)
+			if got, want := MatMulInto(dst, a, b), MatMulInto(new(Mat), a, b); !got.Equal(want) {
+				t.Fatalf("MatMulInto into a reused destination differs at %+v", s)
+			}
+			if got, want := MatMulT1Into(dst, at, b), MatMulT1Into(new(Mat), at, b); !got.Equal(want) {
+				t.Fatalf("MatMulT1Into into a reused destination differs at %+v", s)
+			}
+			if got, want := MatMulT2Into(dst, a, bt), MatMulT2Into(new(Mat), a, bt); !got.Equal(want) {
+				t.Fatalf("MatMulT2Into into a reused destination differs at %+v", s)
+			}
+			f := func(v float64) float64 { return v*v + 1 }
+			if got, want := ApplyInto(dst, a, f), ApplyInto(new(Mat), a, f); !got.Equal(want) {
+				t.Fatalf("ApplyInto into a reused destination differs at %+v", s)
+			}
 		}
-		if got, want := MatMulT1Into(dst, at, b), MatMulT1Into(new(Mat), at, b); !got.Equal(want) {
-			t.Fatalf("MatMulT1Into into a reused destination differs at %+v", s)
-		}
-		if got, want := MatMulT2Into(dst, a, bt), MatMulT2Into(new(Mat), a, bt); !got.Equal(want) {
-			t.Fatalf("MatMulT2Into into a reused destination differs at %+v", s)
-		}
-		f := func(v float64) float64 { return v*v + 1 }
-		if got, want := ApplyInto(dst, a, f), ApplyInto(new(Mat), a, f); !got.Equal(want) {
-			t.Fatalf("ApplyInto into a reused destination differs at %+v", s)
-		}
-	}
+	})
 }
 
 // TestAddMatMulT1IntoZeroStart verifies the fused accumulation matches
@@ -125,26 +127,28 @@ func TestIntoKernelsRejectAliasing(t *testing.T) {
 // on purpose, so the pooled dispatch is tripwired where -race is skipped
 // (nn's TestDCGANTrainIterationAllocs and TestNet32ForwardAllocs).
 func TestMatMulIntoZeroAllocs(t *testing.T) {
-	rng := NewRNG(9)
-	a := randMat(16, 24, rng)
-	b := randMat(24, 16, rng)
-	bt := randMat(16, 24, rng)
-	dst := New(16, 16)
-	dw := New(24, 16)
-	colsum := New(1, 24)
+	eachLeafTier(t, func(t *testing.T) {
+		rng := NewRNG(9)
+		a := randMat(16, 24, rng)
+		b := randMat(24, 16, rng)
+		bt := randMat(16, 24, rng)
+		dst := New(16, 16)
+		dw := New(24, 16)
+		colsum := New(1, 24)
 
-	checks := map[string]func(){
-		"MatMulInto":      func() { MatMulInto(dst, a, b) },
-		"MatMulT1Into":    func() { MatMulT1Into(dw, a, dst) },
-		"AddMatMulT1Into": func() { AddMatMulT1Into(dw, a, dst) },
-		"MatMulT2Into":    func() { MatMulT2Into(dst, a, bt) },
-		"AddColSumsInto":  func() { AddColSumsInto(colsum, a) },
-		"ApplyInto":       func() { ApplyInto(dst, dst, func(v float64) float64 { return v + 1 }) },
-	}
-	for name, f := range checks {
-		f() // warm capacity
-		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
-			t.Errorf("%s: %.0f allocs per run, want 0", name, allocs)
+		checks := map[string]func(){
+			"MatMulInto":      func() { MatMulInto(dst, a, b) },
+			"MatMulT1Into":    func() { MatMulT1Into(dw, a, dst) },
+			"AddMatMulT1Into": func() { AddMatMulT1Into(dw, a, dst) },
+			"MatMulT2Into":    func() { MatMulT2Into(dst, a, bt) },
+			"AddColSumsInto":  func() { AddColSumsInto(colsum, a) },
+			"ApplyInto":       func() { ApplyInto(dst, dst, func(v float64) float64 { return v + 1 }) },
 		}
-	}
+		for name, f := range checks {
+			f() // warm capacity
+			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
+				t.Errorf("%s: %.0f allocs per run, want 0", name, allocs)
+			}
+		}
+	})
 }

@@ -39,12 +39,17 @@ const (
 // mulAddRow4 computes crow[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j]
 // with the four multiply-adds applied sequentially (ascending k), loading
 // and storing each c element once per quad — the register micro-kernel of
-// the ikj family.
-func mulAddRow4[F Float](crow, b0, b1, b2, b3 []F, a0, a1, a2, a3 F) {
+// the ikj family. With simd set (the caller's copy of haveAVX2) the
+// assembly leaf runs the same sequence on a vector of j at a time.
+func mulAddRow4[F Float](simd bool, crow, b0, b1, b2, b3 []F, a0, a1, a2, a3 F) {
 	b0 = b0[:len(crow)]
 	b1 = b1[:len(crow)]
 	b2 = b2[:len(crow)]
 	b3 = b3[:len(crow)]
+	if simd && len(crow) > 0 {
+		simdRow4(crow, b0, b1, b2, b3, a0, a1, a2, a3)
+		return
+	}
 	for j, cv := range crow {
 		cv += a0 * b0[j]
 		cv += a1 * b1[j]
@@ -68,6 +73,7 @@ func mulAddRow1[F Float](crow, brow []F, av F) {
 // kernelKC×kernelJC block of b is reused across every output row of the
 // range while each element still accumulates in ascending-k order.
 func matMulKernel[F Float](c, a, b []F, aCols, bCols int, zero bool, lo, hi int) {
+	simd := haveAVX2
 	if zero {
 		for i := lo; i < hi; i++ {
 			crow := c[i*bCols : (i+1)*bCols]
@@ -94,7 +100,7 @@ func matMulKernel[F Float](c, a, b []F, aCols, bCols int, zero bool, lo, hi int)
 				crow := c[i*bCols+jb : i*bCols+jEnd]
 				k := kb
 				for ; k+4 <= kEnd; k += 4 {
-					mulAddRow4(crow,
+					mulAddRow4(simd, crow,
 						b[k*bCols+jb:k*bCols+jEnd],
 						b[(k+1)*bCols+jb:(k+1)*bCols+jEnd],
 						b[(k+2)*bCols+jb:(k+2)*bCols+jEnd],
@@ -114,6 +120,7 @@ func matMulKernel[F Float](c, a, b []F, aCols, bCols int, zero bool, lo, hi int)
 // tiling as matMulKernel; the a operand is read down a column (stride
 // aCols), four taps per quad, amortised over a full b-row segment.
 func matMulT1Kernel[F Float](c, a, b []F, aRows, aCols, bCols int, zero bool, lo, hi int) {
+	simd := haveAVX2
 	if zero {
 		for i := lo; i < hi; i++ {
 			crow := c[i*bCols : (i+1)*bCols]
@@ -139,7 +146,7 @@ func matMulT1Kernel[F Float](c, a, b []F, aRows, aCols, bCols int, zero bool, lo
 				crow := c[i*bCols+jb : i*bCols+jEnd]
 				k := kb
 				for ; k+4 <= kEnd; k += 4 {
-					mulAddRow4(crow,
+					mulAddRow4(simd, crow,
 						b[k*bCols+jb:k*bCols+jEnd],
 						b[(k+1)*bCols+jb:(k+1)*bCols+jEnd],
 						b[(k+2)*bCols+jb:(k+2)*bCols+jEnd],
@@ -154,14 +161,43 @@ func matMulT1Kernel[F Float](c, a, b []F, aRows, aCols, bCols int, zero bool, lo
 	}
 }
 
+// panelDot writes c[i][j..j+3] = Σ_k a[i][k]·p[4k..4k+3] for rows [lo, hi):
+// four ascending-k dot products per a-row, one accumulator each, against
+// the packed panel p of matMulT2Kernel (length 4·aCols). With simd set the
+// assembly leaf holds the four accumulators in one vector and runs four
+// a-rows at a time.
+func panelDot[F Float](simd bool, c, a, p []F, aCols, bRows, j, lo, hi int) {
+	if simd && lo < hi && aCols > 0 {
+		simdPanelDot(c[lo*bRows+j:(hi-1)*bRows+j+4], a[lo*aCols:hi*aCols], p[:4*aCols], aCols, bRows, hi-lo)
+		return
+	}
+	for i := lo; i < hi; i++ {
+		arow := a[i*aCols : (i+1)*aCols]
+		var s0, s1, s2, s3 F
+		for k, av := range arow {
+			q := p[4*k : 4*k+4 : 4*k+4]
+			s0 += av * q[0]
+			s1 += av * q[1]
+			s2 += av * q[2]
+			s3 += av * q[3]
+		}
+		crow := c[i*bRows+j : i*bRows+j+4 : i*bRows+j+4]
+		crow[0] = s0
+		crow[1] = s1
+		crow[2] = s2
+		crow[3] = s3
+	}
+}
+
 // matMulT2Kernel computes rows [lo, hi) of c = a × bᵀ (a is rows×aCols, b
 // is bRows×aCols): every element is a full ascending-k dot product written
 // once. Rows of b are consumed four at a time through a packed panel:
-// panel[4k+m] = b[j+m][k], so the inner loop feeds four independent
+// panel[4k+m] = b[j+m][k], so panelDot feeds four independent
 // accumulators from one contiguous stream and reads each a-row once per
 // quad. The packing cost is amortised over the whole [lo, hi) row range.
 // panel must have length ≥ 4·aCols.
 func matMulT2Kernel[F Float](c, a, b []F, aCols, bRows int, lo, hi int, panel []F) {
+	simd := haveAVX2
 	j := 0
 	for ; j+4 <= bRows; j += 4 {
 		b0 := b[j*aCols : (j+1)*aCols]
@@ -175,22 +211,7 @@ func matMulT2Kernel[F Float](c, a, b []F, aCols, bRows int, lo, hi int, panel []
 			p[4*k+2] = b2[k]
 			p[4*k+3] = b3[k]
 		}
-		for i := lo; i < hi; i++ {
-			arow := a[i*aCols : (i+1)*aCols]
-			var s0, s1, s2, s3 F
-			for k, av := range arow {
-				q := p[4*k : 4*k+4 : 4*k+4]
-				s0 += av * q[0]
-				s1 += av * q[1]
-				s2 += av * q[2]
-				s3 += av * q[3]
-			}
-			crow := c[i*bRows+j : i*bRows+j+4 : i*bRows+j+4]
-			crow[0] = s0
-			crow[1] = s1
-			crow[2] = s2
-			crow[3] = s3
-		}
+		panelDot(simd, c, a, p, aCols, bRows, j, lo, hi)
 	}
 	for ; j < bRows; j++ {
 		brow := b[j*aCols : (j+1)*aCols]

@@ -48,50 +48,52 @@ func naiveMulT2(a, b *Mat) *Mat {
 var kernelEdgeDims = []int{1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 127, 130}
 
 func TestTiledKernelsBitExactVsNaive(t *testing.T) {
-	rng := NewRNG(11)
-	shapes := [][3]int{}
-	for _, k := range kernelEdgeDims {
-		shapes = append(shapes, [3]int{3, k, 5}, [3]int{1, k, 1}, [3]int{2, k, 7})
-	}
-	// j-tile edge: kernelJC columns is large, cover it with a thin product.
-	shapes = append(shapes,
-		[3]int{1, 2, kernelJC - 1}, [3]int{1, 2, kernelJC}, [3]int{2, 3, kernelJC + 1},
-		[3]int{31, 33, 29}, [3]int{64, 64, 64},
-	)
-	for _, sz := range shapes {
-		m, k, n := sz[0], sz[1], sz[2]
-		a := randMat(m, k, rng)
-		b := randMat(k, n, rng)
-		if got, want := MatMul(a, b), naiveMul(a, b); !got.Equal(want) {
-			t.Fatalf("MatMul not bit-exact vs naive at %v", sz)
+	eachLeafTier(t, func(t *testing.T) {
+		rng := NewRNG(11)
+		shapes := [][3]int{}
+		for _, k := range kernelEdgeDims {
+			shapes = append(shapes, [3]int{3, k, 5}, [3]int{1, k, 1}, [3]int{2, k, 7})
 		}
-		at := randMat(k, m, rng) // aᵀ operand: k rows feed the reduction
-		if got, want := MatMulT1(at, b), naiveMulT1(at, b); !got.Equal(want) {
-			t.Fatalf("MatMulT1 not bit-exact vs naive at %v", sz)
-		}
-		bt := randMat(n, k, rng)
-		if got, want := MatMulT2(a, bt), naiveMulT2(a, bt); !got.Equal(want) {
-			t.Fatalf("MatMulT2 not bit-exact vs naive at %v", sz)
-		}
-		dst := randMat(m, n, rng)
-		acc := dst.Clone()
-		AddMatMulT1Into(acc, at, b)
-		// The reference must seed the accumulator with dst and then add the
-		// ascending-k terms — the same FP order the kernel contracts to.
-		ref := dst.Clone()
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				s := ref.At(i, j)
-				for kk := 0; kk < k; kk++ {
-					s += at.At(kk, i) * b.At(kk, j)
+		// j-tile edge: kernelJC columns is large, cover it with a thin product.
+		shapes = append(shapes,
+			[3]int{1, 2, kernelJC - 1}, [3]int{1, 2, kernelJC}, [3]int{2, 3, kernelJC + 1},
+			[3]int{31, 33, 29}, [3]int{64, 64, 64},
+		)
+		for _, sz := range shapes {
+			m, k, n := sz[0], sz[1], sz[2]
+			a := randMat(m, k, rng)
+			b := randMat(k, n, rng)
+			if got, want := MatMul(a, b), naiveMul(a, b); !got.Equal(want) {
+				t.Fatalf("MatMul not bit-exact vs naive at %v", sz)
+			}
+			at := randMat(k, m, rng) // aᵀ operand: k rows feed the reduction
+			if got, want := MatMulT1(at, b), naiveMulT1(at, b); !got.Equal(want) {
+				t.Fatalf("MatMulT1 not bit-exact vs naive at %v", sz)
+			}
+			bt := randMat(n, k, rng)
+			if got, want := MatMulT2(a, bt), naiveMulT2(a, bt); !got.Equal(want) {
+				t.Fatalf("MatMulT2 not bit-exact vs naive at %v", sz)
+			}
+			dst := randMat(m, n, rng)
+			acc := dst.Clone()
+			AddMatMulT1Into(acc, at, b)
+			// The reference must seed the accumulator with dst and then add the
+			// ascending-k terms — the same FP order the kernel contracts to.
+			ref := dst.Clone()
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					s := ref.At(i, j)
+					for kk := 0; kk < k; kk++ {
+						s += at.At(kk, i) * b.At(kk, j)
+					}
+					ref.Set(i, j, s)
 				}
-				ref.Set(i, j, s)
+			}
+			if !acc.Equal(ref) {
+				t.Fatalf("AddMatMulT1Into not bit-exact vs naive at %v", sz)
 			}
 		}
-		if !acc.Equal(ref) {
-			t.Fatalf("AddMatMulT1Into not bit-exact vs naive at %v", sz)
-		}
-	}
+	})
 }
 
 func TestTiledKernelsZeroDims(t *testing.T) {
@@ -124,38 +126,42 @@ func TestTiledKernelsZeroDims(t *testing.T) {
 // instead of poisoning the output. IEEE requires 0·NaN = NaN and
 // 0·±Inf = NaN; corrupted weights must surface, not launder to finite.
 func TestMatMulPropagatesNonFinite(t *testing.T) {
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		a := FromSlice(1, 2, []float64{0, 1})
-		b := FromSlice(2, 1, []float64{bad, 2})
-		if got := MatMul(a, b).At(0, 0); !math.IsNaN(got) {
-			t.Fatalf("MatMul 0·%v lost the NaN: got %v", bad, got)
+	eachLeafTier(t, func(t *testing.T) {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			a := FromSlice(1, 2, []float64{0, 1})
+			b := FromSlice(2, 1, []float64{bad, 2})
+			if got := MatMul(a, b).At(0, 0); !math.IsNaN(got) {
+				t.Fatalf("MatMul 0·%v lost the NaN: got %v", bad, got)
+			}
+			at := FromSlice(2, 1, []float64{0, 1})
+			bb := FromSlice(2, 1, []float64{bad, 2})
+			if got := MatMulT1(at, bb).At(0, 0); !math.IsNaN(got) {
+				t.Fatalf("MatMulT1 0·%v lost the NaN: got %v", bad, got)
+			}
+			bt := FromSlice(1, 2, []float64{bad, 2})
+			if got := MatMulT2(a, bt).At(0, 0); !math.IsNaN(got) {
+				t.Fatalf("MatMulT2 0·%v lost the NaN: got %v", bad, got)
+			}
 		}
-		at := FromSlice(2, 1, []float64{0, 1})
-		bb := FromSlice(2, 1, []float64{bad, 2})
-		if got := MatMulT1(at, bb).At(0, 0); !math.IsNaN(got) {
-			t.Fatalf("MatMulT1 0·%v lost the NaN: got %v", bad, got)
-		}
-		bt := FromSlice(1, 2, []float64{bad, 2})
-		if got := MatMulT2(a, bt).At(0, 0); !math.IsNaN(got) {
-			t.Fatalf("MatMulT2 0·%v lost the NaN: got %v", bad, got)
-		}
-	}
+	})
 }
 
 // And the finite flip side: removing the skip must not change finite
 // results even in the presence of signed zeros, because accumulators
 // start at +0 and (+0)+(±0) = +0 under round-to-nearest.
 func TestMatMulSignedZeroStability(t *testing.T) {
-	a := FromSlice(1, 3, []float64{0, math.Copysign(0, -1), 1})
-	b := FromSlice(3, 2, []float64{5, math.Copysign(0, -1), 7, 3, 0, math.Copysign(0, -1)})
-	c := MatMul(a, b)
-	if math.Signbit(c.At(0, 1)) && c.At(0, 1) == 0 {
-		t.Fatal("accumulation produced −0 where naive ascending-k gives +0")
-	}
-	if c.At(0, 0) != 0 || c.At(0, 1) != math.Copysign(0, -1) {
-		// row: 0·5 + (−0)·7 + 1·0 = +0 ; 0·(−0) + (−0)·3 + 1·(−0) = −0
-		t.Fatalf("signed-zero result drifted: %v", c.Data)
-	}
+	eachLeafTier(t, func(t *testing.T) {
+		a := FromSlice(1, 3, []float64{0, math.Copysign(0, -1), 1})
+		b := FromSlice(3, 2, []float64{5, math.Copysign(0, -1), 7, 3, 0, math.Copysign(0, -1)})
+		c := MatMul(a, b)
+		if math.Signbit(c.At(0, 1)) && c.At(0, 1) == 0 {
+			t.Fatal("accumulation produced −0 where naive ascending-k gives +0")
+		}
+		if c.At(0, 0) != 0 || c.At(0, 1) != math.Copysign(0, -1) {
+			// row: 0·5 + (−0)·7 + 1·0 = +0 ; 0·(−0) + (−0)·3 + 1·(−0) = −0
+			t.Fatalf("signed-zero result drifted: %v", c.Data)
+		}
+	})
 }
 
 // Regression for the aliasing-detector bug: the old mustNotShareData only

@@ -147,26 +147,28 @@ func TestMat32AddRowVecAndApply(t *testing.T) {
 }
 
 func TestFloat32IntoKernelsAllocs(t *testing.T) {
-	rng := NewRNG(25)
-	a := Narrow(randMat(16, 24, rng))
-	b := Narrow(randMat(24, 16, rng))
-	bt := Narrow(randMat(16, 24, rng))
-	dst := new(Mat32).Resize(16, 16)
-	const c, h, w, k2, stride, pad, posH, posW = 1, 6, 6, 2, 2, 0, 3, 3
-	img := new(Mat32).Resize(2, c*h*w)
-	cols := Narrow(randMat(2*posH*posW, c*k2*k2, rng))
+	eachLeafTier(t, func(t *testing.T) {
+		rng := NewRNG(25)
+		a := Narrow(randMat(16, 24, rng))
+		b := Narrow(randMat(24, 16, rng))
+		bt := Narrow(randMat(16, 24, rng))
+		dst := new(Mat32).Resize(16, 16)
+		const c, h, w, k2, stride, pad, posH, posW = 1, 6, 6, 2, 2, 0, 3, 3
+		img := new(Mat32).Resize(2, c*h*w)
+		cols := Narrow(randMat(2*posH*posW, c*k2*k2, rng))
 
-	src := wideMat(a)
-	checks := map[string]func(){
-		"MatMulInto":    func() { MatMulInto(dst, a, b) },
-		"MatMulT2Into":  func() { MatMulT2Into(dst, a, bt) },
-		"AddCol2ImInto": func() { AddCol2ImInto(img, cols, c, h, w, k2, stride, pad, posH, posW) },
-		"NarrowInto":    func() { NarrowInto(a, src) },
-	}
-	for name, f := range checks {
-		f() // warm capacity
-		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
-			t.Errorf("%s: %.0f allocs per run, want 0", name, allocs)
+		src := wideMat(a)
+		checks := map[string]func(){
+			"MatMulInto":    func() { MatMulInto(dst, a, b) },
+			"MatMulT2Into":  func() { MatMulT2Into(dst, a, bt) },
+			"AddCol2ImInto": func() { AddCol2ImInto(img, cols, c, h, w, k2, stride, pad, posH, posW) },
+			"NarrowInto":    func() { NarrowInto(a, src) },
 		}
-	}
+		for name, f := range checks {
+			f() // warm capacity
+			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
+				t.Errorf("%s: %.0f allocs per run, want 0", name, allocs)
+			}
+		}
+	})
 }
