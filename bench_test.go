@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"cellgan/internal/checkpoint"
-	"cellgan/internal/clientserver"
 	"cellgan/internal/cluster"
 	"cellgan/internal/config"
 	"cellgan/internal/core"
@@ -17,7 +16,7 @@ import (
 	"cellgan/internal/mpi"
 	"cellgan/internal/nn"
 	"cellgan/internal/perfmodel"
-	"cellgan/internal/profile"
+	"cellgan/internal/telemetry"
 	"cellgan/internal/tensor"
 )
 
@@ -126,31 +125,31 @@ func reportModelSpeedup(b *testing.B, side int) {
 
 func BenchmarkTableIV_Profile(b *testing.B) {
 	cfg := benchConfig(4)
-	var snap map[string]profile.Stat
+	var prof *telemetry.Profile
 	for i := 0; i < b.N; i++ {
-		prof := profile.New()
+		prof = new(telemetry.Profile)
 		if _, err := core.RunSequential(cfg, core.RunOptions{Prof: prof}); err != nil {
 			b.Fatal(err)
 		}
-		snap = prof.Snapshot()
 	}
+	routines := []telemetry.Routine{telemetry.RoutineTrain, telemetry.RoutineUpdateGenomes,
+		telemetry.RoutineMutate, telemetry.RoutineGather}
 	var total time.Duration
-	for _, s := range snap {
-		total += s.Total
+	for _, r := range routines {
+		total += prof.Get(r).Total
 	}
 	if total > 0 {
-		for _, r := range []string{profile.RoutineTrain, profile.RoutineUpdateGenomes,
-			profile.RoutineMutate, profile.RoutineGather} {
-			b.ReportMetric(float64(snap[r].Total)/float64(total)*100, shortRoutine(r)+"-%")
+		for _, r := range routines {
+			b.ReportMetric(float64(prof.Get(r).Total)/float64(total)*100, shortRoutine(r)+"-%")
 		}
 	}
 }
 
-func shortRoutine(r string) string {
-	if r == profile.RoutineUpdateGenomes {
+func shortRoutine(r telemetry.Routine) string {
+	if r == telemetry.RoutineUpdateGenomes {
 		return "update"
 	}
-	return r
+	return r.String()
 }
 
 // ---------------------------------------------------------------------------
@@ -407,9 +406,9 @@ func BenchmarkAblationExchange(b *testing.B) {
 }
 
 // BenchmarkAblationArchitecture compares one full reduced-scale training
-// run under the four exchange architectures: the sequential baseline, the
-// paper's synchronous MPI-style collective, the asynchronous push/pull
-// variant, and the pre-MPI HTTP client-server model it replaced.
+// run under the three exchange architectures: the sequential baseline, the
+// paper's synchronous MPI-style collective and the asynchronous push/pull
+// variant.
 func BenchmarkAblationArchitecture(b *testing.B) {
 	cfg := benchConfig(2)
 	cfg.Iterations = 2
@@ -433,9 +432,6 @@ func BenchmarkAblationArchitecture(b *testing.B) {
 	})
 	b.Run("mpi-async", func(b *testing.B) {
 		run(b, func() (*core.Result, error) { return core.RunAsync(cfg, core.RunOptions{}) })
-	})
-	b.Run("http-clientserver", func(b *testing.B) {
-		run(b, func() (*core.Result, error) { return clientserver.Run(cfg, core.RunOptions{}) })
 	})
 }
 

@@ -29,7 +29,6 @@ import (
 	"cellgan/internal/config"
 	"cellgan/internal/core"
 	"cellgan/internal/mpi"
-	"cellgan/internal/profile"
 	"cellgan/internal/telemetry"
 )
 
@@ -296,7 +295,7 @@ func main() {
 				r.CellRank, r.Node, r.Iterations, r.MixtureFitness, status)
 		}
 		if len(res.Profile) > 0 {
-			p := profile.New()
+			var p telemetry.Profile
 			p.Merge(res.Profile)
 			fmt.Println()
 			fmt.Println(p.Report())

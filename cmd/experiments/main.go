@@ -26,7 +26,7 @@ func main() {
 	all := flag.Bool("all", false, "regenerate every table and figure")
 	measured := flag.Bool("measured", false, "also run the real engine at reduced scale (companion tables)")
 	repeats := flag.Int("repeats", 0, "repeated-run methodology: N independent executions per grid (avg±std)")
-	arch := flag.Bool("arch", false, "compare execution architectures (seq / MPI sync / MPI async / HTTP)")
+	arch := flag.Bool("arch", false, "compare execution architectures (seq / MPI sync / MPI async)")
 	quality := flag.Int("quality", 0, "train for N iterations and report generator quality vs real/noise baselines")
 	dcgan := flag.Int("dcgan", 0, "train a CNN (DCGAN) grid for N iterations and serve the exported mixture")
 	outDir := flag.String("out", "", "also write each artefact to a file in this directory")

@@ -17,7 +17,6 @@ import (
 	"strings"
 	"time"
 
-	"cellgan/internal/clientserver"
 	"cellgan/internal/config"
 	"cellgan/internal/core"
 	"cellgan/internal/report"
@@ -26,7 +25,7 @@ import (
 
 func main() {
 	grids := flag.String("grids", "2,3", "comma-separated square grid sides")
-	modes := flag.String("modes", "seq,par", "comma-separated modes: seq, par, async, http")
+	modes := flag.String("modes", "seq,par", "comma-separated modes: seq, par, async")
 	repeats := flag.Int("repeats", 3, "repetitions per sweep cell (paper: 10)")
 	iterations := flag.Int("iterations", 2, "training iterations per run")
 	batches := flag.Int("batches", 2, "mini-batches per iteration")
@@ -47,19 +46,6 @@ func main() {
 		sides = append(sides, v)
 	}
 	modeList := strings.Split(*modes, ",")
-
-	runMode := func(mode string, cfg config.Config) error {
-		var err error
-		switch strings.TrimSpace(mode) {
-		case "seq", "par", "async":
-			_, err = core.Run(strings.TrimSpace(mode), cfg, core.RunOptions{})
-		case "http":
-			_, err = clientserver.Run(cfg, core.RunOptions{})
-		default:
-			err = fmt.Errorf("unknown mode %q", mode)
-		}
-		return err
-	}
 
 	t := report.NewTable(
 		fmt.Sprintf("Parameter sweep: %d repetition(s) per cell, %d iterations each", *repeats, *iterations),
@@ -83,7 +69,8 @@ func main() {
 		for _, mode := range modeList {
 			mode := strings.TrimSpace(mode)
 			sum, err := stats.Repeat(*repeats, time.Millisecond, func() error {
-				return runMode(mode, cfg)
+				_, err := core.Run(mode, cfg, core.RunOptions{})
+				return err
 			})
 			if err != nil {
 				fatal(fmt.Errorf("grid %d mode %s: %w", side, mode, err))

@@ -6,7 +6,6 @@
 //	-mode seq    sequential single-process baseline
 //	-mode par    parallel: one goroutine per cell over inproc message passing
 //	-mode async  asynchronous cells (no barrier, push/pull exchange)
-//	-mode http   the pre-MPI client-server architecture (comparator)
 //	-mode job    full master/slave job with heartbeats and placement
 //
 // Examples:
@@ -29,13 +28,11 @@ import (
 	"time"
 
 	"cellgan/internal/checkpoint"
-	"cellgan/internal/clientserver"
 	"cellgan/internal/cluster"
 	"cellgan/internal/config"
 	"cellgan/internal/core"
 	"cellgan/internal/dataset"
 	"cellgan/internal/metrics"
-	"cellgan/internal/profile"
 	"cellgan/internal/telemetry"
 	"cellgan/internal/tensor"
 )
@@ -87,9 +84,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	prof := profile.New()
+	prof := new(telemetry.Profile)
 	reg := telemetry.NewRegistry()
-	telemetry.AttachProfiler(reg, "trainer", prof)
+	prof.Register(reg, "trainer")
 	if *debugAddr != "" {
 		srv, bound, err := telemetry.StartDebugServer(*debugAddr, reg)
 		if err != nil {
@@ -314,9 +311,6 @@ func runMode(mode string, cfg config.Config, opts core.RunOptions, verbose bool,
 	switch mode {
 	case "seq", "par", "async":
 		return core.Run(mode, cfg, opts)
-	case "http":
-		// The pre-MPI client-server architecture, kept as a comparator.
-		return clientserver.Run(cfg, opts)
 	case "job":
 		job, err := cluster.RunJob(cluster.MasterOptions{
 			Cfg:       cfg,

@@ -16,7 +16,6 @@ import (
 	"cellgan/internal/config"
 	"cellgan/internal/core"
 	"cellgan/internal/grid"
-	"cellgan/internal/profile"
 )
 
 func main() {
@@ -32,10 +31,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof := profile.New()
 	cells := make([]*core.Cell, g.Size())
 	for r := range cells {
-		cells[r], err = core.NewCell(cfg, r, g, prof)
+		cells[r], err = core.NewCell(cfg, r, g, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -121,6 +121,23 @@ func TestChaosCrashRecovery3x3(t *testing.T) {
 	if !strings.Contains(log, "reassigned cell 4 from slave 5") {
 		t.Fatalf("master never reassigned the lost cell; log:\n%s", log)
 	}
+	// The survivor owning two cells reports its totals once: the merged
+	// train count is the Iterate calls the reporting slaves made — each
+	// cell's iterations, less those the adopted cell ran on the dead slave.
+	var iterates int64
+	for _, r := range res.Reports {
+		iterates += int64(r.Iterations)
+	}
+	for _, line := range res.Log {
+		var cell, from, to, iter int
+		if _, err := fmt.Sscanf(line, "master: reassigned cell %d from slave %d to slave %d (re-dispatching from iteration %d)",
+			&cell, &from, &to, &iter); err == nil {
+			iterates -= int64(iter)
+		}
+	}
+	if got := trainCount(res); got != iterates {
+		t.Fatalf("merged train count %d for %d Iterate calls by the reporting slaves", got, iterates)
+	}
 
 	res2 := run()
 	requireAllTrained(t, cfg, res2)

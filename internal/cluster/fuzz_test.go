@@ -2,7 +2,15 @@ package cluster
 
 import (
 	"testing"
+
+	"cellgan/internal/telemetry"
 )
+
+// seedProfile is a slave's routine totals as a report carries them.
+var seedProfile = map[string]telemetry.RoutineStat{
+	telemetry.RoutineTrain.String():  {Count: 12, Total: 3e9},
+	telemetry.RoutineGather.String(): {Count: 13, Total: 4e6},
+}
 
 // seedOwnerUpdateBytes builds a representative valid owner update for the
 // fuzz corpus: a four-cell map with a failed cell, an adoption order and a
@@ -180,17 +188,18 @@ func FuzzParseRunTask(f *testing.F) {
 }
 
 func FuzzParseSlaveReport(f *testing.F) {
-	valid, err := SlaveReport{CellRank: 3, Node: "n1", Iterations: 2, State: []byte{7}}.marshal()
-	addSeeds(f, valid, err, `{"cell_rank":-4}`, `{"cell_rank":99999}`)
+	valid, err := SlaveReport{CellRank: 3, Node: "n1", Iterations: 2, State: []byte{7}, Profile: seedProfile}.marshal()
+	addSeeds(f, valid, err, `{"cell_rank":-4}`, `{"cell_rank":99999}`, `{"profile":{"train":{"count":-1,"total_ns":"x"}}}`)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if r, err := parseSlaveReport(data); err == nil {
 			requireCellBounds(t, "slave report", r.CellRank)
+			new(telemetry.Profile).Merge(r.Profile) // what collect does with it
 		}
 	})
 }
 
 func FuzzParseSlaveReports(f *testing.F) {
-	valid, err := marshalReports([]SlaveReport{{CellRank: 0}, {CellRank: 3, Error: "x"}})
+	valid, err := marshalReports([]SlaveReport{{CellRank: 0, Profile: seedProfile}, {CellRank: 3, Error: "x"}})
 	addSeeds(f, valid, err, `[{"cell_rank":-1}]`, `[{"cell_rank":4096}]`)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rs, err := parseSlaveReports(data)

@@ -8,7 +8,7 @@ import (
 	"cellgan/internal/config"
 	"cellgan/internal/core"
 	"cellgan/internal/mpi"
-	"cellgan/internal/profile"
+	"cellgan/internal/telemetry"
 )
 
 // jobConfig is a fast 2×2-grid configuration (5 tasks).
@@ -55,9 +55,9 @@ func TestRunJobEndToEnd(t *testing.T) {
 		}
 	}
 	// The merged profile must include all four routines of Table IV.
-	for _, routine := range []string{profile.RoutineTrain, profile.RoutineMutate,
-		profile.RoutineUpdateGenomes, profile.RoutineGather} {
-		if res.Profile[routine].Count == 0 {
+	for _, routine := range []telemetry.Routine{telemetry.RoutineTrain, telemetry.RoutineMutate,
+		telemetry.RoutineUpdateGenomes, telemetry.RoutineGather} {
+		if res.Profile[routine.String()].Count == 0 {
 			t.Fatalf("merged profile missing %q", routine)
 		}
 	}
@@ -93,6 +93,25 @@ func jobModes(t *testing.T, test func(t *testing.T, cfg config.Config, res *JobR
 			test(t, cfg, res)
 		})
 	}
+}
+
+// trainCount is the merged number of Cell.Iterate calls a job profiled.
+func trainCount(res *JobResult) int64 {
+	return res.Profile[telemetry.RoutineTrain.String()].Count
+}
+
+// TestJobProfileCountsEachIterateOnce: without faults every slave trains
+// one cell from scratch, so the merged train count is Σ report Iterations.
+func TestJobProfileCountsEachIterateOnce(t *testing.T) {
+	jobModes(t, func(t *testing.T, cfg config.Config, res *JobResult) {
+		var iterates int64
+		for _, r := range res.Reports {
+			iterates += int64(r.Iterations)
+		}
+		if got := trainCount(res); got != iterates {
+			t.Fatalf("merged train count %d for %d Iterate calls", got, iterates)
+		}
+	})
 }
 
 func TestJobRecordsStateTransitions(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 	"cellgan/internal/config"
 	"cellgan/internal/core"
 	"cellgan/internal/mpi"
-	"cellgan/internal/profile"
+	"cellgan/internal/telemetry"
 )
 
 // MasterOptions tunes the master process.
@@ -451,7 +451,7 @@ func (m *master) abortReason() string {
 }
 
 // collect gathers the final reports from every live slave into
-// res.Reports (one per cell) and merges their profiles. A slave that
+// res.Reports (one per cell) and sums the slaves' profiles. A slave that
 // answers with nothing is still finalising, or never saw the end of
 // training: resend repeats that signal before the next attempt. Cells
 // still unreported afterwards are synthesized from the inventory — the
@@ -459,7 +459,7 @@ func (m *master) abortReason() string {
 // keeps none, fail the job.
 func (m *master) collect(resend func(s int)) error {
 	res, nCells := m.res, m.nCells
-	prof := profile.New()
+	var prof telemetry.Profile
 	res.Reports = make([]SlaveReport, nCells)
 	got := make([]bool, nCells)
 	for _, s := range m.liveRanks() {
@@ -489,6 +489,9 @@ func (m *master) collect(resend func(s int)) error {
 				m.logf("master: bad report from slave %d: %v", s, err)
 				break
 			}
+			if len(reps) > 0 {
+				prof.Merge(reps[0].Profile)
+			}
 			for _, rep := range reps {
 				if rep.CellRank < 0 || rep.CellRank >= nCells || got[rep.CellRank] {
 					m.logf("master: ignoring report for cell %d from slave %d", rep.CellRank, s)
@@ -496,9 +499,6 @@ func (m *master) collect(resend func(s int)) error {
 				}
 				res.Reports[rep.CellRank] = rep
 				got[rep.CellRank] = true
-				if snap, derr := profile.DecodeSnapshot(rep.Profile); derr == nil {
-					prof.Merge(snap)
-				}
 				res.Aborted = res.Aborted || rep.Aborted
 			}
 			// A slave only reports once its execution thread is over.

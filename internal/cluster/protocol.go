@@ -7,7 +7,7 @@ import (
 
 	"cellgan/internal/config"
 	"cellgan/internal/core"
-	"cellgan/internal/profile"
+	"cellgan/internal/telemetry"
 )
 
 // Control-message tags on the WORLD communicator (master rank 0 ↔ slaves).
@@ -178,8 +178,8 @@ type SlaveReport struct {
 	MixtureWeights []float64 `json:"mixture_weights"`
 	// State is the marshalled core.CellState of the final centers.
 	State []byte `json:"state"`
-	// Profile is the slave's routine timing snapshot.
-	Profile []byte `json:"profile"`
+	// Profile is the slave's routine totals, on its first report only.
+	Profile map[string]telemetry.RoutineStat `json:"profile,omitempty"`
 	// Full is the marshalled core.FullState of the cell at the end of
 	// training (resilient mode only): the bit-exact resume state used by
 	// the golden determinism checks and checkpoint export.
@@ -431,8 +431,8 @@ type JobResult struct {
 	Transitions []Transition
 	// Placements is the task → node/core assignment used.
 	Placements []Placement
-	// Profile is the merged routine profile across all slaves.
-	Profile map[string]profile.Stat
+	// Profile is the routine totals summed over the reporting slaves.
+	Profile map[string]telemetry.RoutineStat
 	// Log is the master's event log (the Fig 3 flow trace).
 	Log []string
 }

@@ -11,7 +11,7 @@ import (
 	"cellgan/internal/core"
 	"cellgan/internal/grid"
 	"cellgan/internal/mpi"
-	"cellgan/internal/profile"
+	"cellgan/internal/telemetry"
 )
 
 // slave bundles the state shared between a slave's main (communication)
@@ -382,7 +382,7 @@ type ownedCell struct {
 type ownedCells struct {
 	task  runTask
 	grid  *grid.Grid
-	prof  *profile.Profiler
+	prof  *telemetry.Profile
 	cells map[int]*ownedCell
 }
 
@@ -394,7 +394,7 @@ func newOwnedCells(task runTask) (*ownedCells, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &ownedCells{task: task, grid: g, prof: profile.New(), cells: make(map[int]*ownedCell)}
+	o := &ownedCells{task: task, grid: g, prof: new(telemetry.Profile), cells: make(map[int]*ownedCell)}
 	if task.Joiner {
 		return o, nil
 	}
@@ -482,14 +482,13 @@ func (o *ownedCells) iterate(r int) bool {
 
 // reports builds one final report per owned cell.
 func (o *ownedCells) reports(aborted bool) []SlaveReport {
-	profBytes := profile.EncodeSnapshot(o.prof.Snapshot())
 	var reports []SlaveReport
 	for _, r := range o.ranks() {
 		oc := o.cells[r]
 		c := oc.cell
 		rep := SlaveReport{
 			CellRank: r, Node: o.task.Node, Iterations: c.Iteration(),
-			Aborted: aborted, Profile: profBytes, Error: oc.errNote,
+			Aborted: aborted, Error: oc.errNote,
 			MixtureFitness: oc.fitness,
 		}
 		if c.Iteration() == 0 || oc.failed {
@@ -505,6 +504,9 @@ func (o *ownedCells) reports(aborted bool) []SlaveReport {
 		rep.MixtureRanks = append([]int(nil), c.Mixture().Ranks...)
 		rep.MixtureWeights = append([]float64(nil), c.Mixture().Weights...)
 		reports = append(reports, rep)
+	}
+	if len(reports) > 0 {
+		reports[0].Profile = o.prof.Snapshot()
 	}
 	return reports
 }

@@ -8,7 +8,7 @@ import (
 
 	"cellgan/internal/config"
 	"cellgan/internal/mpi"
-	"cellgan/internal/profile"
+	"cellgan/internal/telemetry"
 )
 
 // asyncStateTag carries center snapshots between cells in the
@@ -59,7 +59,7 @@ func RunAsync(cfg config.Config, opts RunOptions) (*Result, error) {
 
 // asyncCellLoop is one rank's life in the asynchronous mode.
 func (r *runCtx) asyncCellLoop(comm *mpi.Comm, cell *Cell, board *asyncCkptBoard) (last IterStats, err error) {
-	rank, g, prof, inst := cell.Rank, r.grid, r.prof, r.inst
+	rank, g, prof, inst := cell.Rank, r.grid, r.opts.Prof, r.inst
 	if r.opts.commWrap != nil {
 		comm = r.opts.commWrap(rank, comm)
 	}
@@ -73,8 +73,8 @@ func (r *runCtx) asyncCellLoop(comm *mpi.Comm, cell *Cell, board *asyncCkptBoard
 	dests := slices.DeleteFunc(g.Influence(rank), func(d int) bool { return d == rank })
 	var wire []byte
 	push := func() error {
-		defer prof.Start(profile.RoutineGather)()
 		t0 := time.Now()
+		defer prof.Since(telemetry.RoutineGather, t0)
 		defer func() { inst.observeExchange(time.Since(t0)) }()
 		wire = cell.AppendState(wire[:0])
 		if err := comm.Multicast(dests, asyncStateTag, wire); err != nil {
@@ -93,7 +93,7 @@ func (r *runCtx) asyncCellLoop(comm *mpi.Comm, cell *Cell, board *asyncCkptBoard
 	// stop a delayed or duplicated snapshot that arrives drains after a
 	// newer one was applied from regressing the neighbour view.
 	absorb := func() error {
-		defer prof.Start(profile.RoutineGather)()
+		defer prof.Since(telemetry.RoutineGather, time.Now())
 		var latest map[int]*CellState
 		for {
 			m, ok, err := comm.TryRecv(mpi.AnySource, asyncStateTag)

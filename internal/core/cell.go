@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"time"
 
 	"cellgan/internal/config"
 	"cellgan/internal/dataset"
 	"cellgan/internal/grid"
 	"cellgan/internal/nn"
-	"cellgan/internal/profile"
+	"cellgan/internal/telemetry"
 	"cellgan/internal/tensor"
 )
 
@@ -25,7 +26,7 @@ type Cell struct {
 	grid *grid.Grid
 	src  dataset.Source
 	rng  *tensor.RNG
-	prof *profile.Profiler
+	prof *telemetry.Profile
 
 	gen  *Genome
 	disc *Genome
@@ -113,8 +114,9 @@ const evalBatchSize = 32
 // NewCell creates the cell for the given grid rank, training on the
 // default procedural dataset. Determinism: every random stream is derived
 // from (cfg.Seed, rank), so a cell behaves identically whether it runs
-// sequentially or as a parallel rank.
-func NewCell(cfg config.Config, rank int, g *grid.Grid, prof *profile.Profiler) (*Cell, error) {
+// sequentially or as a parallel rank. prof receives the cell's routine
+// timings and may be shared with other cells; nil records none.
+func NewCell(cfg config.Config, rank int, g *grid.Grid, prof *telemetry.Profile) (*Cell, error) {
 	return NewCellWithData(cfg, rank, g, prof, nil)
 }
 
@@ -122,7 +124,7 @@ func NewCell(cfg config.Config, rank int, g *grid.Grid, prof *profile.Profiler) 
 // MNIST loaded from IDX files); src == nil selects the procedural
 // dataset. With cfg.DataDieting the source is sharded so each cell sees a
 // disjoint 1/N slice.
-func NewCellWithData(cfg config.Config, rank int, g *grid.Grid, prof *profile.Profiler, src dataset.Source) (*Cell, error) {
+func NewCellWithData(cfg config.Config, rank int, g *grid.Grid, prof *telemetry.Profile, src dataset.Source) (*Cell, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -132,9 +134,6 @@ func NewCellWithData(cfg config.Config, rank int, g *grid.Grid, prof *profile.Pr
 	if cfg.OutputNeurons != dataset.Pixels {
 		return nil, fmt.Errorf("core: output neurons %d must match the dataset's %d pixels",
 			cfg.OutputNeurons, dataset.Pixels)
-	}
-	if prof == nil {
-		prof = profile.New()
 	}
 	rng := tensor.NewRNG(cfg.Seed ^ (uint64(rank)+1)*0x9e3779b97f4a7c15)
 	if src == nil {
@@ -319,7 +318,7 @@ func sortedRanks(m map[int]*Genome) []int {
 // with probability MutationProbability, perturb each center's learning
 // rate by N(0, MutationRate²), clamped to stay positive.
 func (c *Cell) mutateHyperparams() {
-	defer c.prof.Start(profile.RoutineMutate)()
+	defer c.prof.Since(telemetry.RoutineMutate, time.Now())
 	mutate := func(g *Genome, opt nn.Optimizer) {
 		if c.rng.Float64() < c.Cfg.MutationProbability {
 			lr := g.LR + c.rng.NormFloat64()*c.Cfg.MutationRate
@@ -456,7 +455,7 @@ func (c *Cell) trainStep(real *tensor.Mat) (float64, float64) {
 // neighbour center when it beats the local one, refresh fitness values,
 // and advance the mixture weights by one (1+1)-ES step.
 func (c *Cell) updateGenomes() (stats IterStats) {
-	defer c.prof.Start(profile.RoutineUpdateGenomes)()
+	defer c.prof.Since(telemetry.RoutineUpdateGenomes, time.Now())
 
 	// Evaluate every generator in the sub-population against the center
 	// discriminator on a common latent batch.
@@ -528,14 +527,14 @@ func (c *Cell) Iterate() (IterStats, error) {
 		batches = c.Cfg.BatchesPerIteration
 	}
 	var genLoss, discLoss float64
-	stopTrain := c.prof.Start(profile.RoutineTrain)
+	t0 := time.Now()
 	for b := 0; b < batches; b++ {
 		real, _ := c.loader.Next()
 		gl, dl := c.trainStep(real)
 		genLoss += gl
 		discLoss += dl
 	}
-	stopTrain()
+	c.prof.Since(telemetry.RoutineTrain, t0)
 
 	stats := c.updateGenomes()
 	c.iteration++

@@ -6,16 +6,16 @@ import (
 
 	"cellgan/internal/config"
 	"cellgan/internal/grid"
-	"cellgan/internal/profile"
+	"cellgan/internal/telemetry"
 )
 
-func newTestCell(t *testing.T, cfg config.Config, rank int) (*Cell, *profile.Profiler) {
+func newTestCell(t *testing.T, cfg config.Config, rank int) (*Cell, *telemetry.Profile) {
 	t.Helper()
 	g, err := grid.New(cfg.GridRows, cfg.GridCols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := profile.New()
+	prof := new(telemetry.Profile)
 	c, err := NewCell(cfg, rank, g, prof)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestCellIterateProducesFiniteStats(t *testing.T) {
 		t.Fatalf("iteration counter %d/%d", stats.Iteration, c.Iteration())
 	}
 	// All three local routines must have been profiled.
-	for _, r := range []string{profile.RoutineTrain, profile.RoutineMutate, profile.RoutineUpdateGenomes} {
+	for _, r := range []telemetry.Routine{telemetry.RoutineTrain, telemetry.RoutineMutate, telemetry.RoutineUpdateGenomes} {
 		if prof.Get(r).Count == 0 {
 			t.Fatalf("routine %q not profiled", r)
 		}

@@ -12,15 +12,14 @@ import (
 	"cellgan/internal/grid"
 	"cellgan/internal/mpi"
 	"cellgan/internal/nn"
-	"cellgan/internal/profile"
 	"cellgan/internal/telemetry"
 	"cellgan/internal/tensor"
 )
 
 // RunOptions tunes a training run.
 type RunOptions struct {
-	// Prof receives routine timings; nil allocates a private profiler.
-	Prof *profile.Profiler
+	// Prof receives routine timings; nil records none.
+	Prof *telemetry.Profile
 	// Progress, when non-nil, is invoked after every cell iteration. In
 	// parallel mode it is called concurrently from per-cell goroutines.
 	Progress func(rank int, stats IterStats)
@@ -124,7 +123,7 @@ type Result struct {
 	Cfg     config.Config
 	Cells   []CellResult
 	Elapsed time.Duration
-	Profile map[string]profile.Stat
+	Profile map[string]telemetry.RoutineStat
 	// BestRank is the cell whose mixture achieved the lowest (best)
 	// fitness — the sub-population the method returns (§II-B).
 	BestRank int
@@ -166,8 +165,7 @@ func (r *Result) MixtureFor(rank int) (*Mixture, error) {
 
 // BuildGridFor constructs the toroidal grid for a configuration, applying
 // its neighbourhood pattern — used by every runner (including the cluster
-// slaves and the client-server baseline) so the topology is consistent
-// across execution modes.
+// slaves) so the topology is consistent across execution modes.
 func BuildGridFor(cfg config.Config) (*grid.Grid, error) {
 	g, err := grid.New(cfg.GridRows, cfg.GridCols)
 	if err != nil {
@@ -192,8 +190,8 @@ func BuildGridFor(cfg config.Config) (*grid.Grid, error) {
 // exchangeLocal distributes every cell's state to the cells whose
 // neighbourhood contains it, mirroring the exchange of the parallel mode
 // in shared memory.
-func exchangeLocal(cells []*Cell, prof *profile.Profiler) error {
-	defer prof.Start(profile.RoutineGather)()
+func exchangeLocal(cells []*Cell, prof *telemetry.Profile) error {
+	defer prof.Since(telemetry.RoutineGather, time.Now())
 	states := make(map[int]*CellState, len(cells))
 	for _, c := range cells {
 		s, err := c.State()
@@ -211,11 +209,10 @@ func exchangeLocal(cells []*Cell, prof *profile.Profiler) error {
 }
 
 // runCtx is the prologue every in-process runner shares: the validated
-// configuration, the profiler, the grid and the run's instruments.
+// configuration, the grid and the run's instruments.
 type runCtx struct {
 	cfg     config.Config
 	opts    RunOptions
-	prof    *profile.Profiler
 	grid    *grid.Grid
 	inst    *runInstruments
 	started time.Time
@@ -230,10 +227,6 @@ func newRun(cfg config.Config, opts RunOptions, lockstep bool) (*runCtx, error) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	prof := opts.Prof
-	if prof == nil {
-		prof = profile.New()
-	}
 	if lockstep && opts.Resume != nil {
 		if err := uniformResumeIteration(opts.Resume); err != nil {
 			return nil, err
@@ -244,14 +237,14 @@ func newRun(cfg config.Config, opts RunOptions, lockstep bool) (*runCtx, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &runCtx{cfg: cfg, opts: opts, prof: prof, grid: g, started: started,
+	return &runCtx{cfg: cfg, opts: opts, grid: g, started: started,
 		inst: newRunInstruments(opts.Telemetry, opts.Trace, g.Size())}, nil
 }
 
 // newCell builds the cell of one rank, restored from opts.Resume when the
 // run is resuming.
 func (r *runCtx) newCell(rank int) (*Cell, error) {
-	cell, err := NewCellWithData(r.cfg, rank, r.grid, r.prof, r.opts.Data)
+	cell, err := NewCellWithData(r.cfg, rank, r.grid, r.opts.Prof, r.opts.Data)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +282,7 @@ func (r *runCtx) result(cells []*Cell, lasts []IterStats) (*Result, error) {
 		}
 	}
 	res.Elapsed = time.Since(r.started)
-	res.Profile = r.prof.Snapshot()
+	res.Profile = r.opts.Prof.Snapshot()
 	return res, nil
 }
 
@@ -368,7 +361,7 @@ func RunSequential(cfg config.Config, opts RunOptions) (*Result, error) {
 	coll := newCkptCollector(opts, len(cells))
 	exchange := func() error {
 		t0 := time.Now()
-		if err := exchangeLocal(cells, r.prof); err != nil {
+		if err := exchangeLocal(cells, opts.Prof); err != nil {
 			return err
 		}
 		r.inst.observeExchange(time.Since(t0))
@@ -508,7 +501,6 @@ func (l *RankLoop) exchange(leaving bool) (halt bool, err error) {
 	if leaving || (l.Stop != nil && l.Stop()) {
 		vote[0] = 1
 	}
-	stop := l.Cell.prof.Start(profile.RoutineGather)
 	t0 := time.Now()
 	votes, err := l.Comm.Allgather(vote)
 	var parts [][]byte
@@ -516,7 +508,7 @@ func (l *RankLoop) exchange(leaving bool) (halt bool, err error) {
 		parts, err = l.Comm.NeighborAllgather(l.sources, l.dests, l.wire)
 	}
 	l.inst.observeExchange(time.Since(t0))
-	stop()
+	l.Cell.prof.Since(telemetry.RoutineGather, t0)
 	if err != nil {
 		return true, err
 	}

@@ -9,13 +9,13 @@ import (
 	"time"
 
 	"cellgan/internal/config"
-	"cellgan/internal/profile"
+	"cellgan/internal/telemetry"
 	"cellgan/internal/tensor"
 )
 
 func TestRunSequentialSmoke(t *testing.T) {
 	cfg := tinyConfig()
-	prof := profile.New()
+	prof := new(telemetry.Profile)
 	res, err := RunSequential(cfg, RunOptions{Prof: prof})
 	if err != nil {
 		t.Fatal(err)
@@ -43,14 +43,46 @@ func TestRunSequentialSmoke(t *testing.T) {
 		}
 	}
 	// All four paper routines must appear in the profile, including gather.
-	for _, r := range []string{profile.RoutineTrain, profile.RoutineMutate,
-		profile.RoutineUpdateGenomes, profile.RoutineGather} {
+	for _, r := range []telemetry.Routine{telemetry.RoutineTrain, telemetry.RoutineMutate,
+		telemetry.RoutineUpdateGenomes, telemetry.RoutineGather} {
 		if prof.Get(r).Count == 0 {
 			t.Fatalf("routine %q missing from profile", r)
 		}
 	}
 	if res.Elapsed <= 0 {
 		t.Fatal("elapsed not recorded")
+	}
+}
+
+// TestRunProfileCountsEachIterateOnce pins Table IV's call counts: every
+// mode records exactly one train, mutate and update-genomes call per
+// Cell.Iterate into the one profile its cells share, plus its exchanges.
+func TestRunProfileCountsEachIterateOnce(t *testing.T) {
+	cfg := tinyConfig()
+	iterates := int64(cfg.NumCells() * cfg.Iterations)
+	for mode, gathers := range map[string]int64{
+		"seq":   int64(cfg.Iterations + 1),                    // one exchangeLocal per round
+		"par":   int64(cfg.NumCells() * (cfg.Iterations + 1)), // one exchange per rank and round
+		"async": 0,                                            // pushes and drains are schedule-dependent
+	} {
+		t.Run(mode, func(t *testing.T) {
+			prof := new(telemetry.Profile)
+			res, err := Run(mode, cfg, RunOptions{Prof: prof})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range []telemetry.Routine{telemetry.RoutineTrain, telemetry.RoutineMutate, telemetry.RoutineUpdateGenomes} {
+				if got := prof.Get(r).Count; got != iterates {
+					t.Errorf("%s: %d calls for %d Iterate calls", r, got, iterates)
+				}
+			}
+			if got := prof.Get(telemetry.RoutineGather).Count; got == 0 || (gathers > 0 && got != gathers) {
+				t.Errorf("gather: %d calls, want %d", got, gathers)
+			}
+			if res.Profile[telemetry.RoutineTrain.String()] != prof.Get(telemetry.RoutineTrain) {
+				t.Errorf("Result.Profile %v disagrees with the run's profile", res.Profile)
+			}
+		})
 	}
 }
 

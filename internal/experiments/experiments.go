@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"cellgan/internal/checkpoint"
-	"cellgan/internal/clientserver"
 	"cellgan/internal/cluster"
 	"cellgan/internal/config"
 	"cellgan/internal/core"
@@ -25,10 +24,10 @@ import (
 	"cellgan/internal/grid"
 	"cellgan/internal/metrics"
 	"cellgan/internal/perfmodel"
-	"cellgan/internal/profile"
 	"cellgan/internal/report"
 	"cellgan/internal/serve"
 	"cellgan/internal/stats"
+	"cellgan/internal/telemetry"
 	"cellgan/internal/tensor"
 )
 
@@ -154,19 +153,19 @@ func TableIV() (string, error) {
 // and reports the measured per-routine times — the empirical companion of
 // Table IV.
 func MeasuredProfileTable(cfg config.Config) (string, error) {
-	seqProf := profile.New()
+	seqProf := new(telemetry.Profile)
 	if _, err := core.RunSequential(cfg, core.RunOptions{Prof: seqProf}); err != nil {
 		return "", err
 	}
-	parProf := profile.New()
+	parProf := new(telemetry.Profile)
 	if _, err := core.RunParallel(cfg, core.RunOptions{Prof: parProf}); err != nil {
 		return "", err
 	}
 	t := report.NewTable("Table IV (companion) — Measured routine times at reduced scale",
 		"routine", "sequential", "parallel")
-	for _, r := range []string{profile.RoutineGather, profile.RoutineTrain,
-		profile.RoutineUpdateGenomes, profile.RoutineMutate} {
-		t.AddRow(r, seqProf.Get(r).Total.Round(time.Microsecond).String(),
+	for _, r := range []telemetry.Routine{telemetry.RoutineGather, telemetry.RoutineTrain,
+		telemetry.RoutineUpdateGenomes, telemetry.RoutineMutate} {
+		t.AddRow(r.String(), seqProf.Get(r).Total.Round(time.Microsecond).String(),
 			parProf.Get(r).Total.Round(time.Microsecond).String())
 	}
 	return t.String(), nil
@@ -208,21 +207,16 @@ func RepeatedScalingTable(base config.Config, sides []int, reps int) (string, er
 
 // ArchitectureTable compares one reduced-scale run under every execution
 // architecture: the sequential baseline, the paper's synchronous
-// MPI-style exchange, the asynchronous variant, and the pre-MPI HTTP
-// client-server model §III-B replaces.
+// MPI-style exchange and the asynchronous variant.
 func ArchitectureTable(cfg config.Config) (string, error) {
 	t := report.NewTable("Execution architectures at reduced scale",
 		"architecture", "wall clock", "best mixture fitness")
-	for _, arch := range []struct {
-		name string
-		run  func() (*core.Result, error)
-	}{
-		{"sequential (1 core)", func() (*core.Result, error) { return core.RunSequential(cfg, core.RunOptions{}) }},
-		{"MPI-style synchronous", func() (*core.Result, error) { return core.RunParallel(cfg, core.RunOptions{}) }},
-		{"MPI-style asynchronous", func() (*core.Result, error) { return core.RunAsync(cfg, core.RunOptions{}) }},
-		{"HTTP client-server (pre-MPI)", func() (*core.Result, error) { return clientserver.Run(cfg, core.RunOptions{}) }},
+	for _, arch := range []struct{ name, mode string }{
+		{"sequential (1 core)", "seq"},
+		{"MPI-style synchronous", "par"},
+		{"MPI-style asynchronous", "async"},
 	} {
-		res, err := arch.run()
+		res, err := core.Run(arch.mode, cfg, core.RunOptions{})
 		if err != nil {
 			return "", fmt.Errorf("%s: %w", arch.name, err)
 		}

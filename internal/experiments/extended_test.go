@@ -38,7 +38,7 @@ func TestArchitectureTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"sequential", "synchronous", "asynchronous", "HTTP client-server"} {
+	for _, want := range []string{"sequential", "synchronous", "asynchronous"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("architecture table missing %q:\n%s", want, out)
 		}

@@ -12,8 +12,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"cellgan/internal/profile"
 )
 
 func TestRegistryGetOrCreate(t *testing.T) {
@@ -200,9 +198,9 @@ func TestTraceNonFiniteBecomesNull(t *testing.T) {
 func TestDebugServer(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("up_total", "").Inc()
-	prof := profile.New()
-	prof.Add(profile.RoutineTrain, 1500*time.Millisecond)
-	AttachProfiler(r, "test", prof)
+	prof := new(Profile)
+	prof.Merge(map[string]RoutineStat{"train": {Count: 1, Total: 1500 * time.Millisecond}})
+	prof.Register(r, "test")
 
 	srv, addr, err := StartDebugServer("127.0.0.1:0", r)
 	if err != nil {

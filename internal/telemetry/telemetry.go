@@ -1,8 +1,9 @@
 // Package telemetry is the shared observability layer of the repository:
 // a standard-library metrics registry (counters, gauges, fixed-bucket
-// histograms) with lock-free reads, Prometheus-style text exposition, an
-// optional JSONL event trace keyed by run seed, and a debug HTTP server
-// exposing /metrics and net/http/pprof.
+// histograms) with lock-free reads, the paper's Table IV routine profile,
+// Prometheus-style text exposition, an optional JSONL event trace keyed
+// by run seed, and a debug HTTP server exposing /metrics and
+// net/http/pprof.
 //
 // Instruments are written with atomic operations only — no observation
 // ever takes a lock or allocates — so they are safe to place on tensor-

@@ -3,7 +3,10 @@ package telemetry
 import (
 	"io"
 	"math"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -27,13 +30,16 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var h *Histogram
 	var r *Registry
 	var tr *Trace
+	var p *Profile
+	p.Since(RoutineTrain, time.Now())
+	p.Merge(map[string]RoutineStat{"train": {Count: 1}})
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
 	tr.Event("x", F("a", 1))
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 || len(p.Snapshot()) != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
 	if r.Counter("x", "") != nil || r.Gauge("x", "") != nil || r.Histogram("x", "", nil) != nil {
@@ -125,13 +131,89 @@ func TestObserveAllocs(t *testing.T) {
 	c := r.Counter("c_total", "")
 	g := r.Gauge("g", "")
 	h := r.Histogram("h_seconds", "", ExponentialBuckets(1e-6, 2, 20))
+	p := new(Profile)
 	f := func() {
 		c.Inc()
 		g.Set(3.25)
 		h.Observe(0.0017)
+		p.Since(RoutineGather, time.Now())
 	}
 	f()
 	if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
 		t.Errorf("instrument observation: %.0f allocs per run, want 0", allocs)
+	}
+}
+
+// TestProfileSharedAcrossGoroutines is the Table IV contract: cells on many
+// goroutines record into one Profile, and every call is counted once.
+func TestProfileSharedAcrossGoroutines(t *testing.T) {
+	p := new(Profile)
+	const workers, perWorker = 8, 1000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				p.Since(RoutineTrain, time.Now().Add(-time.Microsecond))
+			}
+		}()
+	}
+	wg.Wait()
+	s := p.Get(RoutineTrain)
+	if s.Count != workers*perWorker || s.Total < workers*perWorker*time.Microsecond {
+		t.Fatalf("train %+v after %d calls of at least 1µs", s, workers*perWorker)
+	}
+	if s.Mean() < time.Microsecond || (RoutineStat{}).Mean() != 0 {
+		t.Fatalf("mean %v", s.Mean())
+	}
+}
+
+func TestProfileAddAndGet(t *testing.T) {
+	p := new(Profile)
+	p.add(RoutineTrain, 1, 2*time.Second)
+	p.add(RoutineTrain, 1, 3*time.Second)
+	s := p.Get(RoutineTrain)
+	if s != (RoutineStat{Count: 2, Total: 5 * time.Second}) {
+		t.Fatalf("stat %+v", s)
+	}
+	if s.Mean() != 2500*time.Millisecond {
+		t.Fatalf("mean %v", s.Mean())
+	}
+	if got := p.Get(RoutineGather); got != (RoutineStat{}) {
+		t.Fatalf("uncalled routine %+v", got)
+	}
+}
+
+func TestProfileMerge(t *testing.T) {
+	p := new(Profile)
+	p.add(RoutineTrain, 1, time.Second)
+	p.Merge(map[string]RoutineStat{
+		"train":  {Count: 2, Total: 3 * time.Second},
+		"mutate": {Count: 1, Total: time.Second},
+		"bogus":  {Count: 9, Total: time.Hour},
+	})
+	snap := p.Snapshot()
+	if len(snap) != 2 || snap["train"] != (RoutineStat{Count: 3, Total: 4 * time.Second}) {
+		t.Fatalf("snapshot %v", snap)
+	}
+	if s := p.Get(RoutineMutate); s != (RoutineStat{Count: 1, Total: time.Second}) {
+		t.Fatalf("merged mutate %+v", s)
+	}
+}
+
+func TestProfileReportFormat(t *testing.T) {
+	p := new(Profile)
+	p.add(RoutineMutate, 1, 10*time.Second)
+	p.add(RoutineTrain, 1, time.Second)
+	rep := p.Report()
+	lines := strings.Split(strings.TrimRight(rep, "\n"), "\n")
+	if len(lines) != 4 || !strings.Contains(lines[0], "routine") {
+		t.Fatalf("report:\n%s", rep)
+	}
+	// Header, rule, then the called routines in Table IV order, whatever
+	// their totals.
+	if !strings.HasPrefix(lines[2], "train") || !strings.HasPrefix(lines[3], "mutate") {
+		t.Fatalf("wrong order:\n%s", rep)
 	}
 }

@@ -1,20 +1,15 @@
-package core
+package tensor_test
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"runtime"
 	"testing"
-	_ "unsafe" // go:linkname
-)
 
-// tensorHaveAVX2 is internal/tensor's unexported leaf selector, reached by
-// linkname because nothing outside that package may set it: this test
-// alone forces it false, to pin the generic Go loops to the same constants
-// as the assembly leaves.
-//
-//go:linkname tensorHaveAVX2 cellgan/internal/tensor.haveAVX2
-var tensorHaveAVX2 bool
+	"cellgan/internal/config"
+	"cellgan/internal/core"
+	"cellgan/internal/tensor"
+)
 
 // goldenStateHashes pins the exact bytes a tiny sequential run produces:
 // SHA-256 over the concatenated FullState.Marshal() of every cell. The
@@ -31,22 +26,16 @@ var goldenStateHashes = map[string]string{
 	"cnn/bce":     "299eee825dfcace5ec16e74782b3ff4947a1922415534b1adff6674a8783f62e",
 }
 
+// TestGoldenStateHash lives beside the leaves it pins and drives a whole
+// training run through core under each leaf tier.
 func TestGoldenStateHash(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden hashes recorded on amd64; other architectures may fuse multiply-adds")
 	}
-	detected := tensorHaveAVX2
-	defer func() { tensorHaveAVX2 = detected }()
-	for _, tier := range []string{"avx2", "generic"} {
-		tensorHaveAVX2 = tier == "avx2"
-		if tensorHaveAVX2 && !detected {
-			t.Log("NO AVX2 ON THIS HOST: the golden hashes are checked against the generic leaves only")
-			continue
-		}
+	tensor.EachLeafTier(t, func(t *testing.T) {
 		for name, want := range goldenStateHashes {
-			name, want := name, want
-			t.Run(tier+"/"+name, func(t *testing.T) {
-				cfg := tinyConfig()
+			t.Run(name, func(t *testing.T) {
+				cfg := config.Default().Scaled(2, 8, 100)
 				cfg.Iterations = 3
 				cfg.BatchesPerIteration = 2
 				cfg.LossSet = name[4:]
@@ -54,7 +43,7 @@ func TestGoldenStateHash(t *testing.T) {
 					cfg.NetworkType = "CNN"
 					cfg.BatchSize = 4
 				}
-				res, err := RunSequential(cfg, RunOptions{})
+				res, err := core.RunSequential(cfg, core.RunOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -67,5 +56,5 @@ func TestGoldenStateHash(t *testing.T) {
 				}
 			})
 		}
-	}
+	})
 }
