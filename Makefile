@@ -1,9 +1,9 @@
 # make check mirrors .github/workflows/ci.yml for local runs.
 GO ?= go
 
-.PHONY: check fmt vet build cross test bench-module race bench bench-smoke bench-json bench-serve staticcheck recovery-smoke fuzz-smoke loc
+.PHONY: check fmt vet build cross test bench-module race stress bench bench-smoke bench-json bench-serve staticcheck recovery-smoke fuzz-smoke loc
 
-check: fmt vet build cross test bench-module race
+check: fmt vet build cross test bench-module race stress
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -36,6 +36,13 @@ bench-module:
 # (a 2-core host takes ~10 minutes for the lot).
 race:
 	$(GO) test -race -timeout 25m ./...
+
+# The bounded-staleness property tests of both async modes, 20 times at
+# GOMAXPROCS 1 and 2, with the two packages loading each other: the
+# load under which the cluster absorb's old arrival-order apply failed
+# most runs. 17–25 s on a 2-core host.
+stress:
+	$(GO) test -run 'Staleness' -count 20 -cpu 1,2 ./internal/core/ ./internal/cluster/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

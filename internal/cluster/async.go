@@ -63,7 +63,7 @@ var asyncClusterHooks struct {
 // iterate → push passes, growing and shrinking its owned set as owner
 // updates and release orders arrive from the control loop.
 func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
-	owned, err := newOwnedCells(task)
+	owned, err := newOwnedCells(task, &s.prof)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +184,10 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 			}
 		}
 
-		// (2) Absorb peer pushes.
+		// (2) Absorb peer pushes: only the newest snapshot per source cell
+		// of the drain, so a backlog queued during a stall never steps a
+		// neighbour view through snapshots more than S versions behind.
+		var latest core.LatestStates
 		for {
 			m, ok, err := s.world.TryRecv(mpi.AnySource, tagAsyncState)
 			if err != nil {
@@ -197,7 +200,10 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 			if err != nil {
 				continue // corrupt push; peers re-push
 			}
-			if err := applyState(st); err != nil {
+			latest.Keep(st)
+		}
+		for _, r := range latest.Ranks() {
+			if err := applyState(latest[r]); err != nil {
 				return nil, err
 			}
 		}

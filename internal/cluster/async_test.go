@@ -123,8 +123,9 @@ func TestAsyncJoinUnderChaos(t *testing.T) {
 }
 
 // runAsyncJoinJob runs a 1-reserve async job whose joiner is triggered by
-// the first training pass, then asserts the join actually rebalanced.
-func runAsyncJoinJob(t *testing.T, cfg config.Config, plan *mpi.FaultPlan) {
+// the first training pass, asserts the join actually rebalanced and
+// returns the job's result.
+func runAsyncJoinJob(t *testing.T, cfg config.Config, plan *mpi.FaultPlan) *JobResult {
 	t.Helper()
 	defer clearAsyncHooks()
 	joinCh := make(chan struct{})
@@ -159,6 +160,7 @@ func runAsyncJoinJob(t *testing.T, cfg config.Config, plan *mpi.FaultPlan) {
 			t.Fatalf("cell %d was lost (synthesized report: %s)", i, r.Error)
 		}
 	}
+	return res
 }
 
 // TestAsyncChaosFitnessTolerance verifies chaos does not wreck training:

@@ -199,18 +199,20 @@ func FuzzParseSlaveReport(f *testing.F) {
 }
 
 func FuzzParseSlaveReports(f *testing.F) {
-	valid, err := marshalReports([]SlaveReport{{CellRank: 0, Profile: seedProfile}, {CellRank: 3, Error: "x"}})
-	addSeeds(f, valid, err, `[{"cell_rank":-1}]`, `[{"cell_rank":4096}]`)
+	valid, err := slaveReports{Reports: []SlaveReport{{CellRank: 0}, {CellRank: 3, Error: "x"}}, Profile: seedProfile}.marshal()
+	addSeeds(f, valid, err, `{"reports":[{"cell_rank":-1}]}`, `{"reports":[{"cell_rank":4096}]}`,
+		`{"reports":[],"profile":{"train":{"count":7,"total_ns":9}}}`) // a slave a join emptied
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rs, err := parseSlaveReports(data)
+		sr, err := parseSlaveReports(data)
 		if err != nil {
 			return
 		}
-		ranks := make([]int, len(rs))
-		for i, r := range rs {
+		ranks := make([]int, len(sr.Reports))
+		for i, r := range sr.Reports {
 			ranks[i] = r.CellRank
 		}
 		requireCellBounds(t, "slave reports", ranks...)
+		new(telemetry.Profile).Merge(sr.Profile) // what collect does with it
 	})
 }
 

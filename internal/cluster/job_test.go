@@ -100,10 +100,12 @@ func trainCount(res *JobResult) int64 {
 	return res.Profile[telemetry.RoutineTrain.String()].Count
 }
 
-// TestJobProfileCountsEachIterateOnce: without faults every slave trains
-// one cell from scratch, so the merged train count is Σ report Iterations.
+// TestJobProfileCountsEachIterateOnce: without faults every cell trains
+// from scratch exactly once per iteration, so the merged train count is
+// Σ report Iterations — in every mode, and across a join, whose rebalance
+// leaves the slave it took a cell from with no report to carry its totals.
 func TestJobProfileCountsEachIterateOnce(t *testing.T) {
-	jobModes(t, func(t *testing.T, cfg config.Config, res *JobResult) {
+	requireOnce := func(t *testing.T, _ config.Config, res *JobResult) {
 		var iterates int64
 		for _, r := range res.Reports {
 			iterates += int64(r.Iterations)
@@ -111,6 +113,11 @@ func TestJobProfileCountsEachIterateOnce(t *testing.T) {
 		if got := trainCount(res); got != iterates {
 			t.Fatalf("merged train count %d for %d Iterate calls", got, iterates)
 		}
+	}
+	jobModes(t, requireOnce)
+	t.Run("joiner", func(t *testing.T) {
+		cfg := asyncConfig(2, 2, 6)
+		requireOnce(t, cfg, runAsyncJoinJob(t, cfg, nil))
 	})
 }
 

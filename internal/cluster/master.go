@@ -478,21 +478,20 @@ func (m *master) collect(resend func(s int)) error {
 				}
 				continue
 			}
-			var reps []SlaveReport
+			var sr slaveReports
 			if m.tolerant {
-				reps, err = parseSlaveReports(msg.Data)
+				sr, err = parseSlaveReports(msg.Data)
 			} else {
-				reps = make([]SlaveReport, 1)
-				reps[0], err = parseSlaveReport(msg.Data)
+				var rep SlaveReport
+				rep, err = parseSlaveReport(msg.Data)
+				sr = slaveReports{Reports: []SlaveReport{rep}, Profile: rep.Profile}
 			}
 			if err != nil {
 				m.logf("master: bad report from slave %d: %v", s, err)
 				break
 			}
-			if len(reps) > 0 {
-				prof.Merge(reps[0].Profile)
-			}
-			for _, rep := range reps {
+			prof.Merge(sr.Profile)
+			for _, rep := range sr.Reports {
 				if rep.CellRank < 0 || rep.CellRank >= nCells || got[rep.CellRank] {
 					m.logf("master: ignoring report for cell %d from slave %d", rep.CellRank, s)
 					continue

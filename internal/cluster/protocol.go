@@ -178,7 +178,8 @@ type SlaveReport struct {
 	MixtureWeights []float64 `json:"mixture_weights"`
 	// State is the marshalled core.CellState of the final centers.
 	State []byte `json:"state"`
-	// Profile is the slave's routine totals, on its first report only.
+	// Profile is the slave's routine totals on a plain-mode report (the
+	// one report its slave sends); list-mode slaves use slaveReports.
 	Profile map[string]telemetry.RoutineStat `json:"profile,omitempty"`
 	// Full is the marshalled core.FullState of the cell at the end of
 	// training (resilient mode only): the bit-exact resume state used by
@@ -199,24 +200,28 @@ func parseSlaveReport(data []byte) (SlaveReport, error) {
 	return r, checkCells("slave report", 1, func(int) int { return r.CellRank })
 }
 
-// marshalReports encodes the multi-cell report list a resilient slave
-// returns on tagCollect (a slave owns several cells after adoptions).
-func marshalReports(rs []SlaveReport) ([]byte, error) { return json.Marshal(rs) }
+// slaveReports is what a resilient or async slave returns on tagCollect:
+// one report per cell it owns at the end — several after adoptions, none
+// after a join moved its cells away — and its routine totals once,
+// whatever the report count.
+type slaveReports struct {
+	Reports []SlaveReport                    `json:"reports"`
+	Profile map[string]telemetry.RoutineStat `json:"profile,omitempty"`
+}
+
+func (r slaveReports) marshal() ([]byte, error) { return json.Marshal(r) }
 
 // parseSlaveReports decodes a report list; an empty payload means the
 // slave is not finished yet (the master retries).
-func parseSlaveReports(data []byte) ([]SlaveReport, error) {
+func parseSlaveReports(data []byte) (slaveReports, error) {
+	var r slaveReports
 	if len(data) == 0 {
-		return nil, nil
+		return r, nil
 	}
-	var rs []SlaveReport
-	if err := json.Unmarshal(data, &rs); err != nil {
-		return nil, fmt.Errorf("cluster: parsing slave reports: %w", err)
+	if err := json.Unmarshal(data, &r); err != nil {
+		return r, fmt.Errorf("cluster: parsing slave reports: %w", err)
 	}
-	if err := checkCells("slave reports", len(rs), func(i int) int { return rs[i].CellRank }); err != nil {
-		return nil, err
-	}
-	return rs, nil
+	return r, checkCells("slave reports", len(r.Reports), func(i int) int { return r.Reports[i].CellRank })
 }
 
 // cellBlob carries one cell's complete training state (a marshalled

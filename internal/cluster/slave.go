@@ -25,7 +25,7 @@ type slave struct {
 	abort atomic.Bool
 
 	// done is closed by the execution thread when training completes;
-	// reports holds the final result after that.
+	// result holds the final reports after that.
 	done chan struct{}
 	// multi is set when the job's reports travel as a list (resilient and
 	// async modes, where a slave may own several cells).
@@ -43,11 +43,14 @@ type slave struct {
 	ownerCh   chan ownerUpdate
 	releaseCh chan releaseOrder
 
+	// prof is the slave's routine totals, shared by every cell it trains.
+	prof telemetry.Profile
+
 	// updMu guards latestUpdate (the cached last state upload, re-sent on
-	// tagStateResend) and reports (one per owned cell).
+	// tagStateResend) and result (one report per owned cell, the totals).
 	updMu        sync.Mutex
 	latestUpdate []byte
-	reports      []SlaveReport
+	result       slaveReports
 }
 
 func (s *slave) setState(st SlaveState) { s.state.Store(uint32(st)) }
@@ -196,12 +199,14 @@ func RunSlaveOpts(comm *mpi.Comm, local *mpi.Comm, sopts SlaveOptions) error {
 			select {
 			case <-s.done:
 				s.updMu.Lock()
-				rs := s.reports
+				res := s.result
 				s.updMu.Unlock()
 				if s.multi {
-					payload, err = marshalReports(rs)
+					payload, err = res.marshal()
 				} else {
-					payload, err = rs[0].marshal()
+					rep := res.Reports[0]
+					rep.Profile = res.Profile
+					payload, err = rep.marshal()
 				}
 				if err != nil {
 					return err
@@ -243,7 +248,7 @@ func (s *slave) execute(task runTask) {
 		}}
 	}
 	s.updMu.Lock()
-	s.reports = reports
+	s.result = slaveReports{Reports: reports, Profile: s.prof.Snapshot()}
 	s.updMu.Unlock()
 }
 
@@ -254,7 +259,7 @@ func (s *slave) execute(task runTask) {
 // collective call counts aligned. Every slave restores to the same
 // iteration (the master validated that), which keeps them aligned too.
 func (s *slave) runLockstep(task runTask) ([]SlaveReport, error) {
-	owned, err := newOwnedCells(task)
+	owned, err := newOwnedCells(task, &s.prof)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +281,7 @@ func (s *slave) runLockstep(task runTask) ([]SlaveReport, error) {
 // adoption orders — which this thread applies by rebuilding the cell and
 // restoring bit-exact state (core.RestoreFull).
 func (s *slave) runResilient(task runTask) ([]SlaveReport, error) {
-	owned, err := newOwnedCells(task)
+	owned, err := newOwnedCells(task, &s.prof)
 	if err != nil {
 		return nil, err
 	}
@@ -387,14 +392,14 @@ type ownedCells struct {
 }
 
 // newOwnedCells builds the grid and adopts the task's cell (a joiner has
-// none yet). task.Full is empty on a fresh start and carries the cell's
-// resume state after a whole-job restart.
-func newOwnedCells(task runTask) (*ownedCells, error) {
+// none yet), its cells timing into prof. task.Full is empty on a fresh
+// start and carries the cell's resume state after a whole-job restart.
+func newOwnedCells(task runTask, prof *telemetry.Profile) (*ownedCells, error) {
 	g, err := core.BuildGridFor(task.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	o := &ownedCells{task: task, grid: g, prof: new(telemetry.Profile), cells: make(map[int]*ownedCell)}
+	o := &ownedCells{task: task, grid: g, prof: prof, cells: make(map[int]*ownedCell)}
 	if task.Joiner {
 		return o, nil
 	}
@@ -504,9 +509,6 @@ func (o *ownedCells) reports(aborted bool) []SlaveReport {
 		rep.MixtureRanks = append([]int(nil), c.Mixture().Ranks...)
 		rep.MixtureWeights = append([]float64(nil), c.Mixture().Weights...)
 		reports = append(reports, rep)
-	}
-	if len(reports) > 0 {
-		reports[0].Profile = o.prof.Snapshot()
 	}
 	return reports
 }

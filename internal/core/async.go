@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"cellgan/internal/config"
@@ -27,6 +26,9 @@ type asyncTestHooks struct {
 	// onPush fires after rank src sends its snapshot at iteration iter to
 	// its influence set.
 	onPush func(src, iter int)
+	// onDrain fires when rank dst's absorb has emptied its mailbox, before
+	// it applies what it drained.
+	onDrain func(dst int)
 	// onApply fires after rank dst applies src's snapshot at iteration
 	// iter to its neighbour view.
 	onApply func(dst, src, iter int)
@@ -94,7 +96,7 @@ func (r *runCtx) asyncCellLoop(comm *mpi.Comm, cell *Cell, board *asyncCkptBoard
 	// newer one was applied from regressing the neighbour view.
 	absorb := func() error {
 		defer prof.Since(telemetry.RoutineGather, time.Now())
-		var latest map[int]*CellState
+		var latest LatestStates
 		for {
 			m, ok, err := comm.TryRecv(mpi.AnySource, asyncStateTag)
 			if err != nil {
@@ -107,14 +109,12 @@ func (r *runCtx) asyncCellLoop(comm *mpi.Comm, cell *Cell, board *asyncCkptBoard
 			if err != nil {
 				return err
 			}
-			if prev, dup := latest[s.Rank]; !dup || s.Iteration >= prev.Iteration {
-				if latest == nil {
-					latest = make(map[int]*CellState)
-				}
-				latest[s.Rank] = s
-			}
+			latest.Keep(s)
 		}
-		for _, src := range sortedStateRanks(latest) {
+		if hooks != nil && hooks.onDrain != nil {
+			hooks.onDrain(rank)
+		}
+		for _, src := range latest.Ranks() {
 			s := latest[src]
 			applied, err := view.Apply(s)
 			if err != nil {
@@ -173,21 +173,6 @@ func (r *runCtx) asyncCellLoop(comm *mpi.Comm, cell *Cell, board *asyncCkptBoard
 		}
 	}
 	return last, nil
-}
-
-// sortedStateRanks returns the keys of a drained snapshot map in
-// ascending order, keeping multi-source applies deterministic for a given
-// mailbox content.
-func sortedStateRanks(latest map[int]*CellState) []int {
-	if len(latest) == 0 {
-		return nil
-	}
-	ranks := make([]int, 0, len(latest))
-	for r := range latest {
-		ranks = append(ranks, r)
-	}
-	sort.Ints(ranks)
-	return ranks
 }
 
 // ErrUnknownMode is returned by Run for an unrecognised mode name.

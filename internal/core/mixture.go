@@ -80,8 +80,6 @@ type SampleWorkspace struct {
 
 	assign, counts, starts, idx, order []int
 	proposal                           []float64
-
-	z32 tensor.Mat32 // float32 latent staging (Mixture32 path only)
 }
 
 // NewSampleWorkspace returns an empty workspace; buffers grow on first use.
@@ -120,20 +118,32 @@ func (m *Mixture) Sample(n, latentDim int, rng *tensor.RNG) *tensor.Mat {
 // same workspace. The RNG consumption is n Float64 draws, then one
 // GaussianFill per populated component in rank order.
 func (m *Mixture) SampleWith(ws *SampleWorkspace, n, latentDim int, rng *tensor.RNG) *tensor.Mat {
-	out := ws.out.Resize(n, m.outputDim())
+	return sample(ws, m.Generators, m.Weights, &ws.z, ws.gen, n, latentDim, rng)
+}
+
+// sample is SampleWith at either generator width: route the n samples,
+// then per populated component draw its latents into z (in float64,
+// rounded to T), run the generator forward on fwd and scatter its rows
+// into the float64 output batch in ws.
+func sample[T tensor.Float](ws *SampleWorkspace, gens []*nn.NetworkOf[T], weights []float64,
+	z *tensor.Matrix[T], fwd *nn.WorkspaceOf[T], n, latentDim int, rng *tensor.RNG) *tensor.Mat {
+	out := ws.out.Resize(n, gens[0].OutputWidth())
 	if n <= 0 {
 		return out
 	}
-	counts, starts, order := routeSamples(ws, m.Weights, n, rng)
-	for j, g := range m.Generators {
+	counts, starts, order := routeSamples(ws, weights, n, rng)
+	for j, g := range gens {
 		if counts[j] == 0 {
 			continue
 		}
-		z := ws.z.Resize(counts[j], latentDim)
-		tensor.GaussianFill(z, 0, 1, rng)
-		imgs := g.ForwardWS(ws.gen, z)
+		zj := z.Resize(counts[j], latentDim)
+		tensor.GaussianFill(zj, 0, 1, rng)
+		imgs := g.ForwardWS(fwd, zj)
 		for k := 0; k < counts[j]; k++ {
-			copy(out.Row(order[starts[j]+k]), imgs.Row(k))
+			drow := out.Row(order[starts[j]+k])
+			for c, v := range imgs.Row(k) {
+				drow[c] = float64(v)
+			}
 		}
 	}
 	return out
@@ -143,8 +153,7 @@ func (m *Mixture) SampleWith(ws *SampleWorkspace, n, latentDim int, rng *tensor.
 // rng.Float64 per sample, in order) and computes the grouped layout:
 // counts[j] samples for component j, packed starting at starts[j], with
 // order[starts[j]+k] giving the output row of the k-th grouped sample.
-// Shared by the float64 and float32 sampling paths so both consume the
-// RNG stream identically. All slices alias ws buffers.
+// All slices alias ws buffers.
 func routeSamples(ws *SampleWorkspace, weights []float64, n int, rng *tensor.RNG) (counts, starts, order []int) {
 	assign := intsFor(&ws.assign, n)
 	counts = intsFor(&ws.counts, len(weights))
@@ -181,11 +190,9 @@ func routeSamples(ws *SampleWorkspace, weights []float64, n int, rng *tensor.RNG
 	return counts, starts, order
 }
 
-func (m *Mixture) outputDim() int { return m.Generators[0].OutputWidth() }
-
 // OutputDim returns the per-sample output length of the mixture's
 // generators — the flattened image dimension serving callers decode.
-func (m *Mixture) OutputDim() int { return m.outputDim() }
+func (m *Mixture) OutputDim() int { return m.Generators[0].OutputWidth() }
 
 // Clone returns a deep copy of the mixture. Generators cache forward-pass
 // state, so a mixture must not be sampled from concurrently; inference

@@ -14,13 +14,7 @@ func TestMixture32MatchesFloat64Sampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Weights = []float64{0.5, 0.3, 0.2}
-	c, err := CompileMixture32(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.OutputDim() != m.OutputDim() {
-		t.Fatalf("OutputDim %d, want %d", c.OutputDim(), m.OutputDim())
-	}
+	c := m.Narrow()
 	// Identical seeds must give identical routing and latents — the two
 	// paths consume the RNG stream the same way — so outputs differ only
 	// by float32 forward precision.
@@ -42,10 +36,7 @@ func TestMixture32SampleWithWorkspaceReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompileMixture32(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := m.Narrow()
 	ws := NewSampleWorkspace()
 	a := c.SampleWith(ws, 16, 4, tensor.NewRNG(9)).Clone()
 	b := c.SampleWith(ws, 16, 4, tensor.NewRNG(9))
@@ -70,10 +61,7 @@ func TestMixture32SampleAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := CompileMixture32(m)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := m.Narrow()
 	ws := NewSampleWorkspace()
 	rng := tensor.NewRNG(11)
 	c.SampleWith(ws, 32, 4, rng) // warm every buffer
@@ -82,21 +70,5 @@ func TestMixture32SampleAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("warm Mixture32.SampleWith: %.0f allocs per run, want 0", allocs)
-	}
-}
-
-func TestCompileMixture32RejectsUnsupportedGenerator(t *testing.T) {
-	rng := tensor.NewRNG(8)
-	conv, err := nn.NewConv2D(1, 2, 3, 1, 1, 1, 0, rng) // Conv2D has no float32 lowering
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := nn.NewNetwork(nn.NewLinear(4, 6, rng), conv)
-	m, err := NewMixture(map[int]*nn.Network{0: bad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CompileMixture32(m); err == nil {
-		t.Fatal("CompileMixture32 accepted a generator with no float32 lowering")
 	}
 }

@@ -71,6 +71,33 @@ func (t *StalenessTracker) Stale(nextIter int, neighbours []int) []int {
 	return stale
 }
 
+// LatestStates is one mailbox drain of either async mode: the newest
+// snapshot per source rank, so a backlog queued during a stall never steps
+// a neighbour view through superseded snapshots. The zero value is empty.
+type LatestStates map[int]*CellState
+
+// Keep records s unless the drain already holds a newer snapshot from
+// its source.
+func (l *LatestStates) Keep(s *CellState) {
+	if *l == nil {
+		*l = make(LatestStates)
+	}
+	if prev, ok := (*l)[s.Rank]; !ok || s.Iteration >= prev.Iteration {
+		(*l)[s.Rank] = s
+	}
+}
+
+// Ranks returns the drained sources in ascending order, the order a drain
+// is applied in, so applies are deterministic for a given mailbox.
+func (l LatestStates) Ranks() []int {
+	var ranks []int
+	for r := range l {
+		ranks = append(ranks, r)
+	}
+	sort.Ints(ranks)
+	return ranks
+}
+
 // NeighborView couples a cell with the staleness bookkeeping of its
 // neighbour snapshots — the one place the asynchronous modes (RunAsync
 // and the cluster's async slaves) decide whether an arriving snapshot is

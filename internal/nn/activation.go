@@ -6,27 +6,33 @@ import (
 	"cellgan/internal/tensor"
 )
 
-// activation implements the parameter-free parts of Layer.
-type activation struct{ keptScratch }
+// tanh and logistic compute in float64 at either width. Widening here, not
+// in the ApplyInto loop, keeps a float32 loop from chaining each call to
+// the previous call's result register (2.4× slower).
+func tanh[T tensor.Float](v T) T     { return T(math.Tanh(float64(v))) }
+func logistic[T tensor.Float](v T) T { return T(sigmoid(float64(v))) }
 
-func (activation) Params() []*tensor.Mat { return nil }
-func (activation) Grads() []*tensor.Mat  { return nil }
-func (activation) ZeroGrads()            {}
+// activation implements the parameter-free parts of LayerOf.
+type activation[T tensor.Float] struct{ keptScratch[T] }
 
-// Tanh is the hyperbolic-tangent activation (the paper's Table I choice).
-type Tanh struct{ activation }
+func (activation[T]) Params() []*tensor.Matrix[T] { return nil }
+func (activation[T]) Grads() []*tensor.Matrix[T]  { return nil }
+func (activation[T]) ZeroGrads()                  {}
+
+// TanhOf is the hyperbolic-tangent activation (the paper's Table I choice).
+type TanhOf[T tensor.Float] struct{ activation[T] }
 
 // NewTanh returns a Tanh activation layer.
 func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward applies tanh element-wise.
-func (t *Tanh) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
+func (t *TanhOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
 	s = t.begin(s, x)
-	return tensor.ApplyInto(&s.out, x, math.Tanh)
+	return tensor.ApplyInto(&s.out, x, tanh[T])
 }
 
 // Backward returns grad ⊙ (1 - tanh²), read off the cached output.
-func (t *Tanh) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
+func (t *TanhOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T] {
 	s = t.resume(s)
 	dst := s.dIn.Resize(grad.Rows, grad.Cols)
 	for i, y := range s.out.Data {
@@ -36,10 +42,13 @@ func (t *Tanh) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
 }
 
 // Clone returns a fresh Tanh layer.
-func (t *Tanh) Clone() Layer { return &Tanh{} }
+func (t *TanhOf[T]) Clone() LayerOf[T] { return &TanhOf[T]{} }
 
-// Sigmoid is the logistic activation.
-type Sigmoid struct{ activation }
+// Narrow returns a fresh float32 Tanh layer.
+func (t *TanhOf[T]) Narrow() LayerOf[float32] { return &TanhOf[float32]{} }
+
+// SigmoidOf is the logistic activation.
+type SigmoidOf[T tensor.Float] struct{ activation[T] }
 
 // NewSigmoid returns a Sigmoid activation layer.
 func NewSigmoid() *Sigmoid { return &Sigmoid{} }
@@ -54,13 +63,13 @@ func sigmoid(x float64) float64 {
 }
 
 // Forward applies the logistic function element-wise.
-func (g *Sigmoid) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
+func (g *SigmoidOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
 	s = g.begin(s, x)
-	return tensor.ApplyInto(&s.out, x, sigmoid)
+	return tensor.ApplyInto(&s.out, x, logistic[T])
 }
 
 // Backward returns grad ⊙ σ(1-σ), read off the cached output.
-func (g *Sigmoid) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
+func (g *SigmoidOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T] {
 	s = g.resume(s)
 	dst := s.dIn.Resize(grad.Rows, grad.Cols)
 	for i, y := range s.out.Data {
@@ -70,19 +79,23 @@ func (g *Sigmoid) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
 }
 
 // Clone returns a fresh Sigmoid layer.
-func (g *Sigmoid) Clone() Layer { return &Sigmoid{} }
+func (g *SigmoidOf[T]) Clone() LayerOf[T] { return &SigmoidOf[T]{} }
 
-// LeakyReLU is max(x, alpha·x); Lipizzaner's discriminators use alpha=0.2.
-type LeakyReLU struct {
-	activation
-	Alpha float64
+// Narrow returns a fresh float32 Sigmoid layer.
+func (g *SigmoidOf[T]) Narrow() LayerOf[float32] { return &SigmoidOf[float32]{} }
+
+// LeakyReLUOf is max(x, alpha·x); Lipizzaner's discriminators use
+// alpha=0.2.
+type LeakyReLUOf[T tensor.Float] struct {
+	activation[T]
+	Alpha T
 }
 
 // NewLeakyReLU returns a LeakyReLU with the given negative slope.
 func NewLeakyReLU(alpha float64) *LeakyReLU { return &LeakyReLU{Alpha: alpha} }
 
 // Forward applies the leaky rectifier element-wise.
-func (l *LeakyReLU) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
+func (l *LeakyReLUOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
 	s = l.begin(s, x)
 	out, alpha := s.out.Resize(x.Rows, x.Cols), l.Alpha
 	for i, v := range x.Data {
@@ -97,7 +110,7 @@ func (l *LeakyReLU) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
 
 // Backward scales grad by 1 where the input was non-negative, alpha
 // elsewhere.
-func (l *LeakyReLU) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
+func (l *LeakyReLUOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T] {
 	s = l.resume(s)
 	dst := s.dIn.Resize(grad.Rows, grad.Cols)
 	for i, v := range s.in.Data {
@@ -111,17 +124,22 @@ func (l *LeakyReLU) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
 }
 
 // Clone returns a fresh LeakyReLU with the same slope.
-func (l *LeakyReLU) Clone() Layer { return &LeakyReLU{Alpha: l.Alpha} }
+func (l *LeakyReLUOf[T]) Clone() LayerOf[T] { return &LeakyReLUOf[T]{Alpha: l.Alpha} }
 
-// ReLU is the plain rectifier.
-type ReLU struct{ activation }
+// Narrow returns a fresh float32 LeakyReLU with the slope rounded.
+func (l *LeakyReLUOf[T]) Narrow() LayerOf[float32] {
+	return &LeakyReLUOf[float32]{Alpha: float32(l.Alpha)}
+}
+
+// ReLUOf is the plain rectifier.
+type ReLUOf[T tensor.Float] struct{ activation[T] }
 
 // NewReLU returns a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
 // Forward applies max(0, x) element-wise. A NaN input stays NaN, as in
 // every other layer and as Backward, which lets its gradient through.
-func (r *ReLU) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
+func (r *ReLUOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
 	s = r.begin(s, x)
 	out := s.out.Resize(x.Rows, x.Cols)
 	for i, v := range x.Data {
@@ -134,7 +152,7 @@ func (r *ReLU) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
 }
 
 // Backward masks grad where the input was not positive.
-func (r *ReLU) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
+func (r *ReLUOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T] {
 	s = r.resume(s)
 	dst := s.dIn.Resize(grad.Rows, grad.Cols)
 	for i, v := range s.in.Data {
@@ -148,4 +166,7 @@ func (r *ReLU) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
 }
 
 // Clone returns a fresh ReLU.
-func (r *ReLU) Clone() Layer { return &ReLU{} }
+func (r *ReLUOf[T]) Clone() LayerOf[T] { return &ReLUOf[T]{} }
+
+// Narrow returns a fresh float32 ReLU.
+func (r *ReLUOf[T]) Narrow() LayerOf[float32] { return &ReLUOf[float32]{} }

@@ -68,20 +68,16 @@ func BenchmarkGeneratorForwardBackwardWS(b *testing.B) {
 }
 
 // BenchmarkGeneratorForward32 is the float32 serving-tier counterpart of
-// BenchmarkGeneratorForwardWS: the same Table I generator compiled with
-// CompileNet32, batch 100.
+// BenchmarkGeneratorForwardWS: the same Table I generator narrowed to a
+// Net32, batch 100.
 func BenchmarkGeneratorForward32(b *testing.B) {
 	net, z := paperGenerator(b)
-	c, err := CompileNet32(net)
-	if err != nil {
-		b.Fatal(err)
-	}
-	z32 := tensor.Narrow(z)
-	c.Forward(z32) // warm buffers
+	c, ws, x32 := net.Narrow(), new(WorkspaceOf[float32]), tensor.Narrow(z)
+	c.ForwardWS(ws, x32) // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.Forward(z32)
+		_ = c.ForwardWS(ws, x32)
 	}
 }
 

@@ -24,23 +24,25 @@ import (
 // where dOut/xT are position-major views ((sample·pos) × channels) of the
 // channel-major activations, and gCols = im2col(grad) over the output grid.
 
-// Conv2D is a 2-D convolution over batches of flattened C×H×W images
-// (row-major per sample: channel, then row, then column). It exists for
-// the paper's future-work direction — "generation of higher dimensional
-// images, such as samples from CIFAR and CelebA" — which needs DCGAN-style
-// convolutional generators and discriminators.
-type Conv2D struct {
+// geometry is the shape of a conv layer: the input C×H×W, the output
+// channel count, the square kernel side, the stride and the padding.
+type geometry struct {
 	InC, InH, InW int
 	OutC          int
 	K             int // square kernel side
 	Stride        int
 	Pad           int
+}
 
-	// W has shape (OutC) × (InC·K·K); B is 1×OutC.
-	W, B   *tensor.Mat
-	dW, dB *tensor.Mat
-
-	keptScratch
+// Conv2DOf is a 2-D convolution over batches of flattened C×H×W images
+// (row-major per sample: channel, then row, then column). It exists for
+// the paper's future-work direction — "generation of higher dimensional
+// images, such as samples from CIFAR and CelebA" — which needs DCGAN-style
+// convolutional generators and discriminators.
+type Conv2DOf[T tensor.Float] struct {
+	geometry
+	weights[T] // W has shape (OutC) × (InC·K·K); B is 1×OutC.
+	keptScratch[T]
 }
 
 // NewConv2D constructs a convolution layer with He-normal weights.
@@ -55,23 +57,22 @@ func NewConv2D(inC, inH, inW, outC, k, stride, pad int, rng *tensor.RNG) (*Conv2
 	if (inH+2*pad-k)%stride != 0 || (inW+2*pad-k)%stride != 0 {
 		return nil, fmt.Errorf("nn: conv geometry does not tile: (dim+2·%d−%d) %% %d ≠ 0", pad, k, stride)
 	}
-	c := &Conv2D{InC: inC, InH: inH, InW: inW, OutC: outC, K: k, Stride: stride, Pad: pad}
 	fanIn := inC * k * k
-	c.W = tensor.New(outC, fanIn)
+	c := &Conv2D{
+		geometry: geometry{InC: inC, InH: inH, InW: inW, OutC: outC, K: k, Stride: stride, Pad: pad},
+		weights:  newWeights(tensor.New(outC, fanIn), tensor.New(1, outC)),
+	}
 	tensor.HeNormal(c.W, fanIn, rng)
-	c.B = tensor.New(1, outC)
-	c.dW = tensor.New(outC, fanIn)
-	c.dB = tensor.New(1, outC)
 	return c, nil
 }
 
 // OutDims returns the output (channels, height, width).
-func (c *Conv2D) OutDims() (outC, outH, outW int) {
+func (c *Conv2DOf[T]) OutDims() (outC, outH, outW int) {
 	return c.OutC, (c.InH+2*c.Pad-c.K)/c.Stride + 1, (c.InW+2*c.Pad-c.K)/c.Stride + 1
 }
 
 // OutputWidth implements Sized.
-func (c *Conv2D) OutputWidth() int {
+func (c *Conv2DOf[T]) OutputWidth() int {
 	oc, oh, ow := c.OutDims()
 	return oc * oh * ow
 }
@@ -87,7 +88,7 @@ const (
 // length InC·InH·InW): gather patches, one MatMulT2Into against the filter
 // bank, then a position→channel-major shuffle with the bias added last.
 // The patch matrix stays cached in s for Backward.
-func (c *Conv2D) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
+func (c *Conv2DOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
 	if x.Cols != c.InC*c.InH*c.InW {
 		panic(fmt.Sprintf("nn: Conv2D input width %d, want %d", x.Cols, c.InC*c.InH*c.InW))
 	}
@@ -116,7 +117,7 @@ func (c *Conv2D) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
 // Backward accumulates parameter gradients and returns ∂L/∂input: shuffle
 // the gradient position-major, fused dB/dW kernels against the cached
 // patch matrix, then ∂in = col2im(dOut × W).
-func (c *Conv2D) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
+func (c *Conv2DOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T] {
 	s = c.resume(s)
 	_, outH, outW := c.OutDims()
 	pos := outH * outW
@@ -140,43 +141,24 @@ func (c *Conv2D) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
 	return tensor.Col2ImInto(&s.dIn, dcols, c.InC, c.InH, c.InW, c.K, c.Stride, c.Pad, outH, outW)
 }
 
-// Params returns {W, B}.
-func (c *Conv2D) Params() []*tensor.Mat { return []*tensor.Mat{c.W, c.B} }
-
-// Grads returns {dW, dB}.
-func (c *Conv2D) Grads() []*tensor.Mat { return []*tensor.Mat{c.dW, c.dB} }
-
-// ZeroGrads clears the gradient accumulators.
-func (c *Conv2D) ZeroGrads() {
-	c.dW.Zero()
-	c.dB.Zero()
-}
-
 // Clone returns an independent copy.
-func (c *Conv2D) Clone() Layer {
-	cp := *c
-	cp.W = c.W.Clone()
-	cp.B = c.B.Clone()
-	cp.dW = tensor.New(c.dW.Rows, c.dW.Cols)
-	cp.dB = tensor.New(c.dB.Rows, c.dB.Cols)
-	cp.kept = nil
-	return &cp
+func (c *Conv2DOf[T]) Clone() LayerOf[T] {
+	return &Conv2DOf[T]{geometry: c.geometry, weights: c.clone()}
 }
 
-// ConvTranspose2D is the transposed (fractionally-strided) convolution
+// Narrow returns an independent float32 copy.
+func (c *Conv2DOf[T]) Narrow() LayerOf[float32] {
+	return &Conv2DOf[float32]{geometry: c.geometry, weights: c.narrow()}
+}
+
+// ConvTranspose2DOf is the transposed (fractionally-strided) convolution
 // DCGAN generators upsample with. Output side = (in−1)·stride − 2·pad + k.
-type ConvTranspose2D struct {
-	InC, InH, InW int
-	OutC          int
-	K, Stride     int
-	Pad           int
-
+type ConvTranspose2DOf[T tensor.Float] struct {
+	geometry
 	// W has shape (InC) × (OutC·K·K): the transpose of Conv2D's layout,
-	// matching the "gradient of convolution" view.
-	W, B   *tensor.Mat
-	dW, dB *tensor.Mat
-
-	keptScratch
+	// matching the "gradient of convolution" view. B is 1×OutC.
+	weights[T]
+	keptScratch[T]
 }
 
 // NewConvTranspose2D constructs a transposed convolution layer.
@@ -190,35 +172,33 @@ func NewConvTranspose2D(inC, inH, inW, outC, k, stride, pad int, rng *tensor.RNG
 	if outH <= 0 || outW <= 0 {
 		return nil, fmt.Errorf("nn: convT output %d×%d not positive", outH, outW)
 	}
-	t := &ConvTranspose2D{InC: inC, InH: inH, InW: inW, OutC: outC, K: k, Stride: stride, Pad: pad}
-	fanIn := inC * k * k
-	t.W = tensor.New(inC, outC*k*k)
-	tensor.HeNormal(t.W, fanIn, rng)
-	t.B = tensor.New(1, outC)
-	t.dW = tensor.New(inC, outC*k*k)
-	t.dB = tensor.New(1, outC)
+	t := &ConvTranspose2D{
+		geometry: geometry{InC: inC, InH: inH, InW: inW, OutC: outC, K: k, Stride: stride, Pad: pad},
+		weights:  newWeights(tensor.New(inC, outC*k*k), tensor.New(1, outC)),
+	}
+	tensor.HeNormal(t.W, inC*k*k, rng)
 	return t, nil
 }
 
 // OutDims returns the output (channels, height, width).
-func (t *ConvTranspose2D) OutDims() (outC, outH, outW int) {
+func (t *ConvTranspose2DOf[T]) OutDims() (outC, outH, outW int) {
 	return t.OutC, (t.InH-1)*t.Stride - 2*t.Pad + t.K, (t.InW-1)*t.Stride - 2*t.Pad + t.K
 }
 
 // OutputWidth implements Sized.
-func (t *ConvTranspose2D) OutputWidth() int {
+func (t *ConvTranspose2DOf[T]) OutputWidth() int {
 	oc, oh, ow := t.OutDims()
 	return oc * oh * ow
 }
 
 // addChannelSums accumulates per-channel sums of a channel-major activation
 // batch (pos positions per channel) into dB.
-func addChannelSums(dB []float64, grad *tensor.Mat, channels, pos int) {
+func addChannelSums[T tensor.Float](dB []T, grad *tensor.Matrix[T], channels, pos int) {
 	for b := 0; b < grad.Rows; b++ {
 		g := grad.Row(b)
 		for ch := 0; ch < channels; ch++ {
 			base := ch * pos
-			s := 0.0
+			var s T
 			for i := 0; i < pos; i++ {
 				s += g[base+i]
 			}
@@ -232,7 +212,7 @@ func addChannelSums(dB []float64, grad *tensor.Mat, channels, pos int) {
 // pass), one MatMulInto against the filter bank, then scatter-add into the
 // bias-seeded output via AddCol2ImInto (the patch grid is the *input* grid
 // here).
-func (t *ConvTranspose2D) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
+func (t *ConvTranspose2DOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
 	if x.Cols != t.InC*t.InH*t.InW {
 		panic(fmt.Sprintf("nn: ConvTranspose2D input width %d, want %d", x.Cols, t.InC*t.InH*t.InW))
 	}
@@ -269,7 +249,7 @@ func (t *ConvTranspose2D) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
 // Backward gathers the output gradient into patch rows over the input
 // grid (gCols = im2col(grad)), then dB/dW/∂in all ride the fused kernels
 // against the cached position-major input.
-func (t *ConvTranspose2D) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
+func (t *ConvTranspose2DOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T] {
 	s = t.resume(s)
 	_, outH, outW := t.OutDims()
 	outPos := outH * outW
@@ -295,25 +275,12 @@ func (t *ConvTranspose2D) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Ma
 	return dst
 }
 
-// Params returns {W, B}.
-func (t *ConvTranspose2D) Params() []*tensor.Mat { return []*tensor.Mat{t.W, t.B} }
-
-// Grads returns {dW, dB}.
-func (t *ConvTranspose2D) Grads() []*tensor.Mat { return []*tensor.Mat{t.dW, t.dB} }
-
-// ZeroGrads clears the gradient accumulators.
-func (t *ConvTranspose2D) ZeroGrads() {
-	t.dW.Zero()
-	t.dB.Zero()
+// Clone returns an independent copy.
+func (t *ConvTranspose2DOf[T]) Clone() LayerOf[T] {
+	return &ConvTranspose2DOf[T]{geometry: t.geometry, weights: t.clone()}
 }
 
-// Clone returns an independent copy.
-func (t *ConvTranspose2D) Clone() Layer {
-	cp := *t
-	cp.W = t.W.Clone()
-	cp.B = t.B.Clone()
-	cp.dW = tensor.New(t.dW.Rows, t.dW.Cols)
-	cp.dB = tensor.New(t.dB.Rows, t.dB.Cols)
-	cp.kept = nil
-	return &cp
+// Narrow returns an independent float32 copy.
+func (t *ConvTranspose2DOf[T]) Narrow() LayerOf[float32] {
+	return &ConvTranspose2DOf[float32]{geometry: t.geometry, weights: t.narrow()}
 }

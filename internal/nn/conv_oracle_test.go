@@ -47,7 +47,7 @@ func (t *directConvT2D) Clone() Layer {
 	return &directConvT2D{ConvTranspose2D: t.ConvTranspose2D.Clone().(*ConvTranspose2D)}
 }
 
-func (c *Conv2D) inIndex(ch, y, x int) int { return (ch*c.InH+y)*c.InW + x }
+func (c *Conv2DOf[T]) inIndex(ch, y, x int) int { return (ch*c.InH+y)*c.InW + x }
 
 // Forward applies the convolution with a direct loop. Each output element
 // is the full tap-order dot product (padded taps contribute exact zeros,

@@ -13,34 +13,61 @@
 // layer slot, reused across iterations, zero steady-state allocations);
 // Network.Forward/Backward are the same path with fresh scratch per pass.
 // Optimizers consume (params, grads) pairs.
+//
+// Layers, scratch and network are written once over the element width,
+// like tensor.Matrix. The float64 instantiation keeps the plain names
+// (Network, Layer, Linear, Workspace, …) and is what training runs on;
+// the float32 one is the serving tier: Network.Narrow copies a trained
+// network into a Net32 (every layer narrows, so it cannot fail), which
+// runs ForwardWS on a float32 workspace.
 package nn
 
 import (
 	"cellgan/internal/tensor"
 )
 
-// Layer is one differentiable stage of a network.
-type Layer interface {
+// LayerOf is one differentiable stage of a network over element type T.
+type LayerOf[T tensor.Float] interface {
 	// Forward computes the layer output for a batch (rows = samples) into
 	// s and returns it; the result aliases s and is valid until the next
 	// pass through s. A nil s allocates a fresh scratch, which the layer
 	// keeps for the matching Backward — the allocating convenience form,
 	// one pass in flight per layer value.
-	Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat
+	Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T]
 	// Backward receives ∂L/∂output for the most recent Forward on s (nil:
 	// on the kept scratch), accumulates parameter gradients, and returns
 	// ∂L/∂input, which aliases s.
-	Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat
+	Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T]
 	// Params returns the trainable parameter matrices (possibly empty).
-	Params() []*tensor.Mat
+	Params() []*tensor.Matrix[T]
 	// Grads returns the gradient accumulators, aligned with Params.
-	Grads() []*tensor.Mat
+	Grads() []*tensor.Matrix[T]
 	// ZeroGrads clears the gradient accumulators.
 	ZeroGrads()
 	// Clone returns an independent copy of the layer (parameters copied,
 	// no scratch shared).
-	Clone() Layer
+	Clone() LayerOf[T]
+	// Narrow is Clone into the float32 instantiation: parameters rounded
+	// to float32, zero gradients, no scratch shared.
+	Narrow() LayerOf[float32]
 }
+
+// The float64 instantiations, which training runs on, keep the plain
+// names; Net32 is the float32 network of the serving tier.
+type (
+	Layer           = LayerOf[float64]
+	LayerScratch    = LayerScratchOf[float64]
+	Workspace       = WorkspaceOf[float64]
+	Network         = NetworkOf[float64]
+	Net32           = NetworkOf[float32]
+	Linear          = LinearOf[float64]
+	Tanh            = TanhOf[float64]
+	Sigmoid         = SigmoidOf[float64]
+	ReLU            = ReLUOf[float64]
+	LeakyReLU       = LeakyReLUOf[float64]
+	Conv2D          = Conv2DOf[float64]
+	ConvTranspose2D = ConvTranspose2DOf[float64]
+)
 
 // Sized is implemented by layers with a fixed output width, letting
 // callers determine a network's output dimension without a probe forward
@@ -50,42 +77,66 @@ type Sized interface {
 	OutputWidth() int
 }
 
-// Linear is a fully-connected layer computing y = x·W + b.
-type Linear struct {
-	W *tensor.Mat // in×out
-	B *tensor.Mat // 1×out
+// weights is the parameter pair of the Linear and conv layers — a weight
+// matrix W and a bias row B — with their gradient accumulators.
+type weights[T tensor.Float] struct {
+	W, B   *tensor.Matrix[T]
+	dW, dB *tensor.Matrix[T]
+}
 
-	dW *tensor.Mat
-	dB *tensor.Mat
+// newWeights pairs w and b with zero gradient accumulators.
+func newWeights[T tensor.Float](w, b *tensor.Matrix[T]) weights[T] {
+	dW, dB := new(tensor.Matrix[T]).Resize(w.Rows, w.Cols), new(tensor.Matrix[T]).Resize(b.Rows, b.Cols)
+	return weights[T]{W: w, B: b, dW: dW, dB: dB}
+}
 
-	keptScratch
+// clone copies the parameters, with fresh gradient accumulators.
+func (p *weights[T]) clone() weights[T] { return newWeights(p.W.Clone(), p.B.Clone()) }
+
+// narrow is clone with the parameters rounded to float32.
+func (p *weights[T]) narrow() weights[float32] {
+	return newWeights(tensor.Narrow(p.W), tensor.Narrow(p.B))
+}
+
+// Params returns {W, B}.
+func (p *weights[T]) Params() []*tensor.Matrix[T] { return []*tensor.Matrix[T]{p.W, p.B} }
+
+// Grads returns {dW, dB}.
+func (p *weights[T]) Grads() []*tensor.Matrix[T] { return []*tensor.Matrix[T]{p.dW, p.dB} }
+
+// ZeroGrads clears the gradient accumulators.
+func (p *weights[T]) ZeroGrads() {
+	p.dW.Zero()
+	p.dB.Zero()
+}
+
+// LinearOf is a fully-connected layer computing y = x·W + b, with W
+// in×out and B 1×out.
+type LinearOf[T tensor.Float] struct {
+	weights[T]
+	keptScratch[T]
 }
 
 // NewLinear returns a Linear layer with Xavier-uniform weights and zero
 // biases, drawing from rng.
 func NewLinear(in, out int, rng *tensor.RNG) *Linear {
-	l := &Linear{
-		W:  tensor.New(in, out),
-		B:  tensor.New(1, out),
-		dW: tensor.New(in, out),
-		dB: tensor.New(1, out),
-	}
+	l := &Linear{weights: newWeights(tensor.New(in, out), tensor.New(1, out))}
 	tensor.XavierUniform(l.W, in, out, rng)
 	return l
 }
 
 // In returns the input width of the layer.
-func (l *Linear) In() int { return l.W.Rows }
+func (l *LinearOf[T]) In() int { return l.W.Rows }
 
 // Out returns the output width of the layer.
-func (l *Linear) Out() int { return l.W.Cols }
+func (l *LinearOf[T]) Out() int { return l.W.Cols }
 
 // OutputWidth implements Sized.
-func (l *Linear) OutputWidth() int { return l.W.Cols }
+func (l *LinearOf[T]) OutputWidth() int { return l.W.Cols }
 
 // Forward computes x·W + b for a batch x (rows = samples): one MatMulInto
 // plus the in-place broadcast bias add, no temporaries.
-func (l *Linear) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
+func (l *LinearOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
 	s = l.begin(s, x)
 	tensor.MatMulInto(&s.out, x, l.W)
 	s.out.AddRowVec(l.B)
@@ -95,31 +146,17 @@ func (l *Linear) Forward(s *LayerScratch, x *tensor.Mat) *tensor.Mat {
 // Backward accumulates dW += xᵀ·grad and dB += colsums(grad) — fused into
 // the kernels (AddMatMulT1Into/AddColSumsInto), so the pass performs zero
 // allocations once s has capacity — and returns grad·Wᵀ.
-func (l *Linear) Backward(s *LayerScratch, grad *tensor.Mat) *tensor.Mat {
+func (l *LinearOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T] {
 	s = l.resume(s)
 	tensor.AddMatMulT1Into(l.dW, s.in, grad)
 	tensor.AddColSumsInto(l.dB, grad)
 	return tensor.MatMulT2Into(&s.dIn, grad, l.W)
 }
 
-// Params returns {W, B}.
-func (l *Linear) Params() []*tensor.Mat { return []*tensor.Mat{l.W, l.B} }
-
-// Grads returns {dW, dB}.
-func (l *Linear) Grads() []*tensor.Mat { return []*tensor.Mat{l.dW, l.dB} }
-
-// ZeroGrads clears the accumulated gradients.
-func (l *Linear) ZeroGrads() {
-	l.dW.Zero()
-	l.dB.Zero()
-}
-
 // Clone returns a deep copy of the layer.
-func (l *Linear) Clone() Layer {
-	return &Linear{
-		W:  l.W.Clone(),
-		B:  l.B.Clone(),
-		dW: tensor.New(l.W.Rows, l.W.Cols),
-		dB: tensor.New(1, l.B.Cols),
-	}
+func (l *LinearOf[T]) Clone() LayerOf[T] { return &LinearOf[T]{weights: l.clone()} }
+
+// Narrow returns a float32 copy of the layer.
+func (l *LinearOf[T]) Narrow() LayerOf[float32] {
+	return &LinearOf[float32]{weights: l.narrow()}
 }

@@ -6,31 +6,33 @@ import (
 	"cellgan/internal/tensor"
 )
 
-// Network is an ordered sequence of layers trained end-to-end. The layer
-// sequence must not be mutated after the first Params/Grads call: those
-// accessors cache their slices, which optimizers rely on being
+// NetworkOf is an ordered sequence of layers trained end-to-end. The
+// layer sequence must not be mutated after the first Params/Grads call:
+// those accessors cache their slices, which optimizers rely on being
 // allocation-free in the steady state.
-type Network struct {
-	Layers []Layer
+type NetworkOf[T tensor.Float] struct {
+	Layers []LayerOf[T]
 
-	params []*tensor.Mat
-	grads  []*tensor.Mat
+	params []*tensor.Matrix[T]
+	grads  []*tensor.Matrix[T]
 }
 
 // NewNetwork returns a network over the given layers.
 func NewNetwork(layers ...Layer) *Network { return &Network{Layers: layers} }
 
 // Forward propagates a batch through every layer on fresh scratch.
-func (n *Network) Forward(x *tensor.Mat) *tensor.Mat { return n.ForwardWS(nil, x) }
+func (n *NetworkOf[T]) Forward(x *tensor.Matrix[T]) *tensor.Matrix[T] { return n.ForwardWS(nil, x) }
 
 // Backward propagates ∂L/∂output back through every layer, accumulating
 // parameter gradients, and returns ∂L/∂input.
-func (n *Network) Backward(grad *tensor.Mat) *tensor.Mat { return n.BackwardWS(nil, grad) }
+func (n *NetworkOf[T]) Backward(grad *tensor.Matrix[T]) *tensor.Matrix[T] {
+	return n.BackwardWS(nil, grad)
+}
 
 // Params returns all trainable parameters, layer by layer. The slice is
 // computed once and cached (layers hand out stable *Mat pointers), so
 // per-step optimizer calls do not allocate.
-func (n *Network) Params() []*tensor.Mat {
+func (n *NetworkOf[T]) Params() []*tensor.Matrix[T] {
 	if n.params == nil {
 		for _, l := range n.Layers {
 			n.params = append(n.params, l.Params()...)
@@ -41,7 +43,7 @@ func (n *Network) Params() []*tensor.Mat {
 
 // Grads returns all gradient accumulators, aligned with Params. Cached
 // like Params.
-func (n *Network) Grads() []*tensor.Mat {
+func (n *NetworkOf[T]) Grads() []*tensor.Matrix[T] {
 	if n.grads == nil {
 		for _, l := range n.Layers {
 			n.grads = append(n.grads, l.Grads()...)
@@ -51,14 +53,14 @@ func (n *Network) Grads() []*tensor.Mat {
 }
 
 // ZeroGrads clears every gradient accumulator.
-func (n *Network) ZeroGrads() {
+func (n *NetworkOf[T]) ZeroGrads() {
 	for _, l := range n.Layers {
 		l.ZeroGrads()
 	}
 }
 
 // NumParams returns the total number of scalar parameters.
-func (n *Network) NumParams() int {
+func (n *NetworkOf[T]) NumParams() int {
 	total := 0
 	for _, p := range n.Params() {
 		total += len(p.Data)
@@ -69,7 +71,7 @@ func (n *Network) NumParams() int {
 // OutputWidth returns the per-sample output length of the network: the
 // output width of the last Sized layer (activations are shape-preserving).
 // It returns 0 when no layer knows its width.
-func (n *Network) OutputWidth() int {
+func (n *NetworkOf[T]) OutputWidth() int {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		if sized, ok := n.Layers[i].(Sized); ok {
 			return sized.OutputWidth()
@@ -79,17 +81,24 @@ func (n *Network) OutputWidth() int {
 }
 
 // Clone returns a deep copy of the network.
-func (n *Network) Clone() *Network {
-	c := &Network{Layers: make([]Layer, len(n.Layers))}
+func (n *NetworkOf[T]) Clone() *NetworkOf[T] { return copyLayers(n, LayerOf[T].Clone) }
+
+// Narrow returns a float32 copy of the network, every parameter rounded
+// once — what the serving tier runs forward.
+func (n *NetworkOf[T]) Narrow() *Net32 { return copyLayers(n, LayerOf[T].Narrow) }
+
+// copyLayers returns a network of n's layers each copied by cp.
+func copyLayers[U, T tensor.Float](n *NetworkOf[T], cp func(LayerOf[T]) LayerOf[U]) *NetworkOf[U] {
+	c := &NetworkOf[U]{Layers: make([]LayerOf[U], len(n.Layers))}
 	for i, l := range n.Layers {
-		c.Layers[i] = l.Clone()
+		c.Layers[i] = cp(l)
 	}
 	return c
 }
 
 // CopyParamsFrom copies parameter values from src into n. The two networks
 // must have identical architectures.
-func (n *Network) CopyParamsFrom(src *Network) error {
+func (n *NetworkOf[T]) CopyParamsFrom(src *NetworkOf[T]) error {
 	dst := n.Params()
 	from := src.Params()
 	if len(dst) != len(from) {
@@ -107,24 +116,24 @@ func (n *Network) CopyParamsFrom(src *Network) error {
 
 // EncodeParams serialises the network parameters (not the architecture) to
 // a byte slice suitable for message passing between processes.
-func (n *Network) EncodeParams() ([]byte, error) {
+func (n *NetworkOf[T]) EncodeParams() ([]byte, error) {
 	return n.AppendParams(nil), nil
 }
 
 // AppendParams appends EncodeParams' encoding to dst, so a caller that
 // sends parameters every round can reuse one buffer.
-func (n *Network) AppendParams(dst []byte) []byte {
+func (n *NetworkOf[T]) AppendParams(dst []byte) []byte {
 	return tensor.AppendMats(dst, n.Params())
 }
 
 // EncodedParamsSize returns the exact length of EncodeParams' output.
-func (n *Network) EncodedParamsSize() int { return tensor.MatsSize(n.Params()) }
+func (n *NetworkOf[T]) EncodedParamsSize() int { return tensor.MatsSize(n.Params()) }
 
 // DecodeParams overwrites the network parameters with values decoded from
 // data (produced by EncodeParams on an architecturally identical network).
 // The blob is validated in full first — count, every shape, total length —
 // so a rejected blob leaves the network as it was.
-func (n *Network) DecodeParams(data []byte) error {
+func (n *NetworkOf[T]) DecodeParams(data []byte) error {
 	if err := tensor.DecodeMatsInto(n.Params(), data); err != nil {
 		return fmt.Errorf("nn: decoding params: %w", err)
 	}
@@ -133,11 +142,11 @@ func (n *Network) DecodeParams(data []byte) error {
 
 // ParamsL2 returns the L2 norm over all parameters, useful as a cheap
 // network fingerprint in tests and logs.
-func (n *Network) ParamsL2() float64 {
+func (n *NetworkOf[T]) ParamsL2() float64 {
 	s := 0.0
 	for _, p := range n.Params() {
 		for _, v := range p.Data {
-			s += v * v
+			s += float64(v) * float64(v)
 		}
 	}
 	return s

@@ -10,12 +10,10 @@ import (
 )
 
 func TestLinearForwardKnown(t *testing.T) {
-	l := &Linear{
-		W:  tensor.FromSlice(2, 2, []float64{1, 2, 3, 4}),
-		B:  tensor.FromSlice(1, 2, []float64{10, 20}),
-		dW: tensor.New(2, 2),
-		dB: tensor.New(1, 2),
-	}
+	l := &Linear{weights: newWeights(
+		tensor.FromSlice(2, 2, []float64{1, 2, 3, 4}),
+		tensor.FromSlice(1, 2, []float64{10, 20}),
+	)}
 	x := tensor.FromSlice(1, 2, []float64{1, 1})
 	y := l.Forward(nil, x)
 	want := tensor.FromSlice(1, 2, []float64{14, 26})
@@ -497,10 +495,9 @@ func TestRectifiersPropagateNaN(t *testing.T) {
 			t.Errorf("LeakyReLU(%v) = %v, want %v", x.Data[i], v, leaky[i])
 		}
 	}
-	out := relu32{}.forward(new(tensor.Mat32), tensor.Narrow(x))
-	for i, v := range out.Data {
+	for i, v := range NewReLU().Narrow().Forward(nil, tensor.Narrow(x)).Data {
 		if !same(float64(v), relu[i]) {
-			t.Errorf("relu32(%v) = %v, want %v", x.Data[i], v, relu[i])
+			t.Errorf("float32 ReLU(%v) = %v, want %v", x.Data[i], v, relu[i])
 		}
 	}
 }

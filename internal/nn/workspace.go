@@ -10,22 +10,22 @@ import (
 // staging). The matrices reuse their backing storage across passes via
 // Resize, so a scratch that has seen its largest batch never allocates
 // again. The zero value is ready to use.
-type LayerScratch struct {
-	in  *tensor.Mat // input of the most recent Forward (not owned)
-	out tensor.Mat  // layer output
-	dIn tensor.Mat  // ∂L/∂input
-	aux [3]tensor.Mat
+type LayerScratchOf[T tensor.Float] struct {
+	in  *tensor.Matrix[T] // input of the most recent Forward (not owned)
+	out tensor.Matrix[T]  // layer output
+	dIn tensor.Matrix[T]  // ∂L/∂input
+	aux [3]tensor.Matrix[T]
 }
 
 // keptScratch is embedded by every layer to implement the nil-scratch
 // form of the Layer contract.
-type keptScratch struct{ kept *LayerScratch }
+type keptScratch[T tensor.Float] struct{ kept *LayerScratchOf[T] }
 
 // begin resolves the scratch of a Forward pass — s, or a fresh one kept
 // for the matching Backward when s is nil — and records the input on it.
-func (k *keptScratch) begin(s *LayerScratch, x *tensor.Mat) *LayerScratch {
+func (k *keptScratch[T]) begin(s *LayerScratchOf[T], x *tensor.Matrix[T]) *LayerScratchOf[T] {
 	if s == nil {
-		s = new(LayerScratch)
+		s = new(LayerScratchOf[T])
 		k.kept = s
 	}
 	s.in = x
@@ -36,10 +36,10 @@ func (k *keptScratch) begin(s *LayerScratch, x *tensor.Mat) *LayerScratch {
 // by the preceding nil-scratch Forward. The kept scratch gets a fresh
 // gradient matrix per call, so results of the allocating form never alias
 // one another.
-func (k *keptScratch) resume(s *LayerScratch) *LayerScratch {
+func (k *keptScratch[T]) resume(s *LayerScratchOf[T]) *LayerScratchOf[T] {
 	if s == nil && k.kept != nil {
 		s = k.kept
-		s.dIn = tensor.Mat{}
+		s.dIn = tensor.Matrix[T]{}
 	}
 	if s == nil || s.in == nil {
 		panic("nn: Backward before Forward")
@@ -58,9 +58,10 @@ func (k *keptScratch) resume(s *LayerScratch) *LayerScratch {
 // sequentially (e.g. one workspace per cell, reused by the generator and
 // discriminator in turn) as long as each forward→backward pair completes
 // before the workspace is handed to the next network: the matrices
-// returned by ForwardWS/BackwardWS alias workspace storage.
-type Workspace struct {
-	layers []*LayerScratch // layers[i] serves layer slot i
+// returned by ForwardWS/BackwardWS alias workspace storage. The zero value
+// is an empty workspace.
+type WorkspaceOf[T tensor.Float] struct {
+	layers []*LayerScratchOf[T] // layers[i] serves layer slot i
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
@@ -68,12 +69,12 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 
 // layer returns the scratch for layer slot i, growing the list on demand.
 // A nil workspace yields nil scratches: fresh buffers per pass.
-func (ws *Workspace) layer(i int) *LayerScratch {
+func (ws *WorkspaceOf[T]) layer(i int) *LayerScratchOf[T] {
 	if ws == nil {
 		return nil
 	}
 	for len(ws.layers) <= i {
-		ws.layers = append(ws.layers, new(LayerScratch))
+		ws.layers = append(ws.layers, new(LayerScratchOf[T]))
 	}
 	return ws.layers[i]
 }
@@ -81,7 +82,7 @@ func (ws *Workspace) layer(i int) *LayerScratch {
 // ForwardWS propagates a batch through every layer on ws-owned scratch.
 // The returned matrix aliases workspace storage and is only valid until
 // the next pass through ws. A nil ws runs the same path on fresh scratch.
-func (n *Network) ForwardWS(ws *Workspace, x *tensor.Mat) *tensor.Mat {
+func (n *NetworkOf[T]) ForwardWS(ws *WorkspaceOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
 	for i, l := range n.Layers {
 		x = l.Forward(ws.layer(i), x)
 	}
@@ -91,7 +92,7 @@ func (n *Network) ForwardWS(ws *Workspace, x *tensor.Mat) *tensor.Mat {
 // BackwardWS propagates ∂L/∂output back through every layer on the
 // scratch its ForwardWS ran on, accumulating parameter gradients into the
 // layers. The returned ∂L/∂input aliases workspace storage.
-func (n *Network) BackwardWS(ws *Workspace, grad *tensor.Mat) *tensor.Mat {
+func (n *NetworkOf[T]) BackwardWS(ws *WorkspaceOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T] {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		grad = n.Layers[i].Backward(ws.layer(i), grad)
 	}

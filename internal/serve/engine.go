@@ -91,11 +91,10 @@ type EngineConfig struct {
 	// Seed keys the latent-sampling RNG streams (one split per worker).
 	Seed uint64
 	// Float32 serves forward passes on the float32 kernel tier: each
-	// worker compiles its mixture into a core.Mixture32 instead of cloning
+	// worker narrows its mixture into a core.Mixture32 instead of cloning
 	// the float64 networks. Routing and latent draws stay float64, so the
 	// same seed produces the same sample-to-generator assignment; outputs
-	// agree with the float64 path only to float32 precision. A model with
-	// a layer the float32 tier cannot lower falls back to float64 serving.
+	// agree with the float64 path only to float32 precision.
 	Float32 bool
 }
 
@@ -241,20 +240,16 @@ func (e *Engine) generate(ctx context.Context, n int) (*tensor.Mat, error) {
 }
 
 // sampler is the worker-side forward interface: a private float64 clone
-// (*core.Mixture) or a compiled float32 snapshot (*core.Mixture32).
+// (*core.Mixture) or a private float32 copy (*core.Mixture32).
 type sampler interface {
 	SampleWith(ws *core.SampleWorkspace, n, latentDim int, rng *tensor.RNG) *tensor.Mat
 }
 
-// newSampler builds a worker's private sampler for the current model:
-// a compiled float32 mixture when the tier is enabled (falling back to a
-// float64 clone if any generator layer has no float32 lowering), else a
-// float64 clone.
+// newSampler builds a worker's private sampler for the current model: the
+// narrowed mixture when the float32 tier is enabled, else a float64 clone.
 func (e *Engine) newSampler(m *Model) sampler {
 	if e.cfg.Float32 {
-		if c, err := core.CompileMixture32(m.proto); err == nil {
-			return c
-		}
+		return m.proto.Narrow()
 	}
 	return m.proto.Clone()
 }

@@ -21,10 +21,11 @@ func HeNormal(m *Mat, fanIn int, rng *RNG) {
 	}
 }
 
-// GaussianFill fills m with samples from N(mean, std²).
-func GaussianFill(m *Mat, mean, std float64, rng *RNG) {
+// GaussianFill fills m with samples from N(mean, std²), drawn in float64
+// and rounded to m's element type.
+func GaussianFill[T Float](m *Matrix[T], mean, std float64, rng *RNG) {
 	for i := range m.Data {
-		m.Data[i] = mean + rng.NormFloat64()*std
+		m.Data[i] = T(mean + rng.NormFloat64()*std)
 	}
 }
 

@@ -32,8 +32,8 @@ type Matrix[T Float] struct {
 }
 
 // Mat is the float64 matrix all training state lives in. The float64-only
-// helpers (constructors, RNG fills, serialisation, eigendecomposition)
-// take *Mat.
+// helpers (constructors, weight initialisers, eigendecomposition) take
+// *Mat.
 type Mat = Matrix[float64]
 
 // Mat32 is the float32 matrix of the opt-in serving compute tier: halving
@@ -41,6 +41,16 @@ type Mat = Matrix[float64]
 // paths where bit-parity with training explicitly does not matter. It is
 // filled from a Mat with Narrow; there is no float32 training.
 type Mat32 = Matrix[float32]
+
+// Narrow returns a freshly allocated float32 copy of src — the model-load
+// conversion of the serving tier (a copy when src is already float32).
+func Narrow[T Float](src *Matrix[T]) *Mat32 {
+	dst := new(Mat32).Resize(src.Rows, src.Cols)
+	for i, v := range src.Data {
+		dst.Data[i] = float32(v)
+	}
+	return dst
+}
 
 // New returns a zero-filled rows×cols matrix.
 func New(rows, cols int) *Mat {

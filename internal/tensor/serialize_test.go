@@ -50,7 +50,7 @@ func TestAppendMatsGrowsOnce(t *testing.T) {
 }
 
 func TestDecodeMatsZeroCount(t *testing.T) {
-	got, rest, err := DecodeMats(AppendMats(nil, nil))
+	got, rest, err := DecodeMats(AppendMats[float64](nil, nil))
 	if err != nil || len(got) != 0 || len(rest) != 0 {
 		t.Fatalf("got %d matrices, %d rest bytes, err %v", len(got), len(rest), err)
 	}
