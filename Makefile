@@ -37,12 +37,14 @@ bench-module:
 race:
 	$(GO) test -race -timeout 25m ./...
 
-# The bounded-staleness property tests of both async modes, 20 times at
-# GOMAXPROCS 1 and 2, with the two packages loading each other: the
-# load under which the cluster absorb's old arrival-order apply failed
-# most runs. 17–25 s on a 2-core host.
+# The rank loop's scheduling-sensitive contracts — bounded staleness in
+# both async modes, one halt boundary for every rank, window-1 bit
+# equality with the sequential mode (faulty-comm row included) and abort
+# on a rank error — 20 times at GOMAXPROCS 1 and 2, with the two packages
+# loading each other: the load under which the cluster absorb's old
+# arrival-order apply failed most runs. About 3.5 minutes on a 2-core host.
 stress:
-	$(GO) test -run 'Staleness' -count 20 -cpu 1,2 ./internal/core/ ./internal/cluster/
+	$(GO) test -run 'Staleness|Stops|StopConsensus|SequentialParallel|RankError' -count 20 -cpu 1,2 ./internal/core/ ./internal/cluster/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

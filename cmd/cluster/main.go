@@ -189,9 +189,11 @@ func main() {
 		fmt.Printf("rank %d debug server on http://%s (/metrics, /debug/pprof/)\n", *rank, bound)
 	}
 
-	// First SIGINT/SIGTERM: the master aborts the job at the next round /
-	// iteration boundary and still collects results; slaves rely on the
-	// master's abort. A second signal exits immediately.
+	// First SIGINT/SIGTERM: the master aborts the job and still collects
+	// results — resilient rounds stop at the next round, plain slaves halt
+	// within W·D iterations (window 1, D the grid's influence diameter),
+	// all at one boundary. Slaves rely on the master's abort. A second
+	// signal exits immediately.
 	interrupt := make(chan struct{})
 	var interruptOnce sync.Once
 	sigCh := make(chan os.Signal, 2)
@@ -199,7 +201,7 @@ func main() {
 	go func() {
 		<-sigCh
 		if *rank == 0 {
-			fmt.Fprintln(os.Stderr, "cluster: interrupted, aborting job at the next boundary (^C again to exit now)")
+			fmt.Fprintln(os.Stderr, "cluster: interrupted, aborting job: cells halt within W·D iterations (^C again to exit now)")
 		} else {
 			fmt.Fprintln(os.Stderr, "cluster: interrupted, waiting for the master to abort (^C again to exit now)")
 		}

@@ -97,16 +97,18 @@ func main() {
 		fmt.Printf("debug server on http://%s (/metrics, /debug/pprof/)\n", bound)
 	}
 
-	// First SIGINT/SIGTERM requests a stop at the next iteration boundary
-	// (the run returns normally, so -checkpoint and the summary still
-	// happen); a second signal exits immediately.
+	// First SIGINT/SIGTERM requests a stop (the run returns normally, so
+	// -checkpoint and the summary still happen): mode seq halts at the next
+	// iteration boundary, the rank loops of par and async within W·D
+	// iterations, all cells at the same one. A second signal exits
+	// immediately.
 	var stopFlag atomic.Bool
 	interrupt := make(chan struct{})
 	sigCh := make(chan os.Signal, 2)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sigCh
-		fmt.Fprintln(os.Stderr, "trainer: interrupted, stopping at the next iteration boundary (^C again to exit now)")
+		fmt.Fprintln(os.Stderr, "trainer: interrupted, halting within W·D iterations (W = staleness window, D = grid diameter; ^C again to exit now)")
 		stopFlag.Store(true)
 		close(interrupt)
 		<-sigCh

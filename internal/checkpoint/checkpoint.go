@@ -34,7 +34,13 @@ func FromResult(res *core.Result) (*Checkpoint, error) {
 
 // New builds a checkpoint from per-rank full states, validating that
 // every grid cell is present and in rank order. Async snapshots are
-// allowed to mix iterations; the states just have to be complete.
+// allowed to mix iterations; the states just have to be complete. Resume
+// is stricter: neighbouring cells must be at most W−1 iterations apart
+// for the window W it resumes with (1 in the seq and par modes,
+// Cfg.AsyncStaleness in async mode). The cluster async master's
+// best-effort snapshots can sit S apart under a window of S, so
+// resuming one in-process needs Cfg.AsyncStaleness raised to S+1; the
+// error names the window that accepts the set.
 func New(cfg config.Config, states []*core.FullState) (*Checkpoint, error) {
 	if len(states) == 0 {
 		return nil, fmt.Errorf("checkpoint: no full states to checkpoint")

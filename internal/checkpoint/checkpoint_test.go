@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cellgan/internal/config"
@@ -245,5 +246,46 @@ func TestWriteRejectsWrongStateCount(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, cp); err == nil {
 		t.Fatal("state/grid mismatch accepted")
+	}
+}
+
+// TestResumeMixedAsyncSnapshot resumes a mixed-iteration async snapshot
+// of the kind the cluster async master writes: neighbours W−1 apart
+// resume under window W, W apart are refused with the window that would
+// accept them, and raising the stored window to that value resumes it.
+func TestResumeMixedAsyncSnapshot(t *testing.T) {
+	at := func(iters int) []*core.FullState {
+		res, err := core.RunSequential(tinyCfg(iters), core.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Full
+	}
+	one := at(1)
+	cfg := tinyCfg(1)
+	cfg.AsyncStaleness = 2
+	mixed := func(lead []*core.FullState) *Checkpoint {
+		cp, err := New(cfg, append([]*core.FullState{one[0]}, lead[1:]...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	}
+	if _, err := Resume(mixed(at(2)), "async", 4, core.RunOptions{}); err != nil {
+		t.Fatalf("gap 1 under window 2 refused: %v", err)
+	}
+	gap2 := mixed(at(3))
+	if _, err := Resume(gap2, "async", 4, core.RunOptions{}); err == nil || !strings.Contains(err.Error(), "window of at least 3") {
+		t.Fatalf("gap 2 under window 2: got %v, want a refusal naming window 3", err)
+	}
+	gap2.Cfg.AsyncStaleness = 3
+	res, err := Resume(gap2, "async", 4, core.RunOptions{})
+	if err != nil {
+		t.Fatalf("gap 2 under window 3 refused: %v", err)
+	}
+	for _, c := range res.Cells {
+		if c.Last.Iteration != 4 {
+			t.Fatalf("cell %d stopped at %d", c.Rank, c.Last.Iteration)
+		}
 	}
 }

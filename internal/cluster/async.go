@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -30,9 +31,12 @@ import (
 // seed snapshots so it can start exchanging immediately (tagOwnerUpdate,
 // also broadcast so every peer re-aims its pushes).
 
-// asyncUploadEvery is how often an async slave re-uploads its inventory
-// and re-pushes its cell states when idle — the liveness backstop that
-// rides out dropped pushes and partition windows.
+// asyncUploadEvery is how long an async slave stays idle before it
+// re-pushes its cell states and re-uploads its inventory: once after a
+// change (progress, or an owner update), and again every period while
+// an owned cell is gated — the backstop for a lost push or upload. A
+// slave whose cells are all finished or ungated stays quiet; a gate
+// starved by later losses is also re-seeded by the master's stall nudge.
 const asyncUploadEvery = 50 * time.Millisecond
 
 // asyncIdleSleep is the execution-thread poll interval when no owned
@@ -96,32 +100,40 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 	}
 
 	// push sends one owned cell's snapshot to the distinct owners of its
-	// influence set. Best-effort: a lost push is healed by the idle
-	// re-push, and co-owned neighbours are refreshed locally instead.
+	// influence set, one shared copy for all of them. Best-effort: a lost
+	// push is healed by the idle re-push, and co-owned neighbours are
+	// refreshed locally instead.
+	var wire []byte
+	var dests []int
 	push := func(r int) error {
-		st, err := owned.cells[r].cell.State()
+		wire = owned.cells[r].cell.AppendState(wire[:0])
+		dests = dests[:0]
+		for _, d := range owned.grid.Influence(r) {
+			if o := owners[d]; o != 0 && o != myRank && !slices.Contains(dests, o) {
+				dests = append(dests, o)
+			}
+		}
+		s.world.Multicast(dests, tagAsyncState, wire) //nolint:errcheck
+		st, err := core.UnmarshalCellState(wire)
 		if err != nil {
 			return err
-		}
-		payload := st.Marshal()
-		sent := make(map[int]bool)
-		for _, d := range owned.grid.Influence(r) {
-			o := owners[d]
-			if o == 0 || o == myRank || sent[o] {
-				continue
-			}
-			sent[o] = true
-			s.world.Send(o, tagAsyncState, payload) //nolint:errcheck
 		}
 		if h := asyncClusterHooks.onPush; h != nil {
 			h(r, st.Iteration)
 		}
 		return applyState(st) // co-owned neighbours see it immediately
 	}
+	// Announce every starting cell: a neighbour never heard from holds
+	// the gate.
+	for _, r := range owned.ranks() {
+		if err := push(r); err != nil {
+			return nil, err
+		}
+	}
 
 	version := -1
 	doneFlag, abortFlag := false, false
-	lastUpload := time.Time{}
+	lastChange, repush := time.Now(), false
 	for pass := 0; ; pass++ {
 		// (1) Control messages from the master, via the control loop.
 		for ctl := true; ctl; {
@@ -160,6 +172,7 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 					doneFlag = true
 					abortFlag = u.Abort
 				}
+				lastChange, repush = time.Now(), true // pushes may aim at new owners
 			case r := <-s.releaseCh:
 				// Return the released cells' state and stop training
 				// them; the ack echoes the order's version in Round.
@@ -217,9 +230,13 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 		// neighbours never publish again and do not hold the gate).
 		// Gated cells are skipped, never blocked on — other owned cells
 		// and the absorb loop keep running.
-		progressed := false
+		progressed, gated := false, false
 		for _, r := range owned.ranks() {
-			if !owned.trainable(r) || s.abort.Load() || owned.cells[r].view.Gated(failedGlobal) {
+			if !owned.trainable(r) || s.abort.Load() {
+				continue
+			}
+			if owned.cells[r].view.Gated(failedGlobal) {
+				gated = true
 				continue
 			}
 			if !owned.iterate(r) {
@@ -231,24 +248,26 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 			}
 		}
 
-		// (4) Inventory upload: after progress, and periodically while
-		// idle so the master still converges under dropped uploads. The
-		// idle branch also re-pushes owned states — the liveness valve
-		// that ends a partition-starved gate.
-		if progressed || time.Since(lastUpload) >= asyncUploadEvery {
-			if !progressed {
-				for _, r := range owned.ranks() {
-					if err := push(r); err != nil {
-						return nil, err
-					}
+		// (4) Inventory upload after progress. Once the slave has sat idle
+		// for asyncUploadEvery, it re-pushes its owned states and
+		// re-uploads its inventory — the liveness valve for a lost push or
+		// upload: once after a change, and every period while a cell
+		// stays gated. Otherwise it stays quiet until something changes.
+		idle := !progressed && (repush || gated) && time.Since(lastChange) >= asyncUploadEvery
+		if idle {
+			for _, r := range owned.ranks() {
+				if err := push(r); err != nil {
+					return nil, err
 				}
 			}
+		}
+		if progressed || idle {
 			payload, err := s.cacheUpdate(owned, pass+1, owned.ranks())
 			if err != nil {
 				return nil, err
 			}
 			s.world.Send(0, tagStateUpdate, payload) //nolint:errcheck
-			lastUpload = time.Now()
+			lastChange, repush = time.Now(), progressed
 		}
 		if !progressed {
 			select {

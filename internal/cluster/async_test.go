@@ -3,6 +3,7 @@ package cluster
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -241,5 +242,28 @@ func TestAsyncClusterStalenessBound(t *testing.T) {
 	}
 	if len(bad) > 0 {
 		t.Fatalf("staleness bound S=%d violated %d times, first: %+v", s, len(bad), bad[0])
+	}
+}
+
+// TestAsyncFinishedCellPushesBounded: once a cell has trained its last
+// iteration its state never changes again, so after the push that
+// announces it (and at most one idle re-push) a fault-free job has no
+// reason to send it again.
+func TestAsyncFinishedCellPushesBounded(t *testing.T) {
+	defer clearAsyncHooks()
+	cfg := asyncConfig(3, 3, 2)
+	var finals atomic.Int64
+	asyncClusterHooks.onPush = func(cell, iter int) {
+		if iter == cfg.Iterations {
+			finals.Add(1)
+		}
+	}
+	res, err := RunJob(asyncOptions(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireAllTrained(t, cfg, res)
+	if got, limit := finals.Load(), int64(2*cfg.NumCells()); got > limit {
+		t.Fatalf("finished cells pushed their final state %d times, want at most %d", got, limit)
 	}
 }

@@ -172,19 +172,12 @@ func TestJobTimeLimitAborts(t *testing.T) {
 			t.Fatalf("cell %d completed all iterations despite abort", r.CellRank)
 		}
 	}
-	// All slaves stop at a consistent iteration count thanks to the
-	// abort-consensus exchange: counts may differ by at most one round.
-	min, max := res.Reports[0].Iterations, res.Reports[0].Iterations
+	// All slaves stop at one iteration count: the halt iteration rides
+	// the LOCAL exchange's pushes.
 	for _, r := range res.Reports {
-		if r.Iterations < min {
-			min = r.Iterations
+		if r.Iterations != res.Reports[0].Iterations {
+			t.Fatalf("abort left slaves at iterations %d and %d", res.Reports[0].Iterations, r.Iterations)
 		}
-		if r.Iterations > max {
-			max = r.Iterations
-		}
-	}
-	if max-min > 1 {
-		t.Fatalf("abort left slaves %d..%d iterations apart", min, max)
 	}
 }
 

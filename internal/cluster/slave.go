@@ -253,11 +253,12 @@ func (s *slave) execute(task runTask) {
 }
 
 // runLockstep trains the assigned cell with core.RankLoop on the LOCAL
-// communicator — the loop core.RunParallel runs in-process — voting to
-// halt once the master's abort has arrived: if any slave has seen it, all
-// slaves observe it in the same round and stop together, keeping the
-// collective call counts aligned. Every slave restores to the same
-// iteration (the master validated that), which keeps them aligned too.
+// communicator — the loop core.RunParallel runs in-process, at staleness
+// window 1. The master's abort is the loop's stop signal: the first slave
+// to see it picks a halt iteration within the grid's influence diameter,
+// its pushes carry it to every peer, and all cells stop at that one
+// boundary. Every slave restores to the same iteration (the master
+// validated that), as window 1 requires.
 func (s *slave) runLockstep(task runTask) ([]SlaveReport, error) {
 	owned, err := newOwnedCells(task, &s.prof)
 	if err != nil {

@@ -28,9 +28,14 @@ func TestJobInterruptAborts(t *testing.T) {
 	if !res.Aborted {
 		t.Fatal("job did not abort on interrupt")
 	}
+	// The slaves see the master's abort at different boundaries; the halt
+	// iteration riding their pushes still stops every cell at one.
 	for _, r := range res.Reports {
 		if r.Iterations >= cfg.Iterations {
 			t.Fatalf("cell %d completed all iterations despite interrupt", r.CellRank)
+		}
+		if r.Iterations != res.Reports[0].Iterations {
+			t.Fatalf("cells stopped at iterations %d and %d", res.Reports[0].Iterations, r.Iterations)
 		}
 	}
 	if !strings.Contains(strings.Join(res.Log, "\n"), "interrupted") {

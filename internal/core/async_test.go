@@ -88,15 +88,18 @@ func TestRunDispatch(t *testing.T) {
 	}
 }
 
+// TestUpdateNeighborIgnoresOutsiders: a neighbour view installs only its
+// neighbours' snapshots, never a stranger's or the cell's own.
 func TestUpdateNeighborIgnoresOutsiders(t *testing.T) {
 	cfg := tinyConfig() // 2×2: neighbourhood of 0 = {0,1,2}
 	c0, _ := newTestCell(t, cfg, 0)
+	v := NewNeighborView(c0, 1)
 	c3, _ := newTestCell(t, cfg, 3)
 	s3, err := c3.State()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c0.UpdateNeighbor(s3); err != nil {
+	if _, err := v.Apply(s3); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c0.genNbrs[3]; ok {
@@ -107,7 +110,7 @@ func TestUpdateNeighborIgnoresOutsiders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c0.UpdateNeighbor(s0); err != nil {
+	if _, err := v.Apply(s0); err != nil {
 		t.Fatal(err)
 	}
 	if len(c0.Mixture().Ranks) != 1 {
@@ -118,19 +121,20 @@ func TestUpdateNeighborIgnoresOutsiders(t *testing.T) {
 func TestUpdateNeighborGrowsMixture(t *testing.T) {
 	cfg := tinyConfig()
 	c0, _ := newTestCell(t, cfg, 0)
+	v := NewNeighborView(c0, 1)
 	c1, _ := newTestCell(t, cfg, 1)
 	s1, err := c1.State()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c0.UpdateNeighbor(s1); err != nil {
+	if _, err := v.Apply(s1); err != nil {
 		t.Fatal(err)
 	}
 	if len(c0.Mixture().Ranks) != 2 {
 		t.Fatalf("mixture %v", c0.Mixture().Ranks)
 	}
 	// Refreshing the same rank keeps the mixture size stable.
-	if err := c0.UpdateNeighbor(s1); err != nil {
+	if _, err := v.Apply(s1); err != nil {
 		t.Fatal(err)
 	}
 	if len(c0.Mixture().Ranks) != 2 {

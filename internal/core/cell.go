@@ -225,28 +225,31 @@ func (c *Cell) AppendState(dst []byte) []byte {
 	return c.disc.Net.AppendParams(binary.LittleEndian.AppendUint64(dst, uint64(discSize)))
 }
 
-// neighbor decodes s into the genome pair kept for rank r and returns it.
-// The pair is created on first sight as a clone of the cell's own centers
-// — the same architecture with no initialisation pass — and then only ever
-// overwritten, so a steady-state exchange allocates no network.
-func (c *Cell) neighbor(r int, s *CellState) (genomePair, error) {
+// neighbor decodes s into the genome pair kept for rank r and makes that
+// pair rank r's member of the sub-population, leaving the mixture for the
+// caller to refresh. The pair is created on first sight as a clone of the
+// cell's own centers — the same architecture with no initialisation pass —
+// and then only ever overwritten, so a steady-state exchange allocates no
+// network.
+func (c *Cell) neighbor(r int, s *CellState) error {
 	if s.GenLoss >= numGANLosses || s.DiscLoss >= numGANLosses {
-		return genomePair{}, fmt.Errorf("core: unknown loss gene in state of rank %d", s.Rank)
+		return fmt.Errorf("core: unknown loss gene in state of rank %d", s.Rank)
 	}
 	p, ok := c.kept[r]
 	if !ok {
 		p = genomePair{c.gen.Clone(), c.disc.Clone()}
+		c.kept[r] = p
 	}
 	if err := p.gen.Net.DecodeParams(s.GenParams); err != nil {
-		return genomePair{}, fmt.Errorf("core: decoding generator of rank %d: %w", s.Rank, err)
+		return fmt.Errorf("core: decoding generator of rank %d: %w", s.Rank, err)
 	}
 	if err := p.disc.Net.DecodeParams(s.DiscParams); err != nil {
-		return genomePair{}, fmt.Errorf("core: decoding discriminator of rank %d: %w", s.Rank, err)
+		return fmt.Errorf("core: decoding discriminator of rank %d: %w", s.Rank, err)
 	}
 	p.gen.LR, p.gen.Fitness, p.gen.Loss = s.GenLR, s.GenFitness, s.GenLoss
 	p.disc.LR, p.disc.Fitness, p.disc.Loss = s.DiscLR, s.DiscFitness, s.DiscLoss
-	c.kept[r] = p
-	return p, nil
+	c.genNbrs[r], c.discNbrs[r] = p.gen, p.disc
+	return nil
 }
 
 // SetNeighbors installs the latest center snapshots of the cell's
@@ -259,33 +262,12 @@ func (c *Cell) SetNeighbors(states map[int]*CellState) error {
 	clear(c.discNbrs)
 	c.genNbrs[c.Rank], c.discNbrs[c.Rank] = c.gen, c.disc
 	for _, r := range c.Neighborhood() {
-		s, ok := states[r]
-		if r == c.Rank || !ok {
-			continue
+		if s, ok := states[r]; ok && r != c.Rank {
+			if err := c.neighbor(r, s); err != nil {
+				return err
+			}
 		}
-		p, err := c.neighbor(r, s)
-		if err != nil {
-			return err
-		}
-		c.genNbrs[r], c.discNbrs[r] = p.gen, p.disc
 	}
-	return c.refreshMixture()
-}
-
-// UpdateNeighbor installs (or refreshes) a single neighbour's center
-// snapshot without touching the rest of the sub-population — the
-// incremental form used by the asynchronous training mode, where cells
-// absorb whatever updates have arrived rather than barriering on a full
-// exchange. States from ranks outside the neighbourhood are ignored.
-func (c *Cell) UpdateNeighbor(s *CellState) error {
-	if s.Rank == c.Rank || !slices.Contains(c.Neighborhood(), s.Rank) {
-		return nil
-	}
-	p, err := c.neighbor(s.Rank, s)
-	if err != nil {
-		return err
-	}
-	c.genNbrs[s.Rank], c.discNbrs[s.Rank] = p.gen, p.disc
 	return c.refreshMixture()
 }
 

@@ -69,7 +69,7 @@ func TestBitFlippedStateRejectedOrConsistent(t *testing.T) {
 		}
 		// Decoded fine: the genome reconstruction must still either work
 		// or error; both are acceptable, panics are not.
-		_, _ = c0.neighbor(1, st)
+		_ = c0.neighbor(1, st)
 	}
 }
 

@@ -74,12 +74,12 @@ func TestExchangeAllocsIndependentOfGenomeSize(t *testing.T) {
 	}
 }
 
-// BenchmarkExchangeRound times one lockstep exchange round — halt vote,
-// neighbour exchange, decode — of all nine ranks of the 3×3, 128-wide grid
-// over the in-process transport; MB/s counts the state bytes received.
+// BenchmarkExchangeRound times one exchange round of the rank loop — push,
+// drain, decode — of all nine ranks of the 3×3, 128-wide grid over the
+// in-process transport; MB/s counts the state bytes a round delivers.
 func BenchmarkExchangeRound(b *testing.B) {
 	cfg := exchangeShape(128)
-	r, err := newRun(cfg, RunOptions{}, true)
+	r, err := newRun(cfg, RunOptions{}, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -94,15 +94,12 @@ func BenchmarkExchangeRound(b *testing.B) {
 			b.Fatal(err)
 		}
 		l := &RankLoop{Comm: world.MustComm(rank), Cell: cell}
-		l.sources, l.dests = l.peers()
+		l.init()
 		loops[rank] = l
-		received += len(l.sources) * len(cell.AppendState(nil))
+		received += len(l.view.nbrs) * len(cell.AppendState(nil))
 	}
 	round := func() {
-		if err := eachRank(n, func(rank int) error {
-			_, err := loops[rank].exchange(false)
-			return err
-		}); err != nil {
+		if err := eachRank(n, func(rank int) error { return loops[rank].exchange() }); err != nil {
 			b.Fatal(err)
 		}
 	}

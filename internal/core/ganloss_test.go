@@ -271,16 +271,15 @@ func TestLossGeneSurvivesStateRoundTrip(t *testing.T) {
 		t.Fatalf("loss genes %v/%v", got.GenLoss, got.DiscLoss)
 	}
 	c0, _ := newTestCell(t, cfg, 0)
-	p, err := c0.neighbor(1, got)
-	if err != nil {
+	if err := c0.neighbor(1, got); err != nil {
 		t.Fatal(err)
 	}
-	if p.gen.Loss != LossLSGAN || p.disc.Loss != LossMinimax {
+	if c0.genNbrs[1].Loss != LossLSGAN || c0.discNbrs[1].Loss != LossMinimax {
 		t.Fatal("genomes lost their loss genes")
 	}
 	bad := *got
 	bad.GenLoss = GANLoss(42)
-	if _, err := c0.neighbor(1, &bad); err == nil {
+	if err := c0.neighbor(1, &bad); err == nil {
 		t.Fatal("invalid loss gene accepted")
 	}
 }

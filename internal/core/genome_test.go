@@ -132,13 +132,14 @@ func TestNeighborRejectsWrongArch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c0.UpdateNeighbor(s1); err != nil {
+	v := NewNeighborView(c0, 1)
+	if _, err := v.Apply(s1); err != nil {
 		t.Fatal(err)
 	}
 	before := c0.discNbrs[1].Net.ParamsL2()
 	bad := *s1
 	bad.DiscParams = s1.GenParams // generator-shaped
-	if err := c0.UpdateNeighbor(&bad); err == nil {
+	if _, err := v.Apply(&bad); err == nil {
 		t.Fatal("architecture mismatch accepted")
 	}
 	if got := c0.discNbrs[1].Net.ParamsL2(); got != before {

@@ -1,22 +1,23 @@
 package core
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
-// Periodic checkpoint capture for the in-process runners. Two shapes:
-//
-//   - ckptCollector (seq, par): cells move in lockstep, so a snapshot at
-//     iteration k is assembled from every cell's FullState at the
-//     post-exchange boundary of k and handed to the sink only when all n
-//     cells have deposited — a consistent cut by construction.
-//   - asyncCkptBoard (async): no boundary is shared, so the board keeps
-//     the newest FullState per cell and emits a best-effort snapshot
-//     whenever the slowest cell has advanced a full cadence.
-
-// ckptCollector assembles lockstep snapshots.
+// ckptCollector is the periodic checkpoint capture of the in-process
+// runners. Every cell of every mode passes every cadence boundary k, so a
+// snapshot at k is assembled from each cell's FullState at its
+// post-exchange boundary of k and handed to the sink only when all n cells
+// have deposited — a consistent cut by construction, whatever the
+// staleness window. Boundaries at or below floor, the lowest iteration
+// the run resumed from, are skipped: a cut there could only be the
+// resume set itself, already on disk.
 type ckptCollector struct {
 	every int
 	sink  func(int, []*FullState) error
 	n     int
+	floor int
 
 	mu      sync.Mutex
 	pending map[int][]*FullState
@@ -29,7 +30,17 @@ func newCkptCollector(opts RunOptions, n int) *ckptCollector {
 	if opts.CheckpointEvery <= 0 || opts.CheckpointSink == nil {
 		return nil
 	}
+	floor := 0
+	if len(opts.Resume) > 0 {
+		floor = math.MaxInt
+		for _, st := range opts.Resume {
+			if st != nil {
+				floor = min(floor, st.Cell.Iteration)
+			}
+		}
+	}
 	return &ckptCollector{
+		floor:   floor,
 		every:   opts.CheckpointEvery,
 		sink:    opts.CheckpointSink,
 		n:       n,
@@ -46,7 +57,7 @@ func (c *ckptCollector) deposit(cell *Cell) error {
 		return nil
 	}
 	iter := cell.Iteration()
-	if iter == 0 || iter%c.every != 0 {
+	if iter <= c.floor || iter%c.every != 0 {
 		return nil
 	}
 	full, err := cell.FullState()
@@ -73,79 +84,11 @@ func (c *ckptCollector) deposit(cell *Cell) error {
 	}
 	delete(c.pending, iter)
 	delete(c.counts, iter)
-	// The sink runs under the lock: lockstep modes have at most one
-	// snapshot in flight, and serialising keeps sink calls in iteration
-	// order by construction.
+	// The sink runs under the lock, which keeps sink calls in iteration
+	// order: a cell deposits k before k+every, so snapshot k completes
+	// first.
 	if err := c.sink(iter, states); err != nil {
 		c.failed = err
-		return err
-	}
-	return nil
-}
-
-// asyncCkptBoard assembles newest-wins snapshots from free-running cells.
-type asyncCkptBoard struct {
-	every int
-	sink  func(int, []*FullState) error
-
-	mu       sync.Mutex
-	latest   []*FullState
-	lastSunk int
-	failed   error
-}
-
-// newAsyncCkptBoard returns nil when no cadence is configured.
-func newAsyncCkptBoard(opts RunOptions, n int) *asyncCkptBoard {
-	if opts.CheckpointEvery <= 0 || opts.CheckpointSink == nil {
-		return nil
-	}
-	return &asyncCkptBoard{
-		every:  opts.CheckpointEvery,
-		sink:   opts.CheckpointSink,
-		latest: make([]*FullState, n),
-	}
-}
-
-// deposit records cell's state at its own cadence boundaries and emits a
-// snapshot once every cell has one and the slowest has crossed the next
-// cadence since the last emission. Per-cell iterations in successive
-// snapshots are monotonic because entries are only ever replaced by the
-// same cell's later state. Safe on a nil board.
-func (b *asyncCkptBoard) deposit(cell *Cell) error {
-	if b == nil {
-		return nil
-	}
-	iter := cell.Iteration()
-	if iter == 0 || iter%b.every != 0 {
-		return nil
-	}
-	full, err := cell.FullState()
-	if err != nil {
-		return err
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.failed != nil {
-		return b.failed
-	}
-	b.latest[cell.Rank] = full
-	min := -1
-	for _, st := range b.latest {
-		if st == nil {
-			return nil
-		}
-		if min < 0 || st.Cell.Iteration < min {
-			min = st.Cell.Iteration
-		}
-	}
-	if min < b.lastSunk+b.every {
-		return nil
-	}
-	b.lastSunk = min
-	snap := make([]*FullState, len(b.latest))
-	copy(snap, b.latest)
-	if err := b.sink(min, snap); err != nil {
-		b.failed = err
 		return err
 	}
 	return nil

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cellgan/internal/config"
@@ -21,7 +19,8 @@ type RunOptions struct {
 	// Prof receives routine timings; nil records none.
 	Prof *telemetry.Profile
 	// Progress, when non-nil, is invoked after every cell iteration. In
-	// parallel mode it is called concurrently from per-cell goroutines.
+	// the parallel and asynchronous modes it is called concurrently from
+	// per-cell goroutines.
 	Progress func(rank int, stats IterStats)
 	// Resume, when non-nil, restores every cell from a checkpointed full
 	// state (one entry per grid rank, in rank order) before training;
@@ -38,21 +37,20 @@ type RunOptions struct {
 	// Trace, when non-nil, receives one JSONL event per cell iteration.
 	Trace *telemetry.Trace
 	// Stop, when non-nil, is polled at iteration boundaries; once it
-	// returns true the run finishes the current iteration, performs a
-	// final exchange where the mode requires one, and returns normally
-	// with the state reached so far (suitable for checkpointing). In
-	// parallel mode the decision is reached by consensus: every exchange
-	// allgathers a stop vote, so every rank halts at the same boundary.
+	// returns true the run finishes and returns normally with the state
+	// reached so far (suitable for checkpointing). The sequential mode
+	// halts at that boundary. The rank loops of the parallel and
+	// asynchronous modes halt within W·D iterations — W the staleness
+	// window (1 in parallel mode), D the grid's influence diameter — all
+	// at the same boundary: the halt iteration rides the state pushes.
 	Stop func() bool
 	// CheckpointEvery, with CheckpointSink set, captures a complete
 	// resumable snapshot of the grid at every iteration k that is a
-	// multiple of the cadence. In the sequential and parallel modes the
-	// snapshot is taken at the post-exchange boundary where every cell
-	// is exactly at iteration k, so resuming from it is bit-identical
-	// to never having stopped. In the asynchronous mode cells cross
-	// boundaries at their own pace; the sink receives best-effort
-	// newest-wins snapshots (one full state per cell, iterations may
-	// differ) keyed by the minimum iteration present.
+	// multiple of the cadence. Every mode passes every such k on every
+	// cell, so the snapshot is a consistent cut — each cell's state at
+	// iteration k, after it absorbed its neighbours' — and resuming from
+	// it is bit-identical to never having stopped in the sequential and
+	// parallel modes.
 	CheckpointEvery int
 	// CheckpointSink receives the periodic snapshots, in iteration
 	// order, from at most one goroutine at a time. A sink error is
@@ -61,13 +59,12 @@ type RunOptions struct {
 	// should log/count the failure and return nil.
 	CheckpointSink func(iteration int, states []*FullState) error
 
-	// commWrap, when non-nil, wraps each rank's communicator before the
-	// asynchronous exchange loop uses it — the test seam for injecting
-	// mpi.FaultyComm into RunAsync without a cluster in between.
+	// commWrap, when non-nil, wraps each rank's communicator before its
+	// rank loop uses it — the test seam for injecting mpi.FaultyComm into
+	// RunParallel and RunAsync without a cluster in between.
 	commWrap func(rank int, c *mpi.Comm) *mpi.Comm
-	// asyncHooks observe pushes and applies in the asynchronous mode;
-	// test-only.
-	asyncHooks *asyncTestHooks
+	// hooks observe the rank loops' pushes, drains and applies; test-only.
+	hooks *loopTestHooks
 }
 
 // restoreIfResuming applies the matching resume state to a fresh cell.
@@ -92,20 +89,6 @@ func restoreIfResuming(cell *Cell, opts RunOptions, nCells int) error {
 	return cell.RestoreFull(st)
 }
 
-// uniformResumeIteration rejects resume sets whose cells disagree on the
-// iteration: the lockstep modes (seq, par) assume the whole grid is at
-// one boundary. Async snapshots may mix iterations and must be resumed
-// in async mode.
-func uniformResumeIteration(states []*FullState) error {
-	for _, st := range states[1:] {
-		if st != nil && states[0] != nil && st.Cell.Iteration != states[0].Cell.Iteration {
-			return fmt.Errorf("core: resume states mix iterations %d and %d (an async snapshot?); only mode \"async\" accepts that",
-				states[0].Cell.Iteration, st.Cell.Iteration)
-		}
-	}
-	return nil
-}
-
 // CellResult is the outcome of one cell after training.
 type CellResult struct {
 	Rank  int
@@ -128,8 +111,7 @@ type Result struct {
 	// fitness — the sub-population the method returns (§II-B).
 	BestRank int
 	// Full holds each cell's complete resumable state (one per rank),
-	// suitable for checkpointing; populated by the sequential and
-	// parallel runners.
+	// suitable for checkpointing.
 	Full []*FullState
 }
 
@@ -216,26 +198,36 @@ type runCtx struct {
 	grid    *grid.Grid
 	inst    *runInstruments
 	started time.Time
-	// failed is raised by the first rank whose loop returns an error, so
-	// ranks with no collective to carry the news (async) stop too.
-	failed atomic.Bool
 }
 
-// newRun validates the inputs and builds the grid. lockstep runs reject
-// resume sets whose cells sit at different iterations.
-func newRun(cfg config.Config, opts RunOptions, lockstep bool) (*runCtx, error) {
+// newRun validates the inputs and builds the grid. A resume set is refused
+// when two neighbouring cells' iterations differ by more than window−1:
+// no exchange with staleness window window could have left them there,
+// and the rank loop's gate would wait on the laggard forever. The error
+// names the smallest window that accepts the pair.
+func newRun(cfg config.Config, opts RunOptions, window int) (*runCtx, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if lockstep && opts.Resume != nil {
-		if err := uniformResumeIteration(opts.Resume); err != nil {
-			return nil, err
-		}
 	}
 	started := time.Now()
 	g, err := BuildGridFor(cfg)
 	if err != nil {
 		return nil, err
+	}
+	if len(opts.Resume) == g.Size() {
+		for r := range opts.Resume {
+			for _, nb := range g.Neighborhood(r) {
+				lo, hi := min(r, nb), max(r, nb)
+				a, b := opts.Resume[lo], opts.Resume[hi]
+				if a == nil || b == nil {
+					continue
+				}
+				if gap := max(a.Cell.Iteration-b.Cell.Iteration, b.Cell.Iteration-a.Cell.Iteration); gap >= window {
+					return nil, fmt.Errorf("core: resume states of neighbouring cells %d and %d are at iterations %d and %d, further apart than a staleness window of %d allows; an async resume with a window of at least %d accepts them",
+						lo, hi, a.Cell.Iteration, b.Cell.Iteration, window, gap+1)
+				}
+			}
+		}
 	}
 	return &runCtx{cfg: cfg, opts: opts, grid: g, started: started,
 		inst: newRunInstruments(opts.Telemetry, opts.Trace, g.Size())}, nil
@@ -250,10 +242,6 @@ func (r *runCtx) newCell(rank int) (*Cell, error) {
 	}
 	return cell, restoreIfResuming(cell, r.opts, r.grid.Size())
 }
-
-// stopping reports whether ranks should halt at their next boundary: the
-// caller asked, or a peer rank failed.
-func (r *runCtx) stopping() bool { return stopRequested(r.opts) || r.failed.Load() }
 
 // result assembles the run's outcome from its trained cells and the last
 // statistics each one reported.
@@ -310,10 +298,10 @@ func eachRank(n int, f func(rank int) error) error {
 }
 
 // overWorld trains the grid with one goroutine per cell over an in-process
-// MPI world; loop is one rank's life and returns the last statistics it
-// produced. Every cell exists before any rank enters loop, so a rank
-// whose set-up fails cannot strand peers already waiting on it.
-func (r *runCtx) overWorld(loop func(comm *mpi.Comm, cell *Cell) (IterStats, error)) (*Result, error) {
+// MPI world, each running a RankLoop with staleness window window. Every
+// cell exists before any rank enters its loop, so a rank whose set-up
+// fails cannot strand peers already waiting on it.
+func (r *runCtx) overWorld(window int) (*Result, error) {
 	n := r.grid.Size()
 	world, err := mpi.NewWorld(n)
 	if err != nil {
@@ -327,14 +315,16 @@ func (r *runCtx) overWorld(loop func(comm *mpi.Comm, cell *Cell) (IterStats, err
 	}); err != nil {
 		return nil, err
 	}
+	coll := newCkptCollector(r.opts, n)
 	lasts := make([]IterStats, n)
 	if err := eachRank(n, func(rank int) error {
 		comm, err := world.Comm(rank)
 		if err == nil {
-			lasts[rank], err = loop(comm, cells[rank])
-		}
-		if err != nil {
-			r.failed.Store(true)
+			if r.opts.commWrap != nil {
+				comm = r.opts.commWrap(rank, comm)
+			}
+			lasts[rank], _, err = RankLoop{Comm: comm, Cell: cells[rank], Stop: r.opts.Stop,
+				Progress: r.opts.Progress, window: window, inst: r.inst, coll: coll, hooks: r.opts.hooks}.Run()
 		}
 		return err
 	}); err != nil {
@@ -348,7 +338,7 @@ func (r *runCtx) overWorld(loop func(comm *mpi.Comm, cell *Cell) (IterStats, err
 // structure (per-iteration neighbourhood exchange) is preserved so the
 // algorithm is identical to the parallel mode.
 func RunSequential(cfg config.Config, opts RunOptions) (*Result, error) {
-	r, err := newRun(cfg, opts, true)
+	r, err := newRun(cfg, opts, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -400,136 +390,51 @@ func RunSequential(cfg config.Config, opts RunOptions) (*Result, error) {
 }
 
 // RunParallel trains the grid with one goroutine per cell over an
-// in-process MPI world: each rank iterates independently and the ranks
-// exchange centers with their grid neighbourhoods after every iteration —
-// the structure of the paper's slave processes on the LOCAL communicator,
-// which run the same RankLoop.
+// in-process MPI world: each rank iterates and exchanges centers with its
+// grid neighbourhood after every iteration, waiting for every neighbour's
+// center of the same iteration — the structure of the paper's slave
+// processes on the LOCAL communicator, which run the same RankLoop. It is
+// the staleness window 1 of RunAsync, and bit-identical to RunSequential.
 func RunParallel(cfg config.Config, opts RunOptions) (*Result, error) {
-	r, err := newRun(cfg, opts, true)
+	r, err := newRun(cfg, opts, 1)
 	if err != nil {
 		return nil, err
 	}
-	coll := newCkptCollector(opts, r.grid.Size())
-	return r.overWorld(func(comm *mpi.Comm, cell *Cell) (IterStats, error) {
-		last, _, err := RankLoop{Comm: comm, Cell: cell, Stop: opts.Stop, Progress: opts.Progress,
-			inst: r.inst, coll: coll}.Run()
-		return last, err
-	})
+	return r.overWorld(1)
 }
 
-// RankLoop is one rank's share of the lockstep algorithm: train the cell,
-// exchanging centers with its grid neighbourhood after each iteration. The
-// cell's grid rank is its rank in Comm. RunParallel runs one per goroutine
-// over an in-process world; a cluster slave runs one on the LOCAL
-// communicator.
-type RankLoop struct {
-	Comm *mpi.Comm
-	Cell *Cell
-	// Stop, when non-nil, is polled before every exchange; once any rank
-	// sees it return true, all ranks halt after that exchange.
-	Stop func() bool
-	// Progress, when non-nil, is invoked after every iteration, before the
-	// exchange that follows it.
-	Progress func(rank int, stats IterStats)
-
-	inst *runInstruments
-	coll *ckptCollector
-
-	// sources are the ranks whose centers this cell trains against, dests
-	// the ranks that train against this cell's; wire is the encode buffer
-	// every round reuses.
-	sources, dests []int
-	wire           []byte
-}
-
-// Run exchanges once (so iteration 1 already sees the neighbourhood, and
-// a resumed cell re-sees it), then iterates and exchanges until the cell
-// reaches its configured iteration count or the ranks agree to halt. It
-// returns the last iteration's statistics and whether the loop was halted.
-//
-// A rank that fails outside the collectives does not just leave: peers
-// would block in their next exchange for a vote and a center that never
-// come. It joins that exchange with the halt vote set and only then
-// returns its error, so every peer stops at the same boundary.
-func (l RankLoop) Run() (last IterStats, halted bool, err error) {
-	target := l.Cell.Cfg.Iterations
-	l.sources, l.dests = l.peers()
-	halted, err = l.exchange(false)
-	for err == nil && !halted && l.Cell.Iteration() < target {
-		if last, err = l.Cell.Iterate(); err != nil {
-			break
-		}
-		l.inst.observeIter(l.Cell.Rank, last)
-		if l.Progress != nil {
-			l.Progress(l.Cell.Rank, last)
-		}
-		if halted, err = l.exchange(false); err == nil {
-			// The vote allgather in there is a barrier: every rank is at
-			// this iteration, so the deposits assemble a consistent
-			// snapshot.
-			err = l.coll.deposit(l.Cell)
-		}
-	}
-	if err != nil && !halted && l.Cell.Iteration() < target {
-		l.exchange(true) //nolint:errcheck // err already holds the root cause
-	}
-	return last, halted, err
-}
-
-// peers returns the ranks this cell receives centers from and the ranks it
-// sends its own to: its neighbourhood and its influence set, each without
-// the cell itself.
-func (l *RankLoop) peers() (sources, dests []int) {
-	self := func(r int) bool { return r == l.Cell.Rank }
-	return slices.DeleteFunc(l.Cell.Neighborhood(), self),
-		slices.DeleteFunc(l.Cell.grid.Influence(l.Cell.Rank), self)
-}
-
-// exchange is one round of two collectives, performed unconditionally and
-// in this order on every rank. First an allgather of a one-byte halt vote:
-// every rank sees the same vote set, so all ranks agree on whether this
-// round is the last — no rank can block on a barrier a stopped peer never
-// reaches — and being a barrier it is also the consistent cut periodic
-// checkpoints are taken at. Then the centers travel point to point: this
-// cell's to the ranks it influences, its neighbourhood's to it, so a rank
-// receives |neighbourhood| states per round however large the grid.
-// leaving forces this rank's vote. A failed collective reports halt: the
-// communicator is gone and no collective can follow it.
-func (l *RankLoop) exchange(leaving bool) (halt bool, err error) {
-	l.wire = l.Cell.AppendState(l.wire[:0])
-	vote := []byte{0}
-	if leaving || (l.Stop != nil && l.Stop()) {
-		vote[0] = 1
-	}
-	t0 := time.Now()
-	votes, err := l.Comm.Allgather(vote)
-	var parts [][]byte
-	if err == nil {
-		parts, err = l.Comm.NeighborAllgather(l.sources, l.dests, l.wire)
-	}
-	l.inst.observeExchange(time.Since(t0))
-	l.Cell.prof.Since(telemetry.RoutineGather, t0)
+// RunAsync trains the grid with asynchronous cells, the execution style
+// §II-B describes: each cell iterates at its own pace, pushes its updated
+// center to the cells whose neighbourhoods contain it (its influence set),
+// and before each iteration absorbs whatever neighbour updates have
+// arrived — no barrier, no collective. Fast cells are held back only by
+// the bounded-staleness window S (Cfg.AsyncStaleness): a cell blocks before
+// an iteration that would leave it more than S versions ahead of a
+// neighbour's last absorbed snapshot. The mode is run-to-run
+// nondeterministic (neighbour staleness depends on scheduling); resumed
+// cells may sit up to S−1 iterations apart from their neighbours.
+func RunAsync(cfg config.Config, opts RunOptions) (*Result, error) {
+	window := cfg.EffectiveAsyncStaleness()
+	r, err := newRun(cfg, opts, window)
 	if err != nil {
-		return true, err
+		return nil, err
 	}
-	// Votes first: a rank that then fails to decode still knows whether
-	// its peers go on to another exchange.
-	for _, v := range votes {
-		if len(v) != 1 {
-			return true, fmt.Errorf("core: malformed halt vote")
-		}
-		halt = halt || v[0] != 0
+	return r.overWorld(window)
+}
+
+// ErrUnknownMode is returned by Run for an unrecognised mode name.
+var ErrUnknownMode = fmt.Errorf("core: unknown run mode")
+
+// Run dispatches to a training mode by name: "seq", "par" or "async".
+func Run(mode string, cfg config.Config, opts RunOptions) (*Result, error) {
+	switch mode {
+	case "seq":
+		return RunSequential(cfg, opts)
+	case "par":
+		return RunParallel(cfg, opts)
+	case "async":
+		return RunAsync(cfg, opts)
+	default:
+		return nil, fmt.Errorf("%w: %q (want seq, par or async)", ErrUnknownMode, mode)
 	}
-	states := make(map[int]*CellState, len(parts))
-	for i, p := range parts {
-		s, err := UnmarshalCellState(p)
-		if err == nil && s.Rank != l.sources[i] {
-			err = fmt.Errorf("core: rank %d sent the state of cell %d", l.sources[i], s.Rank)
-		}
-		if err != nil {
-			return halt, err
-		}
-		states[s.Rank] = s
-	}
-	return halt, l.Cell.SetNeighbors(states)
 }

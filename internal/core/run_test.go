@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"cellgan/internal/config"
+	"cellgan/internal/mpi"
 	"cellgan/internal/telemetry"
 	"cellgan/internal/tensor"
 )
@@ -109,22 +112,31 @@ func TestSequentialParallelEquivalence(t *testing.T) {
 	// cell neighbours every other; 4×4 is the first paper grid on which
 	// the ranks a cell hears from (5) are a small part of the grid (16),
 	// and moore9/ring4 change which ranks those are.
-	shapes := map[string]func(*config.Config){
-		"2x2":        func(*config.Config) {},
-		"4x4":        func(c *config.Config) { *c = c.WithGrid(4, 4) },
-		"3x3 moore9": func(c *config.Config) { *c = c.WithGrid(3, 3); c.Neighborhood = "moore9" },
-		"3x3 ring4":  func(c *config.Config) { *c = c.WithGrid(3, 3); c.Neighborhood = "ring4" },
+	//
+	// The faulty row duplicates and reorders the parallel run's pushes: at
+	// window 1 each cell must still install exactly its neighbours' centers
+	// of the iteration it is at, never a newer one that arrived first.
+	plan := mpi.FaultPlan{Seed: 5, DupProb: 0.3, DelayProb: 0.4, MaxDelayHold: 1, Tags: []int{stateTag}}
+	shapes := map[string]func(*config.Config, *RunOptions){
+		"2x2":        func(*config.Config, *RunOptions) {},
+		"4x4":        func(c *config.Config, _ *RunOptions) { *c = c.WithGrid(4, 4) },
+		"3x3 moore9": func(c *config.Config, _ *RunOptions) { *c = c.WithGrid(3, 3); c.Neighborhood = "moore9" },
+		"3x3 ring4":  func(c *config.Config, _ *RunOptions) { *c = c.WithGrid(3, 3); c.Neighborhood = "ring4" },
+		"2x2 faulty comm": func(_ *config.Config, o *RunOptions) {
+			o.commWrap = func(_ int, c *mpi.Comm) *mpi.Comm { return mpi.FaultyComm(c, plan) }
+		},
 	}
 	for name, shape := range shapes {
 		t.Run(name, func(t *testing.T) {
 			cfg := tinyConfig()
 			cfg.Iterations = 3
-			shape(&cfg)
+			var opts RunOptions
+			shape(&cfg, &opts)
 			seq, err := RunSequential(cfg, RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := RunParallel(cfg, RunOptions{})
+			par, err := RunParallel(cfg, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,5 +282,72 @@ func TestParallelRankErrorReturns(t *testing.T) {
 	})
 	if !errors.Is(err, errSink) {
 		t.Fatalf("RunParallel returned %v, want the sink's error", err)
+	}
+}
+
+// TestResumeRefusesSpreadBeyondWindow: neighbouring cells of a resume set
+// may sit at most W−1 iterations apart, so the lockstep modes want one
+// iteration everywhere and an async run with window W accepts a spread of
+// W−1 but not W.
+func TestResumeRefusesSpreadBeyondWindow(t *testing.T) {
+	cfg := tinyConfig()
+	at := func(iters int) []*FullState {
+		c := cfg
+		c.Iterations = iters
+		res, err := RunSequential(c, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Full
+	}
+	one, three := at(1), at(3)
+	// Cell 0 lags its neighbour cell 1 by one iteration, then by two.
+	spread1 := append([]*FullState{one[0]}, at(2)[1:]...)
+	spread2 := append([]*FullState{one[0]}, three[1:]...)
+	cfg.Iterations = 4
+	if _, err := RunParallel(cfg, RunOptions{Resume: spread1}); err == nil || !strings.Contains(err.Error(), "cells 0 and 1") {
+		t.Fatalf("RunParallel resumed a spread of 1: %v", err)
+	}
+	if _, err := RunSequential(cfg, RunOptions{Resume: spread1}); err == nil {
+		t.Fatal("RunSequential resumed a spread of 1")
+	}
+	cfg.AsyncStaleness = 2
+	if _, err := RunAsync(cfg, RunOptions{Resume: spread2}); err == nil || !strings.Contains(err.Error(), "window of at least 3") {
+		t.Fatalf("window-2 RunAsync resumed a spread of 2, or did not name window 3: %v", err)
+	}
+	res, err := RunAsync(cfg, RunOptions{Resume: spread1})
+	if err != nil {
+		t.Fatalf("window-2 RunAsync refused a spread of 1: %v", err)
+	}
+	for _, c := range res.Cells {
+		if c.Last.Iteration != cfg.Iterations {
+			t.Fatalf("resumed cell %d stopped at %d", c.Rank, c.Last.Iteration)
+		}
+	}
+}
+
+// TestResumeSkipsStartingCheckpoint: a run resumed at a cadence boundary
+// does not hand the sink the set it just resumed from; the next boundary
+// is the first snapshot, in every mode.
+func TestResumeSkipsStartingCheckpoint(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Iterations = 2
+	half, err := RunSequential(cfg, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Iterations = 4
+	for mode, run := range map[string]func(config.Config, RunOptions) (*Result, error){
+		"seq": RunSequential, "par": RunParallel, "async": RunAsync,
+	} {
+		var got []int
+		if _, err := run(cfg, RunOptions{Resume: half.Full, CheckpointEvery: 2,
+			CheckpointSink: func(k int, _ []*FullState) error { got = append(got, k); return nil },
+		}); err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if !slices.Equal(got, []int{4}) {
+			t.Errorf("%s: sink called at %v, want [4]", mode, got)
+		}
 	}
 }

@@ -1,13 +1,16 @@
 package core
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // StalenessTracker enforces the bounded-staleness discipline of the
-// asynchronous exchange modes. It remembers, per source rank, the
-// iteration of the newest snapshot ever applied from that source — state
-// that must outlive any single mailbox drain, because a delayed or
-// duplicated delivery can surface an old snapshot arbitrarily many drains
-// after a newer one was applied. ShouldApply is the newest-wins guard;
+// exchange loops. It remembers, per source rank, the iteration of the
+// newest snapshot ever applied from that source — state that must outlive
+// any single mailbox drain, because a delayed or duplicated delivery can
+// surface an old snapshot arbitrarily many drains after a newer one was
+// applied. ShouldApply is the newest-wins guard;
 // Stale is the SSP-style gate: a cell blocks before an iteration only
 // when completing it would leave the cell more than Bound versions ahead
 // of some neighbour's last applied snapshot, never on a global barrier.
@@ -71,7 +74,7 @@ func (t *StalenessTracker) Stale(nextIter int, neighbours []int) []int {
 	return stale
 }
 
-// LatestStates is one mailbox drain of either async mode: the newest
+// LatestStates is one mailbox drain of an exchange loop: the newest
 // snapshot per source rank, so a backlog queued during a stall never steps
 // a neighbour view through superseded snapshots. The zero value is empty.
 type LatestStates map[int]*CellState
@@ -99,8 +102,8 @@ func (l LatestStates) Ranks() []int {
 }
 
 // NeighborView couples a cell with the staleness bookkeeping of its
-// neighbour snapshots — the one place the asynchronous modes (RunAsync
-// and the cluster's async slaves) decide whether an arriving snapshot is
+// neighbour snapshots — the one place the exchange loops (RankLoop and
+// the cluster's async slaves) decide whether an arriving snapshot is
 // applied and whether the cell may take its next iteration.
 type NeighborView struct {
 	cell    *Cell
@@ -124,16 +127,23 @@ func NewNeighborView(cell *Cell, bound int) *NeighborView {
 // Apply installs s in the cell's neighbour view when it comes from a
 // neighbour and is at least as new as everything already applied from
 // that source — newest wins, so a delayed or duplicated delivery never
-// regresses the view. It reports whether s was applied.
+// regresses the view — and refreshes the mixture. It reports whether s
+// was applied.
 func (v *NeighborView) Apply(s *CellState) (bool, error) {
-	member := false
-	for _, nb := range v.nbrs {
-		member = member || nb == s.Rank
+	applied, err := v.install(s)
+	if applied {
+		err = v.cell.refreshMixture()
 	}
-	if !member || !v.tracker.ShouldApply(s.Rank, s.Iteration) {
+	return applied, err
+}
+
+// install is Apply without the mixture refresh, for a caller that installs
+// a whole drain and refreshes once.
+func (v *NeighborView) install(s *CellState) (bool, error) {
+	if !slices.Contains(v.nbrs, s.Rank) || !v.tracker.ShouldApply(s.Rank, s.Iteration) {
 		return false, nil
 	}
-	if err := v.cell.UpdateNeighbor(s); err != nil {
+	if err := v.cell.neighbor(s.Rank, s); err != nil {
 		return false, err
 	}
 	v.tracker.MarkApplied(s.Rank, s.Iteration)
@@ -141,18 +151,23 @@ func (v *NeighborView) Apply(s *CellState) (bool, error) {
 }
 
 // Gated reports whether the cell must wait: completing its next iteration
-// would leave it more than the window ahead of some neighbour's last
-// applied snapshot. Neighbours in exempt (cells that will never publish
-// again) do not hold the gate; a nil map exempts none.
+// would leave it more than the window W ahead of some neighbour's last
+// applied snapshot. A neighbour never heard from counts as one version
+// before the start, so it holds the gate from the cell's iteration W−1 on
+// — at W = 1 from the outset, which is what makes window 1 lockstep.
+// Neighbours in exempt (cells that will never publish again) do not hold
+// the gate; a nil map exempts none.
 func (v *NeighborView) Gated(exempt map[int]bool) bool {
-	gate := v.nbrs
-	if len(exempt) > 0 {
-		gate = nil
-		for _, nb := range v.nbrs {
-			if !exempt[nb] {
-				gate = append(gate, nb)
-			}
+	next := v.cell.Iteration() + 1
+	var gate []int
+	for _, nb := range v.nbrs {
+		if exempt[nb] {
+			continue
 		}
+		if _, heard := v.tracker.applied[nb]; !heard && next >= v.tracker.bound {
+			return true
+		}
+		gate = append(gate, nb)
 	}
-	return len(v.tracker.Stale(v.cell.Iteration()+1, gate)) > 0
+	return len(v.tracker.Stale(next, gate)) > 0
 }

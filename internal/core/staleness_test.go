@@ -88,7 +88,7 @@ func TestAsyncAbsorbReorderRegression(t *testing.T) {
 	// pattern up against enough drain boundaries.
 	for _, seed := range []uint64{1, 2, 3} {
 		applied := map[pair]int{}
-		hooks := &asyncTestHooks{
+		hooks := &loopTestHooks{
 			onApply: func(dst, src, iter int) {
 				mu.Lock()
 				defer mu.Unlock()
@@ -107,11 +107,11 @@ func TestAsyncAbsorbReorderRegression(t *testing.T) {
 			DupProb:      0.2,
 			DelayProb:    0.5,
 			MaxDelayHold: 2,
-			Tags:         []int{asyncStateTag},
+			Tags:         []int{stateTag},
 		}
 		res, err := RunAsync(cfg, RunOptions{
-			asyncHooks: hooks,
-			commWrap:   func(rank int, c *mpi.Comm) *mpi.Comm { return mpi.FaultyComm(c, plan) },
+			hooks:    hooks,
+			commWrap: func(rank int, c *mpi.Comm) *mpi.Comm { return mpi.FaultyComm(c, plan) },
 			Progress: func(rank int, st IterStats) {
 				// Mild seeded pacing decorrelates drain boundaries from
 				// send times, so released stale messages meet empty
@@ -172,7 +172,7 @@ func TestRunAsyncStalenessBound(t *testing.T) {
 		dst, src, iter, pushed int
 	}
 	var bad []violation
-	hooks := &asyncTestHooks{
+	hooks := &loopTestHooks{
 		onPush: func(src, iter int) {
 			mu.Lock()
 			if int64(iter) > lastPush[src] {
@@ -201,7 +201,7 @@ func TestRunAsyncStalenessBound(t *testing.T) {
 		},
 	}
 	res, err := RunAsync(cfg, RunOptions{
-		asyncHooks: hooks,
+		hooks: hooks,
 		Progress: func(rank int, st IterStats) {
 			// Deterministic uneven pacing: up to ~2 ms per iteration.
 			d := time.Duration(pacingHash(7, rank, st.Iteration)%2000) * time.Microsecond

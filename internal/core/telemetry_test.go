@@ -101,8 +101,8 @@ func TestRunParallelStopConsensus(t *testing.T) {
 	var done atomic.Int64
 	res, err := RunParallel(cfg, RunOptions{
 		Progress: func(int, IterStats) { done.Add(1) },
-		// Trip after every rank finished iteration 1; the vote rides the
-		// next allgather so all ranks must halt at the same boundary.
+		// Trip after every rank finished iteration 1; the halt iteration
+		// rides the pushes so all ranks must halt at the same boundary.
 		Stop: func() bool { return done.Load() >= int64(cfg.NumCells()) },
 	})
 	if err != nil {
@@ -138,9 +138,14 @@ func TestRunAsyncStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The halt iteration rides the pushes, so every rank stops at the same
+	// boundary even without a barrier.
 	for _, c := range res.Cells {
 		if c.Last.Iteration == cfg.Iterations {
 			t.Fatal("a rank ignored the stop signal")
+		}
+		if c.Last.Iteration != res.Cells[0].Last.Iteration {
+			t.Fatalf("ranks stopped at iterations %d and %d", res.Cells[0].Last.Iteration, c.Last.Iteration)
 		}
 	}
 }

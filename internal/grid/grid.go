@@ -197,6 +197,26 @@ func (g *Grid) Influence(rank int) []int {
 	return out
 }
 
+// Diameter returns the longest shortest path between two cells along
+// influence edges: the number of exchanges a cell's news needs to reach
+// every other cell, one influence set per exchange. The torus and the
+// pattern are translation invariant, so every cell has the same
+// eccentricity and one search from cell 0 finds it.
+func (g *Grid) Diameter() int {
+	d := 0
+	dist := map[int]int{0: 0}
+	for queue := []int{0}; len(queue) > 0; queue = queue[1:] {
+		for _, r := range g.Influence(queue[0]) {
+			if _, seen := dist[r]; !seen {
+				dist[r] = dist[queue[0]] + 1
+				d = max(d, dist[r])
+				queue = append(queue, r)
+			}
+		}
+	}
+	return d
+}
+
 // SubPopulationSize returns the number of distinct cells in rank's
 // neighbourhood (the s of §II-B).
 func (g *Grid) SubPopulationSize(rank int) int {

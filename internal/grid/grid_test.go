@@ -320,3 +320,30 @@ func TestNeighborhoodOutOfRangePanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestDiameter pins the influence-graph diameter the exchange loop's stop
+// consensus waits out: one hop per exchange, wrapping toroidally.
+func TestDiameter(t *testing.T) {
+	for _, tc := range []struct {
+		rows, cols int
+		pattern    []Offset
+		want       int
+	}{
+		{1, 1, nil, 0},
+		{2, 2, nil, 2},
+		{3, 3, nil, 2},
+		{4, 4, nil, 4},
+		{3, 3, Moore9, 1},
+		{4, 4, Moore9, 2},
+	} {
+		g := MustNew(tc.rows, tc.cols)
+		if tc.pattern != nil {
+			if err := g.SetPattern(tc.pattern); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := g.Diameter(); got != tc.want {
+			t.Errorf("%dx%d pattern %v: diameter %d, want %d", tc.rows, tc.cols, tc.pattern, got, tc.want)
+		}
+	}
+}

@@ -129,42 +129,6 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 	return unpackParts(packed, c.Size())
 }
 
-// NeighborAllgather sends data to every member in dests and returns what
-// each member in sources sent, in sources' order — MPI_Neighbor_allgather
-// over an explicit (possibly asymmetric) topology: bytes received per call
-// are Σ|source payloads| rather than the whole communicator's. It is a
-// collective: every member calls it, in the same order relative to the
-// other collectives, and member a lists b in dests exactly when b lists a
-// in sources. Sends are buffered, so no ordering between members is needed
-// and a member may run a round ahead of a slow neighbour. The members of
-// dests receive one shared copy of data (see Multicast): a returned part is
-// read-only.
-func (c *Comm) NeighborAllgather(sources, dests []int, data []byte) ([][]byte, error) {
-	for _, r := range sources {
-		if err := c.checkRank(r, "source"); err != nil {
-			return nil, err
-		}
-	}
-	for _, r := range dests {
-		if err := c.checkRank(r, "destination"); err != nil {
-			return nil, err
-		}
-	}
-	tag := c.nextCollTag()
-	if err := c.multicast(dests, tag, data); err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(sources))
-	for i, r := range sources {
-		m, err := c.recv(c.group[r], tag)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = m.Data
-	}
-	return out, nil
-}
-
 // Scatter distributes parts[i] from root to member i; every member
 // (including the root) returns its own part.
 func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {

@@ -50,8 +50,7 @@ type Message struct {
 	// Tag is the application tag the message was sent with.
 	Tag int
 	// Data is the payload. It is the receiver's own, except that the
-	// receivers of one Multicast or NeighborAllgather share it and must
-	// not write to it.
+	// receivers of one Multicast share it and must not write to it.
 	Data []byte
 }
 

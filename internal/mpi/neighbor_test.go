@@ -32,12 +32,34 @@ func neighborPayload(r, k int) []byte {
 	return bytes.Repeat([]byte(fmt.Sprintf("<r%d k%d>", r, k)), 1+r)
 }
 
-// neighborRounds runs rounds NeighborAllgathers on c and checks that each
+// exchangeTag carries the neighbour exchange of these tests.
+const exchangeTag = 3
+
+// neighborAllgather is the neighbourhood exchange the training loop builds
+// from point-to-point calls: one Multicast of data to dests, then one Recv
+// from each source in order. Per-source FIFO on one tag hands a receiver
+// its sources' messages round by round however far ahead they ran.
+func neighborAllgather(c *Comm, sources, dests []int, data []byte) ([][]byte, error) {
+	if err := c.Multicast(dests, exchangeTag, data); err != nil {
+		return nil, err
+	}
+	parts := make([][]byte, len(sources))
+	for i, r := range sources {
+		m, err := c.Recv(r, exchangeTag)
+		if err != nil {
+			return nil, err
+		}
+		parts[i] = m.Data
+	}
+	return parts, nil
+}
+
+// neighborRounds runs rounds neighbour exchanges on c and checks that each
 // returns exactly its sources' payloads of that round, in order.
 func neighborRounds(c *Comm, top topology, rounds int) error {
 	src, dst := top.sources(c.Rank()), top.dests(c.Rank())
 	for k := 0; k < rounds; k++ {
-		parts, err := c.NeighborAllgather(src, dst, neighborPayload(c.Rank(), k))
+		parts, err := neighborAllgather(c, src, dst, neighborPayload(c.Rank(), k))
 		if err != nil {
 			return err
 		}
@@ -155,13 +177,13 @@ func TestNeighborAllgatherRoundsAhead(t *testing.T) {
 	}
 }
 
-// TestNeighborAllgatherUnderFaults: the exchange rides on a collective tag,
-// so a plan that duplicates and delays user traffic around it changes
-// neither what it returns nor what the endpoint counters see of it.
+// TestNeighborAllgatherUnderFaults: a plan that duplicates and delays the
+// user traffic on another tag around the exchange changes neither what it
+// returns nor what the endpoint counters see of it.
 func TestNeighborAllgatherUnderFaults(t *testing.T) {
 	top := gridTopology(3, 3, grid.Moore5)
 	const rounds, userTag = 4, 7
-	plan := FaultPlan{Seed: 11, DupProb: 0.5, DelayProb: 0.5, Stats: &FaultStats{}}
+	plan := FaultPlan{Seed: 11, DupProb: 0.5, DelayProb: 0.5, Tags: []int{userTag}, Stats: &FaultStats{}}
 	w := MustWorld(top.n)
 	defer w.Close()
 	stats := make([]CommStats, top.n)
@@ -195,10 +217,10 @@ func TestNeighborAllgatherRejectsBadRanks(t *testing.T) {
 	w := MustWorld(2)
 	defer w.Close()
 	c := w.MustComm(0)
-	if _, err := c.NeighborAllgather([]int{2}, nil, nil); err == nil {
+	if _, err := neighborAllgather(c, []int{2}, nil, nil); err == nil {
 		t.Fatal("out-of-range source accepted")
 	}
-	if _, err := c.NeighborAllgather(nil, []int{-1}, nil); err == nil {
+	if _, err := neighborAllgather(c, nil, []int{-1}, nil); err == nil {
 		t.Fatal("out-of-range destination accepted")
 	}
 }
