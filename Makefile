@@ -74,12 +74,16 @@ fuzz-smoke:
 	@for t in OwnerUpdate ReleaseOrder RunTask SlaveReport SlaveReports StateUpdate NeighborSet; do \
 		$(GO) test -run='^$$' -fuzz="^FuzzParse$$t\$$" -fuzztime=10s ./internal/cluster/ || exit 1; done
 
-# Non-test Go lines per internal/ package: the ROADMAP's "net LOC of
-# internal/ goes down" aim as a one-command check.
+# Non-test Go lines per internal/ package, then assembly lines per package
+# that has any: the ROADMAP's "net LOC of internal/ goes down" aim and its
+# assembly budget as a one-command check.
 loc:
 	@for d in internal/*/; do \
 		printf '%6d %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; done
 	@printf '%6d internal/ total\n' $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+	@for d in internal/*/; do n=$$(find $$d -name '*.s' -exec cat {} + | wc -l); \
+		[ $$n -eq 0 ] || printf '%6d %s assembly\n' $$n $$d; done
+	@printf '%6d internal/ assembly total\n' $$(find internal -name '*.s' -exec cat {} + | wc -l)
 
 # Crash-recovery e2e: SIGKILL a supervised TCP cluster job mid-run and
 # require the resumed job's final checkpoint to be byte-identical to an

@@ -391,12 +391,10 @@ func (c *Cell) trainStep(real *tensor.Mat) (float64, float64) {
 	})
 	z := c.latentInto(&ws.zTrain, b)
 	c.gen.Net.ZeroGrads()
-	dOpp.Net.ZeroGrads()
 	fake := c.gen.Net.ForwardWS(ws.gen, z)
 	logits := dOpp.Net.ForwardWS(ws.disc, fake)
 	genLoss, dLogits := generatorLoss(c.gen.Loss, logits, &ws.train)
-	dFake := dOpp.Net.BackwardWS(ws.disc, dLogits)
-	dOpp.Net.ZeroGrads() // opponent is only a critic here
+	dFake := dOpp.Net.InputGradWS(ws.disc, dLogits) // the opponent is only a critic here
 	c.gen.Net.BackwardWS(ws.gen, dFake)
 	if c.Cfg.GradClip > 0 {
 		nn.ClipGrads(c.gen.Net, c.Cfg.GradClip)

@@ -26,7 +26,8 @@ func dirtyWorkspace(c *Cell) {
 			tensor.GaussianFill(p.z.Resize(n, c.Cfg.InputNeurons), 0, 1, rng)
 			logits := c.disc.Net.ForwardWS(p.disc, c.gen.Net.ForwardWS(p.gen, p.z))
 			_, grad := generatorLoss(LossLSGAN, logits, p.loss)
-			c.gen.Net.BackwardWS(p.gen, c.disc.Net.BackwardWS(p.disc, grad))
+			c.gen.Net.BackwardWS(p.gen, c.disc.Net.InputGradWS(p.disc, grad))
+			c.disc.Net.BackwardWS(p.disc, grad)
 		}
 		c.mixture.FitnessWS(ws.sample, c.disc.Net, n, c.Cfg.InputNeurons, rng)
 	}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"cellgan/internal/tensor"
@@ -19,6 +20,14 @@ func (activation[T]) Params() []*tensor.Matrix[T] { return nil }
 func (activation[T]) Grads() []*tensor.Matrix[T]  { return nil }
 func (activation[T]) ZeroGrads()                  {}
 
+// b2i is 1 for true, else 0: a flag set, so the selects below never branch.
+func b2i(b bool) (i int) {
+	if b {
+		i = 1
+	}
+	return
+}
+
 // TanhOf is the hyperbolic-tangent activation (the paper's Table I choice).
 type TanhOf[T tensor.Float] struct{ activation[T] }
 
@@ -32,7 +41,7 @@ func (t *TanhOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.M
 }
 
 // Backward returns grad ⊙ (1 - tanh²), read off the cached output.
-func (t *TanhOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T] {
+func (t *TanhOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], _ Need) *tensor.Matrix[T] {
 	s = t.resume(s)
 	dst := s.dIn.Resize(grad.Rows, grad.Cols)
 	for i, y := range s.out.Data {
@@ -69,7 +78,7 @@ func (g *SigmoidOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tenso
 }
 
 // Backward returns grad ⊙ σ(1-σ), read off the cached output.
-func (g *SigmoidOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T] {
+func (g *SigmoidOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], _ Need) *tensor.Matrix[T] {
 	s = g.resume(s)
 	dst := s.dIn.Resize(grad.Rows, grad.Cols)
 	for i, y := range s.out.Data {
@@ -91,34 +100,33 @@ type LeakyReLUOf[T tensor.Float] struct {
 	Alpha T
 }
 
-// NewLeakyReLU returns a LeakyReLU with the given negative slope.
-func NewLeakyReLU(alpha float64) *LeakyReLU { return &LeakyReLU{Alpha: alpha} }
+// NewLeakyReLU returns a LeakyReLU with the given negative slope, which
+// must lie in (0, 1]: only there does max(x, alpha·x) have Backward's slope.
+func NewLeakyReLU(alpha float64) *LeakyReLU {
+	if !(alpha > 0 && alpha <= 1) {
+		panic(fmt.Sprintf("nn: LeakyReLU slope %v outside (0, 1]", alpha))
+	}
+	return &LeakyReLU{Alpha: alpha}
+}
 
 // Forward applies the leaky rectifier element-wise.
 func (l *LeakyReLUOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
 	s = l.begin(s, x)
 	out, alpha := s.out.Resize(x.Rows, x.Cols), l.Alpha
 	for i, v := range x.Data {
-		if v >= 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = alpha * v
-		}
+		out.Data[i] = max(v, alpha*v)
 	}
 	return out
 }
 
-// Backward scales grad by 1 where the input was non-negative, alpha
-// elsewhere.
-func (l *LeakyReLUOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T] {
+// Backward scales grad by alpha where the input was negative (not −0, not
+// NaN), and passes it through elsewhere.
+func (l *LeakyReLUOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], _ Need) *tensor.Matrix[T] {
 	s = l.resume(s)
 	dst := s.dIn.Resize(grad.Rows, grad.Cols)
 	for i, v := range s.in.Data {
 		g := grad.Data[i]
-		if v < 0 {
-			g *= l.Alpha
-		}
-		dst.Data[i] = g
+		dst.Data[i] = [2]T{g, g * l.Alpha}[b2i(v < 0)]
 	}
 	return dst
 }
@@ -143,24 +151,17 @@ func (r *ReLUOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.M
 	s = r.begin(s, x)
 	out := s.out.Resize(x.Rows, x.Cols)
 	for i, v := range x.Data {
-		if v <= 0 {
-			v = 0
-		}
-		out.Data[i] = v
+		out.Data[i] = [2]T{v, 0}[b2i(v <= 0)]
 	}
 	return out
 }
 
 // Backward masks grad where the input was not positive.
-func (r *ReLUOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T] {
+func (r *ReLUOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], _ Need) *tensor.Matrix[T] {
 	s = r.resume(s)
 	dst := s.dIn.Resize(grad.Rows, grad.Cols)
 	for i, v := range s.in.Data {
-		if v <= 0 {
-			dst.Data[i] = 0
-		} else {
-			dst.Data[i] = grad.Data[i]
-		}
+		dst.Data[i] = [2]T{grad.Data[i], 0}[b2i(v <= 0)]
 	}
 	return dst
 }

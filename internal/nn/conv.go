@@ -114,10 +114,10 @@ func (c *Conv2DOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor
 	return dst
 }
 
-// Backward accumulates parameter gradients and returns ∂L/∂input: shuffle
-// the gradient position-major, fused dB/dW kernels against the cached
-// patch matrix, then ∂in = col2im(dOut × W).
-func (c *Conv2DOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T] {
+// Backward accumulates parameter gradients and returns ∂L/∂input, each as
+// need asks: shuffle the gradient position-major, fused dB/dW kernels
+// against the cached patch matrix, then ∂in = col2im(dOut × W).
+func (c *Conv2DOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], need Need) *tensor.Matrix[T] {
 	s = c.resume(s)
 	_, outH, outW := c.OutDims()
 	pos := outH * outW
@@ -135,8 +135,13 @@ func (c *Conv2DOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T]) *te
 			}
 		}
 	}
-	tensor.AddColSumsInto(c.dB, dOut)
-	tensor.AddMatMulT1Into(c.dW, dOut, cols)
+	if need&NeedParams != 0 {
+		tensor.AddColSumsInto(c.dB, dOut)
+		tensor.AddMatMulT1Into(c.dW, dOut, cols)
+	}
+	if need&NeedInput == 0 {
+		return nil
+	}
 	dcols := tensor.MatMulInto(&s.aux[auxTmp], dOut, c.W)
 	return tensor.Col2ImInto(&s.dIn, dcols, c.InC, c.InH, c.InW, c.K, c.Stride, c.Pad, outH, outW)
 }
@@ -247,9 +252,9 @@ func (t *ConvTranspose2DOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]
 }
 
 // Backward gathers the output gradient into patch rows over the input
-// grid (gCols = im2col(grad)), then dB/dW/∂in all ride the fused kernels
-// against the cached position-major input.
-func (t *ConvTranspose2DOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T] {
+// grid (gCols = im2col(grad)), then dB/dW and ∂in, each as need asks, ride
+// the fused kernels against the cached position-major input.
+func (t *ConvTranspose2DOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], need Need) *tensor.Matrix[T] {
 	s = t.resume(s)
 	_, outH, outW := t.OutDims()
 	outPos := outH * outW
@@ -259,8 +264,13 @@ func (t *ConvTranspose2DOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matri
 		panic("nn: ConvTranspose2D.Backward gradient does not match the Forward batch")
 	}
 	gCols := tensor.Im2ColInto(&s.aux[auxPos], grad, t.OutC, outH, outW, t.K, t.Stride, t.Pad, t.InH, t.InW)
-	addChannelSums(t.dB.Data, grad, t.OutC, outPos)
-	tensor.AddMatMulT1Into(t.dW, xT, gCols)
+	if need&NeedParams != 0 {
+		addChannelSums(t.dB.Data, grad, t.OutC, outPos)
+		tensor.AddMatMulT1Into(t.dW, xT, gCols)
+	}
+	if need&NeedInput == 0 {
+		return nil
+	}
 	dxT := tensor.MatMulT2Into(&s.aux[auxTmp], gCols, t.W)
 	dst := s.dIn.Resize(grad.Rows, t.InC*inPos)
 	for b := 0; b < grad.Rows; b++ {

@@ -51,12 +51,12 @@ func BenchmarkConv2DBackwardIm2Col(b *testing.B) {
 	out := conv.Forward(s, x)
 	grad := tensor.New(out.Rows, out.Cols)
 	tensor.GaussianFill(grad, 0, 1, tensor.NewRNG(93))
-	conv.Backward(s, grad) // warm buffers
+	conv.Backward(s, grad, NeedParams|NeedInput) // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		conv.ZeroGrads()
-		_ = conv.Backward(s, grad)
+		_ = conv.Backward(s, grad, NeedParams|NeedInput)
 	}
 }
 
@@ -77,12 +77,12 @@ func BenchmarkConvTranspose2DBackwardIm2Col(b *testing.B) {
 	out := ct.Forward(s, x)
 	grad := tensor.New(out.Rows, out.Cols)
 	tensor.GaussianFill(grad, 0, 1, tensor.NewRNG(94))
-	ct.Backward(s, grad) // warm buffers
+	ct.Backward(s, grad, NeedParams|NeedInput) // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ct.ZeroGrads()
-		_ = ct.Backward(s, grad)
+		_ = ct.Backward(s, grad, NeedParams|NeedInput)
 	}
 }
 
@@ -113,17 +113,18 @@ func dcganNets(tb testing.TB) (gen, disc *Network) {
 	return gen, disc
 }
 
-// dcganIteration runs one adversarial training iteration (generator
-// forward, discriminator forward/backward through to the latent, Adam
-// steps on both nets) on the given workspaces.
+// dcganIteration runs one adversarial training iteration on the given
+// workspaces: generator forward, discriminator forward, the generator's
+// train pass through the discriminator's critic pass, the discriminator's
+// train pass on the same batch, and Adam steps on both nets.
 func dcganIteration(gen, disc *Network, optG, optD Optimizer, gws, dws *Workspace, z, ones *tensor.Mat, grad *tensor.Mat) {
 	gen.ZeroGrads()
 	disc.ZeroGrads()
 	fake := gen.ForwardWS(gws, z)
 	logits := disc.ForwardWS(dws, fake)
 	_, _ = BCEWithLogitsLossInto(grad, logits, ones)
-	dImg := disc.BackwardWS(dws, grad)
-	gen.BackwardWS(gws, dImg)
+	gen.BackwardWS(gws, disc.InputGradWS(dws, grad))
+	disc.BackwardWS(dws, grad)
 	optG.Step(gen)
 	optD.Step(disc)
 }

@@ -93,10 +93,55 @@ func (c *directConv2D) Forward(_ *LayerScratch, x *tensor.Mat) *tensor.Mat {
 	return out
 }
 
-// Backward accumulates parameter gradients and returns ∂L/∂input, in three
-// passes whose accumulation orders mirror the kernels of Conv2D.Backward
-// (AddColSumsInto, AddMatMulT1Into, MatMulInto+Col2ImInto).
-func (c *directConv2D) Backward(_ *LayerScratch, grad *tensor.Mat) *tensor.Mat {
+// Backward accumulates parameter gradients and returns ∂L/∂input, as need
+// asks, in three passes whose accumulation orders mirror the kernels of
+// Conv2D.Backward (AddColSumsInto, AddMatMulT1Into, MatMulInto+Col2ImInto).
+func (c *directConv2D) Backward(_ *LayerScratch, grad *tensor.Mat, need Need) *tensor.Mat {
+	if need&NeedParams != 0 {
+		c.addParamGrads(grad)
+	}
+	if need&NeedInput == 0 {
+		return nil
+	}
+	_, outH, outW := c.OutDims()
+	pos := outH * outW
+	// dIn: per-(position, tap) partial sums over output channels in
+	// MatMulInto order (zero gradients included, matching the kernel's
+	// NaN propagation), scatter-added in Col2ImInto's (position, tap)
+	// order with out-of-bounds taps dropped.
+	dx := tensor.New(c.x.Rows, c.x.Cols)
+	tensor.ParallelFor(c.x.Rows, 1, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			g := grad.Row(b)
+			dIn := dx.Row(b)
+			for oy := 0; oy < outH; oy++ {
+				for ox := 0; ox < outW; ox++ {
+					j := 0
+					for ic := 0; ic < c.InC; ic++ {
+						for ky := 0; ky < c.K; ky++ {
+							iy := oy*c.Stride - c.Pad + ky
+							for kx := 0; kx < c.K; kx++ {
+								ix := ox*c.Stride - c.Pad + kx
+								if iy >= 0 && iy < c.InH && ix >= 0 && ix < c.InW {
+									s := 0.0
+									for oc := 0; oc < c.OutC; oc++ {
+										s += g[oc*pos+oy*outW+ox] * c.W.Row(oc)[j]
+									}
+									dIn[c.inIndex(ic, iy, ix)] += s
+								}
+								j++
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+	return dx
+}
+
+// addParamGrads accumulates dB and dW.
+func (c *directConv2D) addParamGrads(grad *tensor.Mat) {
 	_, outH, outW := c.OutDims()
 	pos := outH * outW
 	// dB: AddColSumsInto order over the position-major gradient — rows are
@@ -139,39 +184,6 @@ func (c *directConv2D) Backward(_ *LayerScratch, grad *tensor.Mat) *tensor.Mat {
 			}
 		}
 	}
-	// dIn: per-(position, tap) partial sums over output channels in
-	// MatMulInto order (zero gradients included, matching the kernel's
-	// NaN propagation), scatter-added in Col2ImInto's (position, tap)
-	// order with out-of-bounds taps dropped.
-	dx := tensor.New(c.x.Rows, c.x.Cols)
-	tensor.ParallelFor(c.x.Rows, 1, func(lo, hi int) {
-		for b := lo; b < hi; b++ {
-			g := grad.Row(b)
-			dIn := dx.Row(b)
-			for oy := 0; oy < outH; oy++ {
-				for ox := 0; ox < outW; ox++ {
-					j := 0
-					for ic := 0; ic < c.InC; ic++ {
-						for ky := 0; ky < c.K; ky++ {
-							iy := oy*c.Stride - c.Pad + ky
-							for kx := 0; kx < c.K; kx++ {
-								ix := ox*c.Stride - c.Pad + kx
-								if iy >= 0 && iy < c.InH && ix >= 0 && ix < c.InW {
-									s := 0.0
-									for oc := 0; oc < c.OutC; oc++ {
-										s += g[oc*pos+oy*outW+ox] * c.W.Row(oc)[j]
-									}
-									dIn[c.inIndex(ic, iy, ix)] += s
-								}
-								j++
-							}
-						}
-					}
-				}
-			}
-		}
-	})
-	return dx
 }
 
 // Forward scatters each input activation through the kernel into the
@@ -226,45 +238,19 @@ func (t *directConvT2D) Forward(_ *LayerScratch, x *tensor.Mat) *tensor.Mat {
 	return out
 }
 
-// Backward accumulates gradients and returns ∂L/∂input, mirroring the
-// kernel orders of ConvTranspose2D.Backward (addChannelSums,
+// Backward accumulates gradients and returns ∂L/∂input, as need asks,
+// mirroring the kernel orders of ConvTranspose2D.Backward (addChannelSums,
 // AddMatMulT1Into over position-major activations, MatMulT2Into full dots
 // in tap order).
-func (t *directConvT2D) Backward(_ *LayerScratch, grad *tensor.Mat) *tensor.Mat {
-	_, outH, outW := t.OutDims()
-	outPos := outH * outW
-	inPos := t.InH * t.InW
-	addChannelSums(t.dB.Data, grad, t.OutC, outPos)
-	// dW: AddMatMulT1Into order — (sample, input position) rows outermost,
-	// out-of-bounds taps contributing exact-zero gradient operands. Zero
-	// activations are NOT skipped: 0·NaN must stay NaN, as in the kernels.
-	for b := 0; b < grad.Rows; b++ {
-		in := t.x.Row(b)
-		g := grad.Row(b)
-		for iy := 0; iy < t.InH; iy++ {
-			for ix := 0; ix < t.InW; ix++ {
-				for ic := 0; ic < t.InC; ic++ {
-					v := in[ic*inPos+iy*t.InW+ix]
-					dw := t.dW.Row(ic)
-					j := 0
-					for oc := 0; oc < t.OutC; oc++ {
-						for ky := 0; ky < t.K; ky++ {
-							oy := iy*t.Stride - t.Pad + ky
-							for kx := 0; kx < t.K; kx++ {
-								ox := ix*t.Stride - t.Pad + kx
-								gv := 0.0
-								if oy >= 0 && oy < outH && ox >= 0 && ox < outW {
-									gv = g[(oc*outH+oy)*outW+ox]
-								}
-								dw[j] += v * gv
-								j++
-							}
-						}
-					}
-				}
-			}
-		}
+func (t *directConvT2D) Backward(_ *LayerScratch, grad *tensor.Mat, need Need) *tensor.Mat {
+	if need&NeedParams != 0 {
+		t.addParamGrads(grad)
 	}
+	if need&NeedInput == 0 {
+		return nil
+	}
+	_, outH, outW := t.OutDims()
+	inPos := t.InH * t.InW
 	// dIn: MatMulT2Into order — one full dot per (input position, input
 	// channel) in tap order, no skips, out-of-bounds taps reading zero.
 	dx := tensor.New(t.x.Rows, t.x.Cols)
@@ -299,4 +285,42 @@ func (t *directConvT2D) Backward(_ *LayerScratch, grad *tensor.Mat) *tensor.Mat 
 		}
 	})
 	return dx
+}
+
+// addParamGrads accumulates dB and dW.
+func (t *directConvT2D) addParamGrads(grad *tensor.Mat) {
+	_, outH, outW := t.OutDims()
+	outPos := outH * outW
+	inPos := t.InH * t.InW
+	addChannelSums(t.dB.Data, grad, t.OutC, outPos)
+	// dW: AddMatMulT1Into order — (sample, input position) rows outermost,
+	// out-of-bounds taps contributing exact-zero gradient operands. Zero
+	// activations are NOT skipped: 0·NaN must stay NaN, as in the kernels.
+	for b := 0; b < grad.Rows; b++ {
+		in := t.x.Row(b)
+		g := grad.Row(b)
+		for iy := 0; iy < t.InH; iy++ {
+			for ix := 0; ix < t.InW; ix++ {
+				for ic := 0; ic < t.InC; ic++ {
+					v := in[ic*inPos+iy*t.InW+ix]
+					dw := t.dW.Row(ic)
+					j := 0
+					for oc := 0; oc < t.OutC; oc++ {
+						for ky := 0; ky < t.K; ky++ {
+							oy := iy*t.Stride - t.Pad + ky
+							for kx := 0; kx < t.K; kx++ {
+								ox := ix*t.Stride - t.Pad + kx
+								gv := 0.0
+								if oy >= 0 && oy < outH && ox >= 0 && ox < outW {
+									gv = g[(oc*outH+oy)*outW+ox]
+								}
+								dw[j] += v * gv
+								j++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -3,38 +3,10 @@ package nn
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"testing"
 
 	"cellgan/internal/tensor"
 )
-
-// checkGradsWS is checkGrads on a reused workspace, so the im2col backward
-// lowering is validated against numerical differentiation independently of
-// the direct-loop oracle.
-func checkGradsWS(t *testing.T, net *Network, x *tensor.Mat, loss func(out *tensor.Mat) (float64, *tensor.Mat)) {
-	t.Helper()
-	ws := NewWorkspace()
-	net.ZeroGrads()
-	out := net.ForwardWS(ws, x)
-	_, dOut := loss(out)
-	net.BackwardWS(ws, dOut)
-	analytic := net.Grads()
-
-	numeric := numericalGrad(net, func() float64 {
-		l, _ := loss(net.ForwardWS(ws, x))
-		return l
-	}, 1e-6)
-
-	for pi := range analytic {
-		for i := range analytic[pi].Data {
-			a, n := analytic[pi].Data[i], numeric[pi].Data[i]
-			if math.Abs(a-n) > 1e-4*(1+math.Abs(a)+math.Abs(n)) {
-				t.Fatalf("param %d elem %d: analytic %v numeric %v", pi, i, a, n)
-			}
-		}
-	}
-}
 
 // TestGradCheckConv2DGeometries sweeps awkward geometries — 1×1 kernels
 // (with and without stride), asymmetric inputs, pad larger than stride —
@@ -63,7 +35,7 @@ func TestGradCheckConv2DGeometries(t *testing.T) {
 			y := tensor.Full(3, 2, 0.5)
 			loss := func(out *tensor.Mat) (float64, *tensor.Mat) { return MSELossInto(new(tensor.Mat), out, y) }
 			checkGrads(t, directConv(mk()), x, loss)
-			checkGradsWS(t, mk(), x, loss)
+			checkGradsOn(t, NewWorkspace(), mk(), x, loss) // the im2col lowering, independently of the oracle
 		})
 	}
 }
@@ -95,7 +67,7 @@ func TestGradCheckConvTranspose2DGeometries(t *testing.T) {
 			y := tensor.Full(3, 2, 0.5)
 			loss := func(out *tensor.Mat) (float64, *tensor.Mat) { return MSELossInto(new(tensor.Mat), out, y) }
 			checkGrads(t, directConv(mk()), x, loss)
-			checkGradsWS(t, mk(), x, loss)
+			checkGradsOn(t, NewWorkspace(), mk(), x, loss) // the im2col lowering, independently of the oracle
 		})
 	}
 }
@@ -151,29 +123,28 @@ func TestConvIterateBitExactWithWorkspace(t *testing.T) {
 		disc.BackwardWS(dws, dReal)
 		optD.Step(disc)
 
-		// Generator step through the discriminator.
+		// Generator step through the discriminator's critic pass.
 		gen.ZeroGrads()
-		disc.ZeroGrads()
 		fake := gen.ForwardWS(gws, z)
 		fLogits := disc.ForwardWS(dws, fake)
 		_, dFake := BCEWithLogitsLossInto(new(tensor.Mat), fLogits, tensor.Full(4, 1, 1))
-		dImg := disc.BackwardWS(dws, dFake)
-		dz := gen.BackwardWS(gws, dImg)
+		dImg := disc.InputGradWS(dws, dFake)
+		gen.BackwardWS(gws, dImg)
 		optG.Step(gen)
-		return fake, fLogits, dz
+		return fake, fLogits, dImg
 	}
 
 	for i := 0; i < 4; i++ {
-		fakeA, logitsA, dzA := step(genA, discA, optGA, optDA, genWS, discWS, rngA)
-		fakeB, logitsB, dzB := step(genB, discB, optGB, optDB, nil, nil, rngB)
+		fakeA, logitsA, dImgA := step(genA, discA, optGA, optDA, genWS, discWS, rngA)
+		fakeB, logitsB, dImgB := step(genB, discB, optGB, optDB, nil, nil, rngB)
 		if !fakeA.Equal(fakeB) {
 			t.Fatalf("iter %d: generator outputs differ between the im2col layers and the direct oracle", i)
 		}
 		if !logitsA.Equal(logitsB) {
 			t.Fatalf("iter %d: discriminator logits differ", i)
 		}
-		if !dzA.Equal(dzB) {
-			t.Fatalf("iter %d: latent gradients differ", i)
+		if !dImgA.Equal(dImgB) {
+			t.Fatalf("iter %d: image gradients differ", i)
 		}
 		ga, gb := genA.Grads(), genB.Grads()
 		for pi := range ga {

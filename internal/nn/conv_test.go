@@ -137,7 +137,7 @@ func TestGradCheckConvInputGradient(t *testing.T) {
 	net.ZeroGrads()
 	out := net.Forward(x)
 	_, dOut := MSELossInto(new(tensor.Mat), out, y)
-	dx := net.Backward(dOut)
+	dx := net.InputGrad(dOut)
 	eps := 1e-6
 	for i := range x.Data {
 		orig := x.Data[i]
@@ -183,7 +183,7 @@ func TestConvBackwardBeforeForwardPanics(t *testing.T) {
 					t.Fatalf("%T no panic", l)
 				}
 			}()
-			l.Backward(nil, tensor.New(1, 1))
+			l.Backward(nil, tensor.New(1, 1), NeedParams|NeedInput)
 		}()
 	}
 }
@@ -235,10 +235,7 @@ func TestDCGANStackEndToEnd(t *testing.T) {
 		t.Fatal("NaN loss")
 	}
 	gen.ZeroGrads()
-	disc.ZeroGrads()
-	dFake := disc.Backward(grad)
-	disc.ZeroGrads()
-	gen.Backward(dFake)
+	gen.Backward(disc.InputGrad(grad))
 	opt := NewAdam(1e-3)
 	before := gen.ParamsL2()
 	opt.Step(gen)

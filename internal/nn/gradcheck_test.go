@@ -7,11 +7,11 @@ import (
 	"cellgan/internal/tensor"
 )
 
-// numericalGrad estimates ∂loss/∂θ for every parameter of net via central
+// numericalGrad estimates ∂loss/∂θ for every element of params via central
 // differences, where loss is recomputed from scratch by lossFn.
-func numericalGrad(net *Network, lossFn func() float64, eps float64) []*tensor.Mat {
+func numericalGrad(params []*tensor.Mat, lossFn func() float64, eps float64) []*tensor.Mat {
 	var out []*tensor.Mat
-	for _, p := range net.Params() {
+	for _, p := range params {
 		g := tensor.New(p.Rows, p.Cols)
 		for i := range p.Data {
 			orig := p.Data[i]
@@ -27,18 +27,25 @@ func numericalGrad(net *Network, lossFn func() float64, eps float64) []*tensor.M
 	return out
 }
 
-// checkGrads runs forward+backward once and compares analytic parameter
-// gradients against numerical estimates.
+// checkGrads runs one forward and both backward passes on fresh scratch and
+// compares the train pass's parameter gradients and the critic pass's
+// ∂L/∂input against numerical estimates.
 func checkGrads(t *testing.T, net *Network, x *tensor.Mat, loss func(out *tensor.Mat) (float64, *tensor.Mat)) {
 	t.Helper()
-	net.ZeroGrads()
-	out := net.Forward(x)
-	_, dOut := loss(out)
-	net.Backward(dOut)
-	analytic := net.Grads()
+	checkGradsOn(t, nil, net, x, loss)
+}
 
-	numeric := numericalGrad(net, func() float64 {
-		l, _ := loss(net.Forward(x))
+// checkGradsOn is checkGrads on the workspace ws.
+func checkGradsOn(t *testing.T, ws *Workspace, net *Network, x *tensor.Mat, loss func(out *tensor.Mat) (float64, *tensor.Mat)) {
+	t.Helper()
+	net.ZeroGrads()
+	_, dOut := loss(net.ForwardWS(ws, x))
+	net.BackwardWS(ws, dOut)
+	dx := net.InputGradWS(ws, dOut).Clone()
+	analytic := append(append([]*tensor.Mat(nil), net.Grads()...), dx)
+
+	numeric := numericalGrad(append(append([]*tensor.Mat(nil), net.Params()...), x), func() float64 {
+		l, _ := loss(net.ForwardWS(ws, x))
 		return l
 	}, 1e-6)
 
@@ -129,7 +136,7 @@ func TestBackwardInputGradient(t *testing.T) {
 	net.ZeroGrads()
 	out := net.Forward(x)
 	_, dOut := BCEWithLogitsLossInto(new(tensor.Mat), out, y)
-	dx := net.Backward(dOut)
+	dx := net.InputGrad(dOut)
 
 	eps := 1e-6
 	for i := range x.Data {

@@ -11,8 +11,10 @@
 // a layer value holds parameters and gradient accumulators only. Training
 // and serving loops hand each network a Workspace (one LayerScratch per
 // layer slot, reused across iterations, zero steady-state allocations);
-// Network.Forward/Backward are the same path with fresh scratch per pass.
-// Optimizers consume (params, grads) pairs.
+// the methods without the WS suffix are the same path with fresh scratch
+// per pass. Optimizers consume (params, grads) pairs. Each backward pass
+// computes only what is read: the train pass (BackwardWS) accumulates
+// parameter gradients, the critic pass (InputGradWS) returns ∂L/∂input.
 //
 // Layers, scratch and network are written once over the element width,
 // like tensor.Matrix. The float64 instantiation keeps the plain names
@@ -35,9 +37,11 @@ type LayerOf[T tensor.Float] interface {
 	// one pass in flight per layer value.
 	Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T]
 	// Backward receives ∂L/∂output for the most recent Forward on s (nil:
-	// on the kept scratch), accumulates parameter gradients, and returns
-	// ∂L/∂input, which aliases s.
-	Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T]
+	// on the kept scratch), accumulates parameter gradients if need has
+	// NeedParams, and returns ∂L/∂input, aliasing s, if it has NeedInput,
+	// else nil; activations have nothing to skip and ignore need. What
+	// Forward cached on s stays intact for another Backward.
+	Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], need Need) *tensor.Matrix[T]
 	// Params returns the trainable parameter matrices (possibly empty).
 	Params() []*tensor.Matrix[T]
 	// Grads returns the gradient accumulators, aligned with Params.
@@ -67,6 +71,14 @@ type (
 	LeakyReLU       = LeakyReLUOf[float64]
 	Conv2D          = Conv2DOf[float64]
 	ConvTranspose2D = ConvTranspose2DOf[float64]
+)
+
+// Need tells LayerOf.Backward which of its two results to compute.
+type Need uint8
+
+const (
+	NeedParams Need = 1 << iota // accumulate parameter gradients
+	NeedInput                   // return ∂L/∂input
 )
 
 // Sized is implemented by layers with a fixed output width, letting
@@ -145,11 +157,16 @@ func (l *LinearOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor
 
 // Backward accumulates dW += xᵀ·grad and dB += colsums(grad) — fused into
 // the kernels (AddMatMulT1Into/AddColSumsInto), so the pass performs zero
-// allocations once s has capacity — and returns grad·Wᵀ.
-func (l *LinearOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T] {
+// allocations once s has capacity — and returns grad·Wᵀ, each as need asks.
+func (l *LinearOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], need Need) *tensor.Matrix[T] {
 	s = l.resume(s)
-	tensor.AddMatMulT1Into(l.dW, s.in, grad)
-	tensor.AddColSumsInto(l.dB, grad)
+	if need&NeedParams != 0 {
+		tensor.AddMatMulT1Into(l.dW, s.in, grad)
+		tensor.AddColSumsInto(l.dB, grad)
+	}
+	if need&NeedInput == 0 {
+		return nil
+	}
 	return tensor.MatMulT2Into(&s.dIn, grad, l.W)
 }
 

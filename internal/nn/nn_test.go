@@ -31,7 +31,7 @@ func TestLinearBackwardBeforeForwardPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewLinear(2, 2, tensor.NewRNG(1)).Backward(nil, tensor.New(1, 2))
+	NewLinear(2, 2, tensor.NewRNG(1)).Backward(nil, tensor.New(1, 2), NeedParams|NeedInput)
 }
 
 func TestActivationShapesAndRanges(t *testing.T) {
@@ -81,7 +81,7 @@ func TestActivationBackwardBeforeForwardPanics(t *testing.T) {
 					t.Fatalf("%T Backward before Forward did not panic", l)
 				}
 			}()
-			l.Backward(nil, tensor.New(1, 1))
+			l.Backward(nil, tensor.New(1, 1), NeedParams|NeedInput)
 		}()
 	}
 }

@@ -153,18 +153,8 @@ func (a *Adam) Step(n *Network) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	b1, nb1, b2, nb2, lr, eps := a.Beta1, 1-a.Beta1, a.Beta2, 1-a.Beta2, a.LR, a.Epsilon
 	for i, p := range params {
-		g := grads[i].Data
-		m, v, w := a.m[i].Data[:len(g)], a.v[i].Data[:len(g)], p.Data[:len(g)]
-		for j, gj := range g {
-			mj := b1*m[j] + nb1*gj
-			vj := b2*v[j] + nb2*gj*gj
-			m[j], v[j] = mj, vj
-			mhat := mj / c1
-			vhat := vj / c2
-			w[j] -= lr * mhat / (math.Sqrt(vhat) + eps)
-		}
+		tensor.AdamStep(p.Data, a.m[i].Data, a.v[i].Data, grads[i].Data, a.Beta1, a.Beta2, c1, c2, a.LR, a.Epsilon)
 	}
 }
 

@@ -58,7 +58,7 @@ func (k *keptScratch[T]) resume(s *LayerScratchOf[T]) *LayerScratchOf[T] {
 // sequentially (e.g. one workspace per cell, reused by the generator and
 // discriminator in turn) as long as each forward→backward pair completes
 // before the workspace is handed to the next network: the matrices
-// returned by ForwardWS/BackwardWS alias workspace storage. The zero value
+// returned by ForwardWS/InputGradWS alias workspace storage. The zero value
 // is an empty workspace.
 type WorkspaceOf[T tensor.Float] struct {
 	layers []*LayerScratchOf[T] // layers[i] serves layer slot i
@@ -89,12 +89,22 @@ func (n *NetworkOf[T]) ForwardWS(ws *WorkspaceOf[T], x *tensor.Matrix[T]) *tenso
 	return x
 }
 
-// BackwardWS propagates ∂L/∂output back through every layer on the
-// scratch its ForwardWS ran on, accumulating parameter gradients into the
-// layers. The returned ∂L/∂input aliases workspace storage.
-func (n *NetworkOf[T]) BackwardWS(ws *WorkspaceOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T] {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		grad = n.Layers[i].Backward(ws.layer(i), grad)
+// BackwardWS is the train pass on the scratch ForwardWS ran on: it
+// accumulates parameter gradients and skips the first layer's ∂L/∂input.
+func (n *NetworkOf[T]) BackwardWS(ws *WorkspaceOf[T], grad *tensor.Matrix[T]) {
+	n.backward(ws, grad, NeedParams)
+}
+
+// InputGradWS is the critic pass on the scratch ForwardWS ran on: it returns
+// ∂L/∂input, aliasing workspace storage, and touches no gradient accumulator.
+func (n *NetworkOf[T]) InputGradWS(ws *WorkspaceOf[T], grad *tensor.Matrix[T]) *tensor.Matrix[T] {
+	return n.backward(ws, grad, NeedInput)
+}
+
+// backward runs layer 0 with need and the rest with NeedInput added.
+func (n *NetworkOf[T]) backward(ws *WorkspaceOf[T], grad *tensor.Matrix[T], need Need) *tensor.Matrix[T] {
+	for i := len(n.Layers) - 1; i > 0; i-- {
+		grad = n.Layers[i].Backward(ws.layer(i), grad, need|NeedInput)
 	}
-	return grad
+	return n.Layers[0].Backward(ws.layer(0), grad, need)
 }

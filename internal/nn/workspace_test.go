@@ -2,7 +2,6 @@ package nn
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"cellgan/internal/tensor"
@@ -49,19 +48,61 @@ func TestForwardBackwardWSBitIdentical(t *testing.T) {
 					t.Fatalf("pass %d: reused-workspace forward differs from fresh scratch", pass)
 				}
 				_, grad := MSELossInto(new(tensor.Mat), outB, y)
-				dxA := a.BackwardWS(ws, grad)
-				dxB := b.Backward(grad)
-				if !dxA.Equal(dxB) {
-					t.Fatalf("pass %d: reused-workspace input grad differs", pass)
-				}
+				a.BackwardWS(ws, grad)
+				b.Backward(grad)
 				ga, gb := a.Grads(), b.Grads()
 				for i := range ga {
 					if !ga[i].Equal(gb[i]) {
 						t.Fatalf("pass %d: param grad %d differs", pass, i)
 					}
 				}
+				if !a.InputGradWS(ws, grad).Equal(b.InputGrad(grad)) {
+					t.Fatalf("pass %d: reused-workspace input grad differs", pass)
+				}
 			}
 		})
+	}
+}
+
+// TestSplitPassesMatchFullPass holds the two one-job passes to a pass that
+// computes everything at every layer: the train pass must leave the same
+// accumulators and the critic pass return the same ∂L/∂input, bit for bit,
+// and the critic pass must not touch an accumulator.
+func TestSplitPassesMatchFullPass(t *testing.T) {
+	gen, disc := dcganTestPair(t)
+	mlp := MLP([]int{6, 9, 4}, func() Layer { return NewLeakyReLU(0.2) }, func() Layer { return NewTanh() }, tensor.NewRNG(81))
+	rng := tensor.NewRNG(82)
+	for _, tc := range []struct {
+		name string
+		net  *Network
+		in   int
+	}{{"mlp", mlp, 6}, {"dcgan-gen", gen, 6}, {"dcgan-disc", disc, 25}} {
+		x, dOut := tensor.New(3, tc.in), tensor.New(3, tc.net.OutputWidth())
+		tensor.GaussianFill(x, 0, 1, rng)
+		tensor.GaussianFill(dOut, 0, 1, rng)
+		ws, net := NewWorkspace(), tc.net
+		net.ZeroGrads()
+		net.ForwardWS(ws, x)
+		dx := tensor.AppendMats(nil, []*tensor.Mat{net.backward(ws, dOut, NeedParams|NeedInput)})
+		grads := tensor.AppendMats(nil, net.Grads())
+
+		net.ZeroGrads()
+		net.ForwardWS(ws, x)
+		net.BackwardWS(ws, dOut)
+		if !bytes.Equal(tensor.AppendMats(nil, net.Grads()), grads) {
+			t.Errorf("%s: train-pass accumulators differ from the full pass", tc.name)
+		}
+		for _, g := range net.Grads() {
+			g.Fill(7)
+		}
+		sentinel := tensor.AppendMats(nil, net.Grads())
+		net.ForwardWS(ws, x)
+		if !bytes.Equal(tensor.AppendMats(nil, []*tensor.Mat{net.InputGradWS(ws, dOut)}), dx) {
+			t.Errorf("%s: critic-pass ∂L/∂input differs from the full pass", tc.name)
+		}
+		if !bytes.Equal(tensor.AppendMats(nil, net.Grads()), sentinel) {
+			t.Errorf("%s: the critic pass touched a gradient accumulator", tc.name)
+		}
 	}
 }
 
@@ -73,26 +114,9 @@ func TestGradCheckThroughWorkspace(t *testing.T) {
 	x := tensor.New(6, 5)
 	tensor.GaussianFill(x, 0, 1, rng)
 	y := tensor.Full(6, 1, 1)
-	ws := NewWorkspace()
-
-	net.ZeroGrads()
-	out := net.ForwardWS(ws, x)
-	_, dOut := BCEWithLogitsLossInto(new(tensor.Mat), out, y)
-	net.BackwardWS(ws, dOut)
-	analytic := net.Grads()
-
-	numeric := numericalGrad(net, func() float64 {
-		l, _ := BCEWithLogitsLossInto(new(tensor.Mat), net.ForwardWS(ws, x), y)
-		return l
-	}, 1e-6)
-	for pi := range analytic {
-		for i := range analytic[pi].Data {
-			a, n := analytic[pi].Data[i], numeric[pi].Data[i]
-			if math.Abs(a-n) > 1e-4*(1+math.Abs(a)+math.Abs(n)) {
-				t.Fatalf("param %d elem %d: analytic %v numeric %v", pi, i, a, n)
-			}
-		}
-	}
+	checkGradsOn(t, NewWorkspace(), net, x, func(out *tensor.Mat) (float64, *tensor.Mat) {
+		return BCEWithLogitsLossInto(new(tensor.Mat), out, y)
+	})
 }
 
 // TestTrainingCheckpointBitExact trains twin networks — one on a reused

@@ -121,13 +121,33 @@ func TestIntoKernelsRejectAliasing(t *testing.T) {
 	}
 }
 
-// TestMatMulIntoZeroAllocs is the allocation regression tripwire of the
-// destination-passing kernels: steady-state calls must not allocate.
-// Shapes stay below parallelThreshold — under -race sync.Pool drops items
-// on purpose, so the pooled dispatch is tripwired where -race is skipped
-// (nn's TestDCGANTrainIterationAllocs and TestNet32ForwardAllocs). The
-// MatMulT2Into panel is pooled even on the serial path, so that one check
-// is skipped under -race too.
+// allocCheck is one steady-state call of an allocation tripwire.
+type allocCheck struct {
+	kernel string
+	f      func()
+}
+
+// checkZeroAllocs is the allocation regression tripwire of the
+// destination-passing kernels, shared by both element widths so the -race
+// guard lives in one place: steady-state calls must not allocate. Shapes
+// stay below parallelThreshold — under -race sync.Pool drops items on
+// purpose, so the pooled dispatch is tripwired where -race is skipped (nn's
+// TestDCGANTrainIterationAllocs and TestNet32ForwardAllocs). The
+// MatMulT2Into panel is pooled even on the serial path, so that kernel is
+// skipped under -race, at either width.
+func checkZeroAllocs(t *testing.T, checks []allocCheck) {
+	t.Helper()
+	for _, ck := range checks {
+		if raceEnabled && ck.kernel == "MatMulT2Into" {
+			continue
+		}
+		ck.f() // warm capacity
+		if allocs := testing.AllocsPerRun(20, ck.f); allocs != 0 {
+			t.Errorf("%s: %.0f allocs per run, want 0", ck.kernel, allocs)
+		}
+	}
+}
+
 func TestMatMulIntoZeroAllocs(t *testing.T) {
 	eachLeafTier(t, func(t *testing.T) {
 		rng := NewRNG(9)
@@ -137,23 +157,13 @@ func TestMatMulIntoZeroAllocs(t *testing.T) {
 		dst := New(16, 16)
 		dw := New(24, 16)
 		colsum := New(1, 24)
-
-		checks := map[string]func(){
-			"MatMulInto":      func() { MatMulInto(dst, a, b) },
-			"MatMulT1Into":    func() { MatMulT1Into(dw, a, dst) },
-			"AddMatMulT1Into": func() { AddMatMulT1Into(dw, a, dst) },
-			"MatMulT2Into":    func() { MatMulT2Into(dst, a, bt) },
-			"AddColSumsInto":  func() { AddColSumsInto(colsum, a) },
-			"ApplyInto":       func() { ApplyInto(dst, dst, func(v float64) float64 { return v + 1 }) },
-		}
-		for name, f := range checks {
-			if raceEnabled && name == "MatMulT2Into" {
-				continue
-			}
-			f() // warm capacity
-			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
-				t.Errorf("%s: %.0f allocs per run, want 0", name, allocs)
-			}
-		}
+		checkZeroAllocs(t, []allocCheck{
+			{"MatMulInto", func() { MatMulInto(dst, a, b) }},
+			{"MatMulT1Into", func() { MatMulT1Into(dw, a, dst) }},
+			{"AddMatMulT1Into", func() { AddMatMulT1Into(dw, a, dst) }},
+			{"MatMulT2Into", func() { MatMulT2Into(dst, a, bt) }},
+			{"AddColSumsInto", func() { AddColSumsInto(colsum, a) }},
+			{"ApplyInto", func() { ApplyInto(dst, dst, func(v float64) float64 { return v + 1 }) }},
+		})
 	})
 }

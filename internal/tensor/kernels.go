@@ -1,6 +1,9 @@
 package tensor
 
-import "unsafe"
+import (
+	"math"
+	"unsafe"
+)
 
 // This file holds the cache-blocked, register-unrolled kernel cores behind
 // the matmul family (matmul.go). The cores are generic over the element
@@ -223,6 +226,27 @@ func matMulT2Kernel[F Float](c, a, b []F, aCols, bRows int, lo, hi int, panel []
 			}
 			c[i*bRows+j] = s
 		}
+	}
+}
+
+// AdamStep, the optimizers' leaf, applies one bias-corrected Adam update
+// to the parameters w from the gradient g, advancing the moments m and v
+// (all as long as g); c1 and c2 are the bias corrections 1−β₁ᵗ and 1−β₂ᵗ.
+// With haveAVX2 the assembly leaf runs the loop on four elements at a time.
+func AdamStep(w, m, v, g []float64, b1, b2, c1, c2, lr, eps float64) {
+	nb1, nb2 := 1-b1, 1-b2
+	m, v, w = m[:len(g)], v[:len(g)], w[:len(g)]
+	if haveAVX2 && len(g) > 0 {
+		adamStepF64(&w[0], &m[0], &v[0], &g[0], len(g), b1, nb1, b2, nb2, c1, c2, lr, eps)
+		return
+	}
+	for j, gj := range g {
+		mj := b1*m[j] + nb1*gj
+		vj := b2*v[j] + nb2*gj*gj
+		m[j], v[j] = mj, vj
+		mhat := mj / c1
+		vhat := vj / c2
+		w[j] -= lr * mhat / (math.Sqrt(vhat) + eps)
 	}
 }
 

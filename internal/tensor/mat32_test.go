@@ -156,18 +156,11 @@ func TestFloat32IntoKernelsAllocs(t *testing.T) {
 		const c, h, w, k2, stride, pad, posH, posW = 1, 6, 6, 2, 2, 0, 3, 3
 		img := new(Mat32).Resize(2, c*h*w)
 		cols := Narrow(randMat(2*posH*posW, c*k2*k2, rng))
-
-		checks := map[string]func(){
-			"MatMulInto":    func() { MatMulInto(dst, a, b) },
-			"MatMulT2Into":  func() { MatMulT2Into(dst, a, bt) },
-			"AddCol2ImInto": func() { AddCol2ImInto(img, cols, c, h, w, k2, stride, pad, posH, posW) },
-			"GaussianFill":  func() { GaussianFill(a, 0, 1, rng) },
-		}
-		for name, f := range checks {
-			f() // warm capacity
-			if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
-				t.Errorf("%s: %.0f allocs per run, want 0", name, allocs)
-			}
-		}
+		checkZeroAllocs(t, []allocCheck{
+			{"MatMulInto", func() { MatMulInto(dst, a, b) }},
+			{"MatMulT2Into", func() { MatMulT2Into(dst, a, bt) }},
+			{"AddCol2ImInto", func() { AddCol2ImInto(img, cols, c, h, w, k2, stride, pad, posH, posW) }},
+			{"GaussianFill", func() { GaussianFill(a, 0, 1, rng) }},
+		})
 	})
 }

@@ -3,9 +3,9 @@ package tensor
 import "unsafe"
 
 // haveAVX2 selects the assembly leaves of simd_amd64.s under the matmul
-// kernels. It is detected once, from CPUID and XGETBV, and nothing else
-// sets it: the generic Go loops in kernels.go are the fallback on a host
-// without AVX2 and the oracle the tests compare the assembly against.
+// kernels and AdamStep. It is detected once, from CPUID and XGETBV, and
+// nothing else sets it: the Go loops in kernels.go are the fallback on a
+// host without AVX2 and the oracle the tests hold the assembly to.
 var haveAVX2 = detectAVX2()
 
 // detectAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
@@ -39,6 +39,9 @@ func panelDotF64(c, a, panel *float64, aCols, cStride, rows int)
 
 //go:noescape
 func panelDotF32(c, a, panel *float32, aCols, cStride, rows int)
+
+//go:noescape
+func adamStepF64(w, m, v, grad *float64, n int, b1, nb1, b2, nb2, c1, c2, lr, eps float64)
 
 func ptr64[F Float](s []F) *float64 { return (*float64)(unsafe.Pointer(unsafe.SliceData(s))) }
 func ptr32[F Float](s []F) *float32 { return (*float32)(unsafe.Pointer(unsafe.SliceData(s))) }

@@ -212,3 +212,63 @@ TEXT ·panelDotF32(SB), NOSPLIT, $0-48
 	SHLQ $2, R8
 	MOVQ rows+40(FP), R9
 	PANELDOT(VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VXORPS, 4, 16, X0, X1, X2, X3, X4, X5, X6, X7, X8)
+
+// ADAM is AdamStep on the float64 element(s) at index AX in the Go loop's
+// order — m = b1·m + nb1·g; v = b2·v + (nb2·g)·g; w -= (lr·(m/c1)) /
+// (√(v/c2) + eps) — with DI=w SI=m R8=v R9=g, K0..K7 = b1 nb1 b2 nb2 c1 c2
+// lr eps. Lanes are distinct parameters and each instruction rounds per
+// lane, so it is the loop to the bit; the tail's √ runs packed on X regs.
+#define ADAM(MOVU, MUL, ADD, SUB, DIV, K0, K1, K2, K3, K4, K5, K6, K7, G, M, V, T) \
+	MOVU (R9)(AX*8), G; \
+	MUL  (SI)(AX*8), K0, M; \
+	MUL  G, K1, T; \
+	ADD  T, M, M; \
+	MOVU M, (SI)(AX*8); \
+	MUL  G, K3, T; \
+	MUL  G, T, T; \
+	MUL  (R8)(AX*8), K2, V; \
+	ADD  T, V, V; \
+	MOVU V, (R8)(AX*8); \
+	DIV  K4, M, M; \
+	MUL  M, K6, M; \
+	DIV  K5, V, V; \
+	VSQRTPD V, V; \
+	ADD  K7, V, V; \
+	DIV  V, M, M; \
+	MOVU (DI)(AX*8), T; \
+	SUB  M, T, T; \
+	MOVU T, (DI)(AX*8)
+
+// func adamStepF64(w, m, v, grad *float64, n int, b1, nb1, b2, nb2, c1, c2, lr, eps float64)
+TEXT ·adamStepF64(SB), NOSPLIT, $0-104
+	MOVQ w+0(FP), DI
+	MOVQ m+8(FP), SI
+	MOVQ v+16(FP), R8
+	MOVQ grad+24(FP), R9
+	MOVQ n+32(FP), BX
+	VBROADCASTSD b1+40(FP), Y0
+	VBROADCASTSD nb1+48(FP), Y1
+	VBROADCASTSD b2+56(FP), Y2
+	VBROADCASTSD nb2+64(FP), Y3
+	VBROADCASTSD c1+72(FP), Y4
+	VBROADCASTSD c2+80(FP), Y5
+	VBROADCASTSD lr+88(FP), Y6
+	VBROADCASTSD eps+96(FP), Y7
+	XORQ AX, AX
+	MOVQ BX, DX
+	ANDQ $-4, DX
+vec:
+	CMPQ AX, DX
+	JGE  tail
+	ADAM(VMOVUPD, VMULPD, VADDPD, VSUBPD, VDIVPD, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+	ADDQ $4, AX
+	JMP  vec
+tail:
+	CMPQ AX, BX
+	JGE  done
+	ADAM(VMOVSD, VMULSD, VADDSD, VSUBSD, VDIVSD, X0, X1, X2, X3, X4, X5, X6, X7, X8, X9, X10, X11)
+	INCQ AX
+	JMP  tail
+done:
+	VZEROUPPER
+	RET

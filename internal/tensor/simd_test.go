@@ -85,6 +85,43 @@ func TestSIMDLeavesBitExact(t *testing.T) {
 	}
 	t.Run("float64", testSIMDLeaves[float64])
 	t.Run("float32", testSIMDLeaves[float32])
+	t.Run("adam", testAdamLeaf)
+}
+
+// testAdamLeaf holds the Adam leaf to the Go loop over the same splits and
+// specials: ±0, denormal g and g whose square underflows, v = 0 (so the
+// denominator is √0 + ε), ±Inf and NaN, each operand at its own offset.
+func testAdamLeaf(t *testing.T) {
+	defer func() { haveAVX2 = true }()
+	rng := NewRNG(24)
+	const maxOff = 8
+	for n := 0; n <= 67; n++ {
+		for off := 0; off < maxOff; off++ {
+			var want, got [4][]float64 // backing arrays of w, m, v, g
+			op := func(b [4][]float64, k int) []float64 { o := (off + 3*k) % maxOff; return b[k][o : o+n] }
+			for k := range want {
+				want[k] = fillLeaf[float64](n+maxOff, rng)
+			}
+			v := op(want, 2)
+			for i := range v {
+				if v[i] = math.Abs(v[i]); rng.Intn(4) == 0 {
+					v[i] = 0
+				}
+			}
+			for k := range got {
+				got[k] = append([]float64(nil), want[k]...)
+			}
+			step := 1 + rng.Intn(50)
+			c1, c2 := 1-math.Pow(0.9, float64(step)), 1-math.Pow(0.999, float64(step))
+			haveAVX2 = false
+			AdamStep(op(want, 0), op(want, 1), op(want, 2), op(want, 3), 0.9, 0.999, c1, c2, 2e-4, 1e-8)
+			haveAVX2 = true
+			AdamStep(op(got, 0), op(got, 1), op(got, 2), op(got, 3), 0.9, 0.999, c1, c2, 2e-4, 1e-8)
+			for k, name := range []string{"w", "m", "v", "g"} {
+				requireSameBits(t, "adamStep "+name, got[k], want[k])
+			}
+		}
+	}
 }
 
 func testSIMDLeaves[F Float](t *testing.T) {
