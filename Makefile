@@ -1,7 +1,7 @@
 # make check mirrors .github/workflows/ci.yml for local runs.
 GO ?= go
 
-.PHONY: check fmt vet build cross test bench-module race stress bench bench-smoke bench-json bench-serve staticcheck recovery-smoke fuzz-smoke loc
+.PHONY: check fmt vet build cross test bench-module race stress bench bench-smoke bench-json staticcheck recovery-smoke fuzz-smoke loc
 
 check: fmt vet build cross test bench-module race stress
 
@@ -37,14 +37,15 @@ bench-module:
 race:
 	$(GO) test -race -timeout 25m ./...
 
-# The rank loop's scheduling-sensitive contracts — bounded staleness in
-# both async modes, one halt boundary for every rank, window-1 bit
-# equality with the sequential mode (faulty-comm row included) and abort
-# on a rank error — 20 times at GOMAXPROCS 1 and 2, with the two packages
-# loading each other: the load under which the cluster absorb's old
-# arrival-order apply failed most runs. About 3.5 minutes on a 2-core host.
+# The exchange rules' scheduling-sensitive contracts — bounded staleness
+# in both async modes, one halt boundary for every rank, window-1 bit
+# equality with the sequential mode (in-process with a faulty comm, and
+# over the async cluster with duplicated, delayed and lost pushes) and
+# abort on a rank error — 20 times at GOMAXPROCS 1 and 2, with the two
+# packages loading each other: the load under which the cluster absorb's
+# old arrival-order apply failed most runs. About 3 minutes on a 2-core host.
 stress:
-	$(GO) test -run 'Staleness|Stops|StopConsensus|SequentialParallel|RankError' -count 20 -cpu 1,2 ./internal/core/ ./internal/cluster/
+	$(GO) test -run 'Staleness|Stops|StopConsensus|SequentialParallel|RankError|CrossMode' -count 20 -cpu 1,2 ./internal/core/ ./internal/cluster/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -69,7 +70,8 @@ fuzz-smoke:
 		$(GO) test -run='^$$' -fuzz="^Fuzz$$t\$$" -fuzztime=10s ./internal/checkpoint/ || exit 1; done
 	@for t in ReadIDXImages ReadIDXLabels; do \
 		$(GO) test -run='^$$' -fuzz="^Fuzz$$t\$$" -fuzztime=10s ./internal/dataset/ || exit 1; done
-	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalCellState$$' -fuzztime=10s ./internal/core/
+	@for t in UnmarshalCellState DecodePush; do \
+		$(GO) test -run='^$$' -fuzz="^Fuzz$$t\$$" -fuzztime=10s ./internal/core/ || exit 1; done
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFloats$$' -fuzztime=10s ./internal/mpi/
 	@for t in OwnerUpdate ReleaseOrder RunTask SlaveReport SlaveReports StateUpdate NeighborSet; do \
 		$(GO) test -run='^$$' -fuzz="^FuzzParse$$t\$$" -fuzztime=10s ./internal/cluster/ || exit 1; done
@@ -100,15 +102,3 @@ bench-json:
 	  $(GO) test -run=NoTests -bench='^BenchmarkKernelShapes$$' -cpu 1 ./internal/tensor/; } \
 		| $(GO) run ./cmd/benchjson > BENCH_compute.json
 	@echo wrote BENCH_compute.json
-
-# Multi-process serving benchmark: train a small artifact, spawn a
-# 3-replica fleet behind the gateway, and archive aggregate QPS and
-# latency percentiles as machine-readable JSON.
-BENCH_MIX ?= /tmp/cellgan-bench.mix
-bench-serve:
-	$(GO) run ./cmd/trainer -iterations 4 -dataset 1000 -batches 4 -eval=false \
-		-export-mixture $(BENCH_MIX)
-	$(GO) run ./cmd/gateway -loadtest -model digits=$(BENCH_MIX) \
-		-replica-count 3 -clients 32 -requests 2048 -n 4 \
-		| $(GO) run ./cmd/benchjson > BENCH_serve.json
-	@echo wrote BENCH_serve.json

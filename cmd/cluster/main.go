@@ -46,7 +46,7 @@ func main() {
 	timeout := flag.Duration("connect-timeout", 30*time.Second, "mesh connection timeout")
 	resilient := flag.Bool("resilient", false, "route exchanges through the master so crashed slaves are evicted and their cells reassigned")
 	async := flag.Bool("async", false, "asynchronous exchange: slaves push snapshots peer-to-peer under a bounded-staleness window instead of synchronous rounds")
-	staleness := flag.Int("staleness", 0, "bounded-staleness window S for -async (0 = config default)")
+	staleness := flag.Int("staleness", 0, "bounded-staleness window W for -async: a cell never runs more than W iterations ahead of a neighbour's snapshot it trains against; 1 is lockstep, bit-identical to the synchronous modes (0 = config default, 4)")
 	joinSlots := flag.Int("join-slots", 0, "extra reserve ranks beyond the grid that may join mid-run (-async only; addrs must cover them)")
 	joinDelay := flag.Duration("join-delay", 2*time.Second, "how long a reserve rank idles before asking to join the running job")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "enable deterministic fault injection with this schedule seed (0 = off, implies -resilient unless -async)")

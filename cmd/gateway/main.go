@@ -314,8 +314,7 @@ func (c *childReplica) stop() {
 // runLoadTest is the multi-process harness: N real replica subprocesses,
 // one in-process gateway routing them, and the serve load generator
 // aimed at the gateway. Results print as a table plus a `go test -bench`
-// line, so the run can be piped through cmd/benchjson into
-// BENCH_serve.json.
+// line whose error count the CI gateway smoke checks.
 func runLoadTest(modelSpec string, replicaCount int, shardFleet bool, clients, requests, n int, opts gateway.Options) {
 	if modelSpec == "" {
 		fatal(fmt.Errorf("-loadtest needs -model name=path (export one with: trainer -export-mixture best.mix)"))

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -11,15 +12,15 @@ import (
 )
 
 // This file is the asynchronous cluster exchange: the distributed form of
-// core.RunAsync. Each slave trains its cells at its own pace and pushes
-// center snapshots directly to the owners of each cell's influence set
-// (tagAsyncState) — no rounds, no barrier, no master round-trip on the
-// exchange path. Divergence is capped by the same bounded-staleness
-// window S the in-process mode uses: a cell skips its next iteration
-// while some live neighbour's last absorbed snapshot would end up more
-// than S versions behind, and a per-(cell, source) core.StalenessTracker
-// guarantees a delayed or duplicated push can never regress a neighbour
-// view.
+// core.RunAsync, under the same rules. Each slave trains its cells at its
+// own pace and pushes their centers, in core.Exchange's push format,
+// directly to the owners of each cell's influence set (tagAsyncState) —
+// no rounds, no barrier, no master round-trip on the exchange path. One
+// goroutine steps a core.Exchange per owned cell without blocking: it
+// keeps, per source, the newest snapshot that fits the staleness window W
+// and holds the ones too far ahead, installs, and lets the cell iterate
+// only while no live neighbour's installed snapshot would end up more
+// than W versions behind. W = 1 is lockstep, here as in core.
 //
 // The master's job shrinks to inventory and membership: it merges the
 // slaves' periodic full-state uploads (so it always holds every cell's
@@ -57,15 +58,16 @@ const asyncMasterDrainMax = 32
 var asyncClusterHooks struct {
 	// onPush fires after cell's owner pushes its snapshot at iter.
 	onPush func(cell, iter int)
-	// onApply fires after a slave applies src's snapshot at iter to the
-	// neighbour view of an owned cell.
-	onApply func(cell, src, iter int)
+	// onApply fires after a slave installs src's snapshot at iter in the
+	// neighbour view of an owned cell at iteration at.
+	onApply func(cell, src, iter, at int)
 }
 
 // runAsync is the execution thread of an async-mode slave: a single
-// goroutine multiplexing every owned cell through absorb → gate →
-// iterate → push passes, growing and shrinking its owned set as owner
-// updates and release orders arrive from the control loop.
+// goroutine stepping every owned cell's exchange — settle, iterate when
+// the gate is open, push — over one mailbox, growing and shrinking its
+// owned set as owner updates and release orders arrive from the control
+// loop.
 func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 	owned, err := newOwnedCells(task, &s.prof)
 	if err != nil {
@@ -80,55 +82,39 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 	}
 	errQuit := fmt.Errorf("cluster: slave %d control loop exited mid-run", myRank)
 
-	// applyState offers a snapshot to the neighbour view of every other
-	// owned cell; each view applies it only if the source is a neighbour
-	// and the snapshot is no older than what it already holds.
-	applyState := func(st *core.CellState) error {
-		for _, r := range owned.ranks() {
-			if st.Rank == r {
-				continue
-			}
-			applied, err := owned.cells[r].view.Apply(st)
-			if err != nil {
-				return err
-			}
-			if h := asyncClusterHooks.onApply; applied && h != nil {
-				h(r, st.Rank, st.Iteration)
-			}
-		}
-		return nil
-	}
-
-	// push sends one owned cell's snapshot to the distinct owners of its
-	// influence set, one shared copy for all of them. Best-effort: a lost
-	// push is healed by the idle re-push, and co-owned neighbours are
-	// refreshed locally instead.
-	var wire []byte
+	// remote lists the distinct other owners of cell r's influence set.
 	var dests []int
-	push := func(r int) error {
-		wire = owned.cells[r].cell.AppendState(wire[:0])
+	remote := func(r int) []int {
 		dests = dests[:0]
 		for _, d := range owned.grid.Influence(r) {
 			if o := owners[d]; o != 0 && o != myRank && !slices.Contains(dests, o) {
 				dests = append(dests, o)
 			}
 		}
-		s.world.Multicast(dests, tagAsyncState, wire) //nolint:errcheck
-		st, err := core.UnmarshalCellState(wire)
-		if err != nil {
-			return err
+		return dests
+	}
+	// push encodes cell r's center, keeping the push before it, and sends
+	// it to the remote owners of its influence set, one shared copy for all
+	// of them. Co-owned cells it influences get a copy in memory: they may
+	// hold it past this buffer's next use. Best-effort: the idle re-push
+	// heals a lost push.
+	push := func(r int) {
+		oc := owned.cells[r]
+		oc.prev, oc.wire = oc.wire, oc.x.AppendPush(oc.prev[:0])
+		s.world.Multicast(remote(r), tagAsyncState, oc.wire) //nolint:errcheck
+		for _, d := range owned.grid.Influence(r) {
+			if nb := owned.cells[d]; nb != nil && d != r {
+				nb.x.Receive(bytes.Clone(oc.wire)) //nolint:errcheck // it decodes what AppendPush just encoded
+			}
 		}
 		if h := asyncClusterHooks.onPush; h != nil {
-			h(r, st.Iteration)
+			h(r, oc.cell.Iteration())
 		}
-		return applyState(st) // co-owned neighbours see it immediately
 	}
 	// Announce every starting cell: a neighbour never heard from holds
 	// the gate.
 	for _, r := range owned.ranks() {
-		if err := push(r); err != nil {
-			return nil, err
-		}
+		push(r)
 	}
 
 	version := -1
@@ -159,13 +145,14 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 						delete(owned.cells, r)
 					}
 				}
+				// A seed is a snapshot like any push's.
 				for i := range u.States {
 					st, err := core.UnmarshalCellState(u.States[i].Data)
 					if err != nil {
 						continue // a seed is advisory, never fatal
 					}
-					if err := applyState(st); err != nil {
-						return nil, err
+					for _, oc := range owned.cells {
+						oc.x.Offer(st)
 					}
 				}
 				if u.Done {
@@ -197,10 +184,8 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 			}
 		}
 
-		// (2) Absorb peer pushes: only the newest snapshot per source cell
-		// of the drain, so a backlog queued during a stall never steps a
-		// neighbour view through snapshots more than S versions behind.
-		var latest core.LatestStates
+		// (2) Peer pushes: every owned cell's exchange keeps what its
+		// rules keep of each.
 		for {
 			m, ok, err := s.world.TryRecv(mpi.AnySource, tagAsyncState)
 			if err != nil {
@@ -209,33 +194,28 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 			if !ok {
 				break
 			}
-			st, err := core.UnmarshalCellState(m.Data)
-			if err != nil {
-				continue // corrupt push; peers re-push
-			}
-			latest.Keep(st)
-		}
-		for _, r := range latest.Ranks() {
-			if err := applyState(latest[r]); err != nil {
-				return nil, err
+			for _, oc := range owned.cells {
+				oc.x.Receive(m.Data) //nolint:errcheck // a corrupt push is dropped; peers re-push
 			}
 		}
 
-		if doneFlag {
-			return owned.reports(abortFlag), nil
-		}
-
-		// (3) One training pass: iterate every owned cell that is
-		// unfinished, unfailed and within the staleness window (failed
-		// neighbours never publish again and do not hold the gate).
-		// Gated cells are skipped, never blocked on — other owned cells
-		// and the absorb loop keep running.
+		// (3) One step of every owned cell: settle its exchange, then
+		// train one iteration if the cell still owes work and its gate is
+		// open (failed neighbours never publish again and do not hold it).
+		// Gated cells are skipped, never blocked on. Once training is done
+		// the step only settles: the done update's seeds are every cell's
+		// final state, so each final boundary settles here.
 		progressed, gated := false, false
 		for _, r := range owned.ranks() {
-			if !owned.trainable(r) || s.abort.Load() {
+			oc := owned.cells[r]
+			ready, err := oc.x.Settle(failedGlobal)
+			if err != nil {
+				return nil, err
+			}
+			if doneFlag || !owned.trainable(r) || oc.x.Halted() {
 				continue
 			}
-			if owned.cells[r].view.Gated(failedGlobal) {
+			if !ready {
 				gated = true
 				continue
 			}
@@ -243,9 +223,10 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 				continue
 			}
 			progressed = true
-			if err := push(r); err != nil {
-				return nil, err
-			}
+			push(r)
+		}
+		if doneFlag {
+			return owned.reports(abortFlag), nil
 		}
 
 		// (4) Inventory upload after progress. Once the slave has sat idle
@@ -256,8 +237,19 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 		idle := !progressed && (repush || gated) && time.Since(lastChange) >= asyncUploadEvery
 		if idle {
 			for _, r := range owned.ranks() {
-				if err := push(r); err != nil {
-					return nil, err
+				// The push before too: a neighbour that lost it can be
+				// gated on it while this cell's newer one is beyond its
+				// window, and nothing else would ever resend it. A cell
+				// adopted since has pushed nothing yet; the owner update
+				// that granted it seeded its neighbours.
+				oc, to := owned.cells[r], remote(r)
+				for _, p := range [][]byte{oc.prev, oc.wire} {
+					if len(p) > 0 {
+						s.world.Multicast(to, tagAsyncState, p) //nolint:errcheck
+					}
+				}
+				if h := asyncClusterHooks.onPush; h != nil && len(oc.wire) > 0 {
+					h(r, oc.cell.Iteration())
 				}
 			}
 		}
@@ -289,9 +281,12 @@ func (m *master) runAsync() (resend func(s int), err error) {
 	}
 	ck := newMasterCkpt(opts, false, m.logf)
 
+	// encodeOU builds and encodes the current owner update. It carries every
+	// cell's seed state, so each broadcast encodes it once for all its
+	// destinations.
 	version := 0
-	buildOU := func(done, abort bool) ownerUpdate {
-		u := ownerUpdate{Version: version, Owners: make([]int, nCells), Done: done, Abort: abort}
+	encodeOU := func(done, abort bool, adopt []cellBlob) []byte {
+		u := ownerUpdate{Version: version, Owners: make([]int, nCells), Adopt: adopt, Done: done, Abort: abort}
 		for c, t := range track {
 			u.Owners[c] = t.owner
 			if t.failed {
@@ -301,11 +296,14 @@ func (m *master) runAsync() (resend func(s int), err error) {
 				u.States = append(u.States, wireState{Rank: c, Iter: t.iter, Data: st})
 			}
 		}
-		return u
-	}
-	sendOU := func(dst int, u ownerUpdate) {
 		payload, err := u.marshal()
 		if err != nil {
+			m.logf("master: encoding owner update: %v", err)
+		}
+		return payload
+	}
+	sendOU := func(dst int, payload []byte) {
+		if payload == nil {
 			return
 		}
 		if err := retrySend(comm, dst, tagOwnerUpdate, payload, opts.Metrics.SendRetries); err != nil {
@@ -425,12 +423,13 @@ func (m *master) runAsync() (resend func(s int), err error) {
 		}
 		pl := m.res.Placements[src]
 		m.sendTask(src, runTask{Cfg: opts.Cfg, CellRank: -1, Node: pl.Node, Core: pl.Core, Async: true, Joiner: true}) //nolint:errcheck // tolerant: failures are logged
+		peers := encodeOU(false, false, nil)
 		for _, dst := range m.liveRanks() {
-			u := buildOU(false, false)
 			if dst == src {
-				u.Adopt = adopt
+				sendOU(dst, encodeOU(false, false, adopt))
+			} else {
+				sendOU(dst, peers)
 			}
-			sendOU(dst, u)
 		}
 	}
 
@@ -505,9 +504,10 @@ func (m *master) runAsync() (resend func(s int), err error) {
 		if time.Since(lastProgress) >= opts.RoundTimeout {
 			m.logf("master: no progress for %s, nudging %d slaves", opts.RoundTimeout, len(m.liveRanks()))
 			version++
+			nudge := encodeOU(false, false, nil)
 			for _, s := range m.liveRanks() {
 				comm.Send(s, tagStateResend, nil) //nolint:errcheck
-				sendOU(s, buildOU(false, false))
+				sendOU(s, nudge)
 			}
 			lastProgress = time.Now()
 		}
@@ -520,7 +520,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 	// Tell everyone training is over; collection re-sends the signal to a
 	// slave that answers "still finalising" (it may have been lost).
 	version++
-	doneOU := buildOU(true, abort)
+	doneOU := encodeOU(true, abort, nil)
 	for _, s := range m.liveRanks() {
 		sendOU(s, doneOU)
 	}

@@ -193,8 +193,9 @@ func TestAsyncChaosFitnessTolerance(t *testing.T) {
 
 // TestAsyncClusterStalenessBound is the cluster form of the core
 // staleness property: under the fault-free exchange no neighbour view
-// ever regresses, and every applied snapshot is within the window S of
-// its source's newest push.
+// ever regresses, every installed snapshot is within the window S of its
+// source's newest push, and none is S or more versions ahead of the cell
+// that installs it.
 func TestAsyncClusterStalenessBound(t *testing.T) {
 	defer clearAsyncHooks()
 	cfg := asyncConfig(2, 2, 6)
@@ -206,7 +207,8 @@ func TestAsyncClusterStalenessBound(t *testing.T) {
 	lastPush := make(map[int]int)
 	applied := make(map[pair]int)
 	type violation struct {
-		cell, src, iter, bound int
+		rule                 string
+		cell, src, iter, ref int
 	}
 	var bad []violation
 	asyncClusterHooks.onPush = func(cell, iter int) {
@@ -216,18 +218,21 @@ func TestAsyncClusterStalenessBound(t *testing.T) {
 		}
 		mu.Unlock()
 	}
-	asyncClusterHooks.onApply = func(cell, src, iter int) {
+	asyncClusterHooks.onApply = func(cell, src, iter, at int) {
 		mu.Lock()
 		defer mu.Unlock()
 		k := pair{cell, src}
 		if prev, seen := applied[k]; seen && iter < prev {
-			bad = append(bad, violation{cell, src, iter, prev})
+			bad = append(bad, violation{"regressed below", cell, src, iter, prev})
 		}
 		if iter > applied[k] {
 			applied[k] = iter
 		}
 		if pushed := lastPush[src]; pushed-iter > s {
-			bad = append(bad, violation{cell, src, iter, pushed})
+			bad = append(bad, violation{"behind the source's push", cell, src, iter, pushed})
+		}
+		if iter-at >= s {
+			bad = append(bad, violation{"ahead of the cell's iteration", cell, src, iter, at})
 		}
 	}
 	res, err := RunJob(asyncOptions(cfg))

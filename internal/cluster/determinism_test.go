@@ -7,6 +7,7 @@ import (
 	"cellgan/internal/checkpoint"
 	"cellgan/internal/config"
 	"cellgan/internal/core"
+	"cellgan/internal/mpi"
 )
 
 // checkpointFromReports reassembles a full checkpoint from the FullState
@@ -70,16 +71,24 @@ func TestGoldenCheckpointDeterminism(t *testing.T) {
 // TestCrossModeGoldenCheckpoint pins the equalities the determinism suites
 // leave open: the in-process sequential and parallel runners and the plain
 // and resilient cluster jobs all run the same lockstep algorithm, so for
-// one seed they must end on byte-identical checkpoints.
+// one seed they must end on byte-identical checkpoints. Staleness window 1
+// is that same lockstep in the asynchronous modes — in-process, over the
+// cluster, with duplicated and delayed pushes and with lost ones — so
+// their cells must end on the same full states. Their configuration
+// differs in AsyncStaleness, which the checkpoint header records, so those
+// rows compare states rather than files.
 func TestCrossModeGoldenCheckpoint(t *testing.T) {
 	cfg := chaosConfig(2, 2)
-	fromCore := func(run func(config.Config, core.RunOptions) (*core.Result, error)) []byte {
+	fromCore := func(cfg config.Config, run func(config.Config, core.RunOptions) (*core.Result, error)) []*core.FullState {
 		res, err := run(cfg, core.RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return res.Full
+	}
+	checkpointOf := func(states []*core.FullState) []byte {
 		var buf bytes.Buffer
-		if err := checkpoint.Write(&buf, &checkpoint.Checkpoint{Cfg: cfg, States: res.Full}); err != nil {
+		if err := checkpoint.Write(&buf, &checkpoint.Checkpoint{Cfg: cfg, States: states}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -92,17 +101,61 @@ func TestCrossModeGoldenCheckpoint(t *testing.T) {
 		requireAllTrained(t, cfg, res)
 		return checkpointFromReports(t, res)
 	}
-	golden := fromCore(core.RunSequential)
+	seq := fromCore(cfg, core.RunSequential)
+	golden := checkpointOf(seq)
 	for _, mode := range []struct {
 		name string
 		got  []byte
 	}{
-		{"core.RunParallel", fromCore(core.RunParallel)},
+		{"core.RunParallel", checkpointOf(fromCore(cfg, core.RunParallel))},
 		{"plain RunJob", fromJob(MasterOptions{Cfg: cfg})},
 		{"resilient RunJob", fromJob(chaosOptions(cfg, 3))},
 	} {
 		if !bytes.Equal(golden, mode.got) {
 			t.Errorf("%s checkpoint differs from core.RunSequential (%d vs %d bytes)", mode.name, len(mode.got), len(golden))
+		}
+	}
+
+	w1 := cfg
+	w1.AsyncStaleness = 1
+	fromAsyncJob := func(plan *mpi.FaultPlan) [][]byte {
+		res, err := runJob(asyncOptions(w1), plan, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireAllTrained(t, w1, res)
+		states := make([][]byte, len(res.Reports))
+		for i, r := range res.Reports {
+			states[i] = r.Full
+		}
+		return states
+	}
+	marshal := func(full []*core.FullState) [][]byte {
+		states := make([][]byte, len(full))
+		for i, f := range full {
+			states[i] = f.Marshal()
+		}
+		return states
+	}
+	dupDelay := AsyncChaosPlan(42, 0, 0.35, 0.35)
+	// A cell whose push to a neighbour is lost can be one iteration past
+	// that neighbour's window by the time it re-pushes; only re-sending the
+	// push before it lets the neighbour go on.
+	drops := mpi.FaultPlan{Seed: 5, DropProb: 0.3, Tags: []int{tagAsyncState}}
+	want := marshal(seq)
+	for _, mode := range []struct {
+		name string
+		got  [][]byte
+	}{
+		{"core.RunAsync at W=1", marshal(fromCore(w1, core.RunAsync))},
+		{"async RunJob at W=1", fromAsyncJob(nil)},
+		{"async RunJob at W=1 under dup/delay chaos", fromAsyncJob(&dupDelay)},
+		{"async RunJob at W=1 with dropped pushes", fromAsyncJob(&drops)},
+	} {
+		for c := range want {
+			if !bytes.Equal(want[c], mode.got[c]) {
+				t.Errorf("%s: cell %d full state differs from core.RunSequential", mode.name, c)
+			}
 		}
 	}
 }

@@ -118,7 +118,10 @@ func RunSlaveOpts(comm *mpi.Comm, local *mpi.Comm, sopts SlaveOptions) error {
 		}()
 	}
 
-	// Main thread: serve the control protocol.
+	// Main thread: serve the control protocol. Once the done owner update
+	// is handed over, every later one is its resend: parsing one again only
+	// delays the report the master is waiting for.
+	doneSeen := false
 	for {
 		m, err := comm.Recv(0, mpi.AnyTag)
 		if err != nil {
@@ -156,6 +159,9 @@ func RunSlaveOpts(comm *mpi.Comm, local *mpi.Comm, sopts SlaveOptions) error {
 			default:
 			}
 		case tagOwnerUpdate:
+			if doneSeen {
+				break
+			}
 			u, err := parseOwnerUpdate(m.Data)
 			if err != nil {
 				return err
@@ -171,6 +177,7 @@ func RunSlaveOpts(comm *mpi.Comm, local *mpi.Comm, sopts SlaveOptions) error {
 			case s.ownerCh <- u:
 			case <-s.done:
 			}
+			doneSeen = u.Done
 		case tagRelease:
 			r, err := parseReleaseOrder(m.Data)
 			if err != nil {
@@ -371,8 +378,11 @@ func (s *slave) cacheUpdate(owned *ownedCells, round int, ranks []int) ([]byte, 
 // bookkeeping that travels with it across adoptions and releases.
 type ownedCell struct {
 	cell *core.Cell
-	// view gates and filters neighbour snapshots (async mode only).
-	view *core.NeighborView
+	// x applies the exchange rules to the cell (async mode only); wire is
+	// its last push and prev the one before it, both re-sent by the idle
+	// re-push.
+	x          *core.Exchange
+	wire, prev []byte
 	// failed marks a cell whose training errored; it is kept, reported
 	// and no longer iterated. errNote is the error's text.
 	failed  bool
@@ -429,7 +439,10 @@ func (o *ownedCells) adopt(b cellBlob) error {
 	}
 	oc := &ownedCell{cell: c, failed: b.Failed, errNote: b.Error, fitness: b.Fitness}
 	if o.task.Async {
-		oc.view = core.NewNeighborView(c, o.task.Cfg.EffectiveAsyncStaleness())
+		oc.x = core.NewExchange(c, o.task.Cfg.EffectiveAsyncStaleness())
+		if h := asyncClusterHooks.onApply; h != nil {
+			oc.x.Installed = func(src, iter int) { h(b.CellRank, src, iter, c.Iteration()) }
+		}
 	}
 	o.cells[b.CellRank] = oc
 	return nil

@@ -88,30 +88,29 @@ func TestRunDispatch(t *testing.T) {
 	}
 }
 
-// TestUpdateNeighborIgnoresOutsiders: a neighbour view installs only its
+// TestUpdateNeighborIgnoresOutsiders: an exchange installs only its
 // neighbours' snapshots, never a stranger's or the cell's own.
 func TestUpdateNeighborIgnoresOutsiders(t *testing.T) {
 	cfg := tinyConfig() // 2×2: neighbourhood of 0 = {0,1,2}
 	c0, _ := newTestCell(t, cfg, 0)
-	v := NewNeighborView(c0, 1)
+	x := NewExchange(c0, 2)
 	c3, _ := newTestCell(t, cfg, 3)
 	s3, err := c3.State()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Apply(s3); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c0.genNbrs[3]; ok {
-		t.Fatal("non-neighbour absorbed")
-	}
+	x.Offer(s3)
 	// Own state is a no-op.
 	s0, err := c0.State()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Apply(s0); err != nil {
+	x.Offer(s0)
+	if _, err := x.Settle(nil); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := c0.genNbrs[3]; ok {
+		t.Fatal("non-neighbour absorbed")
 	}
 	if len(c0.Mixture().Ranks) != 1 {
 		t.Fatalf("mixture %v after self-update", c0.Mixture().Ranks)
@@ -121,22 +120,25 @@ func TestUpdateNeighborIgnoresOutsiders(t *testing.T) {
 func TestUpdateNeighborGrowsMixture(t *testing.T) {
 	cfg := tinyConfig()
 	c0, _ := newTestCell(t, cfg, 0)
-	v := NewNeighborView(c0, 1)
+	x := NewExchange(c0, 2)
 	c1, _ := newTestCell(t, cfg, 1)
 	s1, err := c1.State()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v.Apply(s1); err != nil {
-		t.Fatal(err)
+	settle := func() {
+		t.Helper()
+		x.Offer(s1)
+		if ready, err := x.Settle(nil); err != nil || !ready {
+			t.Fatalf("settle: ready %v, err %v", ready, err)
+		}
 	}
+	settle()
 	if len(c0.Mixture().Ranks) != 2 {
 		t.Fatalf("mixture %v", c0.Mixture().Ranks)
 	}
 	// Refreshing the same rank keeps the mixture size stable.
-	if _, err := v.Apply(s1); err != nil {
-		t.Fatal(err)
-	}
+	settle()
 	if len(c0.Mixture().Ranks) != 2 {
 		t.Fatalf("mixture grew on refresh: %v", c0.Mixture().Ranks)
 	}

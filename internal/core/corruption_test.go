@@ -131,6 +131,40 @@ func FuzzUnmarshalCellState(f *testing.F) {
 	})
 }
 
+// FuzzDecodePush: the push decoder, which both exchange loops feed raw
+// peer bytes, never panics, reads a header alone as the abort marker, and
+// whatever else it accepts is a halt-at header and a whole cell state.
+func FuzzDecodePush(f *testing.F) {
+	st := (&CellState{Rank: 1, Iteration: 3, GenParams: []byte{1, 2, 3}}).Marshal()
+	for _, h := range []int{noHalt, 7, abortHalt} {
+		f.Add(append(appendHalt(nil, h), st...))
+		f.Add(appendHalt(nil, h))
+	}
+	f.Add(append(appendHalt(nil, 7), st[:len(st)-1]...))
+	f.Add([]byte{1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		halt, s, err := decodePush(data)
+		if len(data) == 8 {
+			if err != nil || s != nil || halt != abortHalt {
+				t.Fatalf("a header alone decoded as halt-at %d, state %v, error %v; want the abort marker", halt, s, err)
+			}
+			return
+		}
+		if err != nil {
+			return
+		}
+		if s == nil {
+			t.Fatal("a push with a body decoded to no state")
+		}
+		if !bytes.Equal(appendHalt(nil, halt), data[:8]) {
+			t.Fatalf("halt-at %d does not re-encode to the header", halt)
+		}
+		if !bytes.Equal(s.Marshal()[stateHeaderSize:], data[8+stateHeaderSize:]) {
+			t.Fatal("state blobs do not re-marshal to the body")
+		}
+	})
+}
+
 // A full state whose optimizer moments were saved for another architecture
 // used to restore without complaint and panic inside Adam.Step on the next
 // Iterate (index out of range). RestoreFull must refuse it, naming the

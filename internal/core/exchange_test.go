@@ -96,7 +96,7 @@ func BenchmarkExchangeRound(b *testing.B) {
 		l := &RankLoop{Comm: world.MustComm(rank), Cell: cell}
 		l.init()
 		loops[rank] = l
-		received += len(l.view.nbrs) * len(cell.AppendState(nil))
+		received += len(l.x.nbrs) * len(cell.AppendState(nil))
 	}
 	round := func() {
 		if err := eachRank(n, func(rank int) error { return loops[rank].exchange() }); err != nil {

@@ -132,14 +132,16 @@ func TestNeighborRejectsWrongArch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := NewNeighborView(c0, 1)
-	if _, err := v.Apply(s1); err != nil {
+	x := NewExchange(c0, 1)
+	x.Offer(s1)
+	if _, err := x.Settle(nil); err != nil {
 		t.Fatal(err)
 	}
 	before := c0.discNbrs[1].Net.ParamsL2()
 	bad := *s1
 	bad.DiscParams = s1.GenParams // generator-shaped
-	if _, err := v.Apply(&bad); err == nil {
+	x.Offer(&bad)
+	if _, err := x.Settle(nil); err == nil {
 		t.Fatal("architecture mismatch accepted")
 	}
 	if got := c0.discNbrs[1].Net.ParamsL2(); got != before {

@@ -1,64 +1,134 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"cellgan/internal/config"
 	"cellgan/internal/mpi"
 )
 
-func TestStalenessTrackerNewestWins(t *testing.T) {
-	tr := NewStalenessTracker(2)
-	if !tr.ShouldApply(1, 0) {
-		t.Fatal("fresh source rejected")
+// neighbourState returns rank's snapshot of cfg's grid, stamped iteration
+// iter.
+func neighbourState(t *testing.T, cfg config.Config, rank, iter int) *CellState {
+	t.Helper()
+	c, _ := newTestCell(t, cfg, rank)
+	s, err := c.State()
+	if err != nil {
+		t.Fatal(err)
 	}
-	tr.MarkApplied(1, 3)
-	if tr.ShouldApply(1, 2) {
-		t.Fatal("stale snapshot accepted after newer apply")
+	s.Iteration = iter
+	return s
+}
+
+// settleInstalls settles x and returns the snapshots it installed, as
+// "src@iter".
+func settleInstalls(t *testing.T, x *Exchange) []string {
+	t.Helper()
+	var got []string
+	x.Installed = func(src, iter int) { got = append(got, fmt.Sprintf("%d@%d", src, iter)) }
+	if _, err := x.Settle(nil); err != nil {
+		t.Fatal(err)
 	}
-	if !tr.ShouldApply(1, 3) {
-		t.Fatal("duplicate of the current snapshot rejected")
+	sort.Strings(got)
+	return got
+}
+
+func TestExchangeNewestWins(t *testing.T) {
+	cfg := tinyConfig() // 2×2: neighbourhood of 0 = {0,1,2}
+	c0, _ := newTestCell(t, cfg, 0)
+	x := NewExchange(c0, 2)
+	x.Offer(neighbourState(t, cfg, 1, 0))
+	x.Offer(neighbourState(t, cfg, 1, 1))
+	if got := settleInstalls(t, x); !slices.Equal(got, []string{"1@1"}) {
+		t.Fatalf("one drain installed %v, want only the newest, 1@1", got)
 	}
-	if !tr.ShouldApply(1, 4) {
-		t.Fatal("newer snapshot rejected")
+	x.Offer(neighbourState(t, cfg, 1, 0))
+	if got := settleInstalls(t, x); len(got) != 0 {
+		t.Fatalf("a stale snapshot was installed after a newer one: %v", got)
 	}
-	// MarkApplied is monotonic even when called out of order.
-	tr.MarkApplied(1, 1)
-	if got := tr.AppliedIteration(1); got != 3 {
-		t.Fatalf("applied iteration regressed to %d", got)
+	x.Offer(neighbourState(t, cfg, 1, 1))
+	if got := settleInstalls(t, x); !slices.Equal(got, []string{"1@1"}) {
+		t.Fatalf("a duplicate of the installed snapshot was refused: %v", got)
 	}
 }
 
-func TestStalenessTrackerGate(t *testing.T) {
-	tr := NewStalenessTracker(2)
-	nbrs := []int{1, 2, 3}
-	// Fresh grid: everything at iteration 0, next iteration is 1.
-	if s := tr.Stale(1, nbrs); len(s) != 0 {
-		t.Fatalf("fresh grid gated: %v", s)
+func TestExchangeGate(t *testing.T) {
+	cfg := tinyConfig()
+	c0, _ := newTestCell(t, cfg, 0)
+	x := NewExchange(c0, 2)
+	// A neighbour never heard from counts as version −1.
+	if x.gated(nil) {
+		t.Fatal("iteration 1 gated at W = 2 on a fresh grid")
 	}
-	// Next iteration 3 with all neighbours at 0 exceeds the window.
-	if s := tr.Stale(3, nbrs); len(s) != 3 {
-		t.Fatalf("want all stale, got %v", s)
+	c0.iteration = 1
+	if !x.gated(nil) {
+		t.Fatal("iteration 2 not gated with no neighbour heard from")
 	}
-	tr.MarkApplied(2, 1)
-	tr.MarkApplied(3, 2)
-	if s := tr.Stale(3, nbrs); len(s) != 1 || s[0] != 1 {
-		t.Fatalf("want [1], got %v", s)
+	x.Offer(neighbourState(t, cfg, 1, 1))
+	x.Offer(neighbourState(t, cfg, 2, 0))
+	settleInstalls(t, x)
+	if x.gated(nil) {
+		t.Fatal("iteration 2 gated with neighbours at 1 and 0")
 	}
-	if s := tr.Stale(4, nbrs); len(s) != 2 || s[0] != 1 || s[1] != 2 {
-		t.Fatalf("want [1 2], got %v", s)
+	c0.iteration = 2
+	if !x.gated(nil) {
+		t.Fatal("iteration 3 not gated with neighbour 2 at 0")
+	}
+	if x.gated(map[int]bool{2: true}) {
+		t.Fatal("an exempt neighbour held the gate")
 	}
 }
 
-func TestStalenessTrackerMinimumBound(t *testing.T) {
-	tr := NewStalenessTracker(0)
-	if tr.Bound() != 1 {
-		t.Fatalf("bound %d, want 1", tr.Bound())
+// TestExchangeWindowOneHolds: at W = 1 a fresh cell waits for every
+// neighbour's first snapshot, and a neighbour's next one, arriving in the
+// same drain, is held rather than installed or lost: it is what the
+// cell's next boundary installs.
+func TestExchangeWindowOneHolds(t *testing.T) {
+	cfg := tinyConfig()
+	c0, _ := newTestCell(t, cfg, 0)
+	x := NewExchange(c0, 0) // raised to 1
+	if !x.gated(nil) {
+		t.Fatal("a fresh cell at W = 1 ran without its neighbours' centers")
 	}
-	// A window of 1 must not gate the very first iteration.
-	if s := tr.Stale(1, []int{1}); len(s) != 0 {
-		t.Fatalf("first iteration gated: %v", s)
+	for _, s := range []*CellState{neighbourState(t, cfg, 1, 1), neighbourState(t, cfg, 1, 0), neighbourState(t, cfg, 2, 0)} {
+		x.Offer(s)
+	}
+	if got := settleInstalls(t, x); !slices.Equal(got, []string{"1@0", "2@0"}) {
+		t.Fatalf("boundary 0 installed %v, want 1@0 and 2@0", got)
+	}
+	if x.gated(nil) {
+		t.Fatal("boundary 0 still gated")
+	}
+	c0.iteration = 1
+	x.Offer(neighbourState(t, cfg, 2, 1))
+	if got := settleInstalls(t, x); !slices.Equal(got, []string{"1@1", "2@1"}) {
+		t.Fatalf("boundary 1 installed %v, want the held 1@1 and 2@1", got)
+	}
+}
+
+// TestExchangeRefreshesOncePerBoundary: a cell that stays at a boundary
+// whose gate has opened — a finished cell the cluster slave keeps
+// settling — is not refreshed again, so its mixture weights are not
+// renormalised once per pass.
+func TestExchangeRefreshesOncePerBoundary(t *testing.T) {
+	cfg := tinyConfig()
+	c0, _ := newTestCell(t, cfg, 0)
+	x := NewExchange(c0, 1)
+	x.Offer(neighbourState(t, cfg, 1, 0))
+	x.Offer(neighbourState(t, cfg, 2, 0))
+	settleInstalls(t, x)
+	c0.Mixture().Weights[0] = 2 // what a second refresh would renormalise
+	x.Offer(neighbourState(t, cfg, 1, 0))
+	if ready, err := x.Settle(nil); err != nil || !ready {
+		t.Fatalf("settle: ready %v, err %v", ready, err)
+	}
+	if w := c0.Mixture().Weights; w[0] != 2 {
+		t.Fatalf("a settled boundary refreshed the mixture again: weights %v", w)
 	}
 }
 

@@ -63,10 +63,8 @@ func (r *LoadTestResult) String() string {
 }
 
 // BenchLine renders the result as one `go test -bench`-style line
-// (`BenchmarkName <iterations> <value> <unit> ...`), so load-test runs
-// can be piped through cmd/benchjson and archived as machine-readable
-// serving benchmarks (BENCH_serve.json) — the serving analogue of the
-// paper's speedup tables. name must not contain whitespace.
+// (`BenchmarkName <iterations> <value> <unit> ...`), a summary a script
+// can parse. name must not contain whitespace.
 func (r *LoadTestResult) BenchLine(name string) string {
 	nsPerReq := 0.0
 	if r.Requests > 0 {
