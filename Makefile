@@ -50,11 +50,12 @@ stress:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One iteration of every benchmark plus the allocation tripwires
-# (-run='Allocs' picks up the AllocsPerRun tests guarding the training
-# iteration and telemetry observation hot paths).
+# One iteration of every benchmark plus the allocation and memory
+# tripwires (-run='Allocs|Heap' picks up the AllocsPerRun tests guarding
+# the training iteration and telemetry observation hot paths, and the
+# live-heap budget of a running grid).
 bench-smoke:
-	$(GO) test -run='Allocs' -bench=. -benchtime=1x ./...
+	$(GO) test -run='Allocs|Heap' -bench=. -benchtime=1x ./...
 
 # Best-effort static analysis: runs staticcheck when it is installed
 # (CI pins its own copy via dominikh/staticcheck-action).

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -93,18 +92,18 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 		}
 		return dests
 	}
-	// push encodes cell r's center, keeping the push before it, and sends
-	// it to the remote owners of its influence set, one shared copy for all
-	// of them. Co-owned cells it influences get a copy in memory: they may
-	// hold it past this buffer's next use. Best-effort: the idle re-push
-	// heals a lost push.
+	// push encodes cell r's center into a fresh buffer, keeping the push
+	// before it, and hands it to the remote owners of its influence set and
+	// to the co-owned cells it influences alike: a sent push is never
+	// written again, only re-sent. Best-effort: the idle re-push heals a
+	// lost push.
 	push := func(r int) {
 		oc := owned.cells[r]
-		oc.prev, oc.wire = oc.wire, oc.x.AppendPush(oc.prev[:0])
+		oc.prev, oc.wire = oc.wire, oc.x.AppendPush(nil)
 		s.world.Multicast(remote(r), tagAsyncState, oc.wire) //nolint:errcheck
 		for _, d := range owned.grid.Influence(r) {
 			if nb := owned.cells[d]; nb != nil && d != r {
-				nb.x.Receive(bytes.Clone(oc.wire)) //nolint:errcheck // it decodes what AppendPush just encoded
+				nb.x.Receive(oc.wire) //nolint:errcheck // it decodes what AppendPush just encoded
 			}
 		}
 		if h := asyncClusterHooks.onPush; h != nil {

@@ -380,7 +380,7 @@ type ownedCell struct {
 	cell *core.Cell
 	// x applies the exchange rules to the cell (async mode only); wire is
 	// its last push and prev the one before it, both re-sent by the idle
-	// re-push.
+	// re-push. Sent buffers: receivers alias them, nobody writes them.
 	x          *core.Exchange
 	wire, prev []byte
 	// failed marks a cell whose training errored; it is kept, reported

@@ -110,8 +110,11 @@ func (x *Exchange) AppendPush(dst []byte) []byte {
 }
 
 // Receive takes one push: the cell adopts the header's halt-at if it is
-// lower and keeps the snapshot behind it. data must not change until that
-// snapshot is installed or superseded.
+// lower and keeps the snapshot behind it, aliasing data — which must not
+// change until that snapshot is installed or superseded. Both drivers
+// satisfy this by never writing a push once it is sent: the buffer
+// Multicast took, or the async slave's last two pushes, which it only
+// re-sends.
 func (x *Exchange) Receive(data []byte) error {
 	halt, s, err := decodePush(data)
 	if err != nil {
@@ -263,9 +266,8 @@ type RankLoop struct {
 
 	x *Exchange
 	// dests is the influence set minus the cell, the ranks every push
-	// goes to; wire is the encode buffer every push reuses.
+	// goes to.
 	dests []int
-	wire  []byte
 }
 
 // Run trains the cell until it reaches its configured iteration count or
@@ -324,8 +326,9 @@ func (l *RankLoop) exchange() error {
 		l.inst.observeExchange(time.Since(t0))
 		l.Cell.prof.Since(telemetry.RoutineGather, t0)
 	}()
-	l.wire = l.x.AppendPush(l.wire[:0])
-	if err := l.Comm.Multicast(l.dests, stateTag, l.wire); err != nil {
+	// Each push is a fresh buffer handed to Multicast: the receivers keep
+	// it until they install or supersede it, so it is never written again.
+	if err := l.Comm.Multicast(l.dests, stateTag, l.x.AppendPush(nil)); err != nil {
 		return err
 	}
 	if l.hooks != nil && l.hooks.onPush != nil {

@@ -1,6 +1,9 @@
 package mpi
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // mailbox is an in-order message store with blocking, predicate-matched
 // receives. Both transports (inproc and tcp) deliver incoming wire messages
@@ -47,14 +50,16 @@ func matches(m wireMsg, commID uint32, srcWorld, tag int) bool {
 }
 
 // take blocks until a message matching the pattern is available and
-// removes the earliest such message.
+// removes the earliest such message. Removal clears the slot it frees at
+// the queue's tail, so a taken payload is not kept alive by the queue's
+// backing array.
 func (b *mailbox) take(commID uint32, srcWorld, tag int) (wireMsg, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
 		for i, m := range b.queue {
 			if matches(m, commID, srcWorld, tag) {
-				b.queue = append(b.queue[:i], b.queue[i+1:]...)
+				b.queue = slices.Delete(b.queue, i, i+1)
 				return m, nil
 			}
 		}
@@ -72,7 +77,7 @@ func (b *mailbox) tryTake(commID uint32, srcWorld, tag int) (wireMsg, bool, erro
 	defer b.mu.Unlock()
 	for i, m := range b.queue {
 		if matches(m, commID, srcWorld, tag) {
-			b.queue = append(b.queue[:i], b.queue[i+1:]...)
+			b.queue = slices.Delete(b.queue, i, i+1)
 			return m, true, nil
 		}
 	}

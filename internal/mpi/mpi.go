@@ -50,7 +50,8 @@ type Message struct {
 	// Tag is the application tag the message was sent with.
 	Tag int
 	// Data is the payload. It is the receiver's own, except that the
-	// receivers of one Multicast share it and must not write to it.
+	// receivers of one Multicast share it with each other and with its
+	// sender, and none may write to it.
 	Data []byte
 }
 
@@ -131,7 +132,8 @@ func (c *Comm) checkRank(r int, what string) error {
 }
 
 // Send delivers data to dst (comm rank) with the given tag. The payload is
-// not aliased after Send returns.
+// copied: data is not aliased after Send returns, and the caller may reuse
+// it.
 func (c *Comm) Send(dst, tag int, data []byte) error {
 	if err := c.checkRank(dst, "destination"); err != nil {
 		return err
@@ -142,17 +144,18 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 	return c.send(dst, tag, data)
 }
 
-// send skips user-tag validation so collectives can use reserved tags.
+// send skips user-tag validation so collectives can use reserved tags; it
+// copies data as Send does.
 func (c *Comm) send(dst, tag int, data []byte) error {
-	return c.multicast([]int{dst}, tag, data)
+	return c.multicast([]int{dst}, tag, append([]byte(nil), data...))
 }
 
 // Multicast delivers data to every member in dests (comm ranks) with the
-// given tag, as a Send to each in order would, but behind all the messages
-// stands one private copy of data instead of one per destination: the
-// receivers share Message.Data and must treat it as read-only. The payload
-// is not aliased after Multicast returns. It stops at the first destination
-// that fails.
+// given tag, as a Send to each in order would, but without a copy:
+// Multicast takes ownership of data. Every destination's message shares
+// it — in-process receivers get the sender's backing array itself — so
+// the caller must not modify data afterwards, and receivers must treat
+// Message.Data as read-only. It stops at the first destination that fails.
 func (c *Comm) Multicast(dests []int, tag int, data []byte) error {
 	for _, r := range dests {
 		if err := c.checkRank(r, "destination"); err != nil {
@@ -166,12 +169,12 @@ func (c *Comm) Multicast(dests []int, tag int, data []byte) error {
 }
 
 // multicast skips validation: dests are checked comm ranks, tag may be
-// reserved.
+// reserved. It hands data to the transport as is.
 func (c *Comm) multicast(dests []int, tag int, data []byte) error {
 	if len(dests) == 0 {
 		return nil
 	}
-	m := wireMsg{Comm: c.id, Src: c.ep.worldRank(), Tag: tag, Data: append([]byte(nil), data...)}
+	m := wireMsg{Comm: c.id, Src: c.ep.worldRank(), Tag: tag, Data: data}
 	for _, r := range dests {
 		if err := c.ep.sendWorld(c.group[r], m); err != nil {
 			return err

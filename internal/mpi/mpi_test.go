@@ -503,25 +503,42 @@ func TestCollectivesInterleavedWithP2P(t *testing.T) {
 
 // TestMulticastMatchesSends: Multicast is a Send to every destination in
 // order — the same payload under the same tag on both transports, the same
-// per-message fault decisions under a plan — and the sender's buffer is its
-// own again once it returns.
+// per-message fault decisions under a plan — except that it hands data
+// over instead of copying it: in-process receivers of one Multicast share
+// the sender's backing array, while a buffer passed to Send is the
+// sender's own again once Send returns.
 func TestMulticastMatchesSends(t *testing.T) {
 	const n, tag = 4, 9
 	dests := []int{2, 1, 3}
 	for _, transport := range []string{"inproc", "tcp"} {
 		t.Run(transport, func(t *testing.T) {
+			center := []byte("center")
 			eachComm(t, worldComms(t, transport, n), func(c *Comm) error {
 				if c.Rank() == 0 {
-					buf := []byte("center")
-					if err := c.Multicast(dests, tag, buf); err != nil {
+					if err := c.Multicast(dests, tag, center); err != nil {
 						return err
+					}
+					buf := []byte("single")
+					for _, d := range dests {
+						if err := c.Send(d, tag+1, buf); err != nil {
+							return err
+						}
 					}
 					copy(buf, "XXXXXX")
 					return nil
 				}
 				m, err := c.Recv(0, tag)
-				if err == nil && string(m.Data) != "center" {
-					err = fmt.Errorf("rank %d received %q", c.Rank(), m.Data)
+				if err != nil {
+					return err
+				}
+				if string(m.Data) != "center" {
+					return fmt.Errorf("rank %d received %q from Multicast", c.Rank(), m.Data)
+				}
+				if shared := &m.Data[0] == &center[0]; shared != (transport == "inproc") {
+					return fmt.Errorf("rank %d: payload shares the sender's array = %v on %s", c.Rank(), shared, transport)
+				}
+				if m, err = c.Recv(0, tag+1); err == nil && string(m.Data) != "single" {
+					err = fmt.Errorf("rank %d received %q from Send", c.Rank(), m.Data)
 				}
 				return err
 			})
@@ -560,5 +577,31 @@ func TestMulticastMatchesSends(t *testing.T) {
 	}
 	if err := w.MustComm(0).Multicast([]int{1}, maxUserTag, nil); err == nil {
 		t.Fatal("reserved tag accepted")
+	}
+}
+
+// TestMailboxReleasesTaken: removing a message clears the slot it frees in
+// the queue's backing array, so a taken payload — a whole center push, in
+// training — is not kept alive by the mailbox until later traffic
+// overwrites the slot.
+func TestMailboxReleasesTaken(t *testing.T) {
+	b := newMailbox()
+	for i := 0; i < 3; i++ {
+		if err := b.put(wireMsg{Comm: 1, Src: i, Tag: 2, Data: []byte{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok, err := b.tryTake(1, 1, 2); !ok || err != nil {
+		t.Fatalf("tryTake: ok %v, err %v", ok, err)
+	}
+	for _, src := range []int{0, 2} {
+		if _, err := b.take(1, src, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, m := range b.queue[:cap(b.queue)] {
+		if m.Data != nil {
+			t.Fatalf("slot %d still references a taken payload", i)
+		}
 	}
 }

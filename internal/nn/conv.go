@@ -136,8 +136,9 @@ func (c *Conv2DOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], nee
 		}
 	}
 	if need&NeedParams != 0 {
-		tensor.AddColSumsInto(c.dB, dOut)
-		tensor.AddMatMulT1Into(c.dW, dOut, cols)
+		dW, dB := c.grads()
+		tensor.AddColSumsInto(dB, dOut)
+		tensor.AddMatMulT1Into(dW, dOut, cols)
 	}
 	if need&NeedInput == 0 {
 		return nil
@@ -265,8 +266,9 @@ func (t *ConvTranspose2DOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matri
 	}
 	gCols := tensor.Im2ColInto(&s.aux[auxPos], grad, t.OutC, outH, outW, t.K, t.Stride, t.Pad, t.InH, t.InW)
 	if need&NeedParams != 0 {
-		addChannelSums(t.dB.Data, grad, t.OutC, outPos)
-		tensor.AddMatMulT1Into(t.dW, xT, gCols)
+		dW, dB := t.grads()
+		addChannelSums(dB.Data, grad, t.OutC, outPos)
+		tensor.AddMatMulT1Into(dW, xT, gCols)
 	}
 	if need&NeedInput == 0 {
 		return nil

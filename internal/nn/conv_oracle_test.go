@@ -144,13 +144,14 @@ func (c *directConv2D) Backward(_ *LayerScratch, grad *tensor.Mat, need Need) *t
 func (c *directConv2D) addParamGrads(grad *tensor.Mat) {
 	_, outH, outW := c.OutDims()
 	pos := outH * outW
+	dW, dB := c.grads()
 	// dB: AddColSumsInto order over the position-major gradient — rows are
 	// (sample, position), columns the output channels.
 	for b := 0; b < grad.Rows; b++ {
 		g := grad.Row(b)
 		for p := 0; p < pos; p++ {
 			for oc := 0; oc < c.OutC; oc++ {
-				c.dB.Data[oc] += g[oc*pos+p]
+				dB.Data[oc] += g[oc*pos+p]
 			}
 		}
 	}
@@ -164,7 +165,7 @@ func (c *directConv2D) addParamGrads(grad *tensor.Mat) {
 			for ox := 0; ox < outW; ox++ {
 				for oc := 0; oc < c.OutC; oc++ {
 					gv := g[oc*pos+oy*outW+ox]
-					dw := c.dW.Row(oc)
+					dw := dW.Row(oc)
 					j := 0
 					for ic := 0; ic < c.InC; ic++ {
 						for ky := 0; ky < c.K; ky++ {
@@ -292,7 +293,8 @@ func (t *directConvT2D) addParamGrads(grad *tensor.Mat) {
 	_, outH, outW := t.OutDims()
 	outPos := outH * outW
 	inPos := t.InH * t.InW
-	addChannelSums(t.dB.Data, grad, t.OutC, outPos)
+	dW, dB := t.grads()
+	addChannelSums(dB.Data, grad, t.OutC, outPos)
 	// dW: AddMatMulT1Into order — (sample, input position) rows outermost,
 	// out-of-bounds taps contributing exact-zero gradient operands. Zero
 	// activations are NOT skipped: 0·NaN must stay NaN, as in the kernels.
@@ -303,7 +305,7 @@ func (t *directConvT2D) addParamGrads(grad *tensor.Mat) {
 			for ix := 0; ix < t.InW; ix++ {
 				for ic := 0; ic < t.InC; ic++ {
 					v := in[ic*inPos+iy*t.InW+ix]
-					dw := t.dW.Row(ic)
+					dw := dW.Row(ic)
 					j := 0
 					for oc := 0; oc < t.OutC; oc++ {
 						for ky := 0; ky < t.K; ky++ {

@@ -8,9 +8,10 @@
 // There is one layer protocol. Forward and Backward take the per-layer
 // LayerScratch that owns every buffer of the pass — the layer output, the
 // input gradient, the cached forward input and any auxiliary matrices — so
-// a layer value holds parameters and gradient accumulators only. Training
-// and serving loops hand each network a Workspace (one LayerScratch per
-// layer slot, reused across iterations, zero steady-state allocations);
+// a layer value holds parameters and, once it has trained, gradient
+// accumulators only. Training and serving loops hand each network a
+// Workspace (one LayerScratch per layer slot, reused across iterations,
+// zero steady-state allocations);
 // the methods without the WS suffix are the same path with fresh scratch
 // per pass. Optimizers consume (params, grads) pairs. Each backward pass
 // computes only what is read: the train pass (BackwardWS) accumulates
@@ -44,15 +45,16 @@ type LayerOf[T tensor.Float] interface {
 	Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], need Need) *tensor.Matrix[T]
 	// Params returns the trainable parameter matrices (possibly empty).
 	Params() []*tensor.Matrix[T]
-	// Grads returns the gradient accumulators, aligned with Params.
+	// Grads returns the gradient accumulators, aligned with Params,
+	// allocating them zeroed on first use (as a train pass does).
 	Grads() []*tensor.Matrix[T]
-	// ZeroGrads clears the gradient accumulators.
+	// ZeroGrads clears the gradient accumulators, if there are any yet.
 	ZeroGrads()
 	// Clone returns an independent copy of the layer (parameters copied,
-	// no scratch shared).
+	// no accumulators, no scratch shared).
 	Clone() LayerOf[T]
 	// Narrow is Clone into the float32 instantiation: parameters rounded
-	// to float32, zero gradients, no scratch shared.
+	// to float32, no accumulators, no scratch shared.
 	Narrow() LayerOf[float32]
 }
 
@@ -90,19 +92,19 @@ type Sized interface {
 }
 
 // weights is the parameter pair of the Linear and conv layers — a weight
-// matrix W and a bias row B — with their gradient accumulators.
+// matrix W and a bias row B — with their gradient accumulators. Only a
+// network that trains reads accumulators, so they are allocated, zeroed,
+// on first use (a train pass or Grads): a copy that only forwards — a
+// kept neighbour, a serving clone, a narrowed net — holds parameters only.
 type weights[T tensor.Float] struct {
 	W, B   *tensor.Matrix[T]
-	dW, dB *tensor.Matrix[T]
+	dW, dB *tensor.Matrix[T] // nil until grads
 }
 
-// newWeights pairs w and b with zero gradient accumulators.
-func newWeights[T tensor.Float](w, b *tensor.Matrix[T]) weights[T] {
-	dW, dB := new(tensor.Matrix[T]).Resize(w.Rows, w.Cols), new(tensor.Matrix[T]).Resize(b.Rows, b.Cols)
-	return weights[T]{W: w, B: b, dW: dW, dB: dB}
-}
+// newWeights pairs w and b, with no gradient accumulators yet.
+func newWeights[T tensor.Float](w, b *tensor.Matrix[T]) weights[T] { return weights[T]{W: w, B: b} }
 
-// clone copies the parameters, with fresh gradient accumulators.
+// clone copies the parameters.
 func (p *weights[T]) clone() weights[T] { return newWeights(p.W.Clone(), p.B.Clone()) }
 
 // narrow is clone with the parameters rounded to float32.
@@ -110,16 +112,32 @@ func (p *weights[T]) narrow() weights[float32] {
 	return newWeights(tensor.Narrow(p.W), tensor.Narrow(p.B))
 }
 
+// grads returns the gradient accumulators, allocating them zeroed the
+// first time.
+func (p *weights[T]) grads() (dW, dB *tensor.Matrix[T]) {
+	if p.dW == nil {
+		p.dW = new(tensor.Matrix[T]).Resize(p.W.Rows, p.W.Cols)
+		p.dB = new(tensor.Matrix[T]).Resize(p.B.Rows, p.B.Cols)
+	}
+	return p.dW, p.dB
+}
+
 // Params returns {W, B}.
 func (p *weights[T]) Params() []*tensor.Matrix[T] { return []*tensor.Matrix[T]{p.W, p.B} }
 
-// Grads returns {dW, dB}.
-func (p *weights[T]) Grads() []*tensor.Matrix[T] { return []*tensor.Matrix[T]{p.dW, p.dB} }
+// Grads returns {dW, dB}, allocating them on first use so a caller that
+// caches the slice (NetworkOf.Grads) holds the live accumulators.
+func (p *weights[T]) Grads() []*tensor.Matrix[T] {
+	dW, dB := p.grads()
+	return []*tensor.Matrix[T]{dW, dB}
+}
 
-// ZeroGrads clears the gradient accumulators.
+// ZeroGrads clears the gradient accumulators; without any it does nothing.
 func (p *weights[T]) ZeroGrads() {
-	p.dW.Zero()
-	p.dB.Zero()
+	if p.dW != nil {
+		p.dW.Zero()
+		p.dB.Zero()
+	}
 }
 
 // LinearOf is a fully-connected layer computing y = x·W + b, with W
@@ -161,8 +179,9 @@ func (l *LinearOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor
 func (l *LinearOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], need Need) *tensor.Matrix[T] {
 	s = l.resume(s)
 	if need&NeedParams != 0 {
-		tensor.AddMatMulT1Into(l.dW, s.in, grad)
-		tensor.AddColSumsInto(l.dB, grad)
+		dW, dB := l.grads()
+		tensor.AddMatMulT1Into(dW, s.in, grad)
+		tensor.AddColSumsInto(dB, grad)
 	}
 	if need&NeedInput == 0 {
 		return nil

@@ -341,7 +341,7 @@ func TestSGDStep(t *testing.T) {
 	lin := net.Layers[0].(*Linear)
 	lin.W.Set(0, 0, 2)
 	lin.B.Set(0, 0, 0)
-	lin.dW.Set(0, 0, 1)
+	lin.Grads()[0].Set(0, 0, 1)
 	opt := NewSGD(0.1, 0)
 	opt.Step(net)
 	if math.Abs(lin.W.At(0, 0)-1.9) > 1e-15 {
@@ -362,7 +362,7 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	lin := net.Layers[0].(*Linear)
 	lin.W.Set(0, 0, 0)
 	opt := NewSGD(1, 0.9)
-	lin.dW.Set(0, 0, 1)
+	lin.Grads()[0].Set(0, 0, 1)
 	opt.Step(net) // v = -1, W = -1
 	opt.Step(net) // v = -1.9, W = -2.9
 	if math.Abs(lin.W.At(0, 0)+2.9) > 1e-12 {
@@ -386,7 +386,7 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		net.ZeroGrads()
 		w := lin.W.At(0, 0)
-		lin.dW.Set(0, 0, 2*(w-3))
+		lin.Grads()[0].Set(0, 0, 2*(w-3))
 		opt.Step(net)
 	}
 	if math.Abs(lin.W.At(0, 0)-3) > 1e-3 {
@@ -398,14 +398,14 @@ func TestAdamResetClearsState(t *testing.T) {
 	rng := tensor.NewRNG(11)
 	net := NewNetwork(NewLinear(1, 1, rng))
 	opt := NewAdam(0.01)
-	net.Layers[0].(*Linear).dW.Set(0, 0, 1)
+	net.Layers[0].Grads()[0].Set(0, 0, 1)
 	opt.Step(net)
 	if opt.t != 1 {
 		t.Fatalf("t = %d", opt.t)
 	}
 	opt.Reset()
-	if opt.t != 0 || opt.m != nil || opt.v != nil {
-		t.Fatal("Reset incomplete")
+	if state, _ := opt.StateBinary(); opt.t != 0 || len(state) != 40+2*4 {
+		t.Fatalf("Reset incomplete: t = %d, %d state bytes", opt.t, len(state))
 	}
 }
 
@@ -413,8 +413,8 @@ func TestClipGrads(t *testing.T) {
 	rng := tensor.NewRNG(12)
 	net := NewNetwork(NewLinear(2, 2, rng))
 	lin := net.Layers[0].(*Linear)
-	lin.dW.Fill(3)
-	lin.dB.Fill(4)
+	lin.Grads()[0].Fill(3)
+	lin.Grads()[1].Fill(4)
 	pre := ClipGrads(net, 1)
 	if pre <= 1 {
 		t.Fatalf("pre-clip norm = %v", pre)

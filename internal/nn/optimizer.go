@@ -57,7 +57,11 @@ func decodeMoments(data []byte, params []*tensor.Mat) ([]*tensor.Mat, []byte, er
 type SGD struct {
 	LR       float64
 	Momentum float64
+	// velocity is the momentum buffer; inUse is false while it holds no
+	// live values — before the first momentum Step and after Reset, which
+	// keeps the storage for that Step to zero.
 	velocity []*tensor.Mat
+	inUse    bool
 }
 
 // NewSGD returns an SGD optimizer.
@@ -73,12 +77,8 @@ func (s *SGD) Step(n *Network) {
 		}
 		return
 	}
-	if len(s.velocity) != len(params) {
-		s.velocity = make([]*tensor.Mat, len(params))
-		for i, p := range params {
-			s.velocity[i] = tensor.New(p.Rows, p.Cols)
-		}
-	}
+	s.velocity = zeroedUnless(s.inUse, s.velocity, params)
+	s.inUse = true
 	for i, p := range params {
 		v := s.velocity[i]
 		v.Scale(s.Momentum)
@@ -93,15 +93,16 @@ func (s *SGD) LearningRate() float64 { return s.LR }
 // SetLearningRate replaces the learning rate.
 func (s *SGD) SetLearningRate(lr float64) { s.LR = lr }
 
-// Reset clears the momentum buffers.
-func (s *SGD) Reset() { s.velocity = nil }
+// Reset clears the momentum buffers, keeping their storage.
+func (s *SGD) Reset() { s.inUse = false }
 
 // StateBinary serialises the learning rate, momentum and velocity
-// buffers.
+// buffers; a reset optimizer has none.
 func (s *SGD) StateBinary() ([]byte, error) {
-	out := make([]byte, 0, 16+tensor.MatsSize(s.velocity))
+	velocity := live(s.inUse, s.velocity)
+	out := make([]byte, 0, 16+tensor.MatsSize(velocity))
 	out = appendF64(out, s.LR, s.Momentum)
-	return tensor.AppendMats(out, s.velocity), nil
+	return tensor.AppendMats(out, velocity), nil
 }
 
 // RestoreBinary reverses StateBinary.
@@ -114,6 +115,7 @@ func (s *SGD) RestoreBinary(n *Network, data []byte) error {
 	if r.velocity, _, err = decodeMoments(data, n.Params()); err != nil {
 		return fmt.Errorf("nn: SGD velocity: %w", err)
 	}
+	r.inUse = r.velocity != nil
 	*s = r
 	return nil
 }
@@ -126,9 +128,11 @@ type Adam struct {
 	Beta2   float64
 	Epsilon float64
 
-	t int
-	m []*tensor.Mat
-	v []*tensor.Mat
+	// t is the step count since the last Reset; at 0 the moment
+	// estimates m and v hold no live values, only storage kept for the
+	// next Step to zero.
+	t    int
+	m, v []*tensor.Mat
 }
 
 // NewAdam returns an Adam optimizer with the conventional β₁=0.9,
@@ -142,14 +146,10 @@ func (a *Adam) Step(n *Network) {
 	params := n.Params()
 	grads := n.Grads()
 	if len(a.m) != len(params) {
-		a.m = make([]*tensor.Mat, len(params))
-		a.v = make([]*tensor.Mat, len(params))
-		for i, p := range params {
-			a.m[i] = tensor.New(p.Rows, p.Cols)
-			a.v[i] = tensor.New(p.Rows, p.Cols)
-		}
 		a.t = 0
 	}
+	a.m = zeroedUnless(a.t > 0, a.m, params)
+	a.v = zeroedUnless(a.t > 0, a.v, params)
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
@@ -164,19 +164,17 @@ func (a *Adam) LearningRate() float64 { return a.LR }
 // SetLearningRate replaces the learning rate.
 func (a *Adam) SetLearningRate(lr float64) { a.LR = lr }
 
-// Reset clears moment estimates and the step counter.
-func (a *Adam) Reset() {
-	a.m = nil
-	a.v = nil
-	a.t = 0
-}
+// Reset clears moment estimates and the step counter, keeping the
+// moments' storage.
+func (a *Adam) Reset() { a.t = 0 }
 
 // StateBinary serialises the hyperparameters, step counter and both
-// moment-estimate buffers.
+// moment-estimate buffers; a reset optimizer has none.
 func (a *Adam) StateBinary() ([]byte, error) {
-	out := make([]byte, 0, 40+tensor.MatsSize(a.m)+tensor.MatsSize(a.v))
+	m, v := live(a.t > 0, a.m), live(a.t > 0, a.v)
+	out := make([]byte, 0, 40+tensor.MatsSize(m)+tensor.MatsSize(v))
 	out = appendF64(out, a.LR, a.Beta1, a.Beta2, a.Epsilon, float64(a.t))
-	return tensor.AppendMats(tensor.AppendMats(out, a.m), a.v), nil
+	return tensor.AppendMats(tensor.AppendMats(out, m), v), nil
 }
 
 // RestoreBinary reverses StateBinary.
@@ -200,6 +198,33 @@ func (a *Adam) RestoreBinary(n *Network, data []byte) error {
 	}
 	*a = r
 	return nil
+}
+
+// zeroedUnless returns per-parameter buffers for params: bufs as they
+// are when inUse, else zeroed — bufs' own storage when it matches params
+// in count, fresh matrices otherwise.
+func zeroedUnless(inUse bool, bufs, params []*tensor.Mat) []*tensor.Mat {
+	if len(bufs) != len(params) {
+		bufs = make([]*tensor.Mat, len(params))
+		for i, p := range params {
+			bufs[i] = tensor.New(p.Rows, p.Cols)
+		}
+		return bufs
+	}
+	if !inUse {
+		for _, b := range bufs {
+			b.Zero()
+		}
+	}
+	return bufs
+}
+
+// live returns bufs when they hold live values, else none.
+func live(inUse bool, bufs []*tensor.Mat) []*tensor.Mat {
+	if !inUse {
+		return nil
+	}
+	return bufs
 }
 
 func appendF64(dst []byte, vs ...float64) []byte {

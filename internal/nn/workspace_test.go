@@ -188,3 +188,82 @@ func TestTrainingIterationAllocs(t *testing.T) {
 		t.Errorf("training iteration: %.0f allocs per run, want <= 2", allocs)
 	}
 }
+
+// accumulators counts the layers of n that hold gradient storage.
+func accumulators[T tensor.Float](n *NetworkOf[T]) int {
+	k := 0
+	for _, l := range n.Layers {
+		var w *weights[T]
+		switch l := l.(type) {
+		case *LinearOf[T]:
+			w = &l.weights
+		case *Conv2DOf[T]:
+			w = &l.weights
+		case *ConvTranspose2DOf[T]:
+			w = &l.weights
+		}
+		if w != nil && w.dW != nil {
+			k++
+		}
+	}
+	return k
+}
+
+// TestAccumulatorsOnFirstTrainPass: networks built by NewLinear, MLP, the
+// conv constructors, Clone and Narrow hold parameters only; the critic
+// pass leaves them so and allocates nothing once warm; the first train
+// pass gives every weighted layer zeroed accumulators, and Grads hands out
+// the very matrices the train pass accumulates into.
+func TestAccumulatorsOnFirstTrainPass(t *testing.T) {
+	rng := tensor.NewRNG(41)
+	tanh := func() Layer { return NewTanh() }
+	mlp := MLP([]int{6, 10, 4}, tanh, tanh, rng)
+	conv := NewNetwork(must(NewConv2D(1, 6, 6, 2, 4, 2, 1, rng)), NewLeakyReLU(0.2),
+		NewLinear(2*3*3, 18, rng), NewTanh(), must(NewConvTranspose2D(2, 3, 3, 1, 4, 2, 1, rng)))
+	if NewLinear(3, 2, rng).dW != nil {
+		t.Fatal("NewLinear allocated accumulators")
+	}
+	for _, tc := range []struct {
+		name     string
+		net      *Network
+		in, want int
+	}{{"MLP", mlp, 6, 2}, {"conv", conv, 36, 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if n := accumulators(tc.net) + accumulators(tc.net.Clone()) + accumulators(tc.net.Narrow()); n != 0 {
+				t.Fatalf("%d layers of a fresh network, its clone or its narrow hold accumulators", n)
+			}
+			x := tensor.New(3, tc.in)
+			tensor.GaussianFill(x, 0, 1, rng)
+			ws := NewWorkspace()
+			grad := tensor.Full(3, tc.net.OutputWidth(), 0.5)
+			critic := func() { tc.net.ForwardWS(ws, x); tc.net.InputGradWS(ws, grad) }
+			critic()
+			if !raceEnabled {
+				if allocs := testing.AllocsPerRun(5, critic); allocs != 0 {
+					t.Fatalf("warm critic pass: %.0f allocs, want 0", allocs)
+				}
+			}
+			if n := accumulators(tc.net); n != 0 {
+				t.Fatalf("the critic pass allocated accumulators on %d layers", n)
+			}
+			tc.net.ZeroGrads() // a no-op without accumulators
+			tc.net.ForwardWS(ws, x)
+			tc.net.BackwardWS(ws, grad)
+			if n := accumulators(tc.net); n != tc.want {
+				t.Fatalf("%d layers hold accumulators after a train pass, want %d", n, tc.want)
+			}
+			if n := accumulators(tc.net.Clone()); n != 0 {
+				t.Fatalf("a trained network's clone holds accumulators on %d layers", n)
+			}
+			// Grads before any train pass allocates the accumulators the
+			// pass then fills: the network's cached slice holds live ones.
+			c := tc.net.Clone()
+			cached := c.Grads()
+			c.ForwardWS(ws, x)
+			c.BackwardWS(ws, grad)
+			if !bytes.Equal(tensor.AppendMats(nil, cached), tensor.AppendMats(nil, tc.net.Grads())) {
+				t.Fatal("Grads taken before the first train pass does not see its gradients")
+			}
+		})
+	}
+}

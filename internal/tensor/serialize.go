@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // matMagic guards against decoding arbitrary byte streams as matrices.
@@ -36,11 +37,43 @@ func AppendMats[T Float](dst []byte, ms []*Matrix[T]) []byte {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(m.Cols))
 		at := len(dst)
 		dst = dst[:at+8*len(m.Data)]
-		for i, v := range m.Data {
-			binary.LittleEndian.PutUint64(dst[at+8*i:], math.Float64bits(float64(v)))
-		}
+		floatsTo(dst[at:], m.Data)
 	}
 	return dst
+}
+
+// copyCodec selects the copy codec: on a little-endian host a float64's
+// memory is its wire encoding, so float64 elements encode and decode as
+// one copy through the slice viewed as bytes. Float32 widening and
+// big-endian hosts run the per-element loops, which stay as the oracle the
+// tests hold the copy to. The platform sets it, nothing else.
+var copyCodec = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// f64Bytes views s, whose elements must be 8 bytes wide, as its len(s)·8
+// bytes of memory. The view is taken from the float slice, never the other
+// way round: a push's matrices start at unaligned offsets, so no *float64
+// is made from bytes.
+func f64Bytes[T Float](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 8*len(s))
+}
+
+// floatsTo writes the little-endian float64 encoding of src into body.
+func floatsTo[T Float](body []byte, src []T) {
+	var zero T
+	if copyCodec && unsafe.Sizeof(zero) == 8 {
+		copy(body, f64Bytes(src))
+		return
+	}
+	floatsToLoop(body, src)
+}
+
+// floatsToLoop is floatsTo one element at a time.
+//
+//go:noinline
+func floatsToLoop[T Float](body []byte, src []T) {
+	for i, v := range src {
+		binary.LittleEndian.PutUint64(body[8*i:], math.Float64bits(float64(v)))
+	}
 }
 
 // matCount splits the matrix count off the front of data. Every matrix
@@ -75,11 +108,21 @@ func splitMat(data []byte) (rows, cols int, body, rest []byte, err error) {
 	return int(r), int(c), data[:n], data[n:], nil
 }
 
-// floatsFrom fills dst from its little-endian encoding. It stays a call:
+// floatsFrom fills dst from its little-endian encoding in body.
+func floatsFrom[T Float](dst []T, body []byte) {
+	var zero T
+	if copyCodec && unsafe.Sizeof(zero) == 8 {
+		copy(f64Bytes(dst), body)
+		return
+	}
+	floatsFromLoop(dst, body)
+}
+
+// floatsFromLoop is floatsFrom one element at a time. It stays a call:
 // inlined into the generic DecodeMatsInto its loop spills (1.6× slower).
 //
 //go:noinline
-func floatsFrom[T Float](dst []T, body []byte) {
+func floatsFromLoop[T Float](dst []T, body []byte) {
 	for i := range dst {
 		dst[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:])))
 	}

@@ -139,3 +139,70 @@ func TestQuickMatsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// eachCodec runs f under the copy codec, where the host has it, and under
+// the per-element loops the copy is held to.
+func eachCodec(t *testing.T, f func(t *testing.T)) {
+	native := copyCodec
+	defer func() { copyCodec = native }()
+	t.Run("copy", func(t *testing.T) {
+		if !native {
+			t.Skip("big-endian host: no copy codec")
+		}
+		f(t)
+	})
+	copyCodec = false
+	t.Run("loop", f)
+}
+
+// TestCodecPathsAgree: both codecs write the same bytes and decode them
+// back bit for bit — signed zeros, denormals, infinities and NaN payloads
+// included — from matrices that start at unaligned offsets, and float32
+// matrices widen exactly on either path.
+func TestCodecPathsAgree(t *testing.T) {
+	specials := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1p-1030,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff0000000000001),
+		math.Float64frombits(0xfff8000000000abc), math.MaxFloat64, -1.5}
+	ms := []*Mat{FromSlice(1, len(specials), specials), randMat(5, 7, NewRNG(8)), New(0, 3), randMat(1, 3, NewRNG(9))}
+	ms32 := []*Mat32{Narrow(ms[1]), Narrow(ms[3])}
+	native := copyCodec
+	copyCodec = false
+	want, want32 := AppendMats(nil, ms), AppendMats(nil, ms32)
+	copyCodec = native
+	sameBits := func(t *testing.T, got []*Mat) {
+		t.Helper()
+		for i, m := range got {
+			for j, v := range m.Data {
+				if math.Float64bits(v) != math.Float64bits(ms[i].Data[j]) {
+					t.Fatalf("matrix %d element %d: bits %x, want %x", i, j, math.Float64bits(v), math.Float64bits(ms[i].Data[j]))
+				}
+			}
+		}
+	}
+	eachCodec(t, func(t *testing.T) {
+		if !bytes.Equal(AppendMats(nil, ms), want) || !bytes.Equal(AppendMats(nil, ms32), want32) {
+			t.Fatal("encodings differ between the codecs")
+		}
+		// Three bytes of prefix put every matrix body off 8-byte alignment.
+		odd := append(make([]byte, 3, 3+len(want)), want...)[3:]
+		got, _, err := DecodeMats(odd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, got)
+		into := []*Mat{New(1, len(specials)), New(5, 7), New(0, 3), New(1, 3)}
+		if err := DecodeMatsInto(into, odd); err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, into)
+		into32 := []*Mat32{Narrow(New(5, 7)), Narrow(New(1, 3))}
+		if err := DecodeMatsInto(into32, want32); err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range into32 {
+			if !m.Equal(ms32[i]) {
+				t.Fatalf("float32 matrix %d did not survive the round trip", i)
+			}
+		}
+	})
+}
