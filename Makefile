@@ -39,11 +39,13 @@ race:
 
 # The exchange rules' scheduling-sensitive contracts — bounded staleness
 # in both async modes, one halt boundary for every rank, window-1 bit
-# equality with the sequential mode (in-process with a faulty comm, and
-# over the async cluster with duplicated, delayed and lost pushes) and
+# equality with the sequential mode (in-process with a faulty comm, over
+# the async cluster with duplicated, delayed and lost pushes, and under the
+# evict policy with a crashed slave) and
 # abort on a rank error — 20 times at GOMAXPROCS 1 and 2, with the two
 # packages loading each other: the load under which the cluster absorb's
-# old arrival-order apply failed most runs. About 3 minutes on a 2-core host.
+# old arrival-order apply failed most runs. About 8 minutes on a 2-core host,
+# most of it the 3×3 crashed-slave rows (each waits out an eviction).
 stress:
 	$(GO) test -run 'Staleness|Stops|StopConsensus|SequentialParallel|RankError|CrossMode' -count 20 -cpu 1,2 ./internal/core/ ./internal/cluster/
 
@@ -74,7 +76,7 @@ fuzz-smoke:
 	@for t in UnmarshalCellState DecodePush; do \
 		$(GO) test -run='^$$' -fuzz="^Fuzz$$t\$$" -fuzztime=10s ./internal/core/ || exit 1; done
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFloats$$' -fuzztime=10s ./internal/mpi/
-	@for t in OwnerUpdate ReleaseOrder RunTask SlaveReport SlaveReports StateUpdate NeighborSet; do \
+	@for t in OwnerUpdate ReleaseOrder RunTask SlaveReport SlaveReports StateUpdate StateAck; do \
 		$(GO) test -run='^$$' -fuzz="^FuzzParse$$t\$$" -fuzztime=10s ./internal/cluster/ || exit 1; done
 
 # Non-test Go lines per internal/ package, then assembly lines per package

@@ -44,12 +44,12 @@ func main() {
 	latent := flag.Int("latent", 32, "latent dimension")
 	seed := flag.Uint64("seed", 1, "random seed")
 	timeout := flag.Duration("connect-timeout", 30*time.Second, "mesh connection timeout")
-	resilient := flag.Bool("resilient", false, "route exchanges through the master so crashed slaves are evicted and their cells reassigned")
-	async := flag.Bool("async", false, "asynchronous exchange: slaves push snapshots peer-to-peer under a bounded-staleness window instead of synchronous rounds")
+	resilient := flag.Bool("resilient", false, "evict policy: a cell pushes a version only once the master holds it, so a silent slave is evicted and its cells re-dispatched to survivors bit-exactly (lockstep unless -async)")
+	async := flag.Bool("async", false, "asynchronous exchange: slaves push snapshots peer-to-peer under a bounded-staleness window instead of lockstep (composes with -resilient)")
 	staleness := flag.Int("staleness", 0, "bounded-staleness window W for -async: a cell never runs more than W iterations ahead of a neighbour's snapshot it trains against; 1 is lockstep, bit-identical to the synchronous modes (0 = config default, 4)")
 	joinSlots := flag.Int("join-slots", 0, "extra reserve ranks beyond the grid that may join mid-run (-async only; addrs must cover them)")
 	joinDelay := flag.Duration("join-delay", 2*time.Second, "how long a reserve rank idles before asking to join the running job")
-	chaosSeed := flag.Uint64("chaos-seed", 0, "enable deterministic fault injection with this schedule seed (0 = off, implies -resilient unless -async)")
+	chaosSeed := flag.Uint64("chaos-seed", 0, "enable deterministic fault injection on heartbeats, state uploads, their acks and peer pushes with this schedule seed (0 = off, implies -resilient unless -async)")
 	chaosDrop := flag.Float64("chaos-drop", 0.1, "injected message drop probability (with -chaos-seed)")
 	chaosDup := flag.Float64("chaos-dup", 0.1, "injected message duplication probability (with -chaos-seed)")
 	chaosDelay := flag.Float64("chaos-delay", 0.2, "injected message delay probability (with -chaos-seed)")
@@ -163,9 +163,6 @@ func main() {
 	var faultStats mpi.FaultStats
 	if *chaosSeed != 0 {
 		plan := cluster.ChaosPlan(*chaosSeed, *chaosDrop, *chaosDup, *chaosDelay)
-		if *async {
-			plan = cluster.AsyncChaosPlan(*chaosSeed, *chaosDrop, *chaosDup, *chaosDelay)
-		}
 		plan.Stats = &faultStats
 		comm = mpi.FaultyComm(comm, plan)
 		if *rank == 0 {
@@ -190,10 +187,10 @@ func main() {
 	}
 
 	// First SIGINT/SIGTERM: the master aborts the job and still collects
-	// results — resilient rounds stop at the next round, plain slaves halt
-	// within W·D iterations (window 1, D the grid's influence diameter),
-	// all at one boundary. Slaves rely on the master's abort. A second
-	// signal exits immediately.
+	// results — in every mode the cells halt within W·D iterations (W the
+	// staleness window, D the grid's influence diameter), all at one
+	// boundary, so a -checkpoint written then is one resumable cut. Slaves
+	// rely on the master's abort. A second signal exits immediately.
 	interrupt := make(chan struct{})
 	var interruptOnce sync.Once
 	sigCh := make(chan os.Signal, 2)

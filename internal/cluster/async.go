@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -8,35 +10,64 @@ import (
 
 	"cellgan/internal/core"
 	"cellgan/internal/mpi"
+	"cellgan/internal/telemetry"
 )
 
-// This file is the asynchronous cluster exchange: the distributed form of
-// core.RunAsync, under the same rules. Each slave trains its cells at its
-// own pace and pushes their centers, in core.Exchange's push format,
-// directly to the owners of each cell's influence set (tagAsyncState) —
-// no rounds, no barrier, no master round-trip on the exchange path. One
-// goroutine steps a core.Exchange per owned cell without blocking: it
-// keeps, per source, the newest snapshot that fits the staleness window W
-// and holds the ones too far ahead, installs, and lets the cell iterate
-// only while no live neighbour's installed snapshot would end up more
-// than W versions behind. W = 1 is lockstep, here as in core.
+// This file is the tolerant cluster exchange — the one middle of the
+// resilient and async modes, and the distributed form of core.RunAsync
+// under the same rules. Each slave trains its cells at its own pace and
+// pushes their centers, in core.Exchange's push format, directly to the
+// owners of each cell's influence set (tagAsyncState); one goroutine steps
+// a core.Exchange per owned cell without blocking. W = 1 is lockstep, here
+// as in core: Resilient alone runs W = 1, Async sets W = Cfg.AsyncStaleness.
 //
 // The master's job shrinks to inventory and membership: it merges the
-// slaves' periodic full-state uploads (so it always holds every cell's
-// last state, exactly like resilient mode), decides when training is
-// done, and runs the elastic join protocol — the inverse of resilient
-// eviction. A connected-but-idle reserve slave asks to join (tagJoin);
-// the master picks cells from the most loaded owners, recalls their
-// state (tagRelease / tagReleaseAck), and grants them to the joiner with
-// seed snapshots so it can start exchanging immediately (tagOwnerUpdate,
-// also broadcast so every peer re-aims its pushes).
+// slaves' full-state uploads from each cell's current owner, decides when
+// training is done, and applies the membership policies (DESIGN §10).
+//   - Elastic join: a reserve slave asks to join (tagJoin); the master
+//     recalls cells from the most loaded owners (tagRelease /
+//     tagReleaseAck) and grants them to the joiner with seed snapshots
+//     (tagOwnerUpdate, also broadcast so every peer re-aims its pushes).
+//   - Evict (Resilient): a cell's push of version k leaves only once the
+//     master has acknowledged holding k (tagStateAck), so the master holds
+//     every cell at a version no peer has consumed past. A slave silent
+//     while others upload is struck, and after MaxStrikes strikes evicted:
+//     its cells are re-dispatched from the held state, with seeds carrying
+//     each lost cell's last two centers. Every peer of a cell re-dispatched
+//     at k sits in [k−W, k+W], so it finds a version that fits its window
+//     among those seeds and its own last two pushes, re-aimed by its idle
+//     re-push.
 
-// asyncUploadEvery is how long an async slave stays idle before it
+// retrySend sends with capped retries and exponential backoff, giving up
+// immediately on permanent transport errors. Each re-sent attempt is
+// counted in retries (nil-safe).
+func retrySend(c *mpi.Comm, dst, tag int, data []byte, retries *telemetry.Counter) error {
+	var err error
+	backoff := 10 * time.Millisecond
+	for i := 0; i < 4; i++ {
+		if i > 0 {
+			retries.Inc()
+		}
+		if err = c.Send(dst, tag, data); err == nil {
+			return nil
+		}
+		if errors.Is(err, mpi.ErrClosed) || errors.Is(err, mpi.ErrCrashed) {
+			return err
+		}
+		time.Sleep(backoff)
+		backoff *= 2
+	}
+	return err
+}
+
+// asyncUploadEvery is how long a tolerant slave stays idle before it
 // re-pushes its cell states and re-uploads its inventory: once after a
-// change (progress, or an owner update), and again every period while
-// an owned cell is gated — the backstop for a lost push or upload. A
-// slave whose cells are all finished or ungated stays quiet; a gate
-// starved by later losses is also re-seeded by the master's stall nudge.
+// change (progress, or an owner update), and again every period while an
+// owned cell is gated or waits for the master's ack — the backstop for a
+// lost push, upload or ack, and under the evict policy the liveness
+// signal the master strikes on. A slave whose cells are all finished or
+// ungated stays quiet; a gate starved by later losses is also re-seeded
+// by the master's stall nudge.
 const asyncUploadEvery = 50 * time.Millisecond
 
 // asyncIdleSleep is the execution-thread poll interval when no owned
@@ -46,12 +77,6 @@ const asyncIdleSleep = time.Millisecond
 // asyncMasterPoll is the master's poll interval between mailbox drains.
 const asyncMasterPoll = 2 * time.Millisecond
 
-// asyncMasterDrainMax caps how many state updates the master merges per
-// poll pass. Merging is slower than four-plus slaves can upload, so an
-// unbounded drain would starve the join queue and the done check until
-// training ends.
-const asyncMasterDrainMax = 32
-
 // asyncClusterHooks observe the cluster exchange from tests. Set before
 // a job starts and never mutated during one; nil fields are skipped.
 var asyncClusterHooks struct {
@@ -60,13 +85,20 @@ var asyncClusterHooks struct {
 	// onApply fires after a slave installs src's snapshot at iter in the
 	// neighbour view of an owned cell at iteration at.
 	onApply func(cell, src, iter, at int)
+	// onHold fires after the master merges an upload of cell from its
+	// owner and holds the cell at iter.
+	onHold func(cell, iter int)
 }
 
-// runAsync is the execution thread of an async-mode slave: a single
+// runAsync is the execution thread of a tolerant slave: a single
 // goroutine stepping every owned cell's exchange — settle, iterate when
 // the gate is open, push — over one mailbox, growing and shrinking its
 // owned set as owner updates and release orders arrive from the control
-// loop.
+// loop. Under the evict policy a cell's new version is uploaded and
+// pushed only once the master acknowledges holding it; the cell does not
+// iterate again before that push has gone. The master's abort is polled
+// at every pass, as RankLoop polls Stop: every cell halts within W·D
+// iterations, all at one boundary.
 func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 	owned, err := newOwnedCells(task, &s.prof)
 	if err != nil {
@@ -92,6 +124,30 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 		}
 		return dests
 	}
+	// send queues a push for each peer's own sender: a dead peer's sends
+	// block in reconnects and must not stall this thread. Full queues drop.
+	outs := make(map[int]chan []byte)
+	send := func(to []int, p []byte) {
+		for _, d := range to {
+			if outs[d] == nil {
+				outs[d] = make(chan []byte, 16)
+				go func(d int, q chan []byte) {
+					for p := range q {
+						s.world.Multicast([]int{d}, tagAsyncState, p) //nolint:errcheck
+					}
+				}(d, outs[d])
+			}
+			select {
+			case outs[d] <- p:
+			default:
+			}
+		}
+	}
+	defer func() {
+		for _, q := range outs {
+			close(q)
+		}
+	}()
 	// push encodes cell r's center into a fresh buffer, keeping the push
 	// before it, and hands it to the remote owners of its influence set and
 	// to the co-owned cells it influences alike: a sent push is never
@@ -99,8 +155,8 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 	// lost push.
 	push := func(r int) {
 		oc := owned.cells[r]
-		oc.prev, oc.wire = oc.wire, oc.x.AppendPush(nil)
-		s.world.Multicast(remote(r), tagAsyncState, oc.wire) //nolint:errcheck
+		oc.prev, oc.wire, oc.unacked = oc.wire, oc.x.AppendPush(nil), false
+		send(remote(r), oc.wire)
 		for _, d := range owned.grid.Influence(r) {
 			if nb := owned.cells[d]; nb != nil && d != r {
 				nb.x.Receive(oc.wire) //nolint:errcheck // it decodes what AppendPush just encoded
@@ -110,16 +166,28 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 			h(r, oc.cell.Iteration())
 		}
 	}
+	// publish readies cell r's current version: pushed at once, or under
+	// the evict policy once the master acknowledges holding it.
+	publish := func(r int) {
+		if task.Resilient {
+			owned.cells[r].unacked = true
+		} else {
+			push(r)
+		}
+	}
 	// Announce every starting cell: a neighbour never heard from holds
-	// the gate.
+	// the gate. The evict policy uploads them first.
 	for _, r := range owned.ranks() {
-		push(r)
+		publish(r)
 	}
 
 	version := -1
 	doneFlag, abortFlag := false, false
-	lastChange, repush := time.Now(), false
-	for pass := 0; ; pass++ {
+	// changed marks owned cells that differ from the last upload, re-sent
+	// as is while they do not; evict-policy starting cells upload at once.
+	lastChange, repush, changed := time.Now(), false, task.Resilient
+	var upload []byte
+	for {
 		// (1) Control messages from the master, via the control loop.
 		for ctl := true; ctl; {
 			select {
@@ -158,21 +226,24 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 					doneFlag = true
 					abortFlag = u.Abort
 				}
-				lastChange, repush = time.Now(), true // pushes may aim at new owners
+				lastChange, repush, changed = time.Now(), true, true // pushes may aim at new owners
+			case a := <-s.ackCh:
+				for _, h := range a.Held {
+					if oc := owned.cells[h.Cell]; oc != nil && oc.unacked && h.Iter >= oc.cell.Iteration() {
+						push(h.Cell)
+					}
+				}
 			case r := <-s.releaseCh:
 				// Return the released cells' state and stop training
 				// them; the ack echoes the order's version in Round.
-				ack, err := owned.packState(myRank, r.Version, r.Cells)
+				payload, err := owned.packState(r.Version, r.Cells)
 				if err != nil {
 					return nil, err
 				}
 				for _, cr := range r.Cells {
 					delete(owned.cells, cr)
 				}
-				payload, err := ack.marshal()
-				if err != nil {
-					return nil, err
-				}
+				changed = true
 				if err := retrySend(s.world, 0, tagReleaseAck, payload, nil); err != nil {
 					return nil, err
 				}
@@ -199,66 +270,86 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 		}
 
 		// (3) One step of every owned cell: settle its exchange, then
-		// train one iteration if the cell still owes work and its gate is
-		// open (failed neighbours never publish again and do not hold it).
-		// Gated cells are skipped, never blocked on. Once training is done
-		// the step only settles: the done update's seeds are every cell's
-		// final state, so each final boundary settles here.
-		progressed, gated := false, false
+		// train one iteration if the cell still owes work, its last version
+		// has gone out and its gate is open (failed neighbours never
+		// publish again and do not hold it). Gated cells are skipped, never
+		// blocked on. Once training is done the step only settles: the done
+		// update's seeds are every cell's final state, so each final
+		// boundary settles here.
+		stop := s.abort.Load()
+		progressed, gated, waiting := false, false, false
 		for _, r := range owned.ranks() {
 			oc := owned.cells[r]
 			ready, err := oc.x.Settle(failedGlobal)
 			if err != nil {
 				return nil, err
 			}
-			if doneFlag || !owned.trainable(r) || oc.x.Halted() {
+			if stop {
+				oc.x.Stop()
+			}
+			if h := oc.x.Halted(); h != oc.halted {
+				oc.halted, changed = h, true // the master counts a halted cell as done
+			}
+			waiting = waiting || oc.unacked
+			if doneFlag || oc.unacked || !owned.trainable(r) || oc.halted {
 				continue
 			}
 			if !ready {
 				gated = true
 				continue
 			}
-			if !owned.iterate(r) {
-				continue
+			changed = true // trained, or marked failed
+			if owned.iterate(r) {
+				progressed = true
+				publish(r)
 			}
-			progressed = true
-			push(r)
 		}
 		if doneFlag {
 			return owned.reports(abortFlag), nil
 		}
 
-		// (4) Inventory upload after progress. Once the slave has sat idle
-		// for asyncUploadEvery, it re-pushes its owned states and
-		// re-uploads its inventory — the liveness valve for a lost push or
-		// upload: once after a change, and every period while a cell
-		// stays gated. Otherwise it stays quiet until something changes.
-		idle := !progressed && (repush || gated) && time.Since(lastChange) >= asyncUploadEvery
+		// (4) Inventory upload after progress or a change. Once the slave
+		// has sat idle for asyncUploadEvery, it re-pushes its owned states
+		// and re-uploads its inventory — the liveness valve for a lost
+		// push, upload or ack: once after a change (a re-push stays due
+		// until an idle pass sends it), and every period while a cell stays
+		// gated or unacknowledged. Otherwise it stays quiet. An upload is
+		// never written once packed, so it is handed over, not copied.
+		idle := !progressed && (repush || gated || waiting) && time.Since(lastChange) >= asyncUploadEvery
 		if idle {
 			for _, r := range owned.ranks() {
 				// The push before too: a neighbour that lost it can be
 				// gated on it while this cell's newer one is beyond its
-				// window, and nothing else would ever resend it. A cell
-				// adopted since has pushed nothing yet; the owner update
-				// that granted it seeded its neighbours.
+				// window, and nothing else would ever resend it. Co-owned
+				// cells get both again as well: one adopted since has seen
+				// neither. A cell adopted since has pushed nothing yet; the
+				// owner update that granted it seeded its neighbours.
 				oc, to := owned.cells[r], remote(r)
 				for _, p := range [][]byte{oc.prev, oc.wire} {
 					if len(p) > 0 {
-						s.world.Multicast(to, tagAsyncState, p) //nolint:errcheck
+						send(to, p)
+						for _, nb := range owned.cells {
+							nb.x.Receive(p) //nolint:errcheck // it decodes what AppendPush encoded
+						}
 					}
 				}
 				if h := asyncClusterHooks.onPush; h != nil && len(oc.wire) > 0 {
-					h(r, oc.cell.Iteration())
+					it := oc.cell.Iteration()
+					if oc.unacked {
+						it-- // the cell has iterated past its last push
+					}
+					h(r, it)
 				}
 			}
 		}
-		if progressed || idle {
-			payload, err := s.cacheUpdate(owned, pass+1, owned.ranks())
-			if err != nil {
-				return nil, err
+		if changed || idle {
+			if changed || upload == nil {
+				if upload, err = owned.packState(0, owned.ranks()); err != nil {
+					return nil, err
+				}
 			}
-			s.world.Send(0, tagStateUpdate, payload) //nolint:errcheck
-			lastChange, repush = time.Now(), progressed
+			s.world.Multicast([]int{0}, tagStateUpdate, upload) //nolint:errcheck
+			lastChange, repush, changed = time.Now(), progressed || repush && !idle, false
 		}
 		if !progressed {
 			select {
@@ -270,21 +361,147 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 	}
 }
 
-// runAsync is the async middle: merge inventory uploads, serve joins and
-// watch for completion, then tell everyone training is over.
+// cellTrack is the master's view of one grid cell.
+type cellTrack struct {
+	owner int    // slave rank currently training the cell
+	iter  int    // highest iteration merged
+	full  []byte // marshalled core.FullState at iter
+	prev  []byte // the full state merged before it, decoded only for seeds
+	state []byte // marshalled core.CellState extracted from full, on demand
+	// failed and halted cells owe no more iterations.
+	failed, halted bool
+	errNote        string
+	fitness        float64
+}
+
+// exchangeState returns the cell's marshalled center snapshot, the part of
+// full its neighbours need. Decoding a full state costs tens of
+// milliseconds per cell, so merges only move the blob and the snapshot is
+// derived on first use.
+func (t *cellTrack) exchangeState() []byte {
+	if t.state == nil {
+		t.state, _ = centerOf(t.full)
+	}
+	return t.state
+}
+
+// centerOf extracts the marshalled center snapshot of a marshalled full
+// state and its iteration; nil when there is none.
+func centerOf(full []byte) ([]byte, int) {
+	if len(full) == 0 {
+		return nil, 0
+	}
+	f, err := core.UnmarshalFullState(full)
+	if err != nil {
+		return nil, 0
+	}
+	return f.Cell.Marshal(), f.Cell.Iteration
+}
+
+// unfinished reports whether the cell still owes iterations.
+func (t *cellTrack) unfinished(target int) bool { return !t.failed && !t.halted && t.iter < target }
+
+// initTrack starts the inventory with the one-cell-per-slave assignment,
+// seeded from the resume states when the job is resuming, so eviction,
+// owner updates, the done check and periodic snapshots all see the
+// restored iterations before the first upload arrives.
+func (m *master) initTrack() {
+	m.track = make([]*cellTrack, m.nCells)
+	for c := range m.track {
+		m.track[c] = &cellTrack{owner: c + 1, fitness: inf()}
+		if m.opts.Resume != nil {
+			f := m.opts.Resume[c]
+			m.track[c].iter, m.track[c].full, m.track[c].state = f.Cell.Iteration, f.Marshal(), f.Cell.Marshal()
+		}
+	}
+	m.ck = newMasterCkpt(m.opts, m.logf)
+}
+
+// trackIters lists every cell's gathered iteration, for the event log.
+func (m *master) trackIters() []int {
+	its := make([]int, len(m.track))
+	for c, t := range m.track {
+		its[c] = t.iter
+	}
+	return its
+}
+
+// merge folds src's uploaded cell states into the inventory, only for the
+// cells src currently owns, so an evicted zombie can neither advance a
+// cell nor start a second history, and reports whether any cell advanced.
+// Monotonic: training is deterministic, so for a given iteration count
+// the state content is unique and duplicate or late uploads are harmless.
+func (m *master) merge(src int, cells []cellBlob) (advanced bool) {
+	for _, cb := range cells {
+		if cb.CellRank < 0 || cb.CellRank >= m.nCells || m.track[cb.CellRank].owner != src {
+			continue
+		}
+		t := m.track[cb.CellRank]
+		if cb.Iteration > t.iter {
+			advanced = true
+			t.prev = t.full
+			m.ck.merged(cb.CellRank, cb.Iteration, cb.Full)
+		}
+		if cb.Iteration >= t.iter {
+			t.iter, t.full, t.state = cb.Iteration, cb.Full, nil
+			t.failed, t.halted, t.errNote, t.fitness = cb.Failed, cb.Halted, cb.Error, cb.Fitness
+		}
+		if h := asyncClusterHooks.onHold; h != nil {
+			h(cb.CellRank, t.iter)
+		}
+	}
+	return advanced
+}
+
+// adoptOrder packs cell c's gathered state for its next owner.
+func (m *master) adoptOrder(c int) cellBlob {
+	t := m.track[c]
+	return cellBlob{
+		CellRank: c, Iteration: t.iter, Full: t.full,
+		Failed: t.failed, Error: t.errNote, Fitness: t.fitness,
+	}
+}
+
+// owned counts the cells slave s owns, and those it owes iterations.
+func (m *master) owned(s int) (cells, unfinished int) {
+	for _, t := range m.track {
+		if t.owner == s {
+			cells++
+			if t.unfinished(m.opts.Cfg.Iterations) {
+				unfinished++
+			}
+		}
+	}
+	return cells, unfinished
+}
+
+// finished reports whether training is over: every cell done, failed or
+// halted at the abort's boundary.
+func (m *master) finished() bool {
+	for _, t := range m.track {
+		if t.unfinished(m.opts.Cfg.Iterations) {
+			return false
+		}
+	}
+	return true
+}
+
+// runAsync is the tolerant middle: merge inventory uploads (acknowledging
+// them and striking silent slaves under the evict policy), serve joins,
+// relay an abort, and watch for completion, then tell everyone training is
+// over.
 func (m *master) runAsync() (resend func(s int), err error) {
 	comm, opts, track, nCells := m.comm, m.opts, m.track, m.nCells
 	target := opts.Cfg.Iterations
 	if opts.Resume != nil {
 		m.logf("master: resumed %d cells (iterations %v)", nCells, m.trackIters())
 	}
-	ck := newMasterCkpt(opts, false, m.logf)
 
 	// encodeOU builds and encodes the current owner update. It carries every
-	// cell's seed state, so each broadcast encodes it once for all its
-	// destinations.
+	// cell's seed state, plus the one before it for each cell in moved, so
+	// each broadcast encodes it once for all its destinations.
 	version := 0
-	encodeOU := func(done, abort bool, adopt []cellBlob) []byte {
+	encodeOU := func(done, abort bool, adopt []cellBlob, moved []int) []byte {
 		u := ownerUpdate{Version: version, Owners: make([]int, nCells), Adopt: adopt, Done: done, Abort: abort}
 		for c, t := range track {
 			u.Owners[c] = t.owner
@@ -293,6 +510,11 @@ func (m *master) runAsync() (resend func(s int), err error) {
 			}
 			if st := t.exchangeState(); st != nil {
 				u.States = append(u.States, wireState{Rank: c, Iter: t.iter, Data: st})
+			}
+		}
+		for _, c := range moved {
+			if st, it := centerOf(track[c].prev); st != nil {
+				u.States = append(u.States, wireState{Rank: c, Iter: it, Data: st})
 			}
 		}
 		payload, err := u.marshal()
@@ -309,15 +531,32 @@ func (m *master) runAsync() (resend func(s int), err error) {
 			m.logf("master: owner update to slave %d failed: %v", dst, err)
 		}
 	}
+	// grant announces a membership change: each adopter gets its adoption
+	// orders, every live slave the new aim map and the moved cells' seeds.
+	grant := func(adopt map[int][]cellBlob, moved []int) {
+		version++
+		peers := encodeOU(false, false, nil, moved)
+		for _, dst := range m.liveRanks() {
+			if a := adopt[dst]; a != nil {
+				sendOU(dst, encodeOU(false, false, a, moved))
+			} else {
+				sendOU(dst, peers)
+			}
+		}
+	}
+
+	aborted := false
 
 	// join runs the whole protocol for one reserve slave: deterministic
 	// rebalance choice, release/ack recall of the moving cells' freshest
 	// state, grant to the joiner, broadcast to peers.
+	heard := make(map[int]time.Time) // evict policy: each live slave's last upload
 	join := func(src int) {
 		if src <= 0 || src > m.nSlaves || m.isLive(src) {
 			return // duplicate request or nonsense rank
 		}
 		m.setLive(src, true)
+		heard[src] = time.Now()
 		opts.Metrics.Joins.Inc()
 		m.logf("master: slave %d (%s) joining, rebalancing %d cells over %d slaves (iterations %v)",
 			src, m.names[src], nCells, len(m.liveRanks()), m.trackIters())
@@ -376,11 +615,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 		}
 		sort.Ints(owners)
 		for _, o := range owners {
-			order := releaseOrder{Version: version, Cells: recall[o]}
-			payload, merr := order.marshal()
-			if merr != nil {
-				continue
-			}
+			payload, _ := releaseOrder{Version: version, Cells: recall[o]}.marshal() // ints always encode
 			if err := retrySend(comm, o, tagRelease, payload, opts.Metrics.SendRetries); err != nil {
 				m.logf("master: release order to slave %d failed: %v", o, err)
 				continue
@@ -403,7 +638,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 					m.logf("master: bad release ack from slave %d: %v", o, perr)
 					break
 				}
-				m.merge(ack.Cells)
+				m.merge(o, ack.Cells)
 				if ack.Round == version {
 					break
 				}
@@ -421,21 +656,52 @@ func (m *master) runAsync() (resend func(s int), err error) {
 			m.logf("master: rebalanced cell %d to joiner %d (from iteration %d)", c, src, track[c].iter)
 		}
 		pl := m.res.Placements[src]
-		m.sendTask(src, runTask{Cfg: opts.Cfg, CellRank: -1, Node: pl.Node, Core: pl.Core, Async: true, Joiner: true}) //nolint:errcheck // tolerant: failures are logged
-		peers := encodeOU(false, false, nil)
-		for _, dst := range m.liveRanks() {
-			if dst == src {
-				sendOU(dst, encodeOU(false, false, adopt))
-			} else {
-				sendOU(dst, peers)
-			}
-		}
+		task := runTask{Cfg: opts.Cfg, CellRank: -1, Node: pl.Node, Core: pl.Core, Async: true, Resilient: opts.Resilient, Joiner: true}
+		m.sendTask(src, task) //nolint:errcheck // tolerant: failures are logged
+		grant(map[int][]cellBlob{src: adopt}, moved)
 	}
 
-	// The poll loop: drain uploads and joins, watch for completion,
-	// nudge on stalls.
-	abort := false
-	lastProgress := time.Now()
+	// evict removes a silent slave and re-dispatches each of its cells to
+	// the live slave owning the fewest cells (lowest rank breaks ties) — a
+	// deterministic choice — from the state the master holds.
+	evict := func(s int, why string) {
+		m.setLive(s, false)
+		opts.Metrics.Evictions.Inc()
+		m.logf("master: evicting slave %d (%s)", s, why)
+		comm.Send(s, tagShutdown, nil) //nolint:errcheck // best-effort zombie release
+		adopt := make(map[int][]cellBlob)
+		var moved []int
+		for c, t := range track {
+			if t.owner != s {
+				continue
+			}
+			survivor, least := 0, 0
+			for _, cand := range m.liveRanks() {
+				if n, _ := m.owned(cand); survivor == 0 || n < least {
+					survivor, least = cand, n
+				}
+			}
+			if survivor == 0 {
+				return // no survivors: the poll loop fails the job
+			}
+			t.owner = survivor
+			opts.Metrics.Redispatches.Inc()
+			adopt[survivor] = append(adopt[survivor], m.adoptOrder(c))
+			moved = append(moved, c)
+			m.logf("master: reassigned cell %d from slave %d to slave %d (re-dispatching from iteration %d)",
+				c, s, survivor, t.iter)
+		}
+		grant(adopt, moved)
+	}
+
+	// The poll loop: drain joins and uploads, acknowledge and strike under
+	// the evict policy, relay an abort, watch for completion, nudge on
+	// stalls.
+	strikes, decoded := make(map[int]int), make(map[int][]byte)
+	lastUpload, lastProgress := time.Now(), time.Now()
+	for _, s := range m.liveRanks() {
+		heard[s] = lastUpload
+	}
 	for {
 		// Joins are drained first: a pending join must be served while its
 		// cells are still mid-flight, not after a heavy merge backlog.
@@ -450,13 +716,13 @@ func (m *master) runAsync() (resend func(s int), err error) {
 			join(msg.Src)
 			lastProgress = time.Now()
 		}
-		// Uploads are cumulative inventories, so within one drain only the
-		// newest message per source matters; decoding every queued backlog
-		// entry would cost more wall-clock than a training iteration and
-		// starve the join/done checks.
+		// Uploads are cumulative inventories, so the drain empties the
+		// mailbox but decodes only the newest message per source: a backlog
+		// left behind would outgrow memory once re-uploads arrive faster
+		// than the master decodes them.
 		drained := false
 		latest := make(map[int][]byte)
-		for n := 0; n < asyncMasterDrainMax; n++ {
+		for {
 			msg, ok, err := comm.TryRecv(mpi.AnySource, tagStateUpdate)
 			if err != nil {
 				return nil, err
@@ -467,6 +733,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 			drained = true
 			opts.Metrics.StateUpdates.Inc()
 			latest[msg.Src] = msg.Data
+			lastUpload, heard[msg.Src], strikes[msg.Src] = time.Now(), time.Now(), 0
 		}
 		var uploaders []int
 		for src := range latest {
@@ -474,39 +741,81 @@ func (m *master) runAsync() (resend func(s int), err error) {
 		}
 		sort.Ints(uploaders)
 		for _, src := range uploaders {
-			upd, perr := parseStateUpdate(latest[src])
-			if perr != nil {
-				m.logf("master: bad state update from slave %d: %v", src, perr)
-				continue
+			// A re-sent upload is byte-identical to the last one decoded
+			// from its slave: nothing to merge, only the ack to repeat.
+			if !bytes.Equal(latest[src], decoded[src]) {
+				upd, perr := parseStateUpdate(latest[src])
+				if perr != nil {
+					m.logf("master: bad state update from slave %d: %v", src, perr)
+					continue
+				}
+				decoded[src] = latest[src]
+				if m.merge(src, upd.Cells) {
+					lastProgress = time.Now()
+				}
 			}
-			if m.merge(upd.Cells) {
-				lastProgress = time.Now()
+			var ack stateAck // the version held of every cell src owns
+			for c, t := range track {
+				if t.owner == src {
+					ack.Held = append(ack.Held, cellIter{Cell: c, Iter: t.iter})
+				}
+			}
+			if opts.Resilient && len(ack.Held) > 0 {
+				payload, _ := ack.marshal()          // int pairs always encode
+				comm.Send(src, tagStateAck, payload) //nolint:errcheck // a lost ack is healed by the re-upload
 			}
 		}
 		// Best-effort newest-wins snapshot whenever the slowest cell has
-		// crossed a full cadence; the merge's monotonicity keeps per-cell
-		// iterations monotonic across successive snapshots.
-		ck.observe(track)
+		// crossed a full cadence (plain async; the evict policy deposits
+		// its cuts as it merges).
+		m.ck.observe(track)
 
-		var done bool
-		if done, abort = m.finished(); done {
-			if abort {
-				m.res.Aborted = true
-				m.logf("master: %s, finishing with abort", m.abortReason())
+		// Strike the slaves that owe work but fell silent while another
+		// slave's upload arrived — or, the fallback that fails a job whose
+		// every slave died, while nobody uploaded for 4·MaxStrikes
+		// timeouts. Uniform slowness never strikes anyone.
+		for _, s := range m.liveRanks() {
+			if !opts.Resilient || time.Since(heard[s]) < opts.RoundTimeout {
+				continue
 			}
+			barren := time.Since(lastUpload) >= time.Duration(4*opts.MaxStrikes)*opts.RoundTimeout
+			if _, owes := m.owned(s); owes == 0 || !(lastUpload.After(heard[s]) || barren) {
+				continue
+			}
+			heard[s] = time.Now()
+			if strikes[s]++; strikes[s] >= opts.MaxStrikes {
+				evict(s, fmt.Sprintf("missed %d consecutive uploads", strikes[s]))
+			}
+		}
+		if len(m.liveRanks()) == 0 {
+			return nil, fmt.Errorf("cluster: all %d slaves lost, job cannot complete", m.nSlaves)
+		}
+
+		// A time limit or interrupt aborts: every cell halts within W·D
+		// iterations, all at one boundary, and a halted cell is done.
+		limit := opts.Cfg.TimeLimit
+		if !aborted && (interrupted(opts.Interrupt) || (limit > 0 && time.Since(m.started) > limit)) {
+			aborted, m.res.Aborted = true, true
+			m.logf("master: %s, sending abort to all slaves", m.abortReason())
+			for _, s := range m.liveRanks() {
+				retrySend(comm, s, tagAbort, nil, opts.Metrics.SendRetries) //nolint:errcheck // best-effort: a cell whose slave misses it, or a joiner's, learns the halt from its peers' pushes
+			}
+		}
+		if m.finished() {
 			break
 		}
 
-		// Stall nudge: re-request inventories and re-send a fresh owner
-		// update with seed states — either heals a gate starved by lost
-		// pushes or a master view starved by lost uploads.
+		// Stall nudge: a fresh owner update with seed states heals a gate
+		// starved by lost pushes, and the re-push and re-upload it prompts
+		// heal a master view starved by lost uploads.
 		if time.Since(lastProgress) >= opts.RoundTimeout {
 			m.logf("master: no progress for %s, nudging %d slaves", opts.RoundTimeout, len(m.liveRanks()))
 			version++
-			nudge := encodeOU(false, false, nil)
+			nudge := encodeOU(false, false, nil, nil)
 			for _, s := range m.liveRanks() {
-				comm.Send(s, tagStateResend, nil) //nolint:errcheck
-				sendOU(s, nudge)
+				if strikes[s] == 0 { // a struck slave may be dead, and a send to it block in reconnects
+					sendOU(s, nudge)
+				}
 			}
 			lastProgress = time.Now()
 		}
@@ -519,7 +828,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 	// Tell everyone training is over; collection re-sends the signal to a
 	// slave that answers "still finalising" (it may have been lost).
 	version++
-	doneOU := encodeOU(true, abort, nil)
+	doneOU := encodeOU(true, aborted, nil, nil)
 	for _, s := range m.liveRanks() {
 		sendOU(s, doneOU)
 	}

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"cellgan/internal/config"
+	"cellgan/internal/core"
 	"cellgan/internal/mpi"
 )
 
@@ -42,6 +45,7 @@ func asyncOptions(cfg config.Config) MasterOptions {
 func clearAsyncHooks() {
 	asyncClusterHooks.onPush = nil
 	asyncClusterHooks.onApply = nil
+	asyncClusterHooks.onHold = nil
 }
 
 func TestAsyncJobNoFaults(t *testing.T) {
@@ -71,13 +75,13 @@ func TestAsyncChaosPartitionNoStall(t *testing.T) {
 		name string
 		plan mpi.FaultPlan
 	}{
-		{name: "drop", plan: AsyncChaosPlan(201, 0.3, 0, 0)},
-		{name: "dup-delay", plan: AsyncChaosPlan(202, 0, 0.4, 0.4)},
-		{name: "combo", plan: AsyncChaosPlan(203, 0.2, 0.25, 0.3)},
+		{name: "drop", plan: ChaosPlan(201, 0.3, 0, 0)},
+		{name: "dup-delay", plan: ChaosPlan(202, 0, 0.4, 0.4)},
+		{name: "combo", plan: ChaosPlan(203, 0.2, 0.25, 0.3)},
 		{
 			name: "partition",
 			plan: func() mpi.FaultPlan {
-				p := AsyncChaosPlan(204, 0.15, 0, 0.2)
+				p := ChaosPlan(204, 0.15, 0, 0.2)
 				// Black out both directions of the 1↔2 exchange and the
 				// 3→4 pushes for a stretch of each stream.
 				p.Partitions = []mpi.Partition{
@@ -109,8 +113,7 @@ func TestAsyncChaosPartitionNoStall(t *testing.T) {
 // joiner, and finish with all cells trained — none lost, and the joiner
 // actually owning rebalanced cells.
 func TestAsyncJoinRebalance(t *testing.T) {
-	cfg := asyncConfig(2, 2, 6)
-	runAsyncJoinJob(t, cfg, nil)
+	runAsyncJoinJob(t, asyncOptions(asyncConfig(2, 2, 6)), nil)
 }
 
 // TestAsyncJoinUnderChaos repeats the join scenario with drops, dups and
@@ -118,16 +121,91 @@ func TestAsyncJoinRebalance(t *testing.T) {
 // hand the joiner its cells and the job must complete with zero lost
 // cells.
 func TestAsyncJoinUnderChaos(t *testing.T) {
+	plan := ChaosPlan(205, 0.2, 0.2, 0.25)
+	runAsyncJoinJob(t, asyncOptions(asyncConfig(2, 2, 6)), &plan)
+}
+
+// TestAsyncEvictCrashAndJoin: under the evict policy at W = 4, a slave
+// crashes and a reserve joins in one chaotic run; the evicted slave's cell
+// is re-dispatched, the joiner gets its share, and no cell is lost.
+func TestAsyncEvictCrashAndJoin(t *testing.T) {
 	cfg := asyncConfig(2, 2, 6)
-	plan := AsyncChaosPlan(205, 0.2, 0.2, 0.25)
-	runAsyncJoinJob(t, cfg, &plan)
+	cfg.AsyncStaleness = 4
+	plan := ChaosPlan(207, 0.15, 0.2, 0.25)
+	plan.Crashes = []mpi.CrashPoint{{Rank: 2, Tag: tagStateUpdate, AfterSends: 3}}
+	opts := asyncOptions(cfg)
+	opts.Resilient = true
+	res := runAsyncJoinJob(t, opts, &plan)
+	if log := strings.Join(res.Log, "\n"); !strings.Contains(log, "evicting slave 2") {
+		t.Fatalf("master never evicted the crashed slave; log:\n%s", log)
+	}
+}
+
+// TestEvictPushWaitsForMasterHold: under the evict policy a cell's push of
+// version v never leaves before the master holds the cell at v — the rule
+// that lets the master re-dispatch a lost cell from a state no peer has
+// consumed past — at W = 1 and W = 4, under lost uploads, acks and pushes,
+// with slave 2 crashing. On a 2×2 grid every cell neighbours every other,
+// so the survivor that adopts the lost cell owns one of its neighbours.
+func TestEvictPushWaitsForMasterHold(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) {
+			defer clearAsyncHooks()
+			var mu sync.Mutex
+			held := make(map[int]int)
+			var early []string
+			asyncClusterHooks.onHold = func(cell, iter int) {
+				mu.Lock()
+				held[cell] = max(held[cell], iter)
+				mu.Unlock()
+			}
+			asyncClusterHooks.onPush = func(cell, iter int) {
+				mu.Lock()
+				if h, ok := held[cell]; !ok || h < iter {
+					early = append(early, fmt.Sprintf("cell %d pushed %d while the master held %d (%v)", cell, iter, h, ok))
+				}
+				mu.Unlock()
+			}
+			cfg := asyncConfig(2, 2, 3)
+			cfg.AsyncStaleness = w
+			opts := asyncOptions(cfg)
+			opts.Resilient = true
+			plan := ChaosPlan(208, 0.2, 0, 0)
+			plan.Crashes = []mpi.CrashPoint{{Rank: 2, Tag: tagStateUpdate, AfterSends: 2}}
+			res, err := RunJobChaos(opts, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireAllTrained(t, cfg, res)
+			if log := strings.Join(res.Log, "\n"); !strings.Contains(log, "evicting slave 2") {
+				t.Fatalf("master never evicted the crashed slave; log:\n%s", log)
+			}
+			if w == 1 { // lockstep: recovery moves no bit
+				seq, err := core.RunSequential(cfg, core.RunOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c, f := range seq.Full {
+					if !bytes.Equal(f.Marshal(), res.Reports[c].Full) {
+						t.Errorf("cell %d full state differs from core.RunSequential", c)
+					}
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(early) > 0 {
+				t.Fatalf("%d pushes left before the master held them, first: %s", len(early), early[0])
+			}
+		})
+	}
 }
 
 // runAsyncJoinJob runs a 1-reserve async job whose joiner is triggered by
 // the first training pass, asserts the join actually rebalanced and
 // returns the job's result.
-func runAsyncJoinJob(t *testing.T, cfg config.Config, plan *mpi.FaultPlan) *JobResult {
+func runAsyncJoinJob(t *testing.T, opts MasterOptions, plan *mpi.FaultPlan) *JobResult {
 	t.Helper()
+	cfg := opts.Cfg
 	defer clearAsyncHooks()
 	joinCh := make(chan struct{})
 	var once sync.Once
@@ -136,7 +214,7 @@ func runAsyncJoinJob(t *testing.T, cfg config.Config, plan *mpi.FaultPlan) *JobR
 			once.Do(func() { close(joinCh) })
 		}
 	}
-	res, err := RunJobWithJoiners(asyncOptions(cfg), plan, []JoinSpec{{Signal: joinCh}})
+	res, err := RunJobWithJoiners(opts, plan, []JoinSpec{{Signal: joinCh}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +252,7 @@ func TestAsyncChaosFitnessTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaotic, err := RunJobChaos(asyncOptions(cfg), AsyncChaosPlan(206, 0.2, 0.3, 0.3))
+	chaotic, err := RunJobChaos(asyncOptions(cfg), ChaosPlan(206, 0.2, 0.3, 0.3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,18 +93,20 @@ func TestResilientJobNoFaults(t *testing.T) {
 	}
 }
 
+// crashSlave5 kills slave 5 after its second state upload: the crash is
+// scheduled on the message count, not the clock.
+var crashSlave5 = mpi.FaultPlan{
+	Seed:    17,
+	Crashes: []mpi.CrashPoint{{Rank: 5, Tag: tagStateUpdate, AfterSends: 2}},
+}
+
 // TestChaosCrashRecovery3x3 is the acceptance scenario: a slave on a 3×3
 // grid is killed mid-training; the master must evict it, re-dispatch its
 // cell to a survivor from the last gathered state, and finish with all 9
 // cells trained — reproducibly for the fixed (seed, schedule).
 func TestChaosCrashRecovery3x3(t *testing.T) {
 	cfg := chaosConfig(3, 3)
-	plan := mpi.FaultPlan{
-		Seed: 17,
-		// Slave 5 dies after uploading its round-0 and round-1 state: the
-		// crash is scheduled on the message count, not the clock.
-		Crashes: []mpi.CrashPoint{{Rank: 5, Tag: tagStateUpdate, AfterSends: 2}},
-	}
+	plan := crashSlave5
 	run := func() *JobResult {
 		res, err := RunJobChaos(chaosOptions(cfg, 3), plan)
 		if err != nil {
@@ -165,11 +167,11 @@ func TestChaosScheduleSweep(t *testing.T) {
 		{name: "combo-3x3", rows: 3, cols: 3, plan: ChaosPlan(105, 0.1, 0.2, 0.25), maxStrikes: 6},
 		{
 			name: "partition", rows: 2, cols: 2, maxStrikes: 6,
-			// A one-way partition blacks out the master's neighbor sets to
-			// slave 2 for two rounds; resends must heal it.
+			// A one-way partition blacks out the master's acks to slave 2
+			// for two of its uploads; re-uploads must heal it.
 			plan: mpi.FaultPlan{
 				Seed:       106,
-				Partitions: []mpi.Partition{{From: 0, To: 2, Tag: tagNeighborSet, FromSeq: 1, ToSeq: 3}},
+				Partitions: []mpi.Partition{{From: 0, To: 2, Tag: tagStateAck, FromSeq: 1, ToSeq: 3}},
 			},
 		},
 	}

@@ -7,10 +7,10 @@ import (
 )
 
 // Master-side resume and periodic-checkpoint support. The master is the
-// natural checkpoint agent for the cluster modes: in resilient mode it
-// already gathers every cell's full state each round (a consistent cut
-// by construction), and in async mode it merges the slaves' inventory
-// uploads monotonically (a best-effort newest-wins snapshot). Resume is
+// natural checkpoint agent for the tolerant modes: under the evict policy
+// it merges every version of every cell in order (so it assembles
+// consistent cuts), and in plain async mode it merges the slaves'
+// inventory uploads monotonically (a best-effort newest-wins snapshot). Resume is
 // the inverse: the master seeds its per-cell view from a prior run's
 // states and dispatches each one with its run task, so a whole job
 // restarts bit-exactly from the last durable generation.
@@ -53,42 +53,39 @@ func validateResume(opts MasterOptions) error {
 	return nil
 }
 
-// seedTrackFromResume primes the master's per-cell view with the resume
-// states, so eviction re-dispatch, owner updates, the done check and
-// periodic snapshots all see the restored iterations before the first
-// upload arrives.
-func seedTrackFromResume(track []*cellTrack, resume []*core.FullState) {
-	for c, f := range resume {
-		t := track[c]
-		t.iter = f.Cell.Iteration
-		t.full = f.Marshal()
-		t.state = f.Cell.Marshal()
-	}
-}
-
 // masterCkpt emits periodic whole-job snapshots from the master's merged
-// inventory. Lockstep (resilient) captures fire exactly at cadence
-// boundaries — every live cell sits at the same iteration k, so the
-// snapshot is the same consistent cut the in-process collector takes.
-// Async captures fire whenever the slowest cell has crossed a full
-// cadence since the last snapshot; per-cell iterations across successive
-// snapshots are monotonic because the master's merge is.
+// inventory. Under the evict policy, cuts deposits each cadence-boundary
+// state as the master merges it and sinks a snapshot once every cell has
+// deposited: the same consistent cut the in-process runners take. In
+// plain async mode a snapshot fires whenever the slowest cell has crossed
+// a full cadence since the last one; per-cell iterations across
+// successive snapshots are monotonic because the master's merge is. Sink
+// failures are logged, never fatal.
 type masterCkpt struct {
 	every    int
-	lockstep bool
 	sink     func(int, []*core.FullState) error
 	logf     func(string, ...interface{})
 	lastSunk int
+	cuts     *core.CkptCollector
 }
 
 // newMasterCkpt returns nil when no cadence is configured. A resumed job
 // starts its cadence after the resume point, never re-emitting the
 // generation it was loaded from.
-func newMasterCkpt(opts MasterOptions, lockstep bool, logf func(string, ...interface{})) *masterCkpt {
+func newMasterCkpt(opts MasterOptions, logf func(string, ...interface{})) *masterCkpt {
 	if opts.CheckpointEvery <= 0 || opts.CheckpointSink == nil {
 		return nil
 	}
-	ck := &masterCkpt{every: opts.CheckpointEvery, lockstep: lockstep, sink: opts.CheckpointSink, logf: logf}
+	ck := &masterCkpt{every: opts.CheckpointEvery, logf: logf}
+	ck.sink = func(iter int, states []*core.FullState) error {
+		if err := opts.CheckpointSink(iter, states); err != nil {
+			logf("master: checkpoint at iteration %d failed: %v", iter, err)
+		}
+		return nil // losing a snapshot must not stop the collector
+	}
+	if opts.Resilient {
+		ck.cuts = core.NewCkptCollector(ck.every, ck.sink, opts.Resume, opts.Cfg.NumCells())
+	}
 	if opts.Resume != nil {
 		min := -1
 		for _, f := range opts.Resume {
@@ -101,11 +98,22 @@ func newMasterCkpt(opts MasterOptions, lockstep bool, logf func(string, ...inter
 	return ck
 }
 
-// observe checks the tracked inventory and emits a snapshot when due.
-// Sink and decode failures skip the snapshot with a log line — a lost
-// checkpoint must never kill the training run. Safe on a nil receiver.
+// merged deposits cell c's newly merged state at iter into the evict
+// policy's cuts. Safe on a nil receiver.
+func (ck *masterCkpt) merged(c, iter int, full []byte) {
+	if ck == nil || ck.cuts == nil {
+		return
+	}
+	if err := ck.cuts.Deposit(c, iter, func() (*core.FullState, error) { return core.UnmarshalFullState(full) }); err != nil {
+		ck.logf("master: checkpoint at iteration %d skipped: cell %d state undecodable: %v", iter, c, err)
+	}
+}
+
+// observe emits the plain async policy's newest-wins snapshot when due.
+// Decode failures skip the snapshot with a log line. Safe on a nil
+// receiver.
 func (ck *masterCkpt) observe(track []*cellTrack) {
-	if ck == nil {
+	if ck == nil || ck.cuts != nil {
 		return
 	}
 	min := -1
@@ -117,14 +125,7 @@ func (ck *masterCkpt) observe(track []*cellTrack) {
 			min = t.iter
 		}
 	}
-	if min <= 0 {
-		return
-	}
-	if ck.lockstep {
-		if min%ck.every != 0 || min <= ck.lastSunk {
-			return
-		}
-	} else if min < ck.lastSunk+ck.every {
+	if min <= 0 || min < ck.lastSunk+ck.every {
 		return
 	}
 	states := make([]*core.FullState, len(track))
@@ -137,7 +138,5 @@ func (ck *masterCkpt) observe(track []*cellTrack) {
 		states[c] = f
 	}
 	ck.lastSunk = min
-	if err := ck.sink(min, states); err != nil {
-		ck.logf("master: checkpoint at iteration %d failed: %v", min, err)
-	}
+	ck.sink(min, states) //nolint:errcheck // the sink logs its own failure
 }

@@ -76,7 +76,9 @@ func TestGoldenCheckpointDeterminism(t *testing.T) {
 // cluster, with duplicated and delayed pushes and with lost ones — so
 // their cells must end on the same full states. Their configuration
 // differs in AsyncStaleness, which the checkpoint header records, so those
-// rows compare states rather than files.
+// rows compare states rather than files. So must a 3×3 job under the
+// evict policy whose slave 5 crashes: the master re-dispatches its cell
+// from the state it holds, and recovery moves no bit.
 func TestCrossModeGoldenCheckpoint(t *testing.T) {
 	cfg := chaosConfig(2, 2)
 	fromCore := func(cfg config.Config, run func(config.Config, core.RunOptions) (*core.Result, error)) []*core.FullState {
@@ -137,7 +139,7 @@ func TestCrossModeGoldenCheckpoint(t *testing.T) {
 		}
 		return states
 	}
-	dupDelay := AsyncChaosPlan(42, 0, 0.35, 0.35)
+	dupDelay := ChaosPlan(42, 0, 0.35, 0.35)
 	// A cell whose push to a neighbour is lost can be one iteration past
 	// that neighbour's window by the time it re-pushes; only re-sending the
 	// push before it lets the neighbour go on.
@@ -154,6 +156,30 @@ func TestCrossModeGoldenCheckpoint(t *testing.T) {
 	} {
 		for c := range want {
 			if !bytes.Equal(want[c], mode.got[c]) {
+				t.Errorf("%s: cell %d full state differs from core.RunSequential", mode.name, c)
+			}
+		}
+	}
+
+	cfg3 := chaosConfig(3, 3)
+	cfg3.AsyncStaleness = 1
+	want3 := marshal(fromCore(cfg3, core.RunSequential))
+	asyncEvict := chaosOptions(cfg3, 3)
+	asyncEvict.Async = true
+	for _, mode := range []struct {
+		name string
+		opts MasterOptions
+	}{
+		{"resilient 3x3 RunJob with slave 5 crashed", chaosOptions(cfg3, 3)},
+		{"async+resilient 3x3 RunJob at W=1 with slave 5 crashed", asyncEvict},
+	} {
+		res, err := RunJobChaos(mode.opts, crashSlave5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireAllTrained(t, cfg3, res)
+		for c, r := range res.Reports {
+			if !bytes.Equal(want3[c], r.Full) {
 				t.Errorf("%s: cell %d full state differs from core.RunSequential", mode.name, c)
 			}
 		}

@@ -217,7 +217,7 @@ func FuzzParseSlaveReports(f *testing.F) {
 }
 
 func FuzzParseStateUpdate(f *testing.F) {
-	valid, err := stateUpdate{Slave: 2, Round: 5, Cells: []cellBlob{{CellRank: 1, Iteration: 5, Full: []byte{1, 2}}}}.marshal()
+	valid, err := stateUpdate{Round: 5, Cells: []cellBlob{{CellRank: 1, Iteration: 5, Full: []byte{1, 2}}}}.marshal()
 	addSeeds(f, valid, err, `{"cells":[{"cell_rank":-1}]}`, `{"cells":[{"cell_rank":0,"iteration":-2}]}`)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if u, err := parseStateUpdate(data); err == nil {
@@ -226,22 +226,21 @@ func FuzzParseStateUpdate(f *testing.F) {
 	})
 }
 
-func FuzzParseNeighborSet(f *testing.F) {
-	valid, err := neighborSet{
-		Round: 1, States: []wireState{{Rank: 0, Iter: 1, Data: []byte{9}}},
-		Adopt: []cellBlob{{CellRank: 3, Iteration: 1}},
-	}.marshal()
-	addSeeds(f, valid, err, `{"states":[{"rank":-1}]}`, `{"adopt":[{"cell_rank":5000}]}`)
+func FuzzParseStateAck(f *testing.F) {
+	valid, err := stateAck{Held: []cellIter{{Cell: 0, Iter: 3}, {Cell: 4, Iter: 2}}}.marshal()
+	addSeeds(f, valid, err, `{"held":[{"cell":-1,"iter":0}]}`, `{"held":[{"cell":2,"iter":-5}]}`)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		n, err := parseNeighborSet(data)
+		a, err := parseStateAck(data)
 		if err != nil {
 			return
 		}
-		requireCellBounds(t, "neighbor set adoption", blobRanks(t, "neighbor set adoption", n.Adopt)...)
-		ranks := make([]int, len(n.States))
-		for i, ws := range n.States {
-			ranks[i] = ws.Rank
+		ranks := make([]int, len(a.Held))
+		for i, h := range a.Held {
+			if h.Iter < 0 {
+				t.Fatalf("accepted ack for cell %d at iteration %d", h.Cell, h.Iter)
+			}
+			ranks[i] = h.Cell
 		}
-		requireCellBounds(t, "neighbor set", ranks...)
+		requireCellBounds(t, "state ack", ranks...)
 	})
 }

@@ -70,10 +70,10 @@ func TestRunJobEndToEnd(t *testing.T) {
 }
 
 // jobModes runs a test once per exchange mode: the stages around the
-// mode-specific middle are one skeleton, so what they promise must hold
-// for all three.
-func jobModes(t *testing.T, test func(t *testing.T, cfg config.Config, res *JobResult)) {
-	cfg := jobConfig()
+// mode-specific middle are one skeleton, and the tolerant modes share one
+// middle, so what they promise must hold for all of them. setup, when
+// non-nil, adjusts each mode's options before its run.
+func jobModes(t *testing.T, setup func(*MasterOptions), test func(t *testing.T, cfg config.Config, res *JobResult)) {
 	for _, mode := range []struct {
 		name string
 		opts MasterOptions
@@ -81,17 +81,38 @@ func jobModes(t *testing.T, test func(t *testing.T, cfg config.Config, res *JobR
 		{"plain", MasterOptions{}},
 		{"resilient", MasterOptions{Resilient: true}},
 		{"async", MasterOptions{Async: true}},
+		{"async+resilient", MasterOptions{Async: true, Resilient: true}},
 	} {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) {
-			mode.opts.Cfg = cfg
+			mode.opts.Cfg = jobConfig()
 			mode.opts.HeartbeatInterval = time.Millisecond
+			if setup != nil {
+				setup(&mode.opts)
+			}
 			res, err := RunJob(mode.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			test(t, cfg, res)
+			test(t, mode.opts.Cfg, res)
 		})
+	}
+}
+
+// requireOneHalt asserts an aborted job: every cell stopped short of the
+// target, all at one iteration.
+func requireOneHalt(t *testing.T, cfg config.Config, res *JobResult) {
+	t.Helper()
+	if !res.Aborted {
+		t.Fatal("job did not abort")
+	}
+	for _, r := range res.Reports {
+		if r.Iterations >= cfg.Iterations {
+			t.Fatalf("cell %d completed all iterations despite abort", r.CellRank)
+		}
+		if r.Iterations != res.Reports[0].Iterations {
+			t.Fatalf("abort left cells at iterations %d and %d", res.Reports[0].Iterations, r.Iterations)
+		}
 	}
 }
 
@@ -114,15 +135,15 @@ func TestJobProfileCountsEachIterateOnce(t *testing.T) {
 			t.Fatalf("merged train count %d for %d Iterate calls", got, iterates)
 		}
 	}
-	jobModes(t, requireOnce)
+	jobModes(t, nil, requireOnce)
 	t.Run("joiner", func(t *testing.T) {
 		cfg := asyncConfig(2, 2, 6)
-		requireOnce(t, cfg, runAsyncJoinJob(t, cfg, nil))
+		requireOnce(t, cfg, runAsyncJoinJob(t, asyncOptions(cfg), nil))
 	})
 }
 
 func TestJobRecordsStateTransitions(t *testing.T) {
-	jobModes(t, func(t *testing.T, cfg config.Config, res *JobResult) {
+	jobModes(t, nil, func(t *testing.T, cfg config.Config, res *JobResult) {
 		// Every slave must be observed reaching finished; the
 		// inactive→processing hop can be missed if the first heartbeat
 		// lands after training started, but finished is always seen: the
@@ -146,7 +167,7 @@ func TestJobRecordsStateTransitions(t *testing.T) {
 }
 
 func TestJobEventLogTellsFig3Story(t *testing.T) {
-	jobModes(t, func(t *testing.T, cfg config.Config, res *JobResult) {
+	jobModes(t, nil, func(t *testing.T, cfg config.Config, res *JobResult) {
 		log := strings.Join(res.Log, "\n")
 		for _, want := range []string{"gathered", "placed", "run task", "collecting results", "best cell"} {
 			if !strings.Contains(log, want) {
@@ -156,29 +177,13 @@ func TestJobEventLogTellsFig3Story(t *testing.T) {
 	})
 }
 
+// TestJobTimeLimitAborts: in every mode the time limit stops all cells at
+// one iteration — the halt iteration rides the exchange's pushes.
 func TestJobTimeLimitAborts(t *testing.T) {
-	cfg := jobConfig()
-	cfg.Iterations = 10000 // would take far longer than the limit
-	cfg.TimeLimit = 50 * time.Millisecond
-	res, err := RunJob(MasterOptions{Cfg: cfg, HeartbeatInterval: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Aborted {
-		t.Fatal("job did not abort on time limit")
-	}
-	for _, r := range res.Reports {
-		if r.Iterations >= cfg.Iterations {
-			t.Fatalf("cell %d completed all iterations despite abort", r.CellRank)
-		}
-	}
-	// All slaves stop at one iteration count: the halt iteration rides
-	// the LOCAL exchange's pushes.
-	for _, r := range res.Reports {
-		if r.Iterations != res.Reports[0].Iterations {
-			t.Fatalf("abort left slaves at iterations %d and %d", res.Reports[0].Iterations, r.Iterations)
-		}
-	}
+	jobModes(t, func(o *MasterOptions) {
+		o.Cfg.Iterations = 10000 // would take far longer than the limit
+		o.Cfg.TimeLimit = 50 * time.Millisecond
+	}, requireOneHalt)
 }
 
 func TestRunMasterValidation(t *testing.T) {

@@ -28,28 +28,28 @@ type MasterOptions struct {
 	// are produced.
 	Logf func(format string, args ...interface{})
 
-	// Resilient enables the failure-tolerant runtime: the per-iteration
-	// neighbour exchange is routed through the master in synchronous
-	// rounds, and a slave that misses MaxStrikes consecutive rounds is
-	// evicted with its cells re-dispatched to survivors from their last
-	// gathered state. Eviction is driven by round progress — which is
-	// message-schedule-determined — rather than wall-clock heartbeats, so
-	// chaos runs with a fixed (seed, schedule) are reproducible.
+	// Resilient enables the evict membership policy of the tolerant
+	// exchange (staleness window 1 unless Async is also set): the master
+	// holds every cell's state at a version no peer has consumed past, and
+	// a slave that stays silent for MaxStrikes round timeouts is evicted
+	// with its cells re-dispatched to survivors, resuming bit-exactly.
+	// Eviction is strike-count-based and progress-gated, so chaos runs
+	// with a fixed (seed, schedule) are reproducible.
 	Resilient bool
-	// RoundTimeout is how long the master waits for the next state update
-	// in a round before striking the laggards (resilient mode only);
-	// 0 defaults to 1 s. Strikes are progress-gated: a slave is only
-	// struck while at least one peer has already delivered the round, so
+	// RoundTimeout is the silence that earns a slave a strike under the
+	// evict policy, and the stall-nudge and collection timeout of both
+	// tolerant modes; 0 defaults to 1 s. Strikes are progress-gated: a
+	// slave is only struck while another slave's upload arrived, so
 	// uniform slowness never evicts anyone.
 	RoundTimeout time.Duration
-	// MaxStrikes is how many consecutive missed rounds evict a slave
-	// (resilient mode only); 0 defaults to 3.
+	// MaxStrikes is how many consecutive strikes evict a slave (evict
+	// policy only); 0 defaults to 3.
 	MaxStrikes int
 
 	// Async enables the asynchronous cluster exchange: slaves push cell
 	// snapshots directly to each other under a bounded-staleness window
 	// (Cfg.AsyncStaleness) and the master only tracks inventory and
-	// membership. Mutually exclusive with Resilient.
+	// membership. Composes with Resilient, which adds eviction.
 	Async bool
 	// JoinSlots is how many extra communicator ranks beyond
 	// Cfg.NumTasks() are connected reserves that may join mid-run
@@ -57,8 +57,9 @@ type MasterOptions struct {
 	JoinSlots int
 
 	// Interrupt, when non-nil, aborts the job once closed: the master
-	// tells every slave to stop at its next iteration boundary and then
-	// collects results normally, exactly as when Cfg.TimeLimit expires.
+	// tells every slave to stop, every cell halts within W·D iterations,
+	// all at one boundary, and the master collects results normally,
+	// exactly as when Cfg.TimeLimit expires.
 	Interrupt <-chan struct{}
 	// Metrics, when non-nil, receives the master's runtime counters; nil
 	// records nothing.
@@ -72,9 +73,9 @@ type MasterOptions struct {
 	Resume []*core.FullState
 	// CheckpointEvery, with CheckpointSink, makes the master emit
 	// periodic whole-job snapshots from its gathered inventory: a
-	// consistent cut at every CheckpointEvery-th iteration in resilient
-	// mode, a best-effort newest-wins snapshot each time the slowest cell
-	// crosses a cadence in async mode. The plain mode holds no inventory
+	// consistent cut at every CheckpointEvery-th iteration under the evict
+	// policy, a best-effort newest-wins snapshot each time the slowest cell
+	// crosses a cadence in plain async mode. The plain mode holds no inventory
 	// and ignores the cadence. Sink failures are logged and counted,
 	// never fatal — losing a snapshot must not kill the training run.
 	CheckpointEvery int
@@ -92,9 +93,6 @@ func RunMaster(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 	}
 	if err := opts.Cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.Async && opts.Resilient {
-		return nil, fmt.Errorf("cluster: Async and Resilient modes are mutually exclusive")
 	}
 	if opts.JoinSlots < 0 {
 		return nil, fmt.Errorf("cluster: negative JoinSlots %d", opts.JoinSlots)
@@ -163,11 +161,7 @@ func RunMaster(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 		}()
 		m.initTrack()
 		var err error
-		if opts.Async {
-			resend, err = m.runAsync()
-		} else {
-			resend, err = m.runRounds()
-		}
+		resend, err = m.runAsync()
 		close(stop)
 		<-stopped
 		if err != nil {
@@ -210,9 +204,10 @@ type master struct {
 	// nSlaves counts the connected slave ranks (async reserves included);
 	// ranks 1..nCells are dispatched a cell at start.
 	nSlaves, nCells int
-	// tolerant is set in the resilient and async modes, whose jobs
-	// survive a lost slave: failed sends and silent slaves are logged and
-	// left to the middle's membership policy instead of failing the job.
+	// tolerant is set in the resilient and async modes, which share one
+	// middle and whose jobs survive a lost slave: failed sends and silent
+	// slaves are logged and left to its membership policy instead of
+	// failing the job.
 	tolerant bool
 	names    []string
 
@@ -224,9 +219,10 @@ type master struct {
 	// collected from. Eviction removes a slave, a join adds one.
 	live map[int]bool
 
-	// track is the per-cell inventory (tolerant modes only; the plain
-	// master holds none).
+	// track is the per-cell inventory and ck its periodic snapshots
+	// (tolerant modes only; the plain master holds none).
 	track []*cellTrack
+	ck    *masterCkpt
 }
 
 func (m *master) logf(format string, args ...interface{}) {
@@ -341,8 +337,8 @@ func (m *master) dispatch() error {
 }
 
 // sendTask delivers a run task. A tolerant job survives the failure: a
-// slave that never starts is struck out of the first round (or never
-// uploads) and its cell is re-dispatched.
+// slave that never starts never uploads, and under the evict policy its
+// cell is re-dispatched.
 func (m *master) sendTask(s int, task runTask) error {
 	payload, err := task.marshal()
 	if err != nil {

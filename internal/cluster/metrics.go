@@ -7,12 +7,9 @@ import "cellgan/internal/telemetry"
 // (nil instruments are no-ops), so the master code threads metrics
 // through unconditionally.
 type Metrics struct {
-	// Rounds counts completed synchronous exchange rounds (resilient
-	// mode).
-	Rounds *telemetry.Counter
-	// StateUpdates counts parsed per-round state uploads from slaves.
+	// StateUpdates counts state uploads received from slaves.
 	StateUpdates *telemetry.Counter
-	// Evictions counts slaves removed for missing MaxStrikes rounds.
+	// Evictions counts slaves removed for missing MaxStrikes uploads.
 	Evictions *telemetry.Counter
 	// Redispatches counts cells reassigned from an evicted slave to a
 	// survivor.
@@ -33,9 +30,8 @@ type Metrics struct {
 // a no-op set.
 func NewMetrics(reg *telemetry.Registry) *Metrics {
 	return &Metrics{
-		Rounds:       reg.Counter("cluster_rounds_total", "Completed synchronous exchange rounds."),
 		StateUpdates: reg.Counter("cluster_state_updates_total", "State uploads merged into the master grid view."),
-		Evictions:    reg.Counter("cluster_evictions_total", "Slaves evicted for missing consecutive rounds."),
+		Evictions:    reg.Counter("cluster_evictions_total", "Slaves evicted for missed uploads."),
 		Redispatches: reg.Counter("cluster_redispatches_total", "Cells reassigned from evicted slaves to survivors."),
 		SendRetries:  reg.Counter("cluster_send_retries_total", "Master messages re-sent after a failed attempt."),
 		Heartbeats:   reg.Counter("cluster_heartbeats_total", "Status polls answered by slaves."),

@@ -28,15 +28,9 @@ const (
 	tagResult = 105
 	// tagShutdown: master → slave, terminate the main loop.
 	tagShutdown = 106
-	// tagStateUpdate: slave → master (resilient mode), the per-round
-	// stateUpdate carrying full training state of every owned cell.
+	// tagStateUpdate: slave → master (tolerant modes), a stateUpdate
+	// carrying the full training state of every owned cell.
 	tagStateUpdate = 107
-	// tagNeighborSet: master → slave (resilient mode), the per-round
-	// neighborSet with every cell's exchanged state plus adoption orders.
-	tagNeighborSet = 108
-	// tagStateResend: master → slave (resilient mode), ask the slave to
-	// re-send its latest state update (the previous one was lost).
-	tagStateResend = 109
 	// tagJoin: slave → master (async mode), a connected-but-idle slave
 	// asks to join the running job and receive rebalanced cells.
 	tagJoin = 110
@@ -57,6 +51,10 @@ const (
 	// pushed directly to the owners of its influence set — the cluster
 	// form of core.RunAsync's exchange, with no master round-trip.
 	tagAsyncState = 114
+	// tagStateAck: master → slave (evict policy), the stateAck naming the
+	// version the master now holds of each uploaded cell; a cell pushes a
+	// version only once it is acknowledged.
+	tagStateAck = 115
 )
 
 // maxProtocolCells bounds every cell list a protocol message may carry —
@@ -77,17 +75,6 @@ func checkCells(what string, n int, rank func(i int) int) error {
 		}
 	}
 	return nil
-}
-
-// checkBlobs is checkCells for a cell-blob list, plus non-negative
-// iteration counts.
-func checkBlobs(what string, blobs []cellBlob) error {
-	for _, b := range blobs {
-		if b.Iteration < 0 {
-			return fmt.Errorf("cluster: %s has cell %d at negative iteration %d", what, b.CellRank, b.Iteration)
-		}
-	}
-	return checkCells(what, len(blobs), func(i int) int { return blobs[i].CellRank })
 }
 
 // SlaveState is the state machine of Fig 2.
@@ -125,15 +112,14 @@ type runTask struct {
 	Node string `json:"node"`
 	// Core is the core index assigned on the node.
 	Core int `json:"core"`
-	// Resilient selects the failure-tolerant exchange mode: the slave
-	// routes per-iteration neighbour exchange through the master
-	// (tagStateUpdate/tagNeighborSet rounds) instead of the LOCAL
-	// exchange, so the master can reassign cells when a slave dies.
+	// Resilient selects the evict policy of the tolerant exchange: each
+	// cell pushes a version only once the master holds it, so the master
+	// can re-dispatch the cells of a slave that falls silent.
 	Resilient bool `json:"resilient,omitempty"`
-	// Async selects the asynchronous cluster exchange: cells push center
-	// snapshots directly to the owners of their influence set
-	// (tagAsyncState) under a bounded-staleness window, with no rounds
-	// and no barrier.
+	// Async sets the tolerant exchange's staleness window to
+	// Cfg.AsyncStaleness; without it the window is 1 (lockstep). Either
+	// flag moves the slave off the LOCAL exchange onto direct pushes to
+	// the owners of each cell's influence set (tagAsyncState).
 	Async bool `json:"async,omitempty"`
 	// Joiner marks a task granted to a mid-run joiner: CellRank is -1 and
 	// the slave's initial cells arrive in the first ownerUpdate instead.
@@ -182,8 +168,8 @@ type SlaveReport struct {
 	// one report its slave sends); list-mode slaves use slaveReports.
 	Profile map[string]telemetry.RoutineStat `json:"profile,omitempty"`
 	// Full is the marshalled core.FullState of the cell at the end of
-	// training (resilient mode only): the bit-exact resume state used by
-	// the golden determinism checks and checkpoint export.
+	// training: the bit-exact resume state used by the golden determinism
+	// checks and checkpoint export.
 	Full []byte `json:"full,omitempty"`
 	// Error is non-empty when the slave's training failed; the control
 	// protocol still completes so the master can collect and shut down.
@@ -200,7 +186,8 @@ func parseSlaveReport(data []byte) (SlaveReport, error) {
 	return r, checkCells("slave report", 1, func(int) int { return r.CellRank })
 }
 
-// slaveReports is what a resilient or async slave returns on tagCollect:
+// slaveReports is what a tolerant (resilient or async) slave returns on
+// tagCollect:
 // one report per cell it owns at the end — several after adoptions, none
 // after a join moved its cells away — and its routine totals once,
 // whatever the report count.
@@ -226,8 +213,7 @@ func parseSlaveReports(data []byte) (slaveReports, error) {
 
 // cellBlob carries one cell's complete training state (a marshalled
 // core.FullState) between slave and master. It is the unit of both the
-// per-round state upload and the adoption order that re-dispatches a dead
-// slave's cell to a survivor.
+// state upload and the adoption order that moves a cell to a new owner.
 type cellBlob struct {
 	CellRank  int `json:"cell_rank"`
 	Iteration int `json:"iteration"`
@@ -238,15 +224,17 @@ type cellBlob struct {
 	// scheduling iterations for it.
 	Failed bool   `json:"failed,omitempty"`
 	Error  string `json:"error,omitempty"`
+	// Halted marks a cell stopped at the abort's halt boundary; like a
+	// finished one, it owes no more iterations.
+	Halted bool `json:"halted,omitempty"`
 	// Fitness is the cell's current mixture fitness (inf() until the
 	// first iteration completes).
 	Fitness float64 `json:"fitness"`
 }
 
-// stateUpdate is a resilient slave's per-round upload: the full state of
-// every cell it owns, tagged with the globally-synchronous round number.
+// stateUpdate is a tolerant slave's upload: the full state of every cell
+// it owns. A release ack is one too, echoing the order's version in Round.
 type stateUpdate struct {
-	Slave int        `json:"slave"`
 	Round int        `json:"round"`
 	Cells []cellBlob `json:"cells"`
 }
@@ -258,44 +246,49 @@ func parseStateUpdate(data []byte) (stateUpdate, error) {
 	if err := json.Unmarshal(data, &u); err != nil {
 		return u, fmt.Errorf("cluster: parsing state update: %w", err)
 	}
-	return u, checkBlobs("state update", u.Cells)
+	for _, b := range u.Cells {
+		if b.Iteration < 0 {
+			return u, fmt.Errorf("cluster: state update has cell %d at negative iteration %d", b.CellRank, b.Iteration)
+		}
+	}
+	return u, checkCells("state update", len(u.Cells), func(i int) int { return u.Cells[i].CellRank })
 }
 
-// wireState is one cell's exchanged centers (a marshalled core.CellState)
-// inside a neighborSet.
+// cellIter names one version of one cell.
+type cellIter struct {
+	Cell int `json:"cell"`
+	Iter int `json:"iter"`
+}
+
+// stateAck is the master's answer to an upload under the evict policy:
+// the iteration it now holds of each uploaded cell the sender owns.
+type stateAck struct {
+	Held []cellIter `json:"held"`
+}
+
+func (a stateAck) marshal() ([]byte, error) { return json.Marshal(a) }
+
+// parseStateAck decodes and validates a stateAck: a bounded list of
+// in-range cells at non-negative iterations.
+func parseStateAck(data []byte) (stateAck, error) {
+	var a stateAck
+	if err := json.Unmarshal(data, &a); err != nil {
+		return a, fmt.Errorf("cluster: parsing state ack: %w", err)
+	}
+	for _, h := range a.Held {
+		if h.Iter < 0 {
+			return a, fmt.Errorf("cluster: state ack holds cell %d at negative iteration %d", h.Cell, h.Iter)
+		}
+	}
+	return a, checkCells("state ack", len(a.Held), func(i int) int { return a.Held[i].Cell })
+}
+
+// wireState is one cell's exchanged centers (a marshalled core.CellState),
+// a seed snapshot inside an ownerUpdate.
 type wireState struct {
 	Rank int    `json:"rank"`
 	Iter int    `json:"iter"`
 	Data []byte `json:"data"`
-}
-
-// neighborSet is the master's per-round reply in resilient mode: the
-// exchanged state of every grid cell (replacing the LOCAL exchange),
-// adoption orders for reassigned cells, and the round-control flags.
-type neighborSet struct {
-	Round int `json:"round"`
-	// Done ends training: slaves finalise their reports after applying
-	// this set. Abort marks a time-limit stop (Done is also set).
-	Done  bool `json:"done,omitempty"`
-	Abort bool `json:"abort,omitempty"`
-	// States holds every cell's current exchange state, sorted by rank.
-	States []wireState `json:"states"`
-	// Adopt lists cells this slave must take over from a dead peer,
-	// restoring from the embedded full state.
-	Adopt []cellBlob `json:"adopt,omitempty"`
-}
-
-func (n neighborSet) marshal() ([]byte, error) { return json.Marshal(n) }
-
-func parseNeighborSet(data []byte) (neighborSet, error) {
-	var n neighborSet
-	if err := json.Unmarshal(data, &n); err != nil {
-		return n, fmt.Errorf("cluster: parsing neighbor set: %w", err)
-	}
-	if err := checkCells("neighbor set", len(n.States), func(i int) int { return n.States[i].Rank }); err != nil {
-		return n, err
-	}
-	return n, checkBlobs("neighbor set adoption", n.Adopt)
 }
 
 // ownerUpdate is the master's asynchronous-mode control message: the
@@ -319,7 +312,8 @@ type ownerUpdate struct {
 	// the embedded full state.
 	Adopt []cellBlob `json:"adopt,omitempty"`
 	// States seeds neighbour views (a joiner starts mid-run and cannot
-	// wait for organic pushes to cover the whole neighbourhood).
+	// wait for organic pushes to cover the whole neighbourhood): every
+	// cell's held center, plus the one before it for each cell that moves.
 	States []wireState `json:"states,omitempty"`
 	// Done ends training; Abort marks a time-limit or interrupt stop.
 	Done  bool `json:"done,omitempty"`
@@ -349,7 +343,7 @@ func parseOwnerUpdate(data []byte) (ownerUpdate, error) {
 			return u, fmt.Errorf("cluster: cell %d has negative owner %d", c, o)
 		}
 	}
-	if len(u.Failed) > n || len(u.Adopt) > n || len(u.States) > n {
+	if len(u.Failed) > n || len(u.Adopt) > n || len(u.States) > 2*n {
 		return u, fmt.Errorf("cluster: owner update lists exceed %d cells", n)
 	}
 	for _, c := range u.Failed {

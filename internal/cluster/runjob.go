@@ -19,33 +19,20 @@ func RunJob(opts MasterOptions) (*JobResult, error) {
 	return runJob(opts, nil, nil)
 }
 
-// ChaosPlan builds a fault-injection plan scoped to the runtime's chatty
-// message streams — heartbeats and the resilient exchange rounds — leaving
-// the bootstrap (node names, run tasks) and collection protocol reliable.
-// All decisions derive from the seed and per-stream message counts, so a
-// given (seed, probabilities) pair injects the same faults on every run.
+// ChaosPlan builds a fault-injection plan scoped to the tolerant
+// runtime's chatty streams — heartbeats, state uploads and their acks, and
+// the peer-to-peer snapshot pushes — leaving the bootstrap (node names,
+// run tasks), the membership protocol (join, release, owner updates) and
+// collection reliable. All decisions derive from the seed and per-stream
+// message counts, so a given (seed, probabilities) pair injects the same
+// faults on every run.
 func ChaosPlan(seed uint64, drop, dup, delay float64) mpi.FaultPlan {
 	return mpi.FaultPlan{
 		Seed:      seed,
 		DropProb:  drop,
 		DupProb:   dup,
 		DelayProb: delay,
-		Tags:      []int{tagStatus, tagStateUpdate, tagNeighborSet, tagStateResend},
-	}
-}
-
-// AsyncChaosPlan builds a fault-injection plan scoped to the async
-// runtime's chatty streams — heartbeats, inventory uploads and the
-// peer-to-peer snapshot pushes. The membership protocol (join, release,
-// owner updates) and the collection protocol stay reliable, mirroring how
-// ChaosPlan keeps the bootstrap clean.
-func AsyncChaosPlan(seed uint64, drop, dup, delay float64) mpi.FaultPlan {
-	return mpi.FaultPlan{
-		Seed:      seed,
-		DropProb:  drop,
-		DupProb:   dup,
-		DelayProb: delay,
-		Tags:      []int{tagStatus, tagStateUpdate, tagAsyncState},
+		Tags:      []int{tagStatus, tagStateUpdate, tagAsyncState, tagStateAck},
 	}
 }
 

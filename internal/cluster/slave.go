@@ -27,30 +27,26 @@ type slave struct {
 	// done is closed by the execution thread when training completes;
 	// result holds the final reports after that.
 	done chan struct{}
-	// multi is set when the job's reports travel as a list (resilient and
-	// async modes, where a slave may own several cells).
+	// multi is set when the job's reports travel as a list (the tolerant
+	// modes, where a slave may own several cells).
 	multi bool
 
-	// Resilient-mode plumbing: the control loop stays the sole receiver
-	// and forwards parsed neighbor sets to the execution thread.
-	quit       chan struct{} // closed when the control loop exits
-	neighborCh chan neighborSet
-
-	// Async-mode plumbing: owner updates and release orders flow from
-	// the control loop to the execution thread; tagAsyncState pushes are
-	// received by the execution thread directly (they come from peers,
-	// not the master, so the two receivers never contend for a message).
+	// Tolerant-mode plumbing: owner updates, release orders and state
+	// acks flow from the control loop, the sole receiver of the master's
+	// messages, to the execution thread; tagAsyncState pushes are received
+	// by the execution thread directly (they come from peers, not the
+	// master, so the two receivers never contend for a message).
+	quit      chan struct{} // closed when the control loop exits
 	ownerCh   chan ownerUpdate
 	releaseCh chan releaseOrder
+	ackCh     chan stateAck
 
 	// prof is the slave's routine totals, shared by every cell it trains.
 	prof telemetry.Profile
 
-	// updMu guards latestUpdate (the cached last state upload, re-sent on
-	// tagStateResend) and result (one report per owned cell, the totals).
-	updMu        sync.Mutex
-	latestUpdate []byte
-	result       slaveReports
+	// mu guards result (one report per owned cell, the totals).
+	mu     sync.Mutex
+	result slaveReports
 }
 
 func (s *slave) setState(st SlaveState) { s.state.Store(uint32(st)) }
@@ -84,13 +80,13 @@ func RunSlaveOpts(comm *mpi.Comm, local *mpi.Comm, sopts SlaveOptions) error {
 		return fmt.Errorf("cluster: RunSlave needs the LOCAL communicator")
 	}
 	s := &slave{
-		world:      comm,
-		local:      local,
-		done:       make(chan struct{}),
-		quit:       make(chan struct{}),
-		neighborCh: make(chan neighborSet, 8),
-		ownerCh:    make(chan ownerUpdate, 8),
-		releaseCh:  make(chan releaseOrder, 8),
+		world:     comm,
+		local:     local,
+		done:      make(chan struct{}),
+		quit:      make(chan struct{}),
+		ownerCh:   make(chan ownerUpdate, 8),
+		releaseCh: make(chan releaseOrder, 8),
+		ackCh:     make(chan stateAck, 8),
 	}
 	s.setState(StateInactive)
 	// Whatever ends the control loop (shutdown, comm failure, injected
@@ -147,15 +143,15 @@ func RunSlaveOpts(comm *mpi.Comm, local *mpi.Comm, sopts SlaveOptions) error {
 			}
 		case tagAbort:
 			s.abort.Store(true)
-		case tagNeighborSet:
-			ns, err := parseNeighborSet(m.Data)
+		case tagStateAck:
+			a, err := parseStateAck(m.Data)
 			if err != nil {
 				return err
 			}
-			// Non-blocking hand-off: a full channel means the execution
-			// thread is behind on duplicates/resends it will dedupe anyway.
+			// Non-blocking hand-off: a dropped ack is answered again on the
+			// slave's next upload.
 			select {
-			case s.neighborCh <- ns:
+			case s.ackCh <- a:
 			default:
 			}
 		case tagOwnerUpdate:
@@ -190,24 +186,15 @@ func RunSlaveOpts(comm *mpi.Comm, local *mpi.Comm, sopts SlaveOptions) error {
 			case s.releaseCh <- r:
 			case <-s.done:
 			}
-		case tagStateResend:
-			s.updMu.Lock()
-			upd := s.latestUpdate
-			s.updMu.Unlock()
-			if upd != nil {
-				if err := comm.Send(0, tagStateUpdate, upd); err != nil {
-					return err
-				}
-			}
 		case tagCollect:
 			// Non-blocking: an empty reply means "not finished yet" and
-			// the master retries after re-sending the last round.
+			// the master retries after re-sending the done signal.
 			var payload []byte
 			select {
 			case <-s.done:
-				s.updMu.Lock()
+				s.mu.Lock()
 				res := s.result
-				s.updMu.Unlock()
+				s.mu.Unlock()
 				if s.multi {
 					payload, err = res.marshal()
 				} else {
@@ -239,11 +226,8 @@ func (s *slave) execute(task runTask) {
 	defer s.setState(StateFinished)
 
 	run := s.runLockstep
-	switch {
-	case task.Async:
+	if task.Async || task.Resilient {
 		run = s.runAsync
-	case task.Resilient:
-		run = s.runResilient
 	}
 	reports, err := run(task)
 	if err != nil {
@@ -254,9 +238,9 @@ func (s *slave) execute(task runTask) {
 			MixtureFitness: inf(), Error: err.Error(),
 		}}
 	}
-	s.updMu.Lock()
+	s.mu.Lock()
 	s.result = slaveReports{Reports: reports, Profile: s.prof.Snapshot()}
-	s.updMu.Unlock()
+	s.mu.Unlock()
 }
 
 // runLockstep trains the assigned cell with core.RankLoop on the LOCAL
@@ -280,109 +264,19 @@ func (s *slave) runLockstep(task runTask) ([]SlaveReport, error) {
 	return owned.reports(halted), nil
 }
 
-// runResilient is the execution thread in failure-tolerant mode: the
-// per-iteration neighbour exchange is routed through the master in
-// globally-synchronous rounds (upload full state → receive neighbor set →
-// iterate) instead of the LOCAL neighbour exchange. The indirection is what makes
-// recovery possible: the master always holds every cell's last full state,
-// so when a slave dies it can re-dispatch the lost cells to survivors via
-// adoption orders — which this thread applies by rebuilding the cell and
-// restoring bit-exact state (core.RestoreFull).
-func (s *slave) runResilient(task runTask) ([]SlaveReport, error) {
-	owned, err := newOwnedCells(task, &s.prof)
-	if err != nil {
-		return nil, err
-	}
-	round := 0
-	for {
-		// (1) Upload the full state of every owned cell for this round.
-		payload, err := s.cacheUpdate(owned, round, owned.ranks())
-		if err != nil {
-			return nil, err
-		}
-		if err := s.world.Send(0, tagStateUpdate, payload); err != nil {
-			return nil, err
-		}
-
-		// (2) Await this round's neighbor set; duplicates and stale
-		// resends carry a lower round number and are dropped.
-		var ns neighborSet
-		for {
-			select {
-			case ns = <-s.neighborCh:
-			case <-s.quit:
-				return nil, fmt.Errorf("cluster: slave %d control loop exited mid-round", s.world.Rank())
-			}
-			if ns.Round >= round {
-				break
-			}
-		}
-
-		// (3) Adopt cells reassigned from a dead slave, restoring their
-		// last gathered state (adoption is idempotent under resends).
-		for _, ad := range ns.Adopt {
-			if err := owned.adopt(ad); err != nil {
-				return nil, err
-			}
-		}
-
-		// (4) Neighbour exchange: apply every cell's state, exactly like
-		// the LOCAL exchange but sourced from the master's merged view.
-		states := make(map[int]*core.CellState, len(ns.States))
-		for _, ws := range ns.States {
-			st, err := core.UnmarshalCellState(ws.Data)
-			if err != nil {
-				return nil, err
-			}
-			states[st.Rank] = st
-		}
-		for _, r := range owned.ranks() {
-			if err := owned.cells[r].cell.SetNeighbors(states); err != nil {
-				return nil, err
-			}
-		}
-
-		if ns.Done {
-			return owned.reports(ns.Abort), nil
-		}
-
-		// (5) Train one iteration on every unfinished cell. Per-cell
-		// failures are reported upward instead of stalling the round.
-		for _, r := range owned.ranks() {
-			if owned.trainable(r) {
-				owned.iterate(r)
-			}
-		}
-		round = ns.Round + 1
-	}
-}
-
-// cacheUpdate encodes the state upload of the listed cells and remembers
-// it for tagStateResend.
-func (s *slave) cacheUpdate(owned *ownedCells, round int, ranks []int) ([]byte, error) {
-	upd, err := owned.packState(s.world.Rank(), round, ranks)
-	if err != nil {
-		return nil, err
-	}
-	payload, err := upd.marshal()
-	if err != nil {
-		return nil, err
-	}
-	s.updMu.Lock()
-	s.latestUpdate = payload
-	s.updMu.Unlock()
-	return payload, nil
-}
-
 // ownedCell is one grid cell an execution thread trains, with the
 // bookkeeping that travels with it across adoptions and releases.
 type ownedCell struct {
 	cell *core.Cell
-	// x applies the exchange rules to the cell (async mode only); wire is
-	// its last push and prev the one before it, both re-sent by the idle
-	// re-push. Sent buffers: receivers alias them, nobody writes them.
+	// x applies the exchange rules to the cell (tolerant modes only); wire
+	// is its last push and prev the one before it, both re-sent by the
+	// idle re-push. Sent buffers: receivers alias them, nobody writes them.
 	x          *core.Exchange
 	wire, prev []byte
+	// unacked marks a current version that waits for the master's ack
+	// before it is pushed (evict policy); halted, a cell at its abort
+	// boundary as last uploaded.
+	unacked, halted bool
 	// failed marks a cell whose training errored; it is kept, reported
 	// and no longer iterated. errNote is the error's text.
 	failed  bool
@@ -438,8 +332,11 @@ func (o *ownedCells) adopt(b cellBlob) error {
 		}
 	}
 	oc := &ownedCell{cell: c, failed: b.Failed, errNote: b.Error, fitness: b.Fitness}
-	if o.task.Async {
-		oc.x = core.NewExchange(c, o.task.Cfg.EffectiveAsyncStaleness())
+	if w := o.task.Cfg.EffectiveAsyncStaleness(); o.task.Async || o.task.Resilient {
+		if !o.task.Async {
+			w = 1 // the evict policy alone is lockstep
+		}
+		oc.x = core.NewExchange(c, w)
 		if h := asyncClusterHooks.onApply; h != nil {
 			oc.x.Installed = func(src, iter int) { h(b.CellRank, src, iter, c.Iteration()) }
 		}
@@ -459,10 +356,10 @@ func (o *ownedCells) ranks() []int {
 	return ranks
 }
 
-// packState packs the full state of the listed cells (those still
-// owned) into an upload for the master.
-func (o *ownedCells) packState(slave, round int, ranks []int) (stateUpdate, error) {
-	upd := stateUpdate{Slave: slave, Round: round}
+// packState encodes the full state of the listed cells (those still
+// owned) as an upload for the master.
+func (o *ownedCells) packState(round int, ranks []int) ([]byte, error) {
+	upd := stateUpdate{Round: round}
 	for _, r := range ranks {
 		oc, ok := o.cells[r]
 		if !ok {
@@ -470,14 +367,14 @@ func (o *ownedCells) packState(slave, round int, ranks []int) (stateUpdate, erro
 		}
 		f, err := oc.cell.FullState()
 		if err != nil {
-			return upd, err
+			return nil, err
 		}
 		upd.Cells = append(upd.Cells, cellBlob{
 			CellRank: r, Iteration: oc.cell.Iteration(), Full: f.Marshal(),
-			Failed: oc.failed, Error: oc.errNote, Fitness: oc.fitness,
+			Failed: oc.failed, Error: oc.errNote, Fitness: oc.fitness, Halted: oc.halted,
 		})
 	}
-	return upd, nil
+	return upd.marshal()
 }
 
 // trainable reports whether cell r still owes iterations.

@@ -179,9 +179,9 @@ func (x *Exchange) Settle(exempt map[int]bool) (bool, error) {
 // abort, and so must not iterate again.
 func (x *Exchange) Halted() bool { return x.cell.Iteration() >= x.halt }
 
-// stop asks the cell to halt W·D iterations from now, or earlier if it
+// Stop asks the cell to halt W·D iterations from now, or earlier if it
 // already learnt an earlier halt.
-func (x *Exchange) stop() {
+func (x *Exchange) Stop() {
 	x.halt = min(x.halt, x.cell.Iteration()+x.window*x.cell.grid.Diameter())
 }
 
@@ -261,7 +261,7 @@ type RankLoop struct {
 	// window is the staleness window W; below 1 means 1.
 	window int
 	inst   *runInstruments
-	coll   *ckptCollector
+	coll   *CkptCollector
 	hooks  *loopTestHooks
 
 	x *Exchange
@@ -283,11 +283,11 @@ func (l RankLoop) Run() (last IterStats, halted bool, err error) {
 		}
 		// Every rank passes every boundary below its halt, so the
 		// deposits of one iteration assemble a consistent cut.
-		if err = l.coll.deposit(l.Cell); err != nil {
+		if err = l.coll.Deposit(l.Cell.Rank, l.Cell.Iteration(), l.Cell.FullState); err != nil {
 			break
 		}
 		if l.Stop != nil && l.Stop() {
-			l.x.stop()
+			l.x.Stop()
 		}
 		if l.Cell.Iteration() >= target || l.x.Halted() {
 			break

@@ -5,15 +5,15 @@ import (
 	"sync"
 )
 
-// ckptCollector is the periodic checkpoint capture of the in-process
-// runners. Every cell of every mode passes every cadence boundary k, so a
-// snapshot at k is assembled from each cell's FullState at its
-// post-exchange boundary of k and handed to the sink only when all n cells
-// have deposited — a consistent cut by construction, whatever the
-// staleness window. Boundaries at or below floor, the lowest iteration
-// the run resumed from, are skipped: a cut there could only be the
-// resume set itself, already on disk.
-type ckptCollector struct {
+// CkptCollector assembles periodic checkpoints as consistent cuts. Every
+// cell passes every cadence boundary k, so a snapshot at k is assembled
+// from each cell's FullState at k and handed to the sink only when all n
+// cells have deposited, whatever the staleness window. The in-process
+// runners deposit each cell at its post-exchange boundary; the cluster
+// master deposits each boundary state as it merges it. Boundaries at or
+// below floor, the lowest iteration the run resumed from, are skipped: a
+// cut there could only be the resume set itself, already on disk.
+type CkptCollector struct {
 	every int
 	sink  func(int, []*FullState) error
 	n     int
@@ -25,42 +25,43 @@ type ckptCollector struct {
 	failed  error
 }
 
-// newCkptCollector returns nil when no cadence is configured.
-func newCkptCollector(opts RunOptions, n int) *ckptCollector {
-	if opts.CheckpointEvery <= 0 || opts.CheckpointSink == nil {
+// NewCkptCollector returns the collector of n cells' cuts every every
+// iterations for a run resumed from resume (nil for a fresh start), or nil
+// when no cadence is configured.
+func NewCkptCollector(every int, sink func(int, []*FullState) error, resume []*FullState, n int) *CkptCollector {
+	if every <= 0 || sink == nil {
 		return nil
 	}
 	floor := 0
-	if len(opts.Resume) > 0 {
+	if len(resume) > 0 {
 		floor = math.MaxInt
-		for _, st := range opts.Resume {
+		for _, st := range resume {
 			if st != nil {
 				floor = min(floor, st.Cell.Iteration)
 			}
 		}
 	}
-	return &ckptCollector{
+	return &CkptCollector{
 		floor:   floor,
-		every:   opts.CheckpointEvery,
-		sink:    opts.CheckpointSink,
+		every:   every,
+		sink:    sink,
 		n:       n,
 		pending: make(map[int][]*FullState),
 		counts:  make(map[int]int),
 	}
 }
 
-// deposit records cell's state if it sits on a cadence boundary; the
-// depositing goroutine that completes a snapshot runs the sink. Safe on
-// a nil collector.
-func (c *ckptCollector) deposit(cell *Cell) error {
+// Deposit records cell rank's state at iter if iter is a cadence
+// boundary, calling full for it only then; the depositing goroutine that
+// completes a snapshot runs the sink. Safe on a nil collector.
+func (c *CkptCollector) Deposit(rank, iter int, full func() (*FullState, error)) error {
 	if c == nil {
 		return nil
 	}
-	iter := cell.Iteration()
 	if iter <= c.floor || iter%c.every != 0 {
 		return nil
 	}
-	full, err := cell.FullState()
+	st, err := full()
 	if err != nil {
 		return err
 	}
@@ -75,10 +76,10 @@ func (c *ckptCollector) deposit(cell *Cell) error {
 		states = make([]*FullState, c.n)
 		c.pending[iter] = states
 	}
-	if states[cell.Rank] == nil {
+	if states[rank] == nil {
 		c.counts[iter]++
 	}
-	states[cell.Rank] = full
+	states[rank] = st
 	if c.counts[iter] < c.n {
 		return nil
 	}

@@ -315,7 +315,7 @@ func (r *runCtx) overWorld(window int) (*Result, error) {
 	}); err != nil {
 		return nil, err
 	}
-	coll := newCkptCollector(r.opts, n)
+	coll := NewCkptCollector(r.opts.CheckpointEvery, r.opts.CheckpointSink, r.opts.Resume, n)
 	lasts := make([]IterStats, n)
 	if err := eachRank(n, func(rank int) error {
 		comm, err := world.Comm(rank)
@@ -348,7 +348,7 @@ func RunSequential(cfg config.Config, opts RunOptions) (*Result, error) {
 			return nil, err
 		}
 	}
-	coll := newCkptCollector(opts, len(cells))
+	coll := NewCkptCollector(opts.CheckpointEvery, opts.CheckpointSink, opts.Resume, len(cells))
 	exchange := func() error {
 		t0 := time.Now()
 		if err := exchangeLocal(cells, opts.Prof); err != nil {
@@ -381,7 +381,7 @@ func RunSequential(cfg config.Config, opts RunOptions) (*Result, error) {
 		// Post-exchange boundary: every cell is at the same iteration,
 		// the consistent cut a periodic checkpoint needs.
 		for _, c := range cells {
-			if err := coll.deposit(c); err != nil {
+			if err := coll.Deposit(c.Rank, c.Iteration(), c.FullState); err != nil {
 				return nil, err
 			}
 		}
