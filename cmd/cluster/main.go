@@ -189,8 +189,10 @@ func main() {
 	// First SIGINT/SIGTERM: the master aborts the job and still collects
 	// results — in every mode the cells halt within W·D iterations (W the
 	// staleness window, D the grid's influence diameter), all at one
-	// boundary, so a -checkpoint written then is one resumable cut. Slaves
-	// rely on the master's abort. A second signal exits immediately.
+	// boundary, so a -checkpoint written then is one resumable cut (a plain
+	// -async job that lost a slave ends once no cell has advanced for three
+	// round timeouts). Slaves rely on the master's abort. A second signal
+	// exits immediately.
 	interrupt := make(chan struct{})
 	var interruptOnce sync.Once
 	sigCh := make(chan os.Signal, 2)

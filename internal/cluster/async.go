@@ -126,6 +126,7 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 	}
 	// send queues a push for each peer's own sender: a dead peer's sends
 	// block in reconnects and must not stall this thread. Full queues drop.
+	// The senders go once the transport fails fast on a dead peer.
 	outs := make(map[int]chan []byte)
 	send := func(to []int, p []byte) {
 		for _, d := range to {
@@ -148,20 +149,23 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 			close(q)
 		}
 	}()
+	// deliver hands cell r's push p to the remote owners of its influence
+	// set and to the co-owned cells it influences alike.
+	deliver := func(r int, p []byte) {
+		send(remote(r), p)
+		for _, d := range owned.grid.Influence(r) {
+			if nb := owned.cells[d]; nb != nil && d != r {
+				nb.x.Receive(p) //nolint:errcheck // it decodes what AppendPush encoded
+			}
+		}
+	}
 	// push encodes cell r's center into a fresh buffer, keeping the push
-	// before it, and hands it to the remote owners of its influence set and
-	// to the co-owned cells it influences alike: a sent push is never
-	// written again, only re-sent. Best-effort: the idle re-push heals a
-	// lost push.
+	// before it, and delivers it: a sent push is never written again, only
+	// re-sent. Best-effort: the idle re-push heals a lost push.
 	push := func(r int) {
 		oc := owned.cells[r]
 		oc.prev, oc.wire, oc.unacked = oc.wire, oc.x.AppendPush(nil), false
-		send(remote(r), oc.wire)
-		for _, d := range owned.grid.Influence(r) {
-			if nb := owned.cells[d]; nb != nil && d != r {
-				nb.x.Receive(oc.wire) //nolint:errcheck // it decodes what AppendPush just encoded
-			}
-		}
+		deliver(r, oc.wire)
 		if h := asyncClusterHooks.onPush; h != nil {
 			h(r, oc.cell.Iteration())
 		}
@@ -324,13 +328,10 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 				// cells get both again as well: one adopted since has seen
 				// neither. A cell adopted since has pushed nothing yet; the
 				// owner update that granted it seeded its neighbours.
-				oc, to := owned.cells[r], remote(r)
+				oc := owned.cells[r]
 				for _, p := range [][]byte{oc.prev, oc.wire} {
 					if len(p) > 0 {
-						send(to, p)
-						for _, nb := range owned.cells {
-							nb.x.Receive(p) //nolint:errcheck // it decodes what AppendPush encoded
-						}
+						deliver(r, p)
 					}
 				}
 				if h := asyncClusterHooks.onPush; h != nil && len(oc.wire) > 0 {
@@ -698,7 +699,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 	// the evict policy, relay an abort, watch for completion, nudge on
 	// stalls.
 	strikes, decoded := make(map[int]int), make(map[int][]byte)
-	lastUpload, lastProgress := time.Now(), time.Now()
+	lastUpload, lastProgress, lastAdvance := time.Now(), time.Now(), time.Now()
 	for _, s := range m.liveRanks() {
 		heard[s] = lastUpload
 	}
@@ -751,7 +752,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 				}
 				decoded[src] = latest[src]
 				if m.merge(src, upd.Cells) {
-					lastProgress = time.Now()
+					lastProgress, lastAdvance = time.Now(), time.Now()
 				}
 			}
 			var ack stateAck // the version held of every cell src owns
@@ -795,13 +796,22 @@ func (m *master) runAsync() (resend func(s int), err error) {
 		// iterations, all at one boundary, and a halted cell is done.
 		limit := opts.Cfg.TimeLimit
 		if !aborted && (interrupted(opts.Interrupt) || (limit > 0 && time.Since(m.started) > limit)) {
-			aborted, m.res.Aborted = true, true
+			aborted, m.res.Aborted, lastAdvance = true, true, time.Now()
 			m.logf("master: %s, sending abort to all slaves", m.abortReason())
 			for _, s := range m.liveRanks() {
-				retrySend(comm, s, tagAbort, nil, opts.Metrics.SendRetries) //nolint:errcheck // best-effort: a cell whose slave misses it, or a joiner's, learns the halt from its peers' pushes
+				if strikes[s] == 0 { // a struck slave may be dead, and a send to it block in reconnects
+					retrySend(comm, s, tagAbort, nil, opts.Metrics.SendRetries) //nolint:errcheck // best-effort: a cell whose slave misses it, or a joiner's, learns the halt from its peers' pushes
+				}
 			}
 		}
 		if m.finished() {
+			break
+		}
+		// Without the evict policy nothing removes a dead slave, whose cells
+		// hold their neighbours below the halt: an aborted job in which no cell
+		// advanced for as long as eviction would take ends there.
+		if aborted && !opts.Resilient && time.Since(lastAdvance) >= time.Duration(opts.MaxStrikes)*opts.RoundTimeout {
+			m.logf("master: aborted and no cell advanced for %s, ending the job", time.Duration(opts.MaxStrikes)*opts.RoundTimeout)
 			break
 		}
 
@@ -813,7 +823,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 			version++
 			nudge := encodeOU(false, false, nil, nil)
 			for _, s := range m.liveRanks() {
-				if strikes[s] == 0 { // a struck slave may be dead, and a send to it block in reconnects
+				if strikes[s] == 0 { // as for the abort
 					sendOU(s, nudge)
 				}
 			}

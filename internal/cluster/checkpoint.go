@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"cellgan/internal/core"
 )
@@ -87,13 +88,7 @@ func newMasterCkpt(opts MasterOptions, logf func(string, ...interface{})) *maste
 		ck.cuts = core.NewCkptCollector(ck.every, ck.sink, opts.Resume, opts.Cfg.NumCells())
 	}
 	if opts.Resume != nil {
-		min := -1
-		for _, f := range opts.Resume {
-			if min < 0 || f.Cell.Iteration < min {
-				min = f.Cell.Iteration
-			}
-		}
-		ck.lastSunk = min
+		ck.lastSunk = slices.MinFunc(opts.Resume, func(a, b *core.FullState) int { return a.Cell.Iteration - b.Cell.Iteration }).Cell.Iteration
 	}
 	return ck
 }

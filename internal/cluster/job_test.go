@@ -186,6 +186,64 @@ func TestJobTimeLimitAborts(t *testing.T) {
 	}, requireOneHalt)
 }
 
+// TestJobTimeLimitEndsWithCrashedSlave: a tolerant job whose slave has
+// crashed still ends on its time limit. Under the evict policy the dead
+// slave is evicted and every cell stops at one iteration; without it the
+// master gives up once no cell advances, and synthesizes the lost cell's
+// report.
+func TestJobTimeLimitEndsWithCrashedSlave(t *testing.T) {
+	for _, mode := range []struct {
+		name             string
+		async, resilient bool
+	}{{"async", true, false}, {"resilient", false, true}, {"async+resilient", true, true}} {
+		mode := mode
+		t.Run(mode.name, func(t *testing.T) {
+			opts := asyncOptions(jobConfig())
+			opts.Async, opts.Resilient = mode.async, mode.resilient
+			if !mode.resilient {
+				opts.MaxStrikes = 1 // bounds both the stall and collection's retries
+			}
+			opts.Cfg.Iterations = 10000 // would take far longer than the limit
+			opts.Cfg.TimeLimit = time.Second
+			plan := mpi.FaultPlan{Crashes: []mpi.CrashPoint{{Rank: 2, Tag: tagStateUpdate, AfterSends: 2}}}
+			var res *JobResult
+			var err error
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				res, err = RunJobChaos(opts, plan)
+			}()
+			select {
+			case <-done:
+			case <-time.After(2 * time.Minute):
+				t.Fatal("job never ended after its time limit")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			log := strings.Join(res.Log, "\n")
+			if !mode.resilient {
+				if !res.Aborted {
+					t.Fatal("job did not abort")
+				}
+				if !strings.Contains(res.Reports[1].Error, "synthesized") {
+					t.Fatalf("crashed cell 1 not synthesized (error %q); log:\n%s", res.Reports[1].Error, log)
+				}
+				return
+			}
+			requireOneHalt(t, opts.Cfg, res)
+			if !strings.Contains(log, "evicting slave 2") {
+				t.Fatalf("master never evicted the crashed slave; log:\n%s", log)
+			}
+			for i, r := range res.Reports {
+				if strings.Contains(r.Error, "synthesized") {
+					t.Fatalf("cell %d was lost (synthesized report: %s)", i, r.Error)
+				}
+			}
+		})
+	}
+}
+
 func TestRunMasterValidation(t *testing.T) {
 	w := mpi.MustWorld(2)
 	defer w.Close()

@@ -42,8 +42,10 @@ type MasterOptions struct {
 	// slave is only struck while another slave's upload arrived, so
 	// uniform slowness never evicts anyone.
 	RoundTimeout time.Duration
-	// MaxStrikes is how many consecutive strikes evict a slave (evict
-	// policy only); 0 defaults to 3.
+	// MaxStrikes is how many consecutive strikes evict a slave under the
+	// evict policy; without it, an aborted job in which no cell advanced
+	// for MaxStrikes round timeouts ends with the stalled cells where they
+	// are. 0 defaults to 3.
 	MaxStrikes int
 
 	// Async enables the asynchronous cluster exchange: slaves push cell
@@ -287,14 +289,7 @@ func (m *master) gatherNames() {
 			got++
 		}
 	}
-	switch {
-	case m.opts.Async:
-		m.logf("master: gathered %d/%d node names (%d reserve slots)", got, m.nSlaves, m.nSlaves-m.nCells)
-	case m.opts.Resilient:
-		m.logf("master: gathered %d/%d slave node names", got, m.nSlaves)
-	default:
-		m.logf("master: gathered %d slave node names", got)
-	}
+	m.logf("master: gathered %d/%d slave node names (%d reserve slots)", got, m.nSlaves, m.nSlaves-m.nCells)
 }
 
 // dispatch is steps (ii)–(iv): decide placement over the whole world
