@@ -41,13 +41,15 @@ race:
 # in both async modes, one halt boundary for every rank, window-1 bit
 # equality with the sequential mode (in-process with a faulty comm, over
 # the async cluster with duplicated, delayed and lost pushes, and under the
-# evict policy with a crashed slave) and
+# evict policy with a crashed slave; the cross-mode rows run with every
+# recycled push poisoned, as do TestRecycledPushPoison's in-process rows:
+# a release before the last read trains on 0xFF) and
 # abort on a rank error — 20 times at GOMAXPROCS 1 and 2, with the two
 # packages loading each other: the load under which the cluster absorb's
-# old arrival-order apply failed most runs. About 8 minutes on a 2-core host,
-# most of it the 3×3 crashed-slave rows (each waits out an eviction).
+# old arrival-order apply failed most runs. About 9 minutes on a 2-core
+# host, most of it the 3×3 crashed-slave rows (each waits out an eviction).
 stress:
-	$(GO) test -run 'Staleness|Stops|StopConsensus|SequentialParallel|RankError|CrossMode' -count 20 -cpu 1,2 ./internal/core/ ./internal/cluster/
+	$(GO) test -run 'Staleness|Stops|StopConsensus|SequentialParallel|RankError|CrossMode|RecycledPushPoison' -count 20 -cpu 1,2 ./internal/core/ ./internal/cluster/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -155,13 +155,14 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 		send(remote(r), p)
 		for _, d := range owned.grid.Influence(r) {
 			if nb := owned.cells[d]; nb != nil && d != r {
-				nb.x.Receive(p) //nolint:errcheck // it decodes what AppendPush encoded
+				nb.x.Receive(p, nil) //nolint:errcheck // it decodes what AppendPush encoded
 			}
 		}
 	}
 	// push encodes cell r's center into a fresh buffer, keeping the push
 	// before it, and delivers it: a sent push is never written again, only
-	// re-sent. Best-effort: the idle re-push heals a lost push.
+	// re-sent, so this driver neither reuses nor releases pushes.
+	// Best-effort: the idle re-push heals a lost push.
 	push := func(r int) {
 		oc := owned.cells[r]
 		oc.prev, oc.wire, oc.unacked = oc.wire, oc.x.AppendPush(nil), false
@@ -269,7 +270,7 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 				break
 			}
 			for _, oc := range owned.cells {
-				oc.x.Receive(m.Data) //nolint:errcheck // a corrupt push is dropped; peers re-push
+				oc.x.Receive(m.Data, nil) //nolint:errcheck // a corrupt push is dropped; peers re-push
 			}
 		}
 

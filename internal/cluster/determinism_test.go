@@ -79,7 +79,15 @@ func TestGoldenCheckpointDeterminism(t *testing.T) {
 // rows compare states rather than files. So must a 3×3 job under the
 // evict policy whose slave 5 crashes: the master re-dispatches its cell
 // from the state it holds, and recovery moves no bit.
+//
+// Every row runs with recycled pushes poisoned (mpi.PoisonRecycled): a
+// rank loop that released a push before its last read of it would train
+// on 0xFF and leave the sequential bytes. The poison rides this test
+// rather than a copy of it, which would push the package past go test's
+// default timeout under make stress.
 func TestCrossModeGoldenCheckpoint(t *testing.T) {
+	mpi.PoisonRecycled(true)
+	defer mpi.PoisonRecycled(false)
 	cfg := chaosConfig(2, 2)
 	fromCore := func(cfg config.Config, run func(config.Config, core.RunOptions) (*core.Result, error)) []*core.FullState {
 		res, err := run(cfg, core.RunOptions{})

@@ -74,37 +74,87 @@ func TestExchangeAllocsIndependentOfGenomeSize(t *testing.T) {
 	}
 }
 
-// BenchmarkExchangeRound times one exchange round of the rank loop — push,
-// drain, decode — of all nine ranks of the 3×3, 128-wide grid over the
-// in-process transport; MB/s counts the state bytes a round delivers.
-func BenchmarkExchangeRound(b *testing.B) {
-	cfg := exchangeShape(128)
+// exchangeRounds builds the nine rank loops of the 3×3 grid at the given
+// width over an in-process world and returns one lockstep exchange round
+// of all of them — push, drain, decode — and the state bytes a round
+// delivers. Between rounds every cell steps its iteration count without
+// training, so each round waits for, installs and releases every
+// neighbour's push of its iteration, as a training run's rounds do.
+func exchangeRounds(tb testing.TB, hidden int) (round func(), delivered int) {
+	tb.Helper()
+	cfg := exchangeShape(hidden)
 	r, err := newRun(cfg, RunOptions{}, 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	n := r.grid.Size()
 	world := mpi.MustWorld(n)
-	defer world.Close()
+	tb.Cleanup(world.Close)
 	loops := make([]*RankLoop, n)
-	received := 0
 	for rank := range loops {
 		cell, err := r.newCell(rank)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		l := &RankLoop{Comm: world.MustComm(rank), Cell: cell}
 		l.init()
 		loops[rank] = l
-		received += len(l.x.nbrs) * len(cell.AppendState(nil))
+		delivered += len(l.x.nbrs) * len(cell.AppendState(nil))
 	}
-	round := func() {
+	return func() {
 		if err := eachRank(n, func(rank int) error { return loops[rank].exchange() }); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-	}
+		for _, l := range loops {
+			l.Cell.iteration++
+		}
+	}, delivered
+}
+
+// roundAllocBytes returns the heap bytes one warm round of exchangeRounds
+// allocates, over all nine ranks.
+func roundAllocBytes(t *testing.T, hidden int) uint64 {
+	t.Helper()
+	round, _ := exchangeRounds(t, hidden)
 	round() // first sight builds the kept networks
-	b.SetBytes(int64(received))
+	round() // and the second the push buffers the first one still had out
+	const rounds = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / rounds
+}
+
+// TestRankLoopRoundAllocs: a warm round encodes every push into a buffer
+// its receivers have released, so what the nine ranks still allocate
+// (snapshot headers, delivery records, goroutines) must not grow with the
+// genomes. A fresh 1.94 MB push per rank per round at width 128 made it
+// some 17.5 MB.
+func TestRankLoopRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	narrow, wide := roundAllocBytes(t, 32), roundAllocBytes(t, 128)
+	t.Logf("bytes per warm round of nine ranks: %d at width 32, %d at width 128", narrow, wide)
+	const slack = 2 << 10 // size-class rounding and map growth of the bookkeeping
+	if wide > narrow+slack {
+		t.Errorf("a warm round allocates %d B at width 128 but %d B at width 32: it grows with the genome", wide, narrow)
+	}
+	if wide > 64<<10 {
+		t.Errorf("a warm round allocates %d B, want bookkeeping only (< 64 KiB)", wide)
+	}
+}
+
+// BenchmarkExchangeRound times one exchange round of the rank loop of all
+// nine ranks of the 3×3, 128-wide grid over the in-process transport;
+// MB/s counts the state bytes a round delivers.
+func BenchmarkExchangeRound(b *testing.B) {
+	round, delivered := exchangeRounds(b, 128)
+	round() // first sight builds the kept networks
+	b.SetBytes(int64(delivered))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -84,7 +84,7 @@ type Exchange struct {
 	inst    *runInstruments
 	// latest is, per source, the newest kept snapshot that fits the
 	// window; held, the newest one too far ahead to install yet.
-	latest, held map[int]*CellState
+	latest, held map[int]pending
 	// halt is the minimum halt-at seen; settled is the last boundary whose
 	// gate opened, -1 before the first.
 	halt, settled int
@@ -94,7 +94,7 @@ type Exchange struct {
 // below 1 means 1.
 func NewExchange(cell *Cell, window int) *Exchange {
 	x := &Exchange{cell: cell, window: max(window, 1), applied: make(map[int]int),
-		latest: make(map[int]*CellState), held: make(map[int]*CellState), halt: noHalt, settled: -1}
+		latest: make(map[int]pending), held: make(map[int]pending), halt: noHalt, settled: -1}
 	for _, nb := range cell.Neighborhood() {
 		if nb != cell.Rank {
 			x.nbrs = append(x.nbrs, nb)
@@ -109,35 +109,56 @@ func (x *Exchange) AppendPush(dst []byte) []byte {
 	return x.cell.AppendState(appendHalt(dst, x.halt))
 }
 
+// pending is a received snapshot with the release of the push it aliases.
+type pending struct {
+	s       *CellState
+	release func()
+}
+
+// done calls the release, if any: the snapshot no longer reads its push.
+func (k pending) done() {
+	if k.release != nil {
+		k.release()
+	}
+}
+
 // Receive takes one push: the cell adopts the header's halt-at if it is
-// lower and keeps the snapshot behind it, aliasing data — which must not
-// change until that snapshot is installed or superseded. Both drivers
-// satisfy this by never writing a push once it is sent: the buffer
-// Multicast took, or the async slave's last two pushes, which it only
-// re-sends.
-func (x *Exchange) Receive(data []byte) error {
+// lower and keeps the snapshot behind it, aliasing data, which must not
+// change while the snapshot is kept. release, when non-nil, is called
+// exactly when the exchange stops reading data: once Settle has decoded
+// the snapshot into the neighbour's kept pair, or when the snapshot is
+// superseded by a newer one, older than the installed version, from
+// outside the neighbourhood, an abort marker or malformed. RankLoop passes
+// the delivery's mpi.Message.Release, so the sender may write its next
+// push into the same bytes; the async cluster slave passes nil and never
+// writes a push once sent.
+func (x *Exchange) Receive(data []byte, release func()) error {
 	halt, s, err := decodePush(data)
-	if err != nil {
+	if err == nil {
+		x.halt = min(x.halt, halt)
+	}
+	if s == nil {
+		pending{release: release}.done()
 		return err
 	}
-	x.halt = min(x.halt, halt)
-	if s != nil {
-		x.Offer(s)
-	}
+	x.offer(pending{s, release})
 	return nil
 }
 
 // Offer keeps snapshot s, as Receive keeps a push's; snapshots from
 // outside the neighbourhood are dropped.
-func (x *Exchange) Offer(s *CellState) {
-	if !slices.Contains(x.nbrs, s.Rank) {
+func (x *Exchange) Offer(s *CellState) { x.offer(pending{s: s}) }
+
+func (x *Exchange) offer(k pending) {
+	if !slices.Contains(x.nbrs, k.s.Rank) {
+		k.done()
 		return
 	}
-	x.promote(s.Rank)
-	if x.fits(s) {
-		keepNewest(x.latest, s)
+	x.promote(k.s.Rank)
+	if x.fits(k.s) {
+		keepNewest(x.latest, k)
 	} else {
-		keepNewest(x.held, s)
+		keepNewest(x.held, k)
 	}
 }
 
@@ -150,11 +171,16 @@ func (x *Exchange) Settle(exempt map[int]bool) (bool, error) {
 	for src := range x.held {
 		x.promote(src)
 	}
-	for src, s := range x.latest {
+	for src, k := range x.latest {
+		delete(x.latest, src)
+		s := k.s
 		if prev, seen := x.applied[src]; seen && s.Iteration < prev {
+			k.done()
 			continue
 		}
-		if err := x.cell.neighbor(src, s); err != nil {
+		err := x.cell.neighbor(src, s)
+		k.done()
+		if err != nil {
 			return false, err
 		}
 		x.applied[src] = s.Iteration
@@ -163,7 +189,6 @@ func (x *Exchange) Settle(exempt map[int]bool) (bool, error) {
 			x.Installed(src, s.Iteration)
 		}
 	}
-	clear(x.latest)
 	k := x.cell.Iteration()
 	if x.settled == k {
 		return true, nil
@@ -203,7 +228,7 @@ func (x *Exchange) gated(exempt map[int]bool) bool {
 
 // promote moves src's held snapshot to latest once it fits.
 func (x *Exchange) promote(src int) {
-	if h, ok := x.held[src]; ok && x.fits(h) {
+	if h, ok := x.held[src]; ok && x.fits(h.s) {
 		delete(x.held, src)
 		keepNewest(x.latest, h)
 	}
@@ -212,11 +237,16 @@ func (x *Exchange) promote(src int) {
 // fits reports whether s is at most W−1 versions ahead of the cell.
 func (x *Exchange) fits(s *CellState) bool { return s.Iteration < x.cell.Iteration()+x.window }
 
-// keepNewest files s under its source unless m holds a newer snapshot.
-func keepNewest(m map[int]*CellState, s *CellState) {
-	if prev, ok := m[s.Rank]; !ok || s.Iteration >= prev.Iteration {
-		m[s.Rank] = s
+// keepNewest files k under its source unless m holds a newer snapshot;
+// the one not kept is done.
+func keepNewest(m map[int]pending, k pending) {
+	prev, ok := m[k.s.Rank]
+	if ok && k.s.Iteration < prev.s.Iteration {
+		k.done()
+		return
 	}
+	prev.done()
+	m[k.s.Rank] = k
 }
 
 // appendHalt appends the halt-at header h to dst.
@@ -326,9 +356,10 @@ func (l *RankLoop) exchange() error {
 		l.inst.observeExchange(time.Since(t0))
 		l.Cell.prof.Since(telemetry.RoutineGather, t0)
 	}()
-	// Each push is a fresh buffer handed to Multicast: the receivers keep
-	// it until they install or supersede it, so it is never written again.
-	if err := l.Comm.Multicast(l.dests, stateTag, l.x.AppendPush(nil)); err != nil {
+	// Each push is encoded into a buffer whose last push every receiver
+	// has released (Exchange.Receive says when), or a fresh one while the
+	// earlier pushes are still out.
+	if err := l.Comm.Multicast(l.dests, stateTag, l.x.AppendPush(l.Comm.Reuse())); err != nil {
 		return err
 	}
 	if l.hooks != nil && l.hooks.onPush != nil {
@@ -361,7 +392,7 @@ func (l *RankLoop) drain(wait bool) error {
 		if err != nil || !ok {
 			return err
 		}
-		if err := l.x.Receive(m.Data); err != nil {
+		if err := l.x.Receive(m.Data, m.Release); err != nil {
 			return fmt.Errorf("core: push from rank %d: %w", m.Src, err)
 		}
 	}

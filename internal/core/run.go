@@ -91,7 +91,8 @@ func restoreIfResuming(cell *Cell, opts RunOptions, nCells int) error {
 
 // CellResult is the outcome of one cell after training.
 type CellResult struct {
-	Rank  int
+	Rank int
+	// State is the cell's final center, shared with Result.Full's entry.
 	State *CellState
 	// Final mixture composition (ranks + weights) and its fitness.
 	MixtureRanks   []int
@@ -248,17 +249,13 @@ func (r *runCtx) newCell(rank int) (*Cell, error) {
 func (r *runCtx) result(cells []*Cell, lasts []IterStats) (*Result, error) {
 	res := &Result{Cfg: r.cfg, Cells: make([]CellResult, len(cells)), Full: make([]*FullState, len(cells))}
 	for i, c := range cells {
-		state, err := c.State()
-		if err != nil {
-			return nil, err
-		}
 		full, err := c.FullState()
 		if err != nil {
 			return nil, err
 		}
 		res.Cells[i] = CellResult{
 			Rank:           c.Rank,
-			State:          state,
+			State:          full.Cell,
 			MixtureRanks:   append([]int(nil), c.mixture.Ranks...),
 			MixtureWeights: append([]float64(nil), c.mixture.Weights...),
 			MixtureFitness: lasts[i].MixtureFitness,

@@ -105,17 +105,29 @@ func TestRunParallelSmoke(t *testing.T) {
 	}
 }
 
-func TestSequentialParallelEquivalence(t *testing.T) {
-	// The parallel implementation must compute the same result as the
-	// sequential baseline: same seeds, same exchange schedule, so the
-	// final state must match bit-for-bit. On the 2×2 torus nearly every
-	// cell neighbours every other; 4×4 is the first paper grid on which
-	// the ranks a cell hears from (5) are a small part of the grid (16),
-	// and moore9/ring4 change which ranks those are.
-	//
-	// The faulty row duplicates and reorders the parallel run's pushes: at
-	// window 1 each cell must still install exactly its neighbours' centers
-	// of the iteration it is at, never a newer one that arrived first.
+// TestSequentialParallelEquivalence: the parallel implementation must
+// compute the same result as the sequential baseline: same seeds, same
+// exchange schedule, so the final state must match bit-for-bit. On the 2×2
+// torus nearly every cell neighbours every other; 4×4 is the first paper
+// grid on which the ranks a cell hears from (5) are a small part of the
+// grid (16), and moore9/ring4 change which ranks those are.
+//
+// The faulty row duplicates and reorders the parallel run's pushes: at
+// window 1 each cell must still install exactly its neighbours' centers of
+// the iteration it is at, never a newer one that arrived first.
+func TestSequentialParallelEquivalence(t *testing.T) { checkSequentialParallel(t) }
+
+// TestRecycledPushPoison is TestSequentialParallelEquivalence with every
+// push overwritten with 0xFF as its last receiver releases it: a receiver
+// that released a push before it stopped reading it would train on the
+// poison, and its bytes would leave the sequential run's.
+func TestRecycledPushPoison(t *testing.T) {
+	mpi.PoisonRecycled(true)
+	defer mpi.PoisonRecycled(false)
+	checkSequentialParallel(t)
+}
+
+func checkSequentialParallel(t *testing.T) {
 	plan := mpi.FaultPlan{Seed: 5, DupProb: 0.3, DelayProb: 0.4, MaxDelayHold: 1, Tags: []int{stateTag}}
 	shapes := map[string]func(*config.Config, *RunOptions){
 		"2x2":        func(*config.Config, *RunOptions) {},
@@ -156,6 +168,26 @@ func TestSequentialParallelEquivalence(t *testing.T) {
 				t.Fatalf("best rank differs: %d vs %d", seq.BestRank, par.BestRank)
 			}
 		})
+	}
+}
+
+// TestResultStateIsFullCell: a result encodes each cell's center once, so
+// the state a CellResult reports is the one its full state carries.
+func TestResultStateIsFullCell(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Iterations = 1
+	for mode, run := range map[string]func(config.Config, RunOptions) (*Result, error){
+		"seq": RunSequential, "par": RunParallel,
+	} {
+		res, err := run(cfg, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range res.Cells {
+			if !bytes.Equal(c.State.Marshal(), res.Full[i].Cell.Marshal()) {
+				t.Errorf("%s: cell %d result state differs from its full state's", mode, i)
+			}
+		}
 	}
 }
 

@@ -133,7 +133,8 @@ type streamKey struct {
 	dst, tag int
 }
 
-// heldMsg is a delayed message awaiting release.
+// heldMsg is a delayed message awaiting release. It holds its own
+// reference on a tracked payload until it is delivered or discarded.
 type heldMsg struct {
 	dst          int
 	m            wireMsg
@@ -298,6 +299,7 @@ func (fe *faultEndpoint) deliverLocked(dst int, m wireMsg, st *faultStream, seq,
 			fe.plan.Stats.Delays.Add(1)
 		}
 		hold := 1 + int(faultHash(fe.plan.Seed, me, dst, m.Tag, seq, saltHold)%uint64(fe.plan.MaxDelayHold))
+		m.pay.hold()
 		st.held = append(st.held, heldMsg{dst: dst, m: m, releaseAfter: seq + hold, heldAt: time.Now()})
 		fe.ensureFlusherLocked()
 	default:
@@ -313,10 +315,17 @@ func (fe *faultEndpoint) deliverLocked(dst int, m wireMsg, st *faultStream, seq,
 // reached, preserving FIFO order within the stream. Caller holds fe.mu.
 func (fe *faultEndpoint) releaseDueLocked(st *faultStream, seq int) {
 	for len(st.held) > 0 && st.held[0].releaseAfter <= seq {
-		h := st.held[0]
-		st.held = st.held[1:]
-		_ = fe.inner.sendWorld(h.dst, h.m)
+		fe.sendHeldLocked(st)
 	}
+}
+
+// sendHeldLocked delivers the stream's oldest held message and drops the
+// reference it held. Caller holds fe.mu.
+func (fe *faultEndpoint) sendHeldLocked(st *faultStream) {
+	h := st.held[0]
+	st.held = st.held[1:]
+	_ = fe.inner.sendWorld(h.dst, h.m)
+	h.m.pay.drop()
 }
 
 // ensureFlusherLocked starts the backstop flusher on first hold.
@@ -347,9 +356,7 @@ func (fe *faultEndpoint) flushAged() {
 	now := time.Now()
 	for _, st := range fe.streams {
 		for len(st.held) > 0 && now.Sub(st.held[0].heldAt) >= holdFlushAge {
-			h := st.held[0]
-			st.held = st.held[1:]
-			_ = fe.inner.sendWorld(h.dst, h.m)
+			fe.sendHeldLocked(st)
 		}
 	}
 }
@@ -362,6 +369,9 @@ func (fe *faultEndpoint) crashLocked() {
 	}
 	fe.crashed = true
 	for _, st := range fe.streams {
+		for _, h := range st.held {
+			h.m.pay.drop()
+		}
 		st.held = nil
 	}
 	fe.stopFlusher()

@@ -23,13 +23,15 @@ func newMailbox() *mailbox {
 	return m
 }
 
-// put appends a message and wakes any blocked receivers.
+// put appends a message and wakes any blocked receivers. A queued
+// message of a tracked payload holds its own reference on it.
 func (b *mailbox) put(m wireMsg) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return ErrClosed
 	}
+	m.del = m.pay.deliver()
 	b.queue = append(b.queue, m)
 	b.cond.Broadcast()
 	return nil

@@ -51,9 +51,21 @@ type Message struct {
 	Tag int
 	// Data is the payload. It is the receiver's own, except that the
 	// receivers of one Multicast share it with each other and with its
-	// sender, and none may write to it.
+	// sender: none may write to it, and once the receiver has called
+	// Release it must not read it either, since the sender may write its
+	// next payload into the same bytes.
 	Data []byte
+
+	del *delivery
 }
+
+// Release tells the sender that this receiver no longer reads Data. Once
+// every in-process receiver of a Multicast payload has released it, the
+// payload goes back to the sender through Comm.Reuse. Releasing is
+// optional — an unreleased payload is left to the garbage collector — and
+// idempotent per delivered message; it is a no-op for a message that was
+// copied (Send, a collective) or read off a TCP connection.
+func (m Message) Release() { m.del.release() }
 
 // wireMsg is the transport-level representation of a message. Src is a
 // world rank; Comm scopes the message to one communicator.
@@ -62,6 +74,10 @@ type wireMsg struct {
 	Src  int
 	Tag  int
 	Data []byte
+	// pay is Data's reference count on the sending side, nil when Data is
+	// untracked; a mailbox turns it into the message's own delivery.
+	pay *payload
+	del *delivery
 }
 
 // endpoint is the per-process transport handle. Implementations must be
@@ -88,8 +104,9 @@ const worldCommID uint32 = 1
 // message context. A Comm handle belongs to one process; its methods may
 // be called from multiple goroutines of that process.
 type Comm struct {
-	ep endpoint
-	id uint32
+	ep   endpoint
+	id   uint32
+	pool pool
 	// group maps comm rank -> world rank.
 	group []int
 	// worldToComm maps world rank -> comm rank.
@@ -147,15 +164,19 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 // send skips user-tag validation so collectives can use reserved tags; it
 // copies data as Send does.
 func (c *Comm) send(dst, tag int, data []byte) error {
-	return c.multicast([]int{dst}, tag, append([]byte(nil), data...))
+	return c.multicast([]int{dst}, tag, append([]byte(nil), data...), nil)
 }
 
 // Multicast delivers data to every member in dests (comm ranks) with the
 // given tag, as a Send to each in order would, but without a copy:
 // Multicast takes ownership of data. Every destination's message shares
 // it — in-process receivers get the sender's backing array itself — so
-// the caller must not modify data afterwards, and receivers must treat
-// Message.Data as read-only. It stops at the first destination that fails.
+// receivers must treat Message.Data as read-only, and the caller must not
+// modify data until it has it back from Reuse, which happens once every
+// in-process delivery has been released (Message.Release). A caller that
+// never uses Reuse must never modify it. Multicasting the same array again
+// while it is out is allowed and counts both sends. It stops at the first
+// destination that fails.
 func (c *Comm) Multicast(dests []int, tag int, data []byte) error {
 	for _, r := range dests {
 		if err := c.checkRank(r, "destination"); err != nil {
@@ -165,16 +186,18 @@ func (c *Comm) Multicast(dests []int, tag int, data []byte) error {
 	if tag < 0 || tag >= maxUserTag {
 		return fmt.Errorf("mpi: tag %d out of range [0,%d)", tag, maxUserTag)
 	}
-	return c.multicast(dests, tag, data)
-}
-
-// multicast skips validation: dests are checked comm ranks, tag may be
-// reserved. It hands data to the transport as is.
-func (c *Comm) multicast(dests []int, tag int, data []byte) error {
 	if len(dests) == 0 {
 		return nil
 	}
-	m := wireMsg{Comm: c.id, Src: c.ep.worldRank(), Tag: tag, Data: data}
+	return c.multicast(dests, tag, data, c.pool.track(data))
+}
+
+// multicast skips validation: dests are checked comm ranks, tag may be
+// reserved. It hands data to the transport as is and then drops the
+// sender's reference on pay, if any.
+func (c *Comm) multicast(dests []int, tag int, data []byte, pay *payload) error {
+	defer pay.drop()
+	m := wireMsg{Comm: c.id, Src: c.ep.worldRank(), Tag: tag, Data: data, pay: pay}
 	for _, r := range dests {
 		if err := c.ep.sendWorld(c.group[r], m); err != nil {
 			return err
@@ -209,7 +232,7 @@ func (c *Comm) recv(srcWorld, tag int) (Message, error) {
 	if !ok {
 		return Message{}, fmt.Errorf("mpi: message from world rank %d not in communicator", m.Src)
 	}
-	return Message{Src: commSrc, Tag: m.Tag, Data: m.Data}, nil
+	return Message{Src: commSrc, Tag: m.Tag, Data: m.Data, del: m.del}, nil
 }
 
 // Sendrecv performs a combined send to dst and receive from src with the

@@ -148,7 +148,7 @@ func (c *Comm) TryRecv(src, tag int) (Message, bool, error) {
 	if !inGroup {
 		return Message{}, false, fmt.Errorf("mpi: message from world rank %d not in communicator", m.Src)
 	}
-	return Message{Src: commSrc, Tag: m.Tag, Data: m.Data}, true, nil
+	return Message{Src: commSrc, Tag: m.Tag, Data: m.Data, del: m.del}, true, nil
 }
 
 func (e *inprocEndpoint) tryRecvWorld(commID uint32, srcWorld, tag int) (wireMsg, bool, error) {

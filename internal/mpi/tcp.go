@@ -281,16 +281,18 @@ func (t *TCPNode) readLoop(conn net.Conn) {
 	}
 }
 
+// sendWorld queues a self-send in the inbox, where it holds a reference
+// like an in-process delivery. A frame to a peer is written straight from
+// the payload, behind its header, and holds nothing once this returns.
 func (t *TCPNode) sendWorld(dst int, m wireMsg) error {
 	if dst == t.rank {
 		return t.inbox.put(m)
 	}
-	buf := make([]byte, frameHeaderLen+len(m.Data))
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(m.Data)))
-	binary.LittleEndian.PutUint32(buf[4:], m.Comm)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(int32(m.Src)))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(int32(m.Tag)))
-	copy(buf[frameHeaderLen:], m.Data)
+	var hdr [frameHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(m.Data)))
+	binary.LittleEndian.PutUint32(hdr[4:], m.Comm)
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(int32(m.Src)))
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(int32(m.Tag)))
 
 	backoff := t.opts.ReconnectBackoff
 	for attempt := 0; ; attempt++ {
@@ -306,7 +308,7 @@ func (t *TCPNode) sendWorld(dst int, m wireMsg) error {
 		if conn == nil {
 			err = fmt.Errorf("mpi: no connection to world rank %d", dst)
 		} else {
-			err = t.writeFrame(conn, mu, buf)
+			err = t.writeFrame(conn, mu, hdr[:], m.Data)
 			if err == nil {
 				return nil
 			}
@@ -329,15 +331,17 @@ func (t *TCPNode) sendWorld(dst int, m wireMsg) error {
 	}
 }
 
-// writeFrame writes one frame under the peer's send lock, applying the
-// configured write deadline.
-func (t *TCPNode) writeFrame(conn net.Conn, mu *sync.Mutex, frame []byte) error {
+// writeFrame writes one frame — header, then payload, in one vectored
+// write — under the peer's send lock, applying the configured write
+// deadline.
+func (t *TCPNode) writeFrame(conn net.Conn, mu *sync.Mutex, hdr, payload []byte) error {
 	mu.Lock()
 	defer mu.Unlock()
 	if t.opts.WriteTimeout > 0 {
 		conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout)) //nolint:errcheck
 	}
-	_, err := conn.Write(frame)
+	frame := net.Buffers{hdr, payload}
+	_, err := frame.WriteTo(conn)
 	return err
 }
 

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -321,4 +322,56 @@ func TestTCPReconnect(t *testing.T) {
 	if err != nil || string(m.Data) != "reply" {
 		t.Fatalf("reverse message: %v %v", m, err)
 	}
+}
+
+// TestTCPFramesAcrossReconnect: a frame is its header and the payload
+// written together, so every size — zero-length included — must arrive
+// whole and in order, before and after the link breaks and the sender
+// re-dials and resends the whole frame.
+func TestTCPFramesAcrossReconnect(t *testing.T) {
+	nodes := startTCPWorldOpts(t, 2, TCPOptions{
+		WriteTimeout:      2 * time.Second,
+		ReconnectAttempts: 5,
+		ReconnectBackoff:  5 * time.Millisecond,
+		DialTimeout:       2 * time.Second,
+	})
+	c0, err := nodes[0].WorldComm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1, err := nodes[1].WorldComm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i*7 + n)
+		}
+		return b
+	}
+	sizes := []int{0, 1, 0, 17, 1 << 20, 0}
+	roundTrip := func(phase string) {
+		t.Helper()
+		for i, n := range sizes {
+			if err := c0.Multicast([]int{1}, 9, payload(n)); err != nil {
+				t.Fatalf("%s: frame %d (%d B): %v", phase, i, n, err)
+			}
+		}
+		for i, n := range sizes {
+			m, err := c1.RecvTimeout(0, 9, 5*time.Second)
+			if err != nil {
+				t.Fatalf("%s: frame %d (%d B): %v", phase, i, n, err)
+			}
+			if !bytes.Equal(m.Data, payload(n)) {
+				t.Fatalf("%s: frame %d arrived as %d B, want %d B as sent", phase, i, len(m.Data), n)
+			}
+		}
+	}
+	roundTrip("before the break")
+	nodes[0].mu.Lock()
+	conn := nodes[0].conns[1]
+	nodes[0].mu.Unlock()
+	conn.Close()
+	roundTrip("after the break")
 }
