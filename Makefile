@@ -3,7 +3,7 @@ GO ?= go
 
 .PHONY: check fmt vet build cross test bench-module race stress bench bench-smoke bench-json staticcheck recovery-smoke fuzz-smoke loc
 
-check: fmt vet build cross test bench-module race stress
+check: fmt vet build cross test bench-smoke bench-module race stress
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -56,8 +56,9 @@ bench:
 
 # One iteration of every benchmark plus the allocation and memory
 # tripwires (-run='Allocs|Heap' picks up the AllocsPerRun tests guarding
-# the training iteration and telemetry observation hot paths, and the
-# live-heap budget of a running grid).
+# the training iteration, forward-only and telemetry observation hot
+# paths, and the live-heap budgets of a running MLP and DCGAN grid).
+# Part of check, so the tripwires also run locally.
 bench-smoke:
 	$(GO) test -run='Allocs|Heap' -bench=. -benchtime=1x ./...
 

@@ -73,21 +73,29 @@ type genomePair struct{ gen, disc *Genome }
 // the conv layers' im2col patch buffers and staging matrices, so
 // convolutional cells iterate through the same
 // zero-steady-state-allocation regime as MLP cells.
+//
+// Only the training workspaces keep every layer's intermediates, because
+// backward reads them. The fitness forwards (evalGen, evalDisc) and the
+// mixture's sampling workspace are forward-only over one shared
+// nn.ForwardPair: each keeps just its network's output, so a DCGAN cell
+// holds the eval batch's im2col patches and activations once, in the pair,
+// instead of once per workspace and layer.
 type cellWorkspace struct {
 	gen, disc         *nn.Workspace // training fwd/bwd (generator, discriminator nets)
-	evalGen, evalDisc *nn.Workspace // fitness-evaluation forwards
+	evalGen, evalDisc *nn.Workspace // fitness-evaluation forwards (forward-only)
 	zTrain, zEval     tensor.Mat    // latent batches (mini-batch / eval sized)
 	train, eval       lossScratch   // loss gradient + target buffers
 	sample            *SampleWorkspace
 }
 
 func newCellWorkspace() *cellWorkspace {
+	pair := new(nn.ForwardPair)
 	return &cellWorkspace{
 		gen:      nn.NewWorkspace(),
 		disc:     nn.NewWorkspace(),
-		evalGen:  nn.NewWorkspace(),
-		evalDisc: nn.NewWorkspace(),
-		sample:   NewSampleWorkspace(),
+		evalGen:  nn.NewForwardWorkspace(pair),
+		evalDisc: nn.NewForwardWorkspace(pair),
+		sample:   sampleWorkspaceOn(pair),
 	}
 }
 

@@ -10,10 +10,11 @@ import (
 
 // dirtyWorkspace pushes a larger-than-any and then a single-row batch
 // through every buffer of c's workspace (both training nets on the train
-// and eval workspaces, backward included, the loss scratches, the latent
-// buffers and the sampling workspace) without touching the cell's RNG,
-// parameters or optimizer state, so that the training that follows runs on
-// buffers with stale contents and excess capacity.
+// workspaces, backward included, forward only on the forward-only eval
+// workspaces, the loss scratches, the latent buffers and the sampling
+// workspace) without touching the cell's RNG, parameters or optimizer
+// state, so that the training that follows runs on buffers with stale
+// contents and excess capacity.
 func dirtyWorkspace(c *Cell) {
 	rng := tensor.NewRNG(999)
 	ws := c.ws
@@ -22,12 +23,15 @@ func dirtyWorkspace(c *Cell) {
 			gen, disc *nn.Workspace
 			loss      *lossScratch
 			z         *tensor.Mat
-		}{{ws.gen, ws.disc, &ws.train, &ws.zTrain}, {ws.evalGen, ws.evalDisc, &ws.eval, &ws.zEval}} {
+			backward  bool
+		}{{ws.gen, ws.disc, &ws.train, &ws.zTrain, true}, {ws.evalGen, ws.evalDisc, &ws.eval, &ws.zEval, false}} {
 			tensor.GaussianFill(p.z.Resize(n, c.Cfg.InputNeurons), 0, 1, rng)
 			logits := c.disc.Net.ForwardWS(p.disc, c.gen.Net.ForwardWS(p.gen, p.z))
 			_, grad := generatorLoss(LossLSGAN, logits, p.loss)
-			c.gen.Net.BackwardWS(p.gen, c.disc.Net.InputGradWS(p.disc, grad))
-			c.disc.Net.BackwardWS(p.disc, grad)
+			if p.backward {
+				c.gen.Net.BackwardWS(p.gen, c.disc.Net.InputGradWS(p.disc, grad))
+				c.disc.Net.BackwardWS(p.disc, grad)
+			}
 		}
 		c.mixture.FitnessWS(ws.sample, c.disc.Net, n, c.Cfg.InputNeurons, rng)
 	}

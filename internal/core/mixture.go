@@ -66,13 +66,13 @@ func normalizeWeights(w []float64) {
 
 // SampleWorkspace owns every buffer the mixture sampling, fitness and
 // weight-evolution paths need: the latent and output matrices, the
-// per-sample routing slices, the nn workspaces for generator and
-// discriminator forwards, and the loss scratch. One workspace serves one
-// goroutine; inference workers pair a private workspace with their private
-// mixture clone.
+// per-sample routing slices, the forward-only nn workspaces for generator
+// and discriminator forwards, and the loss scratch. One workspace serves
+// one goroutine; inference workers pair a private workspace with their
+// private mixture clone.
 type SampleWorkspace struct {
-	gen  *nn.Workspace // generator forward buffers
-	disc *nn.Workspace // discriminator forward buffers (fitness)
+	gen  *nn.Workspace // generator forward buffers (forward-only)
+	disc *nn.Workspace // discriminator forward buffers (fitness, forward-only)
 	z    tensor.Mat    // per-component latent batch
 	out  tensor.Mat    // assembled sample batch
 
@@ -83,8 +83,12 @@ type SampleWorkspace struct {
 }
 
 // NewSampleWorkspace returns an empty workspace; buffers grow on first use.
-func NewSampleWorkspace() *SampleWorkspace {
-	return &SampleWorkspace{gen: nn.NewWorkspace(), disc: nn.NewWorkspace()}
+func NewSampleWorkspace() *SampleWorkspace { return sampleWorkspaceOn(new(nn.ForwardPair)) }
+
+// sampleWorkspaceOn returns an empty workspace whose generator and
+// discriminator forwards run their intermediate layers on p.
+func sampleWorkspaceOn(p *nn.ForwardPair) *SampleWorkspace {
+	return &SampleWorkspace{gen: nn.NewForwardWorkspace(p), disc: nn.NewForwardWorkspace(p)}
 }
 
 // intsFor resizes *buf to n elements, reallocating only on capacity

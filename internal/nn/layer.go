@@ -11,7 +11,10 @@
 // a layer value holds parameters and, once it has trained, gradient
 // accumulators only. Training and serving loops hand each network a
 // Workspace (one LayerScratch per layer slot, reused across iterations,
-// zero steady-state allocations);
+// zero steady-state allocations); a pass that never runs backward uses a
+// forward-only Workspace, which keeps only the last layer's output and
+// runs the rest on a ForwardPair shared with its goroutine's other
+// forward-only workspaces;
 // the methods without the WS suffix are the same path with fresh scratch
 // per pass. Optimizers consume (params, grads) pairs. Each backward pass
 // computes only what is read: the train pass (BackwardWS) accumulates

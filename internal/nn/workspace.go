@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"unsafe"
+
 	"cellgan/internal/tensor"
 )
 
@@ -60,12 +62,38 @@ func (k *keptScratch[T]) resume(s *LayerScratchOf[T]) *LayerScratchOf[T] {
 // before the workspace is handed to the next network: the matrices
 // returned by ForwardWS/InputGradWS alias workspace storage. The zero value
 // is an empty workspace.
+//
+// A forward-only workspace (NewForwardWorkspace) keeps only the last
+// layer's output: every earlier layer runs on a ForwardPair that all
+// forward-only workspaces of one goroutine share, so the fitness and
+// sampling passes of a goroutine hold one output per workspace plus the
+// pair's two scratches, not every intermediate of every network. Backward
+// passes on it panic.
 type WorkspaceOf[T tensor.Float] struct {
-	layers []*LayerScratchOf[T] // layers[i] serves layer slot i
+	layers []*LayerScratchOf[T] // layers[i] serves layer slot i; forward-only: layers[0] serves the last layer
+	pair   *ForwardPairOf[T]    // non-nil: forward-only, intermediates alternate on it
 }
+
+// ForwardPairOf is the two scratches the intermediate layers of
+// forward-only workspaces alternate on: layer i writes pair[i%2] while it
+// reads its input from the other one. One goroutine's forward-only
+// workspaces may share a pair, because nothing but a network's last layer
+// outlives its pass. The zero value is ready to use.
+type ForwardPairOf[T tensor.Float] [2]LayerScratchOf[T]
+
+// ForwardPair is the float64 ForwardPairOf.
+type ForwardPair = ForwardPairOf[float64]
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
+
+// NewForwardWorkspace returns an empty forward-only workspace whose
+// intermediate layers run on p. The matrix ForwardWS returns on it stays
+// valid until the next pass through the same workspace, whatever runs on p
+// in between.
+func NewForwardWorkspace[T tensor.Float](p *ForwardPairOf[T]) *WorkspaceOf[T] {
+	return &WorkspaceOf[T]{pair: p}
+}
 
 // layer returns the scratch for layer slot i, growing the list on demand.
 // A nil workspace yields nil scratches: fresh buffers per pass.
@@ -79,12 +107,45 @@ func (ws *WorkspaceOf[T]) layer(i int) *LayerScratchOf[T] {
 	return ws.layers[i]
 }
 
+// Bytes returns the size of the buffers ws holds; a forward-only
+// workspace's pair is not counted (ForwardPairOf.Bytes is).
+func (ws *WorkspaceOf[T]) Bytes() int {
+	n := 0
+	for _, s := range ws.layers {
+		n += s.bytes()
+	}
+	return n
+}
+
+// Bytes returns the size of the buffers p holds.
+func (p *ForwardPairOf[T]) Bytes() int { return p[0].bytes() + p[1].bytes() }
+
+// bytes returns the capacity of every matrix s owns, in bytes.
+func (s *LayerScratchOf[T]) bytes() int {
+	n := cap(s.out.Data) + cap(s.dIn.Data)
+	for i := range s.aux {
+		n += cap(s.aux[i].Data)
+	}
+	return n * int(unsafe.Sizeof(T(0)))
+}
+
+// forward returns the scratch a forward pass runs layer i of n on.
+func (ws *WorkspaceOf[T]) forward(i, n int) *LayerScratchOf[T] {
+	if ws != nil && ws.pair != nil {
+		if i < n-1 {
+			return &ws.pair[i%2]
+		}
+		i = 0
+	}
+	return ws.layer(i)
+}
+
 // ForwardWS propagates a batch through every layer on ws-owned scratch.
 // The returned matrix aliases workspace storage and is only valid until
 // the next pass through ws. A nil ws runs the same path on fresh scratch.
 func (n *NetworkOf[T]) ForwardWS(ws *WorkspaceOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
 	for i, l := range n.Layers {
-		x = l.Forward(ws.layer(i), x)
+		x = l.Forward(ws.forward(i, len(n.Layers)), x)
 	}
 	return x
 }
@@ -103,6 +164,9 @@ func (n *NetworkOf[T]) InputGradWS(ws *WorkspaceOf[T], grad *tensor.Matrix[T]) *
 
 // backward runs layer 0 with need and the rest with NeedInput added.
 func (n *NetworkOf[T]) backward(ws *WorkspaceOf[T], grad *tensor.Matrix[T], need Need) *tensor.Matrix[T] {
+	if ws != nil && ws.pair != nil {
+		panic("nn: backward pass on a forward-only workspace")
+	}
 	for i := len(n.Layers) - 1; i > 0; i-- {
 		grad = n.Layers[i].Backward(ws.layer(i), grad, need|NeedInput)
 	}

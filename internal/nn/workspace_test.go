@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"cellgan/internal/tensor"
@@ -265,5 +266,140 @@ func TestAccumulatorsOnFirstTrainPass(t *testing.T) {
 				t.Fatal("Grads taken before the first train pass does not see its gradients")
 			}
 		})
+	}
+}
+
+// forwardOnlyMatches runs net over each batch of xs on a forward-only
+// workspace and on an ordinary one and requires bit-identical outputs. The
+// pair under the forward-only workspace first holds a forward of another
+// network at a larger batch, so the comparison runs on stale contents and
+// excess capacity.
+func forwardOnlyMatches[T tensor.Float](t *testing.T, name string, net, other *NetworkOf[T], xs []*tensor.Matrix[T], stale *tensor.Matrix[T]) {
+	t.Helper()
+	pair := new(ForwardPairOf[T])
+	other.ForwardWS(NewForwardWorkspace(pair), stale)
+	fo, ws := NewForwardWorkspace(pair), new(WorkspaceOf[T])
+	for pass, x := range xs {
+		if !net.ForwardWS(fo, x).Equal(net.ForwardWS(ws, x)) {
+			t.Fatalf("%s, pass %d (%d rows): forward-only output differs", name, pass, x.Rows)
+		}
+	}
+	if len(fo.layers) != 1 {
+		t.Fatalf("%s: forward-only workspace owns %d layer scratches, want 1 (the output)", name, len(fo.layers))
+	}
+}
+
+// TestForwardOnlyBitIdentical: a forward-only workspace computes exactly
+// what an ordinary one does — the MLP and the DCGAN generator and
+// discriminator, at float64 and float32, after a larger batch of another
+// network went through the shared pair — while owning only the last
+// layer's scratch.
+func TestForwardOnlyBitIdentical(t *testing.T) {
+	gen, disc := dcganTestPair(t)
+	mlp := MLP([]int{6, 9, 25}, func() Layer { return NewLeakyReLU(0.2) }, func() Layer { return NewTanh() }, tensor.NewRNG(91))
+	rng := tensor.NewRNG(92)
+	fill := func(rows, cols int) *tensor.Mat {
+		x := tensor.New(rows, cols)
+		tensor.GaussianFill(x, 0, 1, rng)
+		return x
+	}
+	for _, tc := range []struct {
+		name        string
+		net, other  *Network
+		in, otherIn int
+	}{{"mlp", mlp, gen, 6, 6}, {"dcgan-gen", gen, disc, 6, 25}, {"dcgan-disc", disc, gen, 25, 6}} {
+		stale := fill(11, tc.otherIn)
+		var xs []*tensor.Mat
+		var xs32 []*tensor.Mat32
+		for _, rows := range []int{5, 1, 5} {
+			xs = append(xs, fill(rows, tc.in))
+			xs32 = append(xs32, tensor.Narrow(xs[len(xs)-1]))
+		}
+		forwardOnlyMatches(t, tc.name, tc.net, tc.other, xs, stale)
+		forwardOnlyMatches(t, tc.name+"/f32", tc.net.Narrow(), tc.other.Narrow(), xs32, tensor.Narrow(stale))
+	}
+}
+
+// TestForwardOnlySharedPair covers the two ways a cell's fitness pass
+// uses forward-only workspaces on one pair: the generator's output feeds
+// the discriminator directly (genFitnessOn), and one output outlives other
+// passes through the pair — the selection batch that every tournament
+// candidate discriminator scores, with a sampling generator forward in
+// between.
+func TestForwardOnlySharedPair(t *testing.T) {
+	gen, disc := dcganTestPair(t)
+	rng := tensor.NewRNG(93)
+	z, real := tensor.New(4, 6), tensor.New(3, 25)
+	tensor.GaussianFill(z, 0, 1, rng)
+	tensor.GaussianFill(real, 0, 1, rng)
+	want := disc.Forward(gen.Forward(z)).Clone()
+	wantReal := disc.Forward(real).Clone()
+
+	pair := new(ForwardPair)
+	genWS, discWS, sampleWS := NewForwardWorkspace(pair), NewForwardWorkspace(pair), NewForwardWorkspace(pair)
+	if !disc.ForwardWS(discWS, gen.ForwardWS(genWS, z)).Equal(want) {
+		t.Fatal("generator output fed to the discriminator on one pair differs")
+	}
+
+	fake := gen.ForwardWS(genWS, z)
+	kept := fake.Clone()
+	zs := tensor.New(2, 6)
+	for cand := 0; cand < 3; cand++ {
+		if !disc.ForwardWS(discWS, real).Equal(wantReal) {
+			t.Fatalf("candidate %d: real-batch logits differ", cand)
+		}
+		tensor.GaussianFill(zs, 0, 1, rng)
+		gen.ForwardWS(sampleWS, zs) // a sampling pass on the same pair
+		if !disc.ForwardWS(discWS, fake).Equal(want) {
+			t.Fatalf("candidate %d: logits of the kept generator output differ", cand)
+		}
+	}
+	if !fake.Equal(kept) {
+		t.Fatal("a pass through the shared pair overwrote the generator's output")
+	}
+}
+
+// TestForwardOnlyRefusesBackward: neither backward pass runs on a
+// forward-only workspace, whose intermediates another pass may already
+// have overwritten, and the panic names the cause rather than reading as
+// a missing forward.
+func TestForwardOnlyRefusesBackward(t *testing.T) {
+	gen, _ := dcganTestPair(t)
+	z := tensor.New(2, 6)
+	ws := NewForwardWorkspace(new(ForwardPair))
+	grad := gen.ForwardWS(ws, z).Clone()
+	for name, pass := range map[string]func(){
+		"BackwardWS":  func() { gen.BackwardWS(ws, grad) },
+		"InputGradWS": func() { gen.InputGradWS(ws, grad) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "forward-only") || strings.Contains(msg, "Backward before Forward") {
+					t.Errorf("%s on a forward-only workspace: panic %q, want one naming forward-only", name, msg)
+				}
+			}()
+			pass()
+		}()
+	}
+}
+
+// TestForwardOnlyPairAllocs: once warm, generator and discriminator
+// forwards alternating through one pair — a fitness pass's pattern, the
+// generator's output feeding the discriminator — allocate nothing, though
+// the pair's buffers are resized between the two networks' shapes.
+func TestForwardOnlyPairAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts include race-detector instrumentation")
+	}
+	gen, disc := dcganTestPair(t)
+	z := tensor.New(8, 6)
+	tensor.GaussianFill(z, 0, 1, tensor.NewRNG(94))
+	pair := new(ForwardPair)
+	genWS, discWS := NewForwardWorkspace(pair), NewForwardWorkspace(pair)
+	pass := func() { disc.ForwardWS(discWS, gen.ForwardWS(genWS, z)) }
+	pass() // warm
+	if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+		t.Errorf("warm forward-only gen→disc pass: %.0f allocs per run, want 0", allocs)
 	}
 }
