@@ -224,7 +224,7 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 						continue // a seed is advisory, never fatal
 					}
 					for _, oc := range owned.cells {
-						oc.x.Offer(st)
+						oc.x.Offer(st) //nolint:errcheck // a seed is advisory, never fatal
 					}
 				}
 				if u.Done {

@@ -39,9 +39,12 @@ type Cell struct {
 	genNbrs  map[int]*Genome
 	discNbrs map[int]*Genome
 	// kept holds the genome pair of every neighbour rank ever seen, alive
-	// across exchanges: a fresh snapshot is decoded into its networks in
-	// place instead of building new ones each round.
+	// across exchanges: its networks are shells that view the installed
+	// snapshot's parameter bytes, re-pointed at each new one.
 	kept map[int]genomePair
+	// copies holds, per neighbour rank, the buffer SetNeighbors re-encodes
+	// that rank's snapshots into; only this cell ever reads it.
+	copies map[int][]byte
 
 	mixture *Mixture
 
@@ -199,7 +202,7 @@ func NewCellWithData(cfg config.Config, rank int, g *grid.Grid, prof *telemetry.
 
 	c.genNbrs = map[int]*Genome{rank: c.gen}
 	c.discNbrs = map[int]*Genome{rank: c.disc}
-	c.kept = map[int]genomePair{}
+	c.kept, c.copies = map[int]genomePair{}, map[int][]byte{}
 	mix, err := NewMixture(map[int]*nn.Network{rank: c.gen.Net})
 	if err != nil {
 		return nil, err
@@ -220,39 +223,53 @@ func (c *Cell) State() (*CellState, error) { return UnmarshalCellState(c.AppendS
 // AppendState appends the bytes State().Marshal() would produce to dst,
 // encoding the parameters straight into it: a caller that sends its state
 // every round reuses one buffer and copies nothing.
-func (c *Cell) AppendState(dst []byte) []byte {
-	genSize, discSize := c.gen.Net.EncodedParamsSize(), c.disc.Net.EncodedParamsSize()
-	dst = slices.Grow(dst, stateHeaderSize+16+genSize+discSize)
+func (c *Cell) AppendState(dst []byte) []byte { return c.appendState(dst, false) }
+
+// appendState is AppendState, with the parameter blobs in the push layout
+// (tensor.AppendAlignedMats) when push is set.
+func (c *Cell) appendState(dst []byte, push bool) []byte {
+	encode := tensor.AppendMats[float64]
+	if push {
+		encode = tensor.AppendAlignedMats[float64]
+	}
+	gen, disc := c.gen.Net.Params(), c.disc.Net.Params()
+	dst = slices.Grow(dst, stateHeaderSize+16+tensor.AlignedMatsSize(gen)+tensor.AlignedMatsSize(disc))
 	dst = (&CellState{
 		Rank: c.Rank, Iteration: c.iteration,
 		GenLR: c.gen.LR, DiscLR: c.disc.LR,
 		GenFitness: c.gen.Fitness, DiscFitness: c.disc.Fitness,
 		GenLoss: c.gen.Loss, DiscLoss: c.disc.Loss,
 	}).appendHeader(dst)
-	dst = c.gen.Net.AppendParams(binary.LittleEndian.AppendUint64(dst, uint64(genSize)))
-	return c.disc.Net.AppendParams(binary.LittleEndian.AppendUint64(dst, uint64(discSize)))
+	for _, ps := range [...][]*tensor.Mat{gen, disc} {
+		at := len(dst) + 8
+		dst = encode(binary.LittleEndian.AppendUint64(dst, 0), ps)
+		binary.LittleEndian.PutUint64(dst[at-8:], uint64(len(dst)-at))
+	}
+	return dst
 }
 
-// neighbor decodes s into the genome pair kept for rank r and makes that
-// pair rank r's member of the sub-population, leaving the mixture for the
-// caller to refresh. The pair is created on first sight as a clone of the
-// cell's own centers — the same architecture with no initialisation pass —
-// and then only ever overwritten, so a steady-state exchange allocates no
-// network.
+// neighbor points the genome pair kept for rank r at s, a snapshot in the
+// push layout, and makes that pair rank r's member of the sub-population,
+// leaving the mixture for the caller to refresh. The pair's networks view
+// s's parameter bytes, which must not change until another snapshot from
+// r is installed, and nothing may write them. The pair is created on
+// first sight as shells of the cell's own centers, with no parameter
+// storage, so an exchange allocates no network. On error the generator
+// may view s already.
 func (c *Cell) neighbor(r int, s *CellState) error {
 	if s.GenLoss >= numGANLosses || s.DiscLoss >= numGANLosses {
 		return fmt.Errorf("core: unknown loss gene in state of rank %d", s.Rank)
 	}
 	p, ok := c.kept[r]
 	if !ok {
-		p = genomePair{c.gen.Clone(), c.disc.Clone()}
+		p = genomePair{&Genome{Net: c.gen.Net.Shell()}, &Genome{Net: c.disc.Net.Shell()}}
 		c.kept[r] = p
 	}
-	if err := p.gen.Net.DecodeParams(s.GenParams); err != nil {
-		return fmt.Errorf("core: decoding generator of rank %d: %w", s.Rank, err)
+	if err := p.gen.Net.ViewParams(s.GenParams); err != nil {
+		return fmt.Errorf("core: generator of rank %d: %w", s.Rank, err)
 	}
-	if err := p.disc.Net.DecodeParams(s.DiscParams); err != nil {
-		return fmt.Errorf("core: decoding discriminator of rank %d: %w", s.Rank, err)
+	if err := p.disc.Net.ViewParams(s.DiscParams); err != nil {
+		return fmt.Errorf("core: discriminator of rank %d: %w", s.Rank, err)
 	}
 	p.gen.LR, p.gen.Fitness, p.gen.Loss = s.GenLR, s.GenFitness, s.GenLoss
 	p.disc.LR, p.disc.Fitness, p.disc.Loss = s.DiscLR, s.DiscFitness, s.DiscLoss
@@ -264,14 +281,21 @@ func (c *Cell) neighbor(r int, s *CellState) error {
 // neighbourhood (typically the result of the per-iteration exchange).
 // Snapshots for ranks outside the neighbourhood are ignored, neighbours
 // without a snapshot leave the sub-population, and the cell's own rank
-// always refers to its live centers.
+// always refers to its live centers. Each snapshot the cell keeps is
+// re-encoded into the push layout, into a buffer private to its rank that
+// the kept pair then views, so a warm call allocates no parameters.
 func (c *Cell) SetNeighbors(states map[int]*CellState) error {
 	clear(c.genNbrs)
 	clear(c.discNbrs)
 	c.genNbrs[c.Rank], c.discNbrs[c.Rank] = c.gen, c.disc
 	for _, r := range c.Neighborhood() {
 		if s, ok := states[r]; ok && r != c.Rank {
-			if err := c.neighbor(r, s); err != nil {
+			s, err := s.aligned(c.copies[r])
+			if err == nil {
+				c.copies[r] = s.GenParams
+				err = c.neighbor(r, s)
+			}
+			if err != nil {
 				return err
 			}
 		}

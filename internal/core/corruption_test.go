@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"cellgan/internal/config"
+	"cellgan/internal/grid"
+	"cellgan/internal/nn"
 	"cellgan/internal/tensor"
 )
 
@@ -54,9 +57,16 @@ func TestBitFlippedStateRejectedOrConsistent(t *testing.T) {
 	disc := BuildDiscriminator(cfg, rng)
 	gp, _ := gen.EncodeParams()
 	dp, _ := disc.EncodeParams()
-	s := &CellState{Rank: 1, GenParams: gp, DiscParams: dp}
+	// The parameters in the push layout, as peers send them.
+	s, err := (&CellState{Rank: 1, GenParams: gp, DiscParams: dp}).aligned(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	good := s.Marshal()
 	c0, _ := newTestCell(t, cfg, 0)
+	if err := c0.neighbor(1, s); err != nil {
+		t.Fatal(err)
+	}
 
 	// Sample positions across the stream (every 977th byte keeps the test
 	// fast while covering header, lengths and payload).
@@ -134,8 +144,21 @@ func FuzzUnmarshalCellState(f *testing.F) {
 // FuzzDecodePush: the push decoder, which both exchange loops feed raw
 // peer bytes, never panics, reads a header alone as the abort marker, and
 // whatever else it accepts is a halt-at header and a whole cell state.
+// Installing that state never panics either, and a kept pair it installs
+// into views exactly the parameter blobs of the push, in its layout.
 func FuzzDecodePush(f *testing.F) {
-	st := (&CellState{Rank: 1, Iteration: 3, GenParams: []byte{1, 2, 3}}).Marshal()
+	cfg := tinyConfig()
+	cfg.NeuronsPerHidden, cfg.InputNeurons = 2, 2 // small pushes, fast execs
+	g := grid.MustNew(cfg.GridRows, cfg.GridCols)
+	c0, err := NewCell(cfg, 0, g, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	c1, err := NewCell(cfg, 1, g, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	st := c1.appendState(nil, true)
 	for _, h := range []int{noHalt, 7, abortHalt} {
 		f.Add(append(appendHalt(nil, h), st...))
 		f.Add(appendHalt(nil, h))
@@ -161,6 +184,21 @@ func FuzzDecodePush(f *testing.F) {
 		}
 		if !bytes.Equal(s.Marshal()[stateHeaderSize:], data[8+stateHeaderSize:]) {
 			t.Fatal("state blobs do not re-marshal to the body")
+		}
+		if c0.neighbor(1, s) != nil {
+			return
+		}
+		// Re-encoded at each blob's own phase: its offset past a 64-byte
+		// boundary of the push.
+		p := c0.kept[1]
+		for _, b := range []struct {
+			net  *nn.Network
+			blob []byte
+		}{{p.gen.Net, s.GenParams}, {p.disc.Net, s.DiscParams}} {
+			phase := int(binary.LittleEndian.Uint32(b.blob[4:]))
+			if !bytes.Equal(tensor.AppendAlignedMats(make([]byte, phase), b.net.Params())[phase:], b.blob) {
+				t.Fatal("the installed pair does not re-encode to the push's parameter blobs")
+			}
 		}
 	})
 }

@@ -270,14 +270,18 @@ func TestLossGeneSurvivesStateRoundTrip(t *testing.T) {
 	if got.GenLoss != LossLSGAN || got.DiscLoss != LossMinimax {
 		t.Fatalf("loss genes %v/%v", got.GenLoss, got.DiscLoss)
 	}
+	pushed, err := got.aligned(nil) // the push layout neighbor installs
+	if err != nil {
+		t.Fatal(err)
+	}
 	c0, _ := newTestCell(t, cfg, 0)
-	if err := c0.neighbor(1, got); err != nil {
+	if err := c0.neighbor(1, pushed); err != nil {
 		t.Fatal(err)
 	}
 	if c0.genNbrs[1].Loss != LossLSGAN || c0.discNbrs[1].Loss != LossMinimax {
 		t.Fatal("genomes lost their loss genes")
 	}
-	bad := *got
+	bad := *pushed
 	bad.GenLoss = GANLoss(42)
 	if err := c0.neighbor(1, &bad); err == nil {
 		t.Fatal("invalid loss gene accepted")

@@ -169,6 +169,24 @@ func (s *CellState) Marshal() []byte {
 	return out
 }
 
+// aligned returns s with its parameter blobs re-encoded from the file
+// layout (Marshal) into the push layout — the form Exchange pushes and a
+// kept neighbour pair views — written over buf, which is grown if short.
+// The result's GenParams starts the buffer, at buf's full capacity.
+func (s *CellState) aligned(buf []byte) (*CellState, error) {
+	buf, err := tensor.AlignMats(buf[:0], s.GenParams)
+	n := len(buf)
+	if err == nil {
+		buf, err = tensor.AlignMats(buf, s.DiscParams)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("core: parameters of rank %d: %w", s.Rank, err)
+	}
+	a := *s
+	a.GenParams, a.DiscParams = buf[:n], buf[n:]
+	return &a, nil
+}
+
 // UnmarshalCellState decodes a snapshot produced by Marshal. The parameter
 // blobs of the result alias data; the caller must not reuse data while the
 // state is in use.

@@ -56,13 +56,15 @@ func pairBytes(cfg config.Config) int {
 // TestCellHeapBudget holds a running grid's live heap to what its cells
 // read. A 3×3, 128-wide RunParallel (the exchange-lockstep benchmark's
 // shape) is sampled at rank 0's boundaries after a forced collection; the
-// median sample must stay under 1.15 × the per-cell sum, over nine cells,
+// median sample must stay under 1.25 × the per-cell sum, over nine cells,
 // of: its own center pair, that pair's gradient accumulators, Adam's m and
-// v, the four neighbour pairs it keeps (parameters only) and two pushes in
-// flight — ten pairs' worth of parameter bytes; the slack covers the
-// workspaces. Held on top of that — gradient accumulators on every kept
-// pair, a private copy of every push, and taken pushes kept alive by the
-// freed slots of a mailbox's queue — the median is near 1.3 × the budget.
+// v, and two pushes in flight (the one its receivers view and the one
+// released for its next encode) — six pairs' worth of parameter bytes. The
+// slack covers the workspaces (about 13 % here) and the odd third push
+// buffer: a sender whose receiver lagged behind one round allocates one,
+// and its free list keeps it. The four neighbour pairs a cell keeps view
+// the pushes and hold no parameters of their own; when each was a private
+// decoded copy, the median was near 1.3 × this budget.
 func TestCellHeapBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow state distorts heap accounting")
@@ -70,8 +72,8 @@ func TestCellHeapBudget(t *testing.T) {
 	cfg := config.Default().WithGrid(3, 3)
 	cfg.NeuronsPerHidden = 128
 	cfg.BatchSize, cfg.BatchesPerIteration, cfg.DatasetSize, cfg.Iterations = 8, 1, 2000, 12
-	cell := uint64(10 * pairBytes(cfg))
-	holdHeapBudget(t, liveHeap(t, cfg), uint64(1.15*float64(cfg.NumCells())*float64(cell)), cell)
+	cell := uint64(6 * pairBytes(cfg))
+	holdHeapBudget(t, liveHeap(t, cfg), uint64(1.25*float64(cfg.NumCells())*float64(cell)), cell)
 }
 
 // dcganScratchBytes returns what a DCGAN cell's workspaces hold once warm:
@@ -94,11 +96,11 @@ func dcganScratchBytes(cfg config.Config) int {
 // TestDCGANCellHeapBudget is TestCellHeapBudget for the conv cells, whose
 // heap is mostly workspace scratch: a 2×2 DCGAN RunParallel at the
 // dcgan-compute benchmark's shape (batch 16, two batches per iteration)
-// must stay under 1.15 × the per-cell sum, over four cells, of ten
-// parameter pairs, the two training workspaces and one forward pair. The
-// fitness and sampling forwards keep only their outputs beyond that;
-// when they kept every layer's intermediates, the median was near 1.4 ×
-// the budget.
+// must stay under 1.15 × the per-cell sum, over four cells, of six
+// parameter pairs (as in TestCellHeapBudget), the two training workspaces
+// and one forward pair. The fitness and sampling forwards keep only their
+// outputs beyond that; when they kept every layer's intermediates, the
+// median was near 1.4 × the ten-pair budget of that time.
 func TestDCGANCellHeapBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow state distorts heap accounting")
@@ -106,6 +108,6 @@ func TestDCGANCellHeapBudget(t *testing.T) {
 	cfg := config.Default()
 	cfg.NetworkType = "CNN"
 	cfg.BatchSize, cfg.BatchesPerIteration, cfg.DatasetSize, cfg.Iterations = 16, 2, 2000, 8
-	cell := uint64(10*pairBytes(cfg) + dcganScratchBytes(cfg))
+	cell := uint64(6*pairBytes(cfg) + dcganScratchBytes(cfg))
 	holdHeapBudget(t, liveHeap(t, cfg), uint64(1.15*float64(cfg.NumCells())*float64(cell)), cell)
 }

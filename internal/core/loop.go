@@ -50,7 +50,8 @@ type loopTestHooks struct {
 // goroutine with blocking receives; the asynchronous cluster slave steps
 // one per owned cell from a single goroutine. The rules:
 //   - Push: an 8-byte little-endian halt-at header, then the cell's
-//     CellState bytes; a header alone is the abort marker.
+//     CellState framing with its parameter blobs in the push layout
+//     (tensor.AppendAlignedMats); a header alone is the abort marker.
 //   - Keep: per source, the newest received snapshot at most W−1 versions
 //     ahead of the cell is installed at the next Settle; a newer one is
 //     held until the cell catches up with it, so a version a neighbour
@@ -77,11 +78,11 @@ type Exchange struct {
 	cell   *Cell
 	window int
 	// nbrs is the grid neighbourhood minus the cell itself (a cell is
-	// always current on its own state); applied is the iteration of the
-	// newest snapshot installed from each.
-	nbrs    []int
-	applied map[int]int
-	inst    *runInstruments
+	// always current on its own state); installed is the newest snapshot
+	// installed from each, which the cell's kept pair views.
+	nbrs      []int
+	installed map[int]pending
+	inst      *runInstruments
 	// latest is, per source, the newest kept snapshot that fits the
 	// window; held, the newest one too far ahead to install yet.
 	latest, held map[int]pending
@@ -93,7 +94,7 @@ type Exchange struct {
 // NewExchange returns cell's exchange with staleness window W = window;
 // below 1 means 1.
 func NewExchange(cell *Cell, window int) *Exchange {
-	x := &Exchange{cell: cell, window: max(window, 1), applied: make(map[int]int),
+	x := &Exchange{cell: cell, window: max(window, 1), installed: make(map[int]pending),
 		latest: make(map[int]pending), held: make(map[int]pending), halt: noHalt, settled: -1}
 	for _, nb := range cell.Neighborhood() {
 		if nb != cell.Rank {
@@ -104,9 +105,12 @@ func NewExchange(cell *Cell, window int) *Exchange {
 }
 
 // AppendPush appends the cell's push to dst: its halt-at header and its
-// center.
+// center, in the push layout: the body of every parameter matrix starts
+// on a 64-byte boundary counted from the front of dst's buffer, so a
+// receiver views the parameters in place, cache-line aligned when its
+// buffer is.
 func (x *Exchange) AppendPush(dst []byte) []byte {
-	return x.cell.AppendState(appendHalt(dst, x.halt))
+	return x.cell.appendState(appendHalt(dst, x.halt), true)
 }
 
 // pending is a received snapshot with the release of the push it aliases.
@@ -124,14 +128,15 @@ func (k pending) done() {
 
 // Receive takes one push: the cell adopts the header's halt-at if it is
 // lower and keeps the snapshot behind it, aliasing data, which must not
-// change while the snapshot is kept. release, when non-nil, is called
-// exactly when the exchange stops reading data: once Settle has decoded
-// the snapshot into the neighbour's kept pair, or when the snapshot is
-// superseded by a newer one, older than the installed version, from
-// outside the neighbourhood, an abort marker or malformed. RankLoop passes
-// the delivery's mpi.Message.Release, so the sender may write its next
-// push into the same bytes; the async cluster slave passes nil and never
-// writes a push once sent.
+// change while the snapshot is kept or installed: an installed snapshot's
+// parameters are the bytes the neighbour's kept pair views. release, when
+// non-nil, is called exactly when the exchange stops reading data: once a
+// newer snapshot from the same source has been installed in its place, or
+// before it is ever installed, when it is superseded by a newer one, older
+// than the installed version, from outside the neighbourhood, an abort
+// marker or malformed. RankLoop passes the delivery's mpi.Message.Release,
+// so the sender may write its next push into the same bytes; the async
+// cluster slave passes nil and never writes a push once sent.
 func (x *Exchange) Receive(data []byte, release func()) error {
 	halt, s, err := decodePush(data)
 	if err == nil {
@@ -145,9 +150,17 @@ func (x *Exchange) Receive(data []byte, release func()) error {
 	return nil
 }
 
-// Offer keeps snapshot s, as Receive keeps a push's; snapshots from
-// outside the neighbourhood are dropped.
-func (x *Exchange) Offer(s *CellState) { x.offer(pending{s: s}) }
+// Offer keeps snapshot s, a state in the file layout (CellState.Marshal),
+// as Receive keeps a push's: its parameters are re-encoded once into the
+// push layout, which the kept pair then views. Snapshots from outside the
+// neighbourhood are dropped; one whose parameters do not parse is refused.
+func (x *Exchange) Offer(s *CellState) error {
+	a, err := s.aligned(nil)
+	if err == nil {
+		x.offer(pending{s: a})
+	}
+	return err
+}
 
 func (x *Exchange) offer(k pending) {
 	if !slices.Contains(x.nbrs, k.s.Rank) {
@@ -163,9 +176,10 @@ func (x *Exchange) offer(k pending) {
 }
 
 // Settle installs what the cell kept — a held snapshot once the cell has
-// caught up with it — and reports whether the cell may stop waiting: its
-// gate is open, neighbours in exempt (cells that will never publish again)
-// not holding it, or it has seen an abort. The first time a boundary
+// caught up with it — releasing the snapshot each install supersedes, and
+// reports whether the cell may stop waiting: its gate is open, neighbours
+// in exempt (cells that will never publish again) not holding it, or it
+// has seen an abort. The first time a boundary
 // settles, the mixture is refreshed; a settled boundary stays settled.
 func (x *Exchange) Settle(exempt map[int]bool) (bool, error) {
 	for src := range x.held {
@@ -174,16 +188,18 @@ func (x *Exchange) Settle(exempt map[int]bool) (bool, error) {
 	for src, k := range x.latest {
 		delete(x.latest, src)
 		s := k.s
-		if prev, seen := x.applied[src]; seen && s.Iteration < prev {
+		prev, seen := x.installed[src]
+		if seen && s.Iteration < prev.s.Iteration {
 			k.done()
 			continue
 		}
-		err := x.cell.neighbor(src, s)
-		k.done()
-		if err != nil {
+		// A failed install may leave the generator viewing s already, so
+		// s is not released; the error ends the cell's run.
+		if err := x.cell.neighbor(src, s); err != nil {
 			return false, err
 		}
-		x.applied[src] = s.Iteration
+		prev.done()
+		x.installed[src] = k
 		x.inst.observeStaleness(x.cell.Iteration() - s.Iteration)
 		if x.Installed != nil {
 			x.Installed(src, s.Iteration)
@@ -215,9 +231,9 @@ func (x *Exchange) Stop() {
 func (x *Exchange) gated(exempt map[int]bool) bool {
 	next := x.cell.Iteration() + 1
 	for _, nb := range x.nbrs {
-		it, heard := x.applied[nb]
-		if !heard {
-			it = -1
+		it := -1
+		if k, heard := x.installed[nb]; heard {
+			it = k.s.Iteration
 		}
 		if !exempt[nb] && next-it > x.window {
 			return true
@@ -254,7 +270,8 @@ func appendHalt(dst []byte, h int) []byte { return binary.LittleEndian.AppendUin
 
 // decodePush parses a push into its halt-at and the snapshot behind it;
 // the abort marker, a header alone, yields abortHalt and no snapshot. The
-// snapshot aliases data.
+// snapshot aliases data, its parameter blobs in the push layout, which
+// Cell.neighbor validates as it installs them.
 func decodePush(data []byte) (halt int, s *CellState, err error) {
 	if len(data) < 8 {
 		return 0, nil, fmt.Errorf("core: %d-byte push", len(data))

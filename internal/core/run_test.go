@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -120,11 +121,70 @@ func TestSequentialParallelEquivalence(t *testing.T) { checkSequentialParallel(t
 // TestRecycledPushPoison is TestSequentialParallelEquivalence with every
 // push overwritten with 0xFF as its last receiver releases it: a receiver
 // that released a push before it stopped reading it would train on the
-// poison, and its bytes would leave the sequential run's.
+// poison, and its bytes would leave the sequential run's. The async rows
+// run RunAsync at W = 2 and W = 4, where a push is viewed longest — up to
+// W versions of one sender at once: with no sequential run to match,
+// every cell must reach its target and every final state and mixture must
+// be finite, as poison (NaN as float64) would not leave them. They keep
+// to a 2×2 grid: make stress runs them 40 times.
 func TestRecycledPushPoison(t *testing.T) {
 	mpi.PoisonRecycled(true)
 	defer mpi.PoisonRecycled(false)
 	checkSequentialParallel(t)
+	for _, w := range []int{2, 4} {
+		t.Run(fmt.Sprintf("async W=%d", w), func(t *testing.T) {
+			cfg := tinyConfig()
+			cfg.Iterations, cfg.AsyncStaleness = 6, w
+			res, err := RunAsync(cfg, RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r, c := range res.Cells {
+				if c.Last.Iteration != cfg.Iterations {
+					t.Fatalf("rank %d stopped at iteration %d of %d", r, c.Last.Iteration, cfg.Iterations)
+				}
+				if part := nonFinitePart(t, res.Full[r]); part != "" {
+					t.Fatalf("rank %d: non-finite %s in the final state", r, part)
+				}
+				m, err := res.MixtureFor(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				samples := m.Sample(8, cfg.InputNeurons, tensor.NewRNG(1))
+				if !tensor.AllFinite(append([]*tensor.Mat{samples}, tensor.FromSlice(1, len(m.Weights), m.Weights))) {
+					t.Fatalf("rank %d: non-finite mixture weights or samples", r)
+				}
+			}
+		})
+	}
+}
+
+// nonFinitePart names the first part of f, a full state of Adam-trained
+// cells, holding a NaN or ±Inf, or returns "".
+func nonFinitePart(t *testing.T, f *FullState) string {
+	t.Helper()
+	s := f.Cell
+	scalars := append([]float64{s.GenLR, s.DiscLR, s.GenFitness, s.DiscFitness}, f.MixtureWeights...)
+	if !tensor.AllFinite([]*tensor.Mat{tensor.FromSlice(1, len(scalars), scalars)}) {
+		return "learning rate, fitness or mixture weight"
+	}
+	const adamHeader = 5 * 8 // the hyperparameters and step count ahead of the moments
+	for name, blob := range map[string][]byte{
+		"generator": s.GenParams, "discriminator": s.DiscParams,
+		"generator moments": f.GenOpt[adamHeader:], "discriminator moments": f.DiscOpt[adamHeader:],
+	} {
+		for len(blob) > 0 {
+			ms, rest, err := tensor.DecodeMats(blob)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !tensor.AllFinite(ms) {
+				return name
+			}
+			blob = rest
+		}
+	}
+	return ""
 }
 
 func checkSequentialParallel(t *testing.T) {

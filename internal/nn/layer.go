@@ -110,6 +110,13 @@ func newWeights[T tensor.Float](w, b *tensor.Matrix[T]) weights[T] { return weig
 // clone copies the parameters.
 func (p *weights[T]) clone() weights[T] { return newWeights(p.W.Clone(), p.B.Clone()) }
 
+// shapes is clone without the storage: matrices of W's and B's shapes
+// with no Data, for NetworkOf.ViewParams to point.
+func (p *weights[T]) shapes() weights[T] {
+	return newWeights(&tensor.Matrix[T]{Rows: p.W.Rows, Cols: p.W.Cols},
+		&tensor.Matrix[T]{Rows: p.B.Rows, Cols: p.B.Cols})
+}
+
 // narrow is clone with the parameters rounded to float32.
 func (p *weights[T]) narrow() weights[float32] {
 	return newWeights(tensor.Narrow(p.W), tensor.Narrow(p.B))

@@ -85,6 +85,23 @@ func (n *NetworkOf[T]) OutputWidth() int {
 // Clone returns a deep copy of the network.
 func (n *NetworkOf[T]) Clone() *NetworkOf[T] { return copyLayers(n, LayerOf[T].Clone) }
 
+// Shell returns a network of n's architecture that holds no parameter
+// storage: every parameter matrix has its shape and no Data until
+// ViewParams points it into a blob.
+func (n *NetworkOf[T]) Shell() *NetworkOf[T] {
+	return copyLayers(n, func(l LayerOf[T]) LayerOf[T] {
+		switch l := l.(type) {
+		case *LinearOf[T]:
+			return &LinearOf[T]{weights: l.shapes()}
+		case *Conv2DOf[T]:
+			return &Conv2DOf[T]{geometry: l.geometry, weights: l.shapes()}
+		case *ConvTranspose2DOf[T]:
+			return &ConvTranspose2DOf[T]{geometry: l.geometry, weights: l.shapes()}
+		}
+		return l.Clone() // activations hold no parameters
+	})
+}
+
 // Narrow returns a float32 copy of the network, every parameter rounded
 // once — what the serving tier runs forward.
 func (n *NetworkOf[T]) Narrow() *Net32 { return copyLayers(n, LayerOf[T].Narrow) }
@@ -119,17 +136,8 @@ func (n *NetworkOf[T]) CopyParamsFrom(src *NetworkOf[T]) error {
 // EncodeParams serialises the network parameters (not the architecture) to
 // a byte slice suitable for message passing between processes.
 func (n *NetworkOf[T]) EncodeParams() ([]byte, error) {
-	return n.AppendParams(nil), nil
+	return tensor.AppendMats(nil, n.Params()), nil
 }
-
-// AppendParams appends EncodeParams' encoding to dst, so a caller that
-// sends parameters every round can reuse one buffer.
-func (n *NetworkOf[T]) AppendParams(dst []byte) []byte {
-	return tensor.AppendMats(dst, n.Params())
-}
-
-// EncodedParamsSize returns the exact length of EncodeParams' output.
-func (n *NetworkOf[T]) EncodedParamsSize() int { return tensor.MatsSize(n.Params()) }
 
 // DecodeParams overwrites the network parameters with values decoded from
 // data (produced by EncodeParams on an architecturally identical network).
@@ -138,6 +146,19 @@ func (n *NetworkOf[T]) EncodedParamsSize() int { return tensor.MatsSize(n.Params
 func (n *NetworkOf[T]) DecodeParams(data []byte) error {
 	if err := tensor.DecodeMatsInto(n.Params(), data); err != nil {
 		return fmt.Errorf("nn: decoding params: %w", err)
+	}
+	return nil
+}
+
+// ViewParams points the network's parameters into data, a blob in the
+// push layout (tensor.AppendAlignedMats of an architecturally identical
+// network's Params), instead of copying them: the network then reads
+// data, which must outlive that use and must not change during it, and
+// nothing may write the parameters. Validation is DecodeParams', in full
+// and first, so a rejected blob leaves the network as it was.
+func (n *NetworkOf[T]) ViewParams(data []byte) error {
+	if err := tensor.ViewMatsInto(n.Params(), data); err != nil {
+		return fmt.Errorf("nn: viewing params: %w", err)
 	}
 	return nil
 }
