@@ -72,7 +72,8 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping (CI runs it)"; fi
 
-# Short fuzz passes over the wire and file decoders (mirrors the CI step).
+# Short fuzz passes over the wire and file decoders and the matmul
+# families' leaf tiers (mirrors the CI step).
 fuzz-smoke:
 	@for t in ReadCheckpoint ReadMixture; do \
 		$(GO) test -run='^$$' -fuzz="^Fuzz$$t\$$" -fuzztime=10s ./internal/checkpoint/ || exit 1; done
@@ -81,6 +82,7 @@ fuzz-smoke:
 	@for t in UnmarshalCellState DecodePush; do \
 		$(GO) test -run='^$$' -fuzz="^Fuzz$$t\$$" -fuzztime=10s ./internal/core/ || exit 1; done
 	$(GO) test -run='^$$' -fuzz='^FuzzViewMatsInto$$' -fuzztime=10s ./internal/tensor/
+	$(GO) test -run='^$$' -fuzz='^FuzzMatMulFamilies$$' -fuzztime=10s ./internal/tensor/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFloats$$' -fuzztime=10s ./internal/mpi/
 	@for t in OwnerUpdate ReleaseOrder RunTask SlaveReport SlaveReports StateUpdate StateAck; do \
 		$(GO) test -run='^$$' -fuzz="^FuzzParse$$t\$$" -fuzztime=10s ./internal/cluster/ || exit 1; done

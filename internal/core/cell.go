@@ -354,13 +354,23 @@ func (c *Cell) mutateHyperparams() {
 }
 
 // tournamentSelect picks the fittest of TournamentSize random members
-// (fitness = adversarial loss measured by eval, lower is better).
+// (fitness = adversarial loss measured by eval, lower is better). Members
+// are drawn with replacement and every draw is taken, but a member drawn
+// again is not evaluated again: eval is deterministic and only a strictly
+// lower fitness replaces the best, so a repeat cannot change the choice.
 func (c *Cell) tournamentSelect(pop map[int]*Genome, eval func(*Genome) float64) *Genome {
 	ranks := sortedRanks(pop)
-	best := pop[ranks[c.rng.Intn(len(ranks))]]
+	drawn := make([]bool, len(ranks))
+	j := c.rng.Intn(len(ranks))
+	drawn[j] = true
+	best := pop[ranks[j]]
 	bestFit := eval(best)
 	for i := 1; i < c.Cfg.TournamentSize; i++ {
-		cand := pop[ranks[c.rng.Intn(len(ranks))]]
+		if j = c.rng.Intn(len(ranks)); drawn[j] {
+			continue
+		}
+		drawn[j] = true
+		cand := pop[ranks[j]]
 		if f := eval(cand); f < bestFit {
 			best, bestFit = cand, f
 		}

@@ -249,3 +249,24 @@ func TestSkipDiscSteps(t *testing.T) {
 		t.Fatal("discriminator trained despite skip setting")
 	}
 }
+
+// A member drawn again is not evaluated again, while the random stream
+// still advances by every draw: with one member and four draws, eval runs
+// once and the RNG ends where four draws leave it.
+func TestTournamentEvaluatesEachCandidateOnce(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.TournamentSize = 4
+	c, _ := newTestCell(t, cfg, 0)
+	ref := *c.rng
+	calls := 0
+	got := c.tournamentSelect(map[int]*Genome{0: c.gen}, func(*Genome) float64 { calls++; return 1 })
+	if got != c.gen || calls != 1 {
+		t.Fatalf("picked %p after %d evals, want %p after 1", got, calls, c.gen)
+	}
+	for range cfg.TournamentSize {
+		ref.Intn(1)
+	}
+	if c.rng.Uint64() != ref.Uint64() {
+		t.Fatal("the RNG did not advance by one draw per tournament slot")
+	}
+}

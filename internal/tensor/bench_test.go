@@ -131,16 +131,25 @@ func BenchmarkMatMulT2IntoF32(b *testing.B) {
 
 // BenchmarkKernelShapes times the three kernel families on a layer of m
 // rows, k inputs and n outputs — forward x·W, dW += xᵀ·grad, dx = grad·Wᵀ,
-// 2·m·k·n flops each — at 256³ and at the two shapes the mlp-compute
-// benchmark workload spends its time in, for both element widths. Run with
-// -cpu 1 (make bench-json does) it is the per-core rate of the leaves.
+// 2·m·k·n flops each — for both element widths, at 256³ and at the shapes
+// the benchmark workloads spend their time in: batch 50 through the paper
+// MLP's 256×784 layer (mlp-compute), batch 8 through a 128-wide layer
+// (exchange-*), the 32-row eval batch of the fitness forwards through both
+// MLPs, and the two conv lowerings of the DCGAN discriminator at batch 16
+// (dcgan-compute: 16·196 positions × 16 taps → 16 channels, 16·49 × 256
+// → 32). Run with -cpu 1 (make bench-json does) it is the per-core rate of
+// the leaves.
 func BenchmarkKernelShapes(b *testing.B) {
 	b.Run("f64", benchKernelShapes[float64])
 	b.Run("f32", benchKernelShapes[float32])
 }
 
 func benchKernelShapes[F Float](b *testing.B) {
-	for _, s := range [][3]int{{256, 256, 256}, {50, 256, 784}, {8, 128, 784}} {
+	for _, s := range [][3]int{
+		{256, 256, 256}, {50, 256, 784}, {8, 128, 784},
+		{32, 784, 256}, {32, 784, 128}, {32, 128, 784},
+		{16 * 196, 16, 16}, {16 * 49, 256, 32},
+	} {
 		m, k, n := s[0], s[1], s[2]
 		mat := func(rows, cols int, seed uint64) *Matrix[F] {
 			out := new(Matrix[F]).Resize(rows, cols)

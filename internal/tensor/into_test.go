@@ -128,19 +128,14 @@ type allocCheck struct {
 }
 
 // checkZeroAllocs is the allocation regression tripwire of the
-// destination-passing kernels, shared by both element widths so the -race
-// guard lives in one place: steady-state calls must not allocate. Shapes
-// stay below parallelThreshold — under -race sync.Pool drops items on
-// purpose, so the pooled dispatch is tripwired where -race is skipped (nn's
-// TestDCGANTrainIterationAllocs and TestNet32ForwardAllocs). The
-// MatMulT2Into panel is pooled even on the serial path, so that kernel is
-// skipped under -race, at either width.
+// destination-passing kernels, shared by both element widths: steady-state
+// calls must not allocate. Shapes stay below parallelThreshold — under
+// -race sync.Pool drops items on purpose, so the pooled dispatch is
+// tripwired where -race is skipped (nn's TestDCGANTrainIterationAllocs and
+// TestNet32ForwardAllocs).
 func checkZeroAllocs(t *testing.T, checks []allocCheck) {
 	t.Helper()
 	for _, ck := range checks {
-		if raceEnabled && ck.kernel == "MatMulT2Into" {
-			continue
-		}
 		ck.f() // warm capacity
 		if allocs := testing.AllocsPerRun(20, ck.f); allocs != 0 {
 			t.Errorf("%s: %.0f allocs per run, want 0", ck.kernel, allocs)

@@ -14,9 +14,9 @@ import (
 //
 // Determinism contract: for every output element the multiply-adds are
 // applied in ascending-k order with a single accumulator, exactly like the
-// untiled loops these kernels replaced. Cache blocking reorders only which
-// (i, j) elements are in flight, never the per-element accumulation order,
-// and the 4-wide unrolls issue their four multiply-adds sequentially.
+// untiled loops these kernels replaced. Cache blocking and the register
+// tiles of the leaf reorder only which (i, j) elements are in flight, never
+// the per-element accumulation order.
 // Together with the deterministic chunk decomposition of parallelRun this
 // keeps the float64 path bit-exact across tile-size changes, worker counts
 // and the allocating/destination-passing forms.
@@ -28,203 +28,119 @@ import (
 // rules; the tiled kernels drop it everywhere.
 
 // Tile sizes. kernelKC rows of b are kept hot across a sweep of output
-// rows (the k-tile); kernelJC bounds the output columns touched per tile
-// so one c-row segment plus four b-row segments stay L1-resident even for
-// very wide operands (5 × 8 KB at float64). For this repo's layer widths
-// (≤ 784) a row fits one j-tile, so the j-loop only pays off on wider
-// shapes; the k-tile is what keeps 256×256 and up from streaming all of b
-// through cache once per output row.
+// rows (the k-tile); kernelJC bounds the output columns touched per tile.
+// For this repo's layer widths (≤ 784) a row fits one j-tile, so the
+// j-loop only pays off on wider shapes; the k-tile is what keeps 256×256
+// and up from streaming all of b through cache once per output row.
+// blockMR is the row count of the leaf's register tile, whose width is
+// blockNR (two vectors); both are the shape simd_amd64.s's BLOCK is
+// written for.
 const (
 	kernelKC = 64
 	kernelJC = 1024
+	blockMR  = 4
 )
 
-// mulAddRow4 computes crow[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j]
-// with the four multiply-adds applied sequentially (ascending k), loading
-// and storing each c element once per quad — the register micro-kernel of
-// the ikj family. With simd set (the caller's copy of haveAVX2) the
-// assembly leaf runs the same sequence on a vector of j at a time.
-func mulAddRow4[F Float](simd bool, crow, b0, b1, b2, b3 []F, a0, a1, a2, a3 F) {
-	b0 = b0[:len(crow)]
-	b1 = b1[:len(crow)]
-	b2 = b2[:len(crow)]
-	b3 = b3[:len(crow)]
-	if simd && len(crow) > 0 {
-		simdRow4(crow, b0, b1, b2, b3, a0, a1, a2, a3)
-		return
-	}
-	for j, cv := range crow {
-		cv += a0 * b0[j]
-		cv += a1 * b1[j]
-		cv += a2 * b2[j]
-		cv += a3 * b3[j]
-		crow[j] = cv
-	}
-}
+// blockNR returns the column width of the leaf's register tile: two
+// 256-bit vectors of F.
+func blockNR[F Float]() int { return 64 / int(unsafe.Sizeof(F(0))) }
 
-// mulAddRow1 is the k-remainder form: crow[j] += av·brow[j].
-func mulAddRow1[F Float](crow, brow []F, av F) {
-	brow = brow[:len(crow)]
-	for j, cv := range crow {
-		crow[j] = cv + av*brow[j]
+// block is the leaf under all three matmul families: for r < rows and
+// j < cols it sets c[r·cs+j] to c₀ + Σ_{k<kn} a[r·ars+k·aks]·b[k·bs+j], where
+// c₀ is the element's current value when load is set and +0 otherwise.
+// Every element takes its terms in ascending k, each multiply rounded and
+// then its add. With haveAVX2 the assembly takes the columns in whole
+// tiles of blockNR, holding blockMR rows of them in registers across all
+// kn terms; the Go loop takes the rest, and all of it without AVX2.
+func block[F Float](c []F, cs int, a []F, ars, aks int, b []F, bs, rows, cols, kn int, load bool) {
+	if nb := cols - cols%blockNR[F](); haveAVX2 && rows > 0 && nb > 0 && kn > 0 {
+		_ = c[(rows-1)*cs+nb-1]
+		_ = a[(rows-1)*ars+(kn-1)*aks]
+		_ = b[(kn-1)*bs+nb-1]
+		blockAVX2(c, cs, a, ars, aks, b, bs, rows, nb, kn, load)
+		c, b, cols = c[nb:], b[nb:], cols-nb
 	}
-}
-
-// matMulKernel computes rows [lo, hi) of c = a × b (a is rows×aCols, b is
-// aCols×bCols). When zero is set the destination rows are cleared first;
-// otherwise they are accumulated into (the fused-add path). Loop order: k-tile → j-tile → output row → 4-wide k → j, so a
-// kernelKC×kernelJC block of b is reused across every output row of the
-// range while each element still accumulates in ascending-k order.
-func matMulKernel[F Float](c, a, b []F, aCols, bCols int, zero bool, lo, hi int) {
-	simd := haveAVX2
-	if zero {
-		for i := lo; i < hi; i++ {
-			crow := c[i*bCols : (i+1)*bCols]
+	for r := 0; r < rows && cols > 0; r++ {
+		crow := c[r*cs : r*cs+cols]
+		if !load {
+			clear(crow)
+		}
+		for k := 0; k < kn; k++ {
+			av, brow := a[r*ars+k*aks], b[k*bs:][:len(crow)]
 			for j := range crow {
-				crow[j] = 0
+				crow[j] += av * brow[j]
 			}
 		}
 	}
-	if bCols == 0 {
-		return
+}
+
+// matMulKernel computes rows [lo, hi) of c (bCols wide) as c[i][j] (+)=
+// Σ_{k<kDim} a[i·ars+k·aks]·b[k][j]: c = a × b with ars = kDim, aks = 1,
+// and c = aᵀ × b with ars = 1, aks = a's row length. When zero is set the
+// rows start from +0; otherwise they are accumulated into (the fused-add
+// path). Loop order: k-tile → j-tile → block, so a kernelKC×kernelJC block
+// of b is reused across every output row of the range while each element
+// still accumulates in ascending-k order.
+func matMulKernel[F Float](c, a, b []F, kDim, ars, aks, bCols int, zero bool, lo, hi int) {
+	if zero && kDim == 0 {
+		clear(c[lo*bCols : hi*bCols])
 	}
-	for kb := 0; kb < aCols; kb += kernelKC {
-		kEnd := kb + kernelKC
-		if kEnd > aCols {
-			kEnd = aCols
-		}
+	for kb := 0; kb < kDim; kb += kernelKC {
 		for jb := 0; jb < bCols; jb += kernelJC {
-			jEnd := jb + kernelJC
-			if jEnd > bCols {
-				jEnd = bCols
-			}
-			for i := lo; i < hi; i++ {
-				arow := a[i*aCols : (i+1)*aCols]
-				crow := c[i*bCols+jb : i*bCols+jEnd]
-				k := kb
-				for ; k+4 <= kEnd; k += 4 {
-					mulAddRow4(simd, crow,
-						b[k*bCols+jb:k*bCols+jEnd],
-						b[(k+1)*bCols+jb:(k+1)*bCols+jEnd],
-						b[(k+2)*bCols+jb:(k+2)*bCols+jEnd],
-						b[(k+3)*bCols+jb:(k+3)*bCols+jEnd],
-						arow[k], arow[k+1], arow[k+2], arow[k+3])
-				}
-				for ; k < kEnd; k++ {
-					mulAddRow1(crow, b[k*bCols+jb:k*bCols+jEnd], arow[k])
-				}
-			}
+			block(c[lo*bCols+jb:], bCols, a[lo*ars+kb*aks:], ars, aks, b[kb*bCols+jb:], bCols,
+				hi-lo, min(kernelJC, bCols-jb), min(kernelKC, kDim-kb), !zero || kb > 0)
 		}
 	}
 }
 
-// matMulT1Kernel computes rows [lo, hi) of c = aᵀ × b (a is aRows×aCols, b
-// is aRows×bCols, c is aCols×bCols): c[i][j] = Σ_k a[k][i]·b[k][j]. Same
-// tiling as matMulKernel; the a operand is read down a column (stride
-// aCols), four taps per quad, amortised over a full b-row segment.
-func matMulT1Kernel[F Float](c, a, b []F, aRows, aCols, bCols int, zero bool, lo, hi int) {
-	simd := haveAVX2
-	if zero {
-		for i := lo; i < hi; i++ {
-			crow := c[i*bCols : (i+1)*bCols]
-			for j := range crow {
-				crow[j] = 0
-			}
+// matMulT2Kernel computes column panels [lo, hi) — columns [lo·blockNR,
+// hi·blockNR) — of c = a × bᵀ (a is aRows×aCols, b is bRows×aCols), k-tiled
+// like matMulKernel. The leaf needs the terms of one k contiguous across
+// outputs, so each k-tile of a panel's w ≤ blockNR rows of b is first
+// packed into an L1-resident panel, panel[k·w+m] = b[j+m][kb+k], which
+// every row of c then reads. Splitting by panels, not rows, gives each
+// worker its own share of b to pack; the k-tiles of one panel go in order,
+// so the packing reads each of its b rows as one stream.
+func matMulT2Kernel[F Float](c, a, b []F, aRows, aCols, bRows int, lo, hi int) {
+	var panel [kernelKC * 16]F // room for blockNR·kernelKC at either width
+	if aRows == 0 {
+		return // c is empty
+	}
+	for j := lo * blockNR[F](); j < min(hi*blockNR[F](), bRows); j += blockNR[F]() {
+		w := min(blockNR[F](), bRows-j)
+		for kb := 0; kb == 0 || kb < aCols; kb += kernelKC { // once at aCols = 0, which clears
+			kn := min(kernelKC, aCols-kb)
+			p := panel[:w*kn]
+			packPanel(p, b[j*aCols+kb:], w, kn, aCols)
+			block(c[j:], bRows, a[kb:], aCols, 1, p, w, aRows, w, kn, kb > 0)
 		}
 	}
-	if bCols == 0 {
+}
+
+// packPanel sets p[k·w+m] = b[m·stride+k] for m < w and k < kn. A full
+// panel (w = blockNR, a constant per element type) is read four rows at a
+// time. It stays out of line: inlined into the kernel's loop nest, its
+// loops lose their registers to spills.
+//
+//go:noinline
+func packPanel[F Float](p, b []F, w, kn, stride int) {
+	nr := blockNR[F]()
+	if w < nr {
+		for m := range w {
+			for k, bv := range b[m*stride:][:kn] {
+				p[k*w+m] = bv
+			}
+		}
 		return
 	}
-	for kb := 0; kb < aRows; kb += kernelKC {
-		kEnd := kb + kernelKC
-		if kEnd > aRows {
-			kEnd = aRows
-		}
-		for jb := 0; jb < bCols; jb += kernelJC {
-			jEnd := jb + kernelJC
-			if jEnd > bCols {
-				jEnd = bCols
-			}
-			for i := lo; i < hi; i++ {
-				crow := c[i*bCols+jb : i*bCols+jEnd]
-				k := kb
-				for ; k+4 <= kEnd; k += 4 {
-					mulAddRow4(simd, crow,
-						b[k*bCols+jb:k*bCols+jEnd],
-						b[(k+1)*bCols+jb:(k+1)*bCols+jEnd],
-						b[(k+2)*bCols+jb:(k+2)*bCols+jEnd],
-						b[(k+3)*bCols+jb:(k+3)*bCols+jEnd],
-						a[k*aCols+i], a[(k+1)*aCols+i], a[(k+2)*aCols+i], a[(k+3)*aCols+i])
-				}
-				for ; k < kEnd; k++ {
-					mulAddRow1(crow, b[k*bCols+jb:k*bCols+jEnd], a[k*aCols+i])
-				}
-			}
-		}
-	}
-}
-
-// panelDot writes c[i][j..j+3] = Σ_k a[i][k]·p[4k..4k+3] for rows [lo, hi):
-// four ascending-k dot products per a-row, one accumulator each, against
-// the packed panel p of matMulT2Kernel (length 4·aCols). With simd set the
-// assembly leaf holds the four accumulators in one vector and runs four
-// a-rows at a time.
-func panelDot[F Float](simd bool, c, a, p []F, aCols, bRows, j, lo, hi int) {
-	if simd && lo < hi && aCols > 0 {
-		simdPanelDot(c[lo*bRows+j:(hi-1)*bRows+j+4], a[lo*aCols:hi*aCols], p[:4*aCols], aCols, bRows, hi-lo)
-		return
-	}
-	for i := lo; i < hi; i++ {
-		arow := a[i*aCols : (i+1)*aCols]
-		var s0, s1, s2, s3 F
-		for k, av := range arow {
-			q := p[4*k : 4*k+4 : 4*k+4]
-			s0 += av * q[0]
-			s1 += av * q[1]
-			s2 += av * q[2]
-			s3 += av * q[3]
-		}
-		crow := c[i*bRows+j : i*bRows+j+4 : i*bRows+j+4]
-		crow[0] = s0
-		crow[1] = s1
-		crow[2] = s2
-		crow[3] = s3
-	}
-}
-
-// matMulT2Kernel computes rows [lo, hi) of c = a × bᵀ (a is rows×aCols, b
-// is bRows×aCols): every element is a full ascending-k dot product written
-// once. Rows of b are consumed four at a time through a packed panel:
-// panel[4k+m] = b[j+m][k], so panelDot feeds four independent
-// accumulators from one contiguous stream and reads each a-row once per
-// quad. The packing cost is amortised over the whole [lo, hi) row range.
-// panel must have length ≥ 4·aCols.
-func matMulT2Kernel[F Float](c, a, b []F, aCols, bRows int, lo, hi int, panel []F) {
-	simd := haveAVX2
-	j := 0
-	for ; j+4 <= bRows; j += 4 {
-		b0 := b[j*aCols : (j+1)*aCols]
-		b1 := b[(j+1)*aCols : (j+2)*aCols]
-		b2 := b[(j+2)*aCols : (j+3)*aCols]
-		b3 := b[(j+3)*aCols : (j+4)*aCols]
-		p := panel[: 4*aCols : 4*aCols]
+	for m := 0; m < nr; m += 4 {
+		b0 := b[m*stride:][:kn]
+		b1 := b[(m+1)*stride:][:kn]
+		b2 := b[(m+2)*stride:][:kn]
+		b3 := b[(m+3)*stride:][:kn]
 		for k, bv := range b0 {
-			p[4*k] = bv
-			p[4*k+1] = b1[k]
-			p[4*k+2] = b2[k]
-			p[4*k+3] = b3[k]
-		}
-		panelDot(simd, c, a, p, aCols, bRows, j, lo, hi)
-	}
-	for ; j < bRows; j++ {
-		brow := b[j*aCols : (j+1)*aCols]
-		for i := lo; i < hi; i++ {
-			arow := a[i*aCols : (i+1)*aCols]
-			var s F
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			c[i*bRows+j] = s
+			q := p[k*nr+m:][:4]
+			q[0], q[1], q[2], q[3] = bv, b1[k], b2[k], b3[k]
 		}
 	}
 }

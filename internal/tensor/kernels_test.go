@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -223,5 +224,85 @@ func TestSlicesOverlap(t *testing.T) {
 		if got := slicesOverlap(c.b, c.a); got != c.want {
 			t.Fatalf("case %d reversed: slicesOverlap = %v want %v", i, got, c.want)
 		}
+	}
+}
+
+// FuzzMatMulFamilies runs one matmul family on an m×k·k×n product, every
+// dimension ≤ 80 so shapes cross the register tile, the remainder rows and
+// columns and the k-tile edge, at either width: MatMulInto, MatMulT1Into,
+// AddMatMulT1Into from a non-zero start and MatMulT2Into (family%4; bit 2
+// picks float32). The AVX2 tier and the generic tier must both equal a
+// naive ascending-k triple loop to the bit.
+func FuzzMatMulFamilies(f *testing.F) {
+	for _, s := range [][5]int{{50, 65, 17, 1, 0}, {9, 64, 8, 2, 1}, {5, 48, 33, 3, 2},
+		{4, 1, 16, 4, 3}, {0, 7, 9, 5, 4}, {7, 0, 3, 6, 6}, {80, 80, 80, 7, 7}, {1, 63, 1, 8, 5}} {
+		f.Add(uint8(s[0]), uint8(s[1]), uint8(s[2]), uint64(s[3]), uint8(s[4]))
+	}
+	f.Fuzz(func(t *testing.T, m, k, n uint8, seed uint64, family uint8) {
+		if family&4 != 0 {
+			fuzzFamily[float32](t, int(m%81), int(k%81), int(n%81), seed, family%4)
+		} else {
+			fuzzFamily[float64](t, int(m%81), int(k%81), int(n%81), seed, family%4)
+		}
+	})
+}
+
+func fuzzFamily[F Float](t *testing.T, m, k, n int, seed uint64, family uint8) {
+	rng := NewRNG(seed)
+	mat := func(rows, cols int) *Matrix[F] {
+		out := new(Matrix[F]).Resize(rows, cols)
+		for i := range out.Data {
+			out.Data[i] = F(rng.NormFloat64())
+		}
+		return out
+	}
+	// a(i, kk) and b(kk, j) read the operands as the family lays them out.
+	var a, b, start *Matrix[F]
+	var av, bv func(i, kk int) F
+	var run func(dst *Matrix[F])
+	switch family {
+	case 0:
+		a, b = mat(m, k), mat(k, n)
+		av, bv = a.At, b.At
+		run = func(dst *Matrix[F]) { MatMulInto(dst, a, b) }
+	case 1, 2:
+		a, b = mat(k, m), mat(k, n)
+		av, bv = func(i, kk int) F { return a.At(kk, i) }, b.At
+		run = func(dst *Matrix[F]) { MatMulT1Into(dst, a, b) }
+		if family == 2 {
+			start = mat(m, n)
+			run = func(dst *Matrix[F]) { AddMatMulT1Into(dst.Resize(m, n), a, b) }
+		}
+	default:
+		a, b = mat(m, k), mat(n, k)
+		av, bv = a.At, func(kk, j int) F { return b.At(j, kk) }
+		run = func(dst *Matrix[F]) { MatMulT2Into(dst, a, b) }
+	}
+	want := new(Matrix[F]).Resize(m, n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s F
+			if start != nil {
+				s = start.At(i, j)
+			}
+			for kk := 0; kk < k; kk++ {
+				s += av(i, kk) * bv(kk, j)
+			}
+			want.Set(i, j, s)
+		}
+	}
+	detected := haveAVX2
+	defer func() { haveAVX2 = detected }()
+	for _, tier := range []bool{false, detected} {
+		haveAVX2 = tier
+		got := new(Matrix[F])
+		if start != nil {
+			got = start.Clone()
+		}
+		run(got)
+		if got.Rows != m || got.Cols != n {
+			t.Fatalf("family %d avx2=%v: %d×%d result, want %d×%d", family, tier, got.Rows, got.Cols, m, n)
+		}
+		requireSameBits(t, fmt.Sprintf("family %d %d×%d·%d×%d avx2=%v", family, m, k, k, n, tier), got.Data, want.Data)
 	}
 }

@@ -81,15 +81,15 @@ func workerPool() chan parcel {
 // worker is available. The chunk decomposition is deterministic, so
 // numerically order-sensitive reductions inside a chunk stay reproducible.
 func ParallelFor(n int, minChunk int, f func(lo, hi int)) {
-	parallelRun(n, minChunk, funcTask(f))
+	parallelRun(n, minChunk, 1, funcTask(f))
 }
 
-// parallelRun is ParallelFor over a rangeTask. The submitting goroutine
-// always runs the first chunk itself; the rest go to the worker pool. A
-// full queue (deeply concurrent dispatch) degrades to running chunks
-// inline rather than blocking, which also keeps nested dispatches
-// deadlock-free.
-func parallelRun(n, minChunk int, t rangeTask) {
+// parallelRun is ParallelFor over a rangeTask, with every chunk but the
+// last a multiple of align indices. The submitting goroutine always runs
+// the first chunk itself; the rest go to the worker pool. A full queue
+// (deeply concurrent dispatch) degrades to running chunks inline rather
+// than blocking, which also keeps nested dispatches deadlock-free.
+func parallelRun(n, minChunk, align int, t rangeTask) {
 	workers := runtime.GOMAXPROCS(0)
 	if minChunk < 1 {
 		minChunk = 1
@@ -103,7 +103,7 @@ func parallelRun(n, minChunk int, t rangeTask) {
 	if max := (n + minChunk - 1) / minChunk; workers > max {
 		workers = max
 	}
-	chunk := (n + workers - 1) / workers
+	chunk := min(n, ((n+workers-1)/workers+align-1)/align*align)
 	ch := workerPool()
 	wg := wgPool.Get().(*sync.WaitGroup)
 	for lo := chunk; lo < n; lo += chunk {
@@ -163,20 +163,11 @@ type kernelTask[T Float] struct {
 func (t *kernelTask[T]) run(lo, hi int) {
 	switch t.op {
 	case opMatMul:
-		matMulKernel(t.c.Data, t.a.Data, t.b.Data, t.a.Cols, t.b.Cols, t.zero, lo, hi)
+		matMulKernel(t.c.Data, t.a.Data, t.b.Data, t.a.Cols, t.a.Cols, 1, t.b.Cols, t.zero, lo, hi)
 	case opMatMulT1:
-		matMulT1Kernel(t.c.Data, t.a.Data, t.b.Data, t.a.Rows, t.a.Cols, t.b.Cols, t.zero, lo, hi)
+		matMulKernel(t.c.Data, t.a.Data, t.b.Data, t.a.Rows, 1, t.a.Cols, t.b.Cols, t.zero, lo, hi)
 	case opMatMulT2:
-		pool := &panelPools[elemIndex[T]()]
-		p, _ := pool.Get().(*[]T)
-		if p == nil {
-			p = new([]T)
-		}
-		if need := 4 * t.a.Cols; cap(*p) < need {
-			*p = make([]T, need)
-		}
-		matMulT2Kernel(t.c.Data, t.a.Data, t.b.Data, t.a.Cols, t.b.Rows, lo, hi, (*p)[:cap(*p)])
-		pool.Put(p)
+		matMulT2Kernel(t.c.Data, t.a.Data, t.b.Data, t.a.Rows, t.a.Cols, t.b.Rows, lo, hi)
 	case opIm2Col:
 		im2colKernel(t.c, t.a, t.g, lo, hi)
 	case opCol2Im:
@@ -184,12 +175,10 @@ func (t *kernelTask[T]) run(lo, hi int) {
 	}
 }
 
-// taskPools recycles kernelTask headers and panelPools the packed
-// b-panels of the a×bᵀ kernel (each concurrently running chunk borrows
-// one, so the steady state holds about one panel per worker). Both are
-// indexed by elemIndex: a sync.Pool cannot be generic, so each element
-// type gets its own slot, picked without allocating.
-var taskPools, panelPools [2]sync.Pool
+// taskPools recycles kernelTask headers, indexed by elemIndex: a
+// sync.Pool cannot be generic, so each element type gets its own slot,
+// picked without allocating.
+var taskPools [2]sync.Pool
 
 // elemIndex returns 0 for float64 and 1 for float32.
 func elemIndex[T Float]() int {
@@ -202,8 +191,13 @@ func elemIndex[T Float]() int {
 
 // dispatch runs t over [0, n), where every index costs perIndex
 // multiply-adds (or element moves): serially below parallelThreshold,
-// otherwise through a pooled copy of t on the worker pool.
+// otherwise through a pooled copy of t on the worker pool, in chunks of a
+// multiple of blockMR indices — whole register tiles where an index is a
+// row of c.
 func dispatch[T Float](t kernelTask[T], n, perIndex int) {
+	if n == 0 {
+		return // nothing to compute; the kernels slice past row lo of an empty c
+	}
 	if n*perIndex < parallelThreshold {
 		t.run(0, n)
 		return
@@ -214,7 +208,7 @@ func dispatch[T Float](t kernelTask[T], n, perIndex int) {
 		p = new(kernelTask[T])
 	}
 	*p = t
-	parallelRun(n, parallelThreshold/(perIndex+1)+1, p)
+	parallelRun(n, parallelThreshold/(perIndex+1)+1, blockMR, p)
 	*p = kernelTask[T]{}
 	pool.Put(p)
 }
@@ -283,7 +277,8 @@ func MatMulT2Into[T Float](dst, a, b *Matrix[T]) *Matrix[T] {
 	}
 	dst.Resize(a.Rows, b.Rows)
 	mustNotShareData("MatMulT2Into", dst, a, b)
-	dispatch(kernelTask[T]{op: opMatMulT2, c: dst, a: a, b: b}, a.Rows, a.Cols*b.Rows)
+	nr := blockNR[T]()
+	dispatch(kernelTask[T]{op: opMatMulT2, c: dst, a: a, b: b}, (b.Rows+nr-1)/nr, a.Rows*a.Cols*nr)
 	return dst
 }
 

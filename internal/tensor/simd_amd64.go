@@ -29,16 +29,10 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 //go:noescape
-func mulAddRow4F64(c, b0, b1, b2, b3 *float64, n int, a0, a1, a2, a3 float64)
+func blockF64(c *float64, cs int, a *float64, ars, aks int, b *float64, bs, rows, cols, kn int, load bool)
 
 //go:noescape
-func mulAddRow4F32(c, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32)
-
-//go:noescape
-func panelDotF64(c, a, panel *float64, aCols, cStride, rows int)
-
-//go:noescape
-func panelDotF32(c, a, panel *float32, aCols, cStride, rows int)
+func blockF32(c *float32, cs int, a *float32, ars, aks int, b *float32, bs, rows, cols, kn int, load bool)
 
 //go:noescape
 func adamStepF64(w, m, v, grad *float64, n int, b1, nb1, b2, nb2, c1, c2, lr, eps float64)
@@ -46,25 +40,12 @@ func adamStepF64(w, m, v, grad *float64, n int, b1, nb1, b2, nb2, c1, c2, lr, ep
 func ptr64[F Float](s []F) *float64 { return (*float64)(unsafe.Pointer(unsafe.SliceData(s))) }
 func ptr32[F Float](s []F) *float32 { return (*float32)(unsafe.Pointer(unsafe.SliceData(s))) }
 
-// simdRow4 is mulAddRow4 over n = len(c) ≥ 1 elements; b0..b3 hold at
-// least n each.
-func simdRow4[F Float](c, b0, b1, b2, b3 []F, a0, a1, a2, a3 F) {
-	if unsafe.Sizeof(a0) == 8 {
-		mulAddRow4F64(ptr64(c), ptr64(b0), ptr64(b1), ptr64(b2), ptr64(b3), len(c),
-			float64(a0), float64(a1), float64(a2), float64(a3))
-	} else {
-		mulAddRow4F32(ptr32(c), ptr32(b0), ptr32(b1), ptr32(b2), ptr32(b3), len(c),
-			float32(a0), float32(a1), float32(a2), float32(a3))
-	}
-}
-
-// simdPanelDot is panelDot for rows ≥ 1 and aCols ≥ 1: c holds rows rows
-// of four outputs cStride elements apart, a holds rows·aCols elements and
-// panel 4·aCols.
-func simdPanelDot[F Float](c, a, panel []F, aCols, cStride, rows int) {
+// blockAVX2 is block's assembly tier for rows ≥ 1, kn ≥ 1 and cols a
+// positive multiple of blockNR, every element it reaches in bounds.
+func blockAVX2[F Float](c []F, cs int, a []F, ars, aks int, b []F, bs, rows, cols, kn int, load bool) {
 	if unsafe.Sizeof(c[0]) == 8 {
-		panelDotF64(ptr64(c), ptr64(a), ptr64(panel), aCols, cStride, rows)
+		blockF64(ptr64(c), cs, ptr64(a), ars, aks, ptr64(b), bs, rows, cols, kn, load)
 	} else {
-		panelDotF32(ptr32(c), ptr32(a), ptr32(panel), aCols, cStride, rows)
+		blockF32(ptr32(c), cs, ptr32(a), ars, aks, ptr32(b), bs, rows, cols, kn, load)
 	}
 }

@@ -1,12 +1,216 @@
 #include "textflag.h"
 
-// AVX2 leaves of the matmul kernels (kernels.go): no tiling here, only the
-// two innermost loops. Every lane is a different output element and
-// receives exactly the multiply-adds the generic Go loop gives it, in the
-// same order, as a separate multiply and add — an FMA rounds once and would
-// change every result. Tails shorter than a vector run the scalar forms of
-// the same sequence. Each body is written once and instantiated for
-// float64 and float32 by instruction name.
+// AVX2 leaves of the matmul kernels (kernels.go) and of AdamStep. Every
+// lane is a different output element and receives exactly the terms the
+// generic Go loop gives it, in the same order, as a separate multiply and
+// add — an FMA rounds once and would change every result. Each body is
+// written once and instantiated for float64 and float32 by instruction
+// name. The matmul macros come first: vet reads a macro body as part of
+// the TEXT above it, and BLOCK names blockF64's frame (kn, load).
+
+// ROWSTEP adds A·b[k] to one row's two accumulators S0, S1.
+#define ROWSTEP(BCAST, MUL, ADD, A, S0, S1) \
+	BCAST A, Y10; \
+	MUL   Y8, Y10, Y11; \
+	ADD   Y11, S0, S0; \
+	MUL   Y9, Y10, Y11; \
+	ADD   Y11, S1, S1
+
+// WIDESTEP adds the broadcast a element (Y10) times the b vector at
+// OFF(R14) to accumulator S of a one-row pass.
+#define WIDESTEP(MUL, ADD, OFF, S) \
+	MUL OFF(R14), Y10, Y11; \
+	ADD Y11, S, S
+
+// BLOCK is the matmul leaf: c[r][j] = c₀ + Σ_k a[r·ars + k·aks]·b[k·bs + j]
+// for BX rows r and CX bytes of columns j (a multiple of 64), with c₀ the
+// loaded element when load is set and +0 otherwise. In (strides in bytes):
+// DI=c R8=cs SI=a R9=ars R11=aks DX=b R12=bs; kn ≥ 1 and load in the frame.
+// A tile is four rows by 64 bytes of columns — eight accumulators
+// Y0..Y7, two vectors per row — held in registers across all kn terms:
+// per k, the two b vectors (Y8, Y9) are loaded once, each row's a element
+// is broadcast (Y10) and multiplied into Y11, then added, so every lane
+// takes its own terms in ascending k. The tile sweeps the columns, then
+// steps four rows down. The rows left over run one at a time, four tiles'
+// width at once where the columns allow (Y0..Y7 again, b read straight
+// into the multiply), so a lone row has as many add chains in flight as a
+// full tile; the last narrower columns take Y0, Y1 alone. BLOCK takes all
+// fourteen general registers, R14 and R15 included, which ABI0 code may
+// clobber.
+#define BLOCK(MOVU, BCAST, MUL, ADD, XOR) \
+	JMP  quadtest; \
+quad: \
+	XORQ AX, AX; \
+quadcol: \
+	LEAQ (DI)(AX*1), R15; \
+	LEAQ (R15)(R8*2), R13; \
+	CMPB load+80(FP), $0; \
+	JEQ  quadzero; \
+	MOVU (R15), Y0; \
+	MOVU 32(R15), Y1; \
+	MOVU (R15)(R8*1), Y2; \
+	MOVU 32(R15)(R8*1), Y3; \
+	MOVU (R13), Y4; \
+	MOVU 32(R13), Y5; \
+	MOVU (R13)(R8*1), Y6; \
+	MOVU 32(R13)(R8*1), Y7; \
+	JMP  quadk0; \
+quadzero: \
+	XOR  Y0, Y0, Y0; \
+	XOR  Y1, Y1, Y1; \
+	XOR  Y2, Y2, Y2; \
+	XOR  Y3, Y3, Y3; \
+	XOR  Y4, Y4, Y4; \
+	XOR  Y5, Y5, Y5; \
+	XOR  Y6, Y6, Y6; \
+	XOR  Y7, Y7, Y7; \
+quadk0: \
+	MOVQ SI, R13; \
+	LEAQ (SI)(R9*2), R10; \
+	ADDQ R9, R10; \
+	LEAQ (DX)(AX*1), R14; \
+	MOVQ kn+72(FP), R15; \
+quadk: \
+	MOVU (R14), Y8; \
+	MOVU 32(R14), Y9; \
+	ROWSTEP(BCAST, MUL, ADD, (R13), Y0, Y1); \
+	ROWSTEP(BCAST, MUL, ADD, (R13)(R9*1), Y2, Y3); \
+	ROWSTEP(BCAST, MUL, ADD, (R13)(R9*2), Y4, Y5); \
+	ROWSTEP(BCAST, MUL, ADD, (R10), Y6, Y7); \
+	ADDQ R11, R13; \
+	ADDQ R11, R10; \
+	ADDQ R12, R14; \
+	DECQ R15; \
+	JNZ  quadk; \
+	LEAQ (DI)(AX*1), R15; \
+	LEAQ (R15)(R8*2), R13; \
+	MOVU Y0, (R15); \
+	MOVU Y1, 32(R15); \
+	MOVU Y2, (R15)(R8*1); \
+	MOVU Y3, 32(R15)(R8*1); \
+	MOVU Y4, (R13); \
+	MOVU Y5, 32(R13); \
+	MOVU Y6, (R13)(R8*1); \
+	MOVU Y7, 32(R13)(R8*1); \
+	ADDQ $64, AX; \
+	CMPQ AX, CX; \
+	JLT  quadcol; \
+	LEAQ (DI)(R8*4), DI; \
+	LEAQ (SI)(R9*4), SI; \
+	SUBQ $4, BX; \
+quadtest: \
+	CMPQ BX, $4; \
+	JGE  quad; \
+	JMP  onetest; \
+one: \
+	XORQ AX, AX; \
+	JMP  widetest; \
+wide: \
+	CMPB load+80(FP), $0; \
+	JEQ  widezero; \
+	MOVU (DI)(AX*1), Y0; \
+	MOVU 32(DI)(AX*1), Y1; \
+	MOVU 64(DI)(AX*1), Y2; \
+	MOVU 96(DI)(AX*1), Y3; \
+	MOVU 128(DI)(AX*1), Y4; \
+	MOVU 160(DI)(AX*1), Y5; \
+	MOVU 192(DI)(AX*1), Y6; \
+	MOVU 224(DI)(AX*1), Y7; \
+	JMP  widek0; \
+widezero: \
+	XOR  Y0, Y0, Y0; \
+	XOR  Y1, Y1, Y1; \
+	XOR  Y2, Y2, Y2; \
+	XOR  Y3, Y3, Y3; \
+	XOR  Y4, Y4, Y4; \
+	XOR  Y5, Y5, Y5; \
+	XOR  Y6, Y6, Y6; \
+	XOR  Y7, Y7, Y7; \
+widek0: \
+	MOVQ SI, R13; \
+	LEAQ (DX)(AX*1), R14; \
+	MOVQ kn+72(FP), R15; \
+widek: \
+	BCAST (R13), Y10; \
+	WIDESTEP(MUL, ADD, 0, Y0); \
+	WIDESTEP(MUL, ADD, 32, Y1); \
+	WIDESTEP(MUL, ADD, 64, Y2); \
+	WIDESTEP(MUL, ADD, 96, Y3); \
+	WIDESTEP(MUL, ADD, 128, Y4); \
+	WIDESTEP(MUL, ADD, 160, Y5); \
+	WIDESTEP(MUL, ADD, 192, Y6); \
+	WIDESTEP(MUL, ADD, 224, Y7); \
+	ADDQ R11, R13; \
+	ADDQ R12, R14; \
+	DECQ R15; \
+	JNZ  widek; \
+	MOVU Y0, (DI)(AX*1); \
+	MOVU Y1, 32(DI)(AX*1); \
+	MOVU Y2, 64(DI)(AX*1); \
+	MOVU Y3, 96(DI)(AX*1); \
+	MOVU Y4, 128(DI)(AX*1); \
+	MOVU Y5, 160(DI)(AX*1); \
+	MOVU Y6, 192(DI)(AX*1); \
+	MOVU Y7, 224(DI)(AX*1); \
+	ADDQ $256, AX; \
+widetest: \
+	LEAQ 256(AX), R13; \
+	CMPQ R13, CX; \
+	JLE  wide; \
+	JMP  onecoltest; \
+onecol: \
+	CMPB load+80(FP), $0; \
+	JEQ  onezero; \
+	MOVU (DI)(AX*1), Y0; \
+	MOVU 32(DI)(AX*1), Y1; \
+	JMP  onek0; \
+onezero: \
+	XOR  Y0, Y0, Y0; \
+	XOR  Y1, Y1, Y1; \
+onek0: \
+	MOVQ SI, R13; \
+	LEAQ (DX)(AX*1), R14; \
+	MOVQ kn+72(FP), R15; \
+onek: \
+	MOVU (R14), Y8; \
+	MOVU 32(R14), Y9; \
+	ROWSTEP(BCAST, MUL, ADD, (R13), Y0, Y1); \
+	ADDQ R11, R13; \
+	ADDQ R12, R14; \
+	DECQ R15; \
+	JNZ  onek; \
+	MOVU Y0, (DI)(AX*1); \
+	MOVU Y1, 32(DI)(AX*1); \
+	ADDQ $64, AX; \
+onecoltest: \
+	CMPQ AX, CX; \
+	JLT  onecol; \
+	ADDQ R8, DI; \
+	ADDQ R9, SI; \
+	DECQ BX; \
+onetest: \
+	CMPQ BX, $0; \
+	JGT  one; \
+	VZEROUPPER; \
+	RET
+
+// BLOCKARGS loads block's operands, converting the strides and the column
+// count to bytes by the element shift SH.
+#define BLOCKARGS(SH) \
+	MOVQ c+0(FP), DI; \
+	MOVQ cs+8(FP), R8; \
+	MOVQ a+16(FP), SI; \
+	MOVQ ars+24(FP), R9; \
+	MOVQ aks+32(FP), R11; \
+	MOVQ b+40(FP), DX; \
+	MOVQ bs+48(FP), R12; \
+	MOVQ rows+56(FP), BX; \
+	MOVQ cols+64(FP), CX; \
+	SHLQ $SH, R8; \
+	SHLQ $SH, R9; \
+	SHLQ $SH, R11; \
+	SHLQ $SH, R12; \
+	SHLQ $SH, CX
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -27,191 +231,15 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// ROW4STEP adds A·B[j] to the two c vectors in flight (Y4, Y5).
-#define ROW4STEP(MUL, ADD, B, A) \
-	MUL (B)(AX*1), A, Y6; \
-	MUL 32(B)(AX*1), A, Y7; \
-	ADD Y6, Y4, Y4; \
-	ADD Y7, Y5, Y5
+// func blockF64(c *float64, cs int, a *float64, ars, aks int, b *float64, bs, rows, cols, kn int, load bool)
+TEXT ·blockF64(SB), NOSPLIT, $0-81
+	BLOCKARGS(3)
+	BLOCK(VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VXORPD)
 
-// ROW4 is c[j] += a0·b0[j]; += a1·b1[j]; += a2·b2[j]; += a3·b3[j] over BX
-// bytes. In: DI=c SI=b0 R8=b1 R9=b2 R10=b3, Y0..Y3 = a0..a3 broadcast (so
-// X0..X3 hold them as scalars). Two vectors per trip, then one, then
-// elements of ESZ bytes.
-#define ROW4(MOVU, MUL, ADD, MOVS, MULS, ADDS, ESZ) \
-	XORQ AX, AX; \
-	MOVQ BX, DX; \
-	ANDQ $-64, DX; \
-	JMP  pairtest; \
-pair: \
-	MOVU (DI)(AX*1), Y4; \
-	MOVU 32(DI)(AX*1), Y5; \
-	ROW4STEP(MUL, ADD, SI, Y0); \
-	ROW4STEP(MUL, ADD, R8, Y1); \
-	ROW4STEP(MUL, ADD, R9, Y2); \
-	ROW4STEP(MUL, ADD, R10, Y3); \
-	MOVU Y4, (DI)(AX*1); \
-	MOVU Y5, 32(DI)(AX*1); \
-	ADDQ $64, AX; \
-pairtest: \
-	CMPQ AX, DX; \
-	JLT  pair; \
-	LEAQ 32(AX), DX; \
-	CMPQ DX, BX; \
-	JGT  tailtest; \
-	MOVU (DI)(AX*1), Y4; \
-	MUL  (SI)(AX*1), Y0, Y6; \
-	ADD  Y6, Y4, Y4; \
-	MUL  (R8)(AX*1), Y1, Y6; \
-	ADD  Y6, Y4, Y4; \
-	MUL  (R9)(AX*1), Y2, Y6; \
-	ADD  Y6, Y4, Y4; \
-	MUL  (R10)(AX*1), Y3, Y6; \
-	ADD  Y6, Y4, Y4; \
-	MOVU Y4, (DI)(AX*1); \
-	MOVQ DX, AX; \
-	JMP  tailtest; \
-tail: \
-	MOVS (DI)(AX*1), X4; \
-	MULS (SI)(AX*1), X0, X6; \
-	ADDS X6, X4, X4; \
-	MULS (R8)(AX*1), X1, X6; \
-	ADDS X6, X4, X4; \
-	MULS (R9)(AX*1), X2, X6; \
-	ADDS X6, X4, X4; \
-	MULS (R10)(AX*1), X3, X6; \
-	ADDS X6, X4, X4; \
-	MOVS X4, (DI)(AX*1); \
-	ADDQ $ESZ, AX; \
-tailtest: \
-	CMPQ AX, BX; \
-	JLT  tail; \
-	VZEROUPPER; \
-	RET
-
-// func mulAddRow4F64(c, b0, b1, b2, b3 *float64, n int, a0, a1, a2, a3 float64)
-TEXT ·mulAddRow4F64(SB), NOSPLIT, $0-80
-	MOVQ c+0(FP), DI
-	MOVQ b0+8(FP), SI
-	MOVQ b1+16(FP), R8
-	MOVQ b2+24(FP), R9
-	MOVQ b3+32(FP), R10
-	MOVQ n+40(FP), BX
-	SHLQ $3, BX
-	VBROADCASTSD a0+48(FP), Y0
-	VBROADCASTSD a1+56(FP), Y1
-	VBROADCASTSD a2+64(FP), Y2
-	VBROADCASTSD a3+72(FP), Y3
-	ROW4(VMOVUPD, VMULPD, VADDPD, VMOVSD, VMULSD, VADDSD, 8)
-
-// func mulAddRow4F32(c, b0, b1, b2, b3 *float32, n int, a0, a1, a2, a3 float32)
-TEXT ·mulAddRow4F32(SB), NOSPLIT, $0-64
-	MOVQ c+0(FP), DI
-	MOVQ b0+8(FP), SI
-	MOVQ b1+16(FP), R8
-	MOVQ b2+24(FP), R9
-	MOVQ b3+32(FP), R10
-	MOVQ n+40(FP), BX
-	SHLQ $2, BX
-	VBROADCASTSS a0+48(FP), Y0
-	VBROADCASTSS a1+52(FP), Y1
-	VBROADCASTSS a2+56(FP), Y2
-	VBROADCASTSS a3+60(FP), Y3
-	ROW4(VMOVUPS, VMULPS, VADDPS, VMOVSS, VMULSS, VADDSS, 4)
-
-// DOTSTEP feeds accumulator S the term a[k]·panel[4k..4k+3] of a-row A.
-#define DOTSTEP(BCAST, MUL, ADD, ESZ, A, P, T, S) \
-	BCAST (A)(AX*ESZ), T; \
-	MUL   P, T, T; \
-	ADD   T, S, S
-
-// PANELDOT writes c[r][0..3] = Σ_k a[r][k]·panel[4k..4k+3] for R9 rows r of
-// CX ≥ 1 elements each, ascending k, one accumulator lane per output. In:
-// DI=c (R8 bytes per row) SI=a DX=panel. panel[4k..4k+3] is one vector P of
-// VB bytes; a[r][k] is broadcast against it. Four a-rows at a time give
-// four independent accumulators S0..S3, which hides the add latency; the
-// last rows go one at a time.
-#define PANELDOT(MOVU, BCAST, MUL, ADD, XOR, ESZ, VB, S0, S1, S2, S3, P, T0, T1, T2, T3) \
-	LEAQ (CX*ESZ), R13; \
-	JMP  quadtest; \
-quad: \
-	LEAQ (SI)(R13*1), R10; \
-	LEAQ (R10)(R13*1), R11; \
-	LEAQ (R11)(R13*1), R12; \
-	XOR  S0, S0, S0; \
-	XOR  S1, S1, S1; \
-	XOR  S2, S2, S2; \
-	XOR  S3, S3, S3; \
-	XORQ AX, AX; \
-	MOVQ DX, BX; \
-quadk: \
-	MOVU (BX), P; \
-	DOTSTEP(BCAST, MUL, ADD, ESZ, SI, P, T0, S0); \
-	DOTSTEP(BCAST, MUL, ADD, ESZ, R10, P, T1, S1); \
-	DOTSTEP(BCAST, MUL, ADD, ESZ, R11, P, T2, S2); \
-	DOTSTEP(BCAST, MUL, ADD, ESZ, R12, P, T3, S3); \
-	ADDQ $VB, BX; \
-	INCQ AX; \
-	CMPQ AX, CX; \
-	JLT  quadk; \
-	MOVU S0, (DI); \
-	ADDQ R8, DI; \
-	MOVU S1, (DI); \
-	ADDQ R8, DI; \
-	MOVU S2, (DI); \
-	ADDQ R8, DI; \
-	MOVU S3, (DI); \
-	ADDQ R8, DI; \
-	LEAQ (R12)(R13*1), SI; \
-	SUBQ $4, R9; \
-quadtest: \
-	CMPQ R9, $4; \
-	JGE  quad; \
-	JMP  onetest; \
-one: \
-	XOR  S0, S0, S0; \
-	XORQ AX, AX; \
-	MOVQ DX, BX; \
-onek: \
-	MOVU (BX), P; \
-	DOTSTEP(BCAST, MUL, ADD, ESZ, SI, P, T0, S0); \
-	ADDQ $VB, BX; \
-	INCQ AX; \
-	CMPQ AX, CX; \
-	JLT  onek; \
-	MOVU S0, (DI); \
-	ADDQ R8, DI; \
-	ADDQ R13, SI; \
-	DECQ R9; \
-onetest: \
-	CMPQ R9, $0; \
-	JGT  one; \
-	VZEROUPPER; \
-	RET
-
-// func panelDotF64(c, a, panel *float64, aCols, cStride, rows int)
-TEXT ·panelDotF64(SB), NOSPLIT, $0-48
-	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ panel+16(FP), DX
-	MOVQ aCols+24(FP), CX
-	MOVQ cStride+32(FP), R8
-	SHLQ $3, R8
-	MOVQ rows+40(FP), R9
-	PANELDOT(VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VXORPD, 8, 32, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8)
-
-// func panelDotF32(c, a, panel *float32, aCols, cStride, rows int)
-// Four float32 lanes are one 128-bit vector, so this instance runs on X
-// registers; the panel keeps its 4-row shape for both widths.
-TEXT ·panelDotF32(SB), NOSPLIT, $0-48
-	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ panel+16(FP), DX
-	MOVQ aCols+24(FP), CX
-	MOVQ cStride+32(FP), R8
-	SHLQ $2, R8
-	MOVQ rows+40(FP), R9
-	PANELDOT(VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VXORPS, 4, 16, X0, X1, X2, X3, X4, X5, X6, X7, X8)
+// func blockF32(c *float32, cs int, a *float32, ars, aks int, b *float32, bs, rows, cols, kn int, load bool)
+TEXT ·blockF32(SB), NOSPLIT, $0-81
+	BLOCKARGS(2)
+	BLOCK(VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VXORPS)
 
 // ADAM is AdamStep on the float64 element(s) at index AX in the Go loop's
 // order — m = b1·m + nb1·g; v = b2·v + (nb2·g)·g; w -= (lr·(m/c1)) /

@@ -6,9 +6,7 @@ package tensor
 // only leaves and the stubs below are never reached.
 var haveAVX2 = false
 
-func simdRow4[F Float](c, b0, b1, b2, b3 []F, a0, a1, a2, a3 F) { panic("tensor: no SIMD leaves") }
-
-func simdPanelDot[F Float](c, a, panel []F, aCols, cStride, rows int) {
+func blockAVX2[F Float](c []F, cs int, a []F, ars, aks int, b []F, bs, rows, cols, kn int, load bool) {
 	panic("tensor: no SIMD leaves")
 }
 

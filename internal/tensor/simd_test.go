@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"unsafe"
@@ -46,13 +47,13 @@ func leafValues[F Float]() []F {
 	}
 }
 
-// fillLeaf draws n values from the pool, specials about one time in eight.
-func fillLeaf[F Float](n int, rng *RNG) []F {
+// fillLeaf draws n values from the pool, specials about one time in every.
+func fillLeaf[F Float](n, every int, rng *RNG) []F {
 	pool := leafValues[F]()
 	const ordinary = 12
 	out := make([]F, n)
 	for i := range out {
-		if rng.Intn(8) == 0 {
+		if rng.Intn(every) == 0 {
 			out[i] = pool[ordinary+rng.Intn(len(pool)-ordinary)]
 		} else {
 			out[i] = pool[rng.Intn(ordinary)] * F(rng.Float64())
@@ -83,8 +84,8 @@ func TestSIMDLeavesBitExact(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("NO AVX2 ON THIS HOST: the assembly leaves are NOT exercised by this run")
 	}
-	t.Run("float64", testSIMDLeaves[float64])
-	t.Run("float32", testSIMDLeaves[float32])
+	t.Run("float64", testBlockLeaf[float64])
+	t.Run("float32", testBlockLeaf[float32])
 	t.Run("adam", testAdamLeaf)
 }
 
@@ -100,7 +101,7 @@ func testAdamLeaf(t *testing.T) {
 			var want, got [4][]float64 // backing arrays of w, m, v, g
 			op := func(b [4][]float64, k int) []float64 { o := (off + 3*k) % maxOff; return b[k][o : o+n] }
 			for k := range want {
-				want[k] = fillLeaf[float64](n+maxOff, rng)
+				want[k] = fillLeaf[float64](n+maxOff, 8, rng)
 			}
 			v := op(want, 2)
 			for i := range v {
@@ -124,72 +125,91 @@ func testAdamLeaf(t *testing.T) {
 	}
 }
 
-func testSIMDLeaves[F Float](t *testing.T) {
+// testBlockLeaf holds the block leaf to its Go loop over every tile class:
+// row counts 0…2·blockMR+1 and column counts 0…2·blockNR+1 (whole tiles,
+// leftover rows, leftover columns) plus a few that give a leftover row its
+// four-tile passes, k lengths on both sides of kernelKC,
+// a laid out as a × b reads it (rows apart) and as aᵀ × b does (k apart),
+// c loaded and started from +0, each operand at its own element offset
+// and row stride. Half the runs draw specials densely, half sparsely, so
+// long k still leaves finite sums to compare.
+func testBlockLeaf[F Float](t *testing.T) {
+	defer func() { haveAVX2 = true }()
 	rng := NewRNG(16)
-	const maxOff = 8
-	for n := 0; n <= 67; n++ {
-		for dstOff := 0; dstOff < maxOff; dstOff++ {
-			for srcOff := 0; srcOff < maxOff; srcOff++ {
-				want := fillLeaf[F](n+2*maxOff, rng)
-				got := append([]F(nil), want...)
-				var b [4][]F
-				for m := range b {
-					off := (srcOff + 3*m) % maxOff
-					b[m] = fillLeaf[F](n+maxOff, rng)[off : off+n]
-				}
-				a := fillLeaf[F](4, rng)
-				if n%5 == 0 {
-					a[rng.Intn(4)] = 0 // 0·NaN and 0·±Inf terms
-				}
-				mulAddRow4(false, want[dstOff:dstOff+n], b[0], b[1], b[2], b[3], a[0], a[1], a[2], a[3])
-				mulAddRow4(true, got[dstOff:dstOff+n], b[0], b[1], b[2], b[3], a[0], a[1], a[2], a[3])
-				requireSameBits(t, "mulAddRow4", got, want)
-			}
-		}
+	const maxOff, poolLen = 8, 1 << 15
+	pools := [2][]F{fillLeaf[F](poolLen, 8, rng), fillLeaf[F](poolLen, 512, rng)}
+	nr := blockNR[F]()
+	var colCounts []int
+	for cols := 0; cols <= 2*nr+1; cols++ {
+		colCounts = append(colCounts, cols)
 	}
-	const bRows, j, lo = 7, 2, 1
-	for aCols := 0; aCols <= 9; aCols++ {
-		for rows := 0; rows <= 9; rows++ {
-			for dstOff := 0; dstOff < maxOff; dstOff++ {
-				for srcOff := 0; srcOff < maxOff; srcOff++ {
-					hi := lo + rows
-					want := fillLeaf[F](dstOff+hi*bRows+maxOff, rng)
-					got := append([]F(nil), want...)
-					a := fillLeaf[F](srcOff+hi*aCols, rng)[srcOff:]
-					pOff := (srcOff + 5) % maxOff
-					p := fillLeaf[F](pOff+4*aCols, rng)[pOff:]
-					panelDot(false, want[dstOff:], a, p, aCols, bRows, j, lo, hi)
-					panelDot(true, got[dstOff:], a, p, aCols, bRows, j, lo, hi)
-					requireSameBits(t, "panelDot", got, want)
+	colCounts = append(colCounts, 4*nr-1, 4*nr, 5*nr+1, 9*nr+3)
+	for rows := 0; rows <= 2*blockMR+1; rows++ {
+		for _, cols := range colCounts {
+			for _, kn := range []int{0, 1, 63, 64, 65, 129} {
+				for off := 0; off < maxOff; off++ {
+					for mode := 0; mode < 4; mode++ {
+						pool := pools[off%2]
+						from := func(n, o int) []F { s := o + maxOff*rng.Intn((poolLen-n-o)/maxOff); return pool[s : s+n] }
+						cs, bs := cols+off%3, cols+(off/3)%2
+						ars, aks := kn+1+off%2, 1
+						if mode%2 == 1 {
+							ars, aks = 1, rows+off%3
+						}
+						load := mode < 2
+						want := append([]F(nil), from(rows*cs+maxOff, off)...)
+						got := append([]F(nil), want...)
+						a := from(rows*ars+kn*aks, (off+3)%maxOff)
+						b := from(kn*bs+cols, (off+5)%maxOff)
+						haveAVX2 = false
+						block(want[off:], cs, a, ars, aks, b, bs, rows, cols, kn, load)
+						haveAVX2 = true
+						block(got[off:], cs, a, ars, aks, b, bs, rows, cols, kn, load)
+						requireSameBits(t, fmt.Sprintf("block %d×%d k=%d off=%d mode=%d", rows, cols, kn, off, mode), got, want)
+					}
 				}
 			}
 		}
 	}
 }
 
-// A 0·NaN or 0·±Inf term must poison exactly its own lane on both tiers:
-// the PR 10 regression, at every position of a vector and of the tail.
+// A 0·NaN or 0·±Inf term must poison exactly its own lane on both tiers
+// (kernels that skipped zero terms once swallowed it), at every (row, lane)
+// of a register tile, of its leftover row (four tiles wide, then one) and
+// of its leftover columns.
+// The bad value sits in b[2][lane], which every row reads, and a zero in
+// a[r][2]: ±Inf turns (r, lane) alone into NaN (the other rows take ±Inf),
+// a NaN all of column lane.
 func TestLeavesPoisonOnlyTheirLane(t *testing.T) {
 	eachLeafTier(t, func(t *testing.T) {
-		const n = 19
-		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			for lane := 0; lane < n; lane++ {
-				c := make([]float64, n)
-				b := [4][]float64{}
-				for m := range b {
-					b[m] = make([]float64, n)
-					for i := range b[m] {
-						b[m][i] = float64(m + i)
-					}
+		t.Run("float64", testLeafPoison[float64])
+		t.Run("float32", testLeafPoison[float32])
+	})
+}
+
+func testLeafPoison[F Float](t *testing.T) {
+	const kn = 5
+	rows, cols := blockMR+1, 5*blockNR[F]()+3
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for r := 0; r < rows; r++ {
+			for lane := 0; lane < cols; lane++ {
+				a := make([]F, rows*kn)
+				for i := range a {
+					a[i] = F(1 + i%7)
 				}
-				b[2][lane] = bad
-				mulAddRow4(haveAVX2, c, b[0], b[1], b[2], b[3], 1, 2, 0, 3)
+				b := make([]F, kn*cols)
+				for i := range b {
+					b[i] = F(i%5 - 2)
+				}
+				a[r*kn+2], b[2*cols+lane] = 0, F(bad)
+				c := make([]F, rows*cols)
+				block(c, cols, a, kn, 1, b, cols, rows, cols, kn, false)
 				for i, v := range c {
-					if math.IsNaN(v) != (i == lane) {
-						t.Fatalf("0·%v at lane %d: c[%d] = %v", bad, lane, i, v)
+					if want := i%cols == lane && (i/cols == r || math.IsNaN(bad)); (v != v) != want {
+						t.Fatalf("0·%v at (%d, %d): c[%d][%d] = %v", bad, r, lane, i/cols, i%cols, v)
 					}
 				}
 			}
 		}
-	})
+	}
 }
