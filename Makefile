@@ -83,7 +83,7 @@ fuzz-smoke:
 		$(GO) test -run='^$$' -fuzz="^Fuzz$$t\$$" -fuzztime=10s ./internal/core/ || exit 1; done
 	$(GO) test -run='^$$' -fuzz='^FuzzViewMatsInto$$' -fuzztime=10s ./internal/tensor/
 	$(GO) test -run='^$$' -fuzz='^FuzzMatMulFamilies$$' -fuzztime=10s ./internal/tensor/
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeFloats$$' -fuzztime=10s ./internal/mpi/
+	$(GO) test -run='^$$' -fuzz='^FuzzUnpackParts$$' -fuzztime=10s ./internal/mpi/
 	@for t in OwnerUpdate ReleaseOrder RunTask SlaveReport SlaveReports StateUpdate StateAck; do \
 		$(GO) test -run='^$$' -fuzz="^FuzzParse$$t\$$" -fuzztime=10s ./internal/cluster/ || exit 1; done
 

@@ -9,7 +9,7 @@
 //     linear algebra, backprop MLPs, BCE losses, Adam) replacing PyTorch;
 //   - internal/dataset — a deterministic procedural substitute for MNIST;
 //   - internal/mpi — MPI-style communicators over in-process and TCP
-//     transports (point-to-point, collectives, Cartesian topology);
+//     transports (point-to-point, multicast, barrier, allgather, split);
 //   - internal/grid — the toroidal cellular topology with dynamic
 //     neighbourhood patterns;
 //   - internal/core — the cellular competitive coevolutionary GAN

@@ -51,7 +51,7 @@ func retrySend(c *mpi.Comm, dst, tag int, data []byte, retries *telemetry.Counte
 		if err = c.Send(dst, tag, data); err == nil {
 			return nil
 		}
-		if errors.Is(err, mpi.ErrClosed) || errors.Is(err, mpi.ErrCrashed) {
+		if errors.Is(err, mpi.ErrClosed) || errors.Is(err, mpi.ErrCrashed) || errors.Is(err, mpi.ErrPeerDead) {
 			return err
 		}
 		time.Sleep(backoff)
@@ -124,35 +124,12 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 		}
 		return dests
 	}
-	// send queues a push for each peer's own sender: a dead peer's sends
-	// block in reconnects and must not stall this thread. Full queues drop.
-	// The senders go once the transport fails fast on a dead peer.
-	outs := make(map[int]chan []byte)
-	send := func(to []int, p []byte) {
-		for _, d := range to {
-			if outs[d] == nil {
-				outs[d] = make(chan []byte, 16)
-				go func(d int, q chan []byte) {
-					for p := range q {
-						s.world.Multicast([]int{d}, tagAsyncState, p) //nolint:errcheck
-					}
-				}(d, outs[d])
-			}
-			select {
-			case outs[d] <- p:
-			default:
-			}
-		}
-	}
-	defer func() {
-		for _, q := range outs {
-			close(q)
-		}
-	}()
 	// deliver hands cell r's push p to the remote owners of its influence
-	// set and to the co-owned cells it influences alike.
+	// set and to the co-owned cells it influences alike. A dead owner is
+	// skipped (mpi.ErrPeerDead): only the send that finds it dead waits
+	// out the transport's reconnect budget.
 	deliver := func(r int, p []byte) {
-		send(remote(r), p)
+		s.world.Multicast(remote(r), tagAsyncState, p) //nolint:errcheck // best-effort: the idle re-push heals a lost push
 		for _, d := range owned.grid.Influence(r) {
 			if nb := owned.cells[d]; nb != nil && d != r {
 				nb.x.Receive(p, nil) //nolint:errcheck // it decodes what AppendPush encoded
@@ -800,9 +777,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 			aborted, m.res.Aborted, lastAdvance = true, true, time.Now()
 			m.logf("master: %s, sending abort to all slaves", m.abortReason())
 			for _, s := range m.liveRanks() {
-				if strikes[s] == 0 { // a struck slave may be dead, and a send to it block in reconnects
-					retrySend(comm, s, tagAbort, nil, opts.Metrics.SendRetries) //nolint:errcheck // best-effort: a cell whose slave misses it, or a joiner's, learns the halt from its peers' pushes
-				}
+				retrySend(comm, s, tagAbort, nil, opts.Metrics.SendRetries) //nolint:errcheck // best-effort: a cell whose slave misses it, or a joiner's, learns the halt from its peers' pushes
 			}
 		}
 		if m.finished() {
@@ -824,9 +799,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 			version++
 			nudge := encodeOU(false, false, nil, nil)
 			for _, s := range m.liveRanks() {
-				if strikes[s] == 0 { // as for the abort
-					sendOU(s, nudge)
-				}
+				sendOU(s, nudge)
 			}
 			lastProgress = time.Now()
 		}

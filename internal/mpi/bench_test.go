@@ -117,36 +117,3 @@ func BenchmarkBarrier16(b *testing.B) {
 		runCollective(b, comms, func(c *Comm) error { return c.Barrier() })
 	}
 }
-
-func BenchmarkBcast16_64KiB(b *testing.B) {
-	w := MustWorld(16)
-	defer w.Close()
-	comms := w.Comms()
-	payload := make([]byte, 64*1024)
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runCollective(b, comms, func(c *Comm) error {
-			var data []byte
-			if c.Rank() == 0 {
-				data = payload
-			}
-			_, err := c.Bcast(0, data)
-			return err
-		})
-	}
-}
-
-func BenchmarkAllreduce16(b *testing.B) {
-	w := MustWorld(16)
-	defer w.Close()
-	comms := w.Comms()
-	vec := make([]float64, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runCollective(b, comms, func(c *Comm) error {
-			_, err := c.Allreduce(vec, OpSum)
-			return err
-		})
-	}
-}

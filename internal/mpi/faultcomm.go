@@ -87,8 +87,8 @@ type FaultStats struct {
 	Crashes        atomic.Uint64
 }
 
-// Active reports whether the plan injects anything at all.
-func (p FaultPlan) Active() bool {
+// active reports whether the plan injects anything at all.
+func (p FaultPlan) active() bool {
 	return p.DropProb > 0 || p.DupProb > 0 || p.DelayProb > 0 ||
 		len(p.Partitions) > 0 || len(p.Crashes) > 0
 }
@@ -166,11 +166,11 @@ type faultStream struct {
 
 // FaultyComm wraps a communicator's transport with the fault plan and
 // returns a communicator with identical group and rank whose traffic is
-// subject to the schedule. Derive sub-communicators (Split, Dup) from the
+// subject to the schedule. Derive sub-communicators (Split) from the
 // returned Comm so they inherit the faults. Wrapping with an inactive plan
 // returns c unchanged.
 func FaultyComm(c *Comm, plan FaultPlan) *Comm {
-	if !plan.Active() {
+	if !plan.active() {
 		return c
 	}
 	if plan.MaxDelayHold <= 0 {
@@ -394,22 +394,6 @@ func (fe *faultEndpoint) recvWorld(commID uint32, srcWorld, tag int) (wireMsg, e
 	return fe.inner.recvWorld(commID, srcWorld, tag)
 }
 
-func (fe *faultEndpoint) probe(commID uint32, srcWorld, tag int) (bool, error) {
-	fe.mu.Lock()
-	dead := fe.crashed
-	fe.mu.Unlock()
-	if dead {
-		return false, ErrCrashed
-	}
-	p, ok := fe.inner.(interface {
-		probe(commID uint32, srcWorld, tag int) (bool, error)
-	})
-	if !ok {
-		return false, errors.New("mpi: transport does not support Probe")
-	}
-	return p.probe(commID, srcWorld, tag)
-}
-
 func (fe *faultEndpoint) tryRecvWorld(commID uint32, srcWorld, tag int) (wireMsg, bool, error) {
 	fe.mu.Lock()
 	dead := fe.crashed
@@ -417,13 +401,7 @@ func (fe *faultEndpoint) tryRecvWorld(commID uint32, srcWorld, tag int) (wireMsg
 	if dead {
 		return wireMsg{}, false, ErrCrashed
 	}
-	tr, ok := fe.inner.(interface {
-		tryRecvWorld(commID uint32, srcWorld, tag int) (wireMsg, bool, error)
-	})
-	if !ok {
-		return wireMsg{}, false, errors.New("mpi: transport does not support TryRecv")
-	}
-	return tr.tryRecvWorld(commID, srcWorld, tag)
+	return fe.inner.tryRecvWorld(commID, srcWorld, tag)
 }
 
 func (fe *faultEndpoint) worldRank() int { return fe.inner.worldRank() }

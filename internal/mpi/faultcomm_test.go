@@ -161,7 +161,7 @@ func TestFaultScopeAndPassthrough(t *testing.T) {
 	if err != nil || string(m.Data) != "safe" {
 		t.Fatalf("out-of-scope message: %v %v", m, err)
 	}
-	if ok, _ := receiver.Probe(0, 7); ok {
+	if _, ok, _ := receiver.TryRecv(0, 7); ok {
 		t.Fatal("in-scope message survived DropProb=1")
 	}
 
@@ -176,7 +176,7 @@ func TestFaultScopeAndPassthrough(t *testing.T) {
 
 func TestFaultCollectivesSurvive(t *testing.T) {
 	// Collective-protocol tags are reserved and must never be faulted, so
-	// collectives work even under a total drop plan.
+	// Barrier and Allgather work even under a total drop plan.
 	w := MustWorld(3)
 	defer w.Close()
 	plan := FaultPlan{Seed: 5, DropProb: 1}
@@ -184,6 +184,10 @@ func TestFaultCollectivesSurvive(t *testing.T) {
 	for r := 0; r < 3; r++ {
 		go func(r int) {
 			c := FaultyComm(w.MustComm(r), plan)
+			if err := c.Barrier(); err != nil {
+				errs <- err
+				return
+			}
 			parts, err := c.Allgather([]byte{byte(r)})
 			if err == nil && len(parts) != 3 {
 				err = fmt.Errorf("allgather returned %d parts", len(parts))

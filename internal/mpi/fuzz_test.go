@@ -2,32 +2,35 @@ package mpi
 
 import (
 	"bytes"
-	"math"
 	"testing"
 )
 
-// FuzzDecodeFloats asserts the float payload decoder of Reduce/Allreduce
-// never panics, accepts exactly the payloads whose length is a multiple
-// of 8, and is the inverse of EncodeFloats bit for bit — NaN payloads and
-// signed zeros included.
-func FuzzDecodeFloats(f *testing.F) {
-	valid := EncodeFloats([]float64{0, math.Copysign(0, -1), 1.5, math.Inf(-1),
-		math.NaN(), math.SmallestNonzeroFloat64, math.MaxFloat64})
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3]) // truncated mid-value
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		xs, err := DecodeFloats(data)
-		if (err == nil) != (len(data)%8 == 0) {
-			t.Fatalf("%d-byte payload: err = %v", len(data), err)
-		}
+// FuzzUnpackParts asserts the wire decoder of Allgather (and so of Split)
+// never panics, and that whatever it accepts is exactly what packParts
+// would frame: the declared part count, every part whole, no bytes left.
+// The expected count is a communicator size, so the fuzzer draws it from
+// a byte.
+func FuzzUnpackParts(f *testing.F) {
+	valid := packParts([][]byte{[]byte("a"), nil, []byte("ccc")})
+	f.Add(valid, uint8(3))
+	f.Add(valid[:6], uint8(3))           // truncated part header
+	f.Add(valid, uint8(2))               // count mismatch
+	f.Add(append(valid, 0xAB), uint8(3)) // trailing bytes
+	f.Fuzz(func(t *testing.T, data []byte, n uint8) {
+		want := int(n)
+		parts, err := unpackParts(data, want)
 		if err != nil {
 			return
 		}
-		if len(xs) != len(data)/8 {
-			t.Fatalf("%d bytes decoded to %d floats", len(data), len(xs))
+		if len(parts) != want {
+			t.Fatalf("accepted %d parts, want %d", len(parts), want)
 		}
-		if back := EncodeFloats(xs); !bytes.Equal(back, data) {
+		for i, p := range parts {
+			if len(p) != cap(p) {
+				t.Fatalf("part %d: len %d, cap %d: not clipped", i, len(p), cap(p))
+			}
+		}
+		if back := packParts(parts); !bytes.Equal(back, data) {
 			t.Fatalf("round trip changed the payload:\n%x\n%x", data, back)
 		}
 	})

@@ -55,6 +55,10 @@ func (e *inprocEndpoint) recvWorld(commID uint32, srcWorld, tag int) (wireMsg, e
 	return e.w.boxes[e.rank].take(commID, srcWorld, tag)
 }
 
+func (e *inprocEndpoint) tryRecvWorld(commID uint32, srcWorld, tag int) (wireMsg, bool, error) {
+	return e.w.boxes[e.rank].tryTake(commID, srcWorld, tag)
+}
+
 func (e *inprocEndpoint) worldRank() int { return e.rank }
 func (e *inprocEndpoint) worldSize() int { return len(e.w.boxes) }
 

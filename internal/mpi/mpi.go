@@ -1,21 +1,24 @@
-// Package mpi implements the message-passing substrate of the parallel
+// Package mpi is the message-passing substrate of the parallel
 // implementation: MPI-flavoured communicators over interchangeable
 // transports.
 //
-// The paper's implementation uses mpi4py with three communication contexts
-// — WORLD for global control, LOCAL for collective operations among active
-// slaves, and GLOBAL for collectives that include the master (§III-D). This
-// package reproduces that surface: point-to-point tagged Send/Recv with
-// wildcard source/tag, the collective operations the training loop needs
-// (Barrier, Bcast, Gather, Allgather, Scatter, Reduce, Allreduce), CommSplit
-// for deriving sub-communicators, and a Cartesian topology helper mirroring
-// MPI_CART_CREATE.
+// The paper's implementation uses mpi4py with a WORLD context for global
+// control, a LOCAL context among the active slaves, and one allgather of
+// centers per iteration (§III-D). This package keeps the part of that
+// surface the system uses: tagged Send/Recv with wildcard source and tag,
+// the non-blocking TryRecv and the deadline-bound RecvTimeout, Multicast
+// (one payload to a set of ranks, the form the per-iteration exchange of
+// centers takes: each cell sends to its influence set), and Split, which
+// derives LOCAL from WORLD over an Allgather. Barrier and Allgather are
+// the collectives.
 //
 // Two transports are provided. The inproc transport runs every rank as a
 // goroutine inside one process and carries messages over in-memory
 // mailboxes; it is the default for training and testing. The tcp transport
 // (see tcp.go) connects genuinely separate processes over sockets with the
-// same semantics, enabling real distributed deployment.
+// same semantics, enabling real distributed deployment; a peer whose
+// reconnects failed is marked dead, and sends to it fail fast
+// (ErrPeerDead) until it connects again.
 package mpi
 
 import (
@@ -24,6 +27,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync/atomic"
+	"time"
 )
 
 // Wildcards for Recv, mirroring MPI_ANY_SOURCE and MPI_ANY_TAG.
@@ -42,6 +46,11 @@ const collTagBase = 1 << 25
 // ErrClosed is returned by operations on a closed communicator or
 // transport.
 var ErrClosed = errors.New("mpi: communicator closed")
+
+// ErrPeerDead is returned by a send to a dead TCP peer: one that a send,
+// this one or an earlier one, failed to reach within its reconnect budget.
+// The peer stays dead until it connects again.
+var ErrPeerDead = errors.New("mpi: peer dead")
 
 // Message is a received point-to-point message.
 type Message struct {
@@ -88,6 +97,9 @@ type endpoint interface {
 	// recvWorld blocks until a message matching (commID, srcWorld, tag)
 	// arrives; srcWorld/tag may be AnySource/AnyTag.
 	recvWorld(commID uint32, srcWorld int, tag int) (wireMsg, error)
+	// tryRecvWorld is recvWorld without blocking; ok is false when no
+	// matching message is queued.
+	tryRecvWorld(commID uint32, srcWorld, tag int) (m wireMsg, ok bool, err error)
 	// worldRank is this process's rank in the world communicator.
 	worldRank() int
 	// worldSize is the total number of processes.
@@ -135,12 +147,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of processes in the communicator.
 func (c *Comm) Size() int { return len(c.group) }
 
-// WorldRank returns this process's rank in the world communicator.
-func (c *Comm) WorldRank() int { return c.ep.worldRank() }
-
-// Group returns a copy of the comm-rank → world-rank mapping.
-func (c *Comm) Group() []int { return append([]int(nil), c.group...) }
-
 func (c *Comm) checkRank(r int, what string) error {
 	if r < 0 || r >= len(c.group) {
 		return fmt.Errorf("mpi: %s rank %d out of range [0,%d)", what, r, len(c.group))
@@ -175,8 +181,10 @@ func (c *Comm) send(dst, tag int, data []byte) error {
 // modify data until it has it back from Reuse, which happens once every
 // in-process delivery has been released (Message.Release). A caller that
 // never uses Reuse must never modify it. Multicasting the same array again
-// while it is out is allowed and counts both sends. It stops at the first
-// destination that fails.
+// while it is out is allowed and counts both sends. A dead destination
+// (ErrPeerDead) is skipped and the rest still get the payload; Multicast
+// then returns ErrPeerDead. Any other failure stops it at that
+// destination.
 func (c *Comm) Multicast(dests []int, tag int, data []byte) error {
 	for _, r := range dests {
 		if err := c.checkRank(r, "destination"); err != nil {
@@ -198,26 +206,49 @@ func (c *Comm) Multicast(dests []int, tag int, data []byte) error {
 func (c *Comm) multicast(dests []int, tag int, data []byte, pay *payload) error {
 	defer pay.drop()
 	m := wireMsg{Comm: c.id, Src: c.ep.worldRank(), Tag: tag, Data: data, pay: pay}
+	var dead error
 	for _, r := range dests {
-		if err := c.ep.sendWorld(c.group[r], m); err != nil {
+		err := c.ep.sendWorld(c.group[r], m)
+		if errors.Is(err, ErrPeerDead) {
+			dead = err
+			continue
+		}
+		if err != nil {
 			return err
 		}
 	}
-	return nil
+	return dead
+}
+
+// pattern validates a receive pattern and maps its source to a world rank.
+func (c *Comm) pattern(src, tag int) (srcWorld int, err error) {
+	if tag != AnyTag && (tag < 0 || tag >= maxUserTag) {
+		return 0, fmt.Errorf("mpi: tag %d out of range [0,%d)", tag, maxUserTag)
+	}
+	if src == AnySource {
+		return AnySource, nil
+	}
+	if err := c.checkRank(src, "source"); err != nil {
+		return 0, err
+	}
+	return c.group[src], nil
+}
+
+// message converts a received wire message to its comm-relative form.
+func (c *Comm) message(m wireMsg) (Message, error) {
+	commSrc, ok := c.worldToComm[m.Src]
+	if !ok {
+		return Message{}, fmt.Errorf("mpi: message from world rank %d not in communicator", m.Src)
+	}
+	return Message{Src: commSrc, Tag: m.Tag, Data: m.Data, del: m.del}, nil
 }
 
 // Recv blocks until a message from src (or AnySource) with the given tag
 // (or AnyTag) arrives on this communicator.
 func (c *Comm) Recv(src, tag int) (Message, error) {
-	srcWorld := AnySource
-	if src != AnySource {
-		if err := c.checkRank(src, "source"); err != nil {
-			return Message{}, err
-		}
-		srcWorld = c.group[src]
-	}
-	if tag != AnyTag && (tag < 0 || tag >= maxUserTag) {
-		return Message{}, fmt.Errorf("mpi: tag %d out of range [0,%d)", tag, maxUserTag)
+	srcWorld, err := c.pattern(src, tag)
+	if err != nil {
+		return Message{}, err
 	}
 	return c.recv(srcWorld, tag)
 }
@@ -228,21 +259,50 @@ func (c *Comm) recv(srcWorld, tag int) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
-	commSrc, ok := c.worldToComm[m.Src]
-	if !ok {
-		return Message{}, fmt.Errorf("mpi: message from world rank %d not in communicator", m.Src)
-	}
-	return Message{Src: commSrc, Tag: m.Tag, Data: m.Data, del: m.del}, nil
+	return c.message(m)
 }
 
-// Sendrecv performs a combined send to dst and receive from src with the
-// same tag, as MPI_Sendrecv; it never deadlocks under paired usage because
-// the send buffers the payload before blocking on the receive.
-func (c *Comm) Sendrecv(dst, src, tag int, data []byte) (Message, error) {
-	if err := c.Send(dst, tag, data); err != nil {
-		return Message{}, err
+// TryRecv receives a message matching (src, tag) if one is already
+// queued, without blocking; ok is false when nothing matches right now.
+// The matching message is removed atomically, so goroutines draining the
+// same pattern never block each other. The asynchronous exchange loops
+// drain their neighbour-state mailboxes with it.
+func (c *Comm) TryRecv(src, tag int) (Message, bool, error) {
+	srcWorld, err := c.pattern(src, tag)
+	if err != nil {
+		return Message{}, false, err
 	}
-	return c.Recv(src, tag)
+	m, ok, err := c.ep.tryRecvWorld(c.id, srcWorld, tag)
+	if err != nil || !ok {
+		return Message{}, false, err
+	}
+	msg, err := c.message(m)
+	return msg, err == nil, err
+}
+
+// errTimeout is returned by RecvTimeout when no matching message arrives
+// in time.
+var errTimeout = errors.New("mpi: receive timed out")
+
+// RecvTimeout is Recv with a deadline: it polls TryRecv and returns an
+// error if no matching message arrives within d. The master uses it to
+// detect unresponsive slaves instead of blocking forever.
+func (c *Comm) RecvTimeout(src, tag int, d time.Duration) (Message, error) {
+	deadline := time.Now().Add(d)
+	sleep := time.Millisecond
+	for {
+		m, ok, err := c.TryRecv(src, tag)
+		if err != nil || ok {
+			return m, err
+		}
+		if time.Now().After(deadline) {
+			return Message{}, errTimeout
+		}
+		time.Sleep(sleep)
+		if sleep < 16*time.Millisecond {
+			sleep *= 2
+		}
+	}
 }
 
 // Close releases the communicator's transport endpoint. All communicators
@@ -307,12 +367,6 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		id += 2
 	}
 	return newComm(c.ep, id, group)
-}
-
-// Dup returns a new communicator with the same group but a separate
-// message context, like MPI_Comm_dup. Every member must call Dup.
-func (c *Comm) Dup() (*Comm, error) {
-	return c.Split(0, c.rank)
 }
 
 func putI64(b []byte, v int64) {

@@ -3,7 +3,6 @@ package mpi
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -188,20 +187,6 @@ func TestCloseUnblocksRecv(t *testing.T) {
 	}
 }
 
-func TestSendrecvExchange(t *testing.T) {
-	runRanks(t, 2, func(c *Comm) error {
-		other := 1 - c.Rank()
-		m, err := c.Sendrecv(other, other, 9, []byte{byte(c.Rank())})
-		if err != nil {
-			return err
-		}
-		if int(m.Data[0]) != other {
-			return fmt.Errorf("rank %d received %d", c.Rank(), m.Data[0])
-		}
-		return nil
-	})
-}
-
 func TestBarrierOrdering(t *testing.T) {
 	// After the barrier, every rank must observe every other rank's
 	// pre-barrier flag.
@@ -229,10 +214,10 @@ func TestBarrierOrdering(t *testing.T) {
 func TestBcast(t *testing.T) {
 	runRanks(t, 4, func(c *Comm) error {
 		var payload []byte
-		if c.Rank() == 2 {
+		if c.Rank() == 0 {
 			payload = []byte("root-data")
 		}
-		got, err := c.Bcast(2, payload)
+		got, err := c.bcast(payload)
 		if err != nil {
 			return err
 		}
@@ -243,26 +228,25 @@ func TestBcast(t *testing.T) {
 	})
 }
 
-func TestBcastAllSizesAllRoots(t *testing.T) {
-	// The binomial tree must deliver for every (size, root) combination.
+func TestBcastAllSizes(t *testing.T) {
+	// The binomial tree must deliver for every size, powers of two and
+	// the ranks just past them included.
 	for n := 1; n <= 9; n++ {
-		for root := 0; root < n; root++ {
-			n, root := n, root
-			runRanks(t, n, func(c *Comm) error {
-				var payload []byte
-				if c.Rank() == root {
-					payload = []byte{byte(root), byte(n)}
-				}
-				got, err := c.Bcast(root, payload)
-				if err != nil {
-					return err
-				}
-				if len(got) != 2 || got[0] != byte(root) || got[1] != byte(n) {
-					return fmt.Errorf("n=%d root=%d rank=%d got %v", n, root, c.Rank(), got)
-				}
-				return nil
-			})
-		}
+		n := n
+		runRanks(t, n, func(c *Comm) error {
+			var payload []byte
+			if c.Rank() == 0 {
+				payload = []byte{byte(n)}
+			}
+			got, err := c.bcast(payload)
+			if err != nil {
+				return err
+			}
+			if len(got) != 1 || got[0] != byte(n) {
+				return fmt.Errorf("n=%d rank=%d got %v", n, c.Rank(), got)
+			}
+			return nil
+		})
 	}
 }
 
@@ -270,10 +254,10 @@ func TestBcastRepeatedUsesDistinctTags(t *testing.T) {
 	runRanks(t, 5, func(c *Comm) error {
 		for round := 0; round < 10; round++ {
 			var payload []byte
-			if c.Rank() == round%5 {
+			if c.Rank() == 0 {
 				payload = []byte{byte(round)}
 			}
-			got, err := c.Bcast(round%5, payload)
+			got, err := c.bcast(payload)
 			if err != nil {
 				return err
 			}
@@ -288,11 +272,11 @@ func TestBcastRepeatedUsesDistinctTags(t *testing.T) {
 func TestGather(t *testing.T) {
 	runRanks(t, 4, func(c *Comm) error {
 		data := bytes.Repeat([]byte{byte(c.Rank())}, c.Rank()+1) // variable sizes
-		parts, err := c.Gather(1, data)
+		parts, err := c.gather(data)
 		if err != nil {
 			return err
 		}
-		if c.Rank() != 1 {
+		if c.Rank() != 0 {
 			if parts != nil {
 				return fmt.Errorf("non-root got parts")
 			}
@@ -334,113 +318,6 @@ func TestAllgatherVariableSizes(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-func TestScatter(t *testing.T) {
-	runRanks(t, 3, func(c *Comm) error {
-		var parts [][]byte
-		if c.Rank() == 0 {
-			parts = [][]byte{[]byte("zero"), []byte("one"), []byte("two")}
-		}
-		got, err := c.Scatter(0, parts)
-		if err != nil {
-			return err
-		}
-		want := []string{"zero", "one", "two"}[c.Rank()]
-		if string(got) != want {
-			return fmt.Errorf("rank %d got %q", c.Rank(), got)
-		}
-		return nil
-	})
-}
-
-func TestScatterWrongPartCount(t *testing.T) {
-	// A root erroring out of a collective while peers entered it would be
-	// an MPI-contract violation, so validate on a single-rank world.
-	runRanks(t, 1, func(c *Comm) error {
-		if _, err := c.Scatter(0, [][]byte{nil, nil}); err == nil {
-			return fmt.Errorf("wrong part count accepted")
-		}
-		got, err := c.Scatter(0, [][]byte{[]byte("solo")})
-		if err != nil {
-			return err
-		}
-		if string(got) != "solo" {
-			return fmt.Errorf("got %q", got)
-		}
-		return nil
-	})
-}
-
-func TestReduceOps(t *testing.T) {
-	cases := []struct {
-		op   ReduceOp
-		want []float64
-	}{
-		{OpSum, []float64{0 + 1 + 2 + 3, 4 * 10}},
-		{OpProd, []float64{0, 10 * 10 * 10 * 10}},
-		{OpMax, []float64{3, 10}},
-		{OpMin, []float64{0, 10}},
-	}
-	for _, tc := range cases {
-		tc := tc
-		runRanks(t, 4, func(c *Comm) error {
-			in := []float64{float64(c.Rank()), 10}
-			got, err := c.Reduce(0, in, tc.op)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 && !reflect.DeepEqual(got, tc.want) {
-				return fmt.Errorf("op %d: got %v want %v", tc.op, got, tc.want)
-			}
-			if c.Rank() != 0 && got != nil {
-				return fmt.Errorf("non-root got result")
-			}
-			return nil
-		})
-	}
-}
-
-func TestAllreduce(t *testing.T) {
-	runRanks(t, 4, func(c *Comm) error {
-		got, err := c.Allreduce([]float64{1, float64(c.Rank())}, OpSum)
-		if err != nil {
-			return err
-		}
-		want := []float64{4, 6}
-		if !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("rank %d: %v want %v", c.Rank(), got, want)
-		}
-		return nil
-	})
-}
-
-func TestReduceLengthMismatch(t *testing.T) {
-	runRanks(t, 2, func(c *Comm) error {
-		data := []float64{1}
-		if c.Rank() == 1 {
-			data = []float64{1, 2}
-		}
-		_, err := c.Reduce(0, data, OpSum)
-		if c.Rank() == 0 && err == nil {
-			return fmt.Errorf("length mismatch accepted")
-		}
-		return nil
-	})
-}
-
-func TestEncodeDecodeFloats(t *testing.T) {
-	xs := []float64{0, -1.5, 3.25e10}
-	got, err := DecodeFloats(EncodeFloats(xs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, xs) {
-		t.Fatalf("round trip %v", got)
-	}
-	if _, err := DecodeFloats([]byte{1, 2, 3}); err == nil {
-		t.Fatal("bad length accepted")
-	}
 }
 
 func TestPackUnpackParts(t *testing.T) {

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 )
 
@@ -105,22 +104,6 @@ func TestSplitIsolatesMessageContexts(t *testing.T) {
 	})
 }
 
-func TestDupSeparateContext(t *testing.T) {
-	runRanks(t, 3, func(c *Comm) error {
-		dup, err := c.Dup()
-		if err != nil {
-			return err
-		}
-		if dup.Size() != c.Size() || dup.Rank() != c.Rank() {
-			return fmt.Errorf("dup geometry %d/%d", dup.Rank(), dup.Size())
-		}
-		if dup.id == c.id {
-			return fmt.Errorf("dup shares message context")
-		}
-		return dup.Barrier()
-	})
-}
-
 func TestSplitTwiceDistinctComms(t *testing.T) {
 	runRanks(t, 2, func(c *Comm) error {
 		a, err := c.Split(0, c.Rank())
@@ -136,89 +119,4 @@ func TestSplitTwiceDistinctComms(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-func TestCartCreateValidation(t *testing.T) {
-	w := MustWorld(4)
-	defer w.Close()
-	c := w.MustComm(0)
-	if _, err := CartCreate(c, 3, 2); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
-	if _, err := CartCreate(c, 0, 4); err == nil {
-		t.Fatal("zero dim accepted")
-	}
-	cc, err := CartCreate(c, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, cl := cc.Dims()
-	if r != 2 || cl != 2 {
-		t.Fatalf("dims %d×%d", r, cl)
-	}
-}
-
-func TestCartCoordsAndRank(t *testing.T) {
-	w := MustWorld(12)
-	defer w.Close()
-	cc, err := CartCreate(w.MustComm(7), 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row, col, err := cc.Coords(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row != 1 || col != 3 {
-		t.Fatalf("coords (%d,%d)", row, col)
-	}
-	if cc.CartRank(row, col) != 7 {
-		t.Fatal("CartRank round trip")
-	}
-	if cc.CartRank(-1, 4) != cc.CartRank(2, 0) {
-		t.Fatal("periodic wrap broken")
-	}
-	if _, _, err := cc.Coords(99); err == nil {
-		t.Fatal("bad rank accepted")
-	}
-}
-
-func TestCartShift(t *testing.T) {
-	w := MustWorld(9)
-	defer w.Close()
-	cc, err := CartCreate(w.MustComm(4), 3, 3) // center cell (1,1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, dst, err := cc.Shift(0, 1) // rows
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src != cc.CartRank(0, 1) || dst != cc.CartRank(2, 1) {
-		t.Fatalf("row shift src %d dst %d", src, dst)
-	}
-	src, dst, err = cc.Shift(1, 1) // cols
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src != cc.CartRank(1, 0) || dst != cc.CartRank(1, 2) {
-		t.Fatalf("col shift src %d dst %d", src, dst)
-	}
-	if _, _, err := cc.Shift(2, 1); err == nil {
-		t.Fatal("bad dim accepted")
-	}
-}
-
-func TestCartNeighborRanks(t *testing.T) {
-	w := MustWorld(16)
-	defer w.Close()
-	cc, err := CartCreate(w.MustComm(0), 4, 4) // corner cell (0,0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := cc.NeighborRanks()
-	want := [4]int{cc.CartRank(3, 0), cc.CartRank(0, 3), cc.CartRank(0, 1), cc.CartRank(1, 0)}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("neighbours %v want %v", got, want)
-	}
 }

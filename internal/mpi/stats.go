@@ -1,12 +1,6 @@
 package mpi
 
-import (
-	"errors"
-	"sync/atomic"
-)
-
-// errProbeUnsupported is returned when a wrapped transport lacks Probe.
-var errProbeUnsupported = errors.New("mpi: transport does not support Probe")
+import "sync/atomic"
 
 // CommStats counts the traffic of one process's communicator endpoint.
 // All fields are atomic, so a telemetry scrape can read them while the
@@ -32,8 +26,8 @@ type statsEndpoint struct {
 
 // InstrumentComm wraps a communicator's transport so every message and
 // byte it sends or receives is counted in st. The returned communicator
-// has the same group and rank; derive sub-communicators (Split, Dup)
-// from it so they share the counters. A nil st returns c unchanged.
+// has the same group and rank; derive sub-communicators (Split) from
+// it so they share the counters. A nil st returns c unchanged.
 func InstrumentComm(c *Comm, st *CommStats) *Comm {
 	if st == nil {
 		return c
@@ -66,26 +60,10 @@ func (se *statsEndpoint) recvWorld(commID uint32, srcWorld, tag int) (wireMsg, e
 	return m, nil
 }
 
-func (se *statsEndpoint) probe(commID uint32, srcWorld, tag int) (bool, error) {
-	p, ok := se.inner.(interface {
-		probe(commID uint32, srcWorld, tag int) (bool, error)
-	})
-	if !ok {
-		return false, errProbeUnsupported
-	}
-	return p.probe(commID, srcWorld, tag)
-}
-
 func (se *statsEndpoint) tryRecvWorld(commID uint32, srcWorld, tag int) (wireMsg, bool, error) {
-	tr, ok := se.inner.(interface {
-		tryRecvWorld(commID uint32, srcWorld, tag int) (wireMsg, bool, error)
-	})
-	if !ok {
-		return wireMsg{}, false, errors.New("mpi: transport does not support TryRecv")
-	}
-	m, got, err := tr.tryRecvWorld(commID, srcWorld, tag)
-	if err != nil || !got {
-		return m, got, err
+	m, ok, err := se.inner.tryRecvWorld(commID, srcWorld, tag)
+	if err != nil || !ok {
+		return m, ok, err
 	}
 	se.st.RecvMessages.Add(1)
 	se.st.RecvBytes.Add(uint64(len(m.Data)))

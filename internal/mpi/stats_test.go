@@ -49,7 +49,7 @@ func TestInstrumentCommNilStatsIsIdentity(t *testing.T) {
 
 func TestInstrumentCommCollectives(t *testing.T) {
 	// Collective traffic flows through the endpoint, so an allgather is
-	// counted too — and Probe passes through the middleware.
+	// counted too — and TryRecv passes through the middleware.
 	const n = 3
 	w := MustWorld(n)
 	defer w.Close()
@@ -65,7 +65,7 @@ func TestInstrumentCommCollectives(t *testing.T) {
 				errs <- err
 				return
 			}
-			if _, err := c.Probe(AnySource, 5); err != nil {
+			if _, _, err := c.TryRecv(AnySource, 5); err != nil {
 				errs <- err
 				return
 			}

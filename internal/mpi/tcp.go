@@ -15,22 +15,20 @@ const frameHeaderLen = 16
 // maxFrameLen bounds a single message (64 MiB) to catch corrupted streams.
 const maxFrameLen = 64 << 20
 
-// TCPOptions tunes the transport's failure behaviour. The zero value
-// reproduces the original strict semantics: no deadlines, no reconnection,
-// a broken pipe fails the send.
+// TCPOptions tunes the transport's failure behaviour. The zero value is
+// strict: no deadlines, no reconnection, and a broken pipe fails the send
+// and marks the peer dead.
 type TCPOptions struct {
 	// WriteTimeout bounds one frame write; 0 means no deadline.
 	WriteTimeout time.Duration
-	// ReadIdleTimeout bounds the silence a reader tolerates before
-	// declaring the connection dead; 0 means wait forever.
-	ReadIdleTimeout time.Duration
 	// ReconnectAttempts is how many times a failed send re-dials the peer
-	// before giving up; 0 disables reconnection.
+	// before it marks the peer dead; 0 disables reconnection.
 	ReconnectAttempts int
 	// ReconnectBackoff is the initial delay between reconnect attempts,
 	// doubled each retry (capped at 32×); 0 defaults to 25 ms.
 	ReconnectBackoff time.Duration
-	// DialTimeout bounds one reconnect dial; 0 defaults to 5 s.
+	// DialTimeout bounds one reconnect dial; 0 defaults to 5 s. A peer's
+	// host that does not answer costs a send ReconnectAttempts of them.
 	DialTimeout time.Duration
 }
 
@@ -57,7 +55,10 @@ func HardenedTCPOptions() TCPOptions {
 // With reconnection enabled (TCPOptions.ReconnectAttempts > 0) a send that
 // hits a broken pipe re-dials the peer with exponential backoff, and the
 // listener keeps accepting replacement connections after the initial mesh
-// is built, so a transient connection loss does not fail the job.
+// is built, so a transient connection loss does not fail the job. A send
+// that gives up marks the peer dead: later sends to it fail at once with
+// ErrPeerDead, so a dead rank stalls no sender, until a connection from
+// that rank is accepted again.
 type TCPNode struct {
 	rank int
 	n    int
@@ -69,6 +70,7 @@ type TCPNode struct {
 	mu     sync.Mutex
 	conns  map[int]net.Conn
 	sendMu map[int]*sync.Mutex
+	dead   map[int]bool
 	addrs  []string
 	closed bool
 	wg     sync.WaitGroup
@@ -104,6 +106,7 @@ func ListenTCPOpts(rank, n int, bind string, opts TCPOptions) (*TCPNode, error) 
 		inbox:    newMailbox(),
 		conns:    make(map[int]net.Conn),
 		sendMu:   make(map[int]*sync.Mutex),
+		dead:     make(map[int]bool),
 	}, nil
 }
 
@@ -134,7 +137,7 @@ func (t *TCPNode) Connect(addrs []string, timeout time.Duration) error {
 	// Dial lower ranks.
 	go func() {
 		for peer := 0; peer < t.rank; peer++ {
-			conn, err := t.dialPeer(peer, deadline)
+			conn, err := t.dialPeer(peer, deadline, true)
 			if err != nil {
 				errc <- err
 				return
@@ -153,9 +156,10 @@ func (t *TCPNode) Connect(addrs []string, timeout time.Duration) error {
 	return nil
 }
 
-// dialPeer dials one peer and performs the hello handshake, retrying until
-// the deadline.
-func (t *TCPNode) dialPeer(peer int, deadline time.Time) (net.Conn, error) {
+// dialPeer dials one peer and performs the hello handshake. With retry it
+// re-dials until the deadline, to tolerate staggered process start-up; a
+// reconnect dials once, so a refused peer costs its backoffs only.
+func (t *TCPNode) dialPeer(peer int, deadline time.Time, retry bool) (net.Conn, error) {
 	t.mu.Lock()
 	addr := t.addrs[peer]
 	t.mu.Unlock()
@@ -167,7 +171,7 @@ func (t *TCPNode) dialPeer(peer int, deadline time.Time) (net.Conn, error) {
 		if err == nil {
 			break
 		}
-		if time.Now().After(deadline) {
+		if !retry || time.Now().After(deadline) {
 			return nil, fmt.Errorf("mpi: rank %d dialing rank %d at %s: %w", t.rank, peer, addr, err)
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -227,11 +231,12 @@ func (t *TCPNode) acceptLoop(expectInitial int, errc chan<- error) {
 }
 
 // addConn registers a peer connection (replacing and closing any previous
-// one) and starts its reader goroutine.
+// one), clears the peer's dead mark and starts its reader goroutine.
 func (t *TCPNode) addConn(peer int, conn net.Conn) {
 	t.mu.Lock()
 	old := t.conns[peer]
 	t.conns[peer] = conn
+	delete(t.dead, peer)
 	if t.sendMu[peer] == nil {
 		t.sendMu[peer] = &sync.Mutex{}
 	}
@@ -254,9 +259,6 @@ func (t *TCPNode) readLoop(conn net.Conn) {
 	defer t.wg.Done()
 	hdr := make([]byte, frameHeaderLen)
 	for {
-		if t.opts.ReadIdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(t.opts.ReadIdleTimeout)) //nolint:errcheck
-		}
 		if _, err := io.ReadFull(conn, hdr); err != nil {
 			return
 		}
@@ -283,7 +285,9 @@ func (t *TCPNode) readLoop(conn net.Conn) {
 
 // sendWorld queues a self-send in the inbox, where it holds a reference
 // like an in-process delivery. A frame to a peer is written straight from
-// the payload, behind its header, and holds nothing once this returns.
+// the payload, behind its header, and holds nothing once this returns. A
+// send that spends the reconnect budget marks the peer dead, unless it
+// connected again meanwhile.
 func (t *TCPNode) sendWorld(dst int, m wireMsg) error {
 	if dst == t.rank {
 		return t.inbox.put(m)
@@ -297,37 +301,40 @@ func (t *TCPNode) sendWorld(dst int, m wireMsg) error {
 	backoff := t.opts.ReconnectBackoff
 	for attempt := 0; ; attempt++ {
 		t.mu.Lock()
-		conn := t.conns[dst]
-		mu := t.sendMu[dst]
-		closed := t.closed
+		conn, mu, closed, dead := t.conns[dst], t.sendMu[dst], t.closed, t.dead[dst]
 		t.mu.Unlock()
 		if closed {
 			return ErrClosed
 		}
+		if dead {
+			return fmt.Errorf("mpi: send to rank %d: %w", dst, ErrPeerDead)
+		}
 		var err error
 		if conn == nil {
-			err = fmt.Errorf("mpi: no connection to world rank %d", dst)
+			err = fmt.Errorf("no connection to world rank %d", dst)
 		} else {
-			err = t.writeFrame(conn, mu, hdr[:], m.Data)
-			if err == nil {
+			if err = t.writeFrame(conn, mu, hdr[:], m.Data); err == nil {
 				return nil
 			}
-		}
-		if attempt >= t.opts.ReconnectAttempts {
-			return fmt.Errorf("mpi: send to rank %d: %w", dst, err)
-		}
-		// Broken pipe with reconnection enabled: re-dial the peer with
-		// capped exponential backoff and retry the frame.
-		if conn != nil {
 			conn.Close()
 		}
-		time.Sleep(backoff)
-		if backoff < 32*t.opts.ReconnectBackoff {
-			backoff *= 2
+		if attempt < t.opts.ReconnectAttempts {
+			// Broken pipe with reconnection enabled: re-dial the peer with
+			// capped exponential backoff and retry the frame.
+			time.Sleep(backoff)
+			if backoff < 32*t.opts.ReconnectBackoff {
+				backoff *= 2
+			}
+			if err = t.reconnect(dst, conn); err == nil || attempt < t.opts.ReconnectAttempts-1 {
+				continue
+			}
 		}
-		if rerr := t.reconnect(dst, conn); rerr != nil && attempt == t.opts.ReconnectAttempts-1 {
-			return fmt.Errorf("mpi: send to rank %d: reconnect: %w", dst, rerr)
+		t.mu.Lock()
+		if t.conns[dst] == conn {
+			t.dead[dst] = true
 		}
+		t.mu.Unlock()
+		return fmt.Errorf("mpi: send to rank %d: %w: %v", dst, ErrPeerDead, err)
 	}
 }
 
@@ -358,7 +365,7 @@ func (t *TCPNode) reconnect(dst int, broken net.Conn) error {
 		return nil // already replaced (by acceptLoop or a racing sender)
 	}
 	t.mu.Unlock()
-	conn, err := t.dialPeer(dst, time.Now().Add(t.opts.DialTimeout))
+	conn, err := t.dialPeer(dst, time.Now().Add(t.opts.DialTimeout), false)
 	if err != nil {
 		return err
 	}
@@ -368,6 +375,10 @@ func (t *TCPNode) reconnect(dst int, broken net.Conn) error {
 
 func (t *TCPNode) recvWorld(commID uint32, srcWorld, tag int) (wireMsg, error) {
 	return t.inbox.take(commID, srcWorld, tag)
+}
+
+func (t *TCPNode) tryRecvWorld(commID uint32, srcWorld, tag int) (wireMsg, bool, error) {
+	return t.inbox.tryTake(commID, srcWorld, tag)
 }
 
 func (t *TCPNode) worldRank() int { return t.rank }

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -149,16 +150,16 @@ func TestTCPCollectivesAndSplit(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				sum, err := sub.Allreduce([]float64{float64(c.Rank())}, OpSum)
+				if err := sub.Barrier(); err != nil {
+					return err
+				}
+				got, err := sub.Allgather([]byte{byte(c.Rank())})
 				if err != nil {
 					return err
 				}
-				want := 1.0 // ranks {0,1} or {2,3}
-				if c.Rank() >= 2 {
-					want = 5
-				}
-				if sum[0] != want {
-					return fmt.Errorf("rank %d sub sum %v want %v", c.Rank(), sum[0], want)
+				first := c.Rank() &^ 1 // ranks {0,1} or {2,3}
+				if len(got) != 2 || int(got[0][0]) != first || int(got[1][0]) != first+1 {
+					return fmt.Errorf("rank %d sub allgather %v want [[%d] [%d]]", c.Rank(), got, first, first+1)
 				}
 				return nil
 			}()
@@ -374,4 +375,69 @@ func TestTCPFramesAcrossReconnect(t *testing.T) {
 	nodes[0].mu.Unlock()
 	conn.Close()
 	roundTrip("after the break")
+}
+
+// TestTCPMulticastSkipsDeadPeer: once a send has spent a closed peer's
+// reconnect budget, the peer is dead — a Multicast skips it at once and
+// still delivers to the live rank listed after it — until a replacement
+// node for that rank dials back in.
+func TestTCPMulticastSkipsDeadPeer(t *testing.T) {
+	opts := HardenedTCPOptions()
+	nodes := startTCPWorldOpts(t, 3, opts)
+	c0, _ := nodes[0].WorldComm()
+	c1, _ := nodes[1].WorldComm()
+	nodes[2].Close()
+
+	// The first frame into the closed peer's socket may still be taken by
+	// the kernel; the send whose write fails spends the budget.
+	deadline := time.Now().Add(10 * time.Second)
+	for i := byte(0); ; i++ {
+		err := c0.Multicast([]int{2, 1}, 3, []byte{i})
+		if m, rerr := c1.RecvTimeout(0, 3, 5*time.Second); rerr != nil || !bytes.Equal(m.Data, []byte{i}) {
+			t.Fatalf("multicast %d: live rank got %v, %v", i, m.Data, rerr)
+		}
+		if errors.Is(err, ErrPeerDead) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("multicast %d: %v", i, err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("closed peer never marked dead")
+		}
+	}
+
+	start := time.Now()
+	err := c0.Multicast([]int{2, 1}, 3, []byte("fast"))
+	if took := time.Since(start); !errors.Is(err, ErrPeerDead) || took >= opts.ReconnectBackoff {
+		t.Fatalf("multicast to a dead peer: %v after %v, want ErrPeerDead within %v", err, took, opts.ReconnectBackoff)
+	}
+	if m, err := c1.RecvTimeout(0, 3, 5*time.Second); err != nil || string(m.Data) != "fast" {
+		t.Fatalf("live rank beside a dead one got %v, %v", m.Data, err)
+	}
+
+	// A replacement rank 2 dials ranks 0 and 1; rank 0's accept clears the
+	// mark, and the next multicast reaches the replacement.
+	back, err := ListenTCPOpts(2, 3, "127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	if err := back.Connect([]string{nodes[0].Addr(), nodes[1].Addr(), back.Addr()}, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	c2, _ := back.WorldComm()
+	for err = ErrPeerDead; errors.Is(err, ErrPeerDead); {
+		if time.Now().After(deadline) {
+			t.Fatal("replacement connection never cleared the dead mark")
+		}
+		time.Sleep(time.Millisecond)
+		err = c0.Multicast([]int{2, 1}, 3, []byte("back"))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := c2.RecvTimeout(0, 3, 5*time.Second); err != nil || string(m.Data) != "back" {
+		t.Fatalf("replacement got %v, %v", m.Data, err)
+	}
 }
