@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -10,7 +9,6 @@ import (
 
 	"cellgan/internal/core"
 	"cellgan/internal/mpi"
-	"cellgan/internal/telemetry"
 )
 
 // This file is the tolerant cluster exchange — the one middle of the
@@ -37,28 +35,6 @@ import (
 //     at k sits in [k−W, k+W], so it finds a version that fits its window
 //     among those seeds and its own last two pushes, re-aimed by its idle
 //     re-push.
-
-// retrySend sends with capped retries and exponential backoff, giving up
-// immediately on permanent transport errors. Each re-sent attempt is
-// counted in retries (nil-safe).
-func retrySend(c *mpi.Comm, dst, tag int, data []byte, retries *telemetry.Counter) error {
-	var err error
-	backoff := 10 * time.Millisecond
-	for i := 0; i < 4; i++ {
-		if i > 0 {
-			retries.Inc()
-		}
-		if err = c.Send(dst, tag, data); err == nil {
-			return nil
-		}
-		if errors.Is(err, mpi.ErrClosed) || errors.Is(err, mpi.ErrCrashed) || errors.Is(err, mpi.ErrPeerDead) {
-			return err
-		}
-		time.Sleep(backoff)
-		backoff *= 2
-	}
-	return err
-}
 
 // asyncUploadEvery is how long a tolerant slave stays idle before it
 // re-pushes its cell states and re-uploads its inventory: once after a
@@ -127,7 +103,9 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 	// deliver hands cell r's push p to the remote owners of its influence
 	// set and to the co-owned cells it influences alike. A dead owner is
 	// skipped (mpi.ErrPeerDead): only the send that finds it dead waits
-	// out the transport's reconnect budget.
+	// for the transport to give up, which the hardened transport does well
+	// inside the master's eviction window, so this thread's uploads keep
+	// the slave alive.
 	deliver := func(r int, p []byte) {
 		s.world.Multicast(remote(r), tagAsyncState, p) //nolint:errcheck // best-effort: the idle re-push heals a lost push
 		for _, d := range owned.grid.Influence(r) {
@@ -226,7 +204,7 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 					delete(owned.cells, cr)
 				}
 				changed = true
-				if err := retrySend(s.world, 0, tagReleaseAck, payload, nil); err != nil {
+				if err := s.world.Send(0, tagReleaseAck, payload); err != nil {
 					return nil, err
 				}
 			case <-s.quit:
@@ -506,7 +484,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 		if payload == nil {
 			return
 		}
-		if err := retrySend(comm, dst, tagOwnerUpdate, payload, opts.Metrics.SendRetries); err != nil {
+		if err := comm.Send(dst, tagOwnerUpdate, payload); err != nil {
 			m.logf("master: owner update to slave %d failed: %v", dst, err)
 		}
 	}
@@ -595,7 +573,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 		sort.Ints(owners)
 		for _, o := range owners {
 			payload, _ := releaseOrder{Version: version, Cells: recall[o]}.marshal() // ints always encode
-			if err := retrySend(comm, o, tagRelease, payload, opts.Metrics.SendRetries); err != nil {
+			if err := comm.Send(o, tagRelease, payload); err != nil {
 				m.logf("master: release order to slave %d failed: %v", o, err)
 				continue
 			}
@@ -777,7 +755,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 			aborted, m.res.Aborted, lastAdvance = true, true, time.Now()
 			m.logf("master: %s, sending abort to all slaves", m.abortReason())
 			for _, s := range m.liveRanks() {
-				retrySend(comm, s, tagAbort, nil, opts.Metrics.SendRetries) //nolint:errcheck // best-effort: a cell whose slave misses it, or a joiner's, learns the halt from its peers' pushes
+				comm.Send(s, tagAbort, nil) //nolint:errcheck // best-effort: a cell whose slave misses it, or a joiner's, learns the halt from its peers' pushes
 			}
 		}
 		if m.finished() {

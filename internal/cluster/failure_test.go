@@ -145,3 +145,18 @@ func TestPlainMasterSurvivesHostileSlave(t *testing.T) {
 		})
 	}
 }
+
+// TestHardenedGiveUpInsideEvictionWindow: a hardened TCP send gives up on
+// a dead or stalled peer — one timeout plus the reconnect backoffs — fast
+// enough that a slave whose push finds two neighbours newly dead still
+// uploads before the master's default eviction.
+func TestHardenedGiveUpInsideEvictionWindow(t *testing.T) {
+	o := mpi.HardenedTCPOptions()
+	giveUp := max(o.WriteTimeout, o.DialTimeout)
+	for i, b := 0, o.ReconnectBackoff; i < o.ReconnectAttempts; i, b = i+1, min(2*b, 32*o.ReconnectBackoff) {
+		giveUp += b
+	}
+	if window := defaultMaxStrikes * defaultRoundTimeout; 2*giveUp >= window {
+		t.Fatalf("hardened give-up %v: two of them reach the %v eviction window", giveUp, window)
+	}
+}

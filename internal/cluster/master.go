@@ -84,6 +84,14 @@ type MasterOptions struct {
 	CheckpointSink  func(iteration int, states []*core.FullState) error
 }
 
+// The defaults of MasterOptions.RoundTimeout and MaxStrikes: under the
+// evict policy a slave silent for about their product is evicted, which
+// mpi.HardenedTCPOptions' give-up time stays well inside.
+const (
+	defaultRoundTimeout = time.Second
+	defaultMaxStrikes   = 3
+)
+
 // RunMaster executes the master role on rank 0 of comm (Fig 3, left). The
 // communicator must have exactly Cfg.NumTasks() ranks — the master plus
 // one slave per grid cell — plus JoinSlots connected reserves in async
@@ -116,10 +124,10 @@ func RunMaster(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 		opts.HeartbeatTimeout = 10 * time.Second
 	}
 	if opts.RoundTimeout <= 0 {
-		opts.RoundTimeout = time.Second
+		opts.RoundTimeout = defaultRoundTimeout
 	}
 	if opts.MaxStrikes <= 0 {
-		opts.MaxStrikes = 3
+		opts.MaxStrikes = defaultMaxStrikes
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = NewMetrics(nil)
@@ -339,7 +347,7 @@ func (m *master) sendTask(s int, task runTask) error {
 	if err != nil {
 		return err
 	}
-	if err := retrySend(m.comm, s, tagRunTask, payload, m.opts.Metrics.SendRetries); err != nil {
+	if err := m.comm.Send(s, tagRunTask, payload); err != nil {
 		if !m.tolerant {
 			return fmt.Errorf("cluster: sending run task to slave %d: %w", s, err)
 		}

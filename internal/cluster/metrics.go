@@ -14,7 +14,9 @@ type Metrics struct {
 	// Redispatches counts cells reassigned from an evicted slave to a
 	// survivor.
 	Redispatches *telemetry.Counter
-	// SendRetries counts re-sent master messages (lost or refused sends).
+	// SendRetries stays zero: a failed send is not retried, since the
+	// transport has spent its reconnect budget on it (mpi.ErrPeerDead).
+	// bench/micro.go still reports it.
 	SendRetries *telemetry.Counter
 	// Heartbeats counts status polls answered by slaves.
 	Heartbeats *telemetry.Counter

@@ -16,9 +16,9 @@
 // goroutine inside one process and carries messages over in-memory
 // mailboxes; it is the default for training and testing. The tcp transport
 // (see tcp.go) connects genuinely separate processes over sockets with the
-// same semantics, enabling real distributed deployment; a peer whose
-// reconnects failed is marked dead, and sends to it fail fast
-// (ErrPeerDead) until it connects again.
+// same semantics, enabling real distributed deployment; a peer that a
+// send gave up on is marked dead, and sends to it fail fast (ErrPeerDead)
+// until a connection to it is made again.
 package mpi
 
 import (
@@ -48,8 +48,9 @@ const collTagBase = 1 << 25
 var ErrClosed = errors.New("mpi: communicator closed")
 
 // ErrPeerDead is returned by a send to a dead TCP peer: one that a send,
-// this one or an earlier one, failed to reach within its reconnect budget.
-// The peer stays dead until it connects again.
+// this one or an earlier one, gave up on — a write or a dial timed out,
+// or the reconnects failed. The peer stays dead until a connection to it
+// is made again.
 var ErrPeerDead = errors.New("mpi: peer dead")
 
 // Message is a received point-to-point message.

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -18,30 +19,41 @@ const maxFrameLen = 64 << 20
 // TCPOptions tunes the transport's failure behaviour. The zero value is
 // strict: no deadlines, no reconnection, and a broken pipe fails the send
 // and marks the peer dead.
+//
+// A send gives up on a peer after at most one timeout — a write or a dial
+// that times out marks the peer dead at once, since a peer that does not
+// answer is not re-dialled — plus the backoffs of the reconnects that a
+// refused dial or a reset connection earns: at most max(WriteTimeout,
+// DialTimeout) + ReconnectBackoff·(2^ReconnectAttempts − 1), with the
+// backoff capped at 32×.
 type TCPOptions struct {
 	// WriteTimeout bounds one frame write; 0 means no deadline.
 	WriteTimeout time.Duration
-	// ReconnectAttempts is how many times a failed send re-dials the peer
-	// before it marks the peer dead; 0 disables reconnection.
+	// ReconnectAttempts is how many times a send whose connection broke
+	// re-dials the peer before it marks the peer dead; 0 disables
+	// reconnection, and with it the re-dial of a dead peer.
 	ReconnectAttempts int
 	// ReconnectBackoff is the initial delay between reconnect attempts,
-	// doubled each retry (capped at 32×); 0 defaults to 25 ms.
+	// doubled each retry (capped at 32×); 0 defaults to 25 ms. A dead
+	// peer is re-dialled in the background at most once per cap.
 	ReconnectBackoff time.Duration
-	// DialTimeout bounds one reconnect dial; 0 defaults to 5 s. A peer's
-	// host that does not answer costs a send ReconnectAttempts of them.
+	// DialTimeout bounds one reconnect dial; 0 defaults to 5 s.
 	DialTimeout time.Duration
 }
 
 // HardenedTCPOptions returns the recommended production settings: bounded
 // writes and capped reconnection with exponential backoff, the transport
 // half of the failure-recovery design (the cluster master supplies the
-// protocol half).
+// protocol half). A send gives up on a dead or stalled peer within about
+// 1.2 s, well inside the 3 s of silence after which the cluster master
+// evicts a slave by default, so a slave that sends to a dead neighbour is
+// not taken for dead itself.
 func HardenedTCPOptions() TCPOptions {
 	return TCPOptions{
-		WriteTimeout:      10 * time.Second,
+		WriteTimeout:      time.Second,
 		ReconnectAttempts: 3,
 		ReconnectBackoff:  25 * time.Millisecond,
-		DialTimeout:       5 * time.Second,
+		DialTimeout:       time.Second,
 	}
 }
 
@@ -57,8 +69,10 @@ func HardenedTCPOptions() TCPOptions {
 // listener keeps accepting replacement connections after the initial mesh
 // is built, so a transient connection loss does not fail the job. A send
 // that gives up marks the peer dead: later sends to it fail at once with
-// ErrPeerDead, so a dead rank stalls no sender, until a connection from
-// that rank is accepted again.
+// ErrPeerDead, so a dead rank stalls no sender, until a connection to
+// that rank is made again — accepted from it, or dialled by the
+// background re-dial that a send to the dead peer starts at most once per
+// backoff cap.
 type TCPNode struct {
 	rank int
 	n    int
@@ -70,7 +84,7 @@ type TCPNode struct {
 	mu     sync.Mutex
 	conns  map[int]net.Conn
 	sendMu map[int]*sync.Mutex
-	dead   map[int]bool
+	dead   map[int]time.Time // dead peers, each with its next re-dial time
 	addrs  []string
 	closed bool
 	wg     sync.WaitGroup
@@ -106,7 +120,7 @@ func ListenTCPOpts(rank, n int, bind string, opts TCPOptions) (*TCPNode, error) 
 		inbox:    newMailbox(),
 		conns:    make(map[int]net.Conn),
 		sendMu:   make(map[int]*sync.Mutex),
-		dead:     make(map[int]bool),
+		dead:     make(map[int]time.Time),
 	}, nil
 }
 
@@ -114,7 +128,7 @@ func ListenTCPOpts(rank, n int, bind string, opts TCPOptions) (*TCPNode, error) 
 func (t *TCPNode) Addr() string { return t.listener.Addr().String() }
 
 // Connect establishes the full mesh. addrs maps every rank to its
-// listening address (addrs[t.rank] is ignored). Dialing retries until the
+// listening address (addrs[t.rank] is ignored). Dialling retries until the
 // deadline to tolerate staggered process start-up. After the initial mesh
 // is up the accept loop keeps running so peers can replace broken
 // connections.
@@ -137,7 +151,11 @@ func (t *TCPNode) Connect(addrs []string, timeout time.Duration) error {
 	// Dial lower ranks.
 	go func() {
 		for peer := 0; peer < t.rank; peer++ {
-			conn, err := t.dialPeer(peer, deadline, true)
+			conn, err := t.dialPeer(peer, deadline)
+			for err != nil && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+				conn, err = t.dialPeer(peer, deadline)
+			}
 			if err != nil {
 				errc <- err
 				return
@@ -156,25 +174,15 @@ func (t *TCPNode) Connect(addrs []string, timeout time.Duration) error {
 	return nil
 }
 
-// dialPeer dials one peer and performs the hello handshake. With retry it
-// re-dials until the deadline, to tolerate staggered process start-up; a
-// reconnect dials once, so a refused peer costs its backoffs only.
-func (t *TCPNode) dialPeer(peer int, deadline time.Time, retry bool) (net.Conn, error) {
+// dialPeer dials one peer once and performs the hello handshake.
+func (t *TCPNode) dialPeer(peer int, deadline time.Time) (net.Conn, error) {
 	t.mu.Lock()
 	addr := t.addrs[peer]
 	t.mu.Unlock()
-	var conn net.Conn
-	var err error
-	for {
-		d := net.Dialer{Deadline: deadline}
-		conn, err = d.Dial("tcp", addr)
-		if err == nil {
-			break
-		}
-		if !retry || time.Now().After(deadline) {
-			return nil, fmt.Errorf("mpi: rank %d dialing rank %d at %s: %w", t.rank, peer, addr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
+	d := net.Dialer{Deadline: deadline}
+	conn, err := d.Dial("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("mpi: rank %d dialing rank %d at %s: %w", t.rank, peer, addr, err)
 	}
 	var hello [4]byte
 	binary.LittleEndian.PutUint32(hello[:], uint32(t.rank))
@@ -286,8 +294,8 @@ func (t *TCPNode) readLoop(conn net.Conn) {
 // sendWorld queues a self-send in the inbox, where it holds a reference
 // like an in-process delivery. A frame to a peer is written straight from
 // the payload, behind its header, and holds nothing once this returns. A
-// send that spends the reconnect budget marks the peer dead, unless it
-// connected again meanwhile.
+// send that times out or spends the reconnect budget marks the peer dead,
+// unless it connected again meanwhile.
 func (t *TCPNode) sendWorld(dst int, m wireMsg) error {
 	if dst == t.rank {
 		return t.inbox.put(m)
@@ -298,10 +306,16 @@ func (t *TCPNode) sendWorld(dst int, m wireMsg) error {
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(int32(m.Src)))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(int32(m.Tag)))
 
-	backoff := t.opts.ReconnectBackoff
+	backoff, maxBackoff := t.opts.ReconnectBackoff, 32*t.opts.ReconnectBackoff
 	for attempt := 0; ; attempt++ {
 		t.mu.Lock()
-		conn, mu, closed, dead := t.conns[dst], t.sendMu[dst], t.closed, t.dead[dst]
+		conn, mu, closed := t.conns[dst], t.sendMu[dst], t.closed
+		redial, dead := t.dead[dst]
+		if dead && !closed && t.opts.ReconnectAttempts > 0 && time.Now().After(redial) {
+			t.dead[dst] = time.Now().Add(maxBackoff)
+			t.wg.Add(1)
+			go t.revive(dst)
+		}
 		t.mu.Unlock()
 		if closed {
 			return ErrClosed
@@ -318,23 +332,36 @@ func (t *TCPNode) sendWorld(dst int, m wireMsg) error {
 			}
 			conn.Close()
 		}
-		if attempt < t.opts.ReconnectAttempts {
-			// Broken pipe with reconnection enabled: re-dial the peer with
-			// capped exponential backoff and retry the frame.
+		// Broken pipe with reconnection enabled: re-dial the peer with
+		// capped exponential backoff and retry the frame. A peer that did
+		// not answer in time is not re-dialled: one timeout is the give-up.
+		if attempt < t.opts.ReconnectAttempts && !timedOut(err) {
 			time.Sleep(backoff)
-			if backoff < 32*t.opts.ReconnectBackoff {
-				backoff *= 2
-			}
-			if err = t.reconnect(dst, conn); err == nil || attempt < t.opts.ReconnectAttempts-1 {
+			backoff = min(2*backoff, maxBackoff)
+			if err = t.reconnect(dst, conn); err == nil || (attempt < t.opts.ReconnectAttempts-1 && !timedOut(err)) {
 				continue
 			}
 		}
 		t.mu.Lock()
 		if t.conns[dst] == conn {
-			t.dead[dst] = true
+			t.dead[dst] = time.Now().Add(maxBackoff)
 		}
 		t.mu.Unlock()
 		return fmt.Errorf("mpi: send to rank %d: %w: %v", dst, ErrPeerDead, err)
+	}
+}
+
+// timedOut reports whether err is a write or dial timeout.
+func timedOut(err error) bool {
+	var ne net.Error
+	return errors.As(err, &ne) && ne.Timeout()
+}
+
+// revive dials a dead peer once; the connection clears its mark.
+func (t *TCPNode) revive(peer int) {
+	defer t.wg.Done()
+	if conn, err := t.dialPeer(peer, time.Now().Add(t.opts.DialTimeout)); err == nil {
+		t.addConn(peer, conn)
 	}
 }
 
@@ -365,7 +392,7 @@ func (t *TCPNode) reconnect(dst int, broken net.Conn) error {
 		return nil // already replaced (by acceptLoop or a racing sender)
 	}
 	t.mu.Unlock()
-	conn, err := t.dialPeer(dst, time.Now().Add(t.opts.DialTimeout), false)
+	conn, err := t.dialPeer(dst, time.Now().Add(t.opts.DialTimeout))
 	if err != nil {
 		return err
 	}

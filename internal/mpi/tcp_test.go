@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -439,5 +440,124 @@ func TestTCPMulticastSkipsDeadPeer(t *testing.T) {
 	}
 	if m, err := c2.RecvTimeout(0, 3, 5*time.Second); err != nil || string(m.Data) != "back" {
 		t.Fatalf("replacement got %v, %v", m.Data, err)
+	}
+}
+
+// TestTCPMulticastGivesUpOnStalledPeer: a peer that accepts connections
+// but never reads (a stopped process whose backlog still accepts) costs a
+// hardened send one write timeout, not one per reconnect attempt, so a
+// Multicast to it and a live rank returns well inside the cluster's 3 s
+// eviction window, and the live rank gets the payload.
+func TestTCPMulticastGivesUpOnStalledPeer(t *testing.T) {
+	opts := HardenedTCPOptions()
+	stalled, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []net.Conn
+	var heldMu sync.Mutex
+	go func() {
+		for {
+			c, err := stalled.Accept()
+			if err != nil {
+				return
+			}
+			heldMu.Lock()
+			held = append(held, c)
+			heldMu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		stalled.Close()
+		heldMu.Lock()
+		defer heldMu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	})
+
+	// Rank 0 is the stalled listener; ranks 1 and 2 dial it while meshing.
+	addrs := []string{stalled.Addr().String(), "", ""}
+	nodes := make([]*TCPNode, 3)
+	for r := 1; r < 3; r++ {
+		if nodes[r], err = ListenTCPOpts(r, 3, "127.0.0.1:0", opts); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(nodes[r].Close)
+		addrs[r] = nodes[r].Addr()
+	}
+	errs := make(chan error, 2)
+	for r := 1; r < 3; r++ {
+		go func(nd *TCPNode) { errs <- nd.Connect(addrs, 5*time.Second) }(nodes[r])
+	}
+	for r := 1; r < 3; r++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	c1, _ := nodes[1].WorldComm()
+	c2, _ := nodes[2].WorldComm()
+
+	// Far more than the socket buffers take, so the write to rank 0 stalls.
+	big := bytes.Repeat([]byte{7}, 16<<20)
+	start := time.Now()
+	err = c2.Multicast([]int{0, 1}, 3, big)
+	if took := time.Since(start); !errors.Is(err, ErrPeerDead) || took > opts.WriteTimeout+time.Second {
+		t.Fatalf("multicast to a stalled peer: %v after %v, want ErrPeerDead within %v", err, took, opts.WriteTimeout+time.Second)
+	}
+	if m, err := c1.RecvTimeout(2, 3, 5*time.Second); err != nil || !bytes.Equal(m.Data, big) {
+		t.Fatalf("live rank beside a stalled one got %d bytes, %v", len(m.Data), err)
+	}
+	start = time.Now()
+	err = c2.Multicast([]int{0, 1}, 3, []byte("fast"))
+	if took := time.Since(start); !errors.Is(err, ErrPeerDead) || took >= opts.ReconnectBackoff {
+		t.Fatalf("multicast to a dead peer: %v after %v, want ErrPeerDead within %v", err, took, opts.ReconnectBackoff)
+	}
+	if m, err := c1.RecvTimeout(2, 3, 5*time.Second); err != nil || string(m.Data) != "fast" {
+		t.Fatalf("live rank beside a dead one got %v, %v", m.Data, err)
+	}
+}
+
+// TestTCPDeadPeerRedialled: a peer marked dead that never dials back — a
+// rank 0 restarted on its address waits for rank 1 to dial it — is
+// re-dialled in the background by a later send, and the sends after that
+// reach it.
+func TestTCPDeadPeerRedialled(t *testing.T) {
+	opts := HardenedTCPOptions()
+	nodes := startTCPWorldOpts(t, 2, opts)
+	c1, _ := nodes[1].WorldComm()
+	addr := nodes[0].Addr()
+	nodes[0].Close()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for err := error(nil); !errors.Is(err, ErrPeerDead); err = c1.Send(0, 3, []byte("lost")) {
+		if time.Now().After(deadline) {
+			t.Fatal("closed peer never marked dead")
+		}
+	}
+
+	back, err := ListenTCPOpts(0, 2, addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	connected := make(chan error, 1)
+	go func() { connected <- back.Connect([]string{addr, nodes[1].Addr()}, 10*time.Second) }()
+	for err = ErrPeerDead; errors.Is(err, ErrPeerDead); {
+		if time.Now().After(deadline) {
+			t.Fatal("dead peer never re-dialled")
+		}
+		time.Sleep(10 * time.Millisecond)
+		err = c1.Send(0, 3, []byte("back"))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-connected; err != nil {
+		t.Fatal(err)
+	}
+	c0, _ := back.WorldComm()
+	if m, err := c0.RecvTimeout(1, 3, 5*time.Second); err != nil || string(m.Data) != "back" {
+		t.Fatalf("restarted peer got %q, %v", m.Data, err)
 	}
 }
