@@ -49,7 +49,7 @@ func main() {
 	staleness := flag.Int("staleness", 0, "bounded-staleness window W for -async: a cell never runs more than W iterations ahead of a neighbour's snapshot it trains against; 1 is lockstep, bit-identical to the synchronous modes (0 = config default, 4)")
 	joinSlots := flag.Int("join-slots", 0, "extra reserve ranks beyond the grid that may join mid-run (-async only; addrs must cover them)")
 	joinDelay := flag.Duration("join-delay", 2*time.Second, "how long a reserve rank idles before asking to join the running job")
-	chaosSeed := flag.Uint64("chaos-seed", 0, "enable deterministic fault injection on heartbeats, state uploads, their acks and peer pushes with this schedule seed (0 = off, implies -resilient unless -async)")
+	chaosSeed := flag.Uint64("chaos-seed", 0, "enable deterministic fault injection on state uploads, their acks and peer pushes with this schedule seed (0 = off, implies -resilient unless -async)")
 	chaosDrop := flag.Float64("chaos-drop", 0.1, "injected message drop probability (with -chaos-seed)")
 	chaosDup := flag.Float64("chaos-dup", 0.1, "injected message duplication probability (with -chaos-seed)")
 	chaosDelay := flag.Float64("chaos-delay", 0.2, "injected message delay probability (with -chaos-seed)")

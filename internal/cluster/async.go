@@ -509,7 +509,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 	// state, grant to the joiner, broadcast to peers.
 	heard := make(map[int]time.Time) // evict policy: each live slave's last upload
 	join := func(src int) {
-		if src <= 0 || src > m.nSlaves || m.isLive(src) {
+		if src <= 0 || src > m.nSlaves || m.live[src] {
 			return // duplicate request or nonsense rank
 		}
 		m.setLive(src, true)
@@ -698,6 +698,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 		}
 		sort.Ints(uploaders)
 		for _, src := range uploaders {
+			m.observeState(src, StateProcessing) // Fig 2: an uploading slave is training
 			// A re-sent upload is byte-identical to the last one decoded
 			// from its slave: nothing to merge, only the ack to repeat.
 			if !bytes.Equal(latest[src], decoded[src]) {

@@ -125,7 +125,7 @@ func TestPlainMasterSurvivesHostileSlave(t *testing.T) {
 						case tagStatus:
 							comm.Send(0, tagStatus, tc.status) //nolint:errcheck
 						case tagCollect:
-							payload, _ := SlaveReport{CellRank: tc.cellRank}.marshal()
+							payload, _ := slaveReports{Reports: []SlaveReport{{CellRank: tc.cellRank}}}.marshal()
 							comm.Send(0, tagResult, payload) //nolint:errcheck
 						}
 					}

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -142,25 +144,32 @@ func TestJobProfileCountsEachIterateOnce(t *testing.T) {
 	})
 }
 
+// TestJobRecordsStateTransitions: the master records each slave's Fig 2
+// path. A tolerant master sees every hop — a slave's first upload shows
+// it processing, its delivered report finished — so each slave goes
+// inactive → processing → finished. The plain heartbeat can miss the first
+// hop when its first probe lands after training started, but finished is
+// always seen: the heartbeat loop only exits on it.
 func TestJobRecordsStateTransitions(t *testing.T) {
 	jobModes(t, nil, func(t *testing.T, cfg config.Config, res *JobResult) {
-		// Every slave must be observed reaching finished; the
-		// inactive→processing hop can be missed if the first heartbeat
-		// lands after training started, but finished is always seen: the
-		// plain heartbeat loop only exits on it, and in the other modes a
-		// delivered report proves it.
-		finished := map[int]bool{}
+		path := map[int][]SlaveState{}
 		for _, tr := range res.Transitions {
 			if tr.From == tr.To {
 				t.Fatalf("degenerate transition %+v", tr)
 			}
-			if tr.To == StateFinished {
-				finished[tr.Slave] = true
+			if len(path[tr.Slave]) == 0 {
+				path[tr.Slave] = []SlaveState{tr.From}
 			}
+			path[tr.Slave] = append(path[tr.Slave], tr.To)
 		}
+		tolerant := !strings.HasSuffix(t.Name(), "/plain")
 		for s := 1; s <= cfg.NumCells(); s++ {
-			if !finished[s] {
+			p := path[s]
+			if len(p) == 0 || p[len(p)-1] != StateFinished {
 				t.Fatalf("slave %d never observed finished; transitions: %+v", s, res.Transitions)
+			}
+			if want := []SlaveState{StateInactive, StateProcessing, StateFinished}; tolerant && !slices.Equal(p, want) {
+				t.Fatalf("slave %d went %v, want %v", s, p, want)
 			}
 		}
 	})
@@ -190,7 +199,8 @@ func TestJobTimeLimitAborts(t *testing.T) {
 // crashed still ends on its time limit. Under the evict policy the dead
 // slave is evicted and every cell stops at one iteration; without it the
 // master gives up once no cell advances, and synthesizes the lost cell's
-// report.
+// report. Once training is done nothing waits on the dead slave beyond
+// collection's own retries, however long a status reply may take.
 func TestJobTimeLimitEndsWithCrashedSlave(t *testing.T) {
 	for _, mode := range []struct {
 		name             string
@@ -205,13 +215,22 @@ func TestJobTimeLimitEndsWithCrashedSlave(t *testing.T) {
 			}
 			opts.Cfg.Iterations = 10000 // would take far longer than the limit
 			opts.Cfg.TimeLimit = time.Second
+			opts.HeartbeatTimeout = time.Minute
+			var trained time.Time // when the master logged "training done"
+			opts.Logf = func(format string, args ...interface{}) {
+				if strings.Contains(fmt.Sprintf(format, args...), "training done") {
+					trained = time.Now()
+				}
+			}
 			plan := mpi.FaultPlan{Crashes: []mpi.CrashPoint{{Rank: 2, Tag: tagStateUpdate, AfterSends: 2}}}
 			var res *JobResult
 			var err error
+			var returned time.Time
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
 				res, err = RunJobChaos(opts, plan)
+				returned = time.Now()
 			}()
 			select {
 			case <-done:
@@ -222,6 +241,14 @@ func TestJobTimeLimitEndsWithCrashedSlave(t *testing.T) {
 				t.Fatal(err)
 			}
 			log := strings.Join(res.Log, "\n")
+			// Collection's 3·MaxStrikes attempts at the dead slave, and two
+			// round timeouts (2 s natively) for the live slaves' reports.
+			budget := time.Duration(3*opts.MaxStrikes+2) * opts.RoundTimeout
+			tail := returned.Sub(trained)
+			if trained.IsZero() || tail > budget {
+				t.Fatalf("job ended %v after training was done, want within collection's %v; log:\n%s", tail, budget, log)
+			}
+			t.Logf("job ended %v after training was done", tail.Round(time.Millisecond))
 			if !mode.resilient {
 				if !res.Aborted {
 					t.Fatal("job did not abort")

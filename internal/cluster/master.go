@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"cellgan/internal/config"
@@ -18,11 +17,13 @@ type MasterOptions struct {
 	Cfg config.Config
 	// Inventory is the simulated cluster; nil uses DefaultInventory.
 	Inventory Inventory
-	// HeartbeatInterval is the period of the monitoring thread
-	// ("Wait X seconds" in Fig 3); 0 defaults to 50 ms.
+	// HeartbeatInterval is the period of the plain master's status polls
+	// ("Wait X seconds" in Fig 3); 0 defaults to 50 ms. The tolerant modes
+	// poll no status: they learn liveness from the slaves' uploads.
 	HeartbeatInterval time.Duration
-	// HeartbeatTimeout is how long the master waits for a slave's status
-	// reply before declaring it dead; 0 defaults to 10 s.
+	// HeartbeatTimeout bounds the gathering of the slaves' node names in
+	// every mode and, in the plain mode, how long the master waits for a
+	// slave's status reply before failing the job; 0 defaults to 10 s.
 	HeartbeatTimeout time.Duration
 	// Logf, when non-nil, receives the master's event log lines as they
 	// are produced.
@@ -148,33 +149,22 @@ func RunMaster(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 	}
 
 	// The mode-specific middle: everything between "the slaves are
-	// training" and "training is over". It returns how to re-send a slave
-	// the end-of-training signal, for collection to retry with.
+	// training" and "training is over". It runs alone — the master is one
+	// thread — and returns how to re-send a slave the end-of-training
+	// signal, for collection to retry with.
 	resend := func(int) {}
 	if !m.tolerant {
 		// The plain master has nothing to do while the slaves train but
 		// watch them: the heartbeat monitor is its whole middle.
-		if err := m.heartbeat(nil); err != nil {
+		if err := m.heartbeat(); err != nil {
 			return nil, fmt.Errorf("cluster: heartbeat thread: %w", err)
 		}
 		m.logf("master: all slaves finished, collecting results")
 	} else {
-		// Advisory monitor beside the middle: it records Fig 2
-		// transitions and logs unresponsive slaves but never fails the
-		// job — membership is the middle's (deterministic) decision. It
-		// is stopped while the slaves still answer: a probe sent to one
-		// that has shut down would wait out the whole heartbeat timeout.
-		stop, stopped := make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(stopped)
-			m.heartbeat(stop) //nolint:errcheck // advisory monitors return nil
-		}()
+		// The tolerant middle learns liveness from the slaves' uploads.
 		m.initTrack()
 		var err error
-		resend, err = m.runAsync()
-		close(stop)
-		<-stopped
-		if err != nil {
+		if resend, err = m.runAsync(); err != nil {
 			return nil, err
 		}
 	}
@@ -204,7 +194,7 @@ func RunMaster(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 }
 
 // master is the state of one RunMaster call, shared by the stages every
-// exchange mode runs (gather, place, dispatch, monitor, collect) and the
+// exchange mode runs (gather, place, dispatch, collect) and the
 // mode-specific middle between them.
 type master struct {
 	comm    *mpi.Comm
@@ -221,9 +211,7 @@ type master struct {
 	tolerant bool
 	names    []string
 
-	// mu guards res.Log, res.Transitions, states and live: the heartbeat
-	// monitor runs beside the middle.
-	mu     sync.Mutex
+	// states is each slave's last observed Fig 2 state.
 	states []SlaveState
 	// live is the set of slaves taking part in the job — monitored,
 	// collected from. Eviction removes a slave, a join adds one.
@@ -237,17 +225,13 @@ type master struct {
 
 func (m *master) logf(format string, args ...interface{}) {
 	line := fmt.Sprintf(format, args...)
-	m.mu.Lock()
 	m.res.Log = append(m.res.Log, line)
-	m.mu.Unlock()
 	if m.opts.Logf != nil {
 		m.opts.Logf("%s", line)
 	}
 }
 
 func (m *master) setLive(s int, on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if on {
 		m.live[s] = true
 	} else {
@@ -256,16 +240,8 @@ func (m *master) setLive(s int, on bool) {
 	m.opts.Metrics.LiveSlaves.Set(float64(len(m.live)))
 }
 
-func (m *master) isLive(s int) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.live[s]
-}
-
 // liveRanks returns the live slaves in ascending rank order.
 func (m *master) liveRanks() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]int, 0, len(m.live))
 	for s := range m.live {
 		out = append(out, s)
@@ -277,7 +253,7 @@ func (m *master) liveRanks() []int {
 // gatherNames is step (i) of Fig 3: the slaves report their node names.
 // The wait is bounded, so a slave that died before start-up delays the
 // job by one heartbeat timeout instead of hanging it; what happens to the
-// silent slave is the monitor's (plain) or the middle's decision.
+// silent slave is the middle's decision.
 func (m *master) gatherNames() {
 	m.names = make([]string, m.nSlaves+1)
 	m.names[0] = "master"
@@ -359,25 +335,20 @@ func (m *master) sendTask(s int, task runTask) error {
 // observeState records a slave's Fig 2 state when it differs from the
 // last one seen.
 func (m *master) observeState(s int, st SlaveState) {
-	m.mu.Lock()
-	from := m.states[s]
-	if st != from {
+	if from := m.states[s]; st != from {
 		m.states[s] = st
 		m.res.Transitions = append(m.res.Transitions, Transition{Slave: s, From: from, To: st, At: time.Now()})
-	}
-	m.mu.Unlock()
-	if st != from {
-		m.logf("heartbeat: slave %d %s -> %s", s, from, st)
+		m.logf("master: slave %d %s -> %s", s, from, st)
 	}
 }
 
-// heartbeat is the monitoring thread ("Wait X seconds" in Fig 3): it
-// polls every live slave's state each interval, recording transitions,
-// until stop closes. The plain master's monitor (stop is nil) is also the
-// job's control: it returns once every slave reports finished, fails the
-// job on a slave that does not answer, and tells the slaves to abort when
-// the time limit passes or the job is interrupted.
-func (m *master) heartbeat(stop <-chan struct{}) error {
+// heartbeat is the plain master's monitoring thread ("Wait X seconds" in
+// Fig 3) and its whole middle: it polls every slave's state each
+// interval, recording transitions, and returns once every slave reports
+// finished. It fails the job on a slave that does not answer, and tells
+// the slaves to abort when the time limit passes or the job is
+// interrupted.
+func (m *master) heartbeat() error {
 	deadline := time.Time{}
 	if m.opts.Cfg.TimeLimit > 0 {
 		deadline = m.started.Add(m.opts.Cfg.TimeLimit)
@@ -386,42 +357,27 @@ func (m *master) heartbeat(stop <-chan struct{}) error {
 	for {
 		allFinished := true
 		for _, s := range m.liveRanks() {
-			select {
-			case <-stop:
-				return nil
-			default:
-			}
 			st, err := m.probe(s)
 			if err != nil {
-				if !m.tolerant {
-					return fmt.Errorf("slave %d unresponsive: %w", s, err)
-				}
-				m.logf("heartbeat: slave %d unresponsive", s)
-				continue
+				return fmt.Errorf("slave %d unresponsive: %w", s, err)
 			}
 			m.opts.Metrics.Heartbeats.Inc()
 			m.observeState(s, st)
 			allFinished = allFinished && st == StateFinished
 		}
-		if !m.tolerant {
-			if allFinished {
-				return nil
-			}
-			if !aborted && (interrupted(m.opts.Interrupt) || (!deadline.IsZero() && time.Now().After(deadline))) {
-				aborted = true
-				m.logf("heartbeat: %s, sending abort to all slaves", m.abortReason())
-				for s := 1; s <= m.nSlaves; s++ {
-					if err := m.comm.Send(s, tagAbort, nil); err != nil {
-						return err
-					}
+		if allFinished {
+			return nil
+		}
+		if !aborted && (interrupted(m.opts.Interrupt) || (!deadline.IsZero() && time.Now().After(deadline))) {
+			aborted = true
+			m.logf("heartbeat: %s, sending abort to all slaves", m.abortReason())
+			for s := 1; s <= m.nSlaves; s++ {
+				if err := m.comm.Send(s, tagAbort, nil); err != nil {
+					return err
 				}
 			}
 		}
-		select {
-		case <-stop:
-			return nil
-		case <-time.After(m.opts.HeartbeatInterval):
-		}
+		time.Sleep(m.opts.HeartbeatInterval)
 	}
 }
 
@@ -477,14 +433,7 @@ func (m *master) collect(resend func(s int)) error {
 				}
 				continue
 			}
-			var sr slaveReports
-			if m.tolerant {
-				sr, err = parseSlaveReports(msg.Data)
-			} else {
-				var rep SlaveReport
-				rep, err = parseSlaveReport(msg.Data)
-				sr = slaveReports{Reports: []SlaveReport{rep}, Profile: rep.Profile}
-			}
+			sr, err := parseSlaveReports(msg.Data)
 			if err != nil {
 				m.logf("master: bad report from slave %d: %v", s, err)
 				break

@@ -18,7 +18,7 @@ type Metrics struct {
 	// transport has spent its reconnect budget on it (mpi.ErrPeerDead).
 	// bench/micro.go still reports it.
 	SendRetries *telemetry.Counter
-	// Heartbeats counts status polls answered by slaves.
+	// Heartbeats counts status polls answered by slaves (plain mode).
 	Heartbeats *telemetry.Counter
 	// LiveSlaves tracks the current number of live slaves.
 	LiveSlaves *telemetry.Gauge

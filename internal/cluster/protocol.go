@@ -17,14 +17,14 @@ const (
 	// tagRunTask: master → slave, the runTask payload; flips the slave
 	// from inactive to processing (Fig 2).
 	tagRunTask = 101
-	// tagStatus: heartbeat round trip — master sends an empty probe, the
-	// slave's main thread answers with its current state byte.
+	// tagStatus: the plain master's heartbeat round trip — an empty probe
+	// out, the slave's main thread answers with its current state byte.
 	tagStatus = 102
 	// tagAbort: master → slave, cooperative stop (time limit exceeded).
 	tagAbort = 103
 	// tagCollect: master → slave, request the final report.
 	tagCollect = 104
-	// tagResult: slave → master, the slaveReport payload.
+	// tagResult: slave → master, the slaveReports payload.
 	tagResult = 105
 	// tagShutdown: master → slave, terminate the main loop.
 	tagShutdown = 106
@@ -164,9 +164,6 @@ type SlaveReport struct {
 	MixtureWeights []float64 `json:"mixture_weights"`
 	// State is the marshalled core.CellState of the final centers.
 	State []byte `json:"state"`
-	// Profile is the slave's routine totals on a plain-mode report (the
-	// one report its slave sends); list-mode slaves use slaveReports.
-	Profile map[string]telemetry.RoutineStat `json:"profile,omitempty"`
 	// Full is the marshalled core.FullState of the cell at the end of
 	// training: the bit-exact resume state used by the golden determinism
 	// checks and checkpoint export.
@@ -176,21 +173,10 @@ type SlaveReport struct {
 	Error string `json:"error,omitempty"`
 }
 
-func (r SlaveReport) marshal() ([]byte, error) { return json.Marshal(r) }
-
-func parseSlaveReport(data []byte) (SlaveReport, error) {
-	var r SlaveReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("cluster: parsing slave report: %w", err)
-	}
-	return r, checkCells("slave report", 1, func(int) int { return r.CellRank })
-}
-
-// slaveReports is what a tolerant (resilient or async) slave returns on
-// tagCollect:
-// one report per cell it owns at the end — several after adoptions, none
-// after a join moved its cells away — and its routine totals once,
-// whatever the report count.
+// slaveReports is what every slave returns on tagCollect: one report per
+// cell it owns at the end — the one cell of a plain slave, several after
+// adoptions, none after a join moved its cells away — and its routine
+// totals once, whatever the report count.
 type slaveReports struct {
 	Reports []SlaveReport                    `json:"reports"`
 	Profile map[string]telemetry.RoutineStat `json:"profile,omitempty"`

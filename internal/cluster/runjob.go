@@ -20,8 +20,8 @@ func RunJob(opts MasterOptions) (*JobResult, error) {
 }
 
 // ChaosPlan builds a fault-injection plan scoped to the tolerant
-// runtime's chatty streams — heartbeats, state uploads and their acks, and
-// the peer-to-peer snapshot pushes — leaving the bootstrap (node names,
+// runtime's chatty streams — state uploads and their acks, and the
+// peer-to-peer snapshot pushes — leaving the bootstrap (node names,
 // run tasks), the membership protocol (join, release, owner updates) and
 // collection reliable. All decisions derive from the seed and per-stream
 // message counts, so a given (seed, probabilities) pair injects the same
@@ -32,7 +32,7 @@ func ChaosPlan(seed uint64, drop, dup, delay float64) mpi.FaultPlan {
 		DropProb:  drop,
 		DupProb:   dup,
 		DelayProb: delay,
-		Tags:      []int{tagStatus, tagStateUpdate, tagAsyncState, tagStateAck},
+		Tags:      []int{tagStateUpdate, tagAsyncState, tagStateAck},
 	}
 }
 

@@ -27,9 +27,6 @@ type slave struct {
 	// done is closed by the execution thread when training completes;
 	// result holds the final reports after that.
 	done chan struct{}
-	// multi is set when the job's reports travel as a list (the tolerant
-	// modes, where a slave may own several cells).
-	multi bool
 
 	// Tolerant-mode plumbing: owner updates, release orders and state
 	// acks flow from the control loop, the sole receiver of the master's
@@ -135,7 +132,6 @@ func RunSlaveOpts(comm *mpi.Comm, local *mpi.Comm, sopts SlaveOptions) error {
 			s.setState(StateProcessing)
 			// Launch the execution thread (Fig 3: "Create execution
 			// thread"); the main thread keeps serving heartbeats.
-			s.multi = task.Async || task.Resilient
 			go s.execute(task)
 		case tagStatus:
 			if err := comm.Send(0, tagStatus, []byte{byte(s.currentState())}); err != nil {
@@ -193,15 +189,8 @@ func RunSlaveOpts(comm *mpi.Comm, local *mpi.Comm, sopts SlaveOptions) error {
 			select {
 			case <-s.done:
 				s.mu.Lock()
-				res := s.result
+				payload, err = s.result.marshal()
 				s.mu.Unlock()
-				if s.multi {
-					payload, err = res.marshal()
-				} else {
-					rep := res.Reports[0]
-					rep.Profile = res.Profile
-					payload, err = rep.marshal()
-				}
 				if err != nil {
 					return err
 				}
