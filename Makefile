@@ -1,9 +1,9 @@
 # make check mirrors .github/workflows/ci.yml for local runs.
 GO ?= go
 
-.PHONY: check fmt vet build cross test bench-module race stress bench bench-smoke bench-json staticcheck recovery-smoke fuzz-smoke loc
+.PHONY: check fmt vet build cross test golden-nofma bench-module race stress bench bench-smoke bench-json staticcheck recovery-smoke fuzz-smoke loc
 
-check: fmt vet build cross test bench-smoke bench-module race stress
+check: fmt vet build cross test golden-nofma bench-smoke bench-module race stress
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -25,6 +25,13 @@ cross:
 
 test:
 	$(GO) test ./...
+
+# The golden hashes again with the stdlib's FMA formulation switched off,
+# as on an amd64 host without FMA: tensor.Exp and tensor.Tanh compute
+# through math.FMA, so the trained, sampled and rendered bytes must not
+# move.
+golden-nofma:
+	GODEBUG=cpu.fma=off $(GO) test -run 'TestGoldenStateHash|TestGoldenSampleHash|TestRenderGolden' ./internal/tensor/ ./internal/dataset/
 
 # bench/ is its own module (BENCHMARK.json's harness), so ./... above never
 # compiles it: an internal/ rename that breaks the benchmark shows up here.
@@ -72,8 +79,9 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping (CI runs it)"; fi
 
-# Short fuzz passes over the wire and file decoders and the matmul
-# families' leaf tiers (mirrors the CI step).
+# Short fuzz passes over the wire and file decoders, the matmul
+# families' leaf tiers and the tanh leaf against the stdlib (mirrors the
+# CI step).
 fuzz-smoke:
 	@for t in ReadCheckpoint ReadMixture; do \
 		$(GO) test -run='^$$' -fuzz="^Fuzz$$t\$$" -fuzztime=10s ./internal/checkpoint/ || exit 1; done
@@ -83,6 +91,7 @@ fuzz-smoke:
 		$(GO) test -run='^$$' -fuzz="^Fuzz$$t\$$" -fuzztime=10s ./internal/core/ || exit 1; done
 	$(GO) test -run='^$$' -fuzz='^FuzzViewMatsInto$$' -fuzztime=10s ./internal/tensor/
 	$(GO) test -run='^$$' -fuzz='^FuzzMatMulFamilies$$' -fuzztime=10s ./internal/tensor/
+	$(GO) test -run='^$$' -fuzz='^FuzzTanhExp$$' -fuzztime=10s ./internal/tensor/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnpackParts$$' -fuzztime=10s ./internal/mpi/
 	@for t in OwnerUpdate ReleaseOrder RunTask SlaveReports StateUpdate StateAck; do \
 		$(GO) test -run='^$$' -fuzz="^FuzzParse$$t\$$" -fuzztime=10s ./internal/cluster/ || exit 1; done

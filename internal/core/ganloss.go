@@ -121,13 +121,13 @@ func generatorLoss(kind GANLoss, logits *tensor.Mat, s *lossScratch) (float64, *
 		loss := 0.0
 		for i, z := range logits.Data {
 			// log σ(z) = −log(1+e^(−z)) computed stably.
-			logSig := -math.Log1p(math.Exp(-math.Abs(z)))
+			logSig := -math.Log1p(tensor.Exp(-math.Abs(z)))
 			if z < 0 {
 				logSig += z
 			}
 			loss += -z + logSig
 			// d/dz log(1−σ(z)) = −σ(z)
-			grad.Data[i] = -sigmoidStable(z) / n
+			grad.Data[i] = -tensor.Sigmoid(z) / n
 		}
 		return loss / n, grad
 	case LossLSGAN:
@@ -183,13 +183,4 @@ func clipWeights(net *nn.Network, c float64) {
 			}
 		}
 	}
-}
-
-// sigmoidStable is the numerically stable logistic function.
-func sigmoidStable(x float64) float64 {
-	if x >= 0 {
-		return 1 / (1 + math.Exp(-x))
-	}
-	e := math.Exp(x)
-	return e / (1 + e)
 }

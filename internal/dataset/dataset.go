@@ -21,8 +21,6 @@ const (
 	DefaultTestSize = 10000
 )
 
-func sqrt(x float64) float64 { return math.Sqrt(x) }
-
 // Source is any indexed, labelled image collection the training loop can
 // consume: the procedural Dataset, an in-memory set loaded from IDX files
 // (real MNIST), or a shard of either.
@@ -133,12 +131,10 @@ func (d *Dataset) Render(i int, dst []float64) {
 		fy := (float64(py) + 0.5) * inv
 		for px := 0; px < Side; px++ {
 			fx := (float64(px) + 0.5) * inv
-			best := math.Inf(1)
-			for _, s := range strokes {
-				if dist := distToSegment(fx, fy, s); dist < best {
-					best = dist
-				}
-			}
+			// The nearest stroke by squared distance, then one root:
+			// sqrt is monotone and correctly rounded, so this is the
+			// minimum of the per-stroke distances to the bit.
+			best := math.Sqrt(nearestSqDist(strokes, fx, fy))
 			// Soft-edged stroke: fully inked inside the half-width,
 			// fading linearly over one pixel of glyph space.
 			ink := 1 - (best-df.thickness)/(1.5*inv)
@@ -159,8 +155,8 @@ func (d *Dataset) Render(i int, dst []float64) {
 }
 
 // transformStrokes applies the sample deformation to the glyph skeleton.
-func transformStrokes(src []segment, df deform) []segment {
-	out := make([]segment, len(src))
+func transformStrokes(src []segment, df deform) []stroke {
+	out := make([]stroke, len(src))
 	sin, cos := math.Sincos(df.rotate)
 	tr := func(x, y float64) (float64, float64) {
 		// Centre, shear, rotate, scale, translate, un-centre.
@@ -175,7 +171,7 @@ func transformStrokes(src []segment, df deform) []segment {
 	for i, s := range src {
 		x1, y1 := tr(s.x1, s.y1)
 		x2, y2 := tr(s.x2, s.y2)
-		out[i] = segment{x1, y1, x2, y2}
+		out[i] = newStroke(segment{x1, y1, x2, y2})
 	}
 	return out
 }

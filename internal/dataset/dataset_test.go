@@ -296,7 +296,7 @@ func TestASCIIArt(t *testing.T) {
 }
 
 func TestDistToSegment(t *testing.T) {
-	s := segment{0, 0, 1, 0}
+	s := []stroke{newStroke(segment{0, 0, 1, 0})}
 	cases := []struct {
 		x, y, want float64
 	}{
@@ -307,13 +307,13 @@ func TestDistToSegment(t *testing.T) {
 		{0, 1, 1},
 	}
 	for _, c := range cases {
-		if got := distToSegment(c.x, c.y, s); math.Abs(got-c.want) > 1e-12 {
+		if got := math.Sqrt(nearestSqDist(s, c.x, c.y)); math.Abs(got-c.want) > 1e-12 {
 			t.Fatalf("dist(%v,%v) = %v want %v", c.x, c.y, got, c.want)
 		}
 	}
 	// Degenerate zero-length segment behaves as a point.
-	p := segment{0.5, 0.5, 0.5, 0.5}
-	if got := distToSegment(0.5, 1.0, p); math.Abs(got-0.5) > 1e-12 {
+	p := []stroke{newStroke(segment{0.5, 0.5, 0.5, 0.5})}
+	if got := math.Sqrt(nearestSqDist(p, 0.5, 1.0)); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("point dist = %v", got)
 	}
 }

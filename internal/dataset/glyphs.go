@@ -14,6 +14,8 @@
 // shipping files around — mirroring the paper's "download data" step.
 package dataset
 
+import "math"
+
 // A segment is a straight stroke in glyph space. Glyphs are defined on the
 // unit square [0,1]² with (0,0) at the top-left; x grows rightwards and y
 // downwards.
@@ -113,23 +115,37 @@ var glyphStrokes = [10][]segment{
 	},
 }
 
-// distToSegment returns the Euclidean distance from point (px, py) to s.
-func distToSegment(px, py float64, s segment) float64 {
-	dx := s.x2 - s.x1
-	dy := s.y2 - s.y1
-	l2 := dx*dx + dy*dy
-	var t float64
-	if l2 > 0 {
-		t = ((px-s.x1)*dx + (py-s.y1)*dy) / l2
-		if t < 0 {
-			t = 0
-		} else if t > 1 {
-			t = 1
+// A stroke is a segment with the terms of its projection that do not
+// depend on the pixel: its direction (dx, dy) and squared length l2.
+type stroke struct{ x1, y1, dx, dy, l2 float64 }
+
+func newStroke(s segment) stroke {
+	dx, dy := s.x2-s.x1, s.y2-s.y1
+	return stroke{s.x1, s.y1, dx, dy, dx*dx + dy*dy}
+}
+
+// nearestSqDist returns the squared Euclidean distance from point (px, py)
+// to the nearest of strokes. Each projection is clamped before it is
+// divided, so a point beyond either end of a stroke costs no division.
+func nearestSqDist(strokes []stroke, px, py float64) float64 {
+	best := math.Inf(1)
+	for i := range strokes {
+		s := &strokes[i]
+		var t float64
+		if s.l2 > 0 {
+			switch num := (px-s.x1)*s.dx + (py-s.y1)*s.dy; {
+			case num < 0:
+			case num >= s.l2:
+				t = 1
+			default:
+				t = num / s.l2
+			}
+		}
+		ex := px - (s.x1 + t*s.dx)
+		ey := py - (s.y1 + t*s.dy)
+		if d2 := ex*ex + ey*ey; d2 < best {
+			best = d2
 		}
 	}
-	cx := s.x1 + t*dx
-	cy := s.y1 + t*dy
-	ex := px - cx
-	ey := py - cy
-	return sqrt(ex*ex + ey*ey)
+	return best
 }

@@ -2,16 +2,9 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"cellgan/internal/tensor"
 )
-
-// tanh and logistic compute in float64 at either width. Widening here, not
-// in the ApplyInto loop, keeps a float32 loop from chaining each call to
-// the previous call's result register (2.4× slower).
-func tanh[T tensor.Float](v T) T     { return T(math.Tanh(float64(v))) }
-func logistic[T tensor.Float](v T) T { return T(sigmoid(float64(v))) }
 
 // activation implements the parameter-free parts of LayerOf.
 type activation[T tensor.Float] struct{ keptScratch[T] }
@@ -34,10 +27,12 @@ type TanhOf[T tensor.Float] struct{ activation[T] }
 // NewTanh returns a Tanh activation layer.
 func NewTanh() *Tanh { return &Tanh{} }
 
-// Forward applies tanh element-wise.
+// Forward applies tanh element-wise, in float64 at either width.
 func (t *TanhOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
 	s = t.begin(s, x)
-	return tensor.ApplyInto(&s.out, x, tanh[T])
+	out := s.out.Resize(x.Rows, x.Cols)
+	tensor.TanhInto(out.Data, x.Data)
+	return out
 }
 
 // Backward returns grad ⊙ (1 - tanh²), read off the cached output.
@@ -62,19 +57,15 @@ type SigmoidOf[T tensor.Float] struct{ activation[T] }
 // NewSigmoid returns a Sigmoid activation layer.
 func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 
-// sigmoid is a numerically stable logistic function.
-func sigmoid(x float64) float64 {
-	if x >= 0 {
-		return 1 / (1 + math.Exp(-x))
-	}
-	e := math.Exp(x)
-	return e / (1 + e)
-}
-
-// Forward applies the logistic function element-wise.
+// Forward applies the logistic function element-wise, in float64 at
+// either width.
 func (g *SigmoidOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
 	s = g.begin(s, x)
-	return tensor.ApplyInto(&s.out, x, logistic[T])
+	out := s.out.Resize(x.Rows, x.Cols)
+	for i, v := range x.Data {
+		out.Data[i] = T(tensor.Sigmoid(float64(v)))
+	}
+	return out
 }
 
 // Backward returns grad ⊙ σ(1-σ), read off the cached output.

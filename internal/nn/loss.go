@@ -43,8 +43,8 @@ func BCEWithLogitsLossInto(grad, z, y *tensor.Mat) (float64, *tensor.Mat) {
 	loss := 0.0
 	for i, zi := range z.Data {
 		yi := y.Data[i]
-		loss += math.Max(zi, 0) - zi*yi + math.Log1p(math.Exp(-math.Abs(zi)))
-		grad.Data[i] = (sigmoid(zi) - yi) / n
+		loss += math.Max(zi, 0) - zi*yi + math.Log1p(tensor.Exp(-math.Abs(zi)))
+		grad.Data[i] = (tensor.Sigmoid(zi) - yi) / n
 	}
 	return loss / n, grad
 }
@@ -80,7 +80,7 @@ func Softmax(z *tensor.Mat) *tensor.Mat {
 		}
 		s := 0.0
 		for j, v := range row {
-			e := math.Exp(v - mx)
+			e := tensor.Exp(v - mx)
 			out[j] = e
 			s += e
 		}

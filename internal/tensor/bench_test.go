@@ -187,6 +187,37 @@ func BenchmarkAddScaled(b *testing.B) {
 	}
 }
 
+// BenchmarkTanhInto times the tanh layer's element function on a
+// 64×256 activation of N(0, 4) values, per leaf tier and width; ns/op
+// over 16384 is the time per element.
+func BenchmarkTanhInto(b *testing.B) {
+	x := benchMat(64, 256, 3)
+	x.Scale(2)
+	x32 := Narrow(x)
+	detected := haveAVX2
+	defer func() { haveAVX2 = detected }()
+	for _, tier := range []string{"avx2", "generic"} {
+		haveAVX2 = detected && tier == "avx2"
+		if tier == "avx2" && !detected {
+			continue
+		}
+		b.Run(tier+"/float64", func(b *testing.B) {
+			dst := make([]float64, len(x.Data))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				TanhInto(dst, x.Data)
+			}
+		})
+		b.Run(tier+"/float32", func(b *testing.B) {
+			dst := make([]float32, len(x32.Data))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				TanhInto(dst, x32.Data)
+			}
+		})
+	}
+}
+
 func BenchmarkRNGNormFloat64(b *testing.B) {
 	r := NewRNG(1)
 	for i := 0; i < b.N; i++ {

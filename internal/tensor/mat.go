@@ -20,7 +20,7 @@ type Float interface{ float32 | float64 }
 // MatMulT1, MatMulT2) allocate a fresh result on every call. The in-place
 // operations (Add, Scale, AddScaled, AddRowVec, Zero, Fill, CopyFrom) and
 // the destination-passing kernels (MatMulInto, MatMulT1Into, MatMulT2Into,
-// AddMatMulT1Into, AddColSumsInto, ApplyInto, Im2ColInto, AddCol2ImInto)
+// AddMatMulT1Into, AddColSumsInto, Im2ColInto, AddCol2ImInto, TanhInto)
 // do not allocate once the destination has reached its steady-state
 // capacity — Resize only reallocates when the requested shape outgrows the
 // backing array. Steady-state training and serving loops must use the
@@ -177,16 +177,6 @@ func (m *Matrix[T]) AddRowVec(v *Matrix[T]) {
 			row[j] += b
 		}
 	}
-}
-
-// ApplyInto sets dst (resized to src's shape) to f applied element-wise to
-// src. dst == src is allowed (in-place). It returns dst.
-func ApplyInto[T Float](dst, src *Matrix[T], f func(T) T) *Matrix[T] {
-	dst.Resize(src.Rows, src.Cols)
-	for i, v := range src.Data {
-		dst.Data[i] = f(v)
-	}
-	return dst
 }
 
 // T returns a newly allocated transpose of m. Hot paths avoid the

@@ -140,9 +140,9 @@ func TestMat32AddRowVecAndApply(t *testing.T) {
 			t.Fatalf("AddRowVec: %v", m.Data)
 		}
 	}
-	ApplyInto(m, m, func(v float32) float32 { return -v })
-	if m.Data[0] != -11 {
-		t.Fatalf("float32 ApplyInto in place: %v", m.Data)
+	TanhInto(m.Data, m.Data)
+	if m.Data[0] != float32(Tanh(11)) || m.Data[5] != float32(Tanh(36)) {
+		t.Fatalf("float32 TanhInto in place: %v", m.Data)
 	}
 }
 

@@ -138,21 +138,6 @@ func TestAddRowVecBadShapePanics(t *testing.T) {
 	New(2, 3).AddRowVec(New(1, 2))
 }
 
-func TestApplyInto(t *testing.T) {
-	m := FromSlice(1, 3, []float64{1, 4, 9})
-	sq := ApplyInto(new(Mat), m, math.Sqrt)
-	if !sq.ApproxEqual(FromSlice(1, 3, []float64{1, 2, 3}), 1e-12) {
-		t.Fatalf("ApplyInto sqrt: %v", sq)
-	}
-	if !m.Equal(FromSlice(1, 3, []float64{1, 4, 9})) {
-		t.Fatal("ApplyInto must not mutate its source")
-	}
-	ApplyInto(m, m, func(x float64) float64 { return -x })
-	if !m.Equal(FromSlice(1, 3, []float64{-1, -4, -9})) {
-		t.Fatalf("in-place ApplyInto: %v", m)
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	rng := NewRNG(7)
 	m := randMat(5, 3, rng)

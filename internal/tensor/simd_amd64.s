@@ -1,9 +1,11 @@
 #include "textflag.h"
 
-// AVX2 leaves of the matmul kernels (kernels.go) and of AdamStep. Every
-// lane is a different output element and receives exactly the terms the
-// generic Go loop gives it, in the same order, as a separate multiply and
-// add — an FMA rounds once and would change every result. Each body is
+// AVX2 leaves of the matmul kernels (kernels.go), of AdamStep and of
+// TanhInto (tanh.go). Every lane is a different output element and
+// receives exactly the operations the generic Go code gives it, in the
+// same order: a separate multiply and add where the Go code has them — an
+// FMA rounds once and would change every result — and an FMA only where
+// the Go code calls math.FMA (the tanh leaf's Exp). Each matmul body is
 // written once and instantiated for float64 and float32 by instruction
 // name. The matmul macros come first: vet reads a macro body as part of
 // the TEXT above it, and BLOCK names blockF64's frame (kn, load).
@@ -298,5 +300,165 @@ tail:
 	INCQ AX
 	JMP  tail
 done:
+	VZEROUPPER
+	RET
+
+// TANH is Tanh (tanh.go) on the four float64 lanes of Y0, into Y6, with
+// Y15 = TSIGN. Each lane takes Tanh's operations in its order: Exp's
+// fused multiply-adds as VFNMADD231PD/VFMADD213PD, its other steps as the
+// same unfused multiplies and adds, k by VCVTPD2DQ (round half to even,
+// as CVTSD2SL) and 2ᵏ built in the exponent field. All three branches
+// are computed and blended on |x| ≥ 0.625, |x| > TMAXARG and x = 0. A
+// lane that takes the Exp branch has 2|x| in [1.25, 88.03], where Exp
+// reaches neither its overflow nor its denormal step, so no lane needs
+// Exp's special cases; the other lanes' Exp is discarded.
+#define TANH \
+	VANDNPD      Y0, Y15, Y1; \
+	VADDPD       Y1, Y1, Y2; \
+	VMULPD       TLOG2E, Y2, Y3; \
+	VCVTPD2DQY   Y3, X4; \
+	VCVTDQ2PD    X4, Y3; \
+	VFNMADD231PD TLN2U, Y3, Y2; \
+	VFNMADD231PD TLN2L, Y3, Y2; \
+	VMULPD       TSIXTEENTH, Y2, Y2; \
+	VMOVUPD      TC8, Y3; \
+	VFMADD213PD  TC7, Y2, Y3; \
+	VFMADD213PD  TC6, Y2, Y3; \
+	VFMADD213PD  TC5, Y2, Y3; \
+	VFMADD213PD  TC4, Y2, Y3; \
+	VFMADD213PD  TC3, Y2, Y3; \
+	VFMADD213PD  THALF, Y2, Y3; \
+	VFMADD213PD  TONE, Y2, Y3; \
+	VMULPD       Y3, Y2, Y2; \
+	VADDPD       TTWO, Y2, Y3; \
+	VMULPD       Y3, Y2, Y2; \
+	VADDPD       TTWO, Y2, Y3; \
+	VMULPD       Y3, Y2, Y2; \
+	VADDPD       TTWO, Y2, Y3; \
+	VMULPD       Y3, Y2, Y2; \
+	VADDPD       TTWO, Y2, Y3; \
+	VFMADD213PD  TONE, Y3, Y2; \
+	VPMOVSXDQ    X4, Y4; \
+	VPADDQ       TBIAS, Y4, Y4; \
+	VPSLLQ       $52, Y4, Y4; \
+	VMULPD       Y4, Y2, Y2; \
+	VADDPD       TONE, Y2, Y2; \
+	VMOVUPD      TTWO, Y3; \
+	VDIVPD       Y2, Y3, Y3; \
+	VMOVUPD      TONE, Y2; \
+	VSUBPD       Y3, Y2, Y2; \
+	VANDPD       Y15, Y0, Y5; \
+	VXORPD       Y5, Y2, Y2; \
+	VMULPD       Y0, Y0, Y6; \
+	VMULPD       TP0, Y6, Y7; \
+	VADDPD       TP1, Y7, Y7; \
+	VMULPD       Y6, Y7, Y7; \
+	VADDPD       TP2, Y7, Y7; \
+	VADDPD       TQ0, Y6, Y8; \
+	VMULPD       Y6, Y8, Y8; \
+	VADDPD       TQ1, Y8, Y8; \
+	VMULPD       Y6, Y8, Y8; \
+	VADDPD       TQ2, Y8, Y8; \
+	VMULPD       Y6, Y0, Y6; \
+	VMULPD       Y7, Y6, Y6; \
+	VDIVPD       Y8, Y6, Y6; \
+	VADDPD       Y0, Y6, Y6; \
+	VCMPPD       $0x0D, TBREAK, Y1, Y9; \
+	VBLENDVPD    Y9, Y2, Y6, Y6; \
+	VCMPPD       $0x0E, TMAXARG, Y1, Y9; \
+	VORPD        TONE, Y5, Y3; \
+	VBLENDVPD    Y9, Y3, Y6, Y6; \
+	VXORPD       Y9, Y9, Y9; \
+	VCMPPD       $0x00, Y9, Y0, Y9; \
+	VBLENDVPD    Y9, Y0, Y6, Y6
+
+// tanhconst holds TANH's constants, each in all four lanes.
+#define TQUAD(off, v) \
+	DATA tanhconst<>+(off)(SB)/8, v; \
+	DATA tanhconst<>+(off+8)(SB)/8, v; \
+	DATA tanhconst<>+(off+16)(SB)/8, v; \
+	DATA tanhconst<>+(off+24)(SB)/8, v
+
+TQUAD(0, $0x8000000000000000)
+TQUAD(32, $1.4426950408889634073599246810018920)
+TQUAD(64, $0.69314718055966295651160180568695068359375)
+TQUAD(96, $0.28235290563031577122588448175013436025525412068e-12)
+TQUAD(128, $0.0625)
+TQUAD(160, $2.4801587301587301587e-5)
+TQUAD(192, $1.9841269841269841270e-4)
+TQUAD(224, $1.3888888888888888889e-3)
+TQUAD(256, $8.3333333333333333333e-3)
+TQUAD(288, $4.1666666666666666667e-2)
+TQUAD(320, $1.6666666666666666667e-1)
+TQUAD(352, $0.5)
+TQUAD(384, $1.0)
+TQUAD(416, $2.0)
+TQUAD(448, $-9.64399179425052238628e-1)
+TQUAD(480, $-9.92877231001918586564e1)
+TQUAD(512, $-1.61468768441708447952e3)
+TQUAD(544, $1.12811678491632931402e2)
+TQUAD(576, $2.23548839060100448583e3)
+TQUAD(608, $4.84406305325125486048e3)
+TQUAD(640, $0.625)
+TQUAD(672, $44.014845965556527147994)
+TQUAD(704, $1023)
+GLOBL tanhconst<>(SB), RODATA, $736
+
+#define TSIGN tanhconst<>+0(SB)
+#define TLOG2E tanhconst<>+32(SB)
+#define TLN2U tanhconst<>+64(SB)
+#define TLN2L tanhconst<>+96(SB)
+#define TSIXTEENTH tanhconst<>+128(SB)
+#define TC8 tanhconst<>+160(SB)
+#define TC7 tanhconst<>+192(SB)
+#define TC6 tanhconst<>+224(SB)
+#define TC5 tanhconst<>+256(SB)
+#define TC4 tanhconst<>+288(SB)
+#define TC3 tanhconst<>+320(SB)
+#define THALF tanhconst<>+352(SB)
+#define TONE tanhconst<>+384(SB)
+#define TTWO tanhconst<>+416(SB)
+#define TP0 tanhconst<>+448(SB)
+#define TP1 tanhconst<>+480(SB)
+#define TP2 tanhconst<>+512(SB)
+#define TQ0 tanhconst<>+544(SB)
+#define TQ1 tanhconst<>+576(SB)
+#define TQ2 tanhconst<>+608(SB)
+#define TBREAK tanhconst<>+640(SB)
+#define TMAXARG tanhconst<>+672(SB)
+#define TBIAS tanhconst<>+704(SB)
+
+// func tanhF64(dst, src *float64, n int)
+TEXT ·tanhF64(SB), NOSPLIT, $0-24
+	MOVQ    dst+0(FP), DI
+	MOVQ    src+8(FP), SI
+	MOVQ    n+16(FP), CX
+	VMOVUPD TSIGN, Y15
+	XORQ    AX, AX
+loop:
+	VMOVUPD (SI)(AX*8), Y0
+	TANH
+	VMOVUPD Y6, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     loop
+	VZEROUPPER
+	RET
+
+// func tanhF32(dst, src *float32, n int)
+TEXT ·tanhF32(SB), NOSPLIT, $0-24
+	MOVQ       dst+0(FP), DI
+	MOVQ       src+8(FP), SI
+	MOVQ       n+16(FP), CX
+	VMOVUPD    TSIGN, Y15
+	XORQ       AX, AX
+loop:
+	VCVTPS2PD  (SI)(AX*4), Y0
+	TANH
+	VCVTPD2PSY Y6, X6
+	VMOVUPS    X6, (DI)(AX*4)
+	ADDQ       $4, AX
+	CMPQ       AX, CX
+	JLT        loop
 	VZEROUPPER
 	RET
