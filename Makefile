@@ -1,7 +1,7 @@
 # make check mirrors .github/workflows/ci.yml for local runs.
 GO ?= go
 
-.PHONY: check fmt vet build cross test golden-nofma bench-module race stress bench bench-smoke bench-json staticcheck recovery-smoke fuzz-smoke loc
+.PHONY: check fmt vet build cross test golden-nofma bench-module race stress bench bench-smoke staticcheck recovery-smoke fuzz-smoke loc
 
 check: fmt vet build cross test golden-nofma bench-smoke bench-module race stress
 
@@ -96,13 +96,15 @@ fuzz-smoke:
 	@for t in OwnerUpdate ReleaseOrder RunTask SlaveReports StateUpdate StateAck; do \
 		$(GO) test -run='^$$' -fuzz="^FuzzParse$$t\$$" -fuzztime=10s ./internal/cluster/ || exit 1; done
 
-# Non-test Go lines per internal/ package, then assembly lines per package
-# that has any: the ROADMAP's "net LOC of internal/ goes down" aim and its
-# assembly budget as a one-command check.
+# Non-test Go lines per internal/ package, the internal/, cmd/ and repo
+# root totals, then assembly lines per package that has any: the ROADMAP's
+# "net LOC goes down" aim and its assembly budget as a one-command check.
 loc:
 	@for d in internal/*/; do \
 		printf '%6d %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; done
 	@printf '%6d internal/ total\n' $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+	@printf '%6d cmd/ total\n' $$(find cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+	@printf '%6d repo root total\n' $$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 	@for d in internal/*/; do n=$$(find $$d -name '*.s' -exec cat {} + | wc -l); \
 		[ $$n -eq 0 ] || printf '%6d %s assembly\n' $$n $$d; done
 	@printf '%6d internal/ assembly total\n' $$(find internal -name '*.s' -exec cat {} + | wc -l)
@@ -112,13 +114,3 @@ loc:
 # uninterrupted run's.
 recovery-smoke:
 	bash scripts/recovery_smoke.sh
-
-# Measured compute benchmarks archived as machine-readable JSON; the core
-# package contributes the lockstep exchange round (BenchmarkExchangeRound).
-# The second run adds the single-thread (-cpu 1, so no -N name suffix)
-# kernel rows: the per-core rate of the matmul leaves, GFLOP/s included.
-bench-json:
-	{ $(GO) test -run=NoTests -bench=. -benchmem ./internal/tensor/ ./internal/nn/ ./internal/core/; \
-	  $(GO) test -run=NoTests -bench='^BenchmarkKernelShapes$$' -cpu 1 ./internal/tensor/; } \
-		| $(GO) run ./cmd/benchjson > BENCH_compute.json
-	@echo wrote BENCH_compute.json

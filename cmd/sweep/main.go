@@ -1,12 +1,13 @@
 // Command sweep runs a parameter sweep over grid sizes and execution
 // architectures, repeating each cell of the sweep and reporting
-// avg±std wall-clock times and achieved fitness — the workload harness
-// behind the scaling analysis. Results print as an aligned table and,
-// optionally, machine-readable CSV.
+// avg±std wall-clock times and the mean best mixture fitness — the
+// workload harness behind the scaling analysis. Results print as an
+// aligned table and, optionally, machine-readable CSV.
 //
-// Example:
+// Examples:
 //
 //	sweep -grids 2,3 -modes seq,par,async -repeats 3 -iterations 2
+//	sweep -grids 2 -modes seq,par,async -repeats 1   # one run per architecture
 package main
 
 import (
@@ -49,9 +50,9 @@ func main() {
 
 	t := report.NewTable(
 		fmt.Sprintf("Parameter sweep: %d repetition(s) per cell, %d iterations each", *repeats, *iterations),
-		"grid", "mode", "avg±std (ms)", "95% CI", "min", "max")
+		"grid", "mode", "avg±std (ms)", "95% CI", "min", "max", "best fitness")
 	var csv strings.Builder
-	csv.WriteString("grid,mode,mean_ms,std_ms,ci95_ms,min_ms,max_ms,repeats\n")
+	csv.WriteString("grid,mode,mean_ms,std_ms,ci95_ms,min_ms,max_ms,repeats,best_fitness\n")
 
 	for _, side := range sides {
 		cfg := config.Default()
@@ -68,8 +69,12 @@ func main() {
 		}
 		for _, mode := range modeList {
 			mode := strings.TrimSpace(mode)
+			fitness := 0.0
 			sum, err := stats.Repeat(*repeats, time.Millisecond, func() error {
-				_, err := core.Run(mode, cfg, core.RunOptions{})
+				res, err := core.Run(mode, cfg, core.RunOptions{})
+				if err == nil {
+					fitness += res.Best().MixtureFitness / float64(*repeats)
+				}
 				return err
 			})
 			if err != nil {
@@ -79,9 +84,10 @@ func main() {
 				fmt.Sprintf("%d×%d", side, side), mode, sum.String(),
 				fmt.Sprintf("±%.2f", sum.CI95()),
 				fmt.Sprintf("%.1f", sum.Min), fmt.Sprintf("%.1f", sum.Max),
+				fmt.Sprintf("%.4f", fitness),
 			)
-			fmt.Fprintf(&csv, "%dx%d,%s,%.3f,%.3f,%.3f,%.3f,%.3f,%d\n",
-				side, side, mode, sum.Mean, sum.Std, sum.CI95(), sum.Min, sum.Max, sum.N)
+			fmt.Fprintf(&csv, "%dx%d,%s,%.3f,%.3f,%.3f,%.3f,%.3f,%d,%.6f\n",
+				side, side, mode, sum.Mean, sum.Std, sum.CI95(), sum.Min, sum.Max, sum.N, fitness)
 		}
 	}
 	fmt.Println(t.String())

@@ -19,13 +19,12 @@
 //     simulated Cluster-UY resource allocation and result reduction;
 //   - internal/metrics — inception-score/Fréchet/mode-coverage quality
 //     measures backed by a classifier trained on the synthetic digits;
-//   - internal/perfmodel — the calibrated cost model reproducing the
-//     paper's Tables III and IV;
 //   - internal/experiments, internal/report — regeneration of every table
-//     and figure of the evaluation section.
+//     and figure of the evaluation section, Tables III and IV and Fig 4
+//     measured on the running host beside the paper's values
+//     (`go run ./cmd/experiments`).
 //
 // See README.md for a walkthrough, DESIGN.md for the system inventory and
 // per-experiment index, and EXPERIMENTS.md for paper-vs-reproduction
-// numbers. The benchmarks in bench_test.go regenerate each table/figure
-// under `go test -bench=.`.
+// numbers.
 package cellgan

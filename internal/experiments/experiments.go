@@ -5,14 +5,16 @@
 // (Fig 1), the slave state machine (Fig 2), the master/slave flow trace
 // (Fig 3) and the routine-time bar chart (Fig 4).
 //
-// Tables III and IV combine the calibrated performance model (the paper's
-// testbed is unavailable; see internal/perfmodel) with real reduced-scale
-// runs of the actual engine where that is feasible.
+// Tables III and IV and Fig 4 are measured: the engine runs sequentially
+// and as the paper's master/slave job at a reduced configuration on this
+// host, printed beside the paper's published values.
 package experiments
 
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -23,7 +25,6 @@ import (
 	"cellgan/internal/dataset"
 	"cellgan/internal/grid"
 	"cellgan/internal/metrics"
-	"cellgan/internal/perfmodel"
 	"cellgan/internal/report"
 	"cellgan/internal/serve"
 	"cellgan/internal/stats"
@@ -62,168 +63,179 @@ func TableII(sides []int) (string, error) {
 	return t.String(), nil
 }
 
-// TableIII renders the modelled execution times and speedups at paper
-// scale (200 iterations, full dataset).
-func TableIII(sides []int) (string, error) {
-	rows, err := perfmodel.CalibratedScaling().TableIII(sides)
-	if err != nil {
-		return "", err
-	}
-	t := report.NewTable("Table III — Execution times of GAN training (calibrated model, minutes)",
-		"grid size", "single core (min)", "distributed", "speedup")
-	for _, r := range rows {
-		t.AddRow(r.Grid,
-			fmt.Sprintf("%.1f", r.SingleCore),
-			fmt.Sprintf("%.2f±%.2f", r.Distributed, r.DistributedStd),
-			fmt.Sprintf("%.2f", r.Speedup),
-		)
-	}
-	return t.String(), nil
+// paperTableIII is the paper's Table III: 200 iterations on the full
+// dataset, single core against an m²+1-process MPI job on Cluster-UY,
+// in minutes (distributed as avg±std over ten runs).
+var paperTableIII = []struct {
+	side                           int
+	single, dist, distStd, speedup float64
+}{
+	{2, 339.6, 39.81, 0.01, 8.53},
+	{3, 999.5, 73.24, 2.56, 13.65},
+	{4, 1920.0, 126.68, 3.42, 15.17},
 }
 
-// MeasuredRow is one reduced-scale measurement of the real engine.
-type MeasuredRow struct {
-	Grid       string
-	Sequential time.Duration
-	Parallel   time.Duration
-	Speedup    float64
+// paperTableIV is the paper's Table IV: the 4×4 routine profile, single
+// core against distributed, in minutes.
+var paperTableIV = []struct {
+	routine               telemetry.Routine
+	single, dist, speedup float64
+}{
+	{telemetry.RoutineGather, 19.4, 19.4, 1.00},
+	{telemetry.RoutineTrain, 264.9, 43.8, 6.05},
+	{telemetry.RoutineUpdateGenomes, 199.8, 16.8, 11.87},
+	{telemetry.RoutineMutate, 25.6, 17.9, 1.43},
 }
 
-// MeasureScaling runs the real engine sequentially and in parallel at
-// reduced scale for each grid side and reports wall-clock times. On a
-// single-core host the parallel numbers demonstrate correctness rather
-// than speedup; with GOMAXPROCS ≥ cells they show real scaling.
-func MeasureScaling(base config.Config, sides []int) ([]MeasuredRow, error) {
-	out := make([]MeasuredRow, 0, len(sides))
-	for _, m := range sides {
-		cfg := base.WithGrid(m, m)
-		seq, err := core.RunSequential(cfg, core.RunOptions{})
-		if err != nil {
-			return nil, err
-		}
-		par, err := core.RunParallel(cfg, core.RunOptions{})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, MeasuredRow{
-			Grid:       fmt.Sprintf("%d×%d", m, m),
-			Sequential: seq.Elapsed,
-			Parallel:   par.Elapsed,
-			Speedup:    float64(seq.Elapsed) / float64(par.Elapsed),
-		})
-	}
-	return out, nil
+// paperOverallIV is Table IV's overall row.
+var paperOverallIV = struct{ single, dist, speedup float64 }{509.6, 97.9, 5.21}
+
+// Scaling is one grid side measured both ways: RunSequential in this
+// process against the paper's master/slave job (cluster.RunJob, m²+1
+// ranks over the in-process transport).
+type Scaling struct {
+	Side int
+	// Seq and Job summarise the wall clock of the repeated runs in ms.
+	Seq, Job stats.Summary
+	// SeqProf sums the sequential runs' routine times; JobProf sums every
+	// job's profile, itself summed over that job's slaves.
+	SeqProf, JobProf telemetry.Profile
+	// LastJob is the final job's result, whose transitions and event log
+	// feed Figs 2 and 3.
+	LastJob *cluster.JobResult
 }
 
-// MeasuredScalingTable renders MeasureScaling results.
-func MeasuredScalingTable(base config.Config, sides []int) (string, error) {
-	rows, err := MeasureScaling(base, sides)
-	if err != nil {
-		return "", err
-	}
-	t := report.NewTable("Table III (companion) — Measured reduced-scale runs of the real engine",
-		"grid size", "sequential", "parallel", "speedup")
-	for _, r := range rows {
-		t.AddRow(r.Grid, r.Sequential.Round(time.Millisecond).String(),
-			r.Parallel.Round(time.Millisecond).String(), fmt.Sprintf("%.2f", r.Speedup))
-	}
-	return t.String(), nil
+// Measurement holds Table III, Table IV and Fig 4's measured runs.
+type Measurement struct {
+	Cfg   config.Config
+	Reps  int
+	Sides []*Scaling
 }
 
-// TableIV renders the modelled routine profile for the 4×4 grid.
-func TableIV() (string, error) {
-	rows, err := perfmodel.TableIV(perfmodel.CalibratedRoutines(), 16)
-	if err != nil {
-		return "", err
+// Measure runs RunSequential and cluster.RunJob reps times each for every
+// grid side at cfg's reduced scale — the paper's ten-executions method
+// (§IV-B) — recording wall clock and routine profile.
+func Measure(cfg config.Config, sides []int, reps int) (*Measurement, error) {
+	if len(sides) == 0 {
+		return nil, fmt.Errorf("experiments: no grid side to measure")
 	}
-	t := report.NewTable("Table IV — Profiling of execution times for the most consuming routines (4×4, minutes)",
-		"routine", "single core", "distributed", "acceleration", "speedup")
-	for _, r := range rows {
-		t.AddRow(r.Routine,
-			fmt.Sprintf("%.1f", r.SingleCore),
-			fmt.Sprintf("%.1f", r.Distributed),
-			fmt.Sprintf("%.1f%%", r.Acceleration),
-			fmt.Sprintf("%.2f", r.Speedup),
-		)
-	}
-	return t.String(), nil
-}
-
-// MeasuredProfileTable runs the real engine at reduced scale in both modes
-// and reports the measured per-routine times — the empirical companion of
-// Table IV.
-func MeasuredProfileTable(cfg config.Config) (string, error) {
-	seqProf := new(telemetry.Profile)
-	if _, err := core.RunSequential(cfg, core.RunOptions{Prof: seqProf}); err != nil {
-		return "", err
-	}
-	parProf := new(telemetry.Profile)
-	if _, err := core.RunParallel(cfg, core.RunOptions{Prof: parProf}); err != nil {
-		return "", err
-	}
-	t := report.NewTable("Table IV (companion) — Measured routine times at reduced scale",
-		"routine", "sequential", "parallel")
-	for _, r := range []telemetry.Routine{telemetry.RoutineGather, telemetry.RoutineTrain,
-		telemetry.RoutineUpdateGenomes, telemetry.RoutineMutate} {
-		t.AddRow(r.String(), seqProf.Get(r).Total.Round(time.Microsecond).String(),
-			parProf.Get(r).Total.Round(time.Microsecond).String())
-	}
-	return t.String(), nil
-}
-
-// RepeatedScalingTable runs the paper's repetition methodology at reduced
-// scale: `reps` independent executions per (grid, mode), reported as
-// avg±std with the 95% confidence interval — the exact presentation of
-// Table III's distributed column.
-func RepeatedScalingTable(base config.Config, sides []int, reps int) (string, error) {
-	t := report.NewTable(
-		fmt.Sprintf("Repeated measurements (%d runs each, reduced scale, ms)", reps),
-		"grid size", "sequential avg±std", "parallel avg±std", "speedup±std")
-	for _, m := range sides {
-		cfg := base.WithGrid(m, m)
-		seq, err := stats.Repeat(reps, time.Millisecond, func() error {
-			_, err := core.RunSequential(cfg, core.RunOptions{})
+	m := &Measurement{Cfg: cfg, Reps: reps}
+	for _, side := range sides {
+		c := cfg.WithGrid(side, side)
+		s := &Scaling{Side: side}
+		var err error
+		s.Seq, err = stats.Repeat(reps, time.Millisecond, func() error {
+			_, err := core.RunSequential(c, core.RunOptions{Prof: &s.SeqProf})
 			return err
 		})
 		if err != nil {
-			return "", err
+			return nil, fmt.Errorf("experiments: %d×%d sequential: %w", side, side, err)
 		}
-		par, err := stats.Repeat(reps, time.Millisecond, func() error {
-			_, err := core.RunParallel(cfg, core.RunOptions{})
-			return err
+		s.Job, err = stats.Repeat(reps, time.Millisecond, func() error {
+			res, err := cluster.RunJob(cluster.MasterOptions{Cfg: c})
+			if err != nil {
+				return err
+			}
+			s.JobProf.Merge(res.Profile)
+			s.LastJob = res
+			return nil
 		})
 		if err != nil {
-			return "", err
+			return nil, fmt.Errorf("experiments: %d×%d cluster job: %w", side, side, err)
 		}
-		sp, spStd, err := stats.Speedup(seq, par)
-		if err != nil {
-			return "", err
-		}
-		t.AddRow(fmt.Sprintf("%d×%d", m, m), seq.String(), par.String(),
-			fmt.Sprintf("%.2f±%.2f", sp, spStd))
+		m.Sides = append(m.Sides, s)
 	}
-	return t.String(), nil
+	return m, nil
 }
 
-// ArchitectureTable compares one reduced-scale run under every execution
-// architecture: the sequential baseline, the paper's synchronous
-// MPI-style exchange and the asynchronous variant.
-func ArchitectureTable(cfg config.Config) (string, error) {
-	t := report.NewTable("Execution architectures at reduced scale",
-		"architecture", "wall clock", "best mixture fitness")
-	for _, arch := range []struct{ name, mode string }{
-		{"sequential (1 core)", "seq"},
-		{"MPI-style synchronous", "par"},
-		{"MPI-style asynchronous", "async"},
-	} {
-		res, err := core.Run(arch.mode, cfg, core.RunOptions{})
-		if err != nil {
-			return "", fmt.Errorf("%s: %w", arch.name, err)
-		}
-		t.AddRow(arch.name, res.Elapsed.Round(time.Millisecond).String(),
-			fmt.Sprintf("%.4f", res.Best().MixtureFitness))
+// setting names the host and the reduced configuration every measured
+// artefact was taken on.
+func (m *Measurement) setting() string {
+	c := m.Cfg
+	return fmt.Sprintf("%d CPUs, GOMAXPROCS %d, %s; %d iterations, %d batches of %d per iteration, %d samples, hidden %d, latent %d; %d runs each",
+		runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(),
+		c.Iterations, c.BatchesPerIteration, c.BatchSize, c.DatasetSize, c.NeuronsPerHidden, c.InputNeurons, m.Reps)
+}
+
+// TableIII renders the paper's execution times and speedups beside the
+// measured ones: a row per grid side the paper or the measurement has,
+// with a dash where one of them has none.
+func TableIII(m *Measurement) string {
+	t := report.NewTable("Table III — Execution times of GAN training: paper (200 iterations, min) and measured ("+m.setting()+", ms)",
+		"grid size", "paper single core", "paper distributed", "paper speedup",
+		"sequential", "cluster job", "speedup")
+	var sides []int
+	for _, p := range paperTableIII {
+		sides = append(sides, p.side)
 	}
-	return t.String(), nil
+	for _, s := range m.Sides {
+		if !slices.Contains(sides, s.Side) {
+			sides = append(sides, s.Side)
+		}
+	}
+	slices.Sort(sides)
+	for _, side := range sides {
+		row := []string{fmt.Sprintf("%d×%d", side, side), "—", "—", "—", "—", "—", "—"}
+		for _, p := range paperTableIII {
+			if p.side == side {
+				row[1], row[2], row[3] = fmt.Sprintf("%.1f", p.single),
+					fmt.Sprintf("%.2f±%.2f", p.dist, p.distStd), fmt.Sprintf("%.2f", p.speedup)
+			}
+		}
+		for _, s := range m.Sides {
+			if s.Side == side {
+				row[4], row[5] = s.Seq.String(), s.Job.String()
+				if sp, std, err := stats.Speedup(s.Seq, s.Job); err == nil {
+					row[6] = fmt.Sprintf("%.2f±%.2f", sp, std)
+				}
+			}
+		}
+		t.AddRow(row...)
+	}
+	return t.String()
+}
+
+// profileRows returns, for Table IV's routines in the paper's order, the
+// largest measured grid's mean sequential time per run and mean job time
+// per run and slave, in ms.
+func (m *Measurement) profileRows() (s *Scaling, seq, slave []float64) {
+	s = m.Sides[len(m.Sides)-1]
+	runs, slaves := float64(m.Reps), float64(m.Reps*s.Side*s.Side)
+	for _, p := range paperTableIV {
+		seq = append(seq, float64(s.SeqProf.Get(p.routine).Total)/float64(time.Millisecond)/runs)
+		slave = append(slave, float64(s.JobProf.Get(p.routine).Total)/float64(time.Millisecond)/slaves)
+	}
+	return s, seq, slave
+}
+
+// ratio renders a/b, or a dash when b is zero.
+func ratio(a, b float64) string {
+	if b == 0 {
+		return "—"
+	}
+	return fmt.Sprintf("%.2f", a/b)
+}
+
+// TableIV renders the paper's 4×4 routine profile beside the measured
+// profile of the largest measured grid. A job's profile is summed over its
+// slaves, so the distributed column is the mean per slave.
+func TableIV(m *Measurement) string {
+	s, seq, slave := m.profileRows()
+	t := report.NewTable(fmt.Sprintf("Table IV — Profiling of the most consuming routines: paper (4×4, min) and measured (%d×%d, ms per run; cluster job as mean per slave; %s)",
+		s.Side, s.Side, m.setting()),
+		"routine", "paper single core", "paper distributed", "paper speedup",
+		"sequential", "cluster per slave", "speedup")
+	var seqSum, slaveSum float64
+	for i, p := range paperTableIV {
+		t.AddRow(p.routine.String(), fmt.Sprintf("%.1f", p.single), fmt.Sprintf("%.1f", p.dist), fmt.Sprintf("%.2f", p.speedup),
+			fmt.Sprintf("%.3f", seq[i]), fmt.Sprintf("%.3f", slave[i]), ratio(seq[i], slave[i]))
+		seqSum += seq[i]
+		slaveSum += slave[i]
+	}
+	o := paperOverallIV
+	t.AddRow("overall", fmt.Sprintf("%.1f", o.single), fmt.Sprintf("%.1f", o.dist), fmt.Sprintf("%.2f", o.speedup),
+		fmt.Sprintf("%.3f", seqSum), fmt.Sprintf("%.3f", slaveSum), ratio(seqSum, slaveSum))
+	return t.String()
 }
 
 // QualityTable trains the grid at the given configuration and evaluates
@@ -364,62 +376,48 @@ const fig2Diagram = `Fig 2 — States and transitions of slave processes
  [inactive] ------------> [processing] ------------------------> [finished]
 `
 
-// Fig2 renders the slave state machine together with an observed
-// transition trace from a real (tiny) master/slave job.
-func Fig2(cfg config.Config) (string, error) {
-	res, err := cluster.RunJob(cluster.MasterOptions{Cfg: cfg, HeartbeatInterval: time.Millisecond})
-	if err != nil {
-		return "", err
-	}
+// Fig2 renders the slave state machine together with the transition
+// trace that a real master/slave job's heartbeat monitoring observed.
+func Fig2(job *cluster.JobResult) string {
 	var b strings.Builder
 	b.WriteString(fig2Diagram)
 	b.WriteString("\nObserved transitions (heartbeat monitoring of a real job):\n")
-	for _, tr := range res.Transitions {
+	for _, tr := range job.Transitions {
 		fmt.Fprintf(&b, "  slave %d: %s -> %s\n", tr.Slave, tr.From, tr.To)
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // Fig3 renders the master/slave processing-and-communication flow as the
 // annotated event log of a real job — the trace equivalent of the paper's
 // flow diagram.
-func Fig3(cfg config.Config) (string, error) {
-	res, err := cluster.RunJob(cluster.MasterOptions{Cfg: cfg, HeartbeatInterval: time.Millisecond})
-	if err != nil {
-		return "", err
-	}
+func Fig3(job *cluster.JobResult) string {
 	var b strings.Builder
 	b.WriteString("Fig 3 — Flow between the master process and slave processes (event log)\n\n")
-	for _, line := range res.Log {
+	for _, line := range job.Log {
 		fmt.Fprintf(&b, "  %s\n", line)
 	}
 	fmt.Fprintf(&b, "\n%d slaves, %d placements, best cell %d, elapsed %s\n",
-		len(res.Reports), len(res.Placements), res.BestCell, res.Elapsed.Round(time.Millisecond))
-	return b.String(), nil
+		len(job.Reports), len(job.Placements), job.BestCell, job.Elapsed.Round(time.Millisecond))
+	return b.String()
 }
 
-// Fig4 renders the single-node vs parallel routine-time comparison as a
-// bar chart from the calibrated model.
-func Fig4() (string, error) {
-	rows, err := perfmodel.TableIV(perfmodel.CalibratedRoutines(), 16)
-	if err != nil {
-		return "", err
-	}
-	ch := report.NewBarChart("Fig 4 — Execution time comparison for the main routines (4×4)",
-		" min", "single core", "distributed")
-	for _, r := range rows {
-		if r.Routine == "overall" {
-			continue
-		}
-		if err := ch.Add(r.Routine, r.SingleCore, r.Distributed); err != nil {
+// Fig4 charts Table IV's measured routine times, sequential against the
+// cluster job's mean per slave.
+func Fig4(m *Measurement) (string, error) {
+	s, seq, slave := m.profileRows()
+	ch := report.NewBarChart(fmt.Sprintf("Fig 4 — Execution time comparison for the main routines (measured, %d×%d, ms per run; %s)",
+		s.Side, s.Side, m.setting()), " ms", "sequential", "cluster per slave")
+	for i, p := range paperTableIV {
+		if err := ch.Add(p.routine.String(), seq[i], slave[i]); err != nil {
 			return "", err
 		}
 	}
 	return ch.String(), nil
 }
 
-// TinyJobConfig is the reduced configuration used when an experiment needs
-// to run the real engine quickly (figures 2 and 3, companion tables).
+// TinyJobConfig is the reduced configuration the measured artefacts run
+// the engine at (Tables III and IV, Figs 2–4).
 func TinyJobConfig() config.Config {
 	return config.Default().Scaled(2, 8, 100)
 }
@@ -433,26 +431,23 @@ func DCGANJobConfig() config.Config {
 	return cfg
 }
 
-// All regenerates every artefact in paper order.
-func All() (string, error) {
-	var b strings.Builder
-	b.WriteString(TableI(config.Default()))
-	b.WriteByte('\n')
-	for _, gen := range []func() (string, error){
-		func() (string, error) { return TableII([]int{2, 3, 4}) },
-		func() (string, error) { return TableIII([]int{2, 3, 4}) },
-		TableIV,
-		func() (string, error) { return Fig1(), nil },
-		func() (string, error) { return Fig2(TinyJobConfig()) },
-		func() (string, error) { return Fig3(TinyJobConfig()) },
-		Fig4,
-	} {
-		s, err := gen()
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(s)
-		b.WriteByte('\n')
+// All regenerates every artefact in paper order. Tables III and IV and
+// Fig 4 come from one Measure over sides with reps runs each; Figs 2 and
+// 3 show the last job of its first side.
+func All(sides []int, reps int) (string, error) {
+	tableII, err := TableII(sides)
+	if err != nil {
+		return "", err
 	}
-	return b.String(), nil
+	m, err := Measure(TinyJobConfig(), sides, reps)
+	if err != nil {
+		return "", err
+	}
+	fig4, err := Fig4(m)
+	if err != nil {
+		return "", err
+	}
+	job := m.Sides[0].LastJob
+	return strings.Join([]string{TableI(config.Default()), tableII, TableIII(m), TableIV(m),
+		Fig1(), Fig2(job), Fig3(job), fig4}, "\n") + "\n", nil
 }

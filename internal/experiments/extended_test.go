@@ -5,18 +5,6 @@ import (
 	"testing"
 )
 
-func TestRepeatedScalingTable(t *testing.T) {
-	out, err := RepeatedScalingTable(TinyJobConfig(), []int{2}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"2×2", "±", "speedup"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("repeated table missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestQualityTable(t *testing.T) {
 	cfg := TinyJobConfig()
 	cfg.Iterations = 1
@@ -27,20 +15,6 @@ func TestQualityTable(t *testing.T) {
 	for _, want := range []string{"real data", "trained mixture", "uniform noise", "inception"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("quality table missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestArchitectureTable(t *testing.T) {
-	cfg := TinyJobConfig()
-	cfg.Iterations = 1
-	out, err := ArchitectureTable(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"sequential", "synchronous", "asynchronous"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("architecture table missing %q:\n%s", want, out)
 		}
 	}
 }
