@@ -80,8 +80,8 @@ staticcheck:
 		echo "staticcheck not installed; skipping (CI runs it)"; fi
 
 # Short fuzz passes over the wire and file decoders, the matmul
-# families' leaf tiers and the tanh leaf against the stdlib (mirrors the
-# CI step).
+# families' leaf tiers, the conv lowering against its naive loops and the
+# tanh leaf against the stdlib (mirrors the CI step).
 fuzz-smoke:
 	@for t in ReadCheckpoint ReadMixture; do \
 		$(GO) test -run='^$$' -fuzz="^Fuzz$$t\$$" -fuzztime=10s ./internal/checkpoint/ || exit 1; done
@@ -92,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzViewMatsInto$$' -fuzztime=10s ./internal/tensor/
 	$(GO) test -run='^$$' -fuzz='^FuzzMatMulFamilies$$' -fuzztime=10s ./internal/tensor/
 	$(GO) test -run='^$$' -fuzz='^FuzzTanhExp$$' -fuzztime=10s ./internal/tensor/
+	$(GO) test -run='^$$' -fuzz='^FuzzConvLowering$$' -fuzztime=10s ./internal/tensor/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnpackParts$$' -fuzztime=10s ./internal/mpi/
 	@for t in OwnerUpdate ReleaseOrder RunTask SlaveReports StateUpdate StateAck; do \
 		$(GO) test -run='^$$' -fuzz="^FuzzParse$$t\$$" -fuzztime=10s ./internal/cluster/ || exit 1; done

@@ -45,6 +45,10 @@ type Cell struct {
 	// copies holds, per neighbour rank, the buffer SetNeighbors re-encodes
 	// that rank's snapshots into; only this cell ever reads it.
 	copies map[int][]byte
+	// push is the buffer the sequential exchange encodes this cell's
+	// center into, in the push layout; its receivers' kept pairs view it
+	// until the next exchange re-encodes it.
+	push []byte
 
 	mixture *Mixture
 
@@ -285,9 +289,7 @@ func (c *Cell) neighbor(r int, s *CellState) error {
 // re-encoded into the push layout, into a buffer private to its rank that
 // the kept pair then views, so a warm call allocates no parameters.
 func (c *Cell) SetNeighbors(states map[int]*CellState) error {
-	clear(c.genNbrs)
-	clear(c.discNbrs)
-	c.genNbrs[c.Rank], c.discNbrs[c.Rank] = c.gen, c.disc
+	c.clearNeighbors()
 	for _, r := range c.Neighborhood() {
 		if s, ok := states[r]; ok && r != c.Rank {
 			s, err := s.aligned(c.copies[r])
@@ -301,6 +303,13 @@ func (c *Cell) SetNeighbors(states map[int]*CellState) error {
 		}
 	}
 	return c.refreshMixture()
+}
+
+// clearNeighbors leaves the cell's own centers as its only sub-population.
+func (c *Cell) clearNeighbors() {
+	clear(c.genNbrs)
+	clear(c.discNbrs)
+	c.genNbrs[c.Rank], c.discNbrs[c.Rank] = c.gen, c.disc
 }
 
 // refreshMixture points the mixture at the current generator

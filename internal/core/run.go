@@ -172,19 +172,33 @@ func BuildGridFor(cfg config.Config) (*grid.Grid, error) {
 
 // exchangeLocal distributes every cell's state to the cells whose
 // neighbourhood contains it, mirroring the exchange of the parallel mode
-// in shared memory.
+// in shared memory: each cell's center is encoded once, in the push
+// layout, into the cell's push buffer, and every receiver's kept pair
+// views it, as a rank loop's views a delivered push. Re-encoding a buffer
+// that the previous exchange's views still point at is safe here: no cell
+// reads a kept pair between the encode and the re-install that follows.
 func exchangeLocal(cells []*Cell, prof *telemetry.Profile) error {
 	defer prof.Since(telemetry.RoutineGather, time.Now())
-	states := make(map[int]*CellState, len(cells))
+	states := make([]*CellState, len(cells))
 	for _, c := range cells {
-		s, err := c.State()
+		c.push = c.appendState(c.push[:0], true)
+		s, err := UnmarshalCellState(c.push)
 		if err != nil {
 			return err
 		}
 		states[c.Rank] = s
 	}
 	for _, c := range cells {
-		if err := c.SetNeighbors(states); err != nil {
+		c.clearNeighbors()
+		for _, r := range c.Neighborhood() {
+			if r == c.Rank {
+				continue
+			}
+			if err := c.neighbor(r, states[r]); err != nil {
+				return err
+			}
+		}
+		if err := c.refreshMixture(); err != nil {
 			return err
 		}
 	}

@@ -137,8 +137,7 @@ func BenchmarkMatMulT2IntoF32(b *testing.B) {
 // (exchange-*), the 32-row eval batch of the fitness forwards through both
 // MLPs, and the two conv lowerings of the DCGAN discriminator at batch 16
 // (dcgan-compute: 16·196 positions × 16 taps → 16 channels, 16·49 × 256
-// → 32). Run with -cpu 1 (make bench-json does) it is the per-core rate of
-// the leaves.
+// → 32). Run with -cpu 1 it is the per-core rate of the leaves.
 func BenchmarkKernelShapes(b *testing.B) {
 	b.Run("f64", benchKernelShapes[float64])
 	b.Run("f32", benchKernelShapes[float32])
@@ -175,6 +174,34 @@ func benchKernelShapes[F Float](b *testing.B) {
 				b.ReportMetric(2*float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
 		}
+	}
+}
+
+// BenchmarkConvLowering times the gather and the scatter at the two
+// discriminator lowerings of dcgan-compute (1×28×28 → 14×14 and
+// 16×14×14 → 7×7, k4 s2 p1) at batch 32; ns/elem is per element of the
+// patch matrix, which each kernel writes or reads once.
+func BenchmarkConvLowering(b *testing.B) {
+	for _, s := range []struct{ c, hw, pos int }{{1, 28, 14}, {16, 14, 7}} {
+		const batch, k, stride, pad = 32, 4, 2, 1
+		img := benchMat(batch, s.c*s.hw*s.hw, 1)
+		cols := Im2ColInto(new(Mat), img, s.c, s.hw, s.hw, k, stride, pad, s.pos, s.pos)
+		elems := float64(len(cols.Data))
+		name := fmt.Sprintf("%dx%dx%d", s.c, s.hw, s.hw)
+		b.Run("im2col/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Im2ColInto(cols, img, s.c, s.hw, s.hw, k, stride, pad, s.pos, s.pos)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/elems, "ns/elem")
+		})
+		b.Run("col2im/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				AddCol2ImInto(img, cols, s.c, s.hw, s.hw, k, stride, pad, s.pos, s.pos)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/elems, "ns/elem")
+		})
 	}
 }
 

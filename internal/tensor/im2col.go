@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // im2col / col2im lower 2-D (de)convolutions onto the ParallelFor-backed
 // matmul kernels. A batch of flattened c×h×w images (one image per row of
@@ -35,72 +38,147 @@ func im2colCheck(op string, imgCols int, g convGeom) {
 	}
 }
 
-// im2colKernel gathers samples [lo, hi) of img into patch rows of dst.
-func im2colKernel[T Float](dst, img *Matrix[T], g convGeom, lo, hi int) {
-	pos := g.posH * g.posW
+// bordered returns the plane of the zero-bordered sample the kernels work
+// on: hp×wp per channel, just large enough for every tap of every
+// position, with image pixel (y, x) at (y+pad, x+pad). Image rows and
+// columns past the plane are never tapped and are left out.
+func (g convGeom) bordered() (hp, wp int) {
+	return (g.posH-1)*g.stride + g.k, (g.posW-1)*g.stride + g.k
+}
+
+// moveImage copies the c×h×w sample img into the image part of the
+// c×hp×wp plane p — pixel (y, x) to (y+pad, x+pad), rows and columns past
+// the plane left out — or, with back set, that part of p back into img.
+// The border is not touched.
+func moveImage[F Float](p, img []F, g convGeom, hp, wp int, back bool) {
+	x0, x1 := min(g.pad, wp), min(g.pad+g.w, wp)
+	for ch := 0; ch < g.c; ch++ {
+		for y := 0; y < g.h && y+g.pad < hp; y++ {
+			b, i := (ch*hp+y+g.pad)*wp, (ch*g.h+y)*g.w
+			if back {
+				copy(img[i:], p[b+x0:b+x1])
+			} else {
+				copy(p[b+x0:b+x1], img[i:])
+			}
+		}
+	}
+}
+
+// borderPools recycles the kernels' bordered buffers, one per dispatched
+// chunk, indexed by elemIndex like taskPools.
+var borderPools [2]sync.Pool
+
+// getBorder returns a pooled buffer of n zeroes; putBorder returns it.
+func getBorder[F Float](n int) *[]F {
+	bp, _ := borderPools[elemIndex[F]()].Get().(*[]F)
+	if bp == nil {
+		bp = new([]F)
+	}
+	if cap(*bp) < n {
+		*bp = make([]F, n)
+	}
+	*bp = (*bp)[:n]
+	clear(*bp)
+	return bp
+}
+
+func putBorder[F Float](bp *[]F) { borderPools[elemIndex[F]()].Put(bp) }
+
+// lowerKernel gathers samples [lo, hi) of img into their patch rows in
+// cols or, with scatter set, scatter-adds those rows back into them;
+// imgCols and fan are the row widths of img and cols. Each sample is
+// copied into a bordered plane first. The scatter adds into the plane in
+// (position, column) order — the order of a direct scatter loop, so every
+// element sees the same adds — and copies its image part back; the border
+// collects the dropped out-of-bounds taps and is never read.
+func lowerKernel[F Float](img, cols []F, imgCols, fan int, g convGeom, lo, hi int, scatter bool) {
+	hp, wp := g.bordered()
+	bp := getBorder[F](g.c * hp * wp)
+	p := *bp
+	n := g.posH * g.posW * fan
 	for bi := lo; bi < hi; bi++ {
-		src := img.Row(bi)
-		for py := 0; py < g.posH; py++ {
-			for px := 0; px < g.posW; px++ {
-				row := dst.Row(bi*pos + py*g.posW + px)
-				i := 0
-				for ch := 0; ch < g.c; ch++ {
-					chBase := ch * g.h * g.w
-					for ky := 0; ky < g.k; ky++ {
-						y := py*g.stride - g.pad + ky
-						if y < 0 || y >= g.h {
-							for kx := 0; kx < g.k; kx++ {
-								row[i] = 0
-								i++
-							}
-							continue
-						}
-						rowBase := chBase + y*g.w
-						for kx := 0; kx < g.k; kx++ {
-							x := px*g.stride - g.pad + kx
-							if x < 0 || x >= g.w {
-								row[i] = 0
-							} else {
-								row[i] = src[rowBase+x]
-							}
-							i++
-						}
-					}
+		sample, rows := img[bi*imgCols:(bi+1)*imgCols], cols[bi*n:(bi+1)*n]
+		moveImage(p, sample, g, hp, wp, false)
+		switch {
+		case g.k != 4:
+			movesK(rows, p, g, hp, wp, scatter)
+		case scatter:
+			scatter4(p, rows, g, hp, wp)
+		default:
+			gather4(rows, p, g, hp, wp)
+		}
+		if scatter {
+			moveImage(p, sample, g, hp, wp, true)
+		}
+	}
+	putBorder(bp)
+}
+
+// gather4 fills one sample's patch rows from its bordered plane p when
+// k = 4: each (ch, ky) tap run is one straight-line four-element move —
+// copy or an array assignment would call memmove per run. Kept apart from
+// movesK, the loop holds its indices in registers.
+func gather4[F Float](rows, p []F, g convGeom, hp, wp int) {
+	i := 0
+	for py := 0; py < g.posH; py++ {
+		for px := 0; px < g.posW; px++ {
+			at := py*g.stride*wp + px*g.stride
+			for ch := 0; ch < g.c; ch++ {
+				b := ch*hp*wp + at
+				for ky := 0; ky < 4; ky++ {
+					d, s := rows[i:i+4:i+4], p[b:b+4:b+4]
+					d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
+					i += 4
+					b += wp
 				}
 			}
 		}
 	}
 }
 
-// col2imKernel scatter-adds patch rows of cols back into samples [lo, hi)
-// of dst, in (position, column) order per sample, dropping out-of-bounds
-// taps; imgCols and fan are the row widths of dst and cols respectively.
-func col2imKernel[F Float](dst, cols []F, imgCols, fan int, g convGeom, lo, hi int) {
-	pos := g.posH * g.posW
-	for bi := lo; bi < hi; bi++ {
-		out := dst[bi*imgCols : (bi+1)*imgCols]
-		for py := 0; py < g.posH; py++ {
-			for px := 0; px < g.posW; px++ {
-				r := bi*pos + py*g.posW + px
-				row := cols[r*fan : (r+1)*fan]
-				i := 0
-				for ch := 0; ch < g.c; ch++ {
-					chBase := ch * g.h * g.w
-					for ky := 0; ky < g.k; ky++ {
-						y := py*g.stride - g.pad + ky
-						if y < 0 || y >= g.h {
-							i += g.k
-							continue
-						}
-						rowBase := chBase + y*g.w
-						for kx := 0; kx < g.k; kx++ {
-							x := px*g.stride - g.pad + kx
-							if x >= 0 && x < g.w {
-								out[rowBase+x] += row[i]
-							}
-							i++
+// scatter4 adds one sample's patch rows into its bordered plane p when
+// k = 4, position by position: each (ch, ky) tap run is one straight-line
+// four-element add.
+func scatter4[F Float](p, rows []F, g convGeom, hp, wp int) {
+	i := 0
+	for py := 0; py < g.posH; py++ {
+		for px := 0; px < g.posW; px++ {
+			at := py*g.stride*wp + px*g.stride
+			for ch := 0; ch < g.c; ch++ {
+				b := ch*hp*wp + at
+				for ky := 0; ky < 4; ky++ {
+					d, s := p[b:b+4:b+4], rows[i:i+4:i+4]
+					d[0] += s[0]
+					d[1] += s[1]
+					d[2] += s[2]
+					d[3] += s[3]
+					i += 4
+					b += wp
+				}
+			}
+		}
+	}
+}
+
+// movesK is gather4, or with scatter set scatter4, for any k, one element
+// at a time.
+func movesK[F Float](rows, p []F, g convGeom, hp, wp int, scatter bool) {
+	k, i := g.k, 0
+	for py := 0; py < g.posH; py++ {
+		for px := 0; px < g.posW; px++ {
+			at := py*g.stride*wp + px*g.stride
+			for ch := 0; ch < g.c; ch++ {
+				b := ch*hp*wp + at
+				for ky := 0; ky < k; ky++ {
+					for kx := 0; kx < k; kx++ {
+						if scatter {
+							p[b+kx] += rows[i+kx]
+						} else {
+							rows[i+kx] = p[b+kx]
 						}
 					}
+					i += k
+					b += wp
 				}
 			}
 		}

@@ -169,9 +169,9 @@ func (t *kernelTask[T]) run(lo, hi int) {
 	case opMatMulT2:
 		matMulT2Kernel(t.c.Data, t.a.Data, t.b.Data, t.a.Rows, t.a.Cols, t.b.Rows, lo, hi)
 	case opIm2Col:
-		im2colKernel(t.c, t.a, t.g, lo, hi)
+		lowerKernel(t.a.Data, t.c.Data, t.a.Cols, t.c.Cols, t.g, lo, hi, false)
 	case opCol2Im:
-		col2imKernel(t.c.Data, t.a.Data, t.c.Cols, t.a.Cols, t.g, lo, hi)
+		lowerKernel(t.c.Data, t.a.Data, t.c.Cols, t.a.Cols, t.g, lo, hi, true)
 	}
 }
 
