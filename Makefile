@@ -40,7 +40,8 @@ bench-module:
 
 # The whole suite under the race detector; the alloc tripwires skip
 # themselves under -race. The timeout covers the cluster chaos suite
-# (a 2-core host takes ~10 minutes for the lot).
+# (a 2-core host took 17 minutes for the lot, 1036 s, 1014 s of it the
+# cluster package).
 race:
 	$(GO) test -race -timeout 25m ./...
 
@@ -48,15 +49,17 @@ race:
 # in both async modes, one halt boundary for every rank, window-1 bit
 # equality with the sequential mode (in-process with a faulty comm, over
 # the async cluster with duplicated, delayed and lost pushes, and under the
-# evict policy with a crashed slave; the cross-mode rows run with every
+# evict policy with a crashed slave, whose survivors also co-own cells at
+# W = 2; the cross-mode rows run with every
 # recycled push poisoned, as do TestRecycledPushPoison's in-process rows:
 # a release before the last read trains on 0xFF, which its RunAsync rows
 # at W = 2 and 4, where kept neighbours view pushes longest, would end
 # on as NaN) and
 # abort on a rank error — 20 times at GOMAXPROCS 1 and 2, with the two
 # packages loading each other: the load under which the cluster absorb's
-# old arrival-order apply failed most runs. About 9 minutes on a 2-core
-# host, most of it the 3×3 crashed-slave rows (each waits out an eviction).
+# old arrival-order apply failed most runs. About 8 minutes on a 2-core
+# host (471 s), most of it the three 3×3 crashed-slave rows, which run side
+# by side since each waits out an eviction.
 stress:
 	$(GO) test -run 'Staleness|Stops|StopConsensus|SequentialParallel|RankError|CrossMode|RecycledPushPoison' -count 20 -cpu 1,2 ./internal/core/ ./internal/cluster/
 

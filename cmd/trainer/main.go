@@ -99,7 +99,7 @@ func main() {
 
 	// First SIGINT/SIGTERM requests a stop (the run returns normally, so
 	// -checkpoint and the summary still happen): mode seq halts at the next
-	// iteration boundary, the rank loops of par and async within W·D
+	// iteration boundary, the drivers of par and async within W·D
 	// iterations, all cells at the same one. A second signal exits
 	// immediately.
 	var stopFlag atomic.Bool

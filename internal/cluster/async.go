@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -53,102 +52,42 @@ const asyncIdleSleep = time.Millisecond
 // asyncMasterPoll is the master's poll interval between mailbox drains.
 const asyncMasterPoll = 2 * time.Millisecond
 
-// asyncClusterHooks observe the cluster exchange from tests. Set before
-// a job starts and never mutated during one; nil fields are skipped.
+// asyncClusterHooks observe the cluster from tests. Set before a job
+// starts and never mutated during one; nil fields are skipped.
 var asyncClusterHooks struct {
-	// onPush fires after cell's owner pushes its snapshot at iter.
-	onPush func(cell, iter int)
-	// onApply fires after a slave installs src's snapshot at iter in the
-	// neighbour view of an owned cell at iteration at.
-	onApply func(cell, src, iter, at int)
+	// driver observes every slave's core.Driver.
+	driver core.Hooks
 	// onHold fires after the master merges an upload of cell from its
 	// owner and holds the cell at iter.
 	onHold func(cell, iter int)
 }
 
-// runAsync is the execution thread of a tolerant slave: a single
-// goroutine stepping every owned cell's exchange — settle, iterate when
-// the gate is open, push — over one mailbox, growing and shrinking its
-// owned set as owner updates and release orders arrive from the control
-// loop. Under the evict policy a cell's new version is uploaded and
-// pushed only once the master acknowledges holding it; the cell does not
-// iterate again before that push has gone. The master's abort is polled
-// at every pass, as RankLoop polls Stop: every cell halts within W·D
-// iterations, all at one boundary.
-func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
-	owned, err := newOwnedCells(task, &s.prof)
-	if err != nil {
-		return nil, err
-	}
-	myRank := s.world.Rank()
-	nCells := task.Cfg.NumCells()
-	failedGlobal := make(map[int]bool) // any cell marked failed by the master
-	owners := make([]int, nCells)
-	for c := range owners {
-		owners[c] = c + 1 // the initial one-cell-per-slave assignment
+// runAsync is the execution thread of a tolerant slave: one core.Driver
+// stepping every owned cell — settle, iterate when the gate is open, push —
+// over the world communicator, with the control plane around each pass. The
+// driver's owned set, owner map and exempt set follow the owner updates and
+// release orders that arrive from the control loop. Under the evict policy
+// a cell's new version goes out only once the master acknowledges holding
+// it (its Held), and the cell does not iterate again before it has. The
+// master's abort is the driver's stop signal: every cell halts within W·D
+// iterations, all at one boundary. It returns whether the done signal
+// carried an abort.
+func (s *slave) runAsync(o *ownedCells) (aborted bool, err error) {
+	myRank, nCells, d := s.world.Rank(), o.task.Cfg.NumCells(), o.d
+	d.Comm, d.Tag, d.Owners, d.Exempt, d.Keep = s.world, tagAsyncState, make([]int, nCells), make(map[int]bool), o.keep
+	for c := range d.Owners {
+		d.Owners[c] = c + 1 // the initial one-cell-per-slave assignment
 	}
 	errQuit := fmt.Errorf("cluster: slave %d control loop exited mid-run", myRank)
 
-	// remote lists the distinct other owners of cell r's influence set.
-	var dests []int
-	remote := func(r int) []int {
-		dests = dests[:0]
-		for _, d := range owned.grid.Influence(r) {
-			if o := owners[d]; o != 0 && o != myRank && !slices.Contains(dests, o) {
-				dests = append(dests, o)
-			}
-		}
-		return dests
-	}
-	// deliver hands cell r's push p to the remote owners of its influence
-	// set and to the co-owned cells it influences alike. A dead owner is
-	// skipped (mpi.ErrPeerDead): only the send that finds it dead waits
-	// for the transport to give up, which the hardened transport does well
-	// inside the master's eviction window, so this thread's uploads keep
-	// the slave alive.
-	deliver := func(r int, p []byte) {
-		s.world.Multicast(remote(r), tagAsyncState, p) //nolint:errcheck // best-effort: the idle re-push heals a lost push
-		for _, d := range owned.grid.Influence(r) {
-			if nb := owned.cells[d]; nb != nil && d != r {
-				nb.x.Receive(p, nil) //nolint:errcheck // it decodes what AppendPush encoded
-			}
-		}
-	}
-	// push encodes cell r's center into a fresh buffer, keeping the push
-	// before it, and delivers it: a sent push is never written again, only
-	// re-sent, so this driver neither reuses nor releases pushes.
-	// Best-effort: the idle re-push heals a lost push.
-	push := func(r int) {
-		oc := owned.cells[r]
-		oc.prev, oc.wire, oc.unacked = oc.wire, oc.x.AppendPush(nil), false
-		deliver(r, oc.wire)
-		if h := asyncClusterHooks.onPush; h != nil {
-			h(r, oc.cell.Iteration())
-		}
-	}
-	// publish readies cell r's current version: pushed at once, or under
-	// the evict policy once the master acknowledges holding it.
-	publish := func(r int) {
-		if task.Resilient {
-			owned.cells[r].unacked = true
-		} else {
-			push(r)
-		}
-	}
-	// Announce every starting cell: a neighbour never heard from holds
-	// the gate. The evict policy uploads them first.
-	for _, r := range owned.ranks() {
-		publish(r)
-	}
-
-	version := -1
-	doneFlag, abortFlag := false, false
+	version, done := -1, false
 	// changed marks owned cells that differ from the last upload, re-sent
-	// as is while they do not; evict-policy starting cells upload at once.
-	lastChange, repush, changed := time.Now(), false, task.Resilient
+	// as is while they do not; evict-policy starting cells upload at once,
+	// to be acknowledged and pushed.
+	lastChange, repush, changed := time.Now(), false, o.task.Resilient
 	var upload []byte
 	for {
-		// (1) Control messages from the master, via the control loop.
+		// Control messages from the master, via the control loop.
 		for ctl := true; ctl; {
 			select {
 			case u := <-s.ownerCh:
@@ -156,162 +95,101 @@ func (s *slave) runAsync(task runTask) ([]SlaveReport, error) {
 					continue // stale resend or foreign-grid noise
 				}
 				version = u.Version
-				copy(owners, u.Owners)
+				copy(d.Owners, u.Owners)
 				for _, c := range u.Failed {
-					failedGlobal[c] = true
+					d.Exempt[c] = true
 				}
 				for _, ad := range u.Adopt {
-					if err := owned.adopt(ad); err != nil {
-						return nil, err
+					if err := o.adopt(ad); err != nil {
+						return false, err
 					}
 				}
 				// The catch-all for a release lost mid-flight: ownership
 				// says the cell is elsewhere, so stop training it.
-				for _, r := range owned.ranks() {
-					if owners[r] != myRank {
-						delete(owned.cells, r)
+				for _, r := range o.ranks() {
+					if d.Owners[r] != myRank {
+						o.drop(r)
 					}
 				}
-				// A seed is a snapshot like any push's.
+				// A seed is a snapshot like any push's, and advisory.
 				for i := range u.States {
-					st, err := core.UnmarshalCellState(u.States[i].Data)
-					if err != nil {
-						continue // a seed is advisory, never fatal
-					}
-					for _, oc := range owned.cells {
-						oc.x.Offer(st) //nolint:errcheck // a seed is advisory, never fatal
+					if st, err := core.UnmarshalCellState(u.States[i].Data); err == nil {
+						d.Offer(st)
 					}
 				}
+				// Once training is done a pass only settles: the done
+				// update's seeds are every cell's final state, so each
+				// final boundary settles in the pass below.
 				if u.Done {
-					doneFlag = true
-					abortFlag = u.Abort
+					done, aborted, d.Target = true, u.Abort, 0
 				}
 				lastChange, repush, changed = time.Now(), true, true // pushes may aim at new owners
 			case a := <-s.ackCh:
 				for _, h := range a.Held {
-					if oc := owned.cells[h.Cell]; oc != nil && oc.unacked && h.Iter >= oc.cell.Iteration() {
-						push(h.Cell)
+					if oc := d.Lookup(h.Cell); oc != nil {
+						oc.Held = max(oc.Held, h.Iter)
 					}
 				}
 			case r := <-s.releaseCh:
 				// Return the released cells' state and stop training
 				// them; the ack echoes the order's version in Round.
-				payload, err := owned.packState(r.Version, r.Cells)
+				payload, err := o.packState(r.Version, r.Cells)
 				if err != nil {
-					return nil, err
+					return false, err
 				}
 				for _, cr := range r.Cells {
-					delete(owned.cells, cr)
+					o.drop(cr)
 				}
 				changed = true
 				if err := s.world.Send(0, tagReleaseAck, payload); err != nil {
-					return nil, err
+					return false, err
 				}
 			case <-s.quit:
-				return nil, errQuit
+				return false, errQuit
 			default:
 				ctl = false
 			}
 		}
 
-		// (2) Peer pushes: every owned cell's exchange keeps what its
-		// rules keep of each.
-		for {
-			m, ok, err := s.world.TryRecv(mpi.AnySource, tagAsyncState)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			for _, oc := range owned.cells {
-				oc.x.Receive(m.Data, nil) //nolint:errcheck // a corrupt push is dropped; peers re-push
-			}
+		// One pass of the driver over the owned cells: gated cells are
+		// skipped, never blocked on; failed neighbours never publish again
+		// and hold no gate.
+		moved, waiting, err := d.Pass()
+		if err != nil || done {
+			return aborted, err
 		}
 
-		// (3) One step of every owned cell: settle its exchange, then
-		// train one iteration if the cell still owes work, its last version
-		// has gone out and its gate is open (failed neighbours never
-		// publish again and do not hold it). Gated cells are skipped, never
-		// blocked on. Once training is done the step only settles: the done
-		// update's seeds are every cell's final state, so each final
-		// boundary settles here.
-		stop := s.abort.Load()
-		progressed, gated, waiting := false, false, false
-		for _, r := range owned.ranks() {
-			oc := owned.cells[r]
-			ready, err := oc.x.Settle(failedGlobal)
-			if err != nil {
-				return nil, err
-			}
-			if stop {
-				oc.x.Stop()
-			}
-			if h := oc.x.Halted(); h != oc.halted {
-				oc.halted, changed = h, true // the master counts a halted cell as done
-			}
-			waiting = waiting || oc.unacked
-			if doneFlag || oc.unacked || !owned.trainable(r) || oc.halted {
-				continue
-			}
-			if !ready {
-				gated = true
-				continue
-			}
-			changed = true // trained, or marked failed
-			if owned.iterate(r) {
-				progressed = true
-				publish(r)
-			}
-		}
-		if doneFlag {
-			return owned.reports(abortFlag), nil
-		}
-
-		// (4) Inventory upload after progress or a change. Once the slave
-		// has sat idle for asyncUploadEvery, it re-pushes its owned states
-		// and re-uploads its inventory — the liveness valve for a lost
-		// push, upload or ack: once after a change (a re-push stays due
+		// Inventory upload after a move or a change. Once the slave has sat
+		// idle for asyncUploadEvery, it re-pushes its owned cells' last two
+		// pushes and re-uploads its inventory — the liveness valve for a
+		// lost push, upload or ack: once after a change (a re-push stays due
 		// until an idle pass sends it), and every period while a cell stays
-		// gated or unacknowledged. Otherwise it stays quiet. An upload is
-		// never written once packed, so it is handed over, not copied.
-		idle := !progressed && (repush || gated || waiting) && time.Since(lastChange) >= asyncUploadEvery
+		// gated or its version waits for the ack. Otherwise it stays quiet.
+		// The push before the last goes out again too: a neighbour that lost
+		// it can be gated on it while the newer one is beyond its window,
+		// and nothing else would ever resend it. An upload is never written
+		// once packed, so it is handed over, not copied.
+		idle := !moved && (repush || waiting) && time.Since(lastChange) >= asyncUploadEvery
 		if idle {
-			for _, r := range owned.ranks() {
-				// The push before too: a neighbour that lost it can be
-				// gated on it while this cell's newer one is beyond its
-				// window, and nothing else would ever resend it. Co-owned
-				// cells get both again as well: one adopted since has seen
-				// neither. A cell adopted since has pushed nothing yet; the
-				// owner update that granted it seeded its neighbours.
-				oc := owned.cells[r]
-				for _, p := range [][]byte{oc.prev, oc.wire} {
-					if len(p) > 0 {
-						deliver(r, p)
-					}
-				}
-				if h := asyncClusterHooks.onPush; h != nil && len(oc.wire) > 0 {
-					it := oc.cell.Iteration()
-					if oc.unacked {
-						it-- // the cell has iterated past its last push
-					}
-					h(r, it)
+			for _, r := range o.ranks() {
+				for _, k := range o.kept[r] {
+					d.Resend(r, k.push)
 				}
 			}
 		}
-		if changed || idle {
-			if changed || upload == nil {
-				if upload, err = owned.packState(0, owned.ranks()); err != nil {
-					return nil, err
+		if changed || moved || idle {
+			if changed || moved || upload == nil {
+				if upload, err = o.packState(0, o.ranks()); err != nil {
+					return false, err
 				}
 			}
 			s.world.Multicast([]int{0}, tagStateUpdate, upload) //nolint:errcheck
-			lastChange, repush, changed = time.Now(), progressed || repush && !idle, false
+			lastChange, repush, changed = time.Now(), moved || repush && !idle, false
 		}
-		if !progressed {
+		if !moved {
 			select {
 			case <-s.quit:
-				return nil, errQuit
+				return false, errQuit
 			case <-time.After(asyncIdleSleep):
 			}
 		}

@@ -43,8 +43,7 @@ func asyncOptions(cfg config.Config) MasterOptions {
 }
 
 func clearAsyncHooks() {
-	asyncClusterHooks.onPush = nil
-	asyncClusterHooks.onApply = nil
+	asyncClusterHooks.driver = core.Hooks{}
 	asyncClusterHooks.onHold = nil
 }
 
@@ -159,7 +158,7 @@ func TestEvictPushWaitsForMasterHold(t *testing.T) {
 				held[cell] = max(held[cell], iter)
 				mu.Unlock()
 			}
-			asyncClusterHooks.onPush = func(cell, iter int) {
+			asyncClusterHooks.driver.Pushed = func(cell, iter int) {
 				mu.Lock()
 				if h, ok := held[cell]; !ok || h < iter {
 					early = append(early, fmt.Sprintf("cell %d pushed %d while the master held %d (%v)", cell, iter, h, ok))
@@ -209,7 +208,7 @@ func runAsyncJoinJob(t *testing.T, opts MasterOptions, plan *mpi.FaultPlan) *Job
 	defer clearAsyncHooks()
 	joinCh := make(chan struct{})
 	var once sync.Once
-	asyncClusterHooks.onPush = func(cell, iter int) {
+	asyncClusterHooks.driver.Pushed = func(cell, iter int) {
 		if iter >= 1 {
 			once.Do(func() { close(joinCh) })
 		}
@@ -289,14 +288,14 @@ func TestAsyncClusterStalenessBound(t *testing.T) {
 		cell, src, iter, ref int
 	}
 	var bad []violation
-	asyncClusterHooks.onPush = func(cell, iter int) {
+	asyncClusterHooks.driver.Pushed = func(cell, iter int) {
 		mu.Lock()
 		if iter > lastPush[cell] {
 			lastPush[cell] = iter
 		}
 		mu.Unlock()
 	}
-	asyncClusterHooks.onApply = func(cell, src, iter, at int) {
+	asyncClusterHooks.driver.Installed = func(cell, src, iter, at int) {
 		mu.Lock()
 		defer mu.Unlock()
 		k := pair{cell, src}
@@ -336,7 +335,7 @@ func TestAsyncFinishedCellPushesBounded(t *testing.T) {
 	defer clearAsyncHooks()
 	cfg := asyncConfig(3, 3, 2)
 	var finals atomic.Int64
-	asyncClusterHooks.onPush = func(cell, iter int) {
+	asyncClusterHooks.driver.Pushed = func(cell, iter int) {
 		if iter == cfg.Iterations {
 			finals.Add(1)
 		}

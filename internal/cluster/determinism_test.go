@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"cellgan/internal/checkpoint"
 	"cellgan/internal/config"
 	"cellgan/internal/core"
 	"cellgan/internal/mpi"
+	"cellgan/internal/tensor"
 )
 
 // checkpointFromReports reassembles a full checkpoint from the FullState
@@ -81,10 +83,15 @@ func TestGoldenCheckpointDeterminism(t *testing.T) {
 // from the state it holds, and recovery moves no bit.
 //
 // Every row runs with recycled pushes poisoned (mpi.PoisonRecycled): a
-// rank loop that released a push before its last read of it would train
-// on 0xFF and leave the sequential bytes. The poison rides this test
-// rather than a copy of it, which would push the package past go test's
-// default timeout under make stress.
+// driver that released a push before its last read of it would train on
+// 0xFF and leave the sequential bytes. The last row is the one where a
+// push has most readers: async+resilient 3×3 at W = 2 with slave 5
+// crashed, whose survivors co-own cells, each push decoded once for all
+// of them, and re-push; with no sequential run to match, every cell must
+// reach its target and every final full state must be finite, as poison
+// (NaN as float64) would not leave it. The poison rides this test rather
+// than a copy of it, which would push the package past go test's default
+// timeout under make stress.
 func TestCrossModeGoldenCheckpoint(t *testing.T) {
 	mpi.PoisonRecycled(true)
 	defer mpi.PoisonRecycled(false)
@@ -174,22 +181,76 @@ func TestCrossModeGoldenCheckpoint(t *testing.T) {
 	want3 := marshal(fromCore(cfg3, core.RunSequential))
 	asyncEvict := chaosOptions(cfg3, 3)
 	asyncEvict.Async = true
-	for _, mode := range []struct {
-		name string
-		opts MasterOptions
+	w2 := asyncEvict
+	w2.Cfg.AsyncStaleness = 2
+	// Each crash row waits out an eviction on the wall clock, so the three
+	// run side by side.
+	rows := []struct {
+		name   string
+		opts   MasterOptions
+		finite bool // no sequential run to match: only finite states
+		res    *JobResult
+		err    error
 	}{
-		{"resilient 3x3 RunJob with slave 5 crashed", chaosOptions(cfg3, 3)},
-		{"async+resilient 3x3 RunJob at W=1 with slave 5 crashed", asyncEvict},
-	} {
-		res, err := RunJobChaos(mode.opts, crashSlave5)
-		if err != nil {
-			t.Fatal(err)
+		{name: "resilient 3x3 RunJob with slave 5 crashed", opts: chaosOptions(cfg3, 3)},
+		{name: "async+resilient 3x3 RunJob at W=1 with slave 5 crashed", opts: asyncEvict},
+		{name: "async+resilient 3x3 RunJob at W=2 with slave 5 crashed", opts: w2, finite: true},
+	}
+	var wg sync.WaitGroup
+	for i := range rows {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rows[i].res, rows[i].err = RunJobChaos(rows[i].opts, crashSlave5)
+		}()
+	}
+	wg.Wait()
+	for _, row := range rows {
+		if row.err != nil {
+			t.Fatalf("%s: %v", row.name, row.err)
 		}
-		requireAllTrained(t, cfg3, res)
-		for c, r := range res.Reports {
-			if !bytes.Equal(want3[c], r.Full) {
-				t.Errorf("%s: cell %d full state differs from core.RunSequential", mode.name, c)
+		requireAllTrained(t, row.opts.Cfg, row.res)
+		for c, r := range row.res.Reports {
+			if row.finite {
+				if part := nonFinitePart(t, r.Full); part != "" {
+					t.Errorf("%s: cell %d has a non-finite %s", row.name, c, part)
+				}
+			} else if !bytes.Equal(want3[c], r.Full) {
+				t.Errorf("%s: cell %d full state differs from core.RunSequential", row.name, c)
 			}
 		}
 	}
+}
+
+// nonFinitePart names the first part of a marshalled full state of an
+// Adam-trained cell holding a NaN or ±Inf, or returns "".
+func nonFinitePart(t *testing.T, full []byte) string {
+	t.Helper()
+	f, err := core.UnmarshalFullState(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := f.Cell
+	scalars := append([]float64{s.GenLR, s.DiscLR, s.GenFitness, s.DiscFitness}, f.MixtureWeights...)
+	if !tensor.AllFinite([]*tensor.Mat{tensor.FromSlice(1, len(scalars), scalars)}) {
+		return "learning rate, fitness or mixture weight"
+	}
+	const adamHeader = 5 * 8 // the hyperparameters and step count ahead of the moments
+	for _, part := range []struct {
+		name string
+		blob []byte
+	}{{"generator", s.GenParams}, {"discriminator", s.DiscParams},
+		{"generator moments", f.GenOpt[adamHeader:]}, {"discriminator moments", f.DiscOpt[adamHeader:]}} {
+		for blob := part.blob; len(blob) > 0; {
+			ms, rest, err := tensor.DecodeMats(blob)
+			if err != nil {
+				t.Fatalf("%s: %v", part.name, err)
+			}
+			if !tensor.AllFinite(ms) {
+				return part.name
+			}
+			blob = rest
+		}
+	}
+	return ""
 }

@@ -160,3 +160,78 @@ func TestHardenedGiveUpInsideEvictionWindow(t *testing.T) {
 		t.Fatalf("hardened give-up %v: two of them reach the %v eviction window", giveUp, window)
 	}
 }
+
+// TestFailedJoinerReportsItsCells drives one joiner by hand, as its master:
+// it adopts cell 2, then fails to restore cell 3 from a corrupt state. The
+// failed execution thread must report the cell it owned, with the error
+// and the state it reached, and no other: a joiner's task names no cell
+// (CellRank −1), and a report for a cell the thread never owned would
+// displace the state the master holds for it.
+func TestFailedJoinerReportsItsCells(t *testing.T) {
+	cfg := asyncConfig(2, 2, 4)
+	joiner := cfg.NumTasks()
+	w := mpi.MustWorld(joiner + 1)
+	defer w.Close()
+	comm, jc := w.MustComm(0), w.MustComm(joiner)
+	slaveErr := make(chan error, 1)
+	go func() { slaveErr <- RunSlave(jc, jc) }() // a joiner never uses LOCAL
+	if _, err := comm.RecvTimeout(joiner, tagNodeName, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	send := func(tag int, msg interface{ marshal() ([]byte, error) }) {
+		t.Helper()
+		var payload []byte
+		var err error
+		if msg != nil {
+			payload, err = msg.marshal()
+		}
+		if err == nil {
+			err = comm.Send(joiner, tag, payload)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(tagRunTask, runTask{Cfg: cfg, CellRank: -1, Async: true, Joiner: true})
+	owners := []int{1, 2, joiner, joiner}
+	send(tagOwnerUpdate, ownerUpdate{Version: 1, Owners: owners, Adopt: []cellBlob{{CellRank: 2, Fitness: inf()}}})
+	send(tagOwnerUpdate, ownerUpdate{Version: 2, Owners: owners, Adopt: []cellBlob{{CellRank: 3, Full: []byte("corrupt"), Fitness: inf()}}})
+
+	var reports []SlaveReport
+	for deadline := time.Now().Add(30 * time.Second); reports == nil; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the joiner never delivered its reports")
+		}
+		send(tagCollect, nil)
+		m, err := comm.RecvTimeout(joiner, tagResult, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Data) > 0 {
+			sr, err := parseSlaveReports(m.Data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports = append([]SlaveReport{}, sr.Reports...)
+		}
+	}
+	send(tagShutdown, nil)
+	if err := <-slaveErr; err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 1 || reports[0].CellRank != 2 {
+		t.Fatalf("reports for cells %v, want cell 2 alone", cellsOf(reports))
+	}
+	if r := reports[0]; !strings.Contains(r.Error, "cell 3") || len(r.Full) == 0 {
+		t.Fatalf("cell 2's report carries error %q and %d state bytes, want cell 3's failure and the state", r.Error, len(r.Full))
+	}
+}
+
+// cellsOf lists the cells a set of reports is for.
+func cellsOf(reports []SlaveReport) []int {
+	var cells []int
+	for _, r := range reports {
+		cells = append(cells, r.CellRank)
+	}
+	return cells
+}

@@ -1,10 +1,10 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -209,91 +209,70 @@ func RunSlaveOpts(comm *mpi.Comm, local *mpi.Comm, sopts SlaveOptions) error {
 
 // execute is the slave's execution thread (Fig 3: "Create execution
 // thread"): it trains in the task's exchange mode and leaves one report
-// per owned cell for the control loop to hand to the master.
+// per cell it owns at the end for the control loop to hand to the master.
+// A thread that fails reports each cell it owned then, with the error and
+// the state the cell reached; one that owned none reports none.
 func (s *slave) execute(task runTask) {
 	defer close(s.done)
 	defer s.setState(StateFinished)
 
-	run := s.runLockstep
-	if task.Async || task.Resilient {
-		run = s.runAsync
-	}
-	reports, err := run(task)
-	if err != nil {
-		// Training failures surface through the report; the control
-		// protocol stays alive so the master can collect and shut down.
-		reports = []SlaveReport{{
-			CellRank: max(task.CellRank, 0), Node: task.Node,
-			MixtureFitness: inf(), Error: err.Error(),
-		}}
+	var reports []SlaveReport
+	o, err := newOwnedCells(task, &s.prof, s.abort.Load)
+	if err == nil {
+		aborted := false
+		if task.Async || task.Resilient {
+			aborted, err = s.runAsync(o)
+		} else {
+			// The plain mode trains its one cell over the LOCAL
+			// communicator at window 1, blocking on the mailbox as
+			// core.RunParallel's drivers do. The master's abort is the
+			// driver's stop signal: every cell halts within the grid's
+			// influence diameter, all at one boundary.
+			o.d.Comm, o.d.Tag = s.local, tagAsyncState
+			err = o.d.Run()
+			aborted = err == nil && o.d.Cells()[0].Cell.Iteration() < task.Cfg.Iterations
+		}
+		reports = o.reports(aborted, err)
 	}
 	s.mu.Lock()
 	s.result = slaveReports{Reports: reports, Profile: s.prof.Snapshot()}
 	s.mu.Unlock()
 }
 
-// runLockstep trains the assigned cell with core.RankLoop on the LOCAL
-// communicator — the loop core.RunParallel runs in-process, at staleness
-// window 1. The master's abort is the loop's stop signal: the first slave
-// to see it picks a halt iteration within the grid's influence diameter,
-// its pushes carry it to every peer, and all cells stop at that one
-// boundary. Every slave restores to the same iteration (the master
-// validated that), as window 1 requires.
-func (s *slave) runLockstep(task runTask) ([]SlaveReport, error) {
-	owned, err := newOwnedCells(task, &s.prof)
-	if err != nil {
-		return nil, err
-	}
-	oc := owned.cells[task.CellRank]
-	last, halted, err := core.RankLoop{Comm: s.local, Cell: oc.cell, Stop: s.abort.Load}.Run()
-	if err != nil {
-		return nil, err
-	}
-	oc.fitness = last.MixtureFitness
-	return owned.reports(halted), nil
-}
-
-// ownedCell is one grid cell an execution thread trains, with the
-// bookkeeping that travels with it across adoptions and releases.
-type ownedCell struct {
-	cell *core.Cell
-	// x applies the exchange rules to the cell (tolerant modes only); wire
-	// is its last push and prev the one before it, both re-sent by the
-	// idle re-push. Sent buffers: receivers alias them, nobody writes them.
-	x          *core.Exchange
-	wire, prev []byte
-	// unacked marks a current version that waits for the master's ack
-	// before it is pushed (evict policy); halted, a cell at its abort
-	// boundary as last uploaded.
-	unacked, halted bool
-	// failed marks a cell whose training errored; it is kept, reported
-	// and no longer iterated. errNote is the error's text.
-	failed  bool
-	errNote string
-	// fitness is the cell's last mixture fitness, inf() until the first
-	// iteration completes.
-	fitness float64
-}
-
-// ownedCells is the working set of a slave's execution thread: the cells
-// it currently trains, keyed by grid rank. It starts with the task's own
-// cell and grows and shrinks with adoption orders and releases.
+// ownedCells is the working set of a slave's execution thread: the driver
+// of the cells it currently trains. It starts with the task's own cell and
+// grows and shrinks with adoption orders and releases.
 type ownedCells struct {
-	task  runTask
-	grid  *grid.Grid
-	prof  *telemetry.Profile
-	cells map[int]*ownedCell
+	task runTask
+	grid *grid.Grid
+	prof *telemetry.Profile
+	d    *core.Driver
+	// kept holds each cell's last two pushes, newest last, for the idle
+	// re-push, with the holds that keep them off the free list.
+	kept map[int][]keptPush
 }
 
-// newOwnedCells builds the grid and adopts the task's cell (a joiner has
-// none yet), its cells timing into prof. task.Full is empty on a fresh
-// start and carries the cell's resume state after a whole-job restart.
-func newOwnedCells(task runTask, prof *telemetry.Profile) (*ownedCells, error) {
+// keptPush is a push held for the re-push and the release of its hold.
+type keptPush struct {
+	push    []byte
+	release func()
+}
+
+// newOwnedCells builds the grid and the driver, polling stop, and adopts
+// the task's cell (a joiner has none yet), its cells timing into prof.
+// task.Full is empty on a fresh start and carries the cell's resume state
+// after a whole-job restart. The evict policy alone runs staleness window
+// 1, as does the plain mode.
+func newOwnedCells(task runTask, prof *telemetry.Profile, stop func() bool) (*ownedCells, error) {
 	g, err := core.BuildGridFor(task.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	o := &ownedCells{task: task, grid: g, prof: prof, cells: make(map[int]*ownedCell)}
+	d := &core.Driver{Window: 1, Target: task.Cfg.Iterations, Stop: stop, Hooks: &asyncClusterHooks.driver}
+	if task.Async {
+		d.Window = task.Cfg.EffectiveAsyncStaleness()
+	}
+	o := &ownedCells{task: task, grid: g, prof: prof, d: d, kept: make(map[int][]keptPush)}
 	if task.Joiner {
 		return o, nil
 	}
@@ -302,9 +281,10 @@ func newOwnedCells(task runTask, prof *telemetry.Profile) (*ownedCells, error) {
 
 // adopt takes over the blob's cell, restoring its full state when the
 // blob carries one. Adopting a cell already owned is a no-op, so resent
-// adoption orders are harmless.
+// adoption orders are harmless. Under the evict policy no version of the
+// cell goes out before the master acknowledges holding it.
 func (o *ownedCells) adopt(b cellBlob) error {
-	if _, ok := o.cells[b.CellRank]; ok {
+	if o.d.Lookup(b.CellRank) != nil {
 		return nil
 	}
 	c, err := core.NewCell(o.task.Cfg, b.CellRank, o.grid, o.prof)
@@ -320,29 +300,35 @@ func (o *ownedCells) adopt(b cellBlob) error {
 			return fmt.Errorf("cluster: restoring cell %d state: %w", b.CellRank, err)
 		}
 	}
-	oc := &ownedCell{cell: c, failed: b.Failed, errNote: b.Error, fitness: b.Fitness}
-	if w := o.task.Cfg.EffectiveAsyncStaleness(); o.task.Async || o.task.Resilient {
-		if !o.task.Async {
-			w = 1 // the evict policy alone is lockstep
-		}
-		oc.x = core.NewExchange(c, w)
-		if h := asyncClusterHooks.onApply; h != nil {
-			oc.x.Installed = func(src, iter int) { h(b.CellRank, src, iter, c.Iteration()) }
-		}
+	oc := o.d.Own(c)
+	oc.Last.MixtureFitness = b.Fitness
+	if b.Failed {
+		oc.Err = errors.New(b.Error)
 	}
-	o.cells[b.CellRank] = oc
+	if o.task.Resilient {
+		oc.Held = -1
+	}
 	return nil
 }
 
-// ranks returns the owned cell ranks in ascending order, keeping
-// per-round work deterministic regardless of map iteration order.
-func (o *ownedCells) ranks() []int {
-	ranks := make([]int, 0, len(o.cells))
-	for r := range o.cells {
-		ranks = append(ranks, r)
+// keep is the driver's Keep: it holds cell r's new push p and lets go of
+// the one two pushes before it.
+func (o *ownedCells) keep(r int, p []byte) {
+	k := append(o.kept[r], keptPush{p, o.d.Comm.Hold(p)})
+	if len(k) > 2 {
+		k[0].release()
+		k = k[1:]
 	}
-	sort.Ints(ranks)
-	return ranks
+	o.kept[r] = k
+}
+
+// drop stops training cell r and lets go of its pushes.
+func (o *ownedCells) drop(r int) {
+	o.d.Drop(r)
+	for _, k := range o.kept[r] {
+		k.release()
+	}
+	delete(o.kept, r)
 }
 
 // packState encodes the full state of the listed cells (those still
@@ -350,64 +336,60 @@ func (o *ownedCells) ranks() []int {
 func (o *ownedCells) packState(round int, ranks []int) ([]byte, error) {
 	upd := stateUpdate{Round: round}
 	for _, r := range ranks {
-		oc, ok := o.cells[r]
-		if !ok {
-			continue
+		if oc := o.d.Lookup(r); oc != nil {
+			b, err := blobOf(oc)
+			if err != nil {
+				return nil, err
+			}
+			upd.Cells = append(upd.Cells, b)
 		}
-		f, err := oc.cell.FullState()
-		if err != nil {
-			return nil, err
-		}
-		upd.Cells = append(upd.Cells, cellBlob{
-			CellRank: r, Iteration: oc.cell.Iteration(), Full: f.Marshal(),
-			Failed: oc.failed, Error: oc.errNote, Fitness: oc.fitness, Halted: oc.halted,
-		})
 	}
 	return upd.marshal()
 }
 
-// trainable reports whether cell r still owes iterations.
-func (o *ownedCells) trainable(r int) bool {
-	oc := o.cells[r]
-	return !oc.failed && oc.cell.Iteration() < o.task.Cfg.Iterations
-}
-
-// iterate trains cell r for one iteration and reports whether it
-// succeeded; a failure marks the cell instead of stopping the thread.
-func (o *ownedCells) iterate(r int) bool {
-	oc := o.cells[r]
-	stats, err := oc.cell.Iterate()
-	if err != nil {
-		oc.failed, oc.errNote = true, err.Error()
-		return false
+// blobOf packs owned cell oc's full state and standing.
+func blobOf(oc *core.Owned) (cellBlob, error) {
+	b := cellBlob{CellRank: oc.Cell.Rank, Iteration: oc.Cell.Iteration(), Failed: oc.Err != nil,
+		Fitness: oc.Last.MixtureFitness, Halted: oc.Halted()}
+	if oc.Err != nil {
+		b.Error = oc.Err.Error()
 	}
-	oc.fitness = stats.MixtureFitness
-	return true
+	f, err := oc.Cell.FullState()
+	if err == nil {
+		b.Full = f.Marshal()
+	}
+	return b, err
 }
 
-// reports builds one final report per owned cell.
-func (o *ownedCells) reports(aborted bool) []SlaveReport {
+// ranks returns the owned cell ranks in ascending order.
+func (o *ownedCells) ranks() []int {
+	var ranks []int
+	for _, oc := range o.d.Cells() {
+		ranks = append(ranks, oc.Cell.Rank)
+	}
+	return ranks
+}
+
+// reports builds one final report per owned cell; err, the error that
+// ended the thread, if any, is every cell's.
+func (o *ownedCells) reports(aborted bool, err error) []SlaveReport {
 	var reports []SlaveReport
-	for _, r := range o.ranks() {
-		oc := o.cells[r]
-		c := oc.cell
-		rep := SlaveReport{
-			CellRank: r, Node: o.task.Node, Iterations: c.Iteration(),
-			Aborted: aborted, Error: oc.errNote,
-			MixtureFitness: oc.fitness,
+	for _, oc := range o.d.Cells() {
+		b, _ := blobOf(oc) // a cell whose state does not encode reports none
+		rep := SlaveReport{CellRank: b.CellRank, Node: o.task.Node, Iterations: b.Iteration,
+			Aborted: aborted, Error: b.Error, MixtureFitness: b.Fitness, Full: b.Full}
+		if err != nil {
+			rep.Error = err.Error()
 		}
-		if c.Iteration() == 0 || oc.failed {
+		if b.Iteration == 0 || b.Failed || err != nil {
 			// Never trained (or broken): never the best mixture.
 			rep.MixtureFitness = inf()
 		}
-		if st, err := c.State(); err == nil {
+		if st, err := oc.Cell.State(); err == nil {
 			rep.State = st.Marshal()
 		}
-		if f, err := c.FullState(); err == nil {
-			rep.Full = f.Marshal()
-		}
-		rep.MixtureRanks = append([]int(nil), c.Mixture().Ranks...)
-		rep.MixtureWeights = append([]float64(nil), c.Mixture().Weights...)
+		rep.MixtureRanks = append([]int(nil), oc.Cell.Mixture().Ranks...)
+		rep.MixtureWeights = append([]float64(nil), oc.Cell.Mixture().Weights...)
 		reports = append(reports, rep)
 	}
 	return reports

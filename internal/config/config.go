@@ -105,8 +105,8 @@ type Config struct {
 	// only blocks before an iteration that would leave it more than S
 	// versions ahead of a live neighbour's last absorbed snapshot — there
 	// is never a global barrier. S = 1 is lockstep, the window
-	// core.RunParallel runs the same loop at. A stop request halts the
-	// async rank loop within S·D iterations (D the grid's influence
+	// core.RunParallel runs the same driver at. A stop request halts the
+	// async drivers within S·D iterations (D the grid's influence
 	// diameter). 0 selects the default window (DefaultAsyncStaleness).
 	AsyncStaleness int `json:"async_staleness,omitempty"`
 }

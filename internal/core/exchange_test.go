@@ -74,12 +74,13 @@ func TestExchangeAllocsIndependentOfGenomeSize(t *testing.T) {
 	}
 }
 
-// exchangeRounds builds the nine rank loops of the 3×3 grid at the given
+// exchangeRounds builds the nine drivers of the 3×3 grid at the given
 // width over an in-process world and returns one lockstep exchange round
 // of all of them — push, drain, decode — and the state bytes a round
-// delivers. Between rounds every cell steps its iteration count without
-// training, so each round waits for, installs and releases every
-// neighbour's push of its iteration, as a training run's rounds do.
+// delivers. Their target is 0, so a driver pushes and settles but never
+// trains, and between rounds every cell steps its iteration count: each
+// round waits for, installs and releases every neighbour's push of its
+// iteration, as a training run's rounds do.
 func exchangeRounds(tb testing.TB, hidden int) (round func(), delivered int) {
 	tb.Helper()
 	cfg := exchangeShape(hidden)
@@ -90,23 +91,22 @@ func exchangeRounds(tb testing.TB, hidden int) (round func(), delivered int) {
 	n := r.grid.Size()
 	world := mpi.MustWorld(n)
 	tb.Cleanup(world.Close)
-	loops := make([]*RankLoop, n)
-	for rank := range loops {
+	drivers := make([]*Driver, n)
+	for rank := range drivers {
 		cell, err := r.newCell(rank)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		l := &RankLoop{Comm: world.MustComm(rank), Cell: cell}
-		l.init()
-		loops[rank] = l
-		delivered += len(l.x.nbrs) * len(cell.AppendState(nil))
+		d := &Driver{Comm: world.MustComm(rank), Tag: stateTag, Window: 1}
+		delivered += len(d.Own(cell).x.nbrs) * len(cell.AppendState(nil))
+		drivers[rank] = d
 	}
 	return func() {
-		if err := eachRank(n, func(rank int) error { return loops[rank].exchange() }); err != nil {
+		if err := eachRank(n, func(rank int) error { return drivers[rank].Run() }); err != nil {
 			tb.Fatal(err)
 		}
-		for _, l := range loops {
-			l.Cell.iteration++
+		for _, d := range drivers {
+			d.owned[0].Cell.iteration++
 		}
 	}, delivered
 }
@@ -128,12 +128,12 @@ func roundAllocBytes(t *testing.T, hidden int) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / rounds
 }
 
-// TestRankLoopRoundAllocs: a warm round encodes every push into a buffer
+// TestDriverRoundAllocs: a warm round encodes every push into a buffer
 // its receivers have released, so what the nine ranks still allocate
 // (snapshot headers, delivery records, goroutines) must not grow with the
 // genomes. A fresh 1.94 MB push per rank per round at width 128 made it
 // some 17.5 MB.
-func TestRankLoopRoundAllocs(t *testing.T) {
+func TestDriverRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -148,7 +148,7 @@ func TestRankLoopRoundAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkExchangeRound times one exchange round of the rank loop of all
+// BenchmarkExchangeRound times one exchange round of the drivers of all
 // nine ranks of the 3×3, 128-wide grid over the in-process transport;
 // MB/s counts the state bytes a round delivers.
 func BenchmarkExchangeRound(b *testing.B) {
@@ -159,5 +159,51 @@ func BenchmarkExchangeRound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		round()
+	}
+}
+
+// TestDriverReleasesSharedPushAfterLastReader: a push that reaches two
+// owned cells is decoded once and read by both, so its delivery is
+// released only once both have let go of it. On a 2×2 grid at W = 2, one
+// driver owns cells 0 and 3, which both neighbour cell 1, whose driver
+// pushes its center of iteration 1 and then of iteration 3. Cell 0, at
+// iteration 2, installs the second push and lets go of the first; cell 3,
+// at iteration 0, must hold the second and keep viewing the first, which a
+// release at the first reader would have poisoned (mpi.PoisonRecycled).
+func TestDriverReleasesSharedPushAfterLastReader(t *testing.T) {
+	mpi.PoisonRecycled(true)
+	defer mpi.PoisonRecycled(false)
+	cfg := tinyConfig()
+	world := mpi.MustWorld(2)
+	defer world.Close()
+	owners := []int{1, 0, 0, 1}
+	sender := &Driver{Comm: world.MustComm(0), Tag: stateTag, Window: 2, Owners: owners}
+	receiver := &Driver{Comm: world.MustComm(1), Tag: stateTag, Window: 2, Owners: owners}
+	src, _ := newTestCell(t, cfg, 1)
+	sender.Own(src)
+	a, _ := newTestCell(t, cfg, 0)
+	b, _ := newTestCell(t, cfg, 3)
+	receiver.Own(a)
+	receiver.Own(b)
+	pass := func(d *Driver) {
+		t.Helper()
+		if _, _, err := d.Pass(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	installed := func(c *Cell) int { return receiver.Lookup(c.Rank).x.installed[1].s.Iteration }
+
+	src.iteration, a.iteration = 1, 2
+	pass(sender)
+	pass(receiver)
+	want := paramsHash(b.kept[1].gen.Net, b.kept[1].disc.Net)
+	src.iteration = 3
+	pass(sender)
+	pass(receiver)
+	if installed(a) != 3 || installed(b) != 1 {
+		t.Fatalf("cells 0 and 3 installed cell 1's pushes of iterations %d and %d, want 3 and 1", installed(a), installed(b))
+	}
+	if got := paramsHash(b.kept[1].gen.Net, b.kept[1].disc.Net); got != want {
+		t.Fatal("cell 3's view of a push it still reads was released when cell 0 let go of it")
 	}
 }

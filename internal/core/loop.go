@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -11,8 +13,8 @@ import (
 	"cellgan/internal/telemetry"
 )
 
-// stateTag carries the rank loops' center pushes, in the push format of
-// Exchange.
+// stateTag carries the in-process drivers' center pushes, in the push
+// format of Exchange.
 const stateTag = 17
 
 const (
@@ -24,20 +26,18 @@ const (
 	abortHalt = -1
 )
 
-// loopTestHooks observe the rank loops from tests (the staleness-bound
-// property test and the absorb-reordering regression test). Callbacks may
-// be invoked concurrently from per-rank goroutines; nil callbacks are
-// skipped.
-type loopTestHooks struct {
-	// onPush fires after rank src sends its snapshot at iteration iter to
-	// its influence set.
-	onPush func(src, iter int)
-	// onDrain fires when rank dst has emptied its mailbox, before it
-	// applies what it drained.
-	onDrain func(dst int)
-	// onApply fires after rank dst applies src's snapshot at iteration
-	// iter to its neighbour view.
-	onApply func(dst, src, iter int)
+// Hooks observe a Driver from tests. Drivers on several goroutines may
+// call them concurrently; nil callbacks are skipped.
+type Hooks struct {
+	// Pushed fires after cell's center of iteration iter went out, sent
+	// or re-sent.
+	Pushed func(cell, iter int)
+	// Drained fires for every owned cell once a pass has drained the
+	// mailbox, before any cell settles.
+	Drained func(cell int)
+	// Installed fires after cell, at iteration at, installs src's
+	// snapshot of iteration iter in its neighbour view.
+	Installed func(cell, src, iter, at int)
 }
 
 // Exchange is one cell's side of the cellular exchange, with no I/O: what
@@ -46,9 +46,8 @@ type loopTestHooks struct {
 // W, the number of iterations a cell may run ahead of the neighbour
 // snapshots it trains against. W = 1 is lockstep: before iteration k+1
 // the cell installs exactly every neighbour's center of iteration k,
-// whatever order the pushes arrive in. RankLoop drives one Exchange per
-// goroutine with blocking receives; the asynchronous cluster slave steps
-// one per owned cell from a single goroutine. The rules:
+// whatever order the pushes arrive in. A Driver steps one per owned cell,
+// in every mode. The rules:
 //   - Push: an 8-byte little-endian halt-at header, then the cell's
 //     CellState framing with its parameter blobs in the push layout
 //     (tensor.AppendAlignedMats); a header alone is the abort marker.
@@ -126,28 +125,24 @@ func (k pending) done() {
 	}
 }
 
-// Receive takes one push: the cell adopts the header's halt-at if it is
-// lower and keeps the snapshot behind it, aliasing data, which must not
-// change while the snapshot is kept or installed: an installed snapshot's
-// parameters are the bytes the neighbour's kept pair views. release, when
-// non-nil, is called exactly when the exchange stops reading data: once a
-// newer snapshot from the same source has been installed in its place, or
-// before it is ever installed, when it is superseded by a newer one, older
-// than the installed version, from outside the neighbourhood, an abort
-// marker or malformed. RankLoop passes the delivery's mpi.Message.Release,
-// so the sender may write its next push into the same bytes; the async
-// cluster slave passes nil and never writes a push once sent.
-func (x *Exchange) Receive(data []byte, release func()) error {
-	halt, s, err := decodePush(data)
-	if err == nil {
-		x.halt = min(x.halt, halt)
-	}
+// Receive takes one decoded push, s nil for the abort marker: the cell
+// adopts halt if it is lower and keeps s, whose parameters alias the push
+// and must not change while s is kept or installed: an installed
+// snapshot's parameters are the bytes the neighbour's kept pair views.
+// release is called exactly when the exchange stops reading the push: once
+// a newer snapshot from the same source has been installed in its place,
+// or before s is ever installed, when it is superseded by a newer one,
+// older than the installed version or from outside the neighbourhood, or
+// at once for the abort marker. The Driver passes a release that frees the
+// delivery after the last owned cell let go of it, so the sender may write
+// its next push into the same bytes.
+func (x *Exchange) Receive(halt int, s *CellState, release func()) {
+	x.halt = min(x.halt, halt)
 	if s == nil {
 		pending{release: release}.done()
-		return err
+		return
 	}
 	x.offer(pending{s, release})
-	return nil
 }
 
 // Offer keeps snapshot s, a state in the file layout (CellState.Marshal),
@@ -155,6 +150,9 @@ func (x *Exchange) Receive(data []byte, release func()) error {
 // push layout, which the kept pair then views. Snapshots from outside the
 // neighbourhood are dropped; one whose parameters do not parse is refused.
 func (x *Exchange) Offer(s *CellState) error {
+	if !x.keeps(s.Rank) {
+		return nil
+	}
 	a, err := s.aligned(nil)
 	if err == nil {
 		x.offer(pending{s: a})
@@ -163,7 +161,7 @@ func (x *Exchange) Offer(s *CellState) error {
 }
 
 func (x *Exchange) offer(k pending) {
-	if !slices.Contains(x.nbrs, k.s.Rank) {
+	if !x.keeps(k.s.Rank) {
 		k.done()
 		return
 	}
@@ -214,6 +212,20 @@ func (x *Exchange) Settle(exempt map[int]bool) (bool, error) {
 	}
 	x.settled = k
 	return true, x.cell.refreshMixture()
+}
+
+// keeps reports whether the cell's neighbourhood holds src.
+func (x *Exchange) keeps(src int) bool { return slices.Contains(x.nbrs, src) }
+
+// release lets go of every push the exchange still reads: its cell is no
+// longer stepped.
+func (x *Exchange) release() {
+	for _, m := range []map[int]pending{x.installed, x.latest, x.held} {
+		for src, k := range m {
+			k.done()
+			delete(m, src)
+		}
+	}
 }
 
 // Halted reports whether the cell has reached its halt boundary or seen an
@@ -283,134 +295,287 @@ func decodePush(data []byte) (halt int, s *CellState, err error) {
 	return int(int64(binary.LittleEndian.Uint64(data))), s, err
 }
 
-// RankLoop is one rank's share of the cellular algorithm over an MPI
-// communicator: train the cell and exchange centers with its grid
-// neighbourhood by the rules of Exchange, blocking on the mailbox while
-// the gate is shut. The cell's grid rank is its rank in Comm. RunParallel
-// (W = 1) and RunAsync (W = Cfg.AsyncStaleness) run one per goroutine over
-// an in-process world; a plain cluster slave runs one on the LOCAL
-// communicator (W = 1).
-//
-// One round is: push this cell's center to its influence set, drain
-// neighbour pushes until the gate opens, deposit a periodic checkpoint,
-// iterate.
-type RankLoop struct {
-	Comm *mpi.Comm
-	Cell *Cell
-	// Stop, when non-nil, is polled at every iteration boundary; once any
-	// rank sees it return true, all ranks halt within W·D iterations, at
-	// the same boundary.
+// Driver is one execution thread's share of the cellular algorithm: the
+// cells it owns, each with its own Exchange, trading centers with the
+// owners of their neighbourhoods over Comm. A Pass drains the pushes that
+// arrived and hands each to the owned cells it concerns; then, cell by
+// cell in rank order, it settles, deposits the periodic checkpoint and —
+// gate open, version out, work owed — iterates and pushes. RunParallel and
+// RunAsync run one Driver per cell in-process, the plain cluster slave one
+// on LOCAL, the tolerant cluster slave one over every cell it owns.
+type Driver struct {
+	Comm   *mpi.Comm
+	Tag    int // carries the pushes
+	Window int // every owned cell's staleness window W; below 1 means 1
+	// Target is the iteration the cells train to: none iterates past it.
+	Target int
+	// Owners maps each grid cell to the Comm rank training it; nil maps
+	// cell r to rank r. A push goes to the owners of its cell's influence
+	// set, this rank included when it owns one.
+	Owners []int
+	// Exempt holds the cells that never publish again: they hold no gate.
+	Exempt map[int]bool
+	// Stop, when non-nil, is polled every pass; once any cell sees it
+	// true, all halt within W·D iterations, at one boundary.
 	Stop func() bool
-	// Progress, when non-nil, is invoked after every iteration, before the
-	// push that follows it.
+	// Progress, when non-nil, is invoked after every iteration, before
+	// the push that follows it.
 	Progress func(rank int, stats IterStats)
+	// Keep, when non-nil, is handed every push before it goes out, for a
+	// caller that re-sends pushes (Resend) to hold on to.
+	Keep  func(rank int, push []byte)
+	Hooks *Hooks
 
-	// window is the staleness window W; below 1 means 1.
-	window int
-	inst   *runInstruments
-	coll   *CkptCollector
-	hooks  *loopTestHooks
-
-	x *Exchange
-	// dests is the influence set minus the cell, the ranks every push
-	// goes to.
+	inst  *runInstruments
+	coll  *CkptCollector
+	owned []*Owned
 	dests []int
 }
 
-// Run trains the cell until it reaches its configured iteration count or
-// the ranks halt, and returns the last iteration's statistics and whether
-// the loop stopped short of the target. A rank that fails pushes the abort
-// marker before returning its error, so no peer waits on it forever.
-func (l RankLoop) Run() (last IterStats, halted bool, err error) {
-	l.init()
-	target := l.Cell.Cfg.Iterations
+// Owned is a cell a Driver steps.
+type Owned struct {
+	Cell *Cell
+	// Held is the newest version that may go out: the cell neither pushes
+	// nor iterates past a newer one until Held reaches it.
+	Held int
+	// Err, once set, is why the cell failed; it is never iterated again.
+	Err  error
+	Last IterStats // the last iteration's statistics
+
+	x      *Exchange
+	infl   []int     // the influence set minus the cell
+	pushed int       // the last iteration pushed, -1 before the first
+	halted bool      // Halted as the last pass saw it
+	since  time.Time // when the current boundary's exchange began
+}
+
+// Halted reports whether the cell has reached its halt boundary or seen an
+// abort.
+func (o *Owned) Halted() bool { return o.x.Halted() }
+
+// Own adds cell, with its own exchange; its current version goes out in
+// the next pass.
+func (d *Driver) Own(cell *Cell) *Owned {
+	o := &Owned{Cell: cell, Held: math.MaxInt, x: NewExchange(cell, d.Window), pushed: -1, since: time.Now()}
+	o.x.inst = d.inst
+	o.infl = slices.DeleteFunc(cell.grid.Influence(cell.Rank), func(r int) bool { return r == cell.Rank })
+	if h := d.Hooks; h != nil && h.Installed != nil {
+		o.x.Installed = func(src, iter int) { h.Installed(cell.Rank, src, iter, cell.Iteration()) }
+	}
+	i, _ := slices.BinarySearchFunc(d.owned, cell.Rank, func(o *Owned, r int) int { return o.Cell.Rank - r })
+	d.owned = slices.Insert(d.owned, i, o)
+	return o
+}
+
+// Drop stops stepping cell rank, letting go of every push it still reads.
+func (d *Driver) Drop(rank int) {
+	if o := d.Lookup(rank); o != nil {
+		o.x.release()
+		d.owned = slices.DeleteFunc(d.owned, func(c *Owned) bool { return c == o })
+	}
+}
+
+// Lookup returns owned cell rank, or nil.
+func (d *Driver) Lookup(rank int) *Owned {
+	if i := slices.IndexFunc(d.owned, func(o *Owned) bool { return o.Cell.Rank == rank }); i >= 0 {
+		return d.owned[i]
+	}
+	return nil
+}
+
+// Cells returns the owned cells in rank order; the slice is the driver's.
+func (d *Driver) Cells() []*Owned { return d.owned }
+
+// Offer hands s, a snapshot in the file layout, to the owned cells as a
+// push's would be.
+func (d *Driver) Offer(s *CellState) {
+	for _, o := range d.owned {
+		o.x.Offer(s) //nolint:errcheck // a snapshot whose parameters do not parse is refused
+	}
+}
+
+// Pass is one step of every owned cell. It reports whether a cell moved
+// (iterated, failed or halted) and whether one waits on what other ranks
+// send: gated while it owes work, or with a version that may not go out
+// yet. It blocks on nothing.
+func (d *Driver) Pass() (moved, waiting bool, err error) {
 	for {
-		if err = l.exchange(); err != nil || l.x.halt < 0 {
+		m, ok, err := d.Comm.TryRecv(mpi.AnySource, d.Tag)
+		if err != nil {
+			return false, false, err
+		}
+		if !ok {
 			break
 		}
-		// Every rank passes every boundary below its halt, so the
-		// deposits of one iteration assemble a consistent cut.
-		if err = l.coll.Deposit(l.Cell.Rank, l.Cell.Iteration(), l.Cell.FullState); err != nil {
-			break
-		}
-		if l.Stop != nil && l.Stop() {
-			l.x.Stop()
-		}
-		if l.Cell.Iteration() >= target || l.x.Halted() {
-			break
-		}
-		if last, err = l.Cell.Iterate(); err != nil {
-			break
-		}
-		l.inst.observeIter(l.Cell.Rank, last)
-		if l.Progress != nil {
-			l.Progress(l.Cell.Rank, last)
+		if err := d.deliver(m); err != nil {
+			return false, false, err
 		}
 	}
-	if err != nil || l.x.halt < 0 {
-		l.Comm.Multicast(l.dests, stateTag, appendHalt(nil, abortHalt)) //nolint:errcheck // err already holds the root cause
+	if h := d.Hooks; h != nil && h.Drained != nil {
+		for _, o := range d.owned {
+			h.Drained(o.Cell.Rank)
+		}
 	}
-	return last, l.Cell.Iteration() < target, err
+	stop := d.Stop != nil && d.Stop()
+	for _, o := range d.owned {
+		m, w, err := d.step(o, stop)
+		if err != nil {
+			return false, false, err
+		}
+		moved, waiting = moved || m, waiting || w
+	}
+	return moved, waiting, nil
 }
 
-// init derives the loop's exchange and peers from its cell.
-func (l *RankLoop) init() {
-	l.x = NewExchange(l.Cell, l.window)
-	l.x.inst = l.inst
-	if l.hooks != nil && l.hooks.onApply != nil {
-		rank, onApply := l.Cell.Rank, l.hooks.onApply
-		l.x.Installed = func(src, iter int) { onApply(rank, src, iter) }
+// step settles o's exchange and, if the cell may, iterates it and pushes
+// the result.
+func (d *Driver) step(o *Owned, stop bool) (moved, waiting bool, err error) {
+	if err := d.publish(o); err != nil {
+		return false, false, err
 	}
-	l.dests = slices.DeleteFunc(l.Cell.grid.Influence(l.Cell.Rank), func(r int) bool { return r == l.Cell.Rank })
+	k := o.Cell.Iteration()
+	first := o.x.settled != k
+	ready, err := o.x.Settle(d.Exempt)
+	if err != nil {
+		return false, false, err
+	}
+	if stop {
+		o.x.Stop()
+	}
+	if h := o.x.Halted(); h != o.halted {
+		o.halted, moved = h, true
+	}
+	owes := o.Err == nil && k < d.Target && !o.halted
+	if !ready {
+		d.inst.observeStaleWait()
+		return moved, owes || o.pushed < k, nil
+	}
+	if first {
+		d.inst.observeExchange(time.Since(o.since))
+		o.Cell.prof.Since(telemetry.RoutineGather, o.since)
+		// Every cell passes every boundary below its halt, so the deposits
+		// of one iteration assemble a consistent cut.
+		if o.x.halt >= 0 {
+			if err := d.coll.Deposit(o.Cell.Rank, k, o.Cell.FullState); err != nil {
+				return false, false, err
+			}
+		}
+	}
+	if !owes || o.pushed < k {
+		return moved, o.pushed < k, nil
+	}
+	if o.Last, o.Err = o.Cell.Iterate(); o.Err != nil {
+		return true, false, nil
+	}
+	o.since = time.Now()
+	d.inst.observeIter(o.Cell.Rank, o.Last)
+	if d.Progress != nil {
+		d.Progress(o.Cell.Rank, o.Last)
+	}
+	return true, o.Held <= k, d.publish(o)
 }
 
-// exchange is one round: push this cell's center, then drain neighbour
-// pushes — blocking on the mailbox while the gate is shut — until the
-// exchange settles.
-func (l *RankLoop) exchange() error {
-	t0 := time.Now()
-	defer func() {
-		l.inst.observeExchange(time.Since(t0))
-		l.Cell.prof.Since(telemetry.RoutineGather, t0)
-	}()
-	// Each push is encoded into a buffer whose last push every receiver
-	// has released (Exchange.Receive says when), or a fresh one while the
-	// earlier pushes are still out.
-	if err := l.Comm.Multicast(l.dests, stateTag, l.x.AppendPush(l.Comm.Reuse())); err != nil {
+// publish pushes o's current version to the owners of its influence set,
+// unless it went out already or is newer than Held. The push is encoded
+// into a buffer whose last push every receiver has released, or a fresh
+// one while the earlier pushes are still out. A dead owner is skipped: a
+// caller that tolerates one re-sends what it lost.
+func (d *Driver) publish(o *Owned) error {
+	k := o.Cell.Iteration()
+	if o.pushed >= k || k > o.Held {
+		return nil
+	}
+	o.pushed = k
+	p := o.x.AppendPush(d.Comm.Reuse())
+	if d.Keep != nil {
+		d.Keep(o.Cell.Rank, p)
+	}
+	if err := d.Comm.Multicast(d.destinations(o), d.Tag, p); err != nil && !errors.Is(err, mpi.ErrPeerDead) {
 		return err
 	}
-	if l.hooks != nil && l.hooks.onPush != nil {
-		l.hooks.onPush(l.Cell.Rank, l.Cell.Iteration())
+	if h := d.Hooks; h != nil && h.Pushed != nil {
+		h.Pushed(o.Cell.Rank, k)
 	}
-	for wait := false; ; wait = true {
-		if err := l.drain(wait); err != nil {
-			return err
+	return nil
+}
+
+// Resend multicasts push, one Keep was handed for owned cell rank, to the
+// current owners of the cell's influence set again, best-effort.
+func (d *Driver) Resend(rank int, push []byte) {
+	if o := d.Lookup(rank); o != nil {
+		d.Comm.Multicast(d.destinations(o), d.Tag, push) //nolint:errcheck // a push lost again is re-sent again
+		if _, s, err := decodePush(push); err == nil && s != nil && d.Hooks != nil && d.Hooks.Pushed != nil {
+			d.Hooks.Pushed(rank, s.Iteration)
 		}
-		if l.hooks != nil && l.hooks.onDrain != nil {
-			l.hooks.onDrain(l.Cell.Rank)
-		}
-		if ready, err := l.x.Settle(nil); err != nil || ready {
-			return err
-		}
-		l.inst.observeStaleWait()
 	}
 }
 
-// drain hands every queued push to the exchange, first blocking for one
-// when wait is set.
-func (l *RankLoop) drain(wait bool) error {
-	for {
-		m, ok, err := l.Comm.TryRecv(mpi.AnySource, stateTag)
-		if wait && err == nil && !ok {
-			m, err = l.Comm.Recv(mpi.AnySource, stateTag)
-			ok = err == nil
+// destinations lists the distinct owners of o's influence set.
+func (d *Driver) destinations(o *Owned) []int {
+	d.dests = d.dests[:0]
+	for _, c := range o.infl {
+		if d.Owners != nil {
+			c = d.Owners[c]
 		}
-		wait = false
-		if err != nil || !ok {
-			return err
-		}
-		if err := l.x.Receive(m.Data, m.Release); err != nil {
-			return fmt.Errorf("core: push from rank %d: %w", m.Src, err)
+		if !slices.Contains(d.dests, c) {
+			d.dests = append(d.dests, c)
 		}
 	}
+	return d.dests
+}
+
+// deliver decodes push m once and hands it to every owned cell whose
+// neighbourhood holds its sender, the abort marker to every owned cell;
+// the delivery is released when the last of them lets go of it.
+func (d *Driver) deliver(m mpi.Message) error {
+	halt, s, err := decodePush(m.Data)
+	if err != nil {
+		m.Release()
+		return fmt.Errorf("core: push from rank %d: %w", m.Src, err)
+	}
+	readers := slices.DeleteFunc(slices.Clone(d.owned), func(o *Owned) bool { return s != nil && !o.x.keeps(s.Rank) })
+	left := len(readers)
+	release := func() {
+		if left--; left <= 0 {
+			m.Release()
+		}
+	}
+	if left == 0 {
+		release()
+	}
+	for _, o := range readers {
+		o.x.Receive(halt, s, release)
+	}
+	return nil
+}
+
+// Run steps the owned cells until each has settled its last boundary or
+// failed, blocking on the mailbox whenever a pass moved nothing, and
+// returns a pass's error or else the first failed cell's. A run that fails
+// or sees an abort pushes the abort marker, so no peer waits on it forever.
+func (d *Driver) Run() (err error) {
+	done := func(o *Owned) bool {
+		k := o.Cell.Iteration()
+		return o.Err != nil || o.x.settled == k && (k >= d.Target || o.x.Halted())
+	}
+	for moved := true; err == nil && slices.ContainsFunc(d.owned, func(o *Owned) bool { return !done(o) }); {
+		if !moved {
+			var m mpi.Message
+			if m, err = d.Comm.Recv(mpi.AnySource, d.Tag); err == nil {
+				err = d.deliver(m)
+			}
+		}
+		if err == nil {
+			moved, _, err = d.Pass()
+		}
+	}
+	for _, o := range d.owned {
+		err = cmp.Or(err, o.Err)
+	}
+	for _, o := range d.owned {
+		if err != nil || o.x.halt < 0 {
+			d.Comm.Multicast(d.destinations(o), d.Tag, appendHalt(nil, abortHalt)) //nolint:errcheck // err already holds the root cause
+		}
+	}
+	return err
 }

@@ -39,7 +39,7 @@ type RunOptions struct {
 	// Stop, when non-nil, is polled at iteration boundaries; once it
 	// returns true the run finishes and returns normally with the state
 	// reached so far (suitable for checkpointing). The sequential mode
-	// halts at that boundary. The rank loops of the parallel and
+	// halts at that boundary. The drivers of the parallel and
 	// asynchronous modes halt within W·D iterations — W the staleness
 	// window (1 in parallel mode), D the grid's influence diameter — all
 	// at the same boundary: the halt iteration rides the state pushes.
@@ -60,11 +60,11 @@ type RunOptions struct {
 	CheckpointSink func(iteration int, states []*FullState) error
 
 	// commWrap, when non-nil, wraps each rank's communicator before its
-	// rank loop uses it — the test seam for injecting mpi.FaultyComm into
+	// driver uses it — the test seam for injecting mpi.FaultyComm into
 	// RunParallel and RunAsync without a cluster in between.
 	commWrap func(rank int, c *mpi.Comm) *mpi.Comm
-	// hooks observe the rank loops' pushes, drains and applies; test-only.
-	hooks *loopTestHooks
+	// hooks observe the drivers' pushes, drains and installs; test-only.
+	hooks *Hooks
 }
 
 // restoreIfResuming applies the matching resume state to a fresh cell.
@@ -174,7 +174,7 @@ func BuildGridFor(cfg config.Config) (*grid.Grid, error) {
 // neighbourhood contains it, mirroring the exchange of the parallel mode
 // in shared memory: each cell's center is encoded once, in the push
 // layout, into the cell's push buffer, and every receiver's kept pair
-// views it, as a rank loop's views a delivered push. Re-encoding a buffer
+// views it, as a driver's views a delivered push. Re-encoding a buffer
 // that the previous exchange's views still point at is safe here: no cell
 // reads a kept pair between the encode and the re-install that follows.
 func exchangeLocal(cells []*Cell, prof *telemetry.Profile) error {
@@ -218,7 +218,7 @@ type runCtx struct {
 // newRun validates the inputs and builds the grid. A resume set is refused
 // when two neighbouring cells' iterations differ by more than window−1:
 // no exchange with staleness window window could have left them there,
-// and the rank loop's gate would wait on the laggard forever. The error
+// and the driver's gate would wait on the laggard forever. The error
 // names the smallest window that accepts the pair.
 func newRun(cfg config.Config, opts RunOptions, window int) (*runCtx, error) {
 	if err := cfg.Validate(); err != nil {
@@ -309,9 +309,9 @@ func eachRank(n int, f func(rank int) error) error {
 }
 
 // overWorld trains the grid with one goroutine per cell over an in-process
-// MPI world, each running a RankLoop with staleness window window. Every
-// cell exists before any rank enters its loop, so a rank whose set-up
-// fails cannot strand peers already waiting on it.
+// MPI world, each running a Driver of that one cell with staleness window
+// window. Every cell exists before any rank starts its driver, so a rank
+// whose set-up fails cannot strand peers already waiting on it.
 func (r *runCtx) overWorld(window int) (*Result, error) {
 	n := r.grid.Size()
 	world, err := mpi.NewWorld(n)
@@ -334,8 +334,11 @@ func (r *runCtx) overWorld(window int) (*Result, error) {
 			if r.opts.commWrap != nil {
 				comm = r.opts.commWrap(rank, comm)
 			}
-			lasts[rank], _, err = RankLoop{Comm: comm, Cell: cells[rank], Stop: r.opts.Stop,
-				Progress: r.opts.Progress, window: window, inst: r.inst, coll: coll, hooks: r.opts.hooks}.Run()
+			d := &Driver{Comm: comm, Tag: stateTag, Window: window, Target: r.cfg.Iterations, Stop: r.opts.Stop,
+				Progress: r.opts.Progress, Hooks: r.opts.hooks, inst: r.inst, coll: coll}
+			o := d.Own(cells[rank])
+			err = d.Run()
+			lasts[rank] = o.Last
 		}
 		return err
 	}); err != nil {
@@ -404,7 +407,7 @@ func RunSequential(cfg config.Config, opts RunOptions) (*Result, error) {
 // in-process MPI world: each rank iterates and exchanges centers with its
 // grid neighbourhood after every iteration, waiting for every neighbour's
 // center of the same iteration — the structure of the paper's slave
-// processes on the LOCAL communicator, which run the same RankLoop. It is
+// processes on the LOCAL communicator, which run the same Driver. It is
 // the staleness window 1 of RunAsync, and bit-identical to RunSequential.
 func RunParallel(cfg config.Config, opts RunOptions) (*Result, error) {
 	r, err := newRun(cfg, opts, 1)

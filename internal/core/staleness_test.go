@@ -158,8 +158,8 @@ func TestAsyncAbsorbReorderRegression(t *testing.T) {
 	// pattern up against enough drain boundaries.
 	for _, seed := range []uint64{1, 2, 3} {
 		applied := map[pair]int{}
-		hooks := &loopTestHooks{
-			onApply: func(dst, src, iter int) {
+		hooks := &Hooks{
+			Installed: func(dst, src, iter, _ int) {
 				mu.Lock()
 				defer mu.Unlock()
 				totalApplied++
@@ -242,20 +242,20 @@ func TestRunAsyncStalenessBound(t *testing.T) {
 		dst, src, iter, pushed int
 	}
 	var bad []violation
-	hooks := &loopTestHooks{
-		onPush: func(src, iter int) {
+	hooks := &Hooks{
+		Pushed: func(src, iter int) {
 			mu.Lock()
 			if int64(iter) > lastPush[src] {
 				lastPush[src] = int64(iter)
 			}
 			mu.Unlock()
 		},
-		onDrain: func(dst int) {
+		Drained: func(dst int) {
 			mu.Lock()
 			drained[dst] = lastPush
 			mu.Unlock()
 		},
-		onApply: func(dst, src, iter int) {
+		Installed: func(dst, src, iter, _ int) {
 			mu.Lock()
 			defer mu.Unlock()
 			k := pair{dst, src}

@@ -22,7 +22,7 @@ func paramsHash(gen, disc *nn.Network) [sha256.Size]byte {
 // was installed from, shared with every other receiver of that push and
 // with the sender's next Reuse, so a write through a view, or a sender
 // writing a push still viewed, corrupts a neighbour for every cell that
-// reads it. A 3×3 grid of rank loops, at W = 1 and at W = 4, hashes each
+// reads it. A 3×3 grid of drivers, at W = 1 and at W = 4, hashes each
 // push's parameters as its sender multicasts it; each receiver hashes
 // every view it holds as it installs it, before each settle (the last of
 // which precedes the view's release, when the next push from that source
@@ -58,19 +58,19 @@ func TestPushesStayUnwritten(t *testing.T) {
 					t.Errorf("rank %d's view of rank %d's push of iteration %d changed (%s)", dst, src, iter, when)
 				}
 			}
-			hooks := &loopTestHooks{
-				onPush: func(src, iter int) {
+			hooks := &Hooks{
+				Pushed: func(src, iter int) {
 					h := paramsHash(cells[src].gen.Net, cells[src].disc.Net)
 					mu.Lock()
 					sent[push{src, iter}] = h
 					mu.Unlock()
 				},
-				onDrain: func(dst int) {
+				Drained: func(dst int) {
 					for src, iter := range installed[dst] {
 						check(dst, src, iter, "before a settle")
 					}
 				},
-				onApply: func(dst, src, iter int) {
+				Installed: func(dst, src, iter, _ int) {
 					installed[dst][src] = iter
 					check(dst, src, iter, "at install")
 				},
@@ -93,8 +93,9 @@ func TestPushesStayUnwritten(t *testing.T) {
 				wg.Add(1)
 				go func(r int) {
 					defer wg.Done()
-					l := RankLoop{Comm: world.MustComm(r), Cell: cells[r], Progress: progress, window: w, hooks: hooks}
-					if _, _, err := l.Run(); err != nil {
+					d := &Driver{Comm: world.MustComm(r), Tag: stateTag, Window: w, Target: cfg.Iterations, Progress: progress, Hooks: hooks}
+					d.Own(cells[r])
+					if err := d.Run(); err != nil {
 						t.Error(err)
 					}
 				}(r)

@@ -79,6 +79,15 @@ func (c *Comm) Reuse() []byte {
 	return b
 }
 
+// Hold keeps data, a payload this Comm is about to multicast or has
+// multicast, off the free list until the returned release is called, so
+// that its sender may multicast the same bytes again later. Only the
+// first call of release counts. While Reuse has never been called there
+// is no free list, and Hold holds nothing.
+func (c *Comm) Hold(data []byte) (release func()) {
+	return (&delivery{p: c.pool.track(data)}).release
+}
+
 // track returns the record of a multicast of data, holding the sender's
 // reference, or nil when the pool is dormant or data has no backing array.
 // An array that is on the free list leaves it: the caller still uses it.

@@ -235,3 +235,28 @@ func TestRecycleOverTCP(t *testing.T) {
 	wantReuse(t, c0, key, "the self-send released")
 	recvOne(t, c1)
 }
+
+// TestHoldKeepsPayloadOffFreeList: a held payload stays out after every
+// receiver released it, so its sender can multicast the bytes again, and
+// joins the free list once the hold is released, only the first release
+// counting.
+func TestHoldKeepsPayloadOffFreeList(t *testing.T) {
+	w := MustWorld(2)
+	defer w.Close()
+	c := w.Comms()
+	wantReuse(t, c[0], nil, "before any multicast")
+	buf, key := pushBuf(64)
+	release := c[0].Hold(buf)
+	for i := 0; i < 2; i++ {
+		if err := c[0].Multicast([]int{1}, recycleTag, buf); err != nil {
+			t.Fatal(err)
+		}
+		recvOne(t, c[1]).Release()
+		wantReuse(t, c[0], nil, "the receiver released a held payload")
+	}
+	release()
+	wantReuse(t, c[0], key, "the hold was released")
+	drainFree(c[0])
+	release()
+	wantReuse(t, c[0], nil, "a hold released twice")
+}
