@@ -82,15 +82,16 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping (CI runs it)"; fi
 
-# Short fuzz passes over the wire and file decoders, the matmul
-# families' leaf tiers, the conv lowering against its naive loops and the
+# Short fuzz passes over the wire and file decoders, the adoption path
+# (decode, restore and iterate a full cell state), the matmul families'
+# leaf tiers, the conv lowering against its naive loops and the
 # tanh leaf against the stdlib (mirrors the CI step).
 fuzz-smoke:
 	@for t in ReadCheckpoint ReadMixture; do \
 		$(GO) test -run='^$$' -fuzz="^Fuzz$$t\$$" -fuzztime=10s ./internal/checkpoint/ || exit 1; done
 	@for t in ReadIDXImages ReadIDXLabels; do \
 		$(GO) test -run='^$$' -fuzz="^Fuzz$$t\$$" -fuzztime=10s ./internal/dataset/ || exit 1; done
-	@for t in UnmarshalCellState DecodePush; do \
+	@for t in UnmarshalCellState DecodePush RestoreFull; do \
 		$(GO) test -run='^$$' -fuzz="^Fuzz$$t\$$" -fuzztime=10s ./internal/core/ || exit 1; done
 	$(GO) test -run='^$$' -fuzz='^FuzzViewMatsInto$$' -fuzztime=10s ./internal/tensor/
 	$(GO) test -run='^$$' -fuzz='^FuzzMatMulFamilies$$' -fuzztime=10s ./internal/tensor/

@@ -95,10 +95,10 @@ func main() {
 		m := e.Model()
 		if shardOf > 1 {
 			fmt.Printf("loaded %s from %s: shard %d/%d holds %d of %d members, latent %d → output %d\n",
-				name, path, shardIdx, shardOf, len(m.Artifact.Ranks), total, m.LatentDim, m.OutputDim)
+				name, path, shardIdx, shardOf, len(m.Members), total, m.LatentDim, m.OutputDim)
 		} else {
 			fmt.Printf("loaded %s from %s: %d-member mixture, latent %d → output %d\n",
-				name, path, len(m.Artifact.Ranks), m.LatentDim, m.OutputDim)
+				name, path, len(m.Members), m.LatentDim, m.OutputDim)
 		}
 	}
 

@@ -145,7 +145,7 @@ func TestEvolveWeightsWSBitIdentical(t *testing.T) {
 	accepted := 0
 	for i := 0; i < 12; i++ {
 		fitA, okA := mA.EvolveWeightsWS(ws, disc, 0.3, 8, 4, rngA)
-		fitB, okB := mB.EvolveWeights(disc, 0.3, 8, 4, rngB)
+		fitB, okB := mB.EvolveWeightsWS(NewSampleWorkspace(), disc, 0.3, 8, 4, rngB)
 		if fitA != fitB || okA != okB {
 			t.Fatalf("step %d: reused (%v,%v) vs fresh (%v,%v)", i, fitA, okA, fitB, okB)
 		}

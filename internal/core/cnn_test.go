@@ -19,14 +19,14 @@ func TestCNNBuildersShapes(t *testing.T) {
 	d := BuildDiscriminator(cfg, rng)
 	z := tensor.New(2, cfg.InputNeurons)
 	tensor.GaussianFill(z, 0, 1, rng)
-	img := g.Forward(z)
+	img := forward(g, z)
 	if img.Rows != 2 || img.Cols != 784 {
 		t.Fatalf("CNN generator output %d×%d", img.Rows, img.Cols)
 	}
 	if img.Max() > 1 || img.Min() < -1 {
 		t.Fatal("CNN generator escaped tanh range")
 	}
-	logits := d.Forward(img)
+	logits := forward(d, img)
 	if logits.Rows != 2 || logits.Cols != 1 {
 		t.Fatalf("CNN discriminator output %d×%d", logits.Rows, logits.Cols)
 	}

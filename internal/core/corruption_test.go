@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"cellgan/internal/config"
+	"cellgan/internal/dataset"
 	"cellgan/internal/grid"
 	"cellgan/internal/nn"
 	"cellgan/internal/tensor"
@@ -239,4 +240,47 @@ func TestRestoreFullRejectsMismatchedOptimizerState(t *testing.T) {
 			t.Errorf("error names neither the optimizer nor the matrix: %v", err)
 		}
 	}
+}
+
+// FuzzRestoreFull: the adoption path the tolerant cluster slave runs on
+// every full state an adoption order carries — decode it, restore it into
+// a fresh cell and, if the restore was accepted, iterate once — ends in an
+// error or a success for any input, never a panic.
+func FuzzRestoreFull(f *testing.F) {
+	cfg := tinyConfig()
+	cfg.NeuronsPerHidden, cfg.InputNeurons = 2, 2 // small states, fast execs
+	g := grid.MustNew(cfg.GridRows, cfg.GridCols)
+	src := dataset.Train(cfg.Seed).WithSize(cfg.DatasetSize)
+	fresh := func(tb testing.TB) *Cell {
+		c, err := NewCellWithData(cfg, 1, g, nil, src)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return c
+	}
+	c := fresh(f)
+	for i := 0; i < 2; i++ {
+		st, err := c.FullState()
+		if err != nil {
+			f.Fatal(err)
+		}
+		good := st.Marshal()
+		f.Add(good)
+		f.Add(good[:len(good)-9])
+		if _, err := c.Iterate(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := UnmarshalFullState(data)
+		if err != nil {
+			return
+		}
+		c := fresh(t)
+		if err := c.RestoreFull(st); err != nil {
+			return
+		}
+		c.Iterate() //nolint:errcheck // an error is an accepted outcome; a panic is not
+	})
 }

@@ -21,14 +21,14 @@ func TestBuildNetworksShapes(t *testing.T) {
 
 	z := tensor.New(3, cfg.InputNeurons)
 	tensor.GaussianFill(z, 0, 1, rng)
-	img := g.Forward(z)
+	img := forward(g, z)
 	if img.Rows != 3 || img.Cols != cfg.OutputNeurons {
 		t.Fatalf("generator output %d×%d", img.Rows, img.Cols)
 	}
 	if img.Max() > 1 || img.Min() < -1 {
 		t.Fatal("generator output escaped tanh range")
 	}
-	logits := d.Forward(img)
+	logits := forward(d, img)
 	if logits.Rows != 3 || logits.Cols != 1 {
 		t.Fatalf("discriminator output %d×%d", logits.Rows, logits.Cols)
 	}

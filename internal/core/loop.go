@@ -330,6 +330,10 @@ type Driver struct {
 	coll  *CkptCollector
 	owned []*Owned
 	dests []int
+	// mark is when the thread's last recorded routine ended: an Own, an
+	// Iterate or a gather. A gather records the time since, so the
+	// routines of a thread that steps several cells tile its time.
+	mark time.Time
 }
 
 // Owned is a cell a Driver steps.
@@ -343,10 +347,9 @@ type Owned struct {
 	Last IterStats // the last iteration's statistics
 
 	x      *Exchange
-	infl   []int     // the influence set minus the cell
-	pushed int       // the last iteration pushed, -1 before the first
-	halted bool      // Halted as the last pass saw it
-	since  time.Time // when the current boundary's exchange began
+	infl   []int // the influence set minus the cell
+	pushed int   // the last iteration pushed, -1 before the first
+	halted bool  // Halted as the last pass saw it
 }
 
 // Halted reports whether the cell has reached its halt boundary or seen an
@@ -356,7 +359,8 @@ func (o *Owned) Halted() bool { return o.x.Halted() }
 // Own adds cell, with its own exchange; its current version goes out in
 // the next pass.
 func (d *Driver) Own(cell *Cell) *Owned {
-	o := &Owned{Cell: cell, Held: math.MaxInt, x: NewExchange(cell, d.Window), pushed: -1, since: time.Now()}
+	o := &Owned{Cell: cell, Held: math.MaxInt, x: NewExchange(cell, d.Window), pushed: -1}
+	d.mark = time.Now()
 	o.x.inst = d.inst
 	o.infl = slices.DeleteFunc(cell.grid.Influence(cell.Rank), func(r int) bool { return r == cell.Rank })
 	if h := d.Hooks; h != nil && h.Installed != nil {
@@ -451,8 +455,9 @@ func (d *Driver) step(o *Owned, stop bool) (moved, waiting bool, err error) {
 		return moved, owes || o.pushed < k, nil
 	}
 	if first {
-		d.inst.observeExchange(time.Since(o.since))
-		o.Cell.prof.Since(telemetry.RoutineGather, o.since)
+		d.inst.observeExchange(time.Since(d.mark))
+		o.Cell.prof.Since(telemetry.RoutineGather, d.mark)
+		d.mark = time.Now()
 		// Every cell passes every boundary below its halt, so the deposits
 		// of one iteration assemble a consistent cut.
 		if o.x.halt >= 0 {
@@ -464,10 +469,11 @@ func (d *Driver) step(o *Owned, stop bool) (moved, waiting bool, err error) {
 	if !owes || o.pushed < k {
 		return moved, o.pushed < k, nil
 	}
-	if o.Last, o.Err = o.Cell.Iterate(); o.Err != nil {
+	o.Last, o.Err = o.Cell.Iterate()
+	d.mark = time.Now()
+	if o.Err != nil {
 		return true, false, nil
 	}
-	o.since = time.Now()
 	d.inst.observeIter(o.Cell.Rank, o.Last)
 	if d.Progress != nil {
 		d.Progress(o.Cell.Rank, o.Last)

@@ -67,14 +67,17 @@ func normalizeWeights(w []float64) {
 // SampleWorkspace owns every buffer the mixture sampling, fitness and
 // weight-evolution paths need: the latent and output matrices, the
 // per-sample routing slices, the forward-only nn workspaces for generator
-// and discriminator forwards, and the loss scratch. One workspace serves
-// one goroutine; inference workers pair a private workspace with their
-// private mixture clone.
+// and discriminator forwards at float64 and for a Mixture32's generators
+// at float32, and the loss scratch. One workspace serves one goroutine;
+// the mixture it samples holds no pass state, so any number of goroutines
+// may sample one Mixture or Mixture32, each on its own workspace.
 type SampleWorkspace struct {
-	gen  *nn.Workspace // generator forward buffers (forward-only)
-	disc *nn.Workspace // discriminator forward buffers (fitness, forward-only)
-	z    tensor.Mat    // per-component latent batch
-	out  tensor.Mat    // assembled sample batch
+	gen   *nn.Workspace            // generator forward buffers (forward-only)
+	disc  *nn.Workspace            // discriminator forward buffers (fitness, forward-only)
+	gen32 *nn.WorkspaceOf[float32] // Mixture32 generator forward buffers (forward-only)
+	z     tensor.Mat               // per-component latent batch
+	z32   tensor.Mat32             // the same at float32
+	out   tensor.Mat               // assembled sample batch
 
 	loss lossScratch // fitness target + discarded gradient
 
@@ -88,7 +91,8 @@ func NewSampleWorkspace() *SampleWorkspace { return sampleWorkspaceOn(new(nn.For
 // sampleWorkspaceOn returns an empty workspace whose generator and
 // discriminator forwards run their intermediate layers on p.
 func sampleWorkspaceOn(p *nn.ForwardPair) *SampleWorkspace {
-	return &SampleWorkspace{gen: nn.NewForwardWorkspace(p), disc: nn.NewForwardWorkspace(p)}
+	return &SampleWorkspace{gen: nn.NewForwardWorkspace(p), disc: nn.NewForwardWorkspace(p),
+		gen32: nn.NewForwardWorkspace(new(nn.ForwardPairOf[float32]))}
 }
 
 // intsFor resizes *buf to n elements, reallocating only on capacity
@@ -198,9 +202,8 @@ func routeSamples(ws *SampleWorkspace, weights []float64, n int, rng *tensor.RNG
 // generators — the flattened image dimension serving callers decode.
 func (m *Mixture) OutputDim() int { return m.Generators[0].OutputWidth() }
 
-// Clone returns a deep copy of the mixture. Generators cache forward-pass
-// state, so a mixture must not be sampled from concurrently; inference
-// workers clone the mixture once and sample from their private copy.
+// Clone returns a deep copy of the mixture, for a caller that goes on to
+// change one copy (its weights or members) while another is read.
 func (m *Mixture) Clone() *Mixture {
 	c := &Mixture{
 		Ranks:      append([]int(nil), m.Ranks...),
@@ -213,13 +216,9 @@ func (m *Mixture) Clone() *Mixture {
 	return c
 }
 
-// Fitness scores the mixture against a discriminator: the non-saturating
-// generator loss of mixture samples (lower is better).
-func (m *Mixture) Fitness(disc *nn.Network, n, latentDim int, rng *tensor.RNG) float64 {
-	return m.FitnessWS(NewSampleWorkspace(), disc, n, latentDim, rng)
-}
-
-// FitnessWS is Fitness drawing every buffer from ws.
+// FitnessWS scores the mixture against a discriminator, drawing every
+// buffer from ws: the non-saturating generator loss of mixture samples
+// (lower is better).
 func (m *Mixture) FitnessWS(ws *SampleWorkspace, disc *nn.Network, n, latentDim int, rng *tensor.RNG) float64 {
 	fake := m.SampleWith(ws, n, latentDim, rng)
 	logits := disc.ForwardWS(ws.disc, fake)
@@ -228,17 +227,12 @@ func (m *Mixture) FitnessWS(ws *SampleWorkspace, disc *nn.Network, n, latentDim 
 	return loss
 }
 
-// EvolveWeights performs one (1+1)-ES step: propose w' = Π(w + N(0, σ)),
-// accept if the proposal's fitness does not worsen. Returns the accepted
-// fitness and whether the proposal was accepted.
-func (m *Mixture) EvolveWeights(disc *nn.Network, sigma float64, n, latentDim int, rng *tensor.RNG) (float64, bool) {
-	return m.EvolveWeightsWS(NewSampleWorkspace(), disc, sigma, n, latentDim, rng)
-}
-
-// EvolveWeightsWS is EvolveWeights drawing every buffer from ws. On
-// acceptance the previous Weights slice is recycled as the workspace's
-// next proposal buffer, so callers must not retain references to
-// Mixture.Weights across calls on a reused workspace.
+// EvolveWeightsWS performs one (1+1)-ES step, drawing every buffer from
+// ws: propose w' = Π(w + N(0, σ)), accept if the proposal's fitness does
+// not worsen. It returns the accepted fitness and whether the proposal
+// was accepted. On acceptance the previous Weights slice is recycled as
+// the workspace's next proposal buffer, so callers must not retain
+// references to Mixture.Weights across calls on a reused workspace.
 func (m *Mixture) EvolveWeightsWS(ws *SampleWorkspace, disc *nn.Network, sigma float64, n, latentDim int, rng *tensor.RNG) (float64, bool) {
 	// Evaluate parent and child on a common RNG-derived sample stream to
 	// reduce selection noise: each evaluation uses its own split.

@@ -9,6 +9,9 @@ import (
 	"cellgan/internal/tensor"
 )
 
+// forward runs n forward on a workspace of its own.
+func forward(n *nn.Network, x *tensor.Mat) *tensor.Mat { return n.ForwardWS(nn.NewWorkspace(), x) }
+
 // tinyGen builds a minimal generator latent=4 → out=6 for mixture tests.
 func tinyGen(seed uint64) *nn.Network {
 	rng := tensor.NewRNG(seed)
@@ -181,7 +184,7 @@ func TestMixtureSampleRespectsWeights(t *testing.T) {
 	}
 	z := tensor.New(8, 4)
 	tensor.GaussianFill(z, 0, 1, rng2)
-	want := a.Forward(z)
+	want := forward(a, z)
 	if !out.ApproxEqual(want, 1e-12) {
 		t.Fatal("degenerate mixture did not route all samples through component A")
 	}
@@ -193,7 +196,7 @@ func TestMixtureFitnessFinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	disc := nn.MLP([]int{6, 4, 1}, func() nn.Layer { return nn.NewTanh() }, nil, tensor.NewRNG(5))
-	fit := m.Fitness(disc, 16, 4, tensor.NewRNG(6))
+	fit := m.FitnessWS(NewSampleWorkspace(), disc, 16, 4, tensor.NewRNG(6))
 	if math.IsNaN(fit) || math.IsInf(fit, 0) || fit < 0 {
 		t.Fatalf("fitness %v", fit)
 	}
@@ -207,7 +210,7 @@ func TestEvolveWeightsKeepsSimplexAndNeverWorsens(t *testing.T) {
 	disc := nn.MLP([]int{6, 4, 1}, func() nn.Layer { return nn.NewTanh() }, nil, tensor.NewRNG(7))
 	rng := tensor.NewRNG(8)
 	for i := 0; i < 10; i++ {
-		fit, _ := m.EvolveWeights(disc, 0.05, 16, 4, rng)
+		fit, _ := m.EvolveWeightsWS(NewSampleWorkspace(), disc, 0.05, 16, 4, rng)
 		if math.IsNaN(fit) {
 			t.Fatal("NaN fitness")
 		}
@@ -231,7 +234,7 @@ func TestEvolveWeightsZeroSigmaKeepsWeights(t *testing.T) {
 	}
 	before := append([]float64(nil), m.Weights...)
 	disc := nn.MLP([]int{6, 4, 1}, func() nn.Layer { return nn.NewTanh() }, nil, tensor.NewRNG(9))
-	m.EvolveWeights(disc, 0, 8, 4, tensor.NewRNG(10))
+	m.EvolveWeightsWS(NewSampleWorkspace(), disc, 0, 8, 4, tensor.NewRNG(10))
 	for i := range before {
 		if math.Abs(before[i]-m.Weights[i]) > 1e-12 {
 			t.Fatalf("σ=0 changed weights %v -> %v", before, m.Weights)

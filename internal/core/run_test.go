@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cellgan/internal/config"
+	"cellgan/internal/grid"
 	"cellgan/internal/mpi"
 	"cellgan/internal/telemetry"
 	"cellgan/internal/tensor"
@@ -87,6 +88,47 @@ func TestRunProfileCountsEachIterateOnce(t *testing.T) {
 				t.Errorf("Result.Profile %v disagrees with the run's profile", res.Profile)
 			}
 		})
+	}
+}
+
+// TestDriverProfileTilesThreadTime: a Driver that owns several cells (as
+// the tolerant cluster slave does after an adoption) times each gather
+// from the end of the thread's previous routine, not from its own cell's
+// last Iterate, so the Table IV routines it records add up to no more than
+// the thread's wall time. One Driver owns every cell of a 2×2 grid on a
+// one-rank world; the counts are TestRunProfileCountsEachIterateOnce's.
+func TestDriverProfileTilesThreadTime(t *testing.T) {
+	cfg := tinyConfig()
+	world := mpi.MustWorld(1)
+	defer world.Close()
+	prof := new(telemetry.Profile)
+	g := grid.MustNew(cfg.GridRows, cfg.GridCols)
+	cells := make([]*Cell, cfg.NumCells())
+	for r := range cells {
+		c, err := NewCell(cfg, r, g, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells[r] = c
+	}
+	d := &Driver{Comm: world.MustComm(0), Tag: stateTag, Target: cfg.Iterations, Owners: make([]int, len(cells))}
+	for _, c := range cells {
+		d.Own(c)
+	}
+	t0 := time.Now()
+	if err := d.Run(); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(t0)
+	var sum time.Duration
+	for _, r := range []telemetry.Routine{telemetry.RoutineTrain, telemetry.RoutineUpdateGenomes, telemetry.RoutineMutate, telemetry.RoutineGather} {
+		sum += prof.Get(r).Total
+	}
+	if sum > wall {
+		t.Errorf("routines sum to %v, %.2f× the thread's %v", sum, float64(sum)/float64(wall), wall)
+	}
+	if got, want := prof.Get(telemetry.RoutineGather).Count, int64(len(cells)*(cfg.Iterations+1)); got != want {
+		t.Errorf("gather: %d calls, want %d", got, want)
 	}
 }
 

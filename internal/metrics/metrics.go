@@ -63,32 +63,36 @@ func TrainClassifier(ds *dataset.Dataset, opts ClassifierOptions, rng *tensor.RN
 	sub := ds.WithSize(opts.TrainSamples)
 	loader := dataset.NewLoader(sub, opts.BatchSize, rng.Split())
 	steps := opts.Epochs * loader.BatchesPerEpoch()
+	ws := nn.NewWorkspace()
 	for s := 0; s < steps; s++ {
 		x, labels := loader.Next()
 		net.ZeroGrads()
-		logits := net.Forward(x)
+		logits := net.ForwardWS(ws, x)
 		_, grad := nn.SoftmaxCrossEntropy(logits, labels)
-		net.Backward(grad)
+		net.BackwardWS(ws, grad)
 		opt.Step(net)
 	}
 	// Features are the activations after the hidden tanh (layer index 1).
 	return &Classifier{net: net, featureCut: 2}, nil
 }
 
+// forward runs x through layers on a forward-only workspace of its own, so
+// the result is the caller's and one classifier serves any number of
+// goroutines at once.
+func forward(layers []nn.Layer, x *tensor.Mat) *tensor.Mat {
+	return nn.NewNetwork(layers...).ForwardWS(nn.NewForwardWorkspace(new(nn.ForwardPair)), x)
+}
+
 // Logits returns the raw class scores for a batch of images.
-func (c *Classifier) Logits(x *tensor.Mat) *tensor.Mat { return c.net.Forward(x) }
+func (c *Classifier) Logits(x *tensor.Mat) *tensor.Mat { return forward(c.net.Layers, x) }
 
 // Probs returns row-wise class probabilities for a batch of images.
-func (c *Classifier) Probs(x *tensor.Mat) *tensor.Mat { return nn.Softmax(c.net.Forward(x)) }
+func (c *Classifier) Probs(x *tensor.Mat) *tensor.Mat { return nn.Softmax(c.Logits(x)) }
 
 // Features returns the hidden-layer embedding used by the Fréchet
 // distance.
 func (c *Classifier) Features(x *tensor.Mat) *tensor.Mat {
-	out := x
-	for i := 0; i < c.featureCut && i < len(c.net.Layers); i++ {
-		out = c.net.Layers[i].Forward(nil, out)
-	}
-	return out
+	return forward(c.net.Layers[:min(c.featureCut, len(c.net.Layers))], x)
 }
 
 // Accuracy evaluates the classifier on the first n samples of ds.

@@ -249,3 +249,27 @@ func TestEvaluateValidation(t *testing.T) {
 		t.Fatal("wrong pixel count accepted")
 	}
 }
+
+// TestClassifierConcurrentUse: one classifier scores batches from two
+// goroutines at once, each call on a workspace of its own, and every
+// result equals the single-goroutine one. A layer that kept pass state
+// would race here under -race.
+func TestClassifierConcurrentUse(t *testing.T) {
+	c := testClassifier(t)
+	x, _ := dataset.Test(1).Batch([]int{0, 1, 2, 3, 4, 5, 6, 7})
+	logits, features := c.Logits(x), c.Features(x)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if !c.Logits(x).Equal(logits) || !c.Features(x).Equal(features) {
+					t.Error("a concurrent pass differs from the single-goroutine one")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

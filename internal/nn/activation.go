@@ -7,7 +7,7 @@ import (
 )
 
 // activation implements the parameter-free parts of LayerOf.
-type activation[T tensor.Float] struct{ keptScratch[T] }
+type activation[T tensor.Float] struct{}
 
 func (activation[T]) Params() []*tensor.Matrix[T] { return nil }
 func (activation[T]) Grads() []*tensor.Matrix[T]  { return nil }
@@ -29,7 +29,7 @@ func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward applies tanh element-wise, in float64 at either width.
 func (t *TanhOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
-	s = t.begin(s, x)
+	s.in = x
 	out := s.out.Resize(x.Rows, x.Cols)
 	tensor.TanhInto(out.Data, x.Data)
 	return out
@@ -37,7 +37,7 @@ func (t *TanhOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.M
 
 // Backward returns grad ⊙ (1 - tanh²), read off the cached output.
 func (t *TanhOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], _ Need) *tensor.Matrix[T] {
-	s = t.resume(s)
+	s.forwarded()
 	dst := s.dIn.Resize(grad.Rows, grad.Cols)
 	for i, y := range s.out.Data {
 		dst.Data[i] = grad.Data[i] * (1 - y*y)
@@ -60,7 +60,7 @@ func NewSigmoid() *Sigmoid { return &Sigmoid{} }
 // Forward applies the logistic function element-wise, in float64 at
 // either width.
 func (g *SigmoidOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
-	s = g.begin(s, x)
+	s.in = x
 	out := s.out.Resize(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		out.Data[i] = T(tensor.Sigmoid(float64(v)))
@@ -70,7 +70,7 @@ func (g *SigmoidOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tenso
 
 // Backward returns grad ⊙ σ(1-σ), read off the cached output.
 func (g *SigmoidOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], _ Need) *tensor.Matrix[T] {
-	s = g.resume(s)
+	s.forwarded()
 	dst := s.dIn.Resize(grad.Rows, grad.Cols)
 	for i, y := range s.out.Data {
 		dst.Data[i] = grad.Data[i] * (y * (1 - y))
@@ -102,7 +102,7 @@ func NewLeakyReLU(alpha float64) *LeakyReLU {
 
 // Forward applies the leaky rectifier element-wise.
 func (l *LeakyReLUOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
-	s = l.begin(s, x)
+	s.in = x
 	out, alpha := s.out.Resize(x.Rows, x.Cols), l.Alpha
 	for i, v := range x.Data {
 		out.Data[i] = max(v, alpha*v)
@@ -113,7 +113,7 @@ func (l *LeakyReLUOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *ten
 // Backward scales grad by alpha where the input was negative (not −0, not
 // NaN), and passes it through elsewhere.
 func (l *LeakyReLUOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], _ Need) *tensor.Matrix[T] {
-	s = l.resume(s)
+	s.forwarded()
 	dst := s.dIn.Resize(grad.Rows, grad.Cols)
 	for i, v := range s.in.Data {
 		g := grad.Data[i]
@@ -139,7 +139,7 @@ func NewReLU() *ReLU { return &ReLU{} }
 // Forward applies max(0, x) element-wise. A NaN input stays NaN, as in
 // every other layer and as Backward, which lets its gradient through.
 func (r *ReLUOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
-	s = r.begin(s, x)
+	s.in = x
 	out := s.out.Resize(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		out.Data[i] = [2]T{v, 0}[b2i(v <= 0)]
@@ -149,7 +149,7 @@ func (r *ReLUOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.M
 
 // Backward masks grad where the input was not positive.
 func (r *ReLUOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], _ Need) *tensor.Matrix[T] {
-	s = r.resume(s)
+	s.forwarded()
 	dst := s.dIn.Resize(grad.Rows, grad.Cols)
 	for i, v := range s.in.Data {
 		dst.Data[i] = [2]T{grad.Data[i], 0}[b2i(v <= 0)]

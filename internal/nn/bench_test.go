@@ -17,26 +17,6 @@ func paperGenerator(b *testing.B) (*Network, *tensor.Mat) {
 	return net, z
 }
 
-func BenchmarkGeneratorForwardBatch100(b *testing.B) {
-	net, z := paperGenerator(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = net.Forward(z)
-	}
-}
-
-func BenchmarkGeneratorForwardBackward(b *testing.B) {
-	net, z := paperGenerator(b)
-	y := tensor.New(100, 784)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.ZeroGrads()
-		out := net.Forward(z)
-		_, grad := MSELossInto(new(tensor.Mat), out, y)
-		net.Backward(grad)
-	}
-}
-
 func BenchmarkGeneratorForwardWS(b *testing.B) {
 	net, z := paperGenerator(b)
 	ws := NewWorkspace()
@@ -86,9 +66,10 @@ func BenchmarkAdamStepPaperGenerator(b *testing.B) {
 	opt := NewAdam(2e-4)
 	y := tensor.New(100, 784)
 	net.ZeroGrads()
-	out := net.Forward(z)
+	ws := NewWorkspace()
+	out := net.ForwardWS(ws, z)
 	_, grad := MSELossInto(new(tensor.Mat), out, y)
-	net.Backward(grad)
+	net.BackwardWS(ws, grad)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opt.Step(net)

@@ -42,7 +42,6 @@ type geometry struct {
 type Conv2DOf[T tensor.Float] struct {
 	geometry
 	weights[T] // W has shape (OutC) × (InC·K·K); B is 1×OutC.
-	keptScratch[T]
 }
 
 // NewConv2D constructs a convolution layer with He-normal weights.
@@ -92,7 +91,7 @@ func (c *Conv2DOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor
 	if x.Cols != c.InC*c.InH*c.InW {
 		panic(fmt.Sprintf("nn: Conv2D input width %d, want %d", x.Cols, c.InC*c.InH*c.InW))
 	}
-	s = c.begin(s, x)
+	s.in = x
 	_, outH, outW := c.OutDims()
 	pos := outH * outW
 	cols := tensor.Im2ColInto(&s.aux[auxCols], x, c.InC, c.InH, c.InW, c.K, c.Stride, c.Pad, outH, outW)
@@ -118,7 +117,7 @@ func (c *Conv2DOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor
 // need asks: shuffle the gradient position-major, fused dB/dW kernels
 // against the cached patch matrix, then ∂in = col2im(dOut × W).
 func (c *Conv2DOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], need Need) *tensor.Matrix[T] {
-	s = c.resume(s)
+	s.forwarded()
 	_, outH, outW := c.OutDims()
 	pos := outH * outW
 	cols := &s.aux[auxCols]
@@ -164,7 +163,6 @@ type ConvTranspose2DOf[T tensor.Float] struct {
 	// W has shape (InC) × (OutC·K·K): the transpose of Conv2D's layout,
 	// matching the "gradient of convolution" view. B is 1×OutC.
 	weights[T]
-	keptScratch[T]
 }
 
 // NewConvTranspose2D constructs a transposed convolution layer.
@@ -222,7 +220,7 @@ func (t *ConvTranspose2DOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]
 	if x.Cols != t.InC*t.InH*t.InW {
 		panic(fmt.Sprintf("nn: ConvTranspose2D input width %d, want %d", x.Cols, t.InC*t.InH*t.InW))
 	}
-	s = t.begin(s, x)
+	s.in = x
 	_, outH, outW := t.OutDims()
 	outPos := outH * outW
 	inPos := t.InH * t.InW
@@ -256,7 +254,7 @@ func (t *ConvTranspose2DOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]
 // grid (gCols = im2col(grad)), then dB/dW and ∂in, each as need asks, ride
 // the fused kernels against the cached position-major input.
 func (t *ConvTranspose2DOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], need Need) *tensor.Matrix[T] {
-	s = t.resume(s)
+	s.forwarded()
 	_, outH, outW := t.OutDims()
 	outPos := outH * outW
 	inPos := t.InH * t.InW

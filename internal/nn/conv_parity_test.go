@@ -35,7 +35,7 @@ func TestGradCheckConv2DGeometries(t *testing.T) {
 			y := tensor.Full(3, 2, 0.5)
 			loss := func(out *tensor.Mat) (float64, *tensor.Mat) { return MSELossInto(new(tensor.Mat), out, y) }
 			checkGrads(t, directConv(mk()), x, loss)
-			checkGradsOn(t, NewWorkspace(), mk(), x, loss) // the im2col lowering, independently of the oracle
+			checkGrads(t, mk(), x, loss) // the im2col lowering, independently of the oracle
 		})
 	}
 }
@@ -67,7 +67,7 @@ func TestGradCheckConvTranspose2DGeometries(t *testing.T) {
 			y := tensor.Full(3, 2, 0.5)
 			loss := func(out *tensor.Mat) (float64, *tensor.Mat) { return MSELossInto(new(tensor.Mat), out, y) }
 			checkGrads(t, directConv(mk()), x, loss)
-			checkGradsOn(t, NewWorkspace(), mk(), x, loss) // the im2col lowering, independently of the oracle
+			checkGrads(t, mk(), x, loss) // the im2col lowering, independently of the oracle
 		})
 	}
 }
@@ -136,7 +136,7 @@ func TestConvIterateBitExactWithWorkspace(t *testing.T) {
 
 	for i := 0; i < 4; i++ {
 		fakeA, logitsA, dImgA := step(genA, discA, optGA, optDA, genWS, discWS, rngA)
-		fakeB, logitsB, dImgB := step(genB, discB, optGB, optDB, nil, nil, rngB)
+		fakeB, logitsB, dImgB := step(genB, discB, optGB, optDB, NewWorkspace(), NewWorkspace(), rngB)
 		if !fakeA.Equal(fakeB) {
 			t.Fatalf("iter %d: generator outputs differ between the im2col layers and the direct oracle", i)
 		}

@@ -43,7 +43,7 @@ func TestConv2DKnownValues(t *testing.T) {
 		4, 5, 6,
 		7, 8, 9,
 	})
-	out := c.Forward(nil, x)
+	out := c.Forward(new(LayerScratch), x)
 	want := []float64{1 + 2 + 4 + 5 + 1, 2 + 3 + 5 + 6 + 1, 4 + 5 + 7 + 8 + 1, 5 + 6 + 8 + 9 + 1}
 	for i, w := range want {
 		if math.Abs(out.Data[i]-w) > 1e-12 {
@@ -77,7 +77,7 @@ func TestConvTransposeInvertsStride(t *testing.T) {
 	tl.W.Fill(3)
 	tl.B.Fill(-1)
 	x := tensor.FromSlice(1, 4, []float64{1, 2, 3, 4})
-	out := tl.Forward(nil, x)
+	out := tl.Forward(new(LayerScratch), x)
 	want := []float64{2, 5, 8, 11}
 	for i, w := range want {
 		if math.Abs(out.Data[i]-w) > 1e-12 {
@@ -135,16 +135,17 @@ func TestGradCheckConvInputGradient(t *testing.T) {
 	y := tensor.Full(1, 2*oh*ow, 0.3)
 
 	net.ZeroGrads()
-	out := net.Forward(x)
+	ws := NewWorkspace()
+	out := net.ForwardWS(ws, x)
 	_, dOut := MSELossInto(new(tensor.Mat), out, y)
-	dx := net.InputGrad(dOut)
+	dx := net.InputGradWS(ws, dOut)
 	eps := 1e-6
 	for i := range x.Data {
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
-		lp, _ := MSELossInto(new(tensor.Mat), net.Forward(x), y)
+		lp, _ := MSELossInto(new(tensor.Mat), fresh(net, x), y)
 		x.Data[i] = orig - eps
-		lm, _ := MSELossInto(new(tensor.Mat), net.Forward(x), y)
+		lm, _ := MSELossInto(new(tensor.Mat), fresh(net, x), y)
 		x.Data[i] = orig
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(dx.Data[i]-num) > 1e-4*(1+math.Abs(num)) {
@@ -183,7 +184,7 @@ func TestConvBackwardBeforeForwardPanics(t *testing.T) {
 					t.Fatalf("%T no panic", l)
 				}
 			}()
-			l.Backward(nil, tensor.New(1, 1), NeedParams|NeedInput)
+			l.Backward(new(LayerScratch), tensor.New(1, 1), NeedParams|NeedInput)
 		}()
 	}
 }
@@ -222,11 +223,12 @@ func TestDCGANStackEndToEnd(t *testing.T) {
 
 	z := tensor.New(3, 16)
 	tensor.GaussianFill(z, 0, 1, rng)
-	fake := gen.Forward(z)
+	genWS, discWS := NewWorkspace(), NewWorkspace()
+	fake := gen.ForwardWS(genWS, z)
 	if fake.Cols != 784 {
 		t.Fatalf("generator output %d", fake.Cols)
 	}
-	logits := disc.Forward(fake)
+	logits := disc.ForwardWS(discWS, fake)
 	if logits.Rows != 3 || logits.Cols != 1 {
 		t.Fatalf("disc output %d×%d", logits.Rows, logits.Cols)
 	}
@@ -235,7 +237,7 @@ func TestDCGANStackEndToEnd(t *testing.T) {
 		t.Fatal("NaN loss")
 	}
 	gen.ZeroGrads()
-	gen.Backward(disc.InputGrad(grad))
+	gen.BackwardWS(genWS, disc.InputGradWS(discWS, grad))
 	opt := NewAdam(1e-3)
 	before := gen.ParamsL2()
 	opt.Step(gen)

@@ -27,17 +27,12 @@ func numericalGrad(params []*tensor.Mat, lossFn func() float64, eps float64) []*
 	return out
 }
 
-// checkGrads runs one forward and both backward passes on fresh scratch and
-// compares the train pass's parameter gradients and the critic pass's
+// checkGrads runs one forward and both backward passes on one workspace
+// and compares the train pass's parameter gradients and the critic pass's
 // ∂L/∂input against numerical estimates.
 func checkGrads(t *testing.T, net *Network, x *tensor.Mat, loss func(out *tensor.Mat) (float64, *tensor.Mat)) {
 	t.Helper()
-	checkGradsOn(t, nil, net, x, loss)
-}
-
-// checkGradsOn is checkGrads on the workspace ws.
-func checkGradsOn(t *testing.T, ws *Workspace, net *Network, x *tensor.Mat, loss func(out *tensor.Mat) (float64, *tensor.Mat)) {
-	t.Helper()
+	ws := NewWorkspace()
 	net.ZeroGrads()
 	_, dOut := loss(net.ForwardWS(ws, x))
 	net.BackwardWS(ws, dOut)
@@ -134,17 +129,18 @@ func TestBackwardInputGradient(t *testing.T) {
 	y := tensor.Full(2, 1, 1)
 
 	net.ZeroGrads()
-	out := net.Forward(x)
+	ws := NewWorkspace()
+	out := net.ForwardWS(ws, x)
 	_, dOut := BCEWithLogitsLossInto(new(tensor.Mat), out, y)
-	dx := net.InputGrad(dOut)
+	dx := net.InputGradWS(ws, dOut)
 
 	eps := 1e-6
 	for i := range x.Data {
 		orig := x.Data[i]
 		x.Data[i] = orig + eps
-		lp, _ := BCEWithLogitsLossInto(new(tensor.Mat), net.Forward(x), y)
+		lp, _ := BCEWithLogitsLossInto(new(tensor.Mat), fresh(net, x), y)
 		x.Data[i] = orig - eps
-		lm, _ := BCEWithLogitsLossInto(new(tensor.Mat), net.Forward(x), y)
+		lm, _ := BCEWithLogitsLossInto(new(tensor.Mat), fresh(net, x), y)
 		x.Data[i] = orig
 		num := (lp - lm) / (2 * eps)
 		if math.Abs(dx.Data[i]-num) > 1e-4*(1+math.Abs(num)) {

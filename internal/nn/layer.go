@@ -14,9 +14,9 @@
 // zero steady-state allocations); a pass that never runs backward uses a
 // forward-only Workspace, which keeps only the last layer's output and
 // runs the rest on a ForwardPair shared with its goroutine's other
-// forward-only workspaces;
-// the methods without the WS suffix are the same path with fresh scratch
-// per pass. Optimizers consume (params, grads) pairs. Each backward pass
+// forward-only workspaces. Since a pass's state lives on the caller's
+// scratch, one network may run on several goroutines at once, each on its
+// own workspace. Optimizers consume (params, grads) pairs. Each backward pass
 // computes only what is read: the train pass (BackwardWS) accumulates
 // parameter gradients, the critic pass (InputGradWS) returns ∂L/∂input.
 //
@@ -35,16 +35,15 @@ import (
 // LayerOf is one differentiable stage of a network over element type T.
 type LayerOf[T tensor.Float] interface {
 	// Forward computes the layer output for a batch (rows = samples) into
-	// s and returns it; the result aliases s and is valid until the next
-	// pass through s. A nil s allocates a fresh scratch, which the layer
-	// keeps for the matching Backward — the allocating convenience form,
-	// one pass in flight per layer value.
+	// s, which the caller owns, and returns it; the result aliases s and
+	// is valid until the next pass through s. Forward writes s and nothing
+	// of the layer, so passes on distinct scratches may run concurrently.
 	Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T]
-	// Backward receives ∂L/∂output for the most recent Forward on s (nil:
-	// on the kept scratch), accumulates parameter gradients if need has
-	// NeedParams, and returns ∂L/∂input, aliasing s, if it has NeedInput,
-	// else nil; activations have nothing to skip and ignore need. What
-	// Forward cached on s stays intact for another Backward.
+	// Backward receives ∂L/∂output for the most recent Forward on s (it
+	// panics if there was none), accumulates parameter gradients if need
+	// has NeedParams, and returns ∂L/∂input, aliasing s, if it has
+	// NeedInput, else nil; activations have nothing to skip and ignore
+	// need. What Forward cached on s stays intact for another Backward.
 	Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], need Need) *tensor.Matrix[T]
 	// Params returns the trainable parameter matrices (possibly empty).
 	Params() []*tensor.Matrix[T]
@@ -154,7 +153,6 @@ func (p *weights[T]) ZeroGrads() {
 // in×out and B 1×out.
 type LinearOf[T tensor.Float] struct {
 	weights[T]
-	keptScratch[T]
 }
 
 // NewLinear returns a Linear layer with Xavier-uniform weights and zero
@@ -177,7 +175,7 @@ func (l *LinearOf[T]) OutputWidth() int { return l.W.Cols }
 // Forward computes x·W + b for a batch x (rows = samples): one MatMulInto
 // plus the in-place broadcast bias add, no temporaries.
 func (l *LinearOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
-	s = l.begin(s, x)
+	s.in = x
 	tensor.MatMulInto(&s.out, x, l.W)
 	s.out.AddRowVec(l.B)
 	return &s.out
@@ -187,7 +185,7 @@ func (l *LinearOf[T]) Forward(s *LayerScratchOf[T], x *tensor.Matrix[T]) *tensor
 // the kernels (AddMatMulT1Into/AddColSumsInto), so the pass performs zero
 // allocations once s has capacity — and returns grad·Wᵀ, each as need asks.
 func (l *LinearOf[T]) Backward(s *LayerScratchOf[T], grad *tensor.Matrix[T], need Need) *tensor.Matrix[T] {
-	s = l.resume(s)
+	s.forwarded()
 	if need&NeedParams != 0 {
 		dW, dB := l.grads()
 		tensor.AddMatMulT1Into(dW, s.in, grad)

@@ -31,7 +31,7 @@ func requireNarrowMatches(t *testing.T, what string, n *Network, x *tensor.Mat) 
 	if c.OutputWidth() != n.OutputWidth() {
 		t.Fatalf("%s: OutputWidth %d, want %d", what, c.OutputWidth(), n.OutputWidth())
 	}
-	if d := maxAbsDiff32(c.Forward(tensor.Narrow(x)), n.Forward(x)); d > 1e-5 {
+	if d := maxAbsDiff32(fresh(c, tensor.Narrow(x)), fresh(n, x)); d > 1e-5 {
 		t.Fatalf("%s: float32 forward drifts %g from float64", what, d)
 	}
 }

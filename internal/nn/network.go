@@ -20,17 +20,6 @@ type NetworkOf[T tensor.Float] struct {
 // NewNetwork returns a network over the given layers.
 func NewNetwork(layers ...Layer) *Network { return &Network{Layers: layers} }
 
-// Forward propagates a batch through every layer on fresh scratch.
-func (n *NetworkOf[T]) Forward(x *tensor.Matrix[T]) *tensor.Matrix[T] { return n.ForwardWS(nil, x) }
-
-// Backward is BackwardWS on the scratch Forward kept: the train pass.
-func (n *NetworkOf[T]) Backward(grad *tensor.Matrix[T]) { n.BackwardWS(nil, grad) }
-
-// InputGrad is InputGradWS on the scratch Forward kept: the critic pass.
-func (n *NetworkOf[T]) InputGrad(grad *tensor.Matrix[T]) *tensor.Matrix[T] {
-	return n.InputGradWS(nil, grad)
-}
-
 // Params returns all trainable parameters, layer by layer. The slice is
 // computed once and cached (layers hand out stable *Mat pointers), so
 // per-step optimizer calls do not allocate.

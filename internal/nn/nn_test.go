@@ -9,13 +9,18 @@ import (
 	"cellgan/internal/tensor"
 )
 
+// fresh runs n forward on a workspace of its own.
+func fresh[T tensor.Float](n *NetworkOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
+	return n.ForwardWS(new(WorkspaceOf[T]), x)
+}
+
 func TestLinearForwardKnown(t *testing.T) {
 	l := &Linear{weights: newWeights(
 		tensor.FromSlice(2, 2, []float64{1, 2, 3, 4}),
 		tensor.FromSlice(1, 2, []float64{10, 20}),
 	)}
 	x := tensor.FromSlice(1, 2, []float64{1, 1})
-	y := l.Forward(nil, x)
+	y := l.Forward(new(LayerScratch), x)
 	want := tensor.FromSlice(1, 2, []float64{14, 26})
 	if !y.Equal(want) {
 		t.Fatalf("Forward = %v want %v", y, want)
@@ -31,7 +36,7 @@ func TestLinearBackwardBeforeForwardPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewLinear(2, 2, tensor.NewRNG(1)).Backward(nil, tensor.New(1, 2), NeedParams|NeedInput)
+	NewLinear(2, 2, tensor.NewRNG(1)).Backward(new(LayerScratch), tensor.New(1, 2), NeedParams|NeedInput)
 }
 
 func TestActivationShapesAndRanges(t *testing.T) {
@@ -39,10 +44,10 @@ func TestActivationShapesAndRanges(t *testing.T) {
 	x := tensor.New(4, 6)
 	tensor.GaussianFill(x, 0, 3, rng)
 
-	th := NewTanh().Forward(nil, x)
-	sg := NewSigmoid().Forward(nil, x)
-	lr := NewLeakyReLU(0.2).Forward(nil, x)
-	rl := NewReLU().Forward(nil, x)
+	th := NewTanh().Forward(new(LayerScratch), x)
+	sg := NewSigmoid().Forward(new(LayerScratch), x)
+	lr := NewLeakyReLU(0.2).Forward(new(LayerScratch), x)
+	rl := NewReLU().Forward(new(LayerScratch), x)
 	for i := range x.Data {
 		if th.Data[i] < -1 || th.Data[i] > 1 {
 			t.Fatal("tanh out of range")
@@ -64,7 +69,7 @@ func TestActivationShapesAndRanges(t *testing.T) {
 
 func TestSigmoidStability(t *testing.T) {
 	x := tensor.FromSlice(1, 2, []float64{800, -800})
-	y := NewSigmoid().Forward(nil, x)
+	y := NewSigmoid().Forward(new(LayerScratch), x)
 	if y.Data[0] != 1 || y.Data[1] != 0 {
 		t.Fatalf("extreme sigmoid = %v", y.Data)
 	}
@@ -81,7 +86,7 @@ func TestActivationBackwardBeforeForwardPanics(t *testing.T) {
 					t.Fatalf("%T Backward before Forward did not panic", l)
 				}
 			}()
-			l.Backward(nil, tensor.New(1, 1), NeedParams|NeedInput)
+			l.Backward(new(LayerScratch), tensor.New(1, 1), NeedParams|NeedInput)
 		}()
 	}
 }
@@ -191,7 +196,7 @@ func TestMLPBuilderShapes(t *testing.T) {
 	}
 	z := tensor.New(2, 64)
 	tensor.GaussianFill(z, 0, 1, rng)
-	out := g.Forward(z)
+	out := fresh(g, z)
 	if out.Rows != 2 || out.Cols != 784 {
 		t.Fatalf("output %d×%d", out.Rows, out.Cols)
 	}
@@ -434,9 +439,10 @@ func TestZeroGradsClearsAll(t *testing.T) {
 	x := tensor.New(2, 3)
 	tensor.GaussianFill(x, 0, 1, rng)
 	y := tensor.New(2, 2)
-	out := net.Forward(x)
+	ws := NewWorkspace()
+	out := net.ForwardWS(ws, x)
 	_, g := MSELossInto(new(tensor.Mat), out, y)
-	net.Backward(g)
+	net.BackwardWS(ws, g)
 	nonzero := false
 	for _, gm := range net.Grads() {
 		if gm.Norm2() > 0 {
@@ -462,12 +468,13 @@ func TestTrainTinyClassifier(t *testing.T) {
 	x := tensor.FromSlice(4, 2, []float64{0, 0, 0, 1, 1, 0, 1, 1})
 	y := tensor.FromSlice(4, 1, []float64{0, 1, 1, 0})
 	var loss float64
+	ws := NewWorkspace()
 	for i := 0; i < 800; i++ {
 		net.ZeroGrads()
-		out := net.Forward(x)
+		out := net.ForwardWS(ws, x)
 		var g *tensor.Mat
 		loss, g = BCEWithLogitsLossInto(new(tensor.Mat), out, y)
-		net.Backward(g)
+		net.BackwardWS(ws, g)
 		opt.Step(net)
 	}
 	if loss > 0.05 {
@@ -488,17 +495,17 @@ func TestRectifiersPropagateNaN(t *testing.T) {
 	same := func(got, want float64) bool {
 		return math.Float64bits(got) == math.Float64bits(want) || (math.IsNaN(got) && math.IsNaN(want))
 	}
-	for i, v := range NewReLU().Forward(nil, x).Data {
+	for i, v := range NewReLU().Forward(new(LayerScratch), x).Data {
 		if !same(v, relu[i]) {
 			t.Errorf("ReLU(%v) = %v, want %v", x.Data[i], v, relu[i])
 		}
 	}
-	for i, v := range NewLeakyReLU(0.25).Forward(nil, x).Data {
+	for i, v := range NewLeakyReLU(0.25).Forward(new(LayerScratch), x).Data {
 		if !same(v, leaky[i]) {
 			t.Errorf("LeakyReLU(%v) = %v, want %v", x.Data[i], v, leaky[i])
 		}
 	}
-	for i, v := range NewReLU().Narrow().Forward(nil, tensor.Narrow(x)).Data {
+	for i, v := range NewReLU().Narrow().Forward(new(LayerScratchOf[float32]), tensor.Narrow(x)).Data {
 		if !same(float64(v), relu[i]) {
 			t.Errorf("float32 ReLU(%v) = %v, want %v", x.Data[i], v, relu[i])
 		}

@@ -109,13 +109,13 @@ func testRectifiers[T tensor.Float](t *testing.T) {
 	}
 	X, G := tensor.FromSlice(n, n, xs), tensor.FromSlice(n, n, gs)
 	for _, alpha := range []T{0.2, 1, T(math.SmallestNonzeroFloat32)} {
-		l := &LeakyReLUOf[T]{Alpha: alpha}
-		requireBits(t, "LeakyReLU forward", xs, l.Forward(nil, X).Data, leakyForwardOracle(xs, alpha))
-		requireBits(t, "LeakyReLU backward", xs, l.Backward(nil, G, NeedInput).Data, leakyBackwardOracle(xs, gs, alpha))
+		l, s := &LeakyReLUOf[T]{Alpha: alpha}, new(LayerScratchOf[T])
+		requireBits(t, "LeakyReLU forward", xs, l.Forward(s, X).Data, leakyForwardOracle(xs, alpha))
+		requireBits(t, "LeakyReLU backward", xs, l.Backward(s, G, NeedInput).Data, leakyBackwardOracle(xs, gs, alpha))
 	}
-	r := &ReLUOf[T]{}
-	requireBits(t, "ReLU forward", xs, r.Forward(nil, X).Data, reluForwardOracle(xs))
-	requireBits(t, "ReLU backward", xs, r.Backward(nil, G, NeedInput).Data, reluBackwardOracle(xs, gs))
+	r, s := &ReLUOf[T]{}, new(LayerScratchOf[T])
+	requireBits(t, "ReLU forward", xs, r.Forward(s, X).Data, reluForwardOracle(xs))
+	requireBits(t, "ReLU backward", xs, r.Backward(s, G, NeedInput).Data, reluBackwardOracle(xs, gs))
 }
 
 // TestLeakyReLUSlopeRange: max(x, α·x) is the rectifier Backward

@@ -19,39 +19,17 @@ type LayerScratchOf[T tensor.Float] struct {
 	aux [3]tensor.Matrix[T]
 }
 
-// keptScratch is embedded by every layer to implement the nil-scratch
-// form of the Layer contract.
-type keptScratch[T tensor.Float] struct{ kept *LayerScratchOf[T] }
-
-// begin resolves the scratch of a Forward pass — s, or a fresh one kept
-// for the matching Backward when s is nil — and records the input on it.
-func (k *keptScratch[T]) begin(s *LayerScratchOf[T], x *tensor.Matrix[T]) *LayerScratchOf[T] {
-	if s == nil {
-		s = new(LayerScratchOf[T])
-		k.kept = s
-	}
-	s.in = x
-	return s
-}
-
-// resume resolves the scratch of a Backward pass: s, or the scratch kept
-// by the preceding nil-scratch Forward. The kept scratch gets a fresh
-// gradient matrix per call, so results of the allocating form never alias
-// one another.
-func (k *keptScratch[T]) resume(s *LayerScratchOf[T]) *LayerScratchOf[T] {
-	if s == nil && k.kept != nil {
-		s = k.kept
-		s.dIn = tensor.Matrix[T]{}
-	}
-	if s == nil || s.in == nil {
+// forwarded panics unless a Forward ran on s: Backward reads what it
+// cached there.
+func (s *LayerScratchOf[T]) forwarded() {
+	if s.in == nil {
 		panic("nn: Backward before Forward")
 	}
-	return s
 }
 
 // Workspace is the per-layer scratch list of one network's
-// forward/backward pass. Reusing a Workspace across iterations eliminates
-// the per-step allocations of Network.Forward/Backward: scratches are
+// forward/backward pass. Reused across iterations it leaves a pass no
+// per-step allocations: scratches are
 // created on first use and resized (which only reallocates when a
 // batch-shape change outgrows capacity) on every subsequent pass.
 //
@@ -96,11 +74,7 @@ func NewForwardWorkspace[T tensor.Float](p *ForwardPairOf[T]) *WorkspaceOf[T] {
 }
 
 // layer returns the scratch for layer slot i, growing the list on demand.
-// A nil workspace yields nil scratches: fresh buffers per pass.
 func (ws *WorkspaceOf[T]) layer(i int) *LayerScratchOf[T] {
-	if ws == nil {
-		return nil
-	}
 	for len(ws.layers) <= i {
 		ws.layers = append(ws.layers, new(LayerScratchOf[T]))
 	}
@@ -131,7 +105,7 @@ func (s *LayerScratchOf[T]) bytes() int {
 
 // forward returns the scratch a forward pass runs layer i of n on.
 func (ws *WorkspaceOf[T]) forward(i, n int) *LayerScratchOf[T] {
-	if ws != nil && ws.pair != nil {
+	if ws.pair != nil {
 		if i < n-1 {
 			return &ws.pair[i%2]
 		}
@@ -142,7 +116,7 @@ func (ws *WorkspaceOf[T]) forward(i, n int) *LayerScratchOf[T] {
 
 // ForwardWS propagates a batch through every layer on ws-owned scratch.
 // The returned matrix aliases workspace storage and is only valid until
-// the next pass through ws. A nil ws runs the same path on fresh scratch.
+// the next pass through ws.
 func (n *NetworkOf[T]) ForwardWS(ws *WorkspaceOf[T], x *tensor.Matrix[T]) *tensor.Matrix[T] {
 	for i, l := range n.Layers {
 		x = l.Forward(ws.forward(i, len(n.Layers)), x)
@@ -164,7 +138,7 @@ func (n *NetworkOf[T]) InputGradWS(ws *WorkspaceOf[T], grad *tensor.Matrix[T]) *
 
 // backward runs layer 0 with need and the rest with NeedInput added.
 func (n *NetworkOf[T]) backward(ws *WorkspaceOf[T], grad *tensor.Matrix[T], need Need) *tensor.Matrix[T] {
-	if ws != nil && ws.pair != nil {
+	if ws.pair != nil {
 		panic("nn: backward pass on a forward-only workspace")
 	}
 	for i := len(n.Layers) - 1; i > 0; i-- {

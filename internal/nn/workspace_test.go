@@ -3,6 +3,7 @@ package nn
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"cellgan/internal/tensor"
@@ -44,24 +45,62 @@ func TestForwardBackwardWSBitIdentical(t *testing.T) {
 				a.ZeroGrads()
 				b.ZeroGrads()
 				outA := a.ForwardWS(ws, x)
-				outB := b.Forward(x)
+				wsB := NewWorkspace()
+				outB := b.ForwardWS(wsB, x)
 				if !outA.Equal(outB) {
 					t.Fatalf("pass %d: reused-workspace forward differs from fresh scratch", pass)
 				}
 				_, grad := MSELossInto(new(tensor.Mat), outB, y)
 				a.BackwardWS(ws, grad)
-				b.Backward(grad)
+				b.BackwardWS(wsB, grad)
 				ga, gb := a.Grads(), b.Grads()
 				for i := range ga {
 					if !ga[i].Equal(gb[i]) {
 						t.Fatalf("pass %d: param grad %d differs", pass, i)
 					}
 				}
-				if !a.InputGradWS(ws, grad).Equal(b.InputGrad(grad)) {
+				if !a.InputGradWS(ws, grad).Equal(b.InputGradWS(wsB, grad)) {
 					t.Fatalf("pass %d: reused-workspace input grad differs", pass)
 				}
 			}
 		})
+	}
+}
+
+// TestSharedNetworkConcurrentForward: a network holds no pass state, so
+// several goroutines may forward one MLP or one DCGAN network at once,
+// each on its own workspace (a full one or a forward-only one on its own
+// pair), and every output equals the single-goroutine pass bit for bit.
+func TestSharedNetworkConcurrentForward(t *testing.T) {
+	gen, disc := dcganTestPair(t)
+	mlp := MLP([]int{6, 9, 4}, func() Layer { return NewLeakyReLU(0.2) }, func() Layer { return NewTanh() }, tensor.NewRNG(95))
+	rng := tensor.NewRNG(96)
+	for _, tc := range []struct {
+		name string
+		net  *Network
+		in   int
+	}{{"mlp", mlp, 6}, {"dcgan-gen", gen, 6}, {"dcgan-disc", disc, 25}} {
+		x := tensor.New(5, tc.in)
+		tensor.GaussianFill(x, 0, 1, rng)
+		want := fresh(tc.net, x)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			ws := NewWorkspace()
+			if g%2 == 1 {
+				ws = NewForwardWorkspace(new(ForwardPair))
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 10; i++ {
+					if !tc.net.ForwardWS(ws, x).Equal(want) {
+						t.Errorf("%s: a concurrent forward differs from the single-goroutine one", tc.name)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 
@@ -115,7 +154,7 @@ func TestGradCheckThroughWorkspace(t *testing.T) {
 	x := tensor.New(6, 5)
 	tensor.GaussianFill(x, 0, 1, rng)
 	y := tensor.Full(6, 1, 1)
-	checkGradsOn(t, NewWorkspace(), net, x, func(out *tensor.Mat) (float64, *tensor.Mat) {
+	checkGrads(t, net, x, func(out *tensor.Mat) (float64, *tensor.Mat) {
 		return BCEWithLogitsLossInto(new(tensor.Mat), out, y)
 	})
 }
@@ -144,7 +183,7 @@ func TestTrainingCheckpointBitExact(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		step(a, optA, ws, rngA)
-		step(b, optB, nil, rngB) // nil workspace: fresh scratch per pass
+		step(b, optB, NewWorkspace(), rngB) // fresh scratch per pass
 	}
 	pa, err := a.EncodeParams()
 	if err != nil {
@@ -332,8 +371,8 @@ func TestForwardOnlySharedPair(t *testing.T) {
 	z, real := tensor.New(4, 6), tensor.New(3, 25)
 	tensor.GaussianFill(z, 0, 1, rng)
 	tensor.GaussianFill(real, 0, 1, rng)
-	want := disc.Forward(gen.Forward(z)).Clone()
-	wantReal := disc.Forward(real).Clone()
+	want := fresh(disc, fresh(gen, z))
+	wantReal := fresh(disc, real)
 
 	pair := new(ForwardPair)
 	genWS, discWS, sampleWS := NewForwardWorkspace(pair), NewForwardWorkspace(pair), NewForwardWorkspace(pair)

@@ -10,11 +10,10 @@ import (
 // BenchmarkEngineGenerate measures the raw sampling engine without HTTP:
 // concurrent callers coalescing into shared forward passes.
 func BenchmarkEngineGenerate(b *testing.B) {
-	m, err := newModel("digits", 1, trainedArtifact(b))
+	e, err := NewEngine("digits", trainedArtifact(b), EngineConfig{Workers: 2, BatchWait: 200 * time.Microsecond, QueueSize: 1024}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := NewEngine(m, EngineConfig{Workers: 2, BatchWait: 200 * time.Microsecond, QueueSize: 1024}, nil)
 	defer e.Close()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"cellgan/internal/checkpoint"
+	"cellgan/internal/config"
 	"cellgan/internal/core"
 	"cellgan/internal/tensor"
 )
@@ -42,41 +43,32 @@ type Model struct {
 	// the cross-process model identity health checks and the deployment
 	// gateway compare against.
 	Hash string
-	// Artifact is the deployable export the model was built from.
-	Artifact *checkpoint.MixtureArtifact
+	// Cfg is the training configuration the mixture came from.
+	Cfg config.Config
+	// Members lists the mixture's member ranks in ascending order;
+	// Weights are their mixture coefficients.
+	Members []int
+	Weights []float64
 	// LatentDim and OutputDim describe the generator's signature.
 	LatentDim, OutputDim int
 
-	// proto is the reconstructed mixture; generators cache forward-pass
-	// state, so workers sample from private clones, never from proto.
-	proto *core.Mixture
+	// sampler is the model's one copy of the generators, which every
+	// worker samples on a workspace of its own: the float64 mixture, or
+	// only its float32 narrow.
+	sampler sampler
 }
 
-// newModel rebuilds the sampleable model from an artifact.
-func newModel(name string, version uint64, a *checkpoint.MixtureArtifact) (*Model, error) {
-	m, err := a.Mixture()
-	if err != nil {
-		return nil, err
-	}
-	hash, err := checkpoint.HashMixture(a)
-	if err != nil {
-		return nil, err
-	}
-	return &Model{
-		Name:      name,
-		Version:   version,
-		Hash:      hash,
-		Artifact:  a,
-		LatentDim: a.LatentDim(),
-		OutputDim: m.OutputDim(),
-		proto:     m,
-	}, nil
+// sampler is a mixture at the width the engine serves: *core.Mixture or
+// *core.Mixture32.
+type sampler interface {
+	SampleWith(ws *core.SampleWorkspace, n, latentDim int, rng *tensor.RNG) *tensor.Mat
 }
 
 // EngineConfig tunes a batched sampling engine.
 type EngineConfig struct {
-	// Workers is the number of concurrent forward-pass workers; each owns
-	// a private clone of the mixture (default 2).
+	// Workers is the number of concurrent forward-pass workers; they all
+	// sample the one loaded model, each on a workspace of its own
+	// (default 2).
 	Workers int
 	// MaxBatchSamples caps the samples coalesced into one forward pass
 	// (default 256).
@@ -90,11 +82,11 @@ type EngineConfig struct {
 	BatchWait time.Duration
 	// Seed keys the latent-sampling RNG streams (one split per worker).
 	Seed uint64
-	// Float32 serves forward passes on the float32 kernel tier: each
-	// worker narrows its mixture into a core.Mixture32 instead of cloning
-	// the float64 networks. Routing and latent draws stay float64, so the
-	// same seed produces the same sample-to-generator assignment; outputs
-	// agree with the float64 path only to float32 precision.
+	// Float32 serves forward passes on the float32 kernel tier: a loaded
+	// mixture is narrowed into a core.Mixture32 and only that is kept.
+	// Routing and latent draws stay float64, so the same seed produces the
+	// same sample-to-generator assignment; outputs agree with the float64
+	// path only to float32 precision.
 	Float32 bool
 }
 
@@ -148,8 +140,9 @@ type Engine struct {
 	closed  bool
 }
 
-// NewEngine starts an engine serving m.
-func NewEngine(m *Model, cfg EngineConfig, metrics *Metrics) *Engine {
+// NewEngine starts an engine serving the mixture in a as version 1 of
+// the model name.
+func NewEngine(name string, a *checkpoint.MixtureArtifact, cfg EngineConfig, metrics *Metrics) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if metrics == nil {
 		metrics = NewMetrics()
@@ -160,20 +153,53 @@ func NewEngine(m *Model, cfg EngineConfig, metrics *Metrics) *Engine {
 		metrics: metrics,
 		closing: make(chan struct{}),
 	}
-	e.cur.Store(m)
+	if err := e.load(name, a); err != nil {
+		return nil, err
+	}
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
 		go e.worker(uint64(i))
 	}
-	return e
+	return e, nil
+}
+
+// load builds the next version of the model name from a and swaps it in
+// atomically (hot reload); batches already running finish on the version
+// they started with. The model keeps the mixture at the width the engine
+// serves and not the artifact's encoded generators. Loads must not run
+// concurrently (the Registry holds its lock across one).
+func (e *Engine) load(name string, a *checkpoint.MixtureArtifact) error {
+	mix, err := a.Mixture()
+	if err != nil {
+		return err
+	}
+	hash, err := checkpoint.HashMixture(a)
+	if err != nil {
+		return err
+	}
+	m := &Model{
+		Name:      name,
+		Version:   1,
+		Hash:      hash,
+		Cfg:       a.Cfg,
+		Members:   mix.Ranks,
+		Weights:   mix.Weights,
+		LatentDim: a.LatentDim(),
+		OutputDim: mix.OutputDim(),
+		sampler:   mix,
+	}
+	if e.cfg.Float32 {
+		m.sampler = mix.Narrow()
+	}
+	if old := e.cur.Load(); old != nil {
+		m.Version = old.Version + 1
+	}
+	e.cur.Store(m)
+	return nil
 }
 
 // Model returns the currently served model.
 func (e *Engine) Model() *Model { return e.cur.Load() }
-
-// Swap atomically replaces the served model (hot reload). Batches already
-// running finish on the old version.
-func (e *Engine) Swap(m *Model) { e.cur.Store(m) }
 
 // QueueDepth returns the number of requests waiting in the queue.
 func (e *Engine) QueueDepth() int { return len(e.queue) }
@@ -239,23 +265,8 @@ func (e *Engine) generate(ctx context.Context, n int) (*tensor.Mat, error) {
 	}
 }
 
-// sampler is the worker-side forward interface: a private float64 clone
-// (*core.Mixture) or a private float32 copy (*core.Mixture32).
-type sampler interface {
-	SampleWith(ws *core.SampleWorkspace, n, latentDim int, rng *tensor.RNG) *tensor.Mat
-}
-
-// newSampler builds a worker's private sampler for the current model: the
-// narrowed mixture when the float32 tier is enabled, else a float64 clone.
-func (e *Engine) newSampler(m *Model) sampler {
-	if e.cfg.Float32 {
-		return m.proto.Narrow()
-	}
-	return m.proto.Clone()
-}
-
-// worker runs forward passes over coalesced request batches on a private
-// clone of the mixture.
+// worker runs forward passes over coalesced request batches on the model
+// current when each batch starts.
 func (e *Engine) worker(id uint64) {
 	defer e.wg.Done()
 	rng := tensor.NewRNG(e.cfg.Seed + (id+1)*0x9e3779b97f4a7c15)
@@ -263,9 +274,6 @@ func (e *Engine) worker(id uint64) {
 	// batch this worker ever runs (it is keyed to the goroutine, not the
 	// model, so it survives hot reloads).
 	sws := core.NewSampleWorkspace()
-	var local sampler
-	var version uint64
-	var name string
 	for {
 		var first *genRequest
 		select {
@@ -279,12 +287,7 @@ func (e *Engine) worker(id uint64) {
 			}
 		}
 		batch := e.gather(first)
-		m := e.cur.Load()
-		if local == nil || version != m.Version || name != m.Name {
-			local = e.newSampler(m)
-			version, name = m.Version, m.Name
-		}
-		e.runBatch(local, m, batch, rng, sws)
+		e.runBatch(e.cur.Load(), batch, rng, sws)
 	}
 }
 
@@ -329,7 +332,7 @@ func (e *Engine) gather(first *genRequest) []*genRequest {
 // worker's reusable sampling workspace; only the per-request result
 // matrices are allocated, because their ownership transfers to the
 // callers.
-func (e *Engine) runBatch(local sampler, m *Model, batch []*genRequest, rng *tensor.RNG, sws *core.SampleWorkspace) {
+func (e *Engine) runBatch(m *Model, batch []*genRequest, rng *tensor.RNG, sws *core.SampleWorkspace) {
 	// Drop requests whose caller already gave up.
 	live := batch[:0]
 	for _, r := range batch {
@@ -346,7 +349,7 @@ func (e *Engine) runBatch(local sampler, m *Model, batch []*genRequest, rng *ten
 	for _, r := range live {
 		total += r.n
 	}
-	out := local.SampleWith(sws, total, m.LatentDim, rng)
+	out := m.sampler.SampleWith(sws, total, m.LatentDim, rng)
 	e.metrics.ObserveBatch(len(live))
 	offset := 0
 	for _, r := range live {

@@ -15,16 +15,15 @@ import (
 func TestFloat32EngineMatchesFloat64(t *testing.T) {
 	a := trainedArtifact(t)
 	mk := func(f32 bool) *Engine {
-		m, err := newModel("digits", 1, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewEngine(m, EngineConfig{
+		e, err := NewEngine("digits", a, EngineConfig{
 			Workers:   1,
 			Seed:      42,
 			BatchWait: time.Millisecond,
 			Float32:   f32,
 		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Cleanup(func() { e.Close() })
 		return e
 	}

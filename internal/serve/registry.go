@@ -17,10 +17,9 @@ type Registry struct {
 	cfg     EngineConfig
 	metrics *Metrics
 
-	mu       sync.RWMutex
-	engines  map[string]*Engine
-	versions map[string]uint64
-	closed   bool
+	mu      sync.RWMutex
+	engines map[string]*Engine
+	closed  bool
 }
 
 // NewRegistry returns an empty registry whose engines share cfg and
@@ -30,10 +29,9 @@ func NewRegistry(cfg EngineConfig, metrics *Metrics) *Registry {
 		metrics = NewMetrics()
 	}
 	r := &Registry{
-		cfg:      cfg.withDefaults(),
-		metrics:  metrics,
-		engines:  make(map[string]*Engine),
-		versions: make(map[string]uint64),
+		cfg:     cfg.withDefaults(),
+		metrics: metrics,
+		engines: make(map[string]*Engine),
 	}
 	metrics.setQueueDepth(r.QueueDepth)
 	metrics.setModels(r.Len)
@@ -53,17 +51,14 @@ func (r *Registry) Load(name string, a *checkpoint.MixtureArtifact) error {
 	if r.closed {
 		return ErrStopped
 	}
-	version := r.versions[name] + 1
-	m, err := newModel(name, version, a)
+	if e, ok := r.engines[name]; ok {
+		return e.load(name, a)
+	}
+	e, err := NewEngine(name, a, r.cfg, r.metrics)
 	if err != nil {
 		return err
 	}
-	r.versions[name] = version
-	if e, ok := r.engines[name]; ok {
-		e.Swap(m)
-		return nil
-	}
-	r.engines[name] = NewEngine(m, r.cfg, r.metrics)
+	r.engines[name] = e
 	return nil
 }
 

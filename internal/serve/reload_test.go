@@ -298,24 +298,19 @@ func itoa(v uint64) string {
 	return string(b)
 }
 
-// TestInFlightRequestsDrainAcrossSwap: requests queued before a Swap
+// TestInFlightRequestsDrainAcrossSwap: requests queued before a reload
 // must all complete successfully — the worker finishes the batch it
-// gathered on the clone it gathered it with, then picks up the new
+// gathered on the model it gathered it with, then picks up the new
 // model. White-box so the swap lands while requests sit in the queue.
 func TestInFlightRequestsDrainAcrossSwap(t *testing.T) {
-	a := trainedArtifact(t)
-	mOld, err := newModel("digits", 1, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mNew, err := newModel("digits", 2, variantArtifact(t))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A long BatchWait keeps the first batch open while we enqueue and
 	// swap, guaranteeing requests are genuinely in flight across it.
-	e := NewEngine(mOld, EngineConfig{Workers: 1, BatchWait: 50 * time.Millisecond, QueueSize: 64}, nil)
+	e, err := NewEngine("digits", trainedArtifact(t), EngineConfig{Workers: 1, BatchWait: 50 * time.Millisecond, QueueSize: 64}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer e.Close()
+	outDim := e.Model().OutputDim
 
 	const inFlight = 16
 	var wg sync.WaitGroup
@@ -329,13 +324,15 @@ func TestInFlightRequestsDrainAcrossSwap(t *testing.T) {
 				errs <- err
 				return
 			}
-			if out.Rows != 1 || out.Cols != mOld.OutputDim {
+			if out.Rows != 1 || out.Cols != outDim {
 				errs <- &reloadRaceError{hash: "bad drain shape"}
 			}
 		}()
 	}
 	time.Sleep(5 * time.Millisecond) // let requests reach the queue
-	e.Swap(mNew)
+	if err := e.load("digits", variantArtifact(t)); err != nil {
+		t.Fatal(err)
+	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {

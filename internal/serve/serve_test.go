@@ -270,17 +270,12 @@ func TestLoadSheddingWhenQueueFull(t *testing.T) {
 	// White-box: an engine with a one-slot queue and no workers must shed
 	// the second submission. Workers are not started so the queue cannot
 	// drain underneath the test.
-	m, err := newModel("digits", 1, trainedArtifact(t))
-	if err != nil {
-		t.Fatal(err)
-	}
 	e := &Engine{
 		cfg:     EngineConfig{}.withDefaults(),
 		queue:   make(chan *genRequest, 1),
 		metrics: NewMetrics(),
 		closing: make(chan struct{}),
 	}
-	e.cur.Store(m)
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
@@ -293,11 +288,10 @@ func TestLoadSheddingWhenQueueFull(t *testing.T) {
 }
 
 func TestGracefulDrainServesQueuedRequests(t *testing.T) {
-	m, err := newModel("digits", 1, trainedArtifact(t))
+	e, err := NewEngine("digits", trainedArtifact(t), EngineConfig{Workers: 1, BatchWait: 5 * time.Millisecond}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(m, EngineConfig{Workers: 1, BatchWait: 5 * time.Millisecond}, nil)
 
 	const inFlight = 8
 	var wg sync.WaitGroup
@@ -350,12 +344,10 @@ func TestRegistryDefaultModelResolution(t *testing.T) {
 }
 
 func TestEngineSamplingIsSeededAndSane(t *testing.T) {
-	a := trainedArtifact(t)
-	m, err := newModel("digits", 1, a)
+	e, err := NewEngine("digits", trainedArtifact(t), EngineConfig{Workers: 1, Seed: 42}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(m, EngineConfig{Workers: 1, Seed: 42}, nil)
 	defer e.Close()
 	out, err := e.Generate(context.Background(), 8)
 	if err != nil {

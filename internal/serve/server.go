@@ -334,9 +334,9 @@ func (s *Server) handleModelz(w http.ResponseWriter, r *http.Request) {
 			Version:   m.Version,
 			LatentDim: m.LatentDim,
 			OutputDim: m.OutputDim,
-			Members:   m.Artifact.Ranks,
-			Weights:   m.Artifact.Weights,
-			Network:   m.Artifact.Cfg.NetworkType,
+			Members:   m.Members,
+			Weights:   m.Weights,
+			Network:   m.Cfg.NetworkType,
 		})
 	}
 	w.Header().Set("Content-Type", "application/json")

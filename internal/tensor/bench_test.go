@@ -18,7 +18,7 @@ func BenchmarkMatMul(b *testing.B) {
 		b.Run(sizeName(n), func(b *testing.B) {
 			b.SetBytes(int64(8 * n * n * n))
 			for i := 0; i < b.N; i++ {
-				_ = MatMul(a, c)
+				_ = MatMulInto(new(Mat), a, c)
 			}
 		})
 	}
@@ -57,7 +57,7 @@ func BenchmarkMatMulT1(b *testing.B) {
 	c := benchMat(100, 784, 2)
 	b.SetBytes(int64(8 * 100 * 256 * 784))
 	for i := 0; i < b.N; i++ {
-		_ = MatMulT1(a, c)
+		_ = MatMulT1Into(new(Mat), a, c)
 	}
 }
 
@@ -66,7 +66,7 @@ func BenchmarkMatMulT2(b *testing.B) {
 	c := benchMat(256, 784, 2)
 	b.SetBytes(int64(8 * 100 * 784 * 256))
 	for i := 0; i < b.N; i++ {
-		_ = MatMulT2(a, c)
+		_ = MatMulT2Into(new(Mat), a, c)
 	}
 }
 

@@ -140,7 +140,7 @@ func Covariance(x *Mat) (*Mat, error) {
 			out[j] = row[j] - mu[j]
 		}
 	}
-	cov := MatMulT1(centered, centered)
+	cov := MatMulT1Into(new(Mat), centered, centered)
 	cov.Scale(1 / float64(n-1))
 	return cov, nil
 }
@@ -167,8 +167,8 @@ func TraceSqrtProduct(a, b *Mat) (float64, error) {
 		}
 	}
 	// (V·d)·Vᵀ via the transposed-operand kernel: no materialised Vᵀ.
-	sqrtA := MatMulT2(MatMul(ve, d), ve)
-	m := MatMul(MatMul(sqrtA, b), sqrtA)
+	sqrtA := MatMulT2Into(new(Mat), MatMulInto(new(Mat), ve, d), ve)
+	m := MatMulInto(new(Mat), MatMulInto(new(Mat), sqrtA, b), sqrtA)
 	// Symmetrise against round-off before the second decomposition,
 	// pairwise in place: both elements of each (i,j)/(j,i) pair are set to
 	// their mean, which matches m.Add(m.T()); m.Scale(0.5) bit for bit

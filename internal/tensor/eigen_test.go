@@ -64,7 +64,7 @@ func TestSymEigenReconstruction(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Orthogonality: VᵀV = I.
-		vtv := MatMulT1(vecs, vecs)
+		vtv := MatMulT1Into(new(Mat), vecs, vecs)
 		if !vtv.ApproxEqual(Eye(n), 1e-8) {
 			t.Fatalf("n=%d: eigenvectors not orthonormal", n)
 		}
@@ -73,7 +73,7 @@ func TestSymEigenReconstruction(t *testing.T) {
 		for i, l := range vals {
 			d.Set(i, i, l)
 		}
-		rec := MatMul(MatMul(vecs, d), vecs.T())
+		rec := MatMulInto(new(Mat), MatMulInto(new(Mat), vecs, d), vecs.T())
 		if !rec.ApproxEqual(a, 1e-8) {
 			t.Fatalf("n=%d: reconstruction failed", n)
 		}

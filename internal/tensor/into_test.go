@@ -49,14 +49,14 @@ func TestAddMatMulT1IntoZeroStart(t *testing.T) {
 
 	zeroStart := New(6, 8)
 	AddMatMulT1Into(zeroStart, a, b)
-	if want := MatMulT1(a, b); !zeroStart.Equal(want) {
+	if want := MatMulT1Into(new(Mat), a, b); !zeroStart.Equal(want) {
 		t.Fatal("AddMatMulT1Into into zeroed dst differs from MatMulT1")
 	}
 
 	acc := randMat(6, 8, rng)
 	ref := acc.Clone()
 	AddMatMulT1Into(acc, a, b)
-	ref.Add(MatMulT1(a, b))
+	ref.Add(MatMulT1Into(new(Mat), a, b))
 	if !acc.ApproxEqual(ref, 1e-12) {
 		t.Fatal("AddMatMulT1Into from non-zero start diverges beyond rounding")
 	}

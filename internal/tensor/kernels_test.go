@@ -64,15 +64,15 @@ func TestTiledKernelsBitExactVsNaive(t *testing.T) {
 			m, k, n := sz[0], sz[1], sz[2]
 			a := randMat(m, k, rng)
 			b := randMat(k, n, rng)
-			if got, want := MatMul(a, b), naiveMul(a, b); !got.Equal(want) {
+			if got, want := MatMulInto(new(Mat), a, b), naiveMul(a, b); !got.Equal(want) {
 				t.Fatalf("MatMul not bit-exact vs naive at %v", sz)
 			}
 			at := randMat(k, m, rng) // aᵀ operand: k rows feed the reduction
-			if got, want := MatMulT1(at, b), naiveMulT1(at, b); !got.Equal(want) {
+			if got, want := MatMulT1Into(new(Mat), at, b), naiveMulT1(at, b); !got.Equal(want) {
 				t.Fatalf("MatMulT1 not bit-exact vs naive at %v", sz)
 			}
 			bt := randMat(n, k, rng)
-			if got, want := MatMulT2(a, bt), naiveMulT2(a, bt); !got.Equal(want) {
+			if got, want := MatMulT2Into(new(Mat), a, bt), naiveMulT2(a, bt); !got.Equal(want) {
 				t.Fatalf("MatMulT2 not bit-exact vs naive at %v", sz)
 			}
 			dst := randMat(m, n, rng)
@@ -102,10 +102,10 @@ func TestTiledKernelsZeroDims(t *testing.T) {
 	// without touching out-of-range memory.
 	a := New(0, 5)
 	b := New(5, 3)
-	if c := MatMul(a, b); c.Rows != 0 || c.Cols != 3 {
+	if c := MatMulInto(new(Mat), a, b); c.Rows != 0 || c.Cols != 3 {
 		t.Fatalf("0×5 · 5×3 = %d×%d", c.Rows, c.Cols)
 	}
-	if c := MatMul(New(4, 0), New(0, 3)); c.Rows != 4 || c.Cols != 3 {
+	if c := MatMulInto(new(Mat), New(4, 0), New(0, 3)); c.Rows != 4 || c.Cols != 3 {
 		t.Fatalf("4×0 · 0×3 = %d×%d", c.Rows, c.Cols)
 	} else {
 		for _, v := range c.Data {
@@ -114,10 +114,10 @@ func TestTiledKernelsZeroDims(t *testing.T) {
 			}
 		}
 	}
-	if c := MatMulT1(New(0, 4), New(0, 3)); c.Rows != 4 || c.Cols != 3 {
+	if c := MatMulT1Into(new(Mat), New(0, 4), New(0, 3)); c.Rows != 4 || c.Cols != 3 {
 		t.Fatalf("T1 with empty reduction = %d×%d", c.Rows, c.Cols)
 	}
-	if c := MatMulT2(New(2, 0), New(3, 0)); c.Rows != 2 || c.Cols != 3 {
+	if c := MatMulT2Into(new(Mat), New(2, 0), New(3, 0)); c.Rows != 2 || c.Cols != 3 {
 		t.Fatalf("T2 with empty reduction = %d×%d", c.Rows, c.Cols)
 	}
 }
@@ -131,16 +131,16 @@ func TestMatMulPropagatesNonFinite(t *testing.T) {
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			a := FromSlice(1, 2, []float64{0, 1})
 			b := FromSlice(2, 1, []float64{bad, 2})
-			if got := MatMul(a, b).At(0, 0); !math.IsNaN(got) {
+			if got := MatMulInto(new(Mat), a, b).At(0, 0); !math.IsNaN(got) {
 				t.Fatalf("MatMul 0·%v lost the NaN: got %v", bad, got)
 			}
 			at := FromSlice(2, 1, []float64{0, 1})
 			bb := FromSlice(2, 1, []float64{bad, 2})
-			if got := MatMulT1(at, bb).At(0, 0); !math.IsNaN(got) {
+			if got := MatMulT1Into(new(Mat), at, bb).At(0, 0); !math.IsNaN(got) {
 				t.Fatalf("MatMulT1 0·%v lost the NaN: got %v", bad, got)
 			}
 			bt := FromSlice(1, 2, []float64{bad, 2})
-			if got := MatMulT2(a, bt).At(0, 0); !math.IsNaN(got) {
+			if got := MatMulT2Into(new(Mat), a, bt).At(0, 0); !math.IsNaN(got) {
 				t.Fatalf("MatMulT2 0·%v lost the NaN: got %v", bad, got)
 			}
 		}
@@ -154,7 +154,7 @@ func TestMatMulSignedZeroStability(t *testing.T) {
 	eachLeafTier(t, func(t *testing.T) {
 		a := FromSlice(1, 3, []float64{0, math.Copysign(0, -1), 1})
 		b := FromSlice(3, 2, []float64{5, math.Copysign(0, -1), 7, 3, 0, math.Copysign(0, -1)})
-		c := MatMul(a, b)
+		c := MatMulInto(new(Mat), a, b)
 		if math.Signbit(c.At(0, 1)) && c.At(0, 1) == 0 {
 			t.Fatal("accumulation produced −0 where naive ascending-k gives +0")
 		}

@@ -16,8 +16,8 @@ type Float interface{ float32 | float64 }
 // once over the element type; Mat and Mat32 are its two instantiations.
 //
 // Allocation behaviour, for hot-path authors: the constructors (New,
-// Eye, Full) and the value-returning operations (Clone, T, MatMul,
-// MatMulT1, MatMulT2) allocate a fresh result on every call. The in-place
+// Eye, Full) and the value-returning operations (Clone, T) allocate a
+// fresh result on every call. The in-place
 // operations (Add, Scale, AddScaled, AddRowVec, Zero, Fill, CopyFrom) and
 // the destination-passing kernels (MatMulInto, MatMulT1Into, MatMulT2Into,
 // AddMatMulT1Into, AddColSumsInto, Im2ColInto, AddCol2ImInto, TanhInto)
@@ -180,7 +180,7 @@ func (m *Matrix[T]) AddRowVec(v *Matrix[T]) {
 }
 
 // T returns a newly allocated transpose of m. Hot paths avoid the
-// materialised transpose entirely via the MatMulT1/MatMulT2 kernels.
+// materialised transpose entirely via the MatMulT1Into/MatMulT2Into kernels.
 func (m *Matrix[T]) T() *Matrix[T] {
 	t := &Matrix[T]{Rows: m.Cols, Cols: m.Rows, Data: make([]T, len(m.Data))}
 	for i := 0; i < m.Rows; i++ {

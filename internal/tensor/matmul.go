@@ -9,7 +9,7 @@ import (
 )
 
 // parallelThreshold is the minimum number of multiply-adds below which
-// MatMul runs serially; parallel dispatch costs more than it saves on
+// the matmul kernels run serially; parallel dispatch costs more than it saves on
 // small products.
 const parallelThreshold = 64 * 1024
 
@@ -213,13 +213,9 @@ func dispatch[T Float](t kernelTask[T], n, perIndex int) {
 	pool.Put(p)
 }
 
-// MatMul returns a × b in a freshly allocated matrix. It parallelises
-// across rows of a for large products. Hot paths use MatMulInto.
-func MatMul(a, b *Mat) *Mat { return MatMulInto(new(Mat), a, b) }
-
 // MatMulInto computes dst = a × b, resizing dst as needed and reusing its
-// backing storage when the capacity allows. dst must not alias a or b. It
-// returns dst.
+// backing storage when the capacity allows. It parallelises across rows of
+// a for large products. dst must not alias a or b. It returns dst.
 func MatMulInto[T Float](dst, a, b *Matrix[T]) *Matrix[T] {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulInto inner dimension mismatch %d×%d · %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -230,12 +226,8 @@ func MatMulInto[T Float](dst, a, b *Matrix[T]) *Matrix[T] {
 	return dst
 }
 
-// MatMulT1 returns aᵀ × b in a freshly allocated matrix without
-// materialising the transpose of a.
-func MatMulT1(a, b *Mat) *Mat { return MatMulT1Into(new(Mat), a, b) }
-
-// MatMulT1Into computes dst = aᵀ × b (c[i][j] = Σ_k a[k][i]·b[k][j]),
-// resizing dst as needed. dst must not alias a or b. It returns dst.
+// MatMulT1Into computes dst = aᵀ × b (c[i][j] = Σ_k a[k][i]·b[k][j])
+// without materialising the transpose of a, resizing dst as needed. dst must not alias a or b. It returns dst.
 func MatMulT1Into[T Float](dst, a, b *Matrix[T]) *Matrix[T] {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulT1Into dimension mismatch %d×%d ᵀ· %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -264,11 +256,8 @@ func AddMatMulT1Into[T Float](dst, a, b *Matrix[T]) *Matrix[T] {
 	return dst
 }
 
-// MatMulT2 returns a × bᵀ in a freshly allocated matrix without
-// materialising the transpose of b.
-func MatMulT2(a, b *Mat) *Mat { return MatMulT2Into(new(Mat), a, b) }
-
-// MatMulT2Into computes dst = a × bᵀ, resizing dst as needed. Every
+// MatMulT2Into computes dst = a × bᵀ without materialising the transpose
+// of b, resizing dst as needed. Every
 // element is a full dot product written once, so no zeroing pass is
 // needed. dst must not alias a or b. It returns dst.
 func MatMulT2Into[T Float](dst, a, b *Matrix[T]) *Matrix[T] {

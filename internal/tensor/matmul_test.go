@@ -32,7 +32,7 @@ func randMat(rows, cols int, rng *RNG) *Mat {
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
-	c := MatMul(a, b)
+	c := MatMulInto(new(Mat), a, b)
 	want := FromSlice(2, 2, []float64{58, 64, 139, 154})
 	if !c.Equal(want) {
 		t.Fatalf("MatMul = %v want %v", c, want)
@@ -42,10 +42,10 @@ func TestMatMulSmall(t *testing.T) {
 func TestMatMulIdentity(t *testing.T) {
 	rng := NewRNG(1)
 	a := randMat(7, 7, rng)
-	if !MatMul(a, Eye(7)).ApproxEqual(a, 1e-12) {
+	if !MatMulInto(new(Mat), a, Eye(7)).ApproxEqual(a, 1e-12) {
 		t.Fatal("a·I != a")
 	}
-	if !MatMul(Eye(7), a).ApproxEqual(a, 1e-12) {
+	if !MatMulInto(new(Mat), Eye(7), a).ApproxEqual(a, 1e-12) {
 		t.Fatal("I·a != a")
 	}
 }
@@ -56,7 +56,7 @@ func TestMatMulMismatchPanics(t *testing.T) {
 			t.Fatal("MatMul with bad inner dims did not panic")
 		}
 	}()
-	MatMul(New(2, 3), New(4, 2))
+	MatMulInto(new(Mat), New(2, 3), New(4, 2))
 }
 
 func TestMatMulMatchesNaive(t *testing.T) {
@@ -64,7 +64,7 @@ func TestMatMulMatchesNaive(t *testing.T) {
 	for _, sz := range [][3]int{{1, 1, 1}, {3, 5, 2}, {10, 4, 7}, {33, 17, 29}} {
 		a := randMat(sz[0], sz[1], rng)
 		b := randMat(sz[1], sz[2], rng)
-		if !MatMul(a, b).ApproxEqual(naiveMul(a, b), 1e-9) {
+		if !MatMulInto(new(Mat), a, b).ApproxEqual(naiveMul(a, b), 1e-9) {
 			t.Fatalf("MatMul disagrees with naive at %v", sz)
 		}
 	}
@@ -75,7 +75,7 @@ func TestMatMulLargeParallelPath(t *testing.T) {
 	a := randMat(120, 90, rng)
 	b := randMat(90, 110, rng)
 	// 120*90*110 > parallelThreshold, exercising the ParallelFor path.
-	if !MatMul(a, b).ApproxEqual(naiveMul(a, b), 1e-8) {
+	if !MatMulInto(new(Mat), a, b).ApproxEqual(naiveMul(a, b), 1e-8) {
 		t.Fatal("parallel MatMul disagrees with naive")
 	}
 }
@@ -84,8 +84,8 @@ func TestMatMulT1MatchesExplicitTranspose(t *testing.T) {
 	rng := NewRNG(4)
 	a := randMat(13, 8, rng)
 	b := randMat(13, 6, rng)
-	got := MatMulT1(a, b)
-	want := MatMul(a.T(), b)
+	got := MatMulT1Into(new(Mat), a, b)
+	want := MatMulInto(new(Mat), a.T(), b)
 	if !got.ApproxEqual(want, 1e-10) {
 		t.Fatal("MatMulT1 != T(a)·b")
 	}
@@ -95,8 +95,8 @@ func TestMatMulT2MatchesExplicitTranspose(t *testing.T) {
 	rng := NewRNG(5)
 	a := randMat(9, 11, rng)
 	b := randMat(7, 11, rng)
-	got := MatMulT2(a, b)
-	want := MatMul(a, b.T())
+	got := MatMulT2Into(new(Mat), a, b)
+	want := MatMulInto(new(Mat), a, b.T())
 	if !got.ApproxEqual(want, 1e-10) {
 		t.Fatal("MatMulT2 != a·T(b)")
 	}
@@ -106,7 +106,7 @@ func TestMatMulT1LargeParallelPath(t *testing.T) {
 	rng := NewRNG(6)
 	a := randMat(100, 80, rng)
 	b := randMat(100, 90, rng)
-	if !MatMulT1(a, b).ApproxEqual(MatMul(a.T(), b), 1e-8) {
+	if !MatMulT1Into(new(Mat), a, b).ApproxEqual(MatMulInto(new(Mat), a.T(), b), 1e-8) {
 		t.Fatal("parallel MatMulT1 wrong")
 	}
 }
@@ -115,7 +115,7 @@ func TestMatMulT2LargeParallelPath(t *testing.T) {
 	rng := NewRNG(7)
 	a := randMat(100, 90, rng)
 	b := randMat(80, 90, rng)
-	if !MatMulT2(a, b).ApproxEqual(MatMul(a, b.T()), 1e-8) {
+	if !MatMulT2Into(new(Mat), a, b).ApproxEqual(MatMulInto(new(Mat), a, b.T()), 1e-8) {
 		t.Fatal("parallel MatMulT2 wrong")
 	}
 }
@@ -171,9 +171,9 @@ func TestQuickMatMulDistributes(t *testing.T) {
 		c := randMat(k, m, rng)
 		bc := b.Clone()
 		bc.Add(c)
-		left := MatMul(a, bc)
-		right := MatMul(a, b)
-		right.Add(MatMul(a, c))
+		left := MatMulInto(new(Mat), a, bc)
+		right := MatMulInto(new(Mat), a, b)
+		right.Add(MatMulInto(new(Mat), a, c))
 		return left.ApproxEqual(right, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -191,8 +191,8 @@ func TestQuickMatMulTransposeLaw(t *testing.T) {
 		m := 1 + r.Intn(6)
 		a := randMat(n, k, rng)
 		b := randMat(k, m, rng)
-		left := MatMul(a, b).T()
-		right := MatMul(b.T(), a.T())
+		left := MatMulInto(new(Mat), a, b).T()
+		right := MatMulInto(new(Mat), b.T(), a.T())
 		return left.ApproxEqual(right, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
