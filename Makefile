@@ -84,8 +84,9 @@ staticcheck:
 
 # Short fuzz passes over the wire and file decoders, the adoption path
 # (decode, restore and iterate a full cell state), the matmul families'
-# leaf tiers, the conv lowering against its naive loops and the
-# tanh leaf against the stdlib (mirrors the CI step).
+# leaf tiers, the conv lowering against its naive loops, the
+# tanh leaf against the stdlib and the /v1/generate response writer
+# against encoding/json (mirrors the CI step).
 fuzz-smoke:
 	@for t in ReadCheckpoint ReadMixture; do \
 		$(GO) test -run='^$$' -fuzz="^Fuzz$$t\$$" -fuzztime=10s ./internal/checkpoint/ || exit 1; done
@@ -100,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzUnpackParts$$' -fuzztime=10s ./internal/mpi/
 	@for t in OwnerUpdate ReleaseOrder RunTask SlaveReports StateUpdate StateAck; do \
 		$(GO) test -run='^$$' -fuzz="^FuzzParse$$t\$$" -fuzztime=10s ./internal/cluster/ || exit 1; done
+	$(GO) test -run='^$$' -fuzz='^FuzzGenerateResponse$$' -fuzztime=10s ./internal/serve/
 
 # Non-test Go lines per internal/ package, the internal/, cmd/ and repo
 # root totals, then assembly lines per package that has any: the ROADMAP's

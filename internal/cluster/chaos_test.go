@@ -50,9 +50,9 @@ func fingerprint(t *testing.T, res *JobResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "best=%d aborted=%v\n", res.BestCell, res.Aborted)
 	for _, r := range res.Reports {
-		fmt.Fprintf(&b, "cell=%d iters=%d fit=%x ranks=%v weights=%v state=%x full=%x err=%v\n",
+		fmt.Fprintf(&b, "cell=%d iters=%d fit=%x ranks=%v weights=%v full=%x err=%v\n",
 			r.CellRank, r.Iterations, r.MixtureFitness, r.MixtureRanks, r.MixtureWeights,
-			r.State, r.Full, r.Error != "")
+			r.Full, r.Error != "")
 	}
 	return b.String()
 }
@@ -70,7 +70,7 @@ func requireAllTrained(t *testing.T, cfg config.Config, res *JobResult) {
 		if r.Iterations != cfg.Iterations {
 			t.Fatalf("cell %d trained %d/%d iterations (error: %s)", i, r.Iterations, cfg.Iterations, r.Error)
 		}
-		if len(r.State) == 0 {
+		if center, _ := centerOf(r.Full); len(center) == 0 {
 			t.Fatalf("cell %d has no final state", i)
 		}
 	}
@@ -212,7 +212,8 @@ func TestChaosResultMatchesFaultFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range clean.Reports {
-		if !bytes.Equal(clean.Reports[i].State, chaotic.Reports[i].State) {
+		want, _ := centerOf(clean.Reports[i].Full)
+		if got, _ := centerOf(chaotic.Reports[i].Full); len(want) == 0 || !bytes.Equal(got, want) {
 			t.Fatalf("cell %d state diverged under dup/delay chaos", i)
 		}
 	}

@@ -193,7 +193,7 @@ func FuzzParseSlaveReports(f *testing.F) {
 		`{"reports":[],"profile":{"train":{"count":7,"total_ns":9}}}`) // a slave a join emptied
 	// A plain slave's one report (addSeeds already holds the empty
 	// payload of a slave still finalising).
-	plain, err := slaveReports{Reports: []SlaveReport{{CellRank: 3, Node: "n1", Iterations: 2, State: []byte{7}}}, Profile: seedProfile}.marshal()
+	plain, err := slaveReports{Reports: []SlaveReport{{CellRank: 3, Node: "n1", Iterations: 2, Full: []byte{7}}}, Profile: seedProfile}.marshal()
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -40,10 +40,11 @@ func TestRunJobEndToEnd(t *testing.T) {
 		if r.Iterations != cfg.Iterations {
 			t.Fatalf("cell %d ran %d iterations", i, r.Iterations)
 		}
-		if len(r.State) == 0 {
+		center, _ := centerOf(r.Full)
+		if len(center) == 0 {
 			t.Fatalf("cell %d missing state", i)
 		}
-		if _, err := core.UnmarshalCellState(r.State); err != nil {
+		if _, err := core.UnmarshalCellState(center); err != nil {
 			t.Fatalf("cell %d state corrupt: %v", i, err)
 		}
 		if len(r.MixtureRanks) == 0 || len(r.MixtureRanks) != len(r.MixtureWeights) {

@@ -468,7 +468,7 @@ func (m *master) collect(resend func(s int)) error {
 		t := m.track[c]
 		rep := SlaveReport{
 			CellRank: c, Node: "recovered", Iterations: t.iter,
-			MixtureFitness: t.fitness, State: t.exchangeState(), Full: t.full,
+			MixtureFitness: t.fitness, Full: t.full,
 			Error: fmt.Sprintf("report synthesized from master state (owner slave %d lost); %s", t.owner, t.errNote),
 		}
 		if t.failed || t.iter == 0 {

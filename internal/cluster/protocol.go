@@ -162,8 +162,6 @@ type SlaveReport struct {
 	// MixtureRanks and MixtureWeights describe the returned mixture.
 	MixtureRanks   []int     `json:"mixture_ranks"`
 	MixtureWeights []float64 `json:"mixture_weights"`
-	// State is the marshalled core.CellState of the final centers.
-	State []byte `json:"state"`
 	// Full is the marshalled core.FullState of the cell at the end of
 	// training: the bit-exact resume state used by the golden determinism
 	// checks and checkpoint export.

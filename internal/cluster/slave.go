@@ -385,9 +385,6 @@ func (o *ownedCells) reports(aborted bool, err error) []SlaveReport {
 			// Never trained (or broken): never the best mixture.
 			rep.MixtureFitness = inf()
 		}
-		if st, err := oc.Cell.State(); err == nil {
-			rep.State = st.Marshal()
-		}
 		rep.MixtureRanks = append([]int(nil), oc.Cell.Mixture().Ranks...)
 		rep.MixtureWeights = append([]float64(nil), oc.Cell.Mixture().Weights...)
 		reports = append(reports, rep)

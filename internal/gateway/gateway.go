@@ -21,6 +21,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"cellgan/internal/serve"
 )
 
 // maxProxyBody bounds a client /v1/generate request body, mirroring the
@@ -224,6 +226,7 @@ func (g *Gateway) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	if ct := res.contentType; ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(res.body)))
 	w.WriteHeader(res.status)
 	w.Write(res.body)
 }
@@ -435,7 +438,7 @@ func (g *Gateway) forward(ctx context.Context, rep *Replica, body []byte) fwdRes
 		return fwdResult{replica: rep, err: err}
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		g.metrics.forwardErrs[rep.index].Inc()
 		return fwdResult{replica: rep, err: err}
@@ -450,6 +453,25 @@ func (g *Gateway) forward(ctx context.Context, rep *Replica, body []byte) fwdRes
 		g.metrics.forwardErrs[rep.index].Inc()
 	}
 	return res
+}
+
+// maxPresizedBody bounds the Content-Length forward trusts enough to
+// allocate up front. It covers the largest legal response of a 28×28
+// model, serve.MaxSamplesPerRequest samples in the float encoding at its
+// widest 25 bytes a value; a longer declared body is read as one without
+// a length, so nothing is refused that a growing read accepts.
+const maxPresizedBody = serve.MaxSamplesPerRequest * 28 * 28 * 25
+
+// readBody reads a replica response once: into a buffer of exactly the
+// declared Content-Length when there is one within maxPresizedBody (a
+// body shorter than declared is an error), else by growing a buffer.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxPresizedBody {
+		data := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
+	return io.ReadAll(resp.Body)
 }
 
 // handleHealthz reports gateway liveness: ok while at least one replica

@@ -56,6 +56,9 @@ type Model struct {
 	// worker samples on a workspace of its own: the float64 mixture, or
 	// only its float32 narrow.
 	sampler sampler
+	// respPrefix is every /v1/generate response's opening, encoded once
+	// because the model is immutable (responsePrefix).
+	respPrefix []byte
 }
 
 // sampler is a mixture at the width the engine serves: *core.Mixture or
@@ -194,6 +197,7 @@ func (e *Engine) load(name string, a *checkpoint.MixtureArtifact) error {
 	if old := e.cur.Load(); old != nil {
 		m.Version = old.Version + 1
 	}
+	m.respPrefix = responsePrefix(m)
 	e.cur.Store(m)
 	return nil
 }
@@ -354,9 +358,7 @@ func (e *Engine) runBatch(m *Model, batch []*genRequest, rng *tensor.RNG, sws *c
 	offset := 0
 	for _, r := range live {
 		sub := tensor.New(r.n, out.Cols)
-		for i := 0; i < r.n; i++ {
-			copy(sub.Row(i), out.Row(offset+i))
-		}
+		copy(sub.Data, out.Data[offset*out.Cols:])
 		offset += r.n
 		r.done <- genResult{out: sub}
 	}

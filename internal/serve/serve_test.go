@@ -171,6 +171,34 @@ func metricValue(t *testing.T, text, name string) float64 {
 func TestEncodings(t *testing.T) {
 	_, ts := newTestServer(t, EngineConfig{})
 
+	// Every body declares its length and is what json.NewEncoder writes
+	// for the response it decodes to, byte for byte.
+	for _, enc := range []string{"float", "base64", "pgm"} {
+		resp, err := http.Post(ts.URL+"/v1/generate", "application/json", strings.NewReader(`{"n":2,"encoding":"`+enc+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v", enc, resp.StatusCode, err)
+		}
+		if resp.ContentLength != int64(len(body)) {
+			t.Fatalf("%s: Content-Length %d for a %d-byte body", enc, resp.ContentLength, len(body))
+		}
+		var out GenerateResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		var again bytes.Buffer
+		if err := json.NewEncoder(&again).Encode(out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), body) {
+			t.Fatalf("%s: body differs from encoding/json's", enc)
+		}
+	}
+
 	code, flt := postGenerate(t, ts.URL, GenerateRequest{N: 3, Encoding: "float"})
 	if code != http.StatusOK || len(flt.Samples) != 3 {
 		t.Fatalf("float encoding: code %d", code)

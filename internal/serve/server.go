@@ -1,53 +1,17 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
+	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"cellgan/internal/dataset"
 )
-
-// maxPooledBuf caps how large a recycled buffer may be: a single huge
-// response must not pin a megabyte-scale buffer in the pool forever.
-const maxPooledBuf = 1 << 20
-
-// encodeBufPool recycles the JSON response buffers of the hot /generate
-// path, so steady-state request handling reuses encoder scratch instead
-// of allocating per response.
-var encodeBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// rawBufPool recycles the little-endian staging buffer of the base64
-// encoding (pointer-to-slice, the sync.Pool idiom that avoids boxing
-// allocations on Put).
-var rawBufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// writeJSONPooled encodes v through a pooled buffer and writes it as the
-// response body.
-func writeJSONPooled(w http.ResponseWriter, v any) {
-	buf := encodeBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		httpError(w, http.StatusInternalServerError, "encoding response: %v", err)
-	} else {
-		w.Write(buf.Bytes())
-	}
-	if buf.Cap() <= maxPooledBuf {
-		encodeBufPool.Put(buf)
-	}
-}
 
 // DefaultRequestTimeout bounds one /generate request end to end (queueing
 // plus forward passes).
@@ -182,54 +146,25 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	m := engine.Model()
-	resp := GenerateResponse{
-		Model:    m.Name,
-		Version:  m.Version,
-		Hash:     m.Hash,
-		N:        out.Rows,
-		Dim:      out.Cols,
-		Encoding: encoding,
+	if _, ok := pgmSide(out.Cols); encoding == "pgm" && !ok {
+		httpError(w, http.StatusBadRequest, "pgm needs square outputs, dim %d is not a square", out.Cols)
+		return
 	}
-	switch encoding {
-	case "float":
-		resp.Samples = make([][]float64, out.Rows)
-		for i := range resp.Samples {
-			resp.Samples[i] = out.Row(i)
-		}
-	case "base64":
-		rawp := rawBufPool.Get().(*[]byte)
-		raw := *rawp
-		if need := 8 * len(out.Data); cap(raw) < need {
-			raw = make([]byte, need)
-		} else {
-			raw = raw[:need]
-		}
-		for i, v := range out.Data {
-			binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
-		}
-		resp.Data = base64.StdEncoding.EncodeToString(raw)
-		*rawp = raw
-		if cap(raw) <= maxPooledBuf {
-			rawBufPool.Put(rawp)
-		}
-	case "pgm":
-		side := int(math.Round(math.Sqrt(float64(out.Cols))))
-		if side*side != out.Cols {
-			httpError(w, http.StatusBadRequest, "pgm needs square outputs, dim %d is not a square", out.Cols)
-			return
-		}
-		resp.PGM = make([]string, out.Rows)
-		for i := range resp.PGM {
-			var b strings.Builder
-			if err := dataset.WritePGM(&b, out.Row(i), side); err != nil {
-				httpError(w, http.StatusInternalServerError, "%v", err)
-				return
-			}
-			resp.PGM[i] = b.String()
-		}
+	bufp := new([]byte)
+	if out.Rows <= engine.cfg.MaxBatchSamples {
+		bufp = respBufPool.Get().(*[]byte)
+		defer respBufPool.Put(bufp)
 	}
-	writeJSONPooled(w, resp)
+	body, err := engine.Model().appendResponse((*bufp)[:0], out, encoding)
+	*bufp = body
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // maxReloadBody bounds one /v1/reload artifact push. Mixture artifacts
