@@ -21,8 +21,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"cellgan/internal/serve"
 )
 
 // maxProxyBody bounds a client /v1/generate request body, mirroring the
@@ -210,10 +208,9 @@ func (g *Gateway) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	key := r.Header.Get(RouteKeyHeader)
 	if key == "" {
 		// No affinity requested: spread over the ring by request count.
-		key = req.Model + "#" + strconv.FormatUint(g.counter.Add(1), 10)
-	} else {
-		key = req.Model + "#" + key
+		key = strconv.FormatUint(g.counter.Add(1), 10)
 	}
+	key = req.Model + "#" + key
 
 	g.metrics.requests.Inc()
 	started := time.Now()
@@ -302,14 +299,7 @@ func (g *Gateway) hedgeDelay() time.Duration {
 	if n < hedgeWarmupSamples {
 		return g.opts.HedgeMax
 	}
-	d := time.Duration(q * float64(time.Second))
-	if d < g.opts.HedgeMin {
-		return g.opts.HedgeMin
-	}
-	if d > g.opts.HedgeMax {
-		return g.opts.HedgeMax
-	}
-	return d
+	return min(max(time.Duration(q*float64(time.Second)), g.opts.HedgeMin), g.opts.HedgeMax)
 }
 
 // hedgeAllowed enforces the hedge budget: launched hedges must stay
@@ -330,15 +320,11 @@ func (g *Gateway) hedgeAllowed() bool {
 // latency. The first acceptable response wins; losers are cancelled via
 // the shared context when route returns.
 func (g *Gateway) route(ctx context.Context, key, model string, body []byte) fwdResult {
-	var cands []*Replica
-	cands = g.candidates(cands, key, model)
+	cands := g.candidates(nil, key, model)
 	if len(cands) == 0 {
 		return fwdResult{err: errors.New("no replicas available")}
 	}
-	maxAttempts := g.opts.MaxAttempts
-	if maxAttempts > len(cands) {
-		maxAttempts = len(cands)
-	}
+	maxAttempts := min(g.opts.MaxAttempts, len(cands))
 
 	ctx, cancel := context.WithTimeout(ctx, g.opts.RequestTimeout)
 	defer cancel()
@@ -400,9 +386,7 @@ func (g *Gateway) route(ctx context.Context, key, model string, body []byte) fwd
 				case <-time.After(backoff):
 				case <-ctx.Done():
 				}
-				if backoff < 8*g.opts.RetryBackoff {
-					backoff *= 2
-				}
+				backoff = min(2*backoff, 8*g.opts.RetryBackoff)
 				launch(false)
 			} else if inFlight == 0 {
 				// Nothing in flight and nothing left to try. A transport
@@ -455,16 +439,13 @@ func (g *Gateway) forward(ctx context.Context, rep *Replica, body []byte) fwdRes
 	return res
 }
 
-// maxPresizedBody bounds the Content-Length forward trusts enough to
-// allocate up front. It covers the largest legal response of a 28×28
-// model, serve.MaxSamplesPerRequest samples in the float encoding at its
-// widest 25 bytes a value; a longer declared body is read as one without
-// a length, so nothing is refused that a growing read accepts.
-const maxPresizedBody = serve.MaxSamplesPerRequest * 28 * 28 * 25
+// maxPresizedBody caps the Content-Length readBody allocates up front, so
+// a header alone cannot make the gateway allocate more.
+const maxPresizedBody = 128 << 20
 
-// readBody reads a replica response once: into a buffer of exactly the
-// declared Content-Length when there is one within maxPresizedBody (a
-// body shorter than declared is an error), else by growing a buffer.
+// readBody reads a replica response into a buffer of exactly its declared
+// length (a shorter body is an error) when that is within maxPresizedBody,
+// else, as one without a length, by growing a buffer.
 func readBody(resp *http.Response) ([]byte, error) {
 	if n := resp.ContentLength; n >= 0 && n <= maxPresizedBody {
 		data := make([]byte, n)

@@ -42,9 +42,7 @@ func hashKey(key string) uint64 {
 // NewRing builds a ring over replicas 0..n-1 with the given number of
 // virtual nodes per replica (minimum 1).
 func NewRing(n, virtualNodes int) *Ring {
-	if virtualNodes < 1 {
-		virtualNodes = 1
-	}
+	virtualNodes = max(virtualNodes, 1)
 	r := &Ring{points: make([]ringPoint, 0, n*virtualNodes), n: n}
 	for i := 0; i < n; i++ {
 		for v := 0; v < virtualNodes; v++ {

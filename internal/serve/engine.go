@@ -56,9 +56,6 @@ type Model struct {
 	// worker samples on a workspace of its own: the float64 mixture, or
 	// only its float32 narrow.
 	sampler sampler
-	// respPrefix is every /v1/generate response's opening, encoded once
-	// because the model is immutable (responsePrefix).
-	respPrefix []byte
 }
 
 // sampler is a mixture at the width the engine serves: *core.Mixture or
@@ -197,7 +194,6 @@ func (e *Engine) load(name string, a *checkpoint.MixtureArtifact) error {
 	if old := e.cur.Load(); old != nil {
 		m.Version = old.Version + 1
 	}
-	m.respPrefix = responsePrefix(m)
 	e.cur.Store(m)
 	return nil
 }

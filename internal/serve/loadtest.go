@@ -147,9 +147,7 @@ func LoadTest(baseURL string, opts LoadTestOptions) (*LoadTestResult, error) {
 		P50:      percentile(latencies, 0.50),
 		P90:      percentile(latencies, 0.90),
 		P99:      percentile(latencies, 0.99),
-	}
-	if len(latencies) > 0 {
-		res.Max = latencies[len(latencies)-1]
+		Max:      percentile(latencies, 1),
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
 		res.RPS = float64(res.Requests) / secs

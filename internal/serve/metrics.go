@@ -9,13 +9,7 @@ import (
 
 // latencyBuckets are the upper bounds (seconds) of the request-latency
 // histogram: exponential from 100 µs to ~100 s.
-var latencyBuckets = func() []float64 {
-	b := make([]float64, 0, 21)
-	for v := 1e-4; v <= 110; v *= 2 {
-		b = append(b, v)
-	}
-	return b
-}()
+var latencyBuckets = telemetry.ExponentialBuckets(1e-4, 2, 21)
 
 // batchBuckets are the upper bounds of the batch-size histogram
 // (requests coalesced per forward pass).

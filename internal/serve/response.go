@@ -1,12 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"math"
 	"slices"
-	"strconv"
+	"strings"
 	"sync"
 
 	"cellgan/internal/dataset"
@@ -19,82 +20,47 @@ import (
 // responses stays small.
 var respBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// responsePrefix encodes a model's fixed GenerateResponse fields,
-// `{"model":…,"version":…` and `,"hash":…` when set, through
-// encoding/json itself, so they are escaped as the encoder escapes them.
-func responsePrefix(m *Model) []byte {
-	name, _ := json.Marshal(m.Name) // a string always encodes
-	b := strconv.AppendUint(append(append([]byte(`{"model":`), name...), `,"version":`...), m.Version, 10)
-	if m.Hash != "" {
-		hash, _ := json.Marshal(m.Hash)
-		b = append(append(b, `,"hash":`...), hash...)
-	}
-	return b
-}
-
 // appendResponse appends to b what json.NewEncoder writes for the
-// GenerateResponse of out in encoding — field order, escaping, float
-// format, trailing newline — straight from out's rows (at least one row
-// and column, as every engine output has). A value the float encoding
-// cannot carry fails with encoding/json's error.
+// GenerateResponse of out in encoding. The encoder writes every field
+// but base64's data; that one, the bulk payload, is the last field a
+// base64 response carries, so it is encoded from out's rows in front of
+// the encoder's closing "}\n". A value the float encoding cannot carry
+// fails with encoding/json's error.
 func (m *Model) appendResponse(b []byte, out *tensor.Mat, encoding string) ([]byte, error) {
-	b = strconv.AppendInt(append(append(b, m.respPrefix...), `,"n":`...), int64(out.Rows), 10)
-	b = strconv.AppendInt(append(b, `,"dim":`...), int64(out.Cols), 10)
-	b = append(append(append(b, `,"encoding":"`...), encoding...), '"')
-	var err error
+	resp := GenerateResponse{Model: m.Name, Version: m.Version, Hash: m.Hash, N: out.Rows, Dim: out.Cols, Encoding: encoding}
 	switch encoding {
 	case "float":
-		b, err = appendFloatRows(b, out)
-	case "base64":
-		b = appendBase64(b, out.Data)
-	case "pgm":
-		b, err = appendPGM(b, out)
-	}
-	return append(b, "}\n"...), err
-}
-
-// appendFloatRows appends `,"samples":[[…],…]` in encoding/json's
-// float64 format: ES6 number formatting, 'e' below 1e-6 and from 1e21
-// up, with e-09 shortened to e-9. Each value and row is followed by a
-// comma, and the last comma of a list becomes its closing bracket.
-func appendFloatRows(b []byte, out *tensor.Mat) ([]byte, error) {
-	b = append(slices.Grow(b, 21*len(out.Data)), `,"samples":[`...)
-	for i := 0; i < out.Rows; i++ {
-		b = append(b, '[')
-		for _, v := range out.Row(i) {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(v, 'g', -1, 64)}
-			}
-			format := byte('f')
-			if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-				format = 'e'
-			}
-			b = strconv.AppendFloat(b, v, format, -1, 64)
-			if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-				b[n-2] = b[n-1]
-				b = b[:n-1]
-			}
-			b = append(b, ',')
+		resp.Samples = make([][]float64, out.Rows)
+		for i := range resp.Samples {
+			resp.Samples[i] = out.Row(i)
 		}
-		b[len(b)-1] = ']'
-		b = append(b, ',')
+	case "pgm":
+		side, _ := pgmSide(out.Cols)
+		resp.PGM = make([]string, out.Rows)
+		for i := range resp.PGM {
+			var sb strings.Builder
+			if err := dataset.WritePGM(&sb, out.Row(i), side); err != nil {
+				return b, err
+			}
+			resp.PGM[i] = sb.String()
+		}
 	}
-	b[len(b)-1] = ']'
-	return b, nil
+	buf := bytes.NewBuffer(b)
+	if err := json.NewEncoder(buf).Encode(&resp); err != nil || encoding != "base64" {
+		return buf.Bytes(), err
+	}
+	b = buf.Bytes()
+	return append(appendBase64(b[:len(b)-len("}\n")], out.Data), "}\n"...), nil
 }
-
-// base64Chunk is the float count one base64 step stages on the stack: a
-// multiple of 3, so every chunk but the last is whole 3-byte groups and
-// the chunks concatenate to one encoding of the whole payload.
-const base64Chunk = 3 * 128
 
 // appendBase64 appends `,"data":"…"`: data as row-major little-endian
-// float64 in standard base64.
+// float64 in standard base64, staged on the stack 3·128 floats at a time:
+// whole 3-byte groups, so the chunks concatenate to one encoding.
 func appendBase64(b []byte, data []float64) []byte {
 	b = append(slices.Grow(b, base64.StdEncoding.EncodedLen(8*len(data))+12), `,"data":"`...)
-	var raw [8 * base64Chunk]byte
+	var raw [8 * 3 * 128]byte
 	for len(data) > 0 {
-		k := min(len(data), base64Chunk)
+		k := min(len(data), len(raw)/8)
 		for i, v := range data[:k] {
 			binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
 		}
@@ -108,35 +74,4 @@ func appendBase64(b []byte, data []float64) []byte {
 func pgmSide(dim int) (int, bool) {
 	side := int(math.Round(math.Sqrt(float64(dim))))
 	return side, side*side == dim
-}
-
-// pgmString appends dataset.WritePGM's output to a JSON string in place.
-// WritePGM writes ASCII digits, minus signs, spaces, 'P' and newlines, of
-// which JSON escapes only the newline.
-type pgmString struct{ b []byte }
-
-func (s *pgmString) Write(p []byte) (int, error) {
-	for _, c := range p {
-		if c == '\n' {
-			s.b = append(s.b, '\\', 'n')
-		} else {
-			s.b = append(s.b, c)
-		}
-	}
-	return len(p), nil
-}
-
-// appendPGM appends `,"pgm":["…",…]`, one plain-text PGM image per row.
-func appendPGM(b []byte, out *tensor.Mat) ([]byte, error) {
-	side, _ := pgmSide(out.Cols)
-	s := &pgmString{b: append(b, `,"pgm":[`...)}
-	for i := 0; i < out.Rows; i++ {
-		s.b = append(s.b, '"')
-		if err := dataset.WritePGM(s, out.Row(i), side); err != nil {
-			return s.b, err
-		}
-		s.b = append(s.b, '"', ',')
-	}
-	s.b[len(s.b)-1] = ']'
-	return s.b, nil
 }

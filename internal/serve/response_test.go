@@ -17,9 +17,10 @@ import (
 	"cellgan/internal/tensor"
 )
 
-// encodeResponse is the encoder the response writer replaced: a
-// GenerateResponse built from out and run through json.NewEncoder (HTML
-// escaping on, trailing newline). It is the writer's byte-for-byte oracle.
+// encodeResponse is the plain encoding of a response: a
+// GenerateResponse built from out, base64 payload included, run through
+// json.NewEncoder (HTML escaping on, trailing newline). It is the
+// writer's byte-for-byte oracle.
 func encodeResponse(m *Model, out *tensor.Mat, encoding string) ([]byte, error) {
 	resp := GenerateResponse{Model: m.Name, Version: m.Version, Hash: m.Hash, N: out.Rows, Dim: out.Cols, Encoding: encoding}
 	switch encoding {
@@ -76,7 +77,6 @@ func FuzzGenerateResponse(f *testing.F) {
 			return
 		}
 		m := &Model{Name: name, Version: version, Hash: hash}
-		m.respPrefix = responsePrefix(m)
 		cols := len(vals) / r
 		side := int(math.Sqrt(float64(cols)))
 		for _, c := range []struct {
