@@ -70,9 +70,9 @@ var asyncClusterHooks struct {
 // a cell's new version goes out only once the master acknowledges holding
 // it (its Held), and the cell does not iterate again before it has. The
 // master's abort is the driver's stop signal: every cell halts within W·D
-// iterations, all at one boundary. It returns whether the done signal
-// carried an abort.
-func (s *slave) runAsync(o *ownedCells) (aborted bool, err error) {
+// iterations, all at one boundary. It returns once the done signal has
+// arrived and every owned cell has settled its last boundary.
+func (s *slave) runAsync(o *ownedCells) error {
 	myRank, nCells, d := s.world.Rank(), o.task.Cfg.NumCells(), o.d
 	d.Comm, d.Tag, d.Owners, d.Exempt, d.Keep = s.world, tagAsyncState, make([]int, nCells), make(map[int]bool), o.keep
 	for c := range d.Owners {
@@ -101,7 +101,7 @@ func (s *slave) runAsync(o *ownedCells) (aborted bool, err error) {
 				}
 				for _, ad := range u.Adopt {
 					if err := o.adopt(ad); err != nil {
-						return false, err
+						return err
 					}
 				}
 				// The catch-all for a release lost mid-flight: ownership
@@ -121,7 +121,7 @@ func (s *slave) runAsync(o *ownedCells) (aborted bool, err error) {
 				// update's seeds are every cell's final state, so each
 				// final boundary settles in the pass below.
 				if u.Done {
-					done, aborted, d.Target = true, u.Abort, 0
+					done, d.Target = true, 0
 				}
 				lastChange, repush, changed = time.Now(), true, true // pushes may aim at new owners
 			case a := <-s.ackCh:
@@ -135,17 +135,17 @@ func (s *slave) runAsync(o *ownedCells) (aborted bool, err error) {
 				// them; the ack echoes the order's version in Round.
 				payload, err := o.packState(r.Version, r.Cells)
 				if err != nil {
-					return false, err
+					return err
 				}
 				for _, cr := range r.Cells {
 					o.drop(cr)
 				}
 				changed = true
 				if err := s.world.Send(0, tagReleaseAck, payload); err != nil {
-					return false, err
+					return err
 				}
 			case <-s.quit:
-				return false, errQuit
+				return errQuit
 			default:
 				ctl = false
 			}
@@ -156,7 +156,7 @@ func (s *slave) runAsync(o *ownedCells) (aborted bool, err error) {
 		// and hold no gate.
 		moved, waiting, err := d.Pass()
 		if err != nil || done {
-			return aborted, err
+			return err
 		}
 
 		// Inventory upload after a move or a change. Once the slave has sat
@@ -180,7 +180,7 @@ func (s *slave) runAsync(o *ownedCells) (aborted bool, err error) {
 		if changed || moved || idle {
 			if changed || moved || upload == nil {
 				if upload, err = o.packState(0, o.ranks()); err != nil {
-					return false, err
+					return err
 				}
 			}
 			s.world.Multicast([]int{0}, tagStateUpdate, upload) //nolint:errcheck
@@ -189,33 +189,32 @@ func (s *slave) runAsync(o *ownedCells) (aborted bool, err error) {
 		if !moved {
 			select {
 			case <-s.quit:
-				return false, errQuit
+				return errQuit
 			case <-time.After(asyncIdleSleep):
 			}
 		}
 	}
 }
 
-// cellTrack is the master's view of one grid cell.
+// cellTrack is the master's view of one grid cell: the newest blob merged
+// from its owner — what an adoption order hands the next owner and what
+// the cell's report is built from — and the bookkeeping around it.
 type cellTrack struct {
+	cellBlob
 	owner int    // slave rank currently training the cell
-	iter  int    // highest iteration merged
-	full  []byte // marshalled core.FullState at iter
-	prev  []byte // the full state merged before it, decoded only for seeds
-	state []byte // marshalled core.CellState extracted from full, on demand
-	// failed and halted cells owe no more iterations.
-	failed, halted bool
-	errNote        string
-	fitness        float64
+	prev  []byte // the full state merged before Full, decoded only for seeds
+	state []byte // marshalled core.CellState extracted from Full, on demand
+	// final marks a cell whose owner delivered its final report.
+	final bool
 }
 
 // exchangeState returns the cell's marshalled center snapshot, the part of
-// full its neighbours need. Decoding a full state costs tens of
+// Full its neighbours need. Decoding a full state costs tens of
 // milliseconds per cell, so merges only move the blob and the snapshot is
 // derived on first use.
 func (t *cellTrack) exchangeState() []byte {
 	if t.state == nil {
-		t.state, _ = centerOf(t.full)
+		t.state, _ = centerOf(t.Full)
 	}
 	return t.state
 }
@@ -234,29 +233,15 @@ func centerOf(full []byte) ([]byte, int) {
 }
 
 // unfinished reports whether the cell still owes iterations.
-func (t *cellTrack) unfinished(target int) bool { return !t.failed && !t.halted && t.iter < target }
-
-// initTrack starts the inventory with the one-cell-per-slave assignment,
-// seeded from the resume states when the job is resuming, so eviction,
-// owner updates, the done check and periodic snapshots all see the
-// restored iterations before the first upload arrives.
-func (m *master) initTrack() {
-	m.track = make([]*cellTrack, m.nCells)
-	for c := range m.track {
-		m.track[c] = &cellTrack{owner: c + 1, fitness: inf()}
-		if m.opts.Resume != nil {
-			f := m.opts.Resume[c]
-			m.track[c].iter, m.track[c].full, m.track[c].state = f.Cell.Iteration, f.Marshal(), f.Cell.Marshal()
-		}
-	}
-	m.ck = newMasterCkpt(m.opts, m.logf)
+func (t *cellTrack) unfinished(target int) bool {
+	return !t.Failed && !t.Halted && t.Iteration < target
 }
 
 // trackIters lists every cell's gathered iteration, for the event log.
 func (m *master) trackIters() []int {
 	its := make([]int, len(m.track))
 	for c, t := range m.track {
-		its[c] = t.iter
+		its[c] = t.Iteration
 	}
 	return its
 }
@@ -268,34 +253,27 @@ func (m *master) trackIters() []int {
 // the state content is unique and duplicate or late uploads are harmless.
 func (m *master) merge(src int, cells []cellBlob) (advanced bool) {
 	for _, cb := range cells {
-		if cb.CellRank < 0 || cb.CellRank >= m.nCells || m.track[cb.CellRank].owner != src {
+		if !m.owns(src, cb.CellRank) {
 			continue
 		}
 		t := m.track[cb.CellRank]
-		if cb.Iteration > t.iter {
+		if cb.Iteration > t.Iteration {
 			advanced = true
-			t.prev = t.full
+			t.prev = t.Full
 			m.ck.merged(cb.CellRank, cb.Iteration, cb.Full)
 		}
-		if cb.Iteration >= t.iter {
-			t.iter, t.full, t.state = cb.Iteration, cb.Full, nil
-			t.failed, t.halted, t.errNote, t.fitness = cb.Failed, cb.Halted, cb.Error, cb.Fitness
+		if cb.Iteration >= t.Iteration {
+			t.cellBlob, t.state = cb, nil
 		}
 		if h := asyncClusterHooks.onHold; h != nil {
-			h(cb.CellRank, t.iter)
+			h(cb.CellRank, t.Iteration)
 		}
 	}
 	return advanced
 }
 
-// adoptOrder packs cell c's gathered state for its next owner.
-func (m *master) adoptOrder(c int) cellBlob {
-	t := m.track[c]
-	return cellBlob{
-		CellRank: c, Iteration: t.iter, Full: t.full,
-		Failed: t.failed, Error: t.errNote, Fitness: t.fitness,
-	}
-}
+// owns reports whether slave src owns cell c, a rank off the wire.
+func (m *master) owns(src, c int) bool { return c >= 0 && c < m.nCells && m.track[c].owner == src }
 
 // owned counts the cells slave s owns, and those it owes iterations.
 func (m *master) owned(s int) (cells, unfinished int) {
@@ -336,15 +314,15 @@ func (m *master) runAsync() (resend func(s int), err error) {
 	// cell's seed state, plus the one before it for each cell in moved, so
 	// each broadcast encodes it once for all its destinations.
 	version := 0
-	encodeOU := func(done, abort bool, adopt []cellBlob, moved []int) []byte {
-		u := ownerUpdate{Version: version, Owners: make([]int, nCells), Adopt: adopt, Done: done, Abort: abort}
+	encodeOU := func(done bool, adopt []cellBlob, moved []int) []byte {
+		u := ownerUpdate{Version: version, Owners: make([]int, nCells), Adopt: adopt, Done: done}
 		for c, t := range track {
 			u.Owners[c] = t.owner
-			if t.failed {
+			if t.Failed {
 				u.Failed = append(u.Failed, c)
 			}
 			if st := t.exchangeState(); st != nil {
-				u.States = append(u.States, wireState{Rank: c, Iter: t.iter, Data: st})
+				u.States = append(u.States, wireState{Rank: c, Iter: t.Iteration, Data: st})
 			}
 		}
 		for _, c := range moved {
@@ -370,17 +348,15 @@ func (m *master) runAsync() (resend func(s int), err error) {
 	// orders, every live slave the new aim map and the moved cells' seeds.
 	grant := func(adopt map[int][]cellBlob, moved []int) {
 		version++
-		peers := encodeOU(false, false, nil, moved)
+		peers := encodeOU(false, nil, moved)
 		for _, dst := range m.liveRanks() {
 			if a := adopt[dst]; a != nil {
-				sendOU(dst, encodeOU(false, false, a, moved))
+				sendOU(dst, encodeOU(false, a, moved))
 			} else {
 				sendOU(dst, peers)
 			}
 		}
 	}
-
-	aborted := false
 
 	// join runs the whole protocol for one reserve slave: deterministic
 	// rebalance choice, release/ack recall of the moving cells' freshest
@@ -487,11 +463,10 @@ func (m *master) runAsync() (resend func(s int), err error) {
 		for _, c := range moved {
 			track[c].owner = src
 			opts.Metrics.Rebalances.Inc()
-			adopt = append(adopt, m.adoptOrder(c))
-			m.logf("master: rebalanced cell %d to joiner %d (from iteration %d)", c, src, track[c].iter)
+			adopt = append(adopt, track[c].cellBlob)
+			m.logf("master: rebalanced cell %d to joiner %d (from iteration %d)", c, src, track[c].Iteration)
 		}
-		pl := m.res.Placements[src]
-		task := runTask{Cfg: opts.Cfg, CellRank: -1, Node: pl.Node, Core: pl.Core, Async: true, Resilient: opts.Resilient, Joiner: true}
+		task := runTask{Cfg: opts.Cfg, CellRank: -1, Async: true, Resilient: opts.Resilient, Joiner: true}
 		m.sendTask(src, task) //nolint:errcheck // tolerant: failures are logged
 		grant(map[int][]cellBlob{src: adopt}, moved)
 	}
@@ -521,10 +496,10 @@ func (m *master) runAsync() (resend func(s int), err error) {
 			}
 			t.owner = survivor
 			opts.Metrics.Redispatches.Inc()
-			adopt[survivor] = append(adopt[survivor], m.adoptOrder(c))
+			adopt[survivor] = append(adopt[survivor], t.cellBlob)
 			moved = append(moved, c)
 			m.logf("master: reassigned cell %d from slave %d to slave %d (re-dispatching from iteration %d)",
-				c, s, survivor, t.iter)
+				c, s, survivor, t.Iteration)
 		}
 		grant(adopt, moved)
 	}
@@ -593,7 +568,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 			var ack stateAck // the version held of every cell src owns
 			for c, t := range track {
 				if t.owner == src {
-					ack.Held = append(ack.Held, cellIter{Cell: c, Iter: t.iter})
+					ack.Held = append(ack.Held, cellIter{Cell: c, Iter: t.Iteration})
 				}
 			}
 			if opts.Resilient && len(ack.Held) > 0 {
@@ -630,8 +605,8 @@ func (m *master) runAsync() (resend func(s int), err error) {
 		// A time limit or interrupt aborts: every cell halts within W·D
 		// iterations, all at one boundary, and a halted cell is done.
 		limit := opts.Cfg.TimeLimit
-		if !aborted && (interrupted(opts.Interrupt) || (limit > 0 && time.Since(m.started) > limit)) {
-			aborted, m.res.Aborted, lastAdvance = true, true, time.Now()
+		if !m.res.Aborted && (interrupted(opts.Interrupt) || (limit > 0 && time.Since(m.started) > limit)) {
+			m.res.Aborted, lastAdvance = true, time.Now()
 			m.logf("master: %s, sending abort to all slaves", m.abortReason())
 			for _, s := range m.liveRanks() {
 				comm.Send(s, tagAbort, nil) //nolint:errcheck // best-effort: a cell whose slave misses it, or a joiner's, learns the halt from its peers' pushes
@@ -643,7 +618,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 		// Without the evict policy nothing removes a dead slave, whose cells
 		// hold their neighbours below the halt: an aborted job in which no cell
 		// advanced for as long as eviction would take ends there.
-		if aborted && !opts.Resilient && time.Since(lastAdvance) >= time.Duration(opts.MaxStrikes)*opts.RoundTimeout {
+		if m.res.Aborted && !opts.Resilient && time.Since(lastAdvance) >= time.Duration(opts.MaxStrikes)*opts.RoundTimeout {
 			m.logf("master: aborted and no cell advanced for %s, ending the job", time.Duration(opts.MaxStrikes)*opts.RoundTimeout)
 			break
 		}
@@ -654,7 +629,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 		if time.Since(lastProgress) >= opts.RoundTimeout {
 			m.logf("master: no progress for %s, nudging %d slaves", opts.RoundTimeout, len(m.liveRanks()))
 			version++
-			nudge := encodeOU(false, false, nil, nil)
+			nudge := encodeOU(false, nil, nil)
 			for _, s := range m.liveRanks() {
 				sendOU(s, nudge)
 			}
@@ -669,7 +644,7 @@ func (m *master) runAsync() (resend func(s int), err error) {
 	// Tell everyone training is over; collection re-sends the signal to a
 	// slave that answers "still finalising" (it may have been lost).
 	version++
-	doneOU := encodeOU(true, aborted, nil, nil)
+	doneOU := encodeOU(true, nil, nil)
 	for _, s := range m.liveRanks() {
 		sendOU(s, doneOU)
 	}

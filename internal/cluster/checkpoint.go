@@ -70,11 +70,12 @@ type masterCkpt struct {
 	cuts     *core.CkptCollector
 }
 
-// newMasterCkpt returns nil when no cadence is configured. A resumed job
-// starts its cadence after the resume point, never re-emitting the
-// generation it was loaded from.
+// newMasterCkpt returns nil when no cadence is configured, and in the
+// plain mode, whose inventory merges no uploads. A resumed job starts its
+// cadence after the resume point, never re-emitting the generation it was
+// loaded from.
 func newMasterCkpt(opts MasterOptions, logf func(string, ...interface{})) *masterCkpt {
-	if opts.CheckpointEvery <= 0 || opts.CheckpointSink == nil {
+	if opts.CheckpointEvery <= 0 || opts.CheckpointSink == nil || !opts.Async && !opts.Resilient {
 		return nil
 	}
 	ck := &masterCkpt{every: opts.CheckpointEvery, logf: logf}
@@ -113,11 +114,11 @@ func (ck *masterCkpt) observe(track []*cellTrack) {
 	}
 	min := -1
 	for _, t := range track {
-		if len(t.full) == 0 {
+		if len(t.Full) == 0 {
 			return // some cell's state was never gathered yet
 		}
-		if min < 0 || t.iter < min {
-			min = t.iter
+		if min < 0 || t.Iteration < min {
+			min = t.Iteration
 		}
 	}
 	if min <= 0 || min < ck.lastSunk+ck.every {
@@ -125,7 +126,7 @@ func (ck *masterCkpt) observe(track []*cellTrack) {
 	}
 	states := make([]*core.FullState, len(track))
 	for c, t := range track {
-		f, err := core.UnmarshalFullState(t.full)
+		f, err := core.UnmarshalFullState(t.Full)
 		if err != nil {
 			ck.logf("master: checkpoint at iteration %d skipped: cell %d state undecodable: %v", min, c, err)
 			return

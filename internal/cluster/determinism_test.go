@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 
@@ -116,6 +117,7 @@ func TestCrossModeGoldenCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireAllTrained(t, cfg, res)
+		requireMixtureOfFull(t, res)
 		return checkpointFromReports(t, res)
 	}
 	seq := fromCore(cfg, core.RunSequential)
@@ -141,6 +143,7 @@ func TestCrossModeGoldenCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireAllTrained(t, w1, res)
+		requireMixtureOfFull(t, res)
 		states := make([][]byte, len(res.Reports))
 		for i, r := range res.Reports {
 			states[i] = r.Full
@@ -210,6 +213,7 @@ func TestCrossModeGoldenCheckpoint(t *testing.T) {
 			t.Fatalf("%s: %v", row.name, row.err)
 		}
 		requireAllTrained(t, row.opts.Cfg, row.res)
+		requireMixtureOfFull(t, row.res)
 		for c, r := range row.res.Reports {
 			if row.finite {
 				if part := nonFinitePart(t, r.Full); part != "" {
@@ -218,6 +222,28 @@ func TestCrossModeGoldenCheckpoint(t *testing.T) {
 			} else if !bytes.Equal(want3[c], r.Full) {
 				t.Errorf("%s: cell %d full state differs from core.RunSequential", row.name, c)
 			}
+		}
+	}
+}
+
+// requireMixtureOfFull asserts that every report, collected or
+// synthesized, names the mixture its full state holds: the inventory
+// carries the mixture beside Full so that no report decodes it.
+func requireMixtureOfFull(t *testing.T, res *JobResult) {
+	t.Helper()
+	for _, r := range res.Reports {
+		var ranks []int
+		var weights []float64
+		if len(r.Full) > 0 {
+			f, err := core.UnmarshalFullState(r.Full)
+			if err != nil {
+				t.Fatalf("cell %d full state: %v", r.CellRank, err)
+			}
+			ranks, weights = f.MixtureRanks, f.MixtureWeights
+		}
+		if !slices.Equal(r.MixtureRanks, ranks) || !slices.Equal(r.MixtureWeights, weights) {
+			t.Fatalf("cell %d reports mixture %v/%v, its full state holds %v/%v",
+				r.CellRank, r.MixtureRanks, r.MixtureWeights, ranks, weights)
 		}
 	}
 }

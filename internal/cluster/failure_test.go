@@ -89,7 +89,7 @@ func (e errAssert) Error() string { return string(e) }
 
 // TestPlainMasterSurvivesHostileSlave drives the plain master against
 // hand-rolled slaves that answer the control protocol with garbage: an
-// empty status payload, and reports naming cells outside the grid. The
+// empty status payload, and final reports naming cells outside the grid. The
 // master must fail the job with an error (and say why in its log), not
 // index its tables with the wire's values.
 func TestPlainMasterSurvivesHostileSlave(t *testing.T) {
@@ -125,7 +125,7 @@ func TestPlainMasterSurvivesHostileSlave(t *testing.T) {
 						case tagStatus:
 							comm.Send(0, tagStatus, tc.status) //nolint:errcheck
 						case tagCollect:
-							payload, _ := slaveReports{Reports: []SlaveReport{{CellRank: tc.cellRank}}}.marshal()
+							payload, _ := stateUpdate{Cells: []cellBlob{{CellRank: tc.cellRank}}}.marshal()
 							comm.Send(0, tagResult, payload) //nolint:errcheck
 						}
 					}
@@ -143,6 +143,75 @@ func TestPlainMasterSurvivesHostileSlave(t *testing.T) {
 				t.Fatalf("log missing %q:\n%s", tc.wantLog, strings.Join(log, "\n"))
 			}
 		})
+	}
+}
+
+// TestPlainMasterCollectsEachSlaveAsItFinishes: the plain heartbeat asks
+// a slave for its final report the first time its status reads finished,
+// so parsing it overlaps the other slaves' training. Hand-rolled slaves:
+// slave 1 reads finished at once, the rest only after a delay; the master
+// must request slave 1's report before the last slave reads finished.
+func TestPlainMasterCollectsEachSlaveAsItFinishes(t *testing.T) {
+	cfg := jobConfig()
+	n := cfg.NumTasks()
+	w := mpi.MustWorld(n)
+	defer w.Close()
+	const delay = 300 * time.Millisecond
+	var mu sync.Mutex
+	finishedAt := make(map[int]time.Time) // first finished status per slave
+	collectAt := make(map[int]time.Time)  // first report request per slave
+	for rank := 1; rank < n; rank++ {
+		go func(rank int, comm *mpi.Comm) {
+			start := time.Now()
+			comm.Send(0, tagNodeName, []byte("fake")) //nolint:errcheck
+			for {
+				m, err := comm.Recv(0, mpi.AnyTag)
+				if err != nil || m.Tag == tagShutdown {
+					return
+				}
+				mu.Lock()
+				now := time.Now()
+				switch m.Tag {
+				case tagStatus:
+					st := StateProcessing
+					if rank == 1 || now.Sub(start) >= delay {
+						st = StateFinished
+						if finishedAt[rank].IsZero() {
+							finishedAt[rank] = now
+						}
+					}
+					comm.Send(0, tagStatus, []byte{byte(st)}) //nolint:errcheck
+				case tagCollect:
+					if collectAt[rank].IsZero() {
+						collectAt[rank] = now
+					}
+					payload, _ := stateUpdate{Cells: []cellBlob{{CellRank: rank - 1, Iteration: cfg.Iterations, Fitness: 1}}}.marshal()
+					comm.Send(0, tagResult, payload) //nolint:errcheck
+				}
+				mu.Unlock()
+			}
+		}(rank, w.MustComm(rank))
+	}
+	res, masterErr := RunMaster(w.MustComm(0), MasterOptions{Cfg: cfg, HeartbeatInterval: time.Millisecond})
+	mu.Lock()
+	defer mu.Unlock()
+	var last time.Time
+	for rank := 1; rank < n; rank++ {
+		if finishedAt[rank].After(last) {
+			last = finishedAt[rank]
+		}
+	}
+	if first := collectAt[1]; first.IsZero() || !first.Before(last) {
+		t.Fatalf("slave 1's report was requested %v after the last slave read finished, want before it",
+			first.Sub(last).Round(time.Millisecond))
+	}
+	if masterErr != nil {
+		t.Fatal(masterErr)
+	}
+	for c, r := range res.Reports {
+		if r.CellRank != c || r.Iterations != cfg.Iterations || r.Error != "" {
+			t.Fatalf("report %d: %+v", c, r)
+		}
 	}
 }
 
@@ -197,7 +266,7 @@ func TestFailedJoinerReportsItsCells(t *testing.T) {
 	send(tagOwnerUpdate, ownerUpdate{Version: 1, Owners: owners, Adopt: []cellBlob{{CellRank: 2, Fitness: inf()}}})
 	send(tagOwnerUpdate, ownerUpdate{Version: 2, Owners: owners, Adopt: []cellBlob{{CellRank: 3, Full: []byte("corrupt"), Fitness: inf()}}})
 
-	var reports []SlaveReport
+	var reports []cellBlob
 	for deadline := time.Now().Add(30 * time.Second); reports == nil; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("the joiner never delivered its reports")
@@ -208,11 +277,11 @@ func TestFailedJoinerReportsItsCells(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(m.Data) > 0 {
-			sr, err := parseSlaveReports(m.Data)
+			rep, err := parseStateUpdate(m.Data)
 			if err != nil {
 				t.Fatal(err)
 			}
-			reports = append([]SlaveReport{}, sr.Reports...)
+			reports = append([]cellBlob{}, rep.Cells...)
 		}
 	}
 	send(tagShutdown, nil)
@@ -228,7 +297,7 @@ func TestFailedJoinerReportsItsCells(t *testing.T) {
 }
 
 // cellsOf lists the cells a set of reports is for.
-func cellsOf(reports []SlaveReport) []int {
+func cellsOf(reports []cellBlob) []int {
 	var cells []int
 	for _, r := range reports {
 		cells = append(cells, r.CellRank)

@@ -168,7 +168,7 @@ func addSeeds(f *testing.F, valid []byte, err error, extra ...string) {
 }
 
 func FuzzParseRunTask(f *testing.F) {
-	valid, err := runTask{Cfg: jobConfig(), CellRank: 2, Node: "n1", Full: []byte{1}}.marshal()
+	valid, err := runTask{Cfg: jobConfig(), CellRank: 2, Full: []byte{1}}.marshal()
 	addSeeds(f, valid, err, `{"cell_rank":-1}`, `{"cell_rank":-1,"joiner":true}`)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := parseRunTask(data)
@@ -187,38 +187,25 @@ func FuzzParseRunTask(f *testing.F) {
 	})
 }
 
-func FuzzParseSlaveReports(f *testing.F) {
-	valid, err := slaveReports{Reports: []SlaveReport{{CellRank: 0}, {CellRank: 3, Error: "x"}}, Profile: seedProfile}.marshal()
-	addSeeds(f, valid, err, `{"reports":[{"cell_rank":-1}]}`, `{"reports":[{"cell_rank":4096}]}`,
-		`{"reports":[],"profile":{"train":{"count":7,"total_ns":9}}}`) // a slave a join emptied
-	// A plain slave's one report (addSeeds already holds the empty
-	// payload of a slave still finalising).
-	plain, err := slaveReports{Reports: []SlaveReport{{CellRank: 3, Node: "n1", Iterations: 2, Full: []byte{7}}}, Profile: seedProfile}.marshal()
+// FuzzParseStateUpdate covers every stateUpdate the master parses: an
+// upload, a release ack and a slave's final report, whose profile collect
+// merges.
+func FuzzParseStateUpdate(f *testing.F) {
+	valid, err := stateUpdate{Round: 5, Cells: []cellBlob{{CellRank: 1, Iteration: 5, Full: []byte{1, 2}}}}.marshal()
+	addSeeds(f, valid, err, `{"cells":[{"cell_rank":-1}]}`, `{"cells":[{"cell_rank":0,"iteration":-2}]}`)
+	f.Add([]byte(`{"cells":[],"profile":{"train":{"count":7,"total_ns":9}}}`)) // a slave a join emptied
+	f.Add([]byte(`{"cells":[],"profile":{"train":{"count":-1,"total_ns":"x"}}}`))
+	// A plain slave's one-cell final report.
+	plain, err := stateUpdate{Cells: []cellBlob{{CellRank: 3, Iteration: 2, Full: []byte{7}, Fitness: 0.25,
+		MixtureRanks: []int{3, 1}, MixtureWeights: []float64{0.6, 0.4}}}, Profile: seedProfile}.marshal()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(plain)
-	f.Add([]byte(`{"reports":[],"profile":{"train":{"count":-1,"total_ns":"x"}}}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		sr, err := parseSlaveReports(data)
-		if err != nil {
-			return
-		}
-		ranks := make([]int, len(sr.Reports))
-		for i, r := range sr.Reports {
-			ranks[i] = r.CellRank
-		}
-		requireCellBounds(t, "slave reports", ranks...)
-		new(telemetry.Profile).Merge(sr.Profile) // what collect does with it
-	})
-}
-
-func FuzzParseStateUpdate(f *testing.F) {
-	valid, err := stateUpdate{Round: 5, Cells: []cellBlob{{CellRank: 1, Iteration: 5, Full: []byte{1, 2}}}}.marshal()
-	addSeeds(f, valid, err, `{"cells":[{"cell_rank":-1}]}`, `{"cells":[{"cell_rank":0,"iteration":-2}]}`)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if u, err := parseStateUpdate(data); err == nil {
 			requireCellBounds(t, "state update", blobRanks(t, "state update", u.Cells)...)
+			new(telemetry.Profile).Merge(u.Profile) // what collect does with it
 		}
 	})
 }

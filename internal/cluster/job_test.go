@@ -257,6 +257,7 @@ func TestJobTimeLimitEndsWithCrashedSlave(t *testing.T) {
 				if !strings.Contains(res.Reports[1].Error, "synthesized") {
 					t.Fatalf("crashed cell 1 not synthesized (error %q); log:\n%s", res.Reports[1].Error, log)
 				}
+				requireMixtureOfFull(t, res)
 				return
 			}
 			requireOneHalt(t, opts.Cfg, res)

@@ -78,8 +78,8 @@ type MasterOptions struct {
 	// periodic whole-job snapshots from its gathered inventory: a
 	// consistent cut at every CheckpointEvery-th iteration under the evict
 	// policy, a best-effort newest-wins snapshot each time the slowest cell
-	// crosses a cadence in plain async mode. The plain mode holds no inventory
-	// and ignores the cadence. Sink failures are logged and counted,
+	// crosses a cadence in plain async mode. The plain mode, whose inventory
+	// merges only the final reports, ignores the cadence. Sink failures are logged and counted,
 	// never fatal — losing a snapshot must not kill the training run.
 	CheckpointEvery int
 	CheckpointSink  func(iteration int, states []*core.FullState) error
@@ -143,6 +143,7 @@ func RunMaster(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 		live:     make(map[int]bool),
 	}
 	m.states = make([]SlaveState, m.nSlaves+1)
+	m.initTrack()
 	m.gatherNames()
 	if err := m.dispatch(); err != nil {
 		return nil, err
@@ -162,7 +163,6 @@ func RunMaster(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 		m.logf("master: all slaves finished, collecting results")
 	} else {
 		// The tolerant middle learns liveness from the slaves' uploads.
-		m.initTrack()
 		var err error
 		if resend, err = m.runAsync(); err != nil {
 			return nil, err
@@ -211,14 +211,18 @@ type master struct {
 	tolerant bool
 	names    []string
 
-	// states is each slave's last observed Fig 2 state.
+	// states is each slave's last observed Fig 2 state. A slave seen
+	// finished has been asked for its final report: the heartbeat asks at
+	// once, and collection marks a slave that delivered one finished.
 	states []SlaveState
 	// live is the set of slaves taking part in the job — monitored,
 	// collected from. Eviction removes a slave, a join adds one.
 	live map[int]bool
+	// prof sums the profiles of the slaves that delivered a final report.
+	prof telemetry.Profile
 
-	// track is the per-cell inventory and ck its periodic snapshots
-	// (tolerant modes only; the plain master holds none).
+	// track is the per-cell inventory, from which every report is built,
+	// and ck its periodic snapshots (tolerant modes only).
 	track []*cellTrack
 	ck    *masterCkpt
 }
@@ -248,6 +252,24 @@ func (m *master) liveRanks() []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// initTrack starts the inventory with the one-cell-per-slave assignment,
+// seeded from the resume states when the job is resuming, so eviction,
+// owner updates, the done check and periodic snapshots all see the
+// restored iterations before the first upload arrives.
+func (m *master) initTrack() {
+	m.track = make([]*cellTrack, m.nCells)
+	for c := range m.track {
+		t := &cellTrack{cellBlob: cellBlob{CellRank: c, Fitness: inf()}, owner: c + 1}
+		if m.opts.Resume != nil {
+			f := m.opts.Resume[c]
+			t.Iteration, t.Full, t.state = f.Cell.Iteration, f.Marshal(), f.Cell.Marshal()
+			t.MixtureRanks, t.MixtureWeights = f.MixtureRanks, f.MixtureWeights
+		}
+		m.track[c] = t
+	}
+	m.ck = newMasterCkpt(m.opts, m.logf)
 }
 
 // gatherNames is step (i) of Fig 3: the slaves report their node names.
@@ -291,14 +313,8 @@ func (m *master) dispatch() error {
 		m.comm.Size(), len(Summary(placements)), opts.Cfg.MemoryMB())
 
 	for s := 1; s <= m.nCells; s++ {
-		task := runTask{
-			Cfg: opts.Cfg, CellRank: s - 1,
-			Node: placements[s].Node, Core: placements[s].Core,
-			Resilient: opts.Resilient, Async: opts.Async,
-		}
-		if opts.Resume != nil {
-			task.Full = opts.Resume[s-1].Marshal()
-		}
+		// Full is the resume state the inventory starts from, or nil.
+		task := runTask{Cfg: opts.Cfg, CellRank: s - 1, Resilient: opts.Resilient, Async: opts.Async, Full: m.track[s-1].Full}
 		if err := m.sendTask(s, task); err != nil {
 			return err
 		}
@@ -343,11 +359,12 @@ func (m *master) observeState(s int, st SlaveState) {
 }
 
 // heartbeat is the plain master's monitoring thread ("Wait X seconds" in
-// Fig 3) and its whole middle: it polls every slave's state each
-// interval, recording transitions, and returns once every slave reports
-// finished. It fails the job on a slave that does not answer, and tells
-// the slaves to abort when the time limit passes or the job is
-// interrupted.
+// Fig 3) and its whole middle: it polls the state of every slave not yet
+// collected each interval, recording transitions, collects a slave the
+// first time it reads finished — so its report is parsed while the others
+// still train — and returns once every slave has. It fails the job on a
+// slave that does not answer, and tells the slaves to abort when the time
+// limit passes or the job is interrupted.
 func (m *master) heartbeat() error {
 	deadline := time.Time{}
 	if m.opts.Cfg.TimeLimit > 0 {
@@ -357,13 +374,20 @@ func (m *master) heartbeat() error {
 	for {
 		allFinished := true
 		for _, s := range m.liveRanks() {
+			if m.states[s] == StateFinished {
+				continue // collected
+			}
 			st, err := m.probe(s)
 			if err != nil {
 				return fmt.Errorf("slave %d unresponsive: %w", s, err)
 			}
 			m.opts.Metrics.Heartbeats.Inc()
 			m.observeState(s, st)
-			allFinished = allFinished && st == StateFinished
+			if st == StateFinished {
+				m.collectFrom(s, func(int) {})
+			} else {
+				allFinished = false
+			}
 		}
 		if allFinished {
 			return nil
@@ -405,83 +429,88 @@ func (m *master) abortReason() string {
 	return "time limit exceeded"
 }
 
-// collect gathers the final reports from every live slave into
-// res.Reports (one per cell) and sums the slaves' profiles. A slave that
-// answers with nothing is still finalising, or never saw the end of
-// training: resend repeats that signal before the next attempt. Cells
-// still unreported afterwards are synthesized from the inventory — the
-// merged view holds their last full state — or, in the plain mode that
-// keeps none, fail the job.
+// collect asks every live slave not collected yet for its final report
+// (the plain heartbeat has collected those it saw finish), then builds
+// res.Reports, one per cell, from the inventory and sums the slaves'
+// profiles. A cell whose owner never delivered is synthesized from the
+// inventory's last merged state, or fails a plain job, whose inventory
+// merges no uploads.
 func (m *master) collect(resend func(s int)) error {
-	res, nCells := m.res, m.nCells
-	var prof telemetry.Profile
-	res.Reports = make([]SlaveReport, nCells)
-	got := make([]bool, nCells)
 	for _, s := range m.liveRanks() {
-		backoff := 20 * time.Millisecond
-		collected := false
-		for attempt := 0; attempt < 3*m.opts.MaxStrikes && !collected; attempt++ {
-			if err := m.comm.Send(s, tagCollect, nil); err != nil {
-				break
-			}
-			msg, err := m.comm.RecvTimeout(s, tagResult, m.opts.RoundTimeout)
-			if err != nil || len(msg.Data) == 0 {
-				resend(s)
-				time.Sleep(backoff)
-				if backoff < 500*time.Millisecond {
-					backoff *= 2
-				}
-				continue
-			}
-			sr, err := parseSlaveReports(msg.Data)
-			if err != nil {
-				m.logf("master: bad report from slave %d: %v", s, err)
-				break
-			}
-			prof.Merge(sr.Profile)
-			for _, rep := range sr.Reports {
-				if rep.CellRank < 0 || rep.CellRank >= nCells || got[rep.CellRank] {
-					m.logf("master: ignoring report for cell %d from slave %d", rep.CellRank, s)
-					continue
-				}
-				res.Reports[rep.CellRank] = rep
-				got[rep.CellRank] = true
-				res.Aborted = res.Aborted || rep.Aborted
-			}
-			// A slave only reports once its execution thread is over.
-			m.observeState(s, StateFinished)
-			collected = true
-		}
-		if !collected {
-			m.logf("master: slave %d never delivered its reports", s)
+		if m.states[s] != StateFinished {
+			m.collectFrom(s, resend)
 		}
 	}
-	res.Profile = prof.Snapshot()
-
-	for c := 0; c < nCells; c++ {
-		if got[c] {
-			continue
-		}
-		if m.track == nil {
+	res := m.res
+	res.Profile = m.prof.Snapshot()
+	res.Reports = make([]SlaveReport, m.nCells)
+	for c, t := range m.track {
+		if !t.final && !m.tolerant {
 			return fmt.Errorf("cluster: no report for cell %d", c)
 		}
-		t := m.track[c]
-		rep := SlaveReport{
-			CellRank: c, Node: "recovered", Iterations: t.iter,
-			MixtureFitness: t.fitness, Full: t.full,
-			Error: fmt.Sprintf("report synthesized from master state (owner slave %d lost); %s", t.owner, t.errNote),
-		}
-		if t.failed || t.iter == 0 {
-			rep.MixtureFitness = inf()
-		}
-		if f, ferr := core.UnmarshalFullState(t.full); ferr == nil {
-			rep.MixtureRanks = append([]int(nil), f.MixtureRanks...)
-			rep.MixtureWeights = append([]float64(nil), f.MixtureWeights...)
-		}
-		res.Reports[c] = rep
-		m.logf("master: synthesized report for cell %d at iteration %d", c, t.iter)
+		res.Reports[c] = m.report(t)
+		res.Aborted = res.Aborted || res.Reports[c].Aborted
 	}
 	return nil
+}
+
+// collectFrom asks slave s for its final report and merges it into the
+// inventory; the owner check drops the cells s does not own. A slave that
+// answers with nothing is still finalising, or never saw the end of
+// training: resend repeats that signal before the next attempt.
+func (m *master) collectFrom(s int, resend func(s int)) {
+	backoff := 20 * time.Millisecond
+	for attempt := 0; attempt < 3*m.opts.MaxStrikes; attempt++ {
+		if err := m.comm.Send(s, tagCollect, nil); err != nil {
+			break
+		}
+		msg, err := m.comm.RecvTimeout(s, tagResult, m.opts.RoundTimeout)
+		if err != nil || len(msg.Data) == 0 {
+			resend(s)
+			time.Sleep(backoff)
+			backoff = min(2*backoff, 640*time.Millisecond)
+			continue
+		}
+		rep, err := parseStateUpdate(msg.Data)
+		if err != nil {
+			m.logf("master: bad report from slave %d: %v", s, err)
+			return
+		}
+		m.prof.Merge(rep.Profile)
+		for _, b := range rep.Cells {
+			if !m.owns(s, b.CellRank) {
+				m.logf("master: ignoring report for cell %d from slave %d", b.CellRank, s)
+				continue
+			}
+			m.track[b.CellRank].final = true
+		}
+		m.merge(s, rep.Cells)
+		// A slave only reports once its execution thread is over.
+		m.observeState(s, StateFinished)
+		return
+	}
+	m.logf("master: slave %d never delivered its reports", s)
+}
+
+// report is the one builder of a SlaveReport: cell t's standing as the
+// inventory holds it. A cell that never trained, or broke, is never the
+// best mixture.
+func (m *master) report(t *cellTrack) SlaveReport {
+	rep := SlaveReport{
+		CellRank: t.CellRank, Node: m.res.Placements[t.owner].Node, Iterations: t.Iteration,
+		Aborted:        t.Halted && t.Iteration < m.opts.Cfg.Iterations,
+		MixtureFitness: t.Fitness, MixtureRanks: t.MixtureRanks, MixtureWeights: t.MixtureWeights,
+		Full: t.Full, Error: t.Error,
+	}
+	if !t.final {
+		rep.Node = "recovered"
+		rep.Error = fmt.Sprintf("report synthesized from master state (owner slave %d lost); %s", t.owner, t.Error)
+		m.logf("master: synthesized report for cell %d at iteration %d", t.CellRank, t.Iteration)
+	}
+	if t.Failed || t.Iteration == 0 {
+		rep.MixtureFitness = inf()
+	}
+	return rep
 }
 
 // SplitLocal derives the LOCAL communicator of §III-D from the WORLD

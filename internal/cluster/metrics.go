@@ -18,7 +18,9 @@ type Metrics struct {
 	// transport has spent its reconnect budget on it (mpi.ErrPeerDead).
 	// bench/micro.go still reports it.
 	SendRetries *telemetry.Counter
-	// Heartbeats counts status polls answered by slaves (plain mode).
+	// Heartbeats counts status polls answered by slaves not yet collected
+	// (plain mode): a slave is probed until it reads finished, then
+	// collected and probed no more.
 	Heartbeats *telemetry.Counter
 	// LiveSlaves tracks the current number of live slaves.
 	LiveSlaves *telemetry.Gauge
@@ -36,7 +38,7 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 		Evictions:    reg.Counter("cluster_evictions_total", "Slaves evicted for missed uploads."),
 		Redispatches: reg.Counter("cluster_redispatches_total", "Cells reassigned from evicted slaves to survivors."),
 		SendRetries:  reg.Counter("cluster_send_retries_total", "Master messages re-sent after a failed attempt."),
-		Heartbeats:   reg.Counter("cluster_heartbeats_total", "Status polls answered by slaves."),
+		Heartbeats:   reg.Counter("cluster_heartbeats_total", "Status polls answered by slaves not yet collected."),
 		LiveSlaves:   reg.Gauge("cluster_live_slaves", "Slaves currently participating in the job."),
 		Joins:        reg.Counter("cluster_joins_total", "Slaves that joined a running job mid-run."),
 		Rebalances:   reg.Counter("cluster_rebalances_total", "Cells moved to a joiner during rebalancing."),

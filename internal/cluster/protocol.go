@@ -22,9 +22,11 @@ const (
 	tagStatus = 102
 	// tagAbort: master → slave, cooperative stop (time limit exceeded).
 	tagAbort = 103
-	// tagCollect: master → slave, request the final report.
+	// tagCollect: master → slave, request the final report; the plain
+	// master sends it as soon as the slave's status reads finished.
 	tagCollect = 104
-	// tagResult: slave → master, the slaveReports payload.
+	// tagResult: slave → master, the final report: a stateUpdate of every
+	// cell the slave owns at the end, with its profile.
 	tagResult = 105
 	// tagShutdown: master → slave, terminate the main loop.
 	tagShutdown = 106
@@ -108,10 +110,6 @@ type runTask struct {
 	Cfg config.Config `json:"cfg"`
 	// CellRank is the grid cell this slave trains (slave i ↦ cell i-1).
 	CellRank int `json:"cell_rank"`
-	// Node is where the master placed this task.
-	Node string `json:"node"`
-	// Core is the core index assigned on the node.
-	Core int `json:"core"`
 	// Resilient selects the evict policy of the tolerant exchange: each
 	// cell pushes a version only once the master holds it, so the master
 	// can re-dispatch the cells of a slave that falls silent.
@@ -147,15 +145,17 @@ func parseRunTask(data []byte) (runTask, error) {
 	return r, nil
 }
 
-// SlaveReport is a slave's final result returned to the master.
+// SlaveReport is one cell's final result, as the master's inventory holds
+// it once the slave that owns the cell has delivered its final report.
 type SlaveReport struct {
 	// CellRank is the grid cell the slave trained.
 	CellRank int `json:"cell_rank"`
-	// Node echoes the placement for log correlation.
+	// Node is the owning slave's placement, for log correlation.
 	Node string `json:"node"`
 	// Iterations completed (may be short of the target when aborted).
 	Iterations int `json:"iterations"`
-	// Aborted reports whether the slave stopped on an abort consensus.
+	// Aborted reports whether the cell halted short of the target at an
+	// abort's halt boundary.
 	Aborted bool `json:"aborted"`
 	// MixtureFitness is the final mixture fitness (lower = better).
 	MixtureFitness float64 `json:"mixture_fitness"`
@@ -171,33 +171,10 @@ type SlaveReport struct {
 	Error string `json:"error,omitempty"`
 }
 
-// slaveReports is what every slave returns on tagCollect: one report per
-// cell it owns at the end — the one cell of a plain slave, several after
-// adoptions, none after a join moved its cells away — and its routine
-// totals once, whatever the report count.
-type slaveReports struct {
-	Reports []SlaveReport                    `json:"reports"`
-	Profile map[string]telemetry.RoutineStat `json:"profile,omitempty"`
-}
-
-func (r slaveReports) marshal() ([]byte, error) { return json.Marshal(r) }
-
-// parseSlaveReports decodes a report list; an empty payload means the
-// slave is not finished yet (the master retries).
-func parseSlaveReports(data []byte) (slaveReports, error) {
-	var r slaveReports
-	if len(data) == 0 {
-		return r, nil
-	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return r, fmt.Errorf("cluster: parsing slave reports: %w", err)
-	}
-	return r, checkCells("slave reports", len(r.Reports), func(i int) int { return r.Reports[i].CellRank })
-}
-
 // cellBlob carries one cell's complete training state (a marshalled
-// core.FullState) between slave and master. It is the unit of both the
-// state upload and the adoption order that moves a cell to a new owner.
+// core.FullState) and standing between slave and master. It is the unit
+// of the state upload, the final report, the master's inventory and the
+// adoption order that moves a cell to a new owner.
 type cellBlob struct {
 	CellRank  int `json:"cell_rank"`
 	Iteration int `json:"iteration"`
@@ -214,13 +191,21 @@ type cellBlob struct {
 	// Fitness is the cell's current mixture fitness (inf() until the
 	// first iteration completes).
 	Fitness float64 `json:"fitness"`
+	// MixtureRanks and MixtureWeights are Full's mixture, so a report
+	// needs no decode.
+	MixtureRanks   []int     `json:"mixture_ranks,omitempty"`
+	MixtureWeights []float64 `json:"mixture_weights,omitempty"`
 }
 
 // stateUpdate is a tolerant slave's upload: the full state of every cell
-// it owns. A release ack is one too, echoing the order's version in Round.
+// it owns. A release ack is one too, echoing the order's version in Round,
+// and so is every slave's final report (tagResult), which adds the
+// slave's routine totals once, whatever its cell count: none after a join
+// moved its cells away.
 type stateUpdate struct {
-	Round int        `json:"round"`
-	Cells []cellBlob `json:"cells"`
+	Round   int                              `json:"round"`
+	Cells   []cellBlob                       `json:"cells"`
+	Profile map[string]telemetry.RoutineStat `json:"profile,omitempty"`
 }
 
 func (u stateUpdate) marshal() ([]byte, error) { return json.Marshal(u) }
@@ -299,9 +284,8 @@ type ownerUpdate struct {
 	// wait for organic pushes to cover the whole neighbourhood): every
 	// cell's held center, plus the one before it for each cell that moves.
 	States []wireState `json:"states,omitempty"`
-	// Done ends training; Abort marks a time-limit or interrupt stop.
-	Done  bool `json:"done,omitempty"`
-	Abort bool `json:"abort,omitempty"`
+	// Done ends training.
+	Done bool `json:"done,omitempty"`
 }
 
 func (u ownerUpdate) marshal() ([]byte, error) { return json.Marshal(u) }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sync"
 	"sync/atomic"
 
 	"cellgan/internal/core"
@@ -24,9 +23,10 @@ type slave struct {
 	state atomic.Uint32
 	abort atomic.Bool
 
-	// done is closed by the execution thread when training completes;
-	// result holds the final reports after that.
-	done chan struct{}
+	// done is closed by the execution thread when training completes,
+	// after it has left its final report in result.
+	done   chan struct{}
+	result stateUpdate
 
 	// Tolerant-mode plumbing: owner updates, release orders and state
 	// acks flow from the control loop, the sole receiver of the master's
@@ -40,10 +40,6 @@ type slave struct {
 
 	// prof is the slave's routine totals, shared by every cell it trains.
 	prof telemetry.Profile
-
-	// mu guards result (one report per owned cell, the totals).
-	mu     sync.Mutex
-	result slaveReports
 }
 
 func (s *slave) setState(st SlaveState) { s.state.Store(uint32(st)) }
@@ -188,10 +184,7 @@ func RunSlaveOpts(comm *mpi.Comm, local *mpi.Comm, sopts SlaveOptions) error {
 			var payload []byte
 			select {
 			case <-s.done:
-				s.mu.Lock()
-				payload, err = s.result.marshal()
-				s.mu.Unlock()
-				if err != nil {
+				if payload, err = s.result.marshal(); err != nil {
 					return err
 				}
 			default:
@@ -208,20 +201,20 @@ func RunSlaveOpts(comm *mpi.Comm, local *mpi.Comm, sopts SlaveOptions) error {
 }
 
 // execute is the slave's execution thread (Fig 3: "Create execution
-// thread"): it trains in the task's exchange mode and leaves one report
-// per cell it owns at the end for the control loop to hand to the master.
-// A thread that fails reports each cell it owned then, with the error and
-// the state the cell reached; one that owned none reports none.
+// thread"): it trains in the task's exchange mode and leaves its final
+// report — the blob of every cell it owns at the end, and its profile —
+// for the control loop to hand to the master. A thread that fails stamps
+// its error on each cell it owned then, beside the state the cell
+// reached; one that owned none reports none. The report is in place
+// before the status reads finished.
 func (s *slave) execute(task runTask) {
-	defer close(s.done)
 	defer s.setState(StateFinished)
+	defer close(s.done)
 
-	var reports []SlaveReport
 	o, err := newOwnedCells(task, &s.prof, s.abort.Load)
 	if err == nil {
-		aborted := false
 		if task.Async || task.Resilient {
-			aborted, err = s.runAsync(o)
+			err = s.runAsync(o)
 		} else {
 			// The plain mode trains its one cell over the LOCAL
 			// communicator at window 1, blocking on the mailbox as
@@ -230,13 +223,16 @@ func (s *slave) execute(task runTask) {
 			// influence diameter, all at one boundary.
 			o.d.Comm, o.d.Tag = s.local, tagAsyncState
 			err = o.d.Run()
-			aborted = err == nil && o.d.Cells()[0].Cell.Iteration() < task.Cfg.Iterations
 		}
-		reports = o.reports(aborted, err)
+		for _, oc := range o.d.Cells() {
+			b, _ := blobOf(oc) // a state that does not encode goes without Full
+			if err != nil {
+				b.Failed, b.Error = true, err.Error()
+			}
+			s.result.Cells = append(s.result.Cells, b)
+		}
 	}
-	s.mu.Lock()
-	s.result = slaveReports{Reports: reports, Profile: s.prof.Snapshot()}
-	s.mu.Unlock()
+	s.result.Profile = s.prof.Snapshot()
 }
 
 // ownedCells is the working set of a slave's execution thread: the driver
@@ -356,7 +352,7 @@ func blobOf(oc *core.Owned) (cellBlob, error) {
 	}
 	f, err := oc.Cell.FullState()
 	if err == nil {
-		b.Full = f.Marshal()
+		b.Full, b.MixtureRanks, b.MixtureWeights = f.Marshal(), f.MixtureRanks, f.MixtureWeights
 	}
 	return b, err
 }
@@ -370,28 +366,6 @@ func (o *ownedCells) ranks() []int {
 	return ranks
 }
 
-// reports builds one final report per owned cell; err, the error that
-// ended the thread, if any, is every cell's.
-func (o *ownedCells) reports(aborted bool, err error) []SlaveReport {
-	var reports []SlaveReport
-	for _, oc := range o.d.Cells() {
-		b, _ := blobOf(oc) // a cell whose state does not encode reports none
-		rep := SlaveReport{CellRank: b.CellRank, Node: o.task.Node, Iterations: b.Iteration,
-			Aborted: aborted, Error: b.Error, MixtureFitness: b.Fitness, Full: b.Full}
-		if err != nil {
-			rep.Error = err.Error()
-		}
-		if b.Iteration == 0 || b.Failed || err != nil {
-			// Never trained (or broken): never the best mixture.
-			rep.MixtureFitness = inf()
-		}
-		rep.MixtureRanks = append([]int(nil), oc.Cell.Mixture().Ranks...)
-		rep.MixtureWeights = append([]float64(nil), oc.Cell.Mixture().Weights...)
-		reports = append(reports, rep)
-	}
-	return reports
-}
-
 // inf is a large finite "never the best" fitness sentinel; real +Inf is
-// not JSON-encodable, which the report marshalling requires.
+// not JSON-encodable, which the blob marshalling requires.
 func inf() float64 { return math.MaxFloat64 }
