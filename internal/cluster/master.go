@@ -156,7 +156,8 @@ func RunMaster(comm *mpi.Comm, opts MasterOptions) (*JobResult, error) {
 	resend := func(int) {}
 	if !m.tolerant {
 		// The plain master has nothing to do while the slaves train but
-		// watch them: the heartbeat monitor is its whole middle.
+		// watch them and collect each as it finishes: the heartbeat
+		// monitor is its whole middle.
 		if err := m.heartbeat(); err != nil {
 			return nil, fmt.Errorf("cluster: heartbeat thread: %w", err)
 		}
