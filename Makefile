@@ -99,7 +99,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzTanhExp$$' -fuzztime=10s ./internal/tensor/
 	$(GO) test -run='^$$' -fuzz='^FuzzConvLowering$$' -fuzztime=10s ./internal/tensor/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnpackParts$$' -fuzztime=10s ./internal/mpi/
-	@for t in OwnerUpdate ReleaseOrder RunTask StateUpdate StateAck; do \
+	@for t in OwnerUpdate ReleaseOrder RunTask SlaveReports StateUpdate StateAck; do \
 		$(GO) test -run='^$$' -fuzz="^FuzzParse$$t\$$" -fuzztime=10s ./internal/cluster/ || exit 1; done
 	$(GO) test -run='^$$' -fuzz='^FuzzGenerateResponse$$' -fuzztime=10s ./internal/serve/
 

@@ -187,26 +187,42 @@ func FuzzParseRunTask(f *testing.F) {
 	})
 }
 
-// FuzzParseStateUpdate covers every stateUpdate the master parses: an
-// upload, a release ack and a slave's final report, whose profile collect
-// merges.
+// FuzzParseStateUpdate covers the stateUpdate of an upload or a release
+// ack.
 func FuzzParseStateUpdate(f *testing.F) {
 	valid, err := stateUpdate{Round: 5, Cells: []cellBlob{{CellRank: 1, Iteration: 5, Full: []byte{1, 2}}}}.marshal()
 	addSeeds(f, valid, err, `{"cells":[{"cell_rank":-1}]}`, `{"cells":[{"cell_rank":0,"iteration":-2}]}`)
-	f.Add([]byte(`{"cells":[],"profile":{"train":{"count":7,"total_ns":9}}}`)) // a slave a join emptied
-	f.Add([]byte(`{"cells":[],"profile":{"train":{"count":-1,"total_ns":"x"}}}`))
-	// A plain slave's one-cell final report.
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if u, err := parseStateUpdate(data); err == nil {
+			requireCellBounds(t, "state update", blobRanks(t, "state update", u.Cells)...)
+		}
+	})
+}
+
+// FuzzParseSlaveReports covers a slave's final report: the stateUpdate it
+// answers a collect with, whose cells collectFrom merges and whose profile
+// it sums.
+func FuzzParseSlaveReports(f *testing.F) {
+	valid, err := stateUpdate{Cells: []cellBlob{{CellRank: 0, Iteration: 4}, {CellRank: 3, Failed: true, Error: "x"}},
+		Profile: seedProfile}.marshal()
+	addSeeds(f, valid, err, `{"cells":[{"cell_rank":-1}]}`, `{"cells":[{"cell_rank":4096}]}`,
+		`{"cells":[],"profile":{"train":{"count":7,"total_ns":9}}}`) // a slave a join emptied
+	// A plain slave's one-cell report (addSeeds already holds the empty
+	// payload of a slave still finalising).
 	plain, err := stateUpdate{Cells: []cellBlob{{CellRank: 3, Iteration: 2, Full: []byte{7}, Fitness: 0.25,
 		MixtureRanks: []int{3, 1}, MixtureWeights: []float64{0.6, 0.4}}}, Profile: seedProfile}.marshal()
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(plain)
+	f.Add([]byte(`{"cells":[],"profile":{"train":{"count":-1,"total_ns":"x"}}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if u, err := parseStateUpdate(data); err == nil {
-			requireCellBounds(t, "state update", blobRanks(t, "state update", u.Cells)...)
-			new(telemetry.Profile).Merge(u.Profile) // what collect does with it
+		rep, err := parseStateUpdate(data)
+		if err != nil {
+			return
 		}
+		requireCellBounds(t, "slave reports", blobRanks(t, "slave reports", rep.Cells)...)
+		new(telemetry.Profile).Merge(rep.Profile) // what collectFrom does with it
 	})
 }
 
