@@ -137,10 +137,16 @@ func BenchmarkMatMulT2IntoF32(b *testing.B) {
 // (exchange-*), the 32-row eval batch of the fitness forwards through both
 // MLPs, and the two conv lowerings of the DCGAN discriminator at batch 16
 // (dcgan-compute: 16·196 positions × 16 taps → 16 channels, 16·49 × 256
-// → 32). Run with -cpu 1 it is the per-core rate of the leaves.
+// → 32), on every leaf tier the host has. Run with -cpu 1 it is the
+// per-core rate of the leaves.
 func BenchmarkKernelShapes(b *testing.B) {
-	b.Run("f64", benchKernelShapes[float64])
-	b.Run("f32", benchKernelShapes[float32])
+	detected := leafTier
+	defer func() { leafTier = detected }()
+	for tier := detected; tier >= tierGeneric; tier-- {
+		leafTier = tier
+		b.Run(tierNames[tier]+"/f64", benchKernelShapes[float64])
+		b.Run(tierNames[tier]+"/f32", benchKernelShapes[float32])
+	}
 }
 
 func benchKernelShapes[F Float](b *testing.B) {
@@ -215,27 +221,25 @@ func BenchmarkAddScaled(b *testing.B) {
 }
 
 // BenchmarkTanhInto times the tanh layer's element function on a
-// 64×256 activation of N(0, 4) values, per leaf tier and width; ns/op
-// over 16384 is the time per element.
+// 64×256 activation of N(0, 4) values, per leaf tier the host has and
+// width (avx512 runs the AVX2 leaf); ns/op over 16384 is the time per
+// element.
 func BenchmarkTanhInto(b *testing.B) {
 	x := benchMat(64, 256, 3)
 	x.Scale(2)
 	x32 := Narrow(x)
-	detected := haveAVX2
-	defer func() { haveAVX2 = detected }()
-	for _, tier := range []string{"avx2", "generic"} {
-		haveAVX2 = detected && tier == "avx2"
-		if tier == "avx2" && !detected {
-			continue
-		}
-		b.Run(tier+"/float64", func(b *testing.B) {
+	detected := leafTier
+	defer func() { leafTier = detected }()
+	for tier := detected; tier >= tierGeneric; tier-- {
+		leafTier = tier
+		b.Run(tierNames[tier]+"/float64", func(b *testing.B) {
 			dst := make([]float64, len(x.Data))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				TanhInto(dst, x.Data)
 			}
 		})
-		b.Run(tier+"/float32", func(b *testing.B) {
+		b.Run(tierNames[tier]+"/float32", func(b *testing.B) {
 			dst := make([]float32, len(x32.Data))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -41,23 +41,32 @@ const (
 	blockMR  = 4
 )
 
+// The leaf tiers, each running everything the one below it does.
+const tierGeneric, tierAVX2, tierAVX512 = 0, 1, 2
+
 // blockNR returns the column width of the leaf's register tile: two
-// 256-bit vectors of F.
-func blockNR[F Float]() int { return 64 / int(unsafe.Sizeof(F(0))) }
+// vectors of F, 512-bit on tierAVX512 and 256-bit otherwise.
+func blockNR[F Float]() int {
+	if leafTier == tierAVX512 {
+		return 128 / int(unsafe.Sizeof(F(0)))
+	}
+	return 64 / int(unsafe.Sizeof(F(0)))
+}
 
 // block is the leaf under all three matmul families: for r < rows and
 // j < cols it sets c[r·cs+j] to c₀ + Σ_{k<kn} a[r·ars+k·aks]·b[k·bs+j], where
 // c₀ is the element's current value when load is set and +0 otherwise.
 // Every element takes its terms in ascending k, each multiply rounded and
-// then its add. With haveAVX2 the assembly takes the columns in whole
-// tiles of blockNR, holding blockMR rows of them in registers across all
-// kn terms; the Go loop takes the rest, and all of it without AVX2.
+// then its add. From tierAVX2 up the assembly takes the columns in whole
+// 256-bit tiles, holding blockMR rows of them in registers across all kn
+// terms (on tierAVX512 mostly 512-bit tiles); the Go loop takes the rest,
+// and all of it on tierGeneric.
 func block[F Float](c []F, cs int, a []F, ars, aks int, b []F, bs, rows, cols, kn int, load bool) {
-	if nb := cols - cols%blockNR[F](); haveAVX2 && rows > 0 && nb > 0 && kn > 0 {
+	if nb := cols - cols%(64/int(unsafe.Sizeof(c[0]))); leafTier >= tierAVX2 && rows > 0 && nb > 0 && kn > 0 {
 		_ = c[(rows-1)*cs+nb-1]
 		_ = a[(rows-1)*ars+(kn-1)*aks]
 		_ = b[(kn-1)*bs+nb-1]
-		blockAVX2(c, cs, a, ars, aks, b, bs, rows, nb, kn, load)
+		blockSIMD(c, cs, a, ars, aks, b, bs, rows, nb, kn, load)
 		c, b, cols = c[nb:], b[nb:], cols-nb
 	}
 	for r := 0; r < rows && cols > 0; r++ {
@@ -102,7 +111,8 @@ func matMulKernel[F Float](c, a, b []F, kDim, ars, aks, bCols int, zero bool, lo
 // worker its own share of b to pack; the k-tiles of one panel go in order,
 // so the packing reads each of its b rows as one stream.
 func matMulT2Kernel[F Float](c, a, b []F, aRows, aCols, bRows int, lo, hi int) {
-	var panel [kernelKC * 16]F // room for blockNR·kernelKC at either width
+	var buf [kernelKC * 16]float64 // 8 KB: room for blockNR·kernelKC of F on every tier
+	panel := unsafe.Slice((*F)(unsafe.Pointer(&buf)), len(buf)*8/int(unsafe.Sizeof(F(0))))
 	if aRows == 0 {
 		return // c is empty
 	}
@@ -148,11 +158,11 @@ func packPanel[F Float](p, b []F, w, kn, stride int) {
 // AdamStep, the optimizers' leaf, applies one bias-corrected Adam update
 // to the parameters w from the gradient g, advancing the moments m and v
 // (all as long as g); c1 and c2 are the bias corrections 1−β₁ᵗ and 1−β₂ᵗ.
-// With haveAVX2 the assembly leaf runs the loop on four elements at a time.
+// From tierAVX2 up the assembly leaf runs the loop on four elements at a time.
 func AdamStep(w, m, v, g []float64, b1, b2, c1, c2, lr, eps float64) {
 	nb1, nb2 := 1-b1, 1-b2
 	m, v, w = m[:len(g)], v[:len(g)], w[:len(g)]
-	if haveAVX2 && len(g) > 0 {
+	if leafTier >= tierAVX2 && len(g) > 0 {
 		adamStepF64(&w[0], &m[0], &v[0], &g[0], len(g), b1, nb1, b2, nb2, c1, c2, lr, eps)
 		return
 	}

@@ -231,8 +231,8 @@ func TestSlicesOverlap(t *testing.T) {
 // dimension ≤ 80 so shapes cross the register tile, the remainder rows and
 // columns and the k-tile edge, at either width: MatMulInto, MatMulT1Into,
 // AddMatMulT1Into from a non-zero start and MatMulT2Into (family%4; bit 2
-// picks float32). The AVX2 tier and the generic tier must both equal a
-// naive ascending-k triple loop to the bit.
+// picks float32). Every leaf tier the host has must equal a naive
+// ascending-k triple loop to the bit.
 func FuzzMatMulFamilies(f *testing.F) {
 	for _, s := range [][5]int{{50, 65, 17, 1, 0}, {9, 64, 8, 2, 1}, {5, 48, 33, 3, 2},
 		{4, 1, 16, 4, 3}, {0, 7, 9, 5, 4}, {7, 0, 3, 6, 6}, {80, 80, 80, 7, 7}, {1, 63, 1, 8, 5}} {
@@ -291,18 +291,18 @@ func fuzzFamily[F Float](t *testing.T, m, k, n int, seed uint64, family uint8) {
 			want.Set(i, j, s)
 		}
 	}
-	detected := haveAVX2
-	defer func() { haveAVX2 = detected }()
-	for _, tier := range []bool{false, detected} {
-		haveAVX2 = tier
+	detected := leafTier
+	defer func() { leafTier = detected }()
+	for tier := detected; tier >= tierGeneric; tier-- {
+		leafTier = tier
 		got := new(Matrix[F])
 		if start != nil {
 			got = start.Clone()
 		}
 		run(got)
 		if got.Rows != m || got.Cols != n {
-			t.Fatalf("family %d avx2=%v: %d×%d result, want %d×%d", family, tier, got.Rows, got.Cols, m, n)
+			t.Fatalf("family %d %s: %d×%d result, want %d×%d", family, tierNames[tier], got.Rows, got.Cols, m, n)
 		}
-		requireSameBits(t, fmt.Sprintf("family %d %d×%d·%d×%d avx2=%v", family, m, k, k, n, tier), got.Data, want.Data)
+		requireSameBits(t, fmt.Sprintf("family %d %d×%d·%d×%d %s", family, m, k, k, n, tierNames[tier]), got.Data, want.Data)
 	}
 }

@@ -2,28 +2,35 @@ package tensor
 
 import "unsafe"
 
-// haveAVX2 selects the assembly leaves of simd_amd64.s under the matmul
-// kernels, AdamStep and TanhInto. It is detected once, from CPUID and
-// XGETBV, and nothing else sets it: the Go loops in kernels.go and
-// tanh.go are the fallback on a host without AVX2 and FMA and the oracle
-// the tests hold the assembly to.
-var haveAVX2 = detectAVX2()
+// leafTier selects the assembly leaves of simd_amd64.s: the matmul
+// kernels' ZMM tile on tierAVX512, their YMM tile, AdamStep's and
+// TanhInto's on tierAVX2 and up. It is detected once, from CPUID and
+// XGETBV, and nothing else sets it: the Go loops in kernels.go and tanh.go
+// are the fallback on a host without AVX2 and FMA and the oracle the tests
+// hold the assembly to.
+var leafTier = detectTier()
 
-// detectAVX2 reports whether the CPU has AVX2 and FMA and the OS saves the
-// YMM state across context switches (OSXSAVE set, XCR0 bits 1 and 2).
-func detectAVX2() bool {
-	const fma, osxsave, avx, avx2 = 1 << 12, 1 << 27, 1 << 28, 1 << 5
+// detectTier returns tierAVX2 when the CPU has AVX2 and FMA and the OS
+// saves the YMM state across context switches (OSXSAVE set, XCR0 bits 1
+// and 2), and tierAVX512 when it also has AVX512F and the OS saves the
+// opmask and ZMM state (XCR0 bits 5 to 7).
+func detectTier() int {
+	const fma, osxsave, avx, avx2, avx512f = 1 << 12, 1 << 27, 1 << 28, 1 << 5, 1 << 16
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
+		return tierGeneric
 	}
 	if _, _, ecx, _ := cpuid(1, 0); ecx&(fma|osxsave|avx) != fma|osxsave|avx {
-		return false
+		return tierGeneric
 	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
-		return false
-	}
+	xcr0, _ := xgetbv()
 	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&avx2 != 0
+	switch {
+	case xcr0&6 != 6 || ebx&avx2 == 0:
+		return tierGeneric
+	case xcr0&0xE6 != 0xE6 || ebx&avx512f == 0:
+		return tierAVX2
+	}
+	return tierAVX512
 }
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -34,6 +41,12 @@ func blockF64(c *float64, cs int, a *float64, ars, aks int, b *float64, bs, rows
 
 //go:noescape
 func blockF32(c *float32, cs int, a *float32, ars, aks int, b *float32, bs, rows, cols, kn int, load bool)
+
+//go:noescape
+func blockZF64(c *float64, cs int, a *float64, ars, aks int, b *float64, bs, rows, cols, kn int, load bool)
+
+//go:noescape
+func blockZF32(c *float32, cs int, a *float32, ars, aks int, b *float32, bs, rows, cols, kn int, load bool)
 
 //go:noescape
 func adamStepF64(w, m, v, grad *float64, n int, b1, nb1, b2, nb2, c1, c2, lr, eps float64)
@@ -47,9 +60,21 @@ func tanhF32(dst, src *float32, n int)
 func ptr64[F Float](s []F) *float64 { return (*float64)(unsafe.Pointer(unsafe.SliceData(s))) }
 func ptr32[F Float](s []F) *float32 { return (*float32)(unsafe.Pointer(unsafe.SliceData(s))) }
 
-// blockAVX2 is block's assembly tier for rows ≥ 1, kn ≥ 1 and cols a
-// positive multiple of blockNR, every element it reaches in bounds.
-func blockAVX2[F Float](c []F, cs int, a []F, ars, aks int, b []F, bs, rows, cols, kn int, load bool) {
+// blockSIMD is block's assembly tier for rows ≥ 1, kn ≥ 1 and cols a
+// positive multiple of the YMM tile (blockNR on tierAVX2), every element
+// it reaches in bounds. On tierAVX512 the ZMM leaf takes the whole
+// blockNR-wide tiles and the YMM leaf the half tile left over.
+func blockSIMD[F Float](c []F, cs int, a []F, ars, aks int, b []F, bs, rows, cols, kn int, load bool) {
+	if nz := cols - cols%blockNR[F](); leafTier == tierAVX512 && nz > 0 {
+		if unsafe.Sizeof(c[0]) == 8 {
+			blockZF64(ptr64(c), cs, ptr64(a), ars, aks, ptr64(b), bs, rows, nz, kn, load)
+		} else {
+			blockZF32(ptr32(c), cs, ptr32(a), ars, aks, ptr32(b), bs, rows, nz, kn, load)
+		}
+		if c, b, cols = c[nz:], b[nz:], cols-nz; cols == 0 {
+			return
+		}
+	}
 	if unsafe.Sizeof(c[0]) == 8 {
 		blockF64(ptr64(c), cs, ptr64(a), ars, aks, ptr64(b), bs, rows, cols, kn, load)
 	} else {

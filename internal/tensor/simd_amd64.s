@@ -1,45 +1,50 @@
 #include "textflag.h"
 
-// AVX2 leaves of the matmul kernels (kernels.go), of AdamStep and of
-// TanhInto (tanh.go). Every lane is a different output element and
-// receives exactly the operations the generic Go code gives it, in the
-// same order: a separate multiply and add where the Go code has them — an
-// FMA rounds once and would change every result — and an FMA only where
-// the Go code calls math.FMA (the tanh leaf's Exp). Each matmul body is
-// written once and instantiated for float64 and float32 by instruction
-// name. The matmul macros come first: vet reads a macro body as part of
+// AVX2 and AVX-512 leaves of the matmul kernels (kernels.go), and AVX2
+// leaves of AdamStep and of TanhInto (tanh.go). Every lane is a different
+// output element and receives exactly the operations the generic Go code
+// gives it, in the same order: a separate multiply and add where the Go
+// code has them — an FMA rounds once and would change every result — and
+// an FMA only where the Go code calls math.FMA (the tanh leaf's Exp). The
+// matmul body is written once and instantiated for float64 and float32 by
+// instruction name, and for AVX2 and AVX-512 by vector width and register
+// names. The matmul macros come first: vet reads a macro body as part of
 // the TEXT above it, and BLOCK names blockF64's frame (kn, load).
 
-// ROWSTEP adds A·b[k] to one row's two accumulators S0, S1.
-#define ROWSTEP(BCAST, MUL, ADD, A, S0, S1) \
-	BCAST A, Y10; \
-	MUL   Y8, Y10, Y11; \
-	ADD   Y11, S0, S0; \
-	MUL   Y9, Y10, Y11; \
-	ADD   Y11, S1, S1
+// ROWSTEP adds A·b[k] to one row's two accumulators S0, S1, with the b
+// vectors in B0, B1 and T, P as scratch.
+#define ROWSTEP(BCAST, MUL, ADD, A, S0, S1, B0, B1, T, P) \
+	BCAST A, T; \
+	MUL   B0, T, P; \
+	ADD   P, S0, S0; \
+	MUL   B1, T, P; \
+	ADD   P, S1, S1
 
-// WIDESTEP adds the broadcast a element (Y10) times the b vector at
-// OFF(R14) to accumulator S of a one-row pass.
-#define WIDESTEP(MUL, ADD, OFF, S) \
-	MUL OFF(R14), Y10, Y11; \
-	ADD Y11, S, S
+// WIDESTEP adds the broadcast a element T times the b vector at OFF(R14)
+// to accumulator S of a one-row pass, with P as scratch.
+#define WIDESTEP(MUL, ADD, OFF, S, T, P) \
+	MUL OFF(R14), T, P; \
+	ADD P, S, S
 
 // BLOCK is the matmul leaf: c[r][j] = c₀ + Σ_k a[r·ars + k·aks]·b[k·bs + j]
-// for BX rows r and CX bytes of columns j (a multiple of 64), with c₀ the
+// for BX rows r and CX bytes of columns j (a multiple of 2·W), with c₀ the
 // loaded element when load is set and +0 otherwise. In (strides in bytes):
 // DI=c R8=cs SI=a R9=ars R11=aks DX=b R12=bs; kn ≥ 1 and load in the frame.
-// A tile is four rows by 64 bytes of columns — eight accumulators
-// Y0..Y7, two vectors per row — held in registers across all kn terms:
-// per k, the two b vectors (Y8, Y9) are loaded once, each row's a element
-// is broadcast (Y10) and multiplied into Y11, then added, so every lane
+// It is written once over the vector width W in bytes and the twelve
+// vector registers V0..V11, so the same text is the AVX2 leaf (W = 32,
+// Y0..Y11) and the AVX-512 leaf (W = 64, Z0..Z11).
+// A tile is four rows by 2·W bytes of columns — eight accumulators
+// V0..V7, two vectors per row — held in registers across all kn terms:
+// per k, the two b vectors (V8, V9) are loaded once, each row's a element
+// is broadcast (V10) and multiplied into V11, then added, so every lane
 // takes its own terms in ascending k. The tile sweeps the columns, then
 // steps four rows down. The rows left over run one at a time, four tiles'
-// width at once where the columns allow (Y0..Y7 again, b read straight
+// width at once where the columns allow (V0..V7 again, b read straight
 // into the multiply), so a lone row has as many add chains in flight as a
-// full tile; the last narrower columns take Y0, Y1 alone. BLOCK takes all
+// full tile; the last narrower columns take V0, V1 alone. BLOCK takes all
 // fourteen general registers, R14 and R15 included, which ABI0 code may
-// clobber.
-#define BLOCK(MOVU, BCAST, MUL, ADD, XOR) \
+// clobber. VZEROUPPER clears the upper halves of Z0..Z15 as well as Y0..Y15.
+#define BLOCK(MOVU, BCAST, MUL, ADD, XOR, W, V0, V1, V2, V3, V4, V5, V6, V7, V8, V9, V10, V11) \
 	JMP  quadtest; \
 quad: \
 	XORQ AX, AX; \
@@ -48,24 +53,24 @@ quadcol: \
 	LEAQ (R15)(R8*2), R13; \
 	CMPB load+80(FP), $0; \
 	JEQ  quadzero; \
-	MOVU (R15), Y0; \
-	MOVU 32(R15), Y1; \
-	MOVU (R15)(R8*1), Y2; \
-	MOVU 32(R15)(R8*1), Y3; \
-	MOVU (R13), Y4; \
-	MOVU 32(R13), Y5; \
-	MOVU (R13)(R8*1), Y6; \
-	MOVU 32(R13)(R8*1), Y7; \
+	MOVU (R15), V0; \
+	MOVU W(R15), V1; \
+	MOVU (R15)(R8*1), V2; \
+	MOVU W(R15)(R8*1), V3; \
+	MOVU (R13), V4; \
+	MOVU W(R13), V5; \
+	MOVU (R13)(R8*1), V6; \
+	MOVU W(R13)(R8*1), V7; \
 	JMP  quadk0; \
 quadzero: \
-	XOR  Y0, Y0, Y0; \
-	XOR  Y1, Y1, Y1; \
-	XOR  Y2, Y2, Y2; \
-	XOR  Y3, Y3, Y3; \
-	XOR  Y4, Y4, Y4; \
-	XOR  Y5, Y5, Y5; \
-	XOR  Y6, Y6, Y6; \
-	XOR  Y7, Y7, Y7; \
+	XOR  V0, V0, V0; \
+	XOR  V1, V1, V1; \
+	XOR  V2, V2, V2; \
+	XOR  V3, V3, V3; \
+	XOR  V4, V4, V4; \
+	XOR  V5, V5, V5; \
+	XOR  V6, V6, V6; \
+	XOR  V7, V7, V7; \
 quadk0: \
 	MOVQ SI, R13; \
 	LEAQ (SI)(R9*2), R10; \
@@ -73,12 +78,12 @@ quadk0: \
 	LEAQ (DX)(AX*1), R14; \
 	MOVQ kn+72(FP), R15; \
 quadk: \
-	MOVU (R14), Y8; \
-	MOVU 32(R14), Y9; \
-	ROWSTEP(BCAST, MUL, ADD, (R13), Y0, Y1); \
-	ROWSTEP(BCAST, MUL, ADD, (R13)(R9*1), Y2, Y3); \
-	ROWSTEP(BCAST, MUL, ADD, (R13)(R9*2), Y4, Y5); \
-	ROWSTEP(BCAST, MUL, ADD, (R10), Y6, Y7); \
+	MOVU (R14), V8; \
+	MOVU W(R14), V9; \
+	ROWSTEP(BCAST, MUL, ADD, (R13), V0, V1, V8, V9, V10, V11); \
+	ROWSTEP(BCAST, MUL, ADD, (R13)(R9*1), V2, V3, V8, V9, V10, V11); \
+	ROWSTEP(BCAST, MUL, ADD, (R13)(R9*2), V4, V5, V8, V9, V10, V11); \
+	ROWSTEP(BCAST, MUL, ADD, (R10), V6, V7, V8, V9, V10, V11); \
 	ADDQ R11, R13; \
 	ADDQ R11, R10; \
 	ADDQ R12, R14; \
@@ -86,15 +91,15 @@ quadk: \
 	JNZ  quadk; \
 	LEAQ (DI)(AX*1), R15; \
 	LEAQ (R15)(R8*2), R13; \
-	MOVU Y0, (R15); \
-	MOVU Y1, 32(R15); \
-	MOVU Y2, (R15)(R8*1); \
-	MOVU Y3, 32(R15)(R8*1); \
-	MOVU Y4, (R13); \
-	MOVU Y5, 32(R13); \
-	MOVU Y6, (R13)(R8*1); \
-	MOVU Y7, 32(R13)(R8*1); \
-	ADDQ $64, AX; \
+	MOVU V0, (R15); \
+	MOVU V1, W(R15); \
+	MOVU V2, (R15)(R8*1); \
+	MOVU V3, W(R15)(R8*1); \
+	MOVU V4, (R13); \
+	MOVU V5, W(R13); \
+	MOVU V6, (R13)(R8*1); \
+	MOVU V7, W(R13)(R8*1); \
+	ADDQ $(2*W), AX; \
 	CMPQ AX, CX; \
 	JLT  quadcol; \
 	LEAQ (DI)(R8*4), DI; \
@@ -110,80 +115,80 @@ one: \
 wide: \
 	CMPB load+80(FP), $0; \
 	JEQ  widezero; \
-	MOVU (DI)(AX*1), Y0; \
-	MOVU 32(DI)(AX*1), Y1; \
-	MOVU 64(DI)(AX*1), Y2; \
-	MOVU 96(DI)(AX*1), Y3; \
-	MOVU 128(DI)(AX*1), Y4; \
-	MOVU 160(DI)(AX*1), Y5; \
-	MOVU 192(DI)(AX*1), Y6; \
-	MOVU 224(DI)(AX*1), Y7; \
+	MOVU (DI)(AX*1), V0; \
+	MOVU W(DI)(AX*1), V1; \
+	MOVU (2*W)(DI)(AX*1), V2; \
+	MOVU (3*W)(DI)(AX*1), V3; \
+	MOVU (4*W)(DI)(AX*1), V4; \
+	MOVU (5*W)(DI)(AX*1), V5; \
+	MOVU (6*W)(DI)(AX*1), V6; \
+	MOVU (7*W)(DI)(AX*1), V7; \
 	JMP  widek0; \
 widezero: \
-	XOR  Y0, Y0, Y0; \
-	XOR  Y1, Y1, Y1; \
-	XOR  Y2, Y2, Y2; \
-	XOR  Y3, Y3, Y3; \
-	XOR  Y4, Y4, Y4; \
-	XOR  Y5, Y5, Y5; \
-	XOR  Y6, Y6, Y6; \
-	XOR  Y7, Y7, Y7; \
+	XOR  V0, V0, V0; \
+	XOR  V1, V1, V1; \
+	XOR  V2, V2, V2; \
+	XOR  V3, V3, V3; \
+	XOR  V4, V4, V4; \
+	XOR  V5, V5, V5; \
+	XOR  V6, V6, V6; \
+	XOR  V7, V7, V7; \
 widek0: \
 	MOVQ SI, R13; \
 	LEAQ (DX)(AX*1), R14; \
 	MOVQ kn+72(FP), R15; \
 widek: \
-	BCAST (R13), Y10; \
-	WIDESTEP(MUL, ADD, 0, Y0); \
-	WIDESTEP(MUL, ADD, 32, Y1); \
-	WIDESTEP(MUL, ADD, 64, Y2); \
-	WIDESTEP(MUL, ADD, 96, Y3); \
-	WIDESTEP(MUL, ADD, 128, Y4); \
-	WIDESTEP(MUL, ADD, 160, Y5); \
-	WIDESTEP(MUL, ADD, 192, Y6); \
-	WIDESTEP(MUL, ADD, 224, Y7); \
+	BCAST (R13), V10; \
+	WIDESTEP(MUL, ADD, 0, V0, V10, V11); \
+	WIDESTEP(MUL, ADD, W, V1, V10, V11); \
+	WIDESTEP(MUL, ADD, (2*W), V2, V10, V11); \
+	WIDESTEP(MUL, ADD, (3*W), V3, V10, V11); \
+	WIDESTEP(MUL, ADD, (4*W), V4, V10, V11); \
+	WIDESTEP(MUL, ADD, (5*W), V5, V10, V11); \
+	WIDESTEP(MUL, ADD, (6*W), V6, V10, V11); \
+	WIDESTEP(MUL, ADD, (7*W), V7, V10, V11); \
 	ADDQ R11, R13; \
 	ADDQ R12, R14; \
 	DECQ R15; \
 	JNZ  widek; \
-	MOVU Y0, (DI)(AX*1); \
-	MOVU Y1, 32(DI)(AX*1); \
-	MOVU Y2, 64(DI)(AX*1); \
-	MOVU Y3, 96(DI)(AX*1); \
-	MOVU Y4, 128(DI)(AX*1); \
-	MOVU Y5, 160(DI)(AX*1); \
-	MOVU Y6, 192(DI)(AX*1); \
-	MOVU Y7, 224(DI)(AX*1); \
-	ADDQ $256, AX; \
+	MOVU V0, (DI)(AX*1); \
+	MOVU V1, W(DI)(AX*1); \
+	MOVU V2, (2*W)(DI)(AX*1); \
+	MOVU V3, (3*W)(DI)(AX*1); \
+	MOVU V4, (4*W)(DI)(AX*1); \
+	MOVU V5, (5*W)(DI)(AX*1); \
+	MOVU V6, (6*W)(DI)(AX*1); \
+	MOVU V7, (7*W)(DI)(AX*1); \
+	ADDQ $(8*W), AX; \
 widetest: \
-	LEAQ 256(AX), R13; \
+	LEAQ (8*W)(AX), R13; \
 	CMPQ R13, CX; \
 	JLE  wide; \
 	JMP  onecoltest; \
 onecol: \
 	CMPB load+80(FP), $0; \
 	JEQ  onezero; \
-	MOVU (DI)(AX*1), Y0; \
-	MOVU 32(DI)(AX*1), Y1; \
+	MOVU (DI)(AX*1), V0; \
+	MOVU W(DI)(AX*1), V1; \
 	JMP  onek0; \
 onezero: \
-	XOR  Y0, Y0, Y0; \
-	XOR  Y1, Y1, Y1; \
+	XOR  V0, V0, V0; \
+	XOR  V1, V1, V1; \
 onek0: \
 	MOVQ SI, R13; \
 	LEAQ (DX)(AX*1), R14; \
 	MOVQ kn+72(FP), R15; \
 onek: \
-	MOVU (R14), Y8; \
-	MOVU 32(R14), Y9; \
-	ROWSTEP(BCAST, MUL, ADD, (R13), Y0, Y1); \
+	MOVU (R14), V8; \
+	MOVU W(R14), V9; \
+	ROWSTEP(BCAST, MUL, ADD, (R13), V0, V1, V8, V9, V10, V11); \
 	ADDQ R11, R13; \
 	ADDQ R12, R14; \
 	DECQ R15; \
 	JNZ  onek; \
-	MOVU Y0, (DI)(AX*1); \
-	MOVU Y1, 32(DI)(AX*1); \
-	ADDQ $64, AX; \
+	MOVU V0, (DI)(AX*1); \
+	MOVU V1, W(DI)(AX*1); \
+	ADDQ $(2*W), AX; \
 onecoltest: \
 	CMPQ AX, CX; \
 	JLT  onecol; \
@@ -236,12 +241,25 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // func blockF64(c *float64, cs int, a *float64, ars, aks int, b *float64, bs, rows, cols, kn int, load bool)
 TEXT ·blockF64(SB), NOSPLIT, $0-81
 	BLOCKARGS(3)
-	BLOCK(VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VXORPD)
+	BLOCK(VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VXORPD, 32, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
 
 // func blockF32(c *float32, cs int, a *float32, ars, aks int, b *float32, bs, rows, cols, kn int, load bool)
 TEXT ·blockF32(SB), NOSPLIT, $0-81
 	BLOCKARGS(2)
-	BLOCK(VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VXORPS)
+	BLOCK(VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VXORPS, 32, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
+
+// The AVX-512 leaves are BLOCK at twice the width. VPXORQ zeroes in
+// AVX512F; VXORPD on Z registers would need AVX512DQ.
+
+// func blockZF64(c *float64, cs int, a *float64, ars, aks int, b *float64, bs, rows, cols, kn int, load bool)
+TEXT ·blockZF64(SB), NOSPLIT, $0-81
+	BLOCKARGS(3)
+	BLOCK(VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VPXORQ, 64, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11)
+
+// func blockZF32(c *float32, cs int, a *float32, ars, aks int, b *float32, bs, rows, cols, kn int, load bool)
+TEXT ·blockZF32(SB), NOSPLIT, $0-81
+	BLOCKARGS(2)
+	BLOCK(VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VPXORQ, 64, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11)
 
 // ADAM is AdamStep on the float64 element(s) at index AX in the Go loop's
 // order — m = b1·m + nb1·g; v = b2·v + (nb2·g)·g; w -= (lr·(m/c1)) /

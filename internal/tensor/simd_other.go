@@ -2,11 +2,11 @@
 
 package tensor
 
-// haveAVX2 is false off amd64: the generic Go loops in kernels.go and
-// tanh.go are the only leaves and the stubs below are never reached.
-var haveAVX2 = false
+// leafTier is tierGeneric off amd64: the generic Go loops in kernels.go
+// and tanh.go are the only leaves and the stubs below are never reached.
+var leafTier = tierGeneric
 
-func blockAVX2[F Float](c []F, cs int, a []F, ars, aks int, b []F, bs, rows, cols, kn int, load bool) {
+func blockSIMD[F Float](c []F, cs int, a []F, ars, aks int, b []F, bs, rows, cols, kn int, load bool) {
 	panic("tensor: no SIMD leaves")
 }
 

@@ -3,25 +3,30 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"unsafe"
 )
 
-// eachLeafTier runs f with the matmul leaves as detected on this host and
-// again with haveAVX2 forced false, so the assembly and the generic Go
-// loops both face the same assertions. On a host without AVX2 the first
-// half is skipped, loudly: the assembly was not exercised.
+// tierNames names the leaf tiers in the subtests that run them.
+var tierNames = [...]string{tierGeneric: "generic", tierAVX2: "avx2", tierAVX512: "avx512"}
+
+// eachLeafTier runs f on every leaf tier, widest first: avx512, avx2 (on
+// an AVX-512 host forced, so the YMM tile alone still faces the same
+// assertions) and the generic Go loops. A tier this host lacks is
+// skipped, loudly: its assembly was not exercised.
 func eachLeafTier(t *testing.T, f func(t *testing.T)) {
-	detected := haveAVX2
-	defer func() { haveAVX2 = detected }()
-	t.Run("avx2", func(t *testing.T) {
-		if !detected {
-			t.Skip("NO AVX2 ON THIS HOST: the assembly leaves are NOT exercised by this run")
-		}
-		f(t)
-	})
-	haveAVX2 = false
-	t.Run("generic", f)
+	detected := leafTier
+	defer func() { leafTier = detected }()
+	for tier := tierAVX512; tier >= tierGeneric; tier-- {
+		t.Run(tierNames[tier], func(t *testing.T) {
+			if tier > detected {
+				t.Skipf("NO %s ON THIS HOST: its assembly leaves are NOT exercised by this run", strings.ToUpper(tierNames[tier]))
+			}
+			leafTier = tier
+			f(t)
+		})
+	}
 }
 
 func floatBits[F Float](v F) uint64 {
@@ -78,10 +83,11 @@ func requireSameBits[F Float](t *testing.T, what string, got, want []F) {
 
 // TestSIMDLeavesBitExact holds the assembly leaves to the generic Go loops
 // bit for bit over every vector/tail split, unaligned operands and
-// non-finite inputs. Whole backing arrays are compared, so a store outside
-// the destination fails too.
+// non-finite inputs, the block leaf on every SIMD tier the host has. Whole
+// backing arrays are compared, so a store outside the destination fails
+// too.
 func TestSIMDLeavesBitExact(t *testing.T) {
-	if !haveAVX2 {
+	if leafTier < tierAVX2 {
 		t.Skip("NO AVX2 ON THIS HOST: the assembly leaves are NOT exercised by this run")
 	}
 	t.Run("float64", testBlockLeaf[float64])
@@ -93,7 +99,8 @@ func TestSIMDLeavesBitExact(t *testing.T) {
 // specials: ±0, denormal g and g whose square underflows, v = 0 (so the
 // denominator is √0 + ε), ±Inf and NaN, each operand at its own offset.
 func testAdamLeaf(t *testing.T) {
-	defer func() { haveAVX2 = true }()
+	detected := leafTier
+	defer func() { leafTier = detected }()
 	rng := NewRNG(24)
 	const maxOff = 8
 	for n := 0; n <= 67; n++ {
@@ -114,9 +121,9 @@ func testAdamLeaf(t *testing.T) {
 			}
 			step := 1 + rng.Intn(50)
 			c1, c2 := 1-math.Pow(0.9, float64(step)), 1-math.Pow(0.999, float64(step))
-			haveAVX2 = false
+			leafTier = tierGeneric
 			AdamStep(op(want, 0), op(want, 1), op(want, 2), op(want, 3), 0.9, 0.999, c1, c2, 2e-4, 1e-8)
-			haveAVX2 = true
+			leafTier = detected
 			AdamStep(op(got, 0), op(got, 1), op(got, 2), op(got, 3), 0.9, 0.999, c1, c2, 2e-4, 1e-8)
 			for k, name := range []string{"w", "m", "v", "g"} {
 				requireSameBits(t, "adamStep "+name, got[k], want[k])
@@ -125,20 +132,33 @@ func testAdamLeaf(t *testing.T) {
 	}
 }
 
-// testBlockLeaf holds the block leaf to its Go loop over every tile class:
+// testBlockLeaf holds the block leaf to its Go loop on every SIMD tier the
+// host has, over every tile class at that tier's blockNR:
 // row counts 0…2·blockMR+1 and column counts 0…2·blockNR+1 (whole tiles,
-// leftover rows, leftover columns) plus a few that give a leftover row its
-// four-tile passes, k lengths on both sides of kernelKC,
+// leftover rows, leftover columns, on tierAVX512 a leftover YMM tile) plus
+// a few that give a leftover row its four-tile passes, k lengths on both
+// sides of kernelKC,
 // a laid out as a × b reads it (rows apart) and as aᵀ × b does (k apart),
 // c loaded and started from +0, each operand at its own element offset
 // and row stride. Half the runs draw specials densely, half sparsely, so
 // long k still leaves finite sums to compare.
 func testBlockLeaf[F Float](t *testing.T) {
-	defer func() { haveAVX2 = true }()
+	detected := leafTier
+	defer func() { leafTier = detected }()
+	for tier := detected; tier >= tierAVX2; tier-- {
+		leafTier = tier
+		t.Run(tierNames[tier], func(t *testing.T) { testBlockTier[F](t, tier) })
+	}
+}
+
+func testBlockTier[F Float](t *testing.T, tier int) {
 	rng := NewRNG(16)
-	const maxOff, poolLen = 8, 1 << 15
-	pools := [2][]F{fillLeaf[F](poolLen, 8, rng), fillLeaf[F](poolLen, 512, rng)}
 	nr := blockNR[F]()
+	// The largest b spans 129 rows of 9·blockNR+4; the pool holds about
+	// twice that, so every draw has room to move.
+	const maxOff = 8
+	poolLen := 2048 * nr
+	pools := [2][]F{fillLeaf[F](poolLen, 8, rng), fillLeaf[F](poolLen, 512, rng)}
 	var colCounts []int
 	for cols := 0; cols <= 2*nr+1; cols++ {
 		colCounts = append(colCounts, cols)
@@ -161,9 +181,9 @@ func testBlockLeaf[F Float](t *testing.T) {
 						got := append([]F(nil), want...)
 						a := from(rows*ars+kn*aks, (off+3)%maxOff)
 						b := from(kn*bs+cols, (off+5)%maxOff)
-						haveAVX2 = false
+						leafTier = tierGeneric
 						block(want[off:], cs, a, ars, aks, b, bs, rows, cols, kn, load)
-						haveAVX2 = true
+						leafTier = tier
 						block(got[off:], cs, a, ars, aks, b, bs, rows, cols, kn, load)
 						requireSameBits(t, fmt.Sprintf("block %d×%d k=%d off=%d mode=%d", rows, cols, kn, off, mode), got, want)
 					}
@@ -173,10 +193,11 @@ func testBlockLeaf[F Float](t *testing.T) {
 	}
 }
 
-// A 0·NaN or 0·±Inf term must poison exactly its own lane on both tiers
+// A 0·NaN or 0·±Inf term must poison exactly its own lane on every tier
 // (kernels that skipped zero terms once swallowed it), at every (row, lane)
-// of a register tile, of its leftover row (four tiles wide, then one) and
-// of its leftover columns.
+// of a register tile, of its leftover row (four tiles wide, then one), of
+// the half tile left over (on tierAVX512 the YMM leaf's) and of the
+// leftover columns.
 // The bad value sits in b[2][lane], which every row reads, and a zero in
 // a[r][2]: ±Inf turns (r, lane) alone into NaN (the other rows take ±Inf),
 // a NaN all of column lane.
@@ -189,7 +210,8 @@ func TestLeavesPoisonOnlyTheirLane(t *testing.T) {
 
 func testLeafPoison[F Float](t *testing.T) {
 	const kn = 5
-	rows, cols := blockMR+1, 5*blockNR[F]()+3
+	nr := blockNR[F]()
+	rows, cols := blockMR+1, 5*nr+nr/2+3
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for r := 0; r < rows; r++ {
 			for lane := 0; lane < cols; lane++ {

@@ -102,12 +102,12 @@ func Sigmoid(x float64) float64 {
 // TanhInto sets dst[i] = Tanh(src[i]) for every element of src; dst must
 // be at least as long, and may be src itself. A float32 element is
 // widened, and its result rounded, so it is float32(Tanh(float64(v))).
-// With haveAVX2 the assembly leaf takes four elements at a time and the
+// From tierAVX2 up the assembly leaf takes four elements at a time and the
 // last len(src) mod 4 run here.
 func TanhInto[F Float](dst, src []F) {
 	dst = dst[:len(src)]
 	n := 0
-	if haveAVX2 && len(src) >= 4 {
+	if leafTier >= tierAVX2 && len(src) >= 4 {
 		n = len(src) &^ 3
 		tanhAVX2(dst, src, n)
 	}
