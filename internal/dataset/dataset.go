@@ -37,13 +37,18 @@ type Source interface {
 // BatchOf renders the samples of src at the given indices into a
 // len(idx)×Pixels matrix with aligned labels.
 func BatchOf(src Source, idx []int) (*tensor.Mat, []int) {
-	x := tensor.New(len(idx), Pixels)
-	labels := make([]int, len(idx))
+	x, labels := tensor.New(len(idx), Pixels), make([]int, len(idx))
+	renderInto(x, labels, src, idx)
+	return x, labels
+}
+
+// renderInto renders the samples of src at idx into the rows of x and
+// their labels into labels, both len(idx) long.
+func renderInto(x *tensor.Mat, labels []int, src Source, idx []int) {
 	for r, i := range idx {
 		src.Render(i, x.Row(r))
 		labels[r] = src.Label(i)
 	}
-	return x, labels
 }
 
 // Dataset is a virtual, deterministically generated image collection.
@@ -121,9 +126,11 @@ func (d *Dataset) Render(i int, dst []float64) {
 	if len(dst) != Pixels {
 		panic(fmt.Sprintf("dataset: Render needs a %d-element buffer, got %d", Pixels, len(dst)))
 	}
-	digit := d.Label(i)
+	glyph := glyphStrokes[d.Label(i)]
 	df := d.sampleDeform(i)
-	strokes := transformStrokes(glyphStrokes[digit], df)
+	var buf [maxGlyphStrokes]stroke
+	strokes := buf[:len(glyph)]
+	transformStrokes(strokes, glyph, df)
 
 	noiseRNG := tensor.NewRNG(d.Seed ^ d.salt ^ uint64(i)*0x94d049bb133111eb ^ 0x6e6f697365)
 	inv := 1.0 / float64(Side)
@@ -154,9 +161,9 @@ func (d *Dataset) Render(i int, dst []float64) {
 	}
 }
 
-// transformStrokes applies the sample deformation to the glyph skeleton.
-func transformStrokes(src []segment, df deform) []stroke {
-	out := make([]stroke, len(src))
+// transformStrokes applies the sample deformation to the glyph skeleton
+// src, writing the strokes to out[:len(src)].
+func transformStrokes(out []stroke, src []segment, df deform) {
 	sin, cos := math.Sincos(df.rotate)
 	tr := func(x, y float64) (float64, float64) {
 		// Centre, shear, rotate, scale, translate, un-centre.
@@ -173,7 +180,6 @@ func transformStrokes(src []segment, df deform) []stroke {
 		x2, y2 := tr(s.x2, s.y2)
 		out[i] = newStroke(segment{x1, y1, x2, y2})
 	}
-	return out
 }
 
 // Sample returns a freshly allocated image and its label.
@@ -186,13 +192,7 @@ func (d *Dataset) Sample(i int) ([]float64, int) {
 // Batch renders the samples at the given indices into a len(idx)×Pixels
 // matrix and returns it with the aligned labels.
 func (d *Dataset) Batch(idx []int) (*tensor.Mat, []int) {
-	x := tensor.New(len(idx), Pixels)
-	labels := make([]int, len(idx))
-	for r, i := range idx {
-		d.Render(i, x.Row(r))
-		labels[r] = d.Label(i)
-	}
-	return x, labels
+	return BatchOf(d, idx)
 }
 
 // Loader iterates over a data source in shuffled mini-batches,
@@ -205,6 +205,8 @@ type Loader struct {
 	perm      []int
 	cursor    int
 	epoch     int
+	batch     tensor.Mat // Next renders into batch and labels
+	labels    []int
 }
 
 // NewLoader returns a Loader over src with the given batch size; rng
@@ -213,7 +215,7 @@ func NewLoader(src Source, batchSize int, rng *tensor.RNG) *Loader {
 	if batchSize <= 0 {
 		panic("dataset: batch size must be positive")
 	}
-	l := &Loader{src: src, batchSize: batchSize, rng: rng}
+	l := &Loader{src: src, batchSize: batchSize, rng: rng, labels: make([]int, batchSize)}
 	l.reshuffle()
 	return l
 }
@@ -228,7 +230,9 @@ func (l *Loader) Epoch() int { return l.epoch }
 
 // Next returns the next mini-batch, wrapping to a new shuffled epoch when
 // the current one is exhausted. The final partial batch of an epoch is
-// returned as-is (it may be smaller than the batch size).
+// returned as-is (it may be smaller than the batch size). The matrix and
+// the labels are the loader's own, rendered into again by the next call:
+// they are valid until then.
 func (l *Loader) Next() (*tensor.Mat, []int) {
 	if l.cursor >= len(l.perm) {
 		l.epoch++
@@ -240,7 +244,9 @@ func (l *Loader) Next() (*tensor.Mat, []int) {
 	}
 	idx := l.perm[l.cursor:end]
 	l.cursor = end
-	return BatchOf(l.src, idx)
+	x, labels := l.batch.Resize(len(idx), Pixels), l.labels[:len(idx)]
+	renderInto(x, labels, l.src, idx)
+	return x, labels
 }
 
 // BatchesPerEpoch returns the number of Next calls per full pass.

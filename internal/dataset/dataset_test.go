@@ -216,10 +216,24 @@ func TestLoaderCoversEpochExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestLoaderNextAllocs is the tripwire of the loader's own batch: within
+// an epoch, Next renders into the matrix and labels it already holds.
+func TestLoaderNextAllocs(t *testing.T) {
+	l := NewLoader(Train(5).WithSize(1000), 10, tensor.NewRNG(3))
+	l.Next()
+	if allocs := testing.AllocsPerRun(50, func() { l.Next() }); allocs != 0 {
+		t.Fatalf("Next allocates %.0f times per batch, want 0", allocs)
+	}
+	if l.Epoch() != 0 {
+		t.Fatal("the tripwire crossed an epoch boundary")
+	}
+}
+
 func TestLoaderShufflesBetweenEpochs(t *testing.T) {
 	d := Train(8).WithSize(40)
 	l := NewLoader(d, 40, tensor.NewRNG(2))
-	_, first := l.Next()
+	_, labels := l.Next()
+	first := append([]int(nil), labels...) // Next renders into labels again
 	_, second := l.Next()
 	same := true
 	for i := range first {
@@ -320,8 +334,8 @@ func TestDistToSegment(t *testing.T) {
 
 func TestAllGlyphsDefined(t *testing.T) {
 	for d, strokes := range glyphStrokes {
-		if len(strokes) < 2 {
-			t.Fatalf("digit %d has only %d strokes", d, len(strokes))
+		if len(strokes) < 2 || len(strokes) > maxGlyphStrokes {
+			t.Fatalf("digit %d has %d strokes, want 2 to %d", d, len(strokes), maxGlyphStrokes)
 		}
 		for _, s := range strokes {
 			for _, v := range []float64{s.x1, s.y1, s.x2, s.y2} {

@@ -23,6 +23,10 @@ type segment struct {
 	x1, y1, x2, y2 float64
 }
 
+// maxGlyphStrokes bounds the strokes of a glyph (digit 8 has the most,
+// ten), so Render keeps a sample's transformed strokes on its stack.
+const maxGlyphStrokes = 16
+
 // glyphStrokes defines each digit as a polyline set roughly mimicking
 // seven-segment-style handwriting skeletons with a few diagonals so the
 // classes are visually distinct.

@@ -32,9 +32,15 @@ func splitmix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// NewRNG returns an RNG seeded deterministically from seed.
+// NewRNG returns an RNG seeded deterministically from seed. It inlines, so
+// an RNG that does not outlive its caller stays on the caller's stack.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
+	r.seed(seed)
+	return r
+}
+
+func (r *RNG) seed(seed uint64) {
 	st := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&st)
@@ -43,7 +49,6 @@ func NewRNG(seed uint64) *RNG {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 // Split derives a new, statistically independent RNG from r. The derived
