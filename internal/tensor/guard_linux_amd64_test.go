@@ -7,11 +7,12 @@ import (
 	"unsafe"
 )
 
-// TestFetchPastGuardPage runs MatMulInto with b's last row ending where an
-// inaccessible page begins, so the forward leaf's prefetch of the tile
+// TestFetchPastGuardPage runs MatMulInto and MatMulT1Into, the families
+// whose leaf reads b where the caller put it, with b's last row ending
+// where an inaccessible page begins, so the leaf's prefetch of the tile
 // after the last one points into that page. A prefetch never faults and
-// loads nothing the result depends on: the product must equal the Go loop
-// to the bit on every leaf tier, at both widths.
+// loads nothing the result depends on: each product must equal the Go
+// loop to the bit on every leaf tier, at both widths.
 func TestFetchPastGuardPage(t *testing.T) {
 	page := syscall.Getpagesize()
 	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
@@ -55,6 +56,13 @@ func testFetchPastGuard[F Float](t *testing.T, page []byte) {
 			want.Set(i, j, s)
 		}
 	}
-	got := MatMulInto(new(Matrix[F]), a, b)
-	requireSameBits(t, fmt.Sprintf("%d×%d·%d×%d at the guard page", a.Rows, k, k, n), got.Data, want.Data)
+	name := fmt.Sprintf("%d×%d·%d×%d at the guard page", a.Rows, k, k, n)
+	requireSameBits(t, "MatMulInto "+name, MatMulInto(new(Matrix[F]), a, b).Data, want.Data)
+	at := new(Matrix[F]).Resize(k, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for kk := 0; kk < k; kk++ {
+			at.Set(kk, i, a.At(i, kk))
+		}
+	}
+	requireSameBits(t, "MatMulT1Into "+name, MatMulT1Into(new(Matrix[F]), at, b).Data, want.Data)
 }

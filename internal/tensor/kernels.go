@@ -60,15 +60,13 @@ func blockNR[F Float]() int {
 // then its add. From tierAVX2 up the assembly takes the columns in whole
 // 256-bit tiles, holding blockMR rows of them in registers across all kn
 // terms (on tierAVX512 mostly 512-bit tiles); the Go loop takes the rest,
-// and all of it on tierGeneric. fetch, set where b is the cold operand
-// (a layer's weights in the forward family), has the assembly tile
-// prefetch the next tile's columns of b for each k; it changes no value.
-func block[F Float](c []F, cs int, a []F, ars, aks int, b []F, bs, rows, cols, kn int, load, fetch bool) {
+// and all of it on tierGeneric.
+func block[F Float](c []F, cs int, a []F, ars, aks int, b []F, bs, rows, cols, kn int, load bool) {
 	if nb := cols - cols%(64/int(unsafe.Sizeof(c[0]))); leafTier >= tierAVX2 && rows > 0 && nb > 0 && kn > 0 {
 		_ = c[(rows-1)*cs+nb-1]
 		_ = a[(rows-1)*ars+(kn-1)*aks]
 		_ = b[(kn-1)*bs+nb-1]
-		blockSIMD(c, cs, a, ars, aks, b, bs, rows, nb, kn, load, fetch)
+		blockSIMD(c, cs, a, ars, aks, b, bs, rows, nb, kn, load)
 		c, b, cols = c[nb:], b[nb:], cols-nb
 	}
 	for r := 0; r < rows && cols > 0; r++ {
@@ -91,15 +89,15 @@ func block[F Float](c []F, cs int, a []F, ars, aks int, b []F, bs, rows, cols, k
 // rows start from +0; otherwise they are accumulated into (the fused-add
 // path). Loop order: k-tile → j-tile → block, so a kernelKC×kernelJC block
 // of b is reused across every output row of the range while each element
-// still accumulates in ascending-k order. fetch is block's.
-func matMulKernel[F Float](c, a, b []F, kDim, ars, aks, bCols int, zero, fetch bool, lo, hi int) {
+// still accumulates in ascending-k order.
+func matMulKernel[F Float](c, a, b []F, kDim, ars, aks, bCols int, zero bool, lo, hi int) {
 	if zero && kDim == 0 {
 		clear(c[lo*bCols : hi*bCols])
 	}
 	for kb := 0; kb < kDim; kb += kernelKC {
 		for jb := 0; jb < bCols; jb += kernelJC {
 			block(c[lo*bCols+jb:], bCols, a[lo*ars+kb*aks:], ars, aks, b[kb*bCols+jb:], bCols,
-				hi-lo, min(kernelJC, bCols-jb), min(kernelKC, kDim-kb), !zero || kb > 0, fetch)
+				hi-lo, min(kernelJC, bCols-jb), min(kernelKC, kDim-kb), !zero || kb > 0)
 		}
 	}
 }
@@ -124,7 +122,7 @@ func matMulT2Kernel[F Float](c, a, b []F, aRows, aCols, bRows int, lo, hi int) {
 			kn := min(kernelKC, aCols-kb)
 			p := panel[:w*kn]
 			packPanel(p, b[j*aCols+kb:], w, kn, aCols)
-			block(c[j:], bRows, a[kb:], aCols, 1, p, w, aRows, w, kn, kb > 0, false)
+			block(c[j:], bRows, a[kb:], aCols, 1, p, w, aRows, w, kn, kb > 0)
 		}
 	}
 }

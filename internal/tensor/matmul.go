@@ -163,9 +163,9 @@ type kernelTask[T Float] struct {
 func (t *kernelTask[T]) run(lo, hi int) {
 	switch t.op {
 	case opMatMul:
-		matMulKernel(t.c.Data, t.a.Data, t.b.Data, t.a.Cols, t.a.Cols, 1, t.b.Cols, t.zero, true, lo, hi)
+		matMulKernel(t.c.Data, t.a.Data, t.b.Data, t.a.Cols, t.a.Cols, 1, t.b.Cols, t.zero, lo, hi)
 	case opMatMulT1:
-		matMulKernel(t.c.Data, t.a.Data, t.b.Data, t.a.Rows, 1, t.a.Cols, t.b.Cols, t.zero, false, lo, hi)
+		matMulKernel(t.c.Data, t.a.Data, t.b.Data, t.a.Rows, 1, t.a.Cols, t.b.Cols, t.zero, lo, hi)
 	case opMatMulT2:
 		matMulT2Kernel(t.c.Data, t.a.Data, t.b.Data, t.a.Rows, t.a.Cols, t.b.Rows, lo, hi)
 	case opIm2Col:

@@ -43,22 +43,10 @@ func blockF64(c *float64, cs int, a *float64, ars, aks int, b *float64, bs, rows
 func blockF32(c *float32, cs int, a *float32, ars, aks int, b *float32, bs, rows, cols, kn int, load bool)
 
 //go:noescape
-func fetchF64(c *float64, cs int, a *float64, ars, aks int, b *float64, bs, rows, cols, kn int, load bool)
-
-//go:noescape
-func fetchF32(c *float32, cs int, a *float32, ars, aks int, b *float32, bs, rows, cols, kn int, load bool)
-
-//go:noescape
 func blockZF64(c *float64, cs int, a *float64, ars, aks int, b *float64, bs, rows, cols, kn int, load bool)
 
 //go:noescape
 func blockZF32(c *float32, cs int, a *float32, ars, aks int, b *float32, bs, rows, cols, kn int, load bool)
-
-//go:noescape
-func fetchZF64(c *float64, cs int, a *float64, ars, aks int, b *float64, bs, rows, cols, kn int, load bool)
-
-//go:noescape
-func fetchZF32(c *float32, cs int, a *float32, ars, aks int, b *float32, bs, rows, cols, kn int, load bool)
 
 //go:noescape
 func adamStepF64(w, m, v, grad *float64, n int, b1, nb1, b2, nb2, c1, c2, lr, eps float64)
@@ -75,33 +63,22 @@ func ptr32[F Float](s []F) *float32 { return (*float32)(unsafe.Pointer(unsafe.Sl
 // blockSIMD is block's assembly tier for rows ≥ 1, kn ≥ 1 and cols a
 // positive multiple of the YMM tile (blockNR on tierAVX2), every element
 // it reaches in bounds. On tierAVX512 the ZMM leaf takes the whole
-// blockNR-wide tiles and the YMM leaf the half tile left over. With fetch
-// set, both are the instantiations that prefetch b a tile ahead.
-func blockSIMD[F Float](c []F, cs int, a []F, ars, aks int, b []F, bs, rows, cols, kn int, load, fetch bool) {
+// blockNR-wide tiles and the YMM leaf the half tile left over.
+func blockSIMD[F Float](c []F, cs int, a []F, ars, aks int, b []F, bs, rows, cols, kn int, load bool) {
 	if nz := cols - cols%blockNR[F](); leafTier == tierAVX512 && nz > 0 {
-		switch {
-		case unsafe.Sizeof(c[0]) == 4 && fetch:
-			fetchZF32(ptr32(c), cs, ptr32(a), ars, aks, ptr32(b), bs, rows, nz, kn, load)
-		case unsafe.Sizeof(c[0]) == 4:
-			blockZF32(ptr32(c), cs, ptr32(a), ars, aks, ptr32(b), bs, rows, nz, kn, load)
-		case fetch:
-			fetchZF64(ptr64(c), cs, ptr64(a), ars, aks, ptr64(b), bs, rows, nz, kn, load)
-		default:
+		if unsafe.Sizeof(c[0]) == 8 {
 			blockZF64(ptr64(c), cs, ptr64(a), ars, aks, ptr64(b), bs, rows, nz, kn, load)
+		} else {
+			blockZF32(ptr32(c), cs, ptr32(a), ars, aks, ptr32(b), bs, rows, nz, kn, load)
 		}
 		if c, b, cols = c[nz:], b[nz:], cols-nz; cols == 0 {
 			return
 		}
 	}
-	switch {
-	case unsafe.Sizeof(c[0]) == 4 && fetch:
-		fetchF32(ptr32(c), cs, ptr32(a), ars, aks, ptr32(b), bs, rows, cols, kn, load)
-	case unsafe.Sizeof(c[0]) == 4:
-		blockF32(ptr32(c), cs, ptr32(a), ars, aks, ptr32(b), bs, rows, cols, kn, load)
-	case fetch:
-		fetchF64(ptr64(c), cs, ptr64(a), ars, aks, ptr64(b), bs, rows, cols, kn, load)
-	default:
+	if unsafe.Sizeof(c[0]) == 8 {
 		blockF64(ptr64(c), cs, ptr64(a), ars, aks, ptr64(b), bs, rows, cols, kn, load)
+	} else {
+		blockF32(ptr32(c), cs, ptr32(a), ars, aks, ptr32(b), bs, rows, cols, kn, load)
 	}
 }
 

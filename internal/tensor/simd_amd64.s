@@ -7,10 +7,9 @@
 // code has them — an FMA rounds once and would change every result — and
 // an FMA only where the Go code calls math.FMA (the tanh leaf's Exp). The
 // matmul body is written once and instantiated for float64 and float32 by
-// instruction name, for AVX2 and AVX-512 by vector width and register
-// names, and with or without a prefetch of b. The matmul macros come
-// first: vet reads a macro body as part of the TEXT above it, and BLOCK
-// names blockF64's frame (kn, load).
+// instruction name, and for AVX2 and AVX-512 by vector width and register
+// names. The matmul macros come first: vet reads a macro body as part of
+// the TEXT above it, and BLOCK names blockF64's frame (kn, load).
 
 // ROWSTEP adds A·b[k] to one row's two accumulators S0, S1, with the b
 // vectors in B0, B1 and T, P as scratch.
@@ -26,12 +25,6 @@
 #define WIDESTEP(MUL, ADD, OFF, S, T, P) \
 	MUL OFF(R14), T, P; \
 	ADD P, S, S
-
-// FETCH asks for the cache line at ADDR ahead of its load; a prefetch
-// never faults, so ADDR may lie past the end of an operand. NOFETCH, the
-// argument of the instantiations that fetch nothing ahead, is empty.
-#define FETCH(ADDR) PREFETCHT0 ADDR
-#define NOFETCH(ADDR)
 
 // BLOCK is the matmul leaf: c[r][j] = c₀ + Σ_k a[r·ars + k·aks]·b[k·bs + j]
 // for BX rows r and CX bytes of columns j (a multiple of 2·W), with c₀ the
@@ -51,11 +44,12 @@
 // full tile; the last narrower columns take V0, V1 alone. BLOCK takes all
 // fourteen general registers, R14 and R15 included, which ABI0 code may
 // clobber. VZEROUPPER clears the upper halves of Z0..Z15 as well as Y0..Y15.
-// AHEAD is FETCH or NOFETCH: with FETCH the tile asks, for each k, for the
-// same row of b under the next tile (the forward family's cold weights),
-// so the first row group's strided walk over a k-tile overlaps its misses
-// with its arithmetic.
-#define BLOCK(MOVU, BCAST, MUL, ADD, XOR, W, V0, V1, V2, V3, V4, V5, V6, V7, V8, V9, V10, V11, AHEAD) \
+// For each k the tile also prefetches the same row of b under the next
+// tile, so the first row group's strided walk over a k-tile of cold b (a
+// layer's weights, in the forward family) overlaps its misses with its
+// arithmetic. A prefetch loads no register and never faults, so past the
+// last tile it may name addresses beyond b.
+#define BLOCK(MOVU, BCAST, MUL, ADD, XOR, W, V0, V1, V2, V3, V4, V5, V6, V7, V8, V9, V10, V11) \
 	JMP  quadtest; \
 quad: \
 	XORQ AX, AX; \
@@ -89,8 +83,8 @@ quadk0: \
 	LEAQ (DX)(AX*1), R14; \
 	MOVQ kn+72(FP), R15; \
 quadk: \
-	AHEAD((2*W)(R14)); \
-	AHEAD((3*W)(R14)); \
+	PREFETCHT0 (2*W)(R14); \
+	PREFETCHT0 (3*W)(R14); \
 	MOVU (R14), V8; \
 	MOVU W(R14), V9; \
 	ROWSTEP(BCAST, MUL, ADD, (R13), V0, V1, V8, V9, V10, V11); \
@@ -254,24 +248,12 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // func blockF64(c *float64, cs int, a *float64, ars, aks int, b *float64, bs, rows, cols, kn int, load bool)
 TEXT ·blockF64(SB), NOSPLIT, $0-81
 	BLOCKARGS(3)
-	BLOCK(VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VXORPD, 32, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, NOFETCH)
+	BLOCK(VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VXORPD, 32, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
 
 // func blockF32(c *float32, cs int, a *float32, ars, aks int, b *float32, bs, rows, cols, kn int, load bool)
 TEXT ·blockF32(SB), NOSPLIT, $0-81
 	BLOCKARGS(2)
-	BLOCK(VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VXORPS, 32, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, NOFETCH)
-
-// The fetch leaves are the same tiles with FETCH in place of NOFETCH.
-
-// func fetchF64(c *float64, cs int, a *float64, ars, aks int, b *float64, bs, rows, cols, kn int, load bool)
-TEXT ·fetchF64(SB), NOSPLIT, $0-81
-	BLOCKARGS(3)
-	BLOCK(VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VXORPD, 32, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, FETCH)
-
-// func fetchF32(c *float32, cs int, a *float32, ars, aks int, b *float32, bs, rows, cols, kn int, load bool)
-TEXT ·fetchF32(SB), NOSPLIT, $0-81
-	BLOCKARGS(2)
-	BLOCK(VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VXORPS, 32, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11, FETCH)
+	BLOCK(VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VXORPS, 32, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7, Y8, Y9, Y10, Y11)
 
 // The AVX-512 leaves are BLOCK at twice the width. VPXORQ zeroes in
 // AVX512F; VXORPD on Z registers would need AVX512DQ.
@@ -279,22 +261,12 @@ TEXT ·fetchF32(SB), NOSPLIT, $0-81
 // func blockZF64(c *float64, cs int, a *float64, ars, aks int, b *float64, bs, rows, cols, kn int, load bool)
 TEXT ·blockZF64(SB), NOSPLIT, $0-81
 	BLOCKARGS(3)
-	BLOCK(VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VPXORQ, 64, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, NOFETCH)
+	BLOCK(VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VPXORQ, 64, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11)
 
 // func blockZF32(c *float32, cs int, a *float32, ars, aks int, b *float32, bs, rows, cols, kn int, load bool)
 TEXT ·blockZF32(SB), NOSPLIT, $0-81
 	BLOCKARGS(2)
-	BLOCK(VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VPXORQ, 64, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, NOFETCH)
-
-// func fetchZF64(c *float64, cs int, a *float64, ars, aks int, b *float64, bs, rows, cols, kn int, load bool)
-TEXT ·fetchZF64(SB), NOSPLIT, $0-81
-	BLOCKARGS(3)
-	BLOCK(VMOVUPD, VBROADCASTSD, VMULPD, VADDPD, VPXORQ, 64, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, FETCH)
-
-// func fetchZF32(c *float32, cs int, a *float32, ars, aks int, b *float32, bs, rows, cols, kn int, load bool)
-TEXT ·fetchZF32(SB), NOSPLIT, $0-81
-	BLOCKARGS(2)
-	BLOCK(VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VPXORQ, 64, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11, FETCH)
+	BLOCK(VMOVUPS, VBROADCASTSS, VMULPS, VADDPS, VPXORQ, 64, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7, Z8, Z9, Z10, Z11)
 
 // ADAM is AdamStep on the float64 element(s) at index AX in the Go loop's
 // order — m = b1·m + nb1·g; v = b2·v + (nb2·g)·g; w -= (lr·(m/c1)) /

@@ -6,7 +6,7 @@ package tensor
 // and tanh.go are the only leaves and the stubs below are never reached.
 var leafTier = tierGeneric
 
-func blockSIMD[F Float](c []F, cs int, a []F, ars, aks int, b []F, bs, rows, cols, kn int, load, fetch bool) {
+func blockSIMD[F Float](c []F, cs int, a []F, ars, aks int, b []F, bs, rows, cols, kn int, load bool) {
 	panic("tensor: no SIMD leaves")
 }
 

@@ -132,9 +132,8 @@ func testAdamLeaf(t *testing.T) {
 	}
 }
 
-// testBlockLeaf holds the block leaf, with and without the prefetch, to
-// its Go loop on every SIMD tier the host has, over every tile class at
-// that tier's blockNR:
+// testBlockLeaf holds the block leaf to its Go loop on every SIMD tier the
+// host has, over every tile class at that tier's blockNR:
 // row counts 0…2·blockMR+1 and column counts 0…2·blockNR+1 (whole tiles,
 // leftover rows, leftover columns, on tierAVX512 a leftover YMM tile) plus
 // a few that give a leftover row its four-tile passes, k lengths on both
@@ -179,17 +178,14 @@ func testBlockTier[F Float](t *testing.T, tier int) {
 						}
 						load := mode < 2
 						want := append([]F(nil), from(rows*cs+maxOff, off)...)
-						start := append([]F(nil), want...)
+						got := append([]F(nil), want...)
 						a := from(rows*ars+kn*aks, (off+3)%maxOff)
 						b := from(kn*bs+cols, (off+5)%maxOff)
 						leafTier = tierGeneric
-						block(want[off:], cs, a, ars, aks, b, bs, rows, cols, kn, load, false)
+						block(want[off:], cs, a, ars, aks, b, bs, rows, cols, kn, load)
 						leafTier = tier
-						for _, fetch := range []bool{false, true} {
-							got := append([]F(nil), start...)
-							block(got[off:], cs, a, ars, aks, b, bs, rows, cols, kn, load, fetch)
-							requireSameBits(t, fmt.Sprintf("block %d×%d k=%d off=%d mode=%d fetch=%v", rows, cols, kn, off, mode, fetch), got, want)
-						}
+						block(got[off:], cs, a, ars, aks, b, bs, rows, cols, kn, load)
+						requireSameBits(t, fmt.Sprintf("block %d×%d k=%d off=%d mode=%d", rows, cols, kn, off, mode), got, want)
 					}
 				}
 			}
@@ -204,8 +200,7 @@ func testBlockTier[F Float](t *testing.T, tier int) {
 // leftover columns.
 // The bad value sits in b[2][lane], which every row reads, and a zero in
 // a[r][2]: ±Inf turns (r, lane) alone into NaN (the other rows take ±Inf),
-// a NaN all of column lane. Both leaves face it, with and without the
-// prefetch.
+// a NaN all of column lane.
 func TestLeavesPoisonOnlyTheirLane(t *testing.T) {
 	eachLeafTier(t, func(t *testing.T) {
 		t.Run("float64", testLeafPoison[float64])
@@ -230,12 +225,10 @@ func testLeafPoison[F Float](t *testing.T) {
 				}
 				a[r*kn+2], b[2*cols+lane] = 0, F(bad)
 				c := make([]F, rows*cols)
-				for _, fetch := range []bool{false, true} {
-					block(c, cols, a, kn, 1, b, cols, rows, cols, kn, false, fetch)
-					for i, v := range c {
-						if want := i%cols == lane && (i/cols == r || math.IsNaN(bad)); (v != v) != want {
-							t.Fatalf("0·%v at (%d, %d), fetch=%v: c[%d][%d] = %v", bad, r, lane, fetch, i/cols, i%cols, v)
-						}
+				block(c, cols, a, kn, 1, b, cols, rows, cols, kn, false)
+				for i, v := range c {
+					if want := i%cols == lane && (i/cols == r || math.IsNaN(bad)); (v != v) != want {
+						t.Fatalf("0·%v at (%d, %d): c[%d][%d] = %v", bad, r, lane, i/cols, i%cols, v)
 					}
 				}
 			}
